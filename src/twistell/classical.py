@@ -40,10 +40,10 @@ class ThetaChar(NamedTuple):
 
 
 def require_upper_half(tau: complex) -> complex:
-    """Validate Im(tau) > 0 (so |q| < 1) and return tau as complex."""
+    """Validate a finite tau with Im(tau) > 0 (so |q| < 1) and return it as complex."""
     tau = complex(tau)
-    if not tau.imag > 0:
-        raise DomainError(f"tau must lie in the upper half-plane, got {tau}")
+    if not (tau.imag > 0 and cmath.isfinite(tau)):
+        raise DomainError(f"tau must be a finite point of the upper half-plane, got {tau}")
     return tau
 
 
@@ -101,7 +101,7 @@ def weierstrass_pk_laurent(k: int, z: complex, tau: complex,
         raise ValueError("weierstrass_pk_laurent requires k >= 1")
     tau = require_upper_half(tau)
     z = complex(z)
-    if z == 0 or abs(z) >= _TWO_PI:
+    if not 0 < abs(z) < _TWO_PI:
         raise DomainError(f"Laurent series needs 0 < |z| < 2*pi, got |z| = {abs(z):.4g}")
     acc = 0.0 + 0.0j
     small = 0
@@ -123,7 +123,7 @@ def p0(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> comp
     """
     tau = require_upper_half(tau)
     z = complex(z)
-    if z == 0 or abs(z) >= _TWO_PI:
+    if not 0 < abs(z) < _TWO_PI:
         raise DomainError(f"p0 needs 0 < |z| < 2*pi, got |z| = {abs(z):.4g}")
     acc = 0.0 + 0.0j
     small = 0
@@ -156,15 +156,24 @@ def theta_char(a: float, b: float, z: complex, tau: complex,
     falls below cfg.tol (Gaussian decay makes this cheap); hard cap at
     16*cfg.theta_range.
     """
+    _, terms = _theta_terms(a, b, z, tau, cfg)
+    return complex(terms.sum())
+
+
+def _theta_terms(a: float, b: float, z: complex, tau: complex,
+                 cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Summation indices n + a and terms of theta[a;b](z, tau) over its window."""
     tau = require_upper_half(tau)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"theta needs a finite z, got {z}")
     window = cfg.theta_range
     shift = z + 2j * math.pi * b
     while window <= 16 * cfg.theta_range:
         ns = np.arange(-window, window + 1, dtype=float) + a
         terms = np.exp(1j * math.pi * ns**2 * tau + ns * shift)
         if abs(terms[0]) < cfg.tol and abs(terms[-1]) < cfg.tol:
-            return complex(terms.sum())
+            return ns, terms
         window *= 2
     raise NotConverged(f"theta window exceeded 16*theta_range at tau = {tau}")
 

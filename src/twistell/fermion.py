@@ -25,10 +25,11 @@ from .twisted import (
     TwistPair,
     GroupElement,
     _reduce_phase,
-    coeff_C,
-    twisted_pk,
+    twisted_eisenstein,
     twisted_pk_reflected,
 )
+# perfbench's tracer test patches and checks this binding of twisted_pk
+from .twisted import twisted_pk  # noqa: F401
 
 
 class GSelector(Enum):
@@ -109,12 +110,47 @@ class OrbifoldParams:
         return f"(alpha={self.alpha:.6g}, beta={self.beta:.6g})"
 
 
-def _d_entry(k: int, l: int, tw: TwistPair, z: complex, tau: complex,
-             cfg: TruncationConfig) -> complex:
-    # matrix formulas evaluate D at both z_ab and z_ba, so reach Re(z) > 0
-    # through the parity reflection
-    return ((-1.0) ** (k + 1) * binomial(k + l - 2, k - 1)
-            * twisted_pk_reflected(k + l - 1, tw, z, tau, cfg))
+def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[complex],
+               col_modes: Sequence[Sequence[int]], ys: Sequence[complex] | None,
+               tau: complex, cfg: TruncationConfig, diag: complex | None = None) -> np.ndarray:
+    """C/D block matrix of the expansion coefficients of P_1[tw].
+
+    Row block a holds the modes k_i of row_modes[a] at xs[a]; column block b
+    the modes l_j of col_modes[b] at ys[b]. With ys None the columns sit at
+    the row points, and block a == b holds C[tw](k_i, l_j), or the constant
+    diag when one is given. Every other entry is D[tw](k_i, l_j, xs[a] - ys[b]),
+    taken through the parity reflection where Re > 0, since the matrix needs
+    D at both z_ab and z_ba. Each E_m[tw] and each (a, b, m), m = k + l - 1,
+    is evaluated once.
+    """
+    shared = ys is None
+    ys = xs if shared else ys
+    cols = [(b, l) for b, ls in enumerate(col_modes) for l in ls]
+    factors: dict = {}
+    values: dict = {}
+    rows = []
+    for a, ks in enumerate(row_modes):
+        for k in ks:
+            row = []
+            for b, l in cols:
+                c_entry = shared and a == b
+                if c_entry and diag is not None:
+                    row.append(diag)
+                    continue
+                m = k + l - 1
+                key = m if c_entry else (a, b, m)
+                val = values.get(key)
+                if val is None:
+                    val = values[key] = (twisted_eisenstein(m, tw, tau, cfg) if c_entry else
+                                         twisted_pk_reflected(m, tw, xs[a] - ys[b], tau, cfg))
+                fac = factors.get((k, l, c_entry))
+                if fac is None:
+                    # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
+                    fac = factors[k, l, c_entry] = ((-1.0) ** (l if c_entry else k + 1)
+                                                    * binomial(m - 1, k - 1))
+                row.append(fac * val)
+            rows.append(row)
+    return np.array(rows, dtype=complex).reshape(len(rows), len(cols))
 
 
 def p1_difference_matrix(tw: TwistPair, zs: Sequence[complex], tau: complex,
@@ -122,13 +158,8 @@ def p1_difference_matrix(tw: TwistPair, zs: Sequence[complex], tau: complex,
                          diag: complex = 0.0) -> np.ndarray:
     """Matrix P_1[tw](z_i - z_j) with a prescribed diagonal value."""
     zs = [complex(z) for z in zs]
-    n = len(zs)
-    mat = np.full((n, n), complex(diag), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                mat[i, j] = twisted_pk_reflected(1, tw, zs[i] - zs[j], tau, cfg)
-    return mat
+    one_mode = [(1,)] * len(zs)
+    return _cd_matrix(tw, one_mode, zs, one_mode, None, tau, cfg, diag=diag)
 
 
 def _require_distinct(points: Sequence[complex], what: str) -> None:
@@ -208,29 +239,18 @@ def rank1_fock_npoint(labels, zs: Sequence[complex], g: GSelector, tau: complex,
 
     Vanishes when the total mode count is odd. Diagonal blocks hold
     C[theta;-1](k_i, k_j); off-diagonal blocks D[theta;-1](k_i, k_j, z_a - z_b).
+    The diagonal entries C(k, k) vanish identically at theta = +-1, phi = -1,
+    and the Pfaffian never reads them.
     """
     labels = _as_rank1_labels(labels)
     zs = [complex(z) for z in zs]
     if len(labels) != len(zs):
         raise ValueError("labels and insertion points must pair up")
-    sizes = [len(lab.ks) for lab in labels]
-    if sum(sizes) % 2:
+    if sum(len(lab.ks) for lab in labels) % 2:
         return 0.0 + 0.0j
     _require_distinct(zs, "insertion points")
-    tw = g.twist()
-    dim = sum(sizes)
-    mat = np.zeros((dim, dim), dtype=complex)
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            for i, ki in enumerate(la.ks):
-                for j, kj in enumerate(lb.ks):
-                    r, c = offs[a] + i, offs[b] + j
-                    if a == b:
-                        # C(k, k) vanishes identically at theta = +-1, phi = -1
-                        mat[r, c] = coeff_C(ki, kj, tw, tau, cfg)
-                    else:
-                        mat[r, c] = _d_entry(ki, kj, tw, zs[a] - zs[b], tau, cfg)
+    modes = [lab.ks for lab in labels]
+    mat = _cd_matrix(g.twist(), modes, zs, modes, None, tau, cfg)
     return pfaffian(mat, cfg) * rank1_partition(g, tau, cfg)
 
 
@@ -293,8 +313,9 @@ def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[comp
 
     Nontrivial twist: det(P_1[theta; phi](x_i - y_j)) * Z(p). Trivial twist:
     det(Q) * eta(tau)^2 with Q the (n+1) x (n+1) untwisted-P_1 matrix bordered
-    by a ones column/row and a zero corner. Requires every x_i - y_j in the
-    annulus.
+    by a ones column/row and a zero corner; the trivially twisted P_1 used
+    here exceeds it by the constant 1/2, which the ones border cancels from
+    the determinant. Requires every x_i - y_j in the annulus.
     """
     tau = require_upper_half(tau)
     xs = [complex(x) for x in xs]
@@ -307,21 +328,13 @@ def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[comp
     _require_distinct(xs, "psi+ points")
     _require_distinct(ys, "psi- points")
     _check_annulus_diffs(xs, ys, tau)
+    one_mode = [(1,)] * n
+    mat = _cd_matrix(p.twist(), one_mode, xs, one_mode, ys, tau, cfg)
     if p.is_trivial_twist:
-        from .classical import weierstrass_pk
-
-        q = np.zeros((n + 1, n + 1), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                q[i, j] = weierstrass_pk(1, xs[i] - ys[j], tau, cfg)
-            q[i, n] = 1.0
-            q[n, i] = 1.0
+        q = np.ones((n + 1, n + 1), dtype=complex)
+        q[:n, :n] = mat
+        q[n, n] = 0.0
         return determinant(q) * dedekind_eta(tau, cfg) ** 2
-    tw = p.twist()
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = twisted_pk(1, tw, xs[i] - ys[j], tau, cfg)
     return determinant(mat) * rank2_partition(p, tau, cfg)
 
 
@@ -380,20 +393,8 @@ def rank2_fock_npoint(labels, zs: Sequence[complex], p: OrbifoldParams, tau: com
     if sum(s_counts) != sum(t_counts):
         return 0.0 + 0.0j
     _require_distinct(zs, "insertion points")
-    tw = p.twist()
-    dim = sum(s_counts)
-    mat = np.zeros((dim, dim), dtype=complex)
-    row_offs = np.concatenate([[0], np.cumsum(s_counts)])
-    col_offs = np.concatenate([[0], np.cumsum(t_counts)])
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            for i, ki in enumerate(la.ks):
-                for j, lj in enumerate(lb.ls):
-                    r, c = row_offs[a] + i, col_offs[b] + j
-                    if a == b:
-                        mat[r, c] = coeff_C(ki, lj, tw, tau, cfg)
-                    else:
-                        mat[r, c] = _d_entry(ki, lj, tw, zs[a] - zs[b], tau, cfg)
+    mat = _cd_matrix(p.twist(), [lab.ks for lab in labels], zs,
+                     [lab.ls for lab in labels], None, tau, cfg)
     eps = alternating_sign(s_counts, t_counts)
     return eps * determinant(mat) * rank2_partition(p, tau, cfg)
 

@@ -27,6 +27,7 @@ from .errors import RouteUnavailable
 from .fermion import (
     GSelector,
     OrbifoldParams,
+    _cd_matrix,
     lattice_npoint,
     modular_multiplier,
     p1_difference_matrix,
@@ -43,7 +44,6 @@ from .numeric import DEFAULT_CONFIG, TruncationConfig, determinant, pfaffian, pf
 from .twisted import (
     GroupElement,
     TwistPair,
-    coeff_D,
     gamma_act_point,
     gamma_act_twist,
     lattice_distance,
@@ -247,10 +247,9 @@ def _finish(name: str, records: list[SampleRecord], tol: float, cfg: TruncationC
 # ---------------------------------------------------------------------------
 
 def check_doublesum(k: int, plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
-                    tolerance: float | None = None) -> IdentityReport:
+                    tolerance: float = 1e-9) -> IdentityReport:
     """q-series versus collapsed double-sum oracle for P_k[tw]."""
     name = f"doublesum_k{k}"
-    tol = tolerance if tolerance is not None else (1e-9 if k == 1 else 1e-6)
     s = _Sampler(plan, name)
     records = []
     for i in range(plan.count):
@@ -268,7 +267,7 @@ def check_doublesum(k: int, plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CO
     except RouteUnavailable:
         records.append(SampleRecord("tw=trivial", 0j, 0j, 0.0, "skipped",
                                     "RouteUnavailable: no lattice route at trivial twist"))
-    return _finish(name, records, tol, cfg, plan.seed)
+    return _finish(name, records, tolerance, cfg, plan.seed)
 
 
 def check_eisenstein_lattice(n: int, plan: SamplePlan,
@@ -568,17 +567,8 @@ def check_generalized_trisecant(ms, ns, plan: SamplePlan,
         tau = s.tau()
         use_ms, use_ns = ((1,), (1,)) if i == 0 else (ms, ns)  # n=1 reduction sample
         xs, ys = s.xy_clusters(tau, len(use_ms), len(use_ns))
-        tw = p.twist()
-        d = sum(use_ms)
-        mat = np.zeros((d, d), dtype=complex)
-        ro = np.concatenate([[0], np.cumsum(use_ms)])
-        co = np.concatenate([[0], np.cumsum(use_ns)])
-        for a in range(len(use_ms)):
-            for b in range(len(use_ns)):
-                for ii in range(use_ms[a]):
-                    for jj in range(use_ns[b]):
-                        mat[ro[a] + ii, co[b] + jj] = coeff_D(
-                            ii + 1, jj + 1, tw, xs[a] - ys[b], tau, cfg)
+        mat = _cd_matrix(p.twist(), [range(1, m + 1) for m in use_ms], xs,
+                         [range(1, n + 1) for n in use_ns], ys, tau, cfg)
         lhs = determinant(mat)
         big_n = sum(use_ms)
         exponent = (big_n * (big_n - 1) // 2

@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import NotAntisymmetric, OddDimension
 
-# Largest dimension handled by the literal pair-partition sum; beyond this
-# the O(n^3) skew elimination takes over.
-_PAIR_SUM_MAX_DIM = 8
-
 
 @dataclass(frozen=True)
 class TruncationConfig:
@@ -130,9 +126,12 @@ def as_square_matrix(entries) -> np.ndarray:
 
 
 def antisymmetry_defect(m: np.ndarray) -> float:
-    """Max-entry norm of M + M^T (zero for an exactly skew matrix)."""
+    """Max-entry norm of M + M^T (zero for an exactly skew matrix); inf when
+    an entry is not finite."""
     if m.shape[0] == 0:
         return 0.0
+    if not np.isfinite(m).all():
+        return math.inf
     return float(np.abs(m + m.T).max())
 
 
@@ -149,7 +148,7 @@ def pfaffian_pair_sum(m) -> complex:
 
     Pf(M) = sum over partitions {(i1,j1),...,(im,jm)} of {1..2m} with
     i_k < j_k and i_1 < i_2 < ... of the signed product of entries.
-    Exponential cost; intended for small matrices and as a test oracle.
+    Exponential cost; kept as the independent oracle for `pfaffian`.
     """
     a = as_square_matrix(m)
     n = a.shape[0]
@@ -197,8 +196,8 @@ def pfaffian(m, cfg: TruncationConfig | None = None) -> complex:
     """Pfaffian of an even-dimensional antisymmetric complex matrix.
 
     Satisfies Pf(M)^2 = det(M). The antisymmetry defect must stay below
-    10*cfg.tol (inputs are themselves series-truncated). Small matrices use
-    the exact pair-partition sum; larger ones skew elimination.
+    10*cfg.tol (inputs are themselves series-truncated); a non-finite entry
+    fails that test. Every size uses Parlett-Reid skew elimination.
 
     Raises OddDimension or NotAntisymmetric.
     """
@@ -208,10 +207,8 @@ def pfaffian(m, cfg: TruncationConfig | None = None) -> complex:
     if n % 2:
         raise OddDimension(f"pfaffian needs even dimension, got {n}")
     defect = antisymmetry_defect(a)
-    if defect > 10 * cfg.tol:
+    if not defect <= 10 * cfg.tol:
         raise NotAntisymmetric(defect)
     if n == 0:
         return 1.0 + 0.0j
-    if n <= _PAIR_SUM_MAX_DIM:
-        return pfaffian_pair_sum(a)
     return _pfaffian_parlett_reid(a.copy())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import prime_form, require_upper_half, theta_char
+from .classical import _theta_terms, prime_form, require_upper_half, theta_char
 from .errors import (
     DegenerateTheta,
     DomainError,
@@ -188,9 +188,10 @@ def twisted_pk(k: int, tw: TwistPair, z: complex, tau: complex,
     z = complex(z)
     h = _TWO_PI * tau.imag
     x = z.real
-    if not -h < x < 0.0:
+    if not (-h < x < 0.0 and cmath.isfinite(z)):
         raise DomainError(
-            f"q-series needs -2*pi*Im(tau) < Re(z) < 0, got Re(z) = {x:.4g}, width {h:.4g}")
+            f"q-series needs a finite z with -2*pi*Im(tau) < Re(z) < 0, got z = {z:.4g}, "
+            f"width {h:.4g}")
     lam, mu = tw.lam, tw.mu
     cap = 64 * cfg.q_order
     n_up = _window_size(-x, cfg.tol)
@@ -325,52 +326,40 @@ def _adaptive_lattice_sum(term, rate_up: float, rate_dn: float,
         m_dn *= 2
 
 
-def _p1_oracle(tw: TwistPair, z: complex, tau: complex, cfg: TruncationConfig) -> complex:
+def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
+                      cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
+    """Slow closed-form oracle for P_k[tw] from the collapsed double sums.
+
+    Uses whichever lattice route the twist admits (phi != 1 or theta != 1;
+    RouteUnavailable otherwise), with the inner sum collapsed to the k-th
+    closed form S_k, so every k is summed directly. Valid for every z off
+    the period lattice, not just the annulus.
+    """
+    if k < 1:
+        raise ValueError("twisted_pk_oracle requires k >= 1")
     tau = require_upper_half(tau)
     z = complex(z)
     if lattice_distance(z, tau) < 10 * _POLE_EPS:
         raise NearPole(f"z = {z:.6g} is a lattice translate of a pole")
     h = _TWO_PI * tau.imag
     if tw.lam != 0.0:
-        # collapse the inner n-sum: P_1 = sum_m theta^m S(z - 2*pi*i*m*tau, phi)
-        s_fun = _collapsed_inner_sum(tw.lam, 0)
+        # collapse the inner n-sum: P_k = sum_m theta^m S_k(z - 2*pi*i*m*tau, phi)
+        s_fun = _collapsed_inner_sum(tw.lam, k - 1)
 
         def term(m: int) -> complex:
             return cmath.exp(-2j * math.pi * tw.mu * m) * s_fun(z - 2j * math.pi * tau * m)
 
         return _adaptive_lattice_sum(term, (1.0 - tw.lam) * h, tw.lam * h, cfg)
     if tw.mu != 0.0:
-        # swapped summation order: P_1 = (1/tau) sum_n phi^n S((z - 2*pi*i*n)/tau, theta^-1)
-        g_fun = _collapsed_inner_sum(1.0 - tw.mu, 0)
+        # swapped summation order: P_k = tau^-k sum_n phi^n S_k((z - 2*pi*i*n)/tau, theta^-1)
+        g_fun = _collapsed_inner_sum(1.0 - tw.mu, k - 1)
         hp = h / abs(tau) ** 2
 
         def term(n: int) -> complex:
             return cmath.exp(2j * math.pi * tw.lam * n) * g_fun((z - 2j * math.pi * n) / tau)
 
-        return _adaptive_lattice_sum(term, (1.0 - tw.mu) * hp, tw.mu * hp, cfg) / tau
+        return _adaptive_lattice_sum(term, (1.0 - tw.mu) * hp, tw.mu * hp, cfg) / tau**k
     raise RouteUnavailable("lattice oracle needs theta != 1 or phi != 1")
-
-
-def _fd_derivative(f, z: complex, h: float) -> complex:
-    """Fourth-order central difference of f at z along the real direction."""
-    return (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12.0 * h)
-
-
-def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
-                      cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Slow closed-form oracle for P_k[tw] from the collapsed double sums.
-
-    k = 1 uses whichever lattice route the twist admits (phi != 1 or
-    theta != 1; RouteUnavailable otherwise). Higher k differentiate the
-    k = 1 oracle by central differences, P_{k} = -(1/(k-1)) d/dz P_{k-1}.
-    Valid for every z off the period lattice, not just the annulus.
-    """
-    if k < 1:
-        raise ValueError("twisted_pk_oracle requires k >= 1")
-    if k == 1:
-        return _p1_oracle(tw, z, tau, cfg)
-    step = 0.01 * min(1.0, lattice_distance(z, tau))
-    return -_fd_derivative(lambda w: twisted_pk_oracle(k - 1, tw, w, tau, cfg), z, step) / (k - 1)
 
 
 def twisted_eisenstein(n: int, tw: TwistPair, tau: complex,
@@ -484,10 +473,10 @@ def twisted_p1_theta_form(tw: TwistPair, z: complex, tau: complex,
     """P_1[tw](z) through theta functions and the prime form.
 
     Nontrivial twist:  theta[lam+1/2; mu+1/2](z) / theta[lam+1/2; mu+1/2](0) / K(z).
-    Trivial twist:     1/2 + theta'[1/2;1/2](z) / theta'[1/2;1/2](0) / K(z), the
-    z-derivatives taken by central differences (the derivative ratio is
-    exactly K'/K = P_1, so the trivially twisted function needs its
-    constant 1/2 restored on top).
+    Trivial twist:     1/2 + theta'[1/2;1/2](z) / theta'[1/2;1/2](0) / K(z), with
+    theta' summed term by term as sum_n (n+1/2) * term_n over theta's own
+    window (the ratio is exactly K'/K = P_1, so the trivially twisted
+    function needs its constant 1/2 restored on top).
 
     Raises DegenerateTheta when the denominator theta value is below cfg.tol.
     Valid wherever the prime form is (0 < |z| < 2*pi).
@@ -496,7 +485,8 @@ def twisted_p1_theta_form(tw: TwistPair, z: complex, tau: complex,
     z = complex(z)
     if tw.is_trivial:
         def dtheta(w: complex) -> complex:
-            return _fd_derivative(lambda u: theta_char(0.5, 0.5, u, tau, cfg), w, 1e-3)
+            ns, terms = _theta_terms(0.5, 0.5, w, tau, cfg)
+            return complex((ns * terms).sum())
 
         den = dtheta(0.0)
         if abs(den) < cfg.tol:

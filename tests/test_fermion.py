@@ -4,9 +4,11 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from twistell import (
+    DEFAULT_CONFIG,
     BalanceError,
     DomainError,
     FockLabelRank1,
@@ -17,13 +19,18 @@ from twistell import (
     TwistPair,
     UnsupportedTwist,
     alternating_sign,
+    binomial,
     coeff_C,
+    coeff_D,
     dedekind_eta,
+    determinant,
     epsilon_S,
     epsilon_T,
     generator_word,
     lattice_npoint,
     modular_multiplier,
+    p1_difference_matrix,
+    pfaffian,
     prime_form,
     rank1_fock_npoint,
     rank1_generating,
@@ -40,7 +47,9 @@ from twistell import (
     twisted_pk,
     twisted_pk_oracle,
     twisted_pk_reflected,
+    weierstrass_pk,
 )
+from twistell import fermion, twisted
 
 TAU = 0.12 + 1.1j
 Q = cmath.exp(2j * math.pi * TAU)
@@ -407,3 +416,127 @@ class TestModularMultiplier:
         lhs = rank2_partition(gp, gtau)
         rhs = eps * rank2_partition(p, TAU)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the C/D block-matrix builder against the per-entry loops it replaced
+# ---------------------------------------------------------------------------
+
+def loop_p1_difference_matrix(tw, zs, tau, diag=0.0):
+    n = len(zs)
+    mat = np.full((n, n), complex(diag), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                mat[i, j] = twisted_pk_reflected(1, tw, zs[i] - zs[j], tau)
+    return mat
+
+
+def loop_fock_matrix(tw, row_modes, col_modes, zs, tau):
+    """C blocks on the diagonal, reflected D blocks elsewhere, entry by entry."""
+    row_offs = np.concatenate([[0], np.cumsum([len(ks) for ks in row_modes])])
+    col_offs = np.concatenate([[0], np.cumsum([len(ls) for ls in col_modes])])
+    mat = np.zeros((row_offs[-1], col_offs[-1]), dtype=complex)
+    for a, ks in enumerate(row_modes):
+        for b, ls in enumerate(col_modes):
+            for i, k in enumerate(ks):
+                for j, l in enumerate(ls):
+                    r, c = row_offs[a] + i, col_offs[b] + j
+                    if a == b:
+                        mat[r, c] = coeff_C(k, l, tw, tau)
+                    else:
+                        mat[r, c] = ((-1.0) ** (k + 1) * binomial(k + l - 2, k - 1)
+                                     * twisted_pk_reflected(k + l - 1, tw, zs[a] - zs[b], tau))
+    return mat
+
+
+def loop_trisecant_matrix(tw, ms, ns, xs, ys, tau):
+    mat = np.zeros((sum(ms), sum(ns)), dtype=complex)
+    ro = np.concatenate([[0], np.cumsum(ms)])
+    co = np.concatenate([[0], np.cumsum(ns)])
+    for a in range(len(ms)):
+        for b in range(len(ns)):
+            for ii in range(ms[a]):
+                for jj in range(ns[b]):
+                    mat[ro[a] + ii, co[b] + jj] = coeff_D(ii + 1, jj + 1, tw, xs[a] - ys[b], tau)
+    return mat
+
+
+class TestBlockMatrixBuilder:
+    ZS = [-2.3 + 0.4j, -1.5 - 0.6j, -0.9 + 0.2j, -0.3 - 0.1j]
+    XS = [-1.9 + 0.3j, -1.2 - 0.4j, -1.6 + 0.8j]
+    YS = [-0.3 + 0.2j, -0.45 - 0.25j, -0.1 + 0.6j]
+
+    @pytest.mark.parametrize("diag", [0.0, 0.37 - 0.2j])
+    def test_p1_difference_matrix(self, diag):
+        tw = TwistPair(0.5, 0.5)
+        assert np.array_equal(p1_difference_matrix(tw, self.ZS, TAU, diag=diag),
+                              loop_p1_difference_matrix(tw, self.ZS, TAU, diag))
+
+    def test_rank1_fock(self):
+        g = GSelector.SIGMA
+        modes = [(1, 2), (1,), (2, 3), (1, 3, 4)]
+        ref = loop_fock_matrix(g.twist(), modes, modes, self.ZS, TAU)
+        assert np.array_equal(
+            fermion._cd_matrix(g.twist(), modes, self.ZS, modes, None, TAU,
+                               DEFAULT_CONFIG), ref)
+        assert rank1_fock_npoint(modes, self.ZS, g, TAU) == \
+            pfaffian(ref) * rank1_partition(g, TAU)
+
+    def test_rank2_fock(self):
+        p = OrbifoldParams(0.27, 0.63)
+        labels = [((1, 2), (1,)), ((1,), (2, 3)), ((3,), (1,))]
+        ref = loop_fock_matrix(p.twist(), [ks for ks, _ in labels],
+                               [ls for _, ls in labels], self.ZS[:3], TAU)
+        eps = alternating_sign([2, 1, 1], [1, 2, 1])
+        assert rank2_fock_npoint(labels, self.ZS[:3], p, TAU) == \
+            eps * determinant(ref) * rank2_partition(p, TAU)
+
+    def test_rank2_generating_nontrivial(self):
+        p = OrbifoldParams(0.27, 0.63)
+        ref = np.array([[twisted_pk(1, p.twist(), x - y, TAU) for y in self.YS]
+                        for x in self.XS])
+        assert rank2_generating(p, self.XS, self.YS, TAU) == \
+            determinant(ref) * rank2_partition(p, TAU)
+
+    def test_rank2_generating_trivial(self):
+        # untwisted P_1 with the ones border, as summed before the builder
+        n = len(self.XS)
+        q = np.zeros((n + 1, n + 1), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                q[i, j] = weierstrass_pk(1, self.XS[i] - self.YS[j], TAU)
+            q[i, n] = q[n, i] = 1.0
+        ref = determinant(q) * dedekind_eta(TAU) ** 2
+        val = rank2_generating(OrbifoldParams(0.0, 0.0), self.XS, self.YS, TAU)
+        assert val == pytest.approx(ref, rel=1e-13)
+
+    def test_generalized_trisecant_block(self):
+        tw = OrbifoldParams(0.27, 0.63).twist()
+        ms, ns = (2, 1, 3), (1, 3, 2)
+        mat = fermion._cd_matrix(tw, [range(1, m + 1) for m in ms], self.XS,
+                                 [range(1, n + 1) for n in ns], self.YS, TAU,
+                                 DEFAULT_CONFIG)
+        assert np.array_equal(mat, loop_trisecant_matrix(tw, ms, ns, self.XS, self.YS, TAU))
+
+    def test_one_evaluation_per_distinct_entry(self, monkeypatch):
+        pk_calls, e_calls = [], []
+        pk, ek = twisted.twisted_pk, fermion.twisted_eisenstein
+
+        def count_pk(k, tw, z, tau, cfg):
+            pk_calls.append(k)
+            return pk(k, tw, z, tau, cfg)
+
+        def count_e(n, tw, tau, cfg):
+            e_calls.append(n)
+            return ek(n, tw, tau, cfg)
+
+        monkeypatch.setattr(twisted, "twisted_pk", count_pk)
+        monkeypatch.setattr(fermion, "twisted_eisenstein", count_e)
+        modes = [(1, 2), (1,), (2, 3), (1, 3, 4)]
+        rank1_fock_npoint(modes, self.ZS, GSelector.IDENTITY, TAU)
+        off = {(a, b, k + l - 1) for a, ks in enumerate(modes) for b, ls in enumerate(modes)
+               if a != b for k in ks for l in ls}
+        on = {k + l - 1 for ks in modes for k in ks for l in ks}
+        assert len(pk_calls) == len(off) < sum(map(len, modes)) ** 2
+        assert sorted(e_calls) == sorted(on)

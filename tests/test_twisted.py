@@ -10,7 +10,9 @@ from twistell import (
     DegenerateTheta,
     DomainError,
     GroupElement,
+    GSelector,
     NearPole,
+    NotAntisymmetric,
     NotConverged,
     RouteUnavailable,
     TwistPair,
@@ -19,6 +21,10 @@ from twistell import (
     eisenstein,
     gamma_act_point,
     gamma_act_twist,
+    pfaffian,
+    prime_form,
+    rank1_generating,
+    theta_char,
     twisted_eisenstein,
     twisted_eisenstein_oracle,
     twisted_p1_theta_form,
@@ -31,6 +37,8 @@ from twistell import (
 
 TAU = 0.12 + 1.1j
 Z = -1.3 + 0.4j
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestTwistPair:
@@ -142,7 +150,15 @@ class TestTwistedPk:
     def test_oracle_agreement_k2(self):
         tw = TwistPair(0.31, 0.77)
         assert twisted_pk(2, tw, Z, TAU) == pytest.approx(
-            twisted_pk_oracle(2, tw, Z, TAU), rel=1e-6)
+            twisted_pk_oracle(2, tw, Z, TAU), rel=1e-11)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("mu,lam", [(0.0, 0.4), (0.62, 0.0)])
+    def test_oracle_agreement_higher_k(self, k, mu, lam):
+        # both lattice routes; the theta-only one rescales by tau^-k
+        tw = TwistPair(mu, lam)
+        assert twisted_pk(k, tw, Z, TAU) == pytest.approx(
+            twisted_pk_oracle(k, tw, Z, TAU), rel=1e-11)
 
     def test_oracle_route_unavailable(self):
         with pytest.raises(RouteUnavailable):
@@ -326,7 +342,7 @@ class TestThetaForm:
 
     def test_trivial_matches_half_plus_p1(self):
         assert twisted_p1_theta_form(TwistPair.trivial(), Z, TAU) == pytest.approx(
-            0.5 + weierstrass_pk(1, Z, TAU), rel=1e-9)
+            0.5 + weierstrass_pk(1, Z, TAU), rel=1e-11)
 
     def test_two_pi_i_multiplier(self):
         tw = TwistPair(0.31, 0.77)
@@ -363,3 +379,22 @@ class TestModularCovariance:
         lhs = eisenstein(2, -1 / TAU)
         rhs = TAU**2 * eisenstein(2, TAU) + TAU / (2j * math.pi) * (-1.0)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call,error", [
+    (lambda: pfaffian([[0.0, NAN], [NAN, 0.0]]), NotAntisymmetric),
+    (lambda: pfaffian([[0.0, INF], [-INF, 0.0]]), NotAntisymmetric),
+    (lambda: twisted_pk(1, TwistPair(0.3, 0.6), Z, complex(0.1, INF)), DomainError),
+    (lambda: twisted_pk(1, TwistPair(0.3, 0.6), complex(-1.0, INF), TAU), DomainError),
+    (lambda: twisted_pk(1, TwistPair(0.3, 0.6), complex(-1.0, NAN), TAU), DomainError),
+    (lambda: twisted_eisenstein(2, TwistPair(0.3, 0.6), complex(0.1, INF)), DomainError),
+    (lambda: prime_form(complex(NAN, 0.0), TAU), DomainError),
+    (lambda: theta_char(0.5, 0.5, complex(INF, 0.0), TAU), DomainError),
+    (lambda: rank1_generating(GSelector.IDENTITY, [complex(-1.0, NAN), -0.5], TAU),
+     DomainError),
+], ids=["pfaffian-nan", "pfaffian-inf", "pk-tau-inf", "pk-z-inf", "pk-z-nan",
+        "eisenstein-tau-inf", "prime-form-nan", "theta-inf", "rank1-nan"])
+def test_non_finite_input_raises(call, error):
+    with pytest.raises(error):
+        call()
