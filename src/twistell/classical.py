@@ -89,6 +89,19 @@ def weierstrass_pk(k: int, z: complex, tau: complex,
     return val
 
 
+def _disk_series(term, start: int, tol: float, what: str, z: complex) -> complex:
+    """Sum term(n) over even n >= start until two successive terms fall below tol."""
+    acc = 0.0 + 0.0j
+    small = 0
+    for n in range(start + start % 2, _DISK_SERIES_MAX_ORDER + 1, 2):
+        t = term(n)
+        acc += t
+        small = small + 1 if abs(t) < tol else 0
+        if small >= 2:
+            return acc
+    raise NotConverged(f"{what} stalled at |z| = {abs(z):.4g}")
+
+
 def weierstrass_pk_laurent(k: int, z: complex, tau: complex,
                            cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Untwisted P_k by its Laurent series about z = 0.
@@ -103,17 +116,9 @@ def weierstrass_pk_laurent(k: int, z: complex, tau: complex,
     z = complex(z)
     if not 0 < abs(z) < _TWO_PI:
         raise DomainError(f"Laurent series needs 0 < |z| < 2*pi, got |z| = {abs(z):.4g}")
-    acc = 0.0 + 0.0j
-    small = 0
-    n = k if k % 2 == 0 else k + 1
-    while n <= _DISK_SERIES_MAX_ORDER:
-        term = binomial(n - 1, k - 1) * eisenstein(n, tau, cfg) * z ** (n - k)
-        acc += term
-        small = small + 1 if abs(term) < cfg.tol else 0
-        if small >= 2:
-            return z ** (-k) + (-1.0) ** k * acc
-        n += 2
-    raise NotConverged(f"P_{k} Laurent series stalled at |z| = {abs(z):.4g}")
+    acc = _disk_series(lambda n: binomial(n - 1, k - 1) * eisenstein(n, tau, cfg) * z ** (n - k),
+                       k, cfg.tol, f"P_{k} Laurent series", z)
+    return z ** (-k) + (-1.0) ** k * acc
 
 
 def p0(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
@@ -125,17 +130,8 @@ def p0(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> comp
     z = complex(z)
     if not 0 < abs(z) < _TWO_PI:
         raise DomainError(f"p0 needs 0 < |z| < 2*pi, got |z| = {abs(z):.4g}")
-    acc = 0.0 + 0.0j
-    small = 0
-    k = 2
-    while k <= _DISK_SERIES_MAX_ORDER:
-        term = eisenstein(k, tau, cfg) * z**k / k
-        acc += term
-        small = small + 1 if abs(term) < cfg.tol else 0
-        if small >= 2:
-            return -cmath.log(z) + acc
-        k += 2
-    raise NotConverged(f"p0 series stalled at |z| = {abs(z):.4g}")
+    acc = _disk_series(lambda k: eisenstein(k, tau, cfg) * z**k / k, 2, cfg.tol, "p0 series", z)
+    return -cmath.log(z) + acc
 
 
 def prime_form(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:

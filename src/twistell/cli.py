@@ -12,11 +12,14 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
+from itertools import product
+from types import ModuleType
 
-from . import classical, fermion, twisted
+from . import classical, fermion, numeric, twisted
 from .errors import DomainError, NearPole, NotConverged, TwistellError
 from .identities import SUITE, SamplePlan, run_all
-from .numeric import TruncationConfig, bernoulli_poly, binomial, q_exp
+from .numeric import TruncationConfig
 from .twisted import GroupElement, TwistPair
 
 EXIT_OK = 0
@@ -99,10 +102,7 @@ def _parse_gamma(text: str) -> GroupElement:
     vals = _parse_int_list(text)
     if len(vals) != 4:
         raise ParseError("gamma needs four integers a,b,c,d")
-    try:
-        return GroupElement(*vals)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return GroupElement(*vals)
 
 
 _PARSERS = {
@@ -121,112 +121,87 @@ _ALIASES = {
     "α": "alpha", "β": "beta", "θ": "mu", "φ": "lam",
 }
 
-# function name -> (ordered (param, kind) spec, evaluator(args, cfg) -> complex)
-REGISTRY: dict = {
-    "bernoulli_poly": ([("n", "int"), ("lam", "float")],
-                       lambda a, cfg: complex(bernoulli_poly(a["n"], a["lam"]))),
-    "binomial": ([("n", "int"), ("k", "int")],
-                 lambda a, cfg: complex(binomial(a["n"], a["k"]))),
-    "q_exp": ([("z", "complex"), ("s", "complex")],
-              lambda a, cfg: q_exp(a["z"], a["s"])),
-    "eisenstein": ([("n", "int"), ("tau", "complex")],
-                   lambda a, cfg: classical.eisenstein(a["n"], a["tau"], cfg)),
-    "weierstrass_pk": ([("k", "int"), ("z", "complex"), ("tau", "complex")],
-                       lambda a, cfg: classical.weierstrass_pk(a["k"], a["z"], a["tau"], cfg)),
-    "weierstrass_pk_laurent": (
-        [("k", "int"), ("z", "complex"), ("tau", "complex")],
-        lambda a, cfg: classical.weierstrass_pk_laurent(a["k"], a["z"], a["tau"], cfg)),
-    "p0": ([("z", "complex"), ("tau", "complex")],
-           lambda a, cfg: classical.p0(a["z"], a["tau"], cfg)),
-    "prime_form": ([("z", "complex"), ("tau", "complex")],
-                   lambda a, cfg: classical.prime_form(a["z"], a["tau"], cfg)),
-    "theta_char": ([("a", "float"), ("b", "float"), ("z", "complex"), ("tau", "complex")],
-                   lambda a, cfg: classical.theta_char(a["a"], a["b"], a["z"], a["tau"], cfg)),
-    "dedekind_eta": ([("tau", "complex")],
-                     lambda a, cfg: classical.dedekind_eta(a["tau"], cfg)),
-    "twisted_pk": ([("k", "int"), ("mu", "float"), ("lam", "float"),
-                    ("z", "complex"), ("tau", "complex")],
-                   lambda a, cfg: twisted.twisted_pk(
-                       a["k"], TwistPair(a["mu"], a["lam"]), a["z"], a["tau"], cfg)),
-    "twisted_pk_oracle": ([("k", "int"), ("mu", "float"), ("lam", "float"),
-                           ("z", "complex"), ("tau", "complex")],
-                          lambda a, cfg: twisted.twisted_pk_oracle(
-                              a["k"], TwistPair(a["mu"], a["lam"]), a["z"], a["tau"], cfg)),
-    "twisted_eisenstein": ([("n", "int"), ("mu", "float"), ("lam", "float"),
-                            ("tau", "complex")],
-                           lambda a, cfg: twisted.twisted_eisenstein(
-                               a["n"], TwistPair(a["mu"], a["lam"]), a["tau"], cfg)),
-    "twisted_eisenstein_oracle": (
-        [("n", "int"), ("mu", "float"), ("lam", "float"), ("tau", "complex")],
-        lambda a, cfg: twisted.twisted_eisenstein_oracle(
-            a["n"], TwistPair(a["mu"], a["lam"]), a["tau"], cfg)),
-    "coeff_C": ([("k", "int"), ("l", "int"), ("mu", "float"), ("lam", "float"),
-                 ("tau", "complex")],
-                lambda a, cfg: twisted.coeff_C(
-                    a["k"], a["l"], TwistPair(a["mu"], a["lam"]), a["tau"], cfg)),
-    "coeff_D": ([("k", "int"), ("l", "int"), ("mu", "float"), ("lam", "float"),
-                 ("z", "complex"), ("tau", "complex")],
-                lambda a, cfg: twisted.coeff_D(
-                    a["k"], a["l"], TwistPair(a["mu"], a["lam"]), a["z"], a["tau"], cfg)),
-    "twisted_p1_theta_form": ([("mu", "float"), ("lam", "float"), ("z", "complex"),
-                               ("tau", "complex")],
-                              lambda a, cfg: twisted.twisted_p1_theta_form(
-                                  TwistPair(a["mu"], a["lam"]), a["z"], a["tau"], cfg)),
-    "rank1_partition": ([("g", "g"), ("tau", "complex")],
-                        lambda a, cfg: fermion.rank1_partition(a["g"], a["tau"], cfg)),
-    "rank1_generating": ([("g", "g"), ("zs", "clist"), ("tau", "complex")],
-                         lambda a, cfg: fermion.rank1_generating(
-                             a["g"], a["zs"], a["tau"], cfg)),
-    "rank1_fock_npoint": ([("labels", "labels"), ("zs", "clist"), ("g", "g"),
-                           ("tau", "complex")],
-                          lambda a, cfg: fermion.rank1_fock_npoint(
-                              a["labels"], a["zs"], a["g"], a["tau"], cfg)),
-    "rank1_sigma_twisted_generating": (
-        [("zs", "clist"), ("tau", "complex")],
-        lambda a, cfg: fermion.rank1_sigma_twisted_generating(a["zs"], a["tau"], cfg)),
-    "sigma_module_partition": ([("tau", "complex")],
-                               lambda a, cfg: fermion.sigma_module_partition(a["tau"], cfg)),
-    "rank2_partition": ([("alpha", "float"), ("beta", "float"), ("tau", "complex")],
-                        lambda a, cfg: fermion.rank2_partition(
-                            fermion.OrbifoldParams(a["alpha"], a["beta"]), a["tau"], cfg)),
-    "rank2_partition_theta": ([("alpha", "float"), ("beta", "float"), ("tau", "complex")],
-                              lambda a, cfg: fermion.rank2_partition_theta(
-                                  fermion.OrbifoldParams(a["alpha"], a["beta"]),
-                                  a["tau"], cfg)),
-    "rank2_generating": ([("alpha", "float"), ("beta", "float"), ("xs", "clist"),
-                          ("ys", "clist"), ("tau", "complex")],
-                         lambda a, cfg: fermion.rank2_generating(
-                             fermion.OrbifoldParams(a["alpha"], a["beta"]),
-                             a["xs"], a["ys"], a["tau"], cfg)),
-    "rank2_fock_npoint": ([("plus", "labels"), ("minus", "labels"), ("zs", "clist"),
-                           ("alpha", "float"), ("beta", "float"), ("tau", "complex")],
-                          lambda a, cfg: fermion.rank2_fock_npoint(
-                              list(zip(a["plus"], a["minus"])), a["zs"],
-                              fermion.OrbifoldParams(a["alpha"], a["beta"]),
-                              a["tau"], cfg)),
-    "rank2_generating_boson": ([("alpha", "float"), ("beta", "float"), ("xs", "clist"),
-                                ("ys", "clist"), ("tau", "complex")],
-                               lambda a, cfg: fermion.rank2_generating_boson(
-                                   fermion.OrbifoldParams(a["alpha"], a["beta"]),
-                                   a["xs"], a["ys"], a["tau"], cfg)),
-    "lattice_npoint": ([("alpha", "float"), ("beta", "float"), ("ms", "ilist"),
-                        ("xs", "clist"), ("ns", "ilist"), ("ys", "clist"),
-                        ("tau", "complex")],
-                       lambda a, cfg: fermion.lattice_npoint(
-                           fermion.OrbifoldParams(a["alpha"], a["beta"]),
-                           a["ms"], a["xs"], a["ns"], a["ys"], a["tau"], cfg)),
-}
+# parameter-string groups: token -> (type, the float parameters passed to it in order)
+_GROUPS = {"tw": (TwistPair, ("mu", "lam")), "p": (fermion.OrbifoldParams, ("alpha", "beta"))}
 
 
-def _modular_multiplier_eval(a, cfg):
-    eps, params = fermion.modular_multiplier(a["gamma"], fermion.OrbifoldParams(
-        a["alpha"], a["beta"]))
+def _rank2_fock_npoint(plus, minus, zs, p, tau, cfg):
+    return fermion.rank2_fock_npoint(list(zip(plus, minus)), zs, p, tau, cfg), []
+
+
+def _modular_multiplier(gamma, p):
+    eps, params = fermion.modular_multiplier(gamma, p)
     return eps, [f"transformed params: alpha={params.alpha:.17g} beta={params.beta:.17g}"]
 
 
-REGISTRY["modular_multiplier"] = (
-    [("gamma", "gamma"), ("alpha", "float"), ("beta", "float")],
-    _modular_multiplier_eval)
+# function name -> (owner, parameters in call order). The owner is the module defining a
+# function of that name, or an adapter returning (value, warnings). Parameter tokens:
+# "name:kind" is parsed by _PARSERS[kind], "tw" and "p" expand through _GROUPS, and
+# "cfg" passes the truncation config.
+_SIGNATURES = {
+    "bernoulli_poly": (numeric, "n:int lam:float"),
+    "binomial": (numeric, "n:int k:int"),
+    "q_exp": (numeric, "z:complex s:complex"),
+    "eisenstein": (classical, "n:int tau:complex cfg"),
+    "weierstrass_pk": (classical, "k:int z:complex tau:complex cfg"),
+    "weierstrass_pk_laurent": (classical, "k:int z:complex tau:complex cfg"),
+    "p0": (classical, "z:complex tau:complex cfg"),
+    "prime_form": (classical, "z:complex tau:complex cfg"),
+    "theta_char": (classical, "a:float b:float z:complex tau:complex cfg"),
+    "dedekind_eta": (classical, "tau:complex cfg"),
+    "twisted_pk": (twisted, "k:int tw z:complex tau:complex cfg"),
+    "twisted_pk_oracle": (twisted, "k:int tw z:complex tau:complex cfg"),
+    "twisted_eisenstein": (twisted, "n:int tw tau:complex cfg"),
+    "twisted_eisenstein_oracle": (twisted, "n:int tw tau:complex cfg"),
+    "coeff_C": (twisted, "k:int l:int tw tau:complex cfg"),
+    "coeff_D": (twisted, "k:int l:int tw z:complex tau:complex cfg"),
+    "twisted_p1_theta_form": (twisted, "tw z:complex tau:complex cfg"),
+    "rank1_partition": (fermion, "g:g tau:complex cfg"),
+    "rank1_generating": (fermion, "g:g zs:clist tau:complex cfg"),
+    "rank1_fock_npoint": (fermion, "labels:labels zs:clist g:g tau:complex cfg"),
+    "rank1_sigma_twisted_generating": (fermion, "zs:clist tau:complex cfg"),
+    "sigma_module_partition": (fermion, "tau:complex cfg"),
+    "rank2_partition": (fermion, "p tau:complex cfg"),
+    "rank2_partition_theta": (fermion, "p tau:complex cfg"),
+    "rank2_generating": (fermion, "p xs:clist ys:clist tau:complex cfg"),
+    "rank2_fock_npoint": (_rank2_fock_npoint,
+                          "plus:labels minus:labels zs:clist p tau:complex cfg"),
+    "rank2_generating_boson": (fermion, "p xs:clist ys:clist tau:complex cfg"),
+    "lattice_npoint": (fermion, "p ms:ilist xs:clist ns:ilist ys:clist tau:complex cfg"),
+    "modular_multiplier": (_modular_multiplier, "gamma:gamma p"),
+}
+
+
+def _entry(name: str, owner, params: str):
+    """The (ordered (param, kind) spec, evaluator(args, cfg)) pair of one registry row.
+
+    A module's function is looked up when called, so rebinding it (as a tracer
+    or a test double does) takes effect here too.
+    """
+    spec, getters = [], []
+    for tok in params.split():
+        if tok == "cfg":
+            getters.append(lambda a, cfg: cfg)
+        elif tok in _GROUPS:
+            cls, keys = _GROUPS[tok]
+            spec += [(key, "float") for key in keys]
+            getters.append(lambda a, cfg, cls=cls, keys=keys: cls(*(a[key] for key in keys)))
+        else:
+            key, _, kind = tok.partition(":")
+            spec.append((key, kind))
+            getters.append(lambda a, cfg, key=key: a[key])
+
+    def evaluate(a, cfg):
+        args = [get(a, cfg) for get in getters]
+        if isinstance(owner, ModuleType):
+            return getattr(owner, name)(*args), []
+        return owner(*args)
+
+    return spec, evaluate
+
+
+# function name -> (ordered (param, kind) spec, evaluator(args, cfg) -> (value, warnings))
+REGISTRY: dict = {name: _entry(name, *row) for name, row in _SIGNATURES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -263,28 +238,52 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(dumps({"error": kind, "message": message}) + "\n")
 
 
+# exception -> (error kind, exit code, table row status); the first matching row wins.
+# A row status of None aborts a table instead of flagging the row.
+_ERRORS = (
+    (ParseError, "parse", EXIT_PARSE, None),
+    (NearPole, "near_pole", EXIT_DOMAIN, "near_pole"),
+    (DomainError, "domain", EXIT_DOMAIN, "domain_error"),
+    (NotConverged, "convergence", EXIT_CONVERGENCE, "not_converged"),
+    (OSError, "io", EXIT_IO, None),
+    (ValueError, "parse", EXIT_PARSE, None),
+    (KeyError, "parse", EXIT_PARSE, None),
+    (TwistellError, "parse", EXIT_PARSE, None),
+)
+_HANDLED = tuple(exc for exc, _, _, _ in _ERRORS)
+_ROW_ERRORS = tuple(exc for exc, _, _, status in _ERRORS if status)
+
+
+def _error_row(exc: Exception) -> tuple:
+    return next(row for row in _ERRORS if isinstance(exc, row[0]))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cfg_from_args(args) -> TruncationConfig:
-    base = TruncationConfig()
-    try:
-        return TruncationConfig(
-            q_order=args.q_order if args.q_order is not None else base.q_order,
-            theta_range=args.theta_range if args.theta_range is not None else base.theta_range,
-            lattice_range=(args.lattice_range if args.lattice_range is not None
-                           else base.lattice_range),
-            tol=args.tol if args.tol is not None else base.tol,
-            series_radius=(args.series_radius if args.series_radius is not None
-                           else base.series_radius),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    given = {f.name: getattr(args, f.name) for f in fields(TruncationConfig)}
+    return TruncationConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-def _parse_assignments(tokens, spec) -> dict:
-    wanted = {name: kind for name, kind in spec}
+def _lookup(function: str):
+    if function not in REGISTRY:
+        raise ParseError(f"unknown function {function!r}; known: "
+                         f"{', '.join(sorted(REGISTRY))}")
+    return REGISTRY[function]
+
+
+def _parse_value(key: str, kind: str, text: str):
+    return _PARSERS[kind](text)
+
+
+def _parse_assignments(tokens, spec, parse=_parse_value) -> dict:
+    """Map key=value tokens onto spec, resolving aliases; each parameter exactly once.
+
+    parse(key, kind, text) turns one value into its argument.
+    """
+    wanted = dict(spec)
     got: dict = {}
     for tok in tokens:
         if "=" not in tok:
@@ -296,7 +295,7 @@ def _parse_assignments(tokens, spec) -> dict:
                              f"{', '.join(n for n, _ in spec)}")
         if key in got:
             raise ParseError(f"duplicate parameter {key!r}")
-        got[key] = _PARSERS[wanted[key]](val)
+        got[key] = parse(key, wanted[key], val)
     missing = [n for n, _ in spec if n not in got]
     if missing:
         raise ParseError(f"missing parameter(s): {', '.join(missing)}")
@@ -304,18 +303,16 @@ def _parse_assignments(tokens, spec) -> dict:
 
 
 def cmd_eval(args) -> int:
-    if args.function not in REGISTRY:
-        raise ParseError(f"unknown function {args.function!r}; known: "
-                         f"{', '.join(sorted(REGISTRY))}")
-    spec, fn = REGISTRY[args.function]
+    if args.function_flag:
+        if args.function is not None:
+            args.assignments = [args.function] + args.assignments
+        args.function = args.function_flag
+    if args.function is None:
+        raise ParseError("eval needs a function name")
+    spec, fn = _lookup(args.function)
     cfg = _cfg_from_args(args)
     parsed = _parse_assignments(args.assignments, spec)
-    out = fn(parsed, cfg)
-    warnings: list[str] = []
-    if isinstance(out, tuple):
-        value, warnings = out
-    else:
-        value = out
+    value, warnings = fn(parsed, cfg)
     value = complex(value)
     payload = {"re": value.real, "im": value.imag, "cfg": cfg.asdict(),
                "warnings": warnings}
@@ -338,10 +335,7 @@ def cmd_verify(args) -> int:
     cfg = _cfg_from_args(args)
     if args.count is not None and args.count < 1:
         raise ParseError("count must be >= 1")
-    try:
-        plan = SamplePlan(seed=args.seed, count=args.count or 25)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    plan = SamplePlan(seed=args.seed, count=args.count or 25)
     if args.suite == "all":
         names = None
     else:
@@ -356,47 +350,48 @@ def cmd_verify(args) -> int:
     n_fail = sum(not rep.passed for rep in reports)
     print(f"{len(reports) - n_fail}/{len(reports)} checks passed")
     if args.out:
-        try:
-            if args.format == "json":
-                text = dumps([rep.to_dict() for rep in reports]) + "\n"
-            else:
-                buf = io.StringIO()
-                writer = csv.writer(buf, lineterminator="\n")
-                writer.writerow(["identity_name", "input", "lhs_re", "lhs_im", "rhs_re",
-                                 "rhs_im", "residual", "status", "tolerance", "passed",
-                                 "seed"])
-                writer.writerows(_report_rows(reports))
-                text = buf.getvalue()
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            _emit_error("io", str(exc))
-            return EXIT_IO
+        if args.format == "json":
+            text = dumps([rep.to_dict() for rep in reports]) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["identity_name", "input", "lhs_re", "lhs_im", "rhs_re",
+                             "rhs_im", "residual", "status", "tolerance", "passed",
+                             "seed"])
+            writer.writerows(_report_rows(reports))
+            text = buf.getvalue()
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY
 
 
 def cmd_report(args) -> int:
     """Re-read a JSON report file and reproduce the summary verdict."""
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
+    with open(args.path, "r", encoding="utf-8") as fh:
+        try:
             data = json.load(fh)
-    except OSError as exc:
-        _emit_error("io", str(exc))
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not a JSON report: {exc}") from exc
-    n_fail = 0
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not a JSON report: {exc}") from exc
+    if not isinstance(data, list):
+        raise ParseError("not a JSON report: expected a list of checks")
+    checks = []
     for rep in data:
-        passed = rep["max_residual"] <= rep["tolerance"]
-        verdict = "PASS" if passed else "FAIL"
-        n_fail += not passed
-        print(f"{verdict}  {rep['identity_name']:<28s} samples={len(rep['samples']):<4d} "
-              f"max_residual={rep['max_residual']:.3e}  tol={rep['tolerance']:.1e}")
+        try:
+            # float() also decodes the "inf" and "nan" strings that dumps writes
+            residual, tol = float(rep["max_residual"]), float(rep["tolerance"])
+            line = (f"{rep['identity_name']:<28s} samples={len(rep['samples']):<4d} "
+                    f"max_residual={residual:.3e}  tol={tol:.1e}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed report entry: {exc!r}") from exc
+        checks.append((residual <= tol, line))
+    for passed, line in checks:
+        print(f"{'PASS' if passed else 'FAIL'}  {line}")
+    n_fail = sum(not passed for passed, _ in checks)
     print(f"{len(data) - n_fail}/{len(data)} checks passed")
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY
 
 
-def _parse_range(val: str):
+def _parse_range(val: str) -> list[complex]:
     """Grid token: 'a..b' (integer, inclusive) or 'start:stop:count' (linspace)."""
     if ".." in val:
         lo, _, hi = val.partition("..")
@@ -414,93 +409,66 @@ def _parse_range(val: str):
     raise ParseError(f"not a range: {val!r}")
 
 
+def _cell(v) -> str:
+    if isinstance(v, complex):
+        return format(v.real, ".17g") if v.imag == 0 else \
+            f"{format(v.real, '.17g')}{'+' if v.imag >= 0 else '-'}{format(abs(v.imag), '.17g')}i"
+    return str(v)
+
+
+class _Grid(list):
+    """(printed cell, argument) pairs of one varying table parameter."""
+
+
+def _parse_table_value(key: str, kind: str, text: str):
+    """A fixed argument, or a _Grid whose arguments are parsed from their printed cells,
+    so that a row label always names the value computed."""
+    if ".." not in text and text.count(":") != 2:
+        return _PARSERS[kind](text)
+    if kind not in ("int", "float", "complex"):
+        raise ParseError(f"parameter {key!r} cannot vary")
+    cells = [_cell(v) for v in _parse_range(text)]
+    return _Grid((c, _PARSERS[kind](c)) for c in cells)
+
+
 def cmd_table(args) -> int:
-    if args.function not in REGISTRY:
-        raise ParseError(f"unknown function {args.function!r}")
-    spec, fn = REGISTRY[args.function]
-    kinds = dict(spec)
+    spec, fn = _lookup(args.function)
     cfg = _cfg_from_args(args)
-    fixed: dict = {}
-    varying: list[tuple[str, list[complex]]] = []
-    for tok in args.assignments:
-        if "=" not in tok:
-            raise ParseError(f"expected key=value, got {tok!r}")
-        key, _, val = tok.partition("=")
-        key = _ALIASES.get(key.strip(), key.strip())
-        if key not in kinds:
-            raise ParseError(f"unknown parameter {key!r}")
-        if ".." in val or val.count(":") == 2:
-            varying.append((key, _parse_range(val)))
-        else:
-            fixed[key] = _PARSERS[kinds[key]](val)
+    parsed = _parse_assignments(args.assignments, spec, _parse_table_value)
+    varying = [(k, v) for k, v in parsed.items() if isinstance(v, _Grid)]
     if not 1 <= len(varying) <= 2:
         raise ParseError("table needs one or two varying parameters")
-    if any(len(vals) == 0 for _, vals in varying):
+    if any(len(grid) == 0 for _, grid in varying):
         raise ParseError("empty grid")
-    missing = [n for n, _ in spec if n not in fixed and n not in dict(varying)]
-    if missing:
-        raise ParseError(f"missing parameter(s): {', '.join(missing)}")
-
-    def coerce(key, value):
-        kind = kinds[key]
-        if kind == "int":
-            return int(value.real)
-        if kind == "float":
-            return value.real
-        return value
-
-    grids = [vals for _, vals in varying]
-    rows = []
     names = [k for k, _ in varying]
-    combos = [(a,) for a in grids[0]] if len(grids) == 1 else [
-        (a, b) for a in grids[0] for b in grids[1]]
-    for combo in combos:
-        call = dict(fixed)
-        for key, value in zip(names, combo):
-            call[key] = coerce(key, value)
-        status = "ok"
-        value = complex(0)
-        try:
-            out = fn(call, cfg)
-            value = complex(out[0] if isinstance(out, tuple) else out)
-        except NearPole:
-            status = "near_pole"
-        except DomainError:
-            status = "domain_error"
-        except NotConverged:
-            status = "not_converged"
-        rows.append((combo, value, status))
-
-    fixed_cols = sorted(fixed)
-    header = names + fixed_cols + ["re", "im", "status"]
-
-    def cell(v):
-        if isinstance(v, complex):
-            return format(v.real, ".17g") if v.imag == 0 else \
-                f"{format(v.real, '.17g')}{'+' if v.imag >= 0 else '-'}{format(abs(v.imag), '.17g')}i"
-        return str(v)
+    fixed = {k: v for k, v in parsed.items() if k not in names}
+    fixed_cells = [_cell(fixed[k]) for k in sorted(fixed)]
 
     out_rows = []
-    for combo, value, status in rows:
-        out_rows.append([cell(c) for c in combo] + [cell(fixed[k]) for k in fixed_cols]
+    for combo in product(*(grid for _, grid in varying)):
+        call = dict(fixed)
+        call.update(zip(names, (arg for _, arg in combo)))
+        try:
+            value, status = complex(fn(call, cfg)[0]), "ok"
+        except _ROW_ERRORS as exc:
+            value, status = complex(0), _error_row(exc)[3]
+        out_rows.append([c for c, _ in combo] + fixed_cells
                         + [format(value.real, ".17g"), format(value.imag, ".17g"), status])
-    try:
-        if args.format == "json":
-            text = dumps([dict(zip(header, row)) for row in out_rows]) + "\n"
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(out_rows)
-            text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        _emit_error("io", str(exc))
-        return EXIT_IO
+
+    header = names + sorted(fixed) + ["re", "im", "status"]
+    if args.format == "json":
+        text = dumps([dict(zip(header, row)) for row in out_rows]) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(out_rows)
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -509,11 +477,8 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_cfg_flags(sub):
-    sub.add_argument("--q-order", type=int, default=None)
-    sub.add_argument("--theta-range", type=int, default=None)
-    sub.add_argument("--lattice-range", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--series-radius", type=float, default=None)
+    for f in fields(TruncationConfig):
+        sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("function", nargs="?", default=None)
     p_eval.add_argument("assignments", nargs="*")
     _add_cfg_flags(p_eval)
+    p_eval.set_defaults(run=cmd_eval)
 
     p_verify = subs.add_parser("verify", help="run identity-suite checks")
     p_verify.add_argument("--suite", default="all")
@@ -534,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--out", default=None)
     _add_cfg_flags(p_verify)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_table = subs.add_parser("table", help="tabulate a function over a parameter grid")
     p_table.add_argument("--function", required=True)
@@ -541,9 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("json", "csv"), default="csv")
     p_table.add_argument("--out", default=None)
     _add_cfg_flags(p_table)
+    p_table.set_defaults(run=cmd_table)
 
     p_report = subs.add_parser("report", help="re-read a JSON report and print its verdict")
     p_report.add_argument("path")
+    p_report.set_defaults(run=cmd_report)
 
     return parser
 
@@ -555,36 +524,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "eval":
-            if getattr(args, "function_flag", None):
-                if args.function is not None:
-                    args.assignments = [args.function] + args.assignments
-                args.function = args.function_flag
-            if args.function is None:
-                raise ParseError("eval needs a function name")
-            return cmd_eval(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "report":
-            return cmd_report(args)
-        raise ParseError(f"unknown command {args.command!r}")
-    except ParseError as exc:
-        _emit_error("parse", str(exc))
-        return EXIT_PARSE
-    except NearPole as exc:
-        _emit_error("near_pole", str(exc))
-        return EXIT_DOMAIN
-    except DomainError as exc:
-        _emit_error("domain", str(exc))
-        return EXIT_DOMAIN
-    except NotConverged as exc:
-        _emit_error("convergence", str(exc))
-        return EXIT_CONVERGENCE
-    except (ValueError, KeyError, TwistellError) as exc:
-        _emit_error("parse", str(exc))
-        return EXIT_PARSE
+        return args.run(args)
+    except _HANDLED as exc:
+        _, kind, code, _ = _error_row(exc)
+        _emit_error(kind, str(exc))
+        return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,13 +48,7 @@ class TruncationConfig:
             raise ValueError("series_radius must lie in (0, 1)")
 
     def asdict(self) -> dict:
-        return {
-            "q_order": self.q_order,
-            "theta_range": self.theta_range,
-            "lattice_range": self.lattice_range,
-            "tol": self.tol,
-            "series_radius": self.series_radius,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_CONFIG = TruncationConfig()

@@ -6,14 +6,21 @@ import json
 
 import pytest
 
+from twistell import classical, fermion, twisted
 from twistell.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_VERIFY,
+    REGISTRY,
+    dumps,
     main,
     parse_complex,
 )
+from twistell.fermion import GSelector, OrbifoldParams
+from twistell.numeric import bernoulli_poly, binomial, q_exp
+from twistell.twisted import GroupElement, TwistPair
 
 
 class TestParseComplex:
@@ -116,6 +123,29 @@ class TestVerify:
         assert code2 == EXIT_OK
         assert "PASS" in out2
 
+    def test_report_reads_infinite_residual(self, capsys, tmp_path):
+        out_file = tmp_path / "rep.json"
+        run_cli(capsys, "verify", "--suite", "doublesum_k1", "--count", "2",
+                "--out", str(out_file))
+        data = json.loads(out_file.read_text())
+        data[0]["max_residual"] = float("inf")
+        out_file.write_text(dumps(data))
+        assert '"max_residual":"inf"' in out_file.read_text()
+        code, out, _ = run_cli(capsys, "report", str(out_file))
+        assert code == EXIT_VERIFY
+        assert "FAIL" in out and "max_residual=inf" in out
+
+    @pytest.mark.parametrize("content", [
+        "{}", "[1]", '"report"', '[{"identity_name": "x", "samples": [], "tolerance": 1e-9}]',
+    ])
+    def test_malformed_report_is_parse_error(self, capsys, tmp_path, content):
+        path = tmp_path / "rep.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert json.loads(err)["error"] == "parse"
+
     def test_unknown_suite_rejected(self, capsys):
         assert run_cli(capsys, "verify", "--suite", "bogus")[0] == EXIT_PARSE
 
@@ -187,9 +217,111 @@ class TestTable:
                              "n=1..2", "mu=0.1:0.3:3", "lam=0.1:0.2:2", "tau=i")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("argv", [
+        ("twisted_eisenstein", "n=1:3:5", "mu=0.3", "lam=0.7", "tau=i"),
+        ("rank1_partition", "g=1..2", "tau=i"),
+        ("twisted_eisenstein", "n=1", "mu=0.3", "lam=0.1:0.2i:3", "tau=i"),
+        ("rank1_generating", "g=sigma", "zs=-1:-2:3", "tau=i"),
+        ("eisenstein", "n=2..3", "n=4", "tau=i"),
+    ])
+    def test_grid_values_must_fit_the_parameter(self, capsys, argv):
+        code, out, err = run_cli(capsys, "table", "--function", *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert json.loads(err)["error"] == "parse"
+
+    def test_integral_linspace_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--function", "twisted_eisenstein",
+                               "n=1:3:3", "mu=0.3", "lam=0.7", "tau=i")
+        assert code == EXIT_OK
+        assert [row[0] for row in csv.reader(io.StringIO(out))] == ["n", "1", "2", "3"]
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--function", "eisenstein",
                                "n=2..4", "tau=i", "--format", "json")
         assert code == EXIT_OK
         data = json.loads(out)
         assert len(data) == 3 and data[0]["status"] == "ok"
+
+
+# registry name -> (eval key=value tokens, the same call made directly)
+_TW, _P, _TAU = TwistPair(0.31, 0.77), OrbifoldParams(0.27, 0.63), 0.12 + 1.1j
+PARITY_CASES = {
+    "bernoulli_poly": (["n=3", "lam=0.25"], lambda: bernoulli_poly(3, 0.25)),
+    "binomial": (["n=7", "k=3"], lambda: binomial(7, 3)),
+    "q_exp": (["z=0.3-0.2i", "s=1.5+0.5i"], lambda: q_exp(0.3 - 0.2j, 1.5 + 0.5j)),
+    "eisenstein": (["n=4", "tau=0.12+1.1i"], lambda: classical.eisenstein(4, _TAU)),
+    "weierstrass_pk": (["k=2", "z=-1.3+0.4i", "tau=0.12+1.1i"],
+                       lambda: classical.weierstrass_pk(2, -1.3 + 0.4j, _TAU)),
+    "weierstrass_pk_laurent": (["k=2", "z=-1.3+0.4i", "tau=0.12+1.1i"],
+                               lambda: classical.weierstrass_pk_laurent(2, -1.3 + 0.4j, _TAU)),
+    "p0": (["z=0.7-0.4i", "tau=0.12+1.1i"], lambda: classical.p0(0.7 - 0.4j, _TAU)),
+    "prime_form": (["z=0.7-0.4i", "tau=0.12+1.1i"],
+                   lambda: classical.prime_form(0.7 - 0.4j, _TAU)),
+    "theta_char": (["a=0.25", "b=0.1", "z=0.3+0.2i", "tau=0.12+1.1i"],
+                   lambda: classical.theta_char(0.25, 0.1, 0.3 + 0.2j, _TAU)),
+    "dedekind_eta": (["tau=0.12+1.1i"], lambda: classical.dedekind_eta(_TAU)),
+    "twisted_pk": (["k=2", "mu=0.31", "lam=0.77", "z=-1.3+0.4i", "tau=0.12+1.1i"],
+                   lambda: twisted.twisted_pk(2, _TW, -1.3 + 0.4j, _TAU)),
+    "twisted_pk_oracle": (["k=1", "mu=0.31", "lam=0.77", "z=-1.3+0.4i", "tau=0.12+1.1i"],
+                          lambda: twisted.twisted_pk_oracle(1, _TW, -1.3 + 0.4j, _TAU)),
+    "twisted_eisenstein": (["n=3", "mu=0.31", "lam=0.77", "tau=0.12+1.1i"],
+                           lambda: twisted.twisted_eisenstein(3, _TW, _TAU)),
+    "twisted_eisenstein_oracle": (["n=2", "mu=0.31", "lam=0.77", "tau=0.12+1.1i"],
+                                  lambda: twisted.twisted_eisenstein_oracle(2, _TW, _TAU)),
+    "coeff_C": (["k=1", "l=2", "mu=0.31", "lam=0.77", "tau=0.12+1.1i"],
+                lambda: twisted.coeff_C(1, 2, _TW, _TAU)),
+    "coeff_D": (["k=2", "l=1", "mu=0.31", "lam=0.77", "z=-1.3+0.4i", "tau=0.12+1.1i"],
+                lambda: twisted.coeff_D(2, 1, _TW, -1.3 + 0.4j, _TAU)),
+    "twisted_p1_theta_form": (["mu=0.31", "lam=0.77", "z=-1.3+0.4i", "tau=0.12+1.1i"],
+                              lambda: twisted.twisted_p1_theta_form(_TW, -1.3 + 0.4j, _TAU)),
+    "rank1_partition": (["g=sigma", "tau=0.12+1.1i"],
+                        lambda: fermion.rank1_partition(GSelector.SIGMA, _TAU)),
+    "rank1_generating": (["g=identity", "zs=-1.2+0.3i,-0.4-0.2i", "tau=0.12+1.1i"],
+                         lambda: fermion.rank1_generating(
+                             GSelector.IDENTITY, [-1.2 + 0.3j, -0.4 - 0.2j], _TAU)),
+    "rank1_fock_npoint": (["labels=1;2", "zs=-1.2+0.3i,-0.4-0.2i", "g=identity",
+                           "tau=0.12+1.1i"],
+                          lambda: fermion.rank1_fock_npoint(
+                              [(1,), (2,)], [-1.2 + 0.3j, -0.4 - 0.2j], GSelector.IDENTITY,
+                              _TAU)),
+    "rank1_sigma_twisted_generating": (
+        ["zs=-1.2+0.3i,-0.4-0.2i", "tau=0.12+1.1i"],
+        lambda: fermion.rank1_sigma_twisted_generating([-1.2 + 0.3j, -0.4 - 0.2j], _TAU)),
+    "sigma_module_partition": (["tau=0.12+1.1i"],
+                               lambda: fermion.sigma_module_partition(_TAU)),
+    "rank2_partition": (["alpha=0.27", "beta=0.63", "tau=0.12+1.1i"],
+                        lambda: fermion.rank2_partition(_P, _TAU)),
+    "rank2_partition_theta": (["alpha=0.27", "beta=0.63", "tau=0.12+1.1i"],
+                              lambda: fermion.rank2_partition_theta(_P, _TAU)),
+    "rank2_generating": (["alpha=0.27", "beta=0.63", "xs=-1.4-0.2i,-1.65+0.1i",
+                          "ys=-0.2+0.15i,-0.31-0.1i", "tau=0.12+1.1i"],
+                         lambda: fermion.rank2_generating(
+                             _P, [-1.4 - 0.2j, -1.65 + 0.1j], [-0.2 + 0.15j, -0.31 - 0.1j],
+                             _TAU)),
+    "rank2_fock_npoint": (["plus=1;", "minus=;1", "zs=-1.2+0.3i,-0.4-0.2i", "alpha=0.27",
+                           "beta=0.63", "tau=0.12+1.1i"],
+                          lambda: fermion.rank2_fock_npoint(
+                              [((1,), ()), ((), (1,))], [-1.2 + 0.3j, -0.4 - 0.2j], _P, _TAU)),
+    "rank2_generating_boson": (["alpha=0.27", "beta=0.63", "xs=-1.4-0.2i,-1.65+0.1i",
+                                "ys=-0.2+0.15i,-0.31-0.1i", "tau=0.12+1.1i"],
+                               lambda: fermion.rank2_generating_boson(
+                                   _P, [-1.4 - 0.2j, -1.65 + 0.1j],
+                                   [-0.2 + 0.15j, -0.31 - 0.1j], _TAU)),
+    "lattice_npoint": (["alpha=0.27", "beta=0.63", "ms=1", "xs=-1.4-0.2i", "ns=1",
+                        "ys=-0.2+0.15i", "tau=0.12+1.1i"],
+                       lambda: fermion.lattice_npoint(_P, [1], [-1.4 - 0.2j], [1],
+                                                      [-0.2 + 0.15j], _TAU)),
+    "modular_multiplier": (["gamma=0,-1,1,0", "alpha=0.27", "beta=0.63"],
+                           lambda: fermion.modular_multiplier(GroupElement(0, -1, 1, 0), _P)[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_matches_library_call(capsys, name):
+    tokens, direct = PARITY_CASES[name]
+    code, out, err = run_cli(capsys, "eval", name, *tokens)
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    value = complex(direct())
+    assert (payload["re"], payload["im"]) == (value.real, value.imag)
