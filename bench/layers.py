@@ -1,0 +1,105 @@
+"""Layer timings of the P_k q-series kernel (L2) and the correlators built on it (L3).
+
+Run from the repository root:
+
+    python3 bench/layers.py                   # times the library in src/
+    python3 bench/layers.py --src OTHER/src   # times another checkout, e.g. a parent commit
+
+Each figure is the min and the median over repeats, in microseconds per call,
+with the E_n and eta caches emptied before every repeat. A checkout without
+twisted_pk_batch reports only the scalar loops. Prints one JSON object; needs
+nothing beyond the library itself and time.perf_counter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ORDERS = (1, 2, 3)
+
+
+def timed(fn, clear, repeats: int, inner: int = 1) -> dict:
+    """Min and median over repeats of fn's time per call, fn called inner times a repeat."""
+    per_call = []
+    for _ in range(repeats):
+        clear()
+        start = time.perf_counter()
+        for _ in range(inner):
+            fn()
+        per_call.append((time.perf_counter() - start) / inner)
+    return {"min_us": round(min(per_call) * 1e6, 2),
+            "median_us": round(statistics.median(per_call) * 1e6, 2)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the twistell package")
+    parser.add_argument("--repeats", type=int, default=30)
+    parser.add_argument("--seed", type=int, default=4)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import numpy as np
+    import twistell
+    from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein,
+                          rank1_fock_npoint, rank2_generating, twisted_pk)
+
+    def clear():
+        eisenstein.cache_clear()
+        dedekind_eta.cache_clear()
+
+    batch = getattr(twistell, "twisted_pk_batch", None)
+    rng = random.Random(args.seed)
+    tau = 0.12 + 1.1j
+    tw = TwistPair(0.31, 0.77)
+    width = 2 * math.pi * tau.imag
+    points = [complex(-width * rng.uniform(0.05, 0.95), rng.uniform(-3, 3)) for _ in range(256)]
+    out: dict = {}
+
+    def run(name, fn, inner=1):
+        out[name] = timed(fn, clear, args.repeats, inner)
+        print(f"{name:32s} min {out[name]['min_us']:>11.2f} us  "
+              f"median {out[name]['median_us']:>11.2f} us", file=sys.stderr)
+
+    # L2: one-point calls, mid-annulus and 0.25% of the width from the |q_z| = 1 edge
+    for label, frac in (("mid", 0.5), ("edge", 0.0025)):
+        z = complex(-width * frac, 0.4)
+        for k in (1, 3):
+            run(f"L2.pk_one.{label}.k{k}", lambda k=k, z=z: twisted_pk(k, tw, z, tau), inner=20)
+    # L2: P_1..P_3 at n points, one call per (k, z) against one batched call
+    for n in (1, 16, 256):
+        zs = points[:n]
+        run(f"L2.pk_loop.n{n}", lambda zs=zs: [twisted_pk(k, tw, z, tau)
+                                                for k in ORDERS for z in zs])
+        if batch is not None:
+            run(f"L2.pk_batch.n{n}", lambda zs=zs: batch(ORDERS, tw, zs, tau))
+    # L3: determinant correlators on a jittered grid with every x - y in the annulus
+    p = OrbifoldParams(0.27, 0.63)
+    for n in (2, 4, 8, 16):
+        xs = [complex(-3.2 + 0.9 * rng.random(), 6.0 * (i + rng.random()) / n - 3.0)
+              for i in range(n)]
+        ys = [complex(-0.9 + 0.7 * rng.random(), 6.0 * (i + rng.random()) / n - 3.0)
+              for i in range(n)]
+        run(f"L3.rank2_generating.n{n}", lambda xs=xs, ys=ys: rank2_generating(p, xs, ys, tau))
+    # L3: a 12 x 12 block Pfaffian, 4 labels of 3 modes
+    labels = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    zs = [-2.6 + 0.3j, -1.9 - 0.8j, -1.1 + 0.9j, -0.4 - 0.2j]
+    run("L3.rank1_fock_npoint.4x3",
+        lambda: rank1_fock_npoint(labels, zs, GSelector.SIGMA, tau))
+    print(json.dumps({"src": os.path.abspath(args.src), "python": platform.python_version(),
+                      "numpy": np.__version__, "cpus": os.cpu_count(),
+                      "repeats": args.repeats, "seed": args.seed, "timings": out}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -82,6 +82,7 @@ from .twisted import (
     twisted_eisenstein_oracle,
     twisted_p1_theta_form,
     twisted_pk,
+    twisted_pk_batch,
     twisted_pk_continued,
     twisted_pk_oracle,
     twisted_pk_reflected,

@@ -64,7 +64,11 @@ def eisenstein(n: int, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
     converged = False
     for r in range(1, cfg.q_order + 1):
         qr = q**r
-        term = r ** (n - 1) * qr / (1.0 - qr)
+        try:
+            term = r ** (n - 1) * qr / (1.0 - qr)
+        except OverflowError:
+            raise NotConverged(f"E_{n} q-series term r^{n - 1} overflows a float at r = {r}") \
+                from None
         acc += term
         if abs(term) < cfg.tol:
             converged = True

@@ -25,8 +25,9 @@ from .twisted import (
     TwistPair,
     GroupElement,
     _reduce_phase,
+    _reflect,
     twisted_eisenstein,
-    twisted_pk_reflected,
+    twisted_pk_batch,
 )
 # perfbench's tracer test patches and checks this binding of twisted_pk
 from .twisted import twisted_pk  # noqa: F401
@@ -118,39 +119,62 @@ def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[c
     Row block a holds the modes k_i of row_modes[a] at xs[a]; column block b
     the modes l_j of col_modes[b] at ys[b]. With ys None the columns sit at
     the row points, and block a == b holds C[tw](k_i, l_j), or the constant
-    diag when one is given. Every other entry is D[tw](k_i, l_j, xs[a] - ys[b]),
-    taken through the parity reflection where Re > 0, since the matrix needs
-    D at both z_ab and z_ba. Each E_m[tw] and each (a, b, m), m = k + l - 1,
-    is evaluated once.
+    diag when one is given; each E_m[tw] is evaluated once. Every other
+    entry is D[tw](k_i, l_j, xs[a] - ys[b]), m = k_i + l_j - 1, and needs
+    P_m[tw](z) at z = xs[a] - ys[b]. Where Re(z) >= 0 the parity reflection
+    P_m[tw](z) = (-1)^m P_m[tw^-1](-z) takes it to the q-series annulus.
+    The P values are keyed by (twist, z, m) and computed in one
+    twisted_pk_batch call per twist, tw for the direct entries and tw^-1 for
+    the reflected ones. At the rank-one twists tw^-1 == tw and
+    -(x_b - x_a) == x_a - x_b exactly, so entries (a, b) and (b, a) share
+    one evaluation and a Pfaffian matrix takes a single call.
     """
     shared = ys is None
     ys = xs if shared else ys
     cols = [(b, l) for b, ls in enumerate(col_modes) for l in ls]
+    twists = [tw, tw.inverse()]
+    flip_slot = 0 if twists[1] == tw else 1     # the rank-one twists are their own inverse
+    wanted: list = [{}, {}]                     # per twist slot: z -> orders m
     factors: dict = {}
-    values: dict = {}
-    rows = []
+    eis: dict = {}
+    plan = []                                   # per entry: its value, or (factor, P key, flip)
     for a, ks in enumerate(row_modes):
         for k in ks:
-            row = []
             for b, l in cols:
                 c_entry = shared and a == b
                 if c_entry and diag is not None:
-                    row.append(diag)
+                    plan.append(diag)
                     continue
                 m = k + l - 1
-                key = m if c_entry else (a, b, m)
-                val = values.get(key)
-                if val is None:
-                    val = values[key] = (twisted_eisenstein(m, tw, tau, cfg) if c_entry else
-                                         twisted_pk_reflected(m, tw, xs[a] - ys[b], tau, cfg))
                 fac = factors.get((k, l, c_entry))
                 if fac is None:
                     # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
                     fac = factors[k, l, c_entry] = ((-1.0) ** (l if c_entry else k + 1)
                                                     * binomial(m - 1, k - 1))
-                row.append(fac * val)
-            rows.append(row)
-    return np.array(rows, dtype=complex).reshape(len(rows), len(cols))
+                if c_entry:
+                    if m not in eis:
+                        eis[m] = twisted_eisenstein(m, tw, tau, cfg)
+                    plan.append(fac * eis[m])
+                    continue
+                z = xs[a] - ys[b]
+                flip = not z.real < 0.0
+                key = (flip_slot, -z, m) if flip else (0, z, m)
+                wanted[key[0]].setdefault(key[1], set()).add(m)
+                plan.append((fac, key, flip))
+    values: dict = {}
+    for slot, points in enumerate(wanted):
+        if points:
+            zs = list(points)
+            ms = sorted(set().union(*points.values()))
+            need = [[m in points[z] for z in zs] for m in ms]
+            block = twisted_pk_batch(ms, twists[slot], zs, tau, cfg, need=need).tolist()
+            values.update(((slot, z, m), block[i][j]) for i, m in enumerate(ms)
+                          for j, z in enumerate(zs) if need[i][j])
+    # key = (slot, z, m): a flipped entry is P_m[tw](-z) = (-1)^m P_m[tw^-1](z)
+    entries = [p if not isinstance(p, tuple) else
+               p[0] * (_reflect(p[1][2], tw, values[p[1]]) if p[2] else values[p[1]])
+               for p in plan]
+    return np.array(entries, dtype=complex).reshape(sum(map(len, row_modes)), len(cols))
 
 
 def p1_difference_matrix(tw: TwistPair, zs: Sequence[complex], tau: complex,

@@ -44,15 +44,16 @@ from .numeric import DEFAULT_CONFIG, TruncationConfig, determinant, pfaffian, pf
 from .twisted import (
     GroupElement,
     TwistPair,
+    _reflect,
     gamma_act_point,
     gamma_act_twist,
     lattice_distance,
     twisted_eisenstein,
     twisted_eisenstein_oracle,
     twisted_pk,
+    twisted_pk_batch,
     twisted_pk_continued,
     twisted_pk_oracle,
-    twisted_pk_reflected,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -298,14 +299,15 @@ def laurent_coefficients(tw: TwistPair, tau: complex, cfg: TruncationConfig,
 
     Samples on the circle |z| = cfg.series_radius at half-offset angles (no
     point hits the divergent Re(z) = 0 axis exactly); Re(z) > 0 points are
-    reached through the parity reflection.
+    reached through the parity reflection. One kernel call per half circle.
     """
     r = cfg.series_radius
-    vals = []
     angles = [2.0 * math.pi * (j + 0.5) / n_points for j in range(n_points)]
-    for ang in angles:
-        z = r * cmath.exp(1j * ang)
-        vals.append(twisted_pk_reflected(1, tw, z, tau, cfg) - 1.0 / z)
+    zs = [r * cmath.exp(1j * ang) for ang in angles]
+    left = iter(twisted_pk_batch((1,), tw, [z for z in zs if z.real < 0.0], tau, cfg)[0].tolist())
+    right = iter(twisted_pk_batch((1,), tw.inverse(), [-z for z in zs if not z.real < 0.0],
+                                  tau, cfg)[0].tolist())
+    vals = [(next(left) if z.real < 0.0 else _reflect(1, tw, next(right))) - 1.0 / z for z in zs]
     coeffs = []
     for k in range(n_coeffs):
         acc = sum(v * cmath.exp(-1j * k * ang) for v, ang in zip(vals, angles))

@@ -25,7 +25,7 @@ class TruncationConfig:
     q_order        highest retained q-power index in q-series and products
     theta_range    starting half-width of theta summation windows
     lattice_range  starting half-width of lattice-oracle windows
-    tol            target absolute accuracy of a single evaluation
+    tol            target absolute accuracy of a single evaluation, in (0, 1)
     series_radius  contour radius for Taylor-coefficient extraction, in (0, 1)
     """
 
@@ -42,10 +42,16 @@ class TruncationConfig:
             raise ValueError("theta_range must be >= 1")
         if self.lattice_range < 1:
             raise ValueError("lattice_range must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < 1:
+            # q-series windows are sized by -log(tol), which must be positive
+            raise ValueError("tol must lie in (0, 1)")
         if not 0 < self.series_radius < 1:
             raise ValueError("series_radius must lie in (0, 1)")
+        # every lru_cache lookup hashes the config: do it once, outside the fields
+        object.__setattr__(self, "_hash", hash(tuple(self.asdict().values())))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def asdict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -14,6 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -173,56 +175,127 @@ def _window_size(rate: float, tol: float, pad: int = 16) -> int:
     return int(-math.log(tol) / rate) + pad
 
 
+# the three outermost terms on each side of a lone window, which decide its convergence
+_EDGES = np.array([[0, 1, 2, -3, -2, -1]])
+
+
+def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], tau: complex,
+                     cfg: TruncationConfig = DEFAULT_CONFIG,
+                     need: Sequence[Sequence[bool]] | None = None) -> np.ndarray:
+    """Twisted Weierstrass functions P_k[theta; phi](z, tau) for every k in ks, z in zs.
+
+    Returns the array of shape (len(ks), len(zs)) of the q-series
+    ((-1)^k/(k-1)!) * sum over n in Z + lam of n^{k-1} q_z^n / (1 - theta^-1 q^n),
+    omitting n = 0 exactly when the twist is trivial. Each z sums its own
+    window, sized by its distance to the two annulus edges and doubled per
+    (k, z) until the three outermost terms on each side fall below cfg.tol;
+    the windows lie end to end in one flat array, so exp(n*z) is taken once
+    for all orders and the z-independent denominators once for all points.
+    Every value is the sum of its own contiguous segment: it does not depend
+    on the other points of the batch.
+
+    Converges on the annulus |q| < |q_z| < 1 only; DomainError outside,
+    NearPole when a denominator degenerates, NotConverged when a window
+    passes 64*cfg.q_order terms. The batch raises when one of its points
+    would alone. An optional boolean mask need, of the output's shape,
+    limits the evaluation to its True entries (the others stay 0), though
+    every z must still lie in the annulus.
+    """
+    ks = list(ks)
+    zs = [complex(z) for z in zs]
+    rows = _pk_series(ks, tw, zs, tau, cfg, need)
+    return np.array(rows, dtype=complex).reshape(len(ks), len(zs))
+
+
 def twisted_pk(k: int, tw: TwistPair, z: complex, tau: complex,
                cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Twisted Weierstrass function P_k[theta; phi](z, tau) by its q-series.
 
-    ((-1)^k/(k-1)!) * sum over n in Z + lam of n^{k-1} q_z^n / (1 - theta^-1 q^n),
-    omitting n = 0 exactly when the twist is trivial. Converges on the
-    annulus |q| < |q_z| < 1 only; DomainError outside, NearPole when a
-    denominator degenerates.
+    The one-point call of twisted_pk_batch. Converges on the annulus
+    |q| < |q_z| < 1 only; DomainError outside, NearPole when a denominator
+    degenerates.
     """
-    if k < 1:
+    return _pk_series([k], tw, [complex(z)], tau, cfg, None)[0][0]
+
+
+def _pk_series(ks: list[int], tw: TwistPair, zs: list[complex], tau: complex,
+               cfg: TruncationConfig, need) -> list[list[complex]]:
+    """The q-series of twisted_pk_batch, as one list of values per order."""
+    if ks and min(ks) < 1:
         raise ValueError("twisted_pk requires k >= 1")
     tau = require_upper_half(tau)
-    z = complex(z)
     h = _TWO_PI * tau.imag
-    x = z.real
-    if not (-h < x < 0.0 and cmath.isfinite(z)):
-        raise DomainError(
-            f"q-series needs a finite z with -2*pi*Im(tau) < Re(z) < 0, got z = {z:.4g}, "
-            f"width {h:.4g}")
-    lam, mu = tw.lam, tw.mu
+    for z in zs:
+        if not (-h < z.real < 0.0 and cmath.isfinite(z)):
+            raise DomainError(
+                f"q-series needs a finite z with -2*pi*Im(tau) < Re(z) < 0, got z = {z:.4g}, "
+                f"width {h:.4g}")
+    out = [[0j] * len(zs) for _ in ks]
+    every = range(len(ks))
+    # open points: [index into zs, window below n = 0, window from n = 0, open orders by index]
+    level = [[j, _window_size(h + z.real, cfg.tol), _window_size(-z.real, cfg.tol),
+              [i for i in every if need is None or need[i][j]]] for j, z in enumerate(zs)]
     cap = 64 * cfg.q_order
-    n_up = _window_size(-x, cfg.tol)
-    n_dn = _window_size(h + x, cfg.tol)
-    th_inv = cmath.exp(2j * math.pi * mu)   # theta^{-1}
-    th = cmath.exp(-2j * math.pi * mu)
+    triv = int(tw.is_trivial)
+    th_inv = cmath.exp(2j * math.pi * tw.mu)   # theta^{-1}
+    th = cmath.exp(-2j * math.pi * tw.mu)
+    q_up = 2j * math.pi * tau
+    q_dn = -2j * math.pi * tau
     while True:
-        if max(n_up, n_dn) > cap:
-            raise NotConverged(f"P_{k} window exceeded {cap} terms near the annulus boundary")
-        rs = np.arange(-n_dn, n_up + 1, dtype=float)
-        if tw.is_trivial:
+        level = [p for p in level if p[3]]
+        if not level:
+            return out
+        dn = [p[1] for p in level]
+        up = [p[2] for p in level]
+        lo, hi = max(dn), max(up)
+        if max(lo, hi) > cap:
+            p = next(p for p in level if max(p[1], p[2]) > cap)
+            raise NotConverged(f"P_{ks[p[3][0]]} window exceeded {cap} terms "
+                               "near the annulus boundary")
+        # the table holds each n of the level once, the lo values n < 0 first
+        rs = np.arange(-lo, hi + 1, dtype=float)
+        if triv:
             rs = rs[rs != 0.0]
-        ns = rs + lam
-        pos = ns >= 0.0
-        terms = np.empty(ns.shape, dtype=complex)
-        np_ = ns[pos]
-        den_p = 1.0 - th_inv * np.exp(2j * math.pi * tau * np_)
-        nm = ns[~pos]
-        den_m = 1.0 - th * np.exp(-2j * math.pi * tau * nm)
-        if (den_p.size and np.abs(den_p).min() < _POLE_EPS) or \
-           (den_m.size and np.abs(den_m).min() < _POLE_EPS):
-            raise NearPole(f"P_{k} denominator within {_POLE_EPS} of zero at tau = {tau}")
-        terms[pos] = np_ ** (k - 1) * np.exp(np_ * z) / den_p
-        # for n < 0 multiply through by -theta*q^{-n} to keep magnitudes tame
-        terms[~pos] = -th * nm ** (k - 1) * np.exp(nm * (z - 2j * math.pi * tau)) / den_m
-        mags = np.abs(terms)
-        if mags.size >= 6 and mags[:3].max() < cfg.tol and mags[-3:].max() < cfg.tol:
-            total = complex(terms.sum())
-            return (-1.0) ** k / math.factorial(k - 1) * total
-        n_up *= 2
-        n_dn *= 2
+        ns = rs + tw.lam
+        den = 1.0 - np.concatenate((th * np.exp(q_dn * ns[:lo]), th_inv * np.exp(q_up * ns[lo:])))
+        mags = np.abs(den)
+        if np.minimum.reduce(mags) < _POLE_EPS:
+            p = next(p for p in level
+                     if np.minimum.reduce(mags[lo - p[1]:lo + p[2] + 1 - triv]) < _POLE_EPS)
+            raise NearPole(f"P_{ks[p[3][0]]} denominator within {_POLE_EPS} "
+                           f"of zero at tau = {tau}")
+        # point c's window is the table slice [lo - dn, lo + up], at flat offset start[c]
+        sizes = [d + u + 1 - triv for d, u in zip(dn, up)]
+        if len(level) == 1:
+            take, edges, start = slice(None), _EDGES, [0]
+        else:
+            start = list(accumulate(sizes, initial=0))
+            take = np.arange(start[-1]) + np.array(
+                [lo - d - s for d, s in zip(dn, start)]).repeat(sizes)
+            edges = np.array([(s, s + 1, s + 2, t - 3, t - 2, t - 1)
+                              for s, t in zip(start, start[1:])])
+        # n < 0 terms are multiplied through by -theta*q^{-n} to keep magnitudes tame
+        shifts = np.array([w for p in level for w in (zs[p[0]] - q_up, zs[p[0]])])
+        e = np.exp(ns[take] * shifts.repeat([c for d, u in zip(dn, up) for c in (d, u + 1 - triv)]))
+        den_f = den[take]
+        for i, k in enumerate(ks):
+            open_c = [c for c, p in enumerate(level) if i in p[3]]
+            if not open_c:
+                continue
+            pw = ns ** (k - 1)
+            coef = pw.astype(complex)
+            coef[:lo] = -th * pw[:lo]
+            terms = coef[take] * e / den_f
+            edge_mags = np.abs(terms[edges]).tolist()
+            pref = (-1.0) ** k / math.factorial(k - 1)
+            for c in open_c:
+                if sizes[c] >= 6 and max(edge_mags[c]) < cfg.tol:
+                    p = level[c]
+                    out[i][p[0]] = pref * complex(terms[start[c]:start[c] + sizes[c]].sum())
+                    p[3].remove(i)
+        for p in level:
+            p[1] *= 2
+            p[2] *= 2
 
 
 def twisted_pk_reflected(k: int, tw: TwistPair, z: complex, tau: complex,
@@ -237,7 +310,12 @@ def twisted_pk_reflected(k: int, tw: TwistPair, z: complex, tau: complex,
     z = complex(z)
     if z.real < 0.0:
         return twisted_pk(k, tw, z, tau, cfg)
-    val = (-1.0) ** k * twisted_pk(k, tw.inverse(), -z, tau, cfg)
+    return _reflect(k, tw, twisted_pk(k, tw.inverse(), -z, tau, cfg))
+
+
+def _reflect(k: int, tw: TwistPair, val: complex) -> complex:
+    """P_k[tw](z) from val = P_k[tw^-1](-z) by the parity reflection."""
+    val = (-1.0) ** k * val
     if tw.is_trivial and k == 1:
         val += 1.0
     return val

@@ -124,6 +124,13 @@ class TestP0PrimeForm:
                 rhs = -1j / dedekind_eta(tau) ** 3 * theta_char(0.5, 0.5, z, tau)
                 assert lhs == pytest.approx(rhs, rel=1e-11)
 
+    def test_float_overflow_is_not_converged(self):
+        # inside the disk, but the series reaches orders where r^(n-1) overflows a float
+        with pytest.raises(NotConverged, match=r"E_\d+ q-series term r\^\d+ overflows"):
+            prime_form(-6 + 0.1j, 1j)
+        with pytest.raises(NotConverged, match="E_400"):
+            eisenstein(400, 1j)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             p0(0.0, TAU)

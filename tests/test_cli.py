@@ -93,6 +93,13 @@ class TestEval:
         assert code == EXIT_CONVERGENCE
         assert json.loads(err)["error"] == "convergence"
 
+    def test_float_overflow_is_a_convergence_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "prime_form", "z=-6+0.1i", "tau=i")
+        assert code == EXIT_CONVERGENCE
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "convergence" and "overflows" in payload["message"]
+
     def test_parse_errors(self, capsys):
         assert run_cli(capsys, "eval", "no_such", "x=1")[0] == EXIT_PARSE
         assert run_cli(capsys, "eval", "binomial", "n=4")[0] == EXIT_PARSE

@@ -49,7 +49,7 @@ from twistell import (
     twisted_pk_reflected,
     weierstrass_pk,
 )
-from twistell import fermion, twisted
+from twistell import fermion
 
 TAU = 0.12 + 1.1j
 Q = cmath.exp(2j * math.pi * TAU)
@@ -519,24 +519,51 @@ class TestBlockMatrixBuilder:
                                  DEFAULT_CONFIG)
         assert np.array_equal(mat, loop_trisecant_matrix(tw, ms, ns, self.XS, self.YS, TAU))
 
-    def test_one_evaluation_per_distinct_entry(self, monkeypatch):
-        pk_calls, e_calls = [], []
-        pk, ek = twisted.twisted_pk, fermion.twisted_eisenstein
+    def _count_kernel(self, monkeypatch):
+        """Record each kernel call as the list of its evaluated (twist, z, m)."""
+        calls, e_calls = [], []
+        batch, ek = fermion.twisted_pk_batch, fermion.twisted_eisenstein
 
-        def count_pk(k, tw, z, tau, cfg):
-            pk_calls.append(k)
-            return pk(k, tw, z, tau, cfg)
+        def count_batch(ks, tw, zs, tau, cfg, need=None):
+            calls.append([(tw, z, k) for i, k in enumerate(ks) for j, z in enumerate(zs)
+                          if need is None or need[i][j]])
+            return batch(ks, tw, zs, tau, cfg, need=need)
 
         def count_e(n, tw, tau, cfg):
             e_calls.append(n)
             return ek(n, tw, tau, cfg)
 
-        monkeypatch.setattr(twisted, "twisted_pk", count_pk)
+        monkeypatch.setattr(fermion, "twisted_pk_batch", count_batch)
         monkeypatch.setattr(fermion, "twisted_eisenstein", count_e)
+        return calls, e_calls
+
+    def test_one_evaluation_per_distinct_entry(self, monkeypatch):
+        # rank one: tw^-1 == tw, so one kernel call covers each unordered pair once
+        calls, e_calls = self._count_kernel(monkeypatch)
         modes = [(1, 2), (1,), (2, 3), (1, 3, 4)]
-        rank1_fock_npoint(modes, self.ZS, GSelector.IDENTITY, TAU)
-        off = {(a, b, k + l - 1) for a, ks in enumerate(modes) for b, ls in enumerate(modes)
-               if a != b for k in ks for l in ls}
+        g = GSelector.IDENTITY
+        rank1_fock_npoint(modes, self.ZS, g, TAU)
+        pairs = {(a, b) if (self.ZS[a] - self.ZS[b]).real < 0 else (b, a)
+                 for a in range(4) for b in range(4) if a != b}
+        assert len(pairs) == 6
+        want = {(g.twist(), self.ZS[a] - self.ZS[b], k + l - 1)
+                for a, b in pairs for k in modes[a] for l in modes[b]}
+        [evaluated] = calls
+        assert len(evaluated) == len(set(evaluated)) and set(evaluated) == want
         on = {k + l - 1 for ks in modes for k in ks for l in ks}
-        assert len(pk_calls) == len(off) < sum(map(len, modes)) ** 2
         assert sorted(e_calls) == sorted(on)
+
+    def test_rank2_matrix_takes_two_kernel_calls(self, monkeypatch):
+        # generic twist: tw for the entries with Re(z) < 0, tw^-1 for the reflected ones
+        calls, _ = self._count_kernel(monkeypatch)
+        p = OrbifoldParams(0.27, 0.63)
+        labels = [((1, 2), (1,)), ((1,), (2, 3)), ((3,), (1,))]
+        rank2_fock_npoint(labels, self.ZS[:3], p, TAU)
+        assert len(calls) == 2
+        assert {tw for call in calls for tw, _, _ in call} == {p.twist(), p.twist().inverse()}
+        evaluated = [key for call in calls for key in call]
+        assert len(evaluated) == len(set(evaluated))
+        assert all(z.real < 0 for _, z, _ in evaluated)
+        calls.clear()
+        rank2_generating(p, self.XS, self.YS, TAU)
+        assert len(calls) == 1 and len(calls[0]) == len(self.XS) * len(self.YS)

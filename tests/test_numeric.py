@@ -184,4 +184,29 @@ class TestTruncationConfig:
         with pytest.raises(ValueError):
             TruncationConfig(tol=0.0)
         with pytest.raises(ValueError):
+            TruncationConfig(tol=1e40)
+        with pytest.raises(ValueError):
             TruncationConfig(series_radius=1.5)
+
+    def test_hash_is_computed_once_from_the_fields(self):
+        import dataclasses
+
+        cfg = TruncationConfig(q_order=64, tol=1e-10)
+        assert hash(cfg) == hash(TruncationConfig(q_order=64, tol=1e-10))
+        assert hash(cfg) == hash(tuple(cfg.asdict().values()))
+        assert list(cfg.asdict()) == [f.name for f in dataclasses.fields(cfg)]
+        wider = dataclasses.replace(cfg, q_order=128)
+        assert wider != cfg and hash(wider) == hash(TruncationConfig(q_order=128, tol=1e-10))
+        assert hash(dataclasses.replace(wider, q_order=64)) == hash(cfg)
+
+    def test_distinct_equal_config_hits_the_cache(self):
+        from twistell import DEFAULT_CONFIG, eisenstein
+
+        tau = 0.23 + 1.37j
+        eisenstein(4, tau, DEFAULT_CONFIG)
+        hits = eisenstein.cache_info().hits
+        twin = TruncationConfig()
+        assert twin is not DEFAULT_CONFIG
+        assert eisenstein(4, tau, twin) == eisenstein(4, tau, DEFAULT_CONFIG)
+        assert eisenstein.cache_info().hits == hits + 2
+

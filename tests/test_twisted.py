@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from twistell import (
@@ -29,6 +30,7 @@ from twistell import (
     twisted_eisenstein_oracle,
     twisted_p1_theta_form,
     twisted_pk,
+    twisted_pk_batch,
     twisted_pk_continued,
     twisted_pk_oracle,
     twisted_pk_reflected,
@@ -209,6 +211,114 @@ class TestTwistedPk:
             z = Z + 2j * math.pi * TAU * shift
             assert twisted_pk_continued(1, tw, z, TAU) == pytest.approx(
                 twisted_pk_oracle(1, tw, z, TAU), rel=1e-9)
+
+
+def seed_twisted_pk(k, tw, z, tau, tol=1e-12, q_order=120):
+    """The scalar q-series loop that twisted_pk_batch replaced, kept as its reference."""
+    h = 2 * math.pi * tau.imag
+    x = z.real
+    if not (-h < x < 0.0 and cmath.isfinite(z)):
+        raise DomainError("outside the annulus")
+    cap = 64 * q_order
+    n_up = int(-math.log(tol) / -x) + 16
+    n_dn = int(-math.log(tol) / (h + x)) + 16
+    th_inv = cmath.exp(2j * math.pi * tw.mu)
+    th = cmath.exp(-2j * math.pi * tw.mu)
+    while True:
+        if max(n_up, n_dn) > cap:
+            raise NotConverged("window cap")
+        rs = np.arange(-n_dn, n_up + 1, dtype=float)
+        if tw.is_trivial:
+            rs = rs[rs != 0.0]
+        ns = rs + tw.lam
+        pos = ns >= 0.0
+        terms = np.empty(ns.shape, dtype=complex)
+        np_ = ns[pos]
+        den_p = 1.0 - th_inv * np.exp(2j * math.pi * tau * np_)
+        nm = ns[~pos]
+        den_m = 1.0 - th * np.exp(-2j * math.pi * tau * nm)
+        if (den_p.size and np.abs(den_p).min() < 1e-12) or \
+           (den_m.size and np.abs(den_m).min() < 1e-12):
+            raise NearPole("denominator")
+        terms[pos] = np_ ** (k - 1) * np.exp(np_ * z) / den_p
+        terms[~pos] = -th * nm ** (k - 1) * np.exp(nm * (z - 2j * math.pi * tau)) / den_m
+        mags = np.abs(terms)
+        if mags.size >= 6 and mags[:3].max() < tol and mags[-3:].max() < tol:
+            return (-1.0) ** k / math.factorial(k - 1) * complex(terms.sum())
+        n_up *= 2
+        n_dn *= 2
+
+
+class TestBatchKernel:
+    TWISTS = {"generic": TwistPair(0.31, 0.77), "trivial": TwistPair.trivial(),
+              "half-period": TwistPair(0.5, 0.5), "half-phi": TwistPair(0.0, 0.5)}
+    KS = [1, 2, 3, 4, 5]
+
+    @staticmethod
+    def batch(rng):
+        """1-20 points across the annulus, two of them within 1% of its edges."""
+        tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 2.0))
+        h = 2 * math.pi * tau.imag
+        fracs = [rng.uniform(0.01, 0.99) for _ in range(rng.randint(1, 20))]
+        fracs[0] = rng.uniform(5e-3, 1e-2)
+        fracs[-1] = 1.0 - rng.uniform(5e-3, 1e-2)
+        return [complex(-f * h, rng.uniform(-3, 3)) for f in fracs], tau
+
+    @pytest.mark.parametrize("name", sorted(TWISTS))
+    def test_matches_the_scalar_loop_bit_for_bit(self, name):
+        tw = self.TWISTS[name]
+        rng = random.Random(f"batch:{name}")
+        for _ in range(4):
+            zs, tau = self.batch(rng)
+            out = twisted_pk_batch(self.KS, tw, zs, tau)
+            assert out.shape == (len(self.KS), len(zs))
+            for i, k in enumerate(self.KS):
+                for j, z in enumerate(zs):
+                    ref = seed_twisted_pk(k, tw, z, tau)
+                    assert out[i, j] == ref and twisted_pk(k, tw, z, tau) == ref
+
+    def test_values_do_not_depend_on_the_batch(self):
+        tw = self.TWISTS["generic"]
+        zs, tau = self.batch(random.Random("batch:order"))
+        out = twisted_pk_batch(self.KS, tw, zs, tau)
+        assert np.array_equal(twisted_pk_batch(self.KS, tw, zs[::-1], tau), out[:, ::-1])
+        twice = twisted_pk_batch(self.KS, tw, zs + zs[:3], tau)
+        assert np.array_equal(twice, np.hstack([out, out[:, :3]]))
+        assert np.array_equal(twisted_pk_batch(self.KS[::-1], tw, zs, tau), out[::-1])
+        single = [twisted_pk_batch([k], tw, [z], tau)[0, 0] for k in self.KS for z in zs]
+        assert np.array_equal(np.reshape(single, out.shape), out)
+
+    @pytest.mark.parametrize("bad,error", [
+        (0.5 + 0.1j, DomainError),
+        (complex(NAN, 0.1), DomainError),
+        (-1e-10 + 0.4j, NotConverged),
+    ], ids=["outside", "nan", "edge"])
+    def test_raises_when_one_point_would(self, bad, error):
+        tw = self.TWISTS["generic"]
+        with pytest.raises(error):
+            twisted_pk(1, tw, bad, TAU)
+        with pytest.raises(error):
+            twisted_pk_batch([1, 2], tw, [Z, bad, Z - 0.5], TAU)
+
+    def test_near_pole_and_invalid_order(self):
+        with pytest.raises(NearPole):
+            twisted_pk_batch([1], TwistPair(1.5e-13, 0.0), [Z, Z - 0.5], TAU)
+        with pytest.raises(ValueError):
+            twisted_pk_batch([1, 0], TwistPair(0.3, 0.3), [Z], TAU)
+
+    def test_need_mask_skips_entries(self):
+        # at Re(z) = -0.004 P_1 converges inside the window cap, P_5 does not
+        tw, tau, z = self.TWISTS["generic"], 0.8j, -0.004 + 0.3j
+        with pytest.raises(NotConverged):
+            twisted_pk_batch([1, 5], tw, [z], tau)
+        out = twisted_pk_batch([1, 5], tw, [z, Z], tau, need=[[True, False], [False, True]])
+        assert out[0, 0] == twisted_pk(1, tw, z, tau) and out[1, 1] == twisted_pk(5, tw, Z, tau)
+        assert out[1, 0] == out[0, 1] == 0
+
+    def test_empty_batch(self):
+        tw = self.TWISTS["generic"]
+        assert twisted_pk_batch([1, 2], tw, [], TAU).shape == (2, 0)
+        assert twisted_pk_batch([], tw, [Z], TAU).shape == (0, 1)
 
 
 class TestTwistedEisenstein:
