@@ -1,4 +1,5 @@
-"""Layer timings of the P_k q-series kernel (L2) and the correlators built on it (L3).
+"""Layer timings of the P_0 disk-series kernel (L1), the P_k q-series kernel (L2) and
+the correlators built on them (L3).
 
 Run from the repository root:
 
@@ -7,8 +8,8 @@ Run from the repository root:
 
 Each figure is the min and the median over repeats, in microseconds per call,
 with the E_n and eta caches emptied before every repeat. A checkout without
-twisted_pk_batch reports only the scalar loops. Prints one JSON object; needs
-nothing beyond the library itself and time.perf_counter.
+p0_batch or twisted_pk_batch reports only the scalar loops. Prints one JSON
+object; needs nothing beyond the library itself and time.perf_counter.
 """
 
 from __future__ import annotations
@@ -50,14 +51,16 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     import numpy as np
     import twistell
-    from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein,
-                          rank1_fock_npoint, rank2_generating, twisted_pk)
+    from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein, p0,
+                          rank1_fock_npoint, rank2_generating, rank2_generating_boson,
+                          twisted_pk)
 
     def clear():
         eisenstein.cache_clear()
         dedekind_eta.cache_clear()
 
     batch = getattr(twistell, "twisted_pk_batch", None)
+    p0_batch = getattr(twistell, "p0_batch", None)
     rng = random.Random(args.seed)
     tau = 0.12 + 1.1j
     tw = TwistPair(0.31, 0.77)
@@ -70,6 +73,16 @@ def main(argv=None) -> int:
         print(f"{name:32s} min {out[name]['min_us']:>11.2f} us  "
               f"median {out[name]['median_us']:>11.2f} us", file=sys.stderr)
 
+    # L1: P_0 at n points of its disk (|z| < 2.5, R = 2*pi), one call per z against
+    # one batched call; a separate stream keeps the L2/L3 points of earlier runs
+    disk_rng = random.Random(f"disk:{args.seed}")
+    disk = [complex(disk_rng.uniform(-2.0, -0.1), disk_rng.uniform(-1.5, 1.5))
+            for _ in range(256)]
+    for n in (1, 16, 256):
+        zs = disk[:n]
+        run(f"L1.p0_loop.n{n}", lambda zs=zs: [p0(z, tau) for z in zs])
+        if p0_batch is not None:
+            run(f"L1.p0_batch.n{n}", lambda zs=zs: p0_batch(zs, tau))
     # L2: one-point calls, mid-annulus and 0.25% of the width from the |q_z| = 1 edge
     for label, frac in (("mid", 0.5), ("edge", 0.0025)):
         z = complex(-width * frac, 0.4)
@@ -90,6 +103,14 @@ def main(argv=None) -> int:
         ys = [complex(-0.9 + 0.7 * rng.random(), 6.0 * (i + rng.random()) / n - 3.0)
               for i in range(n)]
         run(f"L3.rank2_generating.n{n}", lambda xs=xs, ys=ys: rank2_generating(p, xs, ys, tau))
+    # L3: the bosonized form, n^2 + n(n-1) prime forms, on two clusters whose pairwise
+    # differences all stay inside the prime-form disk (|z| < 2.6)
+    for n in (2, 4, 8, 16):
+        xs = [complex(disk_rng.uniform(-2.2, -0.8), disk_rng.uniform(-0.9, 0.9)) for _ in range(n)]
+        ys = [complex(disk_rng.uniform(-0.5, -0.01), disk_rng.uniform(-0.9, 0.9))
+              for _ in range(n)]
+        run(f"L3.rank2_generating_boson.n{n}",
+            lambda xs=xs, ys=ys: rank2_generating_boson(p, xs, ys, tau))
     # L3: a 12 x 12 block Pfaffian, 4 labels of 3 modes
     labels = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     zs = [-2.6 + 0.3j, -1.9 - 0.8j, -1.1 + 0.9j, -0.4 - 0.2j]

@@ -13,10 +13,12 @@ from .classical import (
     dedekind_eta,
     eisenstein,
     p0,
+    p0_batch,
     prime_form,
     theta_char,
     weierstrass_pk,
     weierstrass_pk_laurent,
+    weierstrass_pk_laurent_batch,
 )
 from .errors import (
     BalanceError,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,7 +75,12 @@ def eisenstein(n: int, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
             break
     if not converged:
         raise NotConverged(f"E_{n} q-series not below tol within q_order={cfg.q_order}")
-    return -bernoulli_over_factorial(n) + 2.0 / math.factorial(n - 1) * acc
+    try:
+        scale = 2.0 / math.factorial(n - 1)
+    except OverflowError:
+        raise NotConverged(f"E_{n} prefactor 2/(n-1)! needs (n-1)! as a float, which "
+                           f"overflows for n > 171") from None
+    return -bernoulli_over_factorial(n) + scale * acc
 
 
 def weierstrass_pk(k: int, z: complex, tau: complex,
@@ -93,53 +98,115 @@ def weierstrass_pk(k: int, z: complex, tau: complex,
     return val
 
 
-def _disk_series(term, start: int, tol: float, what: str, z: complex) -> complex:
-    """Sum term(n) over even n >= start until two successive terms fall below tol."""
-    acc = 0.0 + 0.0j
+def _disk_radius(tau: complex) -> float:
+    """Radius R = 2*pi*min |m*tau + n| over integers (m, n) != (0, 0) of the disk series.
+
+    R is the distance from 0 to the nearest other point of the period lattice
+    2*pi*i*(Z*tau + Z), found by Lagrange-Gauss reduction of the basis (1, tau);
+    it is below 2*pi whenever some |m*tau + n| < 1, e.g. when |tau| < 1.
+    """
+    u, v = 1.0 + 0.0j, require_upper_half(tau)
+    while True:
+        v -= round((v / u).real) * u
+        if abs(v) >= abs(u):
+            return _TWO_PI * abs(u)
+        u, v = v, u
+
+
+def _disk_points(zs, tau: complex, what: str) -> tuple[np.ndarray, float]:
+    """zs as a 1-D complex array, checked to lie in the disk 0 < |z| < R, and max |z|."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    if not zs.size:
+        return zs, 0.0
+    radius = _disk_radius(tau)
+    r = np.abs(zs)
+    reach = float(r.max())
+    if not (r.min() > 0 and reach < radius):      # NaN fails both
+        bad = r[~((r > 0) & (r < radius))][0]
+        raise DomainError(f"{what} needs 0 < |z| < R = 2*pi*min|m*tau + n| = {radius:.4g}, "
+                          f"got |z| = {bad:.4g}")
+    return zs, reach
+
+
+def _disk_series(coeff, start: int, shift: int, zs: np.ndarray, reach: float, tol: float,
+                 what: str) -> np.ndarray:
+    """Sum coeff(n) * z**(n - shift) over even n >= start, for every z of zs at once.
+
+    Each point stops after its first two successive terms below tol. Terms
+    grow with |z|, so the point of largest |z| (reach) stops last: the window
+    of orders ends where its term bound has twice fallen below tol, with a
+    1e-9 relative margin for the table's rounding. So coeff(n) is read once
+    per order for the whole batch and never past the last stop. The terms
+    form one (orders x points) table; each column is summed in order up to
+    its own stop, so a value depends only on its own z, and the batch raises
+    when one of its points would alone.
+    """
+    if not zs.size:
+        return zs
+    ns = range(start + start % 2, _DISK_SERIES_MAX_ORDER + 1, 2)
+    bound = tol / (1.0 + 1e-9)
+    coeffs: list[complex] = []
     small = 0
-    for n in range(start + start % 2, _DISK_SERIES_MAX_ORDER + 1, 2):
-        t = term(n)
-        acc += t
-        small = small + 1 if abs(t) < tol else 0
-        if small >= 2:
-            return acc
-    raise NotConverged(f"{what} stalled at |z| = {abs(z):.4g}")
+    for n in ns:
+        coeffs.append(coeff(n))
+        small = small + 1 if abs(coeffs[-1]) * reach ** (n - shift) < bound else 0
+        if small == 2:
+            break
+    else:
+        raise NotConverged(f"{what} stalled at |z| = {reach:.4g}")
+    powers = zs ** np.arange(ns.start - shift, n - shift + 1, 2)[:, None]
+    terms = np.array(coeffs)[:, None] * powers
+    below = np.abs(terms) < tol
+    stops = (below[1:] & below[:-1]).argmax(axis=0)      # row before each column's stop
+    return np.add.accumulate(terms)[1:][stops, np.arange(zs.size)]
 
 
-def weierstrass_pk_laurent(k: int, z: complex, tau: complex,
-                           cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Untwisted P_k by its Laurent series about z = 0.
+def weierstrass_pk_laurent_batch(k: int, zs: Sequence[complex], tau: complex,
+                                 cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Untwisted P_k by its Laurent series about z = 0, for every z of zs.
 
     P_k = 1/z^k + (-1)^k sum_{n>=k} C(n-1, k-1) E_n(tau) z^{n-k}; only even n
-    contribute. Converges on the disk 0 < |z| < 2*pi, so unlike the q-series
-    it does not care about the sign of Re(z); kept as an independent oracle.
+    contribute. Converges on the disk 0 < |z| < R = 2*pi*min|m*tau + n| over
+    (m, n) != (0, 0), so unlike the q-series it does not care about the sign of
+    Re(z); kept as an independent oracle. Each value depends only on its own z.
     """
     if k < 1:
         raise ValueError("weierstrass_pk_laurent requires k >= 1")
     tau = require_upper_half(tau)
-    z = complex(z)
-    if not 0 < abs(z) < _TWO_PI:
-        raise DomainError(f"Laurent series needs 0 < |z| < 2*pi, got |z| = {abs(z):.4g}")
-    acc = _disk_series(lambda n: binomial(n - 1, k - 1) * eisenstein(n, tau, cfg) * z ** (n - k),
-                       k, cfg.tol, f"P_{k} Laurent series", z)
-    return z ** (-k) + (-1.0) ** k * acc
+    zs, reach = _disk_points(zs, tau, "Laurent series")
+    acc = _disk_series(lambda n: binomial(n - 1, k - 1) * eisenstein(n, tau, cfg), k, k, zs,
+                       reach, cfg.tol, f"P_{k} Laurent series")
+    return zs ** -k + (-1.0) ** k * acc
+
+
+def weierstrass_pk_laurent(k: int, z: complex, tau: complex,
+                           cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
+    """Untwisted P_k by its Laurent series: the one-point call of weierstrass_pk_laurent_batch."""
+    return complex(weierstrass_pk_laurent_batch(k, [z], tau, cfg)[0])
+
+
+def p0_batch(zs: Sequence[complex], tau: complex,
+             cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """P_0(z, tau) = -log z + sum_{k>=2} E_k(tau) z^k / k for every z of zs, principal log.
+
+    Defined on the disk 0 < |z| < R = 2*pi*min|m*tau + n| over (m, n) != (0, 0),
+    the distance to the nearest other lattice point; DomainError outside. One
+    disk-series table serves the whole batch, and each value depends only
+    on its own z.
+    """
+    tau = require_upper_half(tau)
+    zs, reach = _disk_points(zs, tau, "p0")
+    return _disk_series(lambda n: eisenstein(n, tau, cfg) / n, 2, 0, zs, reach, cfg.tol,
+                        "p0 series") - np.log(zs)
 
 
 def p0(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """P_0(z, tau) = -log z + sum_{k>=2} E_k(tau) z^k / k, principal log.
-
-    Defined on 0 < |z| < 2*pi (radius set by the nearest lattice point).
-    """
-    tau = require_upper_half(tau)
-    z = complex(z)
-    if not 0 < abs(z) < _TWO_PI:
-        raise DomainError(f"p0 needs 0 < |z| < 2*pi, got |z| = {abs(z):.4g}")
-    acc = _disk_series(lambda k: eisenstein(k, tau, cfg) * z**k / k, 2, cfg.tol, "p0 series", z)
-    return -cmath.log(z) + acc
+    """P_0(z, tau): the one-point call of p0_batch, on the same disk 0 < |z| < R."""
+    return complex(p0_batch([z], tau, cfg)[0])
 
 
 def prime_form(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Elliptic prime form K(z, tau) = exp(-P_0(z, tau)).
+    """Elliptic prime form K(z, tau) = exp(-P_0(z, tau)), on the disk of p0.
 
     Has a simple zero at z = 0 with unit derivative, and agrees with the
     half-integral theta expression (-i/eta^3) * theta[1/2;1/2](z, tau).

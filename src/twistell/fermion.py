@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import dedekind_eta, prime_form, require_upper_half, theta_char
+from .classical import dedekind_eta, p0_batch, require_upper_half, theta_char
 from .errors import BalanceError, DomainError, NotConverged, UnsupportedTwist
 from .numeric import DEFAULT_CONFIG, TruncationConfig, binomial, determinant, pfaffian
 from .twisted import (
@@ -436,7 +436,7 @@ def rank2_generating_boson(p: OrbifoldParams, xs: Sequence[complex],
     generating correlator; with it this expression equals rank2_generating
     on the overlap domain (the trisecant identity). Valid for both trivial
     and nontrivial twists; all pairwise differences must stay inside the
-    prime-form disk.
+    prime-form disk 0 < |z| < R = 2*pi*min|m*tau + n| over (m, n) != (0, 0).
     """
     tau = require_upper_half(tau)
     xs = [complex(x) for x in xs]
@@ -445,17 +445,9 @@ def rank2_generating_boson(p: OrbifoldParams, xs: Sequence[complex],
         raise ValueError("need equally many psi+ and psi- insertions")
     _require_distinct(xs, "psi+ points")
     _require_distinct(ys, "psi- points")
-    pref = cmath.exp(2j * math.pi * (p.alpha + 0.5) * (p.beta + 0.5))
-    total = sum(xs) - sum(ys)
-    num = pref / dedekind_eta(tau, cfg) * theta_char(-p.beta + 0.5, p.alpha + 0.5,
-                                                     total, tau, cfg)
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            num *= prime_form(xs[i] - xs[j], tau, cfg) * prime_form(ys[j] - ys[i], tau, cfg)
-    for x in xs:
-        for y in ys:
-            num /= prime_form(x - y, tau, cfg)
-    return num
+    n = len(xs)
+    # K(y_j - y_i) for i < j is K(y'_i - y'_j) of the reversed y's: lattice charges one
+    return _bosonized(p, [1] * n, xs, [1] * n, ys[::-1], tau, cfg)
 
 
 def lattice_npoint(p: OrbifoldParams, ms: Sequence[int], xs: Sequence[complex],
@@ -480,19 +472,30 @@ def lattice_npoint(p: OrbifoldParams, ms: Sequence[int], xs: Sequence[complex],
         raise BalanceError(f"charges must balance: sum(ms)={sum(ms)} != sum(ns)={sum(ns)}")
     _require_distinct(xs, "x points")
     _require_distinct(ys, "y points")
+    return _bosonized(p, ms, xs, ns, ys, tau, cfg)
+
+
+def _bosonized(p: OrbifoldParams, ms: list[int], xs: list[complex], ns: list[int],
+               ys: list[complex], tau: complex, cfg: TruncationConfig) -> complex:
+    """pref/eta * theta(sum_a q_a u_a) * prod_{a<b} K(u_a - u_b)^{q_a q_b}.
+
+    The points are u = xs + ys with charges q = ms, -ns, which gives the
+    prime forms of lattice_npoint. Each factor is exp(-q_a q_b P_0(u_a - u_b)),
+    all P_0 from one p0_batch call; a product that leaves the float range is
+    NotConverged.
+    """
+    us, qs = xs + ys, ms + [-n for n in ns]
     pref = cmath.exp(2j * math.pi * (p.alpha + 0.5) * (p.beta + 0.5))
-    arg = sum(m * x for m, x in zip(ms, xs)) - sum(n * y for n, y in zip(ns, ys))
+    arg = sum(q * u for q, u in zip(qs, us))
     val = pref / dedekind_eta(tau, cfg) * theta_char(-p.beta + 0.5, p.alpha + 0.5,
                                                      arg, tau, cfg)
-    for i in range(len(xs)):
-        for k in range(i + 1, len(xs)):
-            val *= prime_form(xs[i] - xs[k], tau, cfg) ** (ms[i] * ms[k])
-    for j in range(len(ys)):
-        for l in range(j + 1, len(ys)):
-            val *= prime_form(ys[j] - ys[l], tau, cfg) ** (ns[j] * ns[l])
-    for i in range(len(xs)):
-        for j in range(len(ys)):
-            val /= prime_form(xs[i] - ys[j], tau, cfg) ** (ms[i] * ns[j])
+    pairs = [(a, b) for a in range(len(us)) for b in range(a + 1, len(us))]
+    p0s = p0_batch([us[a] - us[b] for a, b in pairs], tau, cfg)
+    weights = np.array([qs[a] * qs[b] for a, b in pairs], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val *= complex(np.exp(-weights * p0s).prod())
+    if not cmath.isfinite(val):
+        raise NotConverged("product of prime forms leaves the float range")
     return val
 
 

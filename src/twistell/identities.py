@@ -19,9 +19,9 @@ import numpy as np
 from .classical import (
     dedekind_eta,
     eisenstein,
-    prime_form,
+    p0_batch,
     theta_char,
-    weierstrass_pk_laurent,
+    weierstrass_pk_laurent_batch,
 )
 from .errors import RouteUnavailable
 from .fermion import (
@@ -368,19 +368,20 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         records.append(SampleRecord(f"P_1[tw] z+2pi*i*tau, tw={tw} z={_c(z)} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
 
-        # untwisted family on the disk evaluator: small tau keeps both points inside
+        # untwisted family on the disk evaluator: small tau keeps all four points
+        # inside its disk 0 < |z| < R = 2*pi*min|m*tau2 + n|, since
+        # |z| < pi*|tau2| + 0.71 < 3.9 and R >= 2*pi*Im(tau2) > 5
         tau2 = complex(s.uniform(-0.15, 0.15), s.uniform(0.8, 0.95))
         w = complex(s.uniform(-0.5, 0.5), s.uniform(-0.5, 0.5))
         z2 = w - 1j * math.pi
-        lhs = weierstrass_pk_laurent(k, z2 + 2j * math.pi, tau2, cfg)
-        rhs = weierstrass_pk_laurent(k, z2, tau2, cfg)
-        records.append(SampleRecord(f"P_{k} z+2pi*i, z={_c(z2)} tau={_c(tau2)}",
-                                    lhs, rhs, residual(lhs, rhs)))
         z3 = w - 1j * math.pi * tau2
-        lhs = weierstrass_pk_laurent(k, z3 + 2j * math.pi * tau2, tau2, cfg)
-        rhs = weierstrass_pk_laurent(k, z3, tau2, cfg) - (1.0 if k == 1 else 0.0)
+        disk = [z2 + 2j * math.pi, z2, z3 + 2j * math.pi * tau2, z3]
+        pk = [complex(v) for v in weierstrass_pk_laurent_batch(k, disk, tau2, cfg)]
+        records.append(SampleRecord(f"P_{k} z+2pi*i, z={_c(z2)} tau={_c(tau2)}",
+                                    pk[0], pk[1], residual(pk[0], pk[1])))
+        rhs = pk[3] - (1.0 if k == 1 else 0.0)
         records.append(SampleRecord(f"P_{k} z+2pi*i*tau, z={_c(z3)} tau={_c(tau2)}",
-                                    lhs, rhs, residual(lhs, rhs)))
+                                    pk[2], rhs, residual(pk[2], rhs)))
 
         # theta characteristics: entire, so any argument works
         a, b = s.uniform(-1.5, 1.5), s.uniform(-1.5, 1.5)
@@ -395,16 +396,13 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         records.append(SampleRecord(f"theta z+2pi*i*tau, a={a:.4g} b={b:.4g} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
 
-        # prime form: restrict so both points stay in the disk 0 < |z| < 2*pi
-        lhs = prime_form(z2 + 2j * math.pi, tau2, cfg)
-        rhs = -prime_form(z2, tau2, cfg)
+        # prime form K = exp(-P_0) on the same four points of its disk
+        kf = [cmath.exp(-complex(v)) for v in p0_batch(disk, tau2, cfg)]
         records.append(SampleRecord(f"K z+2pi*i, z={_c(z2)} tau={_c(tau2)}",
-                                    lhs, rhs, residual(lhs, rhs)))
-        lhs = prime_form(z3 + 2j * math.pi * tau2, tau2, cfg)
-        rhs = (-cmath.exp(-z3) * cmath.exp(-1j * math.pi * tau2)
-               * prime_form(z3, tau2, cfg))
+                                    kf[0], -kf[1], residual(kf[0], -kf[1])))
+        rhs = -cmath.exp(-z3) * cmath.exp(-1j * math.pi * tau2) * kf[3]
         records.append(SampleRecord(f"K z+2pi*i*tau, z={_c(z3)} tau={_c(tau2)}",
-                                    lhs, rhs, residual(lhs, rhs)))
+                                    kf[2], rhs, residual(kf[2], rhs)))
     return _finish(name, records, tolerance, cfg, plan.seed)
 
 
@@ -673,12 +671,10 @@ def check_modular_correlators(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_
         if i % 4 == 0:
             xs, ys = s.xy_clusters(tau, 2, 2)
             def _detq(xx, yy, tt):
-                q = np.zeros((3, 3), dtype=complex)
-                for a in range(2):
-                    for b in range(2):
-                        q[a, b] = weierstrass_pk_laurent(1, xx[a] - yy[b], tt, cfg)
-                    q[a, 2] = 1.0
-                    q[2, a] = 1.0
+                q = np.ones((3, 3), dtype=complex)
+                q[2, 2] = 0.0
+                q[:2, :2] = weierstrass_pk_laurent_batch(
+                    1, [x - y for x in xx for y in yy], tt, cfg).reshape(2, 2)
                 return determinant(q)
 
             gxs = [gamma_act_point(gamma, x, tau)[0] for x in xs]

@@ -4,20 +4,25 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from twistell import (
     DomainError,
     NotConverged,
     bernoulli_poly,
+    binomial,
     dedekind_eta,
     eisenstein,
     p0,
+    p0_batch,
     prime_form,
     theta_char,
     weierstrass_pk,
     weierstrass_pk_laurent,
+    weierstrass_pk_laurent_batch,
 )
+from twistell.classical import _disk_radius
 
 TAU = 0.12 + 1.1j
 
@@ -136,6 +141,158 @@ class TestP0PrimeForm:
             p0(0.0, TAU)
         with pytest.raises(DomainError):
             p0(7.0, TAU)
+
+    def test_disk_radius_is_nearest_lattice_point(self):
+        # R = 2*pi*min|m*tau + n| over (m, n) != (0, 0), against a brute-force scan
+        rng = random.Random(5)
+        for tau in [1j, 0.3 + 0.8j, 0.5 + 0.2j, -0.5 + 0.87j, 3.4 + 0.1j] + [
+                complex(rng.uniform(-2, 2), rng.uniform(0.05, 2)) for _ in range(20)]:
+            brute = min(abs(m * tau + n) for m in range(-40, 41) for n in range(-90, 91)
+                        if (m, n) != (0, 0))
+            assert _disk_radius(tau) == pytest.approx(2 * math.pi * brute, rel=1e-12)
+
+    def test_domain_is_the_true_disk(self):
+        # |tau| < 1 puts the lattice point 2*pi*i*tau inside |z| < 2*pi
+        tau = 0.3 + 0.8j
+        radius = _disk_radius(tau)
+        assert radius == pytest.approx(2 * math.pi * abs(tau))
+        assert abs(-5.2 + 2j) > radius
+        with pytest.raises(DomainError, match="R = "):
+            prime_form(-5.2 + 2j, tau)
+        with pytest.raises(DomainError):
+            weierstrass_pk_laurent(1, -5.2 + 2j, tau)
+        # inside R the series still agrees with the theta expression
+        z = -4 + 1.5j
+        rhs = -1j / dedekind_eta(tau) ** 3 * theta_char(0.5, 0.5, z, tau)
+        assert prime_form(z, tau) == pytest.approx(rhs, rel=1e-9)
+
+    def test_large_orders_are_not_converged(self):
+        # E_n for n > 171 needs (n-1)! beyond the float range: refused, not a raw OverflowError
+        with pytest.raises(NotConverged, match="E_172"):
+            eisenstein(172, 5j)
+        with pytest.raises(NotConverged):
+            p0(-6 + 0.1j, 5j)
+
+
+def seed_disk_series(term, start, tol=1e-12):
+    """The scalar disk-series loop the batched kernel replaced, kept as its reference."""
+    acc = 0.0 + 0.0j
+    small = 0
+    for n in range(start + start % 2, 801, 2):
+        t = term(n)
+        acc += t
+        small = small + 1 if abs(t) < tol else 0
+        if small >= 2:
+            return acc
+    raise NotConverged("stalled")
+
+
+def seed_p0(z, tau):
+    return -cmath.log(z) + seed_disk_series(lambda k: eisenstein(k, tau) * z**k / k, 2)
+
+
+def seed_laurent(k, z, tau):
+    acc = seed_disk_series(
+        lambda n: binomial(n - 1, k - 1) * eisenstein(n, tau) * z ** (n - k), k)
+    return z ** (-k) + (-1.0) ** k * acc
+
+
+def disk_batch(rng, tau, size, reach=0.95):
+    """size points spread over the disk out to reach * R, area-uniform."""
+    radius = _disk_radius(tau)
+    return [cmath.rect(radius * reach * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+            for _ in range(size)]
+
+
+def split_by_reference(ref, zs):
+    """(points the reference evaluates with their values, points it refuses)."""
+    good, refused = [], []
+    for z in zs:
+        try:
+            good.append((z, ref(z)))
+        except NotConverged:
+            refused.append(z)
+    return good, refused
+
+
+KERNEL_TAUS = [TAU, 1j, 0.3 + 0.8j, -0.45 + 0.9j, 0.2 + 2.5j, 0.5 + 0.45j]
+
+
+class TestDiskSeriesBatch:
+    def test_p0_matches_scalar_loop(self):
+        rng = random.Random(31)
+        evaluated = refused = 0
+        for trial in range(24):
+            tau = KERNEL_TAUS[trial % len(KERNEL_TAUS)]
+            good, bad = split_by_reference(lambda z: seed_p0(z, tau),
+                                           disk_batch(rng, tau, rng.randint(1, 40)))
+            evaluated += len(good)
+            refused += len(bad)
+            if good:
+                vals = p0_batch([z for z, _ in good], tau)
+                for (z, ref), val in zip(good, vals):
+                    assert abs(val - ref) <= 1e-14 * abs(ref), (z, tau)
+            for z in bad:
+                with pytest.raises(NotConverged):
+                    p0(z, tau)
+        assert evaluated > 300 and refused > 10
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_laurent_matches_scalar_loop(self, k):
+        rng = random.Random(40 + k)
+        evaluated = 0
+        for trial in range(12):
+            tau = KERNEL_TAUS[trial % len(KERNEL_TAUS)]
+            good, bad = split_by_reference(lambda z: seed_laurent(k, z, tau),
+                                           disk_batch(rng, tau, rng.randint(1, 40)))
+            evaluated += len(good)
+            if good:
+                vals = weierstrass_pk_laurent_batch(k, [z for z, _ in good], tau)
+                for (z, ref), val in zip(good, vals):
+                    assert abs(val - ref) <= 1e-14 * abs(ref), (z, tau)
+            for z in bad:
+                with pytest.raises(NotConverged):
+                    weierstrass_pk_laurent(k, z, tau)
+        assert evaluated > 100
+
+    def test_batch_invariance(self):
+        # reordering and duplicating a batch, or calling one point alone, changes no bit
+        rng = random.Random(12)
+        for tau in KERNEL_TAUS:
+            zs = disk_batch(rng, tau, 25, reach=0.6)
+            base = p0_batch(zs, tau)
+            order = list(range(len(zs)))
+            rng.shuffle(order)
+            shuffled = p0_batch([zs[i] for i in order] + zs[:7], tau)
+            assert np.array_equal(shuffled[:len(zs)], base[order])
+            assert np.array_equal(shuffled[len(zs):], base[:7])
+            for i in (0, 9, 24):
+                assert p0(zs[i], tau) == base[i]
+                assert p0_batch(zs[i:i + 1], tau)[0] == base[i]
+            lau = weierstrass_pk_laurent_batch(2, zs, tau)
+            assert np.array_equal(weierstrass_pk_laurent_batch(2, zs[::-1], tau), lau[::-1])
+            assert weierstrass_pk_laurent(2, zs[5], tau) == lau[5]
+
+    def test_batch_raises_as_its_failing_point_alone(self):
+        tau = 0.3 + 0.8j
+        radius = _disk_radius(tau)
+        fine = [-1.0 + 0.2j, 0.5 - 0.7j, 1.4j]
+        for bad, error in [(0.99 * radius, NotConverged), (1.01 * radius * 1j, DomainError),
+                           (0.0, DomainError), (complex(math.nan, 0.0), DomainError),
+                           (complex(math.inf, 1.0), DomainError)]:
+            with pytest.raises(error):
+                p0(bad, tau)
+            with pytest.raises(error):
+                p0_batch(fine[:1] + [bad] + fine[1:], tau)
+            with pytest.raises(error):
+                weierstrass_pk_laurent_batch(3, fine + [bad], tau)
+        assert np.all(np.isfinite(p0_batch(fine, tau)))
+
+    def test_empty_batches(self):
+        for out in (p0_batch([], TAU), weierstrass_pk_laurent_batch(2, [], TAU)):
+            assert out.shape == (0,) and out.dtype == complex
+        with pytest.raises(DomainError):
+            p0_batch([], 0.5)
 
 
 class TestThetaChar:

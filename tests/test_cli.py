@@ -100,6 +100,14 @@ class TestEval:
         payload = json.loads(err)
         assert payload["error"] == "convergence" and "overflows" in payload["message"]
 
+    def test_prime_form_outside_its_disk_is_a_domain_error(self, capsys):
+        # |z| = 5.57 lies below 2*pi but beyond R = 2*pi*|tau| = 5.37
+        code, out, err = run_cli(capsys, "eval", "prime_form", "z=-5.2+2i", "tau=0.3+0.8i")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "domain" and "= 5.368" in payload["message"]
+
     def test_parse_errors(self, capsys):
         assert run_cli(capsys, "eval", "no_such", "x=1")[0] == EXIT_PARSE
         assert run_cli(capsys, "eval", "binomial", "n=4")[0] == EXIT_PARSE

@@ -15,6 +15,7 @@ from twistell import (
     FockLabelRank2,
     GroupElement,
     GSelector,
+    NotConverged,
     OrbifoldParams,
     TwistPair,
     UnsupportedTwist,
@@ -49,7 +50,7 @@ from twistell import (
     twisted_pk_reflected,
     weierstrass_pk,
 )
-from twistell import fermion
+from twistell import classical, fermion
 
 TAU = 0.12 + 1.1j
 Q = cmath.exp(2j * math.pi * TAU)
@@ -365,6 +366,112 @@ class TestLattice:
     def test_balance_enforced(self):
         with pytest.raises(BalanceError):
             lattice_npoint(self.P, [2], [-1.0], [1], [-0.2], TAU)
+
+
+# ---------------------------------------------------------------------------
+# the bosonized forms against the pairwise prime-form loops they replaced
+# ---------------------------------------------------------------------------
+
+def boson_prefactor(p, arg, tau):
+    pref = cmath.exp(2j * math.pi * (p.alpha + 0.5) * (p.beta + 0.5))
+    return pref / dedekind_eta(tau) * theta_char(-p.beta + 0.5, p.alpha + 0.5, arg, tau)
+
+
+def loop_generating_boson(p, xs, ys, tau):
+    num = boson_prefactor(p, sum(xs) - sum(ys), tau)
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            num *= prime_form(xs[i] - xs[j], tau) * prime_form(ys[j] - ys[i], tau)
+    for x in xs:
+        for y in ys:
+            num /= prime_form(x - y, tau)
+    return num
+
+
+def loop_lattice_npoint(p, ms, xs, ns, ys, tau):
+    arg = sum(m * x for m, x in zip(ms, xs)) - sum(n * y for n, y in zip(ns, ys))
+    val = boson_prefactor(p, arg, tau)
+    for i in range(len(xs)):
+        for k in range(i + 1, len(xs)):
+            val *= prime_form(xs[i] - xs[k], tau) ** (ms[i] * ms[k])
+    for j in range(len(ys)):
+        for l in range(j + 1, len(ys)):
+            val *= prime_form(ys[j] - ys[l], tau) ** (ns[j] * ns[l])
+    for i in range(len(xs)):
+        for j in range(len(ys)):
+            val /= prime_form(xs[i] - ys[j], tau) ** (ms[i] * ns[j])
+    return val
+
+
+def boson_points(rng, n):
+    """psi+ points in Re [-2.2, -0.8] and psi- points in Re [-0.5, -0.01]."""
+    xs = [complex(rng.uniform(-2.2, -0.8), rng.uniform(-0.9, 0.9)) for _ in range(n)]
+    ys = [complex(rng.uniform(-0.5, -0.01), rng.uniform(-0.9, 0.9)) for _ in range(n)]
+    return xs, ys
+
+
+class TestBosonizedBatch:
+    TAUS = [TAU, 0.3 + 0.8j, -0.35 + 1.6j]
+
+    def test_generating_boson_matches_loop(self):
+        rng = random.Random(51)
+        for trial in range(30):
+            n = (0, 1, 2, 3, 5, 8, 16)[trial % 7]
+            tau = self.TAUS[trial % 3]
+            p = OrbifoldParams(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+            xs, ys = boson_points(rng, n)
+            ref = loop_generating_boson(p, xs, ys, tau)
+            assert rank2_generating_boson(p, xs, ys, tau) == pytest.approx(ref, rel=1e-13)
+
+    def test_lattice_matches_loop(self):
+        rng = random.Random(52)
+        for trial in range(30):
+            tau = self.TAUS[trial % 3]
+            p = OrbifoldParams(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+            ms = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+            ns = list(ms)
+            rng.shuffle(ns)
+            xs, ys = boson_points(rng, len(ms))
+            ref = loop_lattice_npoint(p, ms, xs, ns, ys, tau)
+            assert lattice_npoint(p, ms, xs, ns, ys, tau) == pytest.approx(ref, rel=1e-13)
+
+    def test_zero_and_one_pair(self):
+        p = OrbifoldParams(0.27, 0.63)
+        assert rank2_generating_boson(p, [], [], TAU) == pytest.approx(
+            boson_prefactor(p, 0.0, TAU), rel=1e-15)
+        x, y = -1.0 + 0.1j, -0.2 - 0.1j
+        assert rank2_generating_boson(p, [x], [y], TAU) == pytest.approx(
+            boson_prefactor(p, x - y, TAU) / prime_form(x - y, TAU), rel=1e-14)
+
+    def test_one_p0_batch_call_per_request(self, monkeypatch):
+        calls = []
+        batch = fermion.p0_batch
+
+        def counted(zs, tau, cfg=DEFAULT_CONFIG):
+            calls.append(len(zs))
+            return batch(zs, tau, cfg)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("scalar prime form called")
+
+        monkeypatch.setattr(fermion, "p0_batch", counted)
+        monkeypatch.setattr(classical, "p0", scalar)
+        monkeypatch.setattr(classical, "prime_form", scalar)
+        p = OrbifoldParams(0.27, 0.63)
+        for n in (0, 1, 4, 16):
+            xs, ys = boson_points(random.Random(n), n)
+            calls.clear()
+            rank2_generating_boson(p, xs, ys, TAU)
+            assert calls == [n * n + n * (n - 1)]
+        calls.clear()
+        lattice_npoint(p, [2, 1], [-1.9 + 0.2j, -1.1 - 0.3j], [1, 2], [-0.4j, -0.2 + 0.3j], TAU)
+        assert calls == [6]
+
+    def test_overflowing_product_is_not_converged(self):
+        # a psi+ and a psi- point 1e-300 apart: 1/K(x - y)^4 leaves the float range
+        p = OrbifoldParams(0.27, 0.63)
+        with pytest.raises(NotConverged):
+            lattice_npoint(p, [2], [-1.0 + 1e-300j], [2], [-1.0], TAU)
 
 
 class TestModularMultiplier:
