@@ -1,5 +1,5 @@
-"""Layer timings of the P_0 disk-series kernel (L1), the P_k q-series kernel (L2) and
-the correlators built on them (L3).
+"""Layer timings of the P_0 disk-series kernel (L1), the P_k theta-quotient kernel and its
+q-series oracle (L2), and the correlators built on them (L3).
 
 Run from the repository root:
 
@@ -8,8 +8,10 @@ Run from the repository root:
 
 Each figure is the min and the median over repeats, in microseconds per call,
 with the E_n and eta caches emptied before every repeat. A checkout without
-p0_batch or twisted_pk_batch reports only the scalar loops. Prints one JSON
-object; needs nothing beyond the library itself and time.perf_counter.
+p0_batch or twisted_pk_batch reports only the scalar loops, one without
+twisted_pk_qseries no q-series rows (there twisted_pk_batch is the q-series).
+Prints one JSON object; needs nothing beyond the library itself and
+time.perf_counter.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ def main(argv=None) -> int:
         dedekind_eta.cache_clear()
 
     batch = getattr(twistell, "twisted_pk_batch", None)
+    qseries = getattr(twistell, "twisted_pk_qseries", None)
     p0_batch = getattr(twistell, "p0_batch", None)
     rng = random.Random(args.seed)
     tau = 0.12 + 1.1j
@@ -95,6 +98,18 @@ def main(argv=None) -> int:
                                                 for k in ORDERS for z in zs])
         if batch is not None:
             run(f"L2.pk_batch.n{n}", lambda zs=zs: batch(ORDERS, tw, zs, tau))
+        if qseries is not None:
+            run(f"L2.pk_qseries.n{n}", lambda zs=zs: qseries(ORDERS, tw, zs, tau))
+    # L2: 16 points 1e-3 of the width from the |q_z| = 1 edge, one call each: P_1 on every
+    # route, P_1..P_3 on the theta kernel only (the q-series window gives out for P_2);
+    # their own stream keeps the L3 points of earlier runs
+    edge_rng = random.Random(f"edge:{args.seed}")
+    edge = [complex(-width * 1e-3, edge_rng.uniform(-3, 3)) for _ in range(16)]
+    if batch is not None:
+        run("L2.pk_batch.edge.k1", lambda: batch((1,), tw, edge, tau))
+    if qseries is not None:
+        run("L2.pk_qseries.edge.k1", lambda: qseries((1,), tw, edge, tau))
+        run("L2.pk_batch.edge", lambda: batch(ORDERS, tw, edge, tau))
     # L3: determinant correlators on a jittered grid with every x - y in the annulus
     p = OrbifoldParams(0.27, 0.63)
     for n in (2, 4, 8, 16):

@@ -87,6 +87,7 @@ from .twisted import (
     twisted_pk_batch,
     twisted_pk_continued,
     twisted_pk_oracle,
+    twisted_pk_qseries,
     twisted_pk_reflected,
 )
 

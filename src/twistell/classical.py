@@ -85,10 +85,10 @@ def eisenstein(n: int, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
 
 def weierstrass_pk(k: int, z: complex, tau: complex,
                    cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Untwisted P_k(z, tau), evaluated through the twisted q-series.
+    """Untwisted P_k(z, tau), evaluated through the twisted theta quotient twisted_pk.
 
     P_k equals the trivially twisted function minus the constant 1/2 at k=1.
-    Domain: |q| < |q_z| < 1, i.e. -2*pi*Im(tau) < Re(z) < 0.
+    Domain: the whole plane off the period lattice 2*pi*i*(Z*tau + Z).
     """
     from .twisted import TwistPair, twisted_pk
 

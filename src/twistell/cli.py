@@ -134,22 +134,24 @@ def _modular_multiplier(gamma, p):
     return eps, [f"transformed params: alpha={params.alpha:.17g} beta={params.beta:.17g}"]
 
 
-# function name -> (owner, parameters in call order). The owner is the module defining a
-# function of that name, or an adapter returning (value, warnings). Parameter tokens:
-# "name:kind" is parsed by _PARSERS[kind], "tw" and "p" expand through _GROUPS, and
-# "cfg" passes the truncation config.
+# function name -> (owner, parameters in call order[, batch form]). The owner is the module
+# defining a function of that name, or an adapter returning (value, warnings). Parameter
+# tokens: "name:kind" is parsed by _PARSERS[kind], "tw" and "p" expand through _GROUPS, and
+# "cfg" passes the truncation config. A batch form "fn a b" names the owner's function
+# taking the same parameters with a and b as lists, and returning one array axis per list.
 _SIGNATURES = {
     "bernoulli_poly": (numeric, "n:int lam:float"),
     "binomial": (numeric, "n:int k:int"),
     "q_exp": (numeric, "z:complex s:complex"),
     "eisenstein": (classical, "n:int tau:complex cfg"),
     "weierstrass_pk": (classical, "k:int z:complex tau:complex cfg"),
-    "weierstrass_pk_laurent": (classical, "k:int z:complex tau:complex cfg"),
-    "p0": (classical, "z:complex tau:complex cfg"),
+    "weierstrass_pk_laurent": (classical, "k:int z:complex tau:complex cfg",
+                               "weierstrass_pk_laurent_batch z"),
+    "p0": (classical, "z:complex tau:complex cfg", "p0_batch z"),
     "prime_form": (classical, "z:complex tau:complex cfg"),
     "theta_char": (classical, "a:float b:float z:complex tau:complex cfg"),
     "dedekind_eta": (classical, "tau:complex cfg"),
-    "twisted_pk": (twisted, "k:int tw z:complex tau:complex cfg"),
+    "twisted_pk": (twisted, "k:int tw z:complex tau:complex cfg", "twisted_pk_batch k z"),
     "twisted_pk_oracle": (twisted, "k:int tw z:complex tau:complex cfg"),
     "twisted_eisenstein": (twisted, "n:int tw tau:complex cfg"),
     "twisted_eisenstein_oracle": (twisted, "n:int tw tau:complex cfg"),
@@ -172,11 +174,12 @@ _SIGNATURES = {
 }
 
 
-def _entry(name: str, owner, params: str):
-    """The (ordered (param, kind) spec, evaluator(args, cfg)) pair of one registry row.
+def _entry(name: str, owner, params: str, batch: str = ""):
+    """The (ordered (param, kind) spec, evaluator(args, cfg), batch) triple of one registry row.
 
-    A module's function is looked up when called, so rebinding it (as a tracer
-    or a test double does) takes effect here too.
+    batch is None, or (the listed parameters, evaluator(args, cfg) -> array) of
+    the row's batch form. A module's function is looked up when called, so
+    rebinding it (as a tracer or a test double does) takes effect here too.
     """
     spec, getters = [], []
     for tok in params.split():
@@ -191,16 +194,22 @@ def _entry(name: str, owner, params: str):
             spec.append((key, kind))
             getters.append(lambda a, cfg, key=key: a[key])
 
+    def call(fn_name, a, cfg):
+        return getattr(owner, fn_name)(*(get(a, cfg) for get in getters))
+
     def evaluate(a, cfg):
-        args = [get(a, cfg) for get in getters]
         if isinstance(owner, ModuleType):
-            return getattr(owner, name)(*args), []
-        return owner(*args)
+            return call(name, a, cfg), []
+        return owner(*(get(a, cfg) for get in getters))
 
-    return spec, evaluate
+    if not batch:
+        return spec, evaluate, None
+    batch_name, *listed = batch.split()
+    return spec, evaluate, (tuple(listed), lambda a, cfg: call(batch_name, a, cfg))
 
 
-# function name -> (ordered (param, kind) spec, evaluator(args, cfg) -> (value, warnings))
+# function name -> (ordered (param, kind) spec, evaluator(args, cfg) -> (value, warnings),
+# batch form or None)
 REGISTRY: dict = {name: _entry(name, *row) for name, row in _SIGNATURES.items()}
 
 
@@ -309,7 +318,7 @@ def cmd_eval(args) -> int:
         args.function = args.function_flag
     if args.function is None:
         raise ParseError("eval needs a function name")
-    spec, fn = _lookup(args.function)
+    spec, fn, _ = _lookup(args.function)
     cfg = _cfg_from_args(args)
     parsed = _parse_assignments(args.assignments, spec)
     value, warnings = fn(parsed, cfg)
@@ -431,8 +440,31 @@ def _parse_table_value(key: str, kind: str, text: str):
     return _Grid((c, _PARSERS[kind](c)) for c in cells)
 
 
+def _batch_values(batch, varying, fixed: dict, cfg) -> list[complex] | None:
+    """Every row's value from one call of the row's batch form, in row order.
+
+    None when there is no batch form, when the grid varies a parameter the
+    batch form does not list, or when the call raises a row error: the rows
+    are then evaluated one by one, each with its own status.
+    """
+    if batch is None:
+        return None
+    listed, fn = batch
+    grids = dict(varying)
+    if not set(grids) <= set(listed):
+        return None
+    call = dict(fixed)
+    call.update({k: [arg for _, arg in grids[k]] if k in grids else [fixed[k]] for k in listed})
+    try:
+        out = fn(call, cfg)
+    except _ROW_ERRORS:
+        return None
+    return [complex(out[tuple(dict(zip(grids, idx)).get(k, 0) for k in listed)])
+            for idx in product(*(range(len(grid)) for grid in grids.values()))]
+
+
 def cmd_table(args) -> int:
-    spec, fn = _lookup(args.function)
+    spec, fn, batch = _lookup(args.function)
     cfg = _cfg_from_args(args)
     parsed = _parse_assignments(args.assignments, spec, _parse_table_value)
     varying = [(k, v) for k, v in parsed.items() if isinstance(v, _Grid)]
@@ -444,14 +476,19 @@ def cmd_table(args) -> int:
     fixed = {k: v for k, v in parsed.items() if k not in names}
     fixed_cells = [_cell(fixed[k]) for k in sorted(fixed)]
 
+    combos = list(product(*(grid for _, grid in varying)))
+    values = _batch_values(batch, varying, fixed, cfg)
     out_rows = []
-    for combo in product(*(grid for _, grid in varying)):
-        call = dict(fixed)
-        call.update(zip(names, (arg for _, arg in combo)))
-        try:
-            value, status = complex(fn(call, cfg)[0]), "ok"
-        except _ROW_ERRORS as exc:
-            value, status = complex(0), _error_row(exc)[3]
+    for row, combo in enumerate(combos):
+        if values is not None:
+            value, status = values[row], "ok"
+        else:
+            call = dict(fixed)
+            call.update(zip(names, (arg for _, arg in combo)))
+            try:
+                value, status = complex(fn(call, cfg)[0]), "ok"
+            except _ROW_ERRORS as exc:
+                value, status = complex(0), _error_row(exc)[3]
         out_rows.append([c for c, _ in combo] + fixed_cells
                         + [format(value.real, ".17g"), format(value.imag, ".17g"), status])
 

@@ -25,7 +25,6 @@ from .twisted import (
     TwistPair,
     GroupElement,
     _reduce_phase,
-    _reflect,
     twisted_eisenstein,
     twisted_pk_batch,
 )
@@ -121,60 +120,33 @@ def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[c
     the row points, and block a == b holds C[tw](k_i, l_j), or the constant
     diag when one is given; each E_m[tw] is evaluated once. Every other
     entry is D[tw](k_i, l_j, xs[a] - ys[b]), m = k_i + l_j - 1, and needs
-    P_m[tw](z) at z = xs[a] - ys[b]. Where Re(z) >= 0 the parity reflection
-    P_m[tw](z) = (-1)^m P_m[tw^-1](-z) takes it to the q-series annulus.
-    The P values are keyed by (twist, z, m) and computed in one
-    twisted_pk_batch call per twist, tw for the direct entries and tw^-1 for
-    the reflected ones. At the rank-one twists tw^-1 == tw and
-    -(x_b - x_a) == x_a - x_b exactly, so entries (a, b) and (b, a) share
-    one evaluation and a Pfaffian matrix takes a single call.
+    P_m[tw](z) at z = xs[a] - ys[b]: one twisted_pk_batch call evaluates
+    every order m at the difference of every ordered pair of blocks.
     """
     shared = ys is None
     ys = xs if shared else ys
+    rows = [(a, k) for a, ks in enumerate(row_modes) for k in ks]
     cols = [(b, l) for b, ls in enumerate(col_modes) for l in ls]
-    twists = [tw, tw.inverse()]
-    flip_slot = 0 if twists[1] == tw else 1     # the rank-one twists are their own inverse
-    wanted: list = [{}, {}]                     # per twist slot: z -> orders m
-    factors: dict = {}
-    eis: dict = {}
-    plan = []                                   # per entry: its value, or (factor, P key, flip)
-    for a, ks in enumerate(row_modes):
-        for k in ks:
-            for b, l in cols:
-                c_entry = shared and a == b
-                if c_entry and diag is not None:
-                    plan.append(diag)
-                    continue
-                m = k + l - 1
-                fac = factors.get((k, l, c_entry))
-                if fac is None:
-                    # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
-                    fac = factors[k, l, c_entry] = ((-1.0) ** (l if c_entry else k + 1)
-                                                    * binomial(m - 1, k - 1))
-                if c_entry:
-                    if m not in eis:
-                        eis[m] = twisted_eisenstein(m, tw, tau, cfg)
-                    plan.append(fac * eis[m])
-                    continue
-                z = xs[a] - ys[b]
-                flip = not z.real < 0.0
-                key = (flip_slot, -z, m) if flip else (0, z, m)
-                wanted[key[0]].setdefault(key[1], set()).add(m)
-                plan.append((fac, key, flip))
-    values: dict = {}
-    for slot, points in enumerate(wanted):
-        if points:
-            zs = list(points)
-            ms = sorted(set().union(*points.values()))
-            need = [[m in points[z] for z in zs] for m in ms]
-            block = twisted_pk_batch(ms, twists[slot], zs, tau, cfg, need=need).tolist()
-            values.update(((slot, z, m), block[i][j]) for i, m in enumerate(ms)
-                          for j, z in enumerate(zs) if need[i][j])
-    # key = (slot, z, m): a flipped entry is P_m[tw](-z) = (-1)^m P_m[tw^-1](z)
-    entries = [p if not isinstance(p, tuple) else
-               p[0] * (_reflect(p[1][2], tw, values[p[1]]) if p[2] else values[p[1]])
-               for p in plan]
-    return np.array(entries, dtype=complex).reshape(sum(map(len, row_modes)), len(cols))
+    pairs = [(a, b) for a in range(len(row_modes)) for b in range(len(col_modes))
+             if not (shared and a == b)]
+    ms = sorted({k + l - 1 for a, b in pairs for k in row_modes[a] for l in col_modes[b]})
+    block = twisted_pk_batch(ms, tw, [xs[a] - ys[b] for a, b in pairs], tau, cfg).tolist() \
+        if pairs else []
+    p_at = {(a, b, m): row[j] for m, row in zip(ms, block) for j, (a, b) in enumerate(pairs)}
+    ks = {k for _, k in rows}
+    ls = {l for _, l in cols}
+    # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
+    d_fac = {(k, l): (-1.0) ** (k + 1) * binomial(k + l - 2, k - 1) for k in ks for l in ls}
+    c_val: dict = {}                            # the C blocks' entries by (k, l)
+    if shared:
+        c_kl = {(k, l) for a, ks_a in enumerate(row_modes) for k in ks_a for l in col_modes[a]}
+        if diag is None:
+            eis = {m: twisted_eisenstein(m, tw, tau, cfg) for m in {k + l - 1 for k, l in c_kl}}
+        c_val = {(k, l): diag if diag is not None else
+                 (-1.0) ** l * binomial(k + l - 2, k - 1) * eis[k + l - 1] for k, l in c_kl}
+    entries = [[c_val[k, l] if shared and a == b else d_fac[k, l] * p_at[a, b, k + l - 1]
+                for b, l in cols] for a, k in rows]
+    return np.array(entries, dtype=complex).reshape(len(rows), len(cols))
 
 
 def p1_difference_matrix(tw: TwistPair, zs: Sequence[complex], tau: complex,

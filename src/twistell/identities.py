@@ -44,7 +44,6 @@ from .numeric import DEFAULT_CONFIG, TruncationConfig, determinant, pfaffian, pf
 from .twisted import (
     GroupElement,
     TwistPair,
-    _reflect,
     gamma_act_point,
     gamma_act_twist,
     lattice_distance,
@@ -52,7 +51,6 @@ from .twisted import (
     twisted_eisenstein_oracle,
     twisted_pk,
     twisted_pk_batch,
-    twisted_pk_continued,
     twisted_pk_oracle,
 )
 
@@ -249,7 +247,7 @@ def _finish(name: str, records: list[SampleRecord], tol: float, cfg: TruncationC
 
 def check_doublesum(k: int, plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
                     tolerance: float = 1e-9) -> IdentityReport:
-    """q-series versus collapsed double-sum oracle for P_k[tw]."""
+    """Theta-quotient kernel versus collapsed double-sum oracle for P_k[tw]."""
     name = f"doublesum_k{k}"
     s = _Sampler(plan, name)
     records = []
@@ -297,17 +295,13 @@ def laurent_coefficients(tw: TwistPair, tau: complex, cfg: TruncationConfig,
                          n_coeffs: int = 5, n_points: int = 64) -> list[complex]:
     """Taylor coefficients of P_1[tw](z) - 1/z by Fourier inversion.
 
-    Samples on the circle |z| = cfg.series_radius at half-offset angles (no
-    point hits the divergent Re(z) = 0 axis exactly); Re(z) > 0 points are
-    reached through the parity reflection. One kernel call per half circle.
+    Samples on the circle |z| = cfg.series_radius at half-offset angles,
+    all of them in one kernel call.
     """
     r = cfg.series_radius
     angles = [2.0 * math.pi * (j + 0.5) / n_points for j in range(n_points)]
     zs = [r * cmath.exp(1j * ang) for ang in angles]
-    left = iter(twisted_pk_batch((1,), tw, [z for z in zs if z.real < 0.0], tau, cfg)[0].tolist())
-    right = iter(twisted_pk_batch((1,), tw.inverse(), [-z for z in zs if not z.real < 0.0],
-                                  tau, cfg)[0].tolist())
-    vals = [(next(left) if z.real < 0.0 else _reflect(1, tw, next(right))) - 1.0 / z for z in zs]
+    vals = [v - 1.0 / z for v, z in zip(twisted_pk_batch((1,), tw, zs, tau, cfg)[0].tolist(), zs)]
     coeffs = []
     for k in range(n_coeffs):
         acc = sum(v * cmath.exp(-1j * k * ang) for v, ang in zip(vals, angles))
@@ -359,12 +353,14 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         tw = s.twist(mode=0 if i % 2 else 1)  # keep phi != 1 so the oracle applies
         z = s.annulus_z(tau)
         k = 1 + i % 3
-        lhs = twisted_pk(k, tw, z + 2j * math.pi, tau, cfg)
-        rhs = tw.phi * twisted_pk(k, tw, z, tau, cfg)
+        # one kernel call: P_1 and P_k at z + 2*pi*i and z
+        pk = twisted_pk_batch((1, k), tw, [z + 2j * math.pi, z], tau, cfg).tolist()
+        lhs = pk[1][0]
+        rhs = tw.phi * pk[1][1]
         records.append(SampleRecord(f"P_{k}[tw] z+2pi*i, tw={tw} z={_c(z)} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
         lhs = twisted_pk_oracle(1, tw, z + 2j * math.pi * tau, tau, cfg)
-        rhs = tw.theta * twisted_pk(1, tw, z, tau, cfg)
+        rhs = tw.theta * pk[0][1]
         records.append(SampleRecord(f"P_1[tw] z+2pi*i*tau, tw={tw} z={_c(z)} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
 
@@ -433,9 +429,11 @@ def check_modular_twisted(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONF
         z = s.annulus_z(tau, lo=0.2, hi=0.8)
         gz, gtau = gamma_act_point(gamma, z, tau)
         aut = gamma.automorphy(tau)
+        gpk = twisted_pk_batch((1, 2, 3), gtw, [gz], gtau, cfg)[:, 0].tolist()
+        pk = twisted_pk_batch((1, 2, 3), tw, [z], tau, cfg)[:, 0].tolist()
         for k in (1, 2, 3):
-            lhs = twisted_pk_continued(k, gtw, gz, gtau, cfg)
-            rhs = aut**k * twisted_pk(k, tw, z, tau, cfg)
+            lhs = gpk[k - 1]
+            rhs = aut**k * pk[k - 1]
             records.append(SampleRecord(
                 f"P_{k} under {glabel}, tw={tw} z={_c(z)} tau={_c(tau)}",
                 lhs, rhs, residual(lhs, rhs)))
@@ -656,7 +654,7 @@ def check_modular_correlators(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_
         xs, ys = s.xy_clusters(tau, 1, 1)
         gz = (xs[0] - ys[0]) / aut
         gtw = gamma_act_twist(gamma, p.twist())
-        lhs = (twisted_pk_continued(1, gtw, gz, gtau, cfg)
+        lhs = (twisted_pk(1, gtw, gz, gtau, cfg)
                * rank2_partition(gp, gtau, cfg))
         rhs = aut * eps * rank2_generating(p, xs, ys, tau, cfg)
         records.append(SampleRecord(f"G_2 under {glabel}, p={p} tau={_c(tau)}",

@@ -2,11 +2,13 @@
 
 A twist pair (theta, phi) in U(1) x U(1) is stored by canonical phases,
 theta = exp(-2*pi*i*mu) and phi = exp(2*pi*i*lam) with mu, lam in [0, 1).
-The q-series evaluators converge on the annulus |q| < |q_z| < 1; the
-lattice-sum oracles (double sums with the inner sum collapsed to
-S(x, phi) = 1/2*delta + q_x^lam/(q_x - 1)) converge for every z off the
-period lattice and serve as the independent cross-checks. Modular group
-actions on points and twists round out the module.
+P_k[tw] is evaluated as a theta quotient on the whole plane off the period
+lattice (twisted_pk_batch); E_n[tw] by its q-expansion. Two oracles stay
+independent of that kernel: the q-series of P_k[tw] on the annulus
+|q| < |q_z| < 1 (twisted_pk_qseries), and the lattice sums (double sums with
+the inner sum collapsed to S(x, phi) = 1/2*delta + q_x^lam/(q_x - 1)), which
+converge for every z off the period lattice. Modular group actions on
+points and twists round out the module.
 """
 
 from __future__ import annotations
@@ -179,12 +181,229 @@ def _window_size(rate: float, tol: float, pad: int = 16) -> int:
 _EDGES = np.array([[0, 1, 2, -3, -2, -1]])
 
 
+# the theta window drops terms below e^-_THETA_TAIL of the largest one, past any tol
+# a float can meet, so the rounding bound below covers the truncation too
+_THETA_TAIL = 50.0
+_EPS = float(np.finfo(float).eps)
+_ZERO = np.zeros(1)
+
+
 def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], tau: complex,
-                     cfg: TruncationConfig = DEFAULT_CONFIG,
-                     need: Sequence[Sequence[bool]] | None = None) -> np.ndarray:
+                     cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Twisted Weierstrass functions P_k[theta; phi](z, tau) for every k in ks, z in zs.
 
-    Returns the array of shape (len(ks), len(zs)) of the q-series
+    Returns the array of shape (len(ks), len(zs)) of the theta quotient
+    P_1[tw](z) = theta'[1/2;1/2](0) theta[lam+1/2; mu+1/2](z)
+                 / (theta[lam+1/2; mu+1/2](0) theta[1/2;1/2](z)),
+    or 1/2 + theta'[1/2;1/2](z)/theta[1/2;1/2](z) at the trivial twist, and
+    P_{j+1}[tw](z) = (-1)^j f^(j)(z)/j! of f = P_1[tw]. One exp table gives
+    each point's Taylor columns c_j(z) = sum_n (n+a)^j/j! e^{i pi (n+a)^2 tau
+    + (n+a)(z + 2 pi i b)} of both thetas, with z = 0 as one more row for the
+    normalisation; power-series division of the columns gives the f^(j)/j!.
+    Each point's window is centred on round(Re z / (2 pi Im tau)) (the
+    quasi-period moves z next to the imaginary axis and leaves the multiplier
+    theta^-m) and sized a priori from the Gaussian tail, so every value
+    depends only on its own z and on nothing else in the batch. Points with
+    Re z > 0 (or Re z = 0 < Im z) are evaluated at -z through the parity
+    P_k[tw](z) = (-1)^k P_k[tw^-1](-z) (1 - P_1[1;1](-z) for the trivial P_1),
+    so that relation holds bit for bit, and with it the exact antisymmetry of
+    the correlators' Pfaffian matrices.
+
+    Domain: the whole plane off the period lattice 2 pi i (Z tau + Z).
+    DomainError for a non-finite z; NearPole within 1e-11 of a lattice
+    point, or when the twist is within 1e-12 of trivial (P_k[tw] has a pole
+    there); NotConverged when the rounding bound -- eps times the sum of
+    |term| over |theta|, weighted by each term's exponent, carried through
+    the division -- passes cfg.tol relative to max(1, |P_k|): near lattice
+    points, and at small Im tau (e.g. 0.05i), where the theta sums cancel.
+    The batch raises when one of its points would alone. twisted_pk_qseries
+    is the q-series oracle on the annulus.
+    """
+    ks = list(ks)
+    if ks and min(ks) < 1:
+        raise ValueError("twisted_pk requires k >= 1")
+    tau = require_upper_half(tau)
+    zs = np.array(zs, dtype=complex).reshape(-1)
+    if not (ks and zs.size):
+        return np.zeros((len(ks), zs.size), dtype=complex)
+    finite = np.isfinite(zs)
+    if np.count_nonzero(finite) < zs.size:
+        raise DomainError(f"P_k[tw] needs a finite z, got z = {zs[~finite][0]}")
+    order = max(ks)
+    sign = (-1.0) ** np.arange(order)[:, None] if order > 1 else 1.0   # (-1)^(k-1)
+    # complex order is lexicographic: z > 0 means Re z > 0, or Re z = 0 < Im z
+    flip = zs > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.count_nonzero(flip):
+            ws = np.where(flip, -zs, zs)
+            inv = tw.inverse()
+            if inv == tw:
+                f, err = _p1_taylor(tw, ws, tau, order, cfg)
+            else:
+                f = np.empty((order, zs.size), dtype=complex)
+                err = np.empty((order, zs.size))
+                for twist, sel in ((tw, ~flip), (inv, flip)):
+                    if np.count_nonzero(sel):
+                        f[:, sel], err[:, sel] = _p1_taylor(twist, ws[sel], tau, order, cfg)
+            if tw.is_trivial:
+                f[0] -= flip
+            # at w = -z, P_k = -f_(k-1) of the inverse twist
+            vals = f * np.where(flip, -1.0, sign)
+        else:
+            f, err = _p1_taylor(tw, zs, tau, order, cfg)
+            vals = f * sign if order > 1 else f
+        if ks != list(range(1, order + 1)):
+            rows = np.array(ks) - 1
+            vals, err = vals[rows], err[rows]
+        # inf and NaN values carry an inf or NaN bound, and fail
+        ok = err / np.maximum(1.0, np.abs(vals)) <= cfg.tol
+    if np.count_nonzero(ok) < ok.size:
+        i, j = np.argwhere(~ok)[0]
+        raise NotConverged(f"P_{ks[i]}[tw] theta quotient at z = {zs[j]:.6g}, tau = {tau}: "
+                           f"rounding bound {err[i, j]:.3g} over tol {cfg.tol:.3g}")
+    return vals
+
+
+def _p1_taylor(tw: TwistPair, ws: np.ndarray, tau: complex, order: int,
+               cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """f^(j)(w)/j! of f = P_1[tw], j < order, at every w of ws, with their rounding bounds.
+
+    Each w is moved by the quasi-period w -> w + 2 pi i tau m, m = round(Re w
+    / (2 pi Im tau)), next to the imaginary axis, where theta's terms peak at
+    |n + a| <= 1: one window |n| <= N with pi Im(tau) (N - 1)^2 >= _THETA_TAIL
+    then serves every point. The columns c_j(w) of theta[lam+1/2; mu+1/2] and
+    theta[1/2;1/2] (of theta[1/2;1/2] alone at the trivial twist) come from
+    one exp table over the window, w = 0 being one more point, each summed in
+    order of n. A term's relative rounding is at most eps times
+    2 + pi|tau| n (n + 2a) + 2 pi |b x| + |x| reach, x = n + a, where reach
+    covers |w| and the rounding of the shift (three times |w| plus the
+    shift); the bound of c_j sums those over |x^j/j! term|, and _divide
+    carries it through the quotient.
+    """
+    width = math.ceil(math.sqrt(_THETA_TAIL / (math.pi * tau.imag) + 0.25)) + 1
+    if width > 16 * cfg.theta_range:
+        raise NotConverged(f"theta window of {2 * width + 1} terms exceeds 32*theta_range "
+                           f"at tau = {tau}")
+    m = np.rint(ws.real / (_TWO_PI * tau.imag))
+    shifted = np.count_nonzero(m)
+    reach = np.abs(ws)
+    if shifted:
+        ws = ws + (2j * math.pi * tau) * m
+        reach += abs(_TWO_PI * tau) * np.abs(m)
+    trivial = tw.is_trivial
+    # characteristics (a, b) with |a| <= 1/2, as rows (a, 2 pi i b, eps 2 pi |b|)
+    if trivial:
+        bs, cols_needed = [(0.5, 0.5)], order + 1
+    else:
+        # theta[lam+1/2; .] = theta[lam-1/2; .]: keep the characteristic in [-1/2, 1/2)
+        a = tw.lam + 0.5 if tw.lam < 0.5 else tw.lam - 0.5
+        bs, cols_needed = [(a, tw.mu + 0.5), (0.5, 0.5)], max(order, 2)
+    rows = np.array([[a, 2j * math.pi * b, _EPS * _TWO_PI * abs(b)] for a, b in bs])
+    ns = np.arange(-width, width + 1.0)
+    xs = ns + rows[:, :1].real
+    ax = np.abs(xs)
+    # exponents i pi (x^2 - a^2) tau + x (w + 2 pi i b), laid out (chars, x, points), w = 0
+    # last: x^2 - a^2 = n (n + 2a) >= 0 is exact at the peak, and the shift by a^2 tau
+    # cancels from A/B and from B'/B
+    sq = ns * (ns + 2.0 * rows[:, :1].real)
+    pts = np.concatenate((ws, _ZERO))
+    expo = ((1j * math.pi * tau) * sq + rows[:, 1:2] * xs)[:, :, None] + xs[:, :, None] * pts
+    if tau.imag > 64.0:
+        # so large an Im(tau) leaves the float range: take out each point's largest term,
+        # which also cancels
+        expo -= expo.real.max(axis=(0, 1))
+    pw = np.empty((len(bs), cols_needed, xs.shape[1], 1))
+    pw[:, 0] = 1.0
+    for j in range(1, cols_needed):
+        pw[:, j] = pw[:, j - 1] * (xs / j)[:, :, None]
+    cols = np.add.accumulate(pw * np.exp(expo)[:, None], axis=2)[:, :, -1]
+    slack = (2.0 * _EPS + (_EPS * math.pi * abs(tau)) * sq + rows[:, 2:].real * ax)[:, :, None] \
+        + ax[:, :, None] * np.concatenate(((3.0 * _EPS) * reach, _ZERO))
+    bounds = np.abs(pw[..., 0]) @ (np.exp(expo.real) * slack)
+    # theta[1/2;1/2](w) ~ theta'[1/2;1/2](0) * d at distance d from the lattice
+    absden = np.abs(cols[-1, :order, :-1])
+    if np.count_nonzero(absden[0] < 10 * _POLE_EPS * abs(complex(cols[-1, 1, -1]))):
+        j = int(absden[0].argmin())
+        raise NearPole(f"z = {ws[j]:.6g} (up to sign and a period) is within "
+                       f"{10 * _POLE_EPS} of a pole of P_k[tw] at tau = {tau}")
+    if trivial:
+        # f = 1/2 + theta'/theta: theta'(w + t) has columns (j+1) c_{j+1}
+        j1 = np.arange(1.0, order + 1.0)[:, None]
+        f, err = _divide(j1 * cols[0, 1:, :-1], j1 * bounds[0, 1:, :-1],
+                         cols[0, :order, :-1], bounds[0, :order, :-1], absden, 4.0 * _EPS)
+        f[0] += 0.5 + m
+        err[0] += _EPS * np.abs(f[0])
+        return f, err
+    num0, den1 = complex(cols[0, 0, -1]), complex(cols[1, 1, -1])
+    if abs(num0) < _POLE_EPS * abs(den1):
+        raise NearPole(f"twist {tw} is within {_POLE_EPS} of trivial, where P_k[tw] has a pole")
+    # f = theta[a;b] / (theta[1/2;1/2] / norm): the normalisation theta'[1/2;1/2](0) /
+    # theta[a;b](0) and the multiplier theta^-m of the shift divide the denominator
+    norm = den1 / num0
+    den = cols[1, :order, :-1] / norm
+    rel = float(bounds[0, 0, -1]) / abs(num0) + float(bounds[1, 1, -1]) / abs(den1) + 4.0 * _EPS
+    if shifted:
+        den /= np.exp(_TWO_PI * 1j * tw.mu * m)
+        rel = rel + _EPS * _TWO_PI * np.abs(m)
+    scale = 1.0 / abs(norm)
+    return _divide(cols[0, :order, :-1], bounds[0, :order, :-1], den,
+                   bounds[1, :order, :-1] * scale, absden * scale, rel)
+
+
+def _divide(num: np.ndarray, num_err: np.ndarray, den: np.ndarray, den_err: np.ndarray,
+            absden: np.ndarray, rel: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients of num/den by power-series division, with rounding bounds.
+
+    q_j = (num_j - sum_{i=1..j} den_i q_{j-i}) / den_0, row by row, the sum
+    taken in order of i; absden is |den|. The first-order bound carries the
+    columns' bounds through the recurrence, adds the recurrence's own
+    rounding, eps times its sum of magnitudes, and rel times |q_j|.
+    """
+    q = num / den[0]
+    for j in range(1, num.shape[0]):
+        prods = _cmul(den[1:j + 1], q[j - 1::-1])
+        acc = prods[0]
+        for prod in prods[1:]:
+            acc = acc + prod
+        q[j] = (num[j] - acc) / den[0]
+    aq = np.abs(q)
+    e = (num_err + den_err[0] * aq) / absden[0] + rel * aq
+    if num.shape[0] > 1:
+        # |den_i q_(j-i)| bounds each product, which rounds by eps and sums by eps more
+        slack = den_err + 4.0 * _EPS * absden
+        for j in range(1, num.shape[0]):
+            e[j] += ((slack[1:j + 1] * aq[j - 1::-1] + absden[1:j + 1] * e[j - 1::-1])
+                     .sum(axis=0) / absden[0])
+    return q, e
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for arrays of one shape, from real products and sums: numpy's complex
+    multiply may fuse them, depending on the array layout, which would make a value
+    depend on its batch."""
+    out = np.empty(a.shape, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
+def twisted_pk(k: int, tw: TwistPair, z: complex, tau: complex,
+               cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
+    """Twisted Weierstrass function P_k[theta; phi](z, tau) by its theta quotient.
+
+    The one-point call of twisted_pk_batch, with its domain: the whole plane
+    off the period lattice. NearPole on a lattice point or at a twist within
+    1e-12 of trivial; NotConverged when the rounding bound passes cfg.tol.
+    """
+    return complex(twisted_pk_batch([k], tw, [z], tau, cfg)[0, 0])
+
+
+def twisted_pk_qseries(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], tau: complex,
+                       cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """P_k[theta; phi](z, tau) by its q-series: the annulus oracle of twisted_pk_batch.
+
+    Returns the array of shape (len(ks), len(zs)) of
     ((-1)^k/(k-1)!) * sum over n in Z + lam of n^{k-1} q_z^n / (1 - theta^-1 q^n),
     omitting n = 0 exactly when the twist is trivial. Each z sums its own
     window, sized by its distance to the two annulus edges and doubled per
@@ -196,33 +415,21 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
 
     Converges on the annulus |q| < |q_z| < 1 only; DomainError outside,
     NearPole when a denominator degenerates, NotConverged when a window
-    passes 64*cfg.q_order terms. The batch raises when one of its points
-    would alone. An optional boolean mask need, of the output's shape,
-    limits the evaluation to its True entries (the others stay 0), though
-    every z must still lie in the annulus.
+    passes 64*cfg.q_order terms. The stated bound is truncation only: near
+    the annulus edges the long windows lose digits to rounding. The batch
+    raises when one of its points would alone.
     """
     ks = list(ks)
+    if ks and min(ks) < 1:
+        raise ValueError("twisted_pk_qseries requires k >= 1")
     zs = [complex(z) for z in zs]
-    rows = _pk_series(ks, tw, zs, tau, cfg, need)
+    rows = _pk_series(ks, tw, zs, tau, cfg)
     return np.array(rows, dtype=complex).reshape(len(ks), len(zs))
 
 
-def twisted_pk(k: int, tw: TwistPair, z: complex, tau: complex,
-               cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Twisted Weierstrass function P_k[theta; phi](z, tau) by its q-series.
-
-    The one-point call of twisted_pk_batch. Converges on the annulus
-    |q| < |q_z| < 1 only; DomainError outside, NearPole when a denominator
-    degenerates.
-    """
-    return _pk_series([k], tw, [complex(z)], tau, cfg, None)[0][0]
-
-
 def _pk_series(ks: list[int], tw: TwistPair, zs: list[complex], tau: complex,
-               cfg: TruncationConfig, need) -> list[list[complex]]:
-    """The q-series of twisted_pk_batch, as one list of values per order."""
-    if ks and min(ks) < 1:
-        raise ValueError("twisted_pk requires k >= 1")
+               cfg: TruncationConfig) -> list[list[complex]]:
+    """The q-series of twisted_pk_qseries, as one list of values per order."""
     tau = require_upper_half(tau)
     h = _TWO_PI * tau.imag
     for z in zs:
@@ -231,10 +438,9 @@ def _pk_series(ks: list[int], tw: TwistPair, zs: list[complex], tau: complex,
                 f"q-series needs a finite z with -2*pi*Im(tau) < Re(z) < 0, got z = {z:.4g}, "
                 f"width {h:.4g}")
     out = [[0j] * len(zs) for _ in ks]
-    every = range(len(ks))
     # open points: [index into zs, window below n = 0, window from n = 0, open orders by index]
     level = [[j, _window_size(h + z.real, cfg.tol), _window_size(-z.real, cfg.tol),
-              [i for i in every if need is None or need[i][j]]] for j, z in enumerate(zs)]
+              list(range(len(ks)))] for j, z in enumerate(zs)]
     cap = 64 * cfg.q_order
     triv = int(tw.is_trivial)
     th_inv = cmath.exp(2j * math.pi * tw.mu)   # theta^{-1}
@@ -300,47 +506,14 @@ def _pk_series(ks: list[int], tw: TwistPair, zs: list[complex], tau: complex,
 
 def twisted_pk_reflected(k: int, tw: TwistPair, z: complex, tau: complex,
                          cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """P_k[tw](z) on either half of the annulus pair 0 < |Re(z)| < 2*pi*Im(tau).
-
-    Re(z) < 0 evaluates the q-series directly; Re(z) > 0 goes through the
-    reflection P_k[tw](z) = (-1)^k P_k[tw^-1](-z). The trivially twisted
-    k = 1 function is off-center by its constant 1/2, so there the
-    reflection reads P_1[1;1](z) = 1 - P_1[1;1](-z).
-    """
-    z = complex(z)
-    if z.real < 0.0:
-        return twisted_pk(k, tw, z, tau, cfg)
-    return _reflect(k, tw, twisted_pk(k, tw.inverse(), -z, tau, cfg))
-
-
-def _reflect(k: int, tw: TwistPair, val: complex) -> complex:
-    """P_k[tw](z) from val = P_k[tw^-1](-z) by the parity reflection."""
-    val = (-1.0) ** k * val
-    if tw.is_trivial and k == 1:
-        val += 1.0
-    return val
+    """Alias of twisted_pk, whose domain covers both signs of Re(z)."""
+    return twisted_pk(k, tw, z, tau, cfg)
 
 
 def twisted_pk_continued(k: int, tw: TwistPair, z: complex, tau: complex,
                          cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """P_k[tw] for any Re(z) off the pole circles, via quasi-periodic reduction.
-
-    Shifts z by integer multiples of 2*pi*i*tau into the base annulus and
-    undoes the multiplier theta^m (the trivial twist instead picks up the
-    additive -delta_{k,1} per shift); then evaluates the q-series.
-    """
-    tau = require_upper_half(tau)
-    z = complex(z)
-    h = _TWO_PI * tau.imag
-    w = -z.real / h
-    m = math.floor(w)
-    if w == m:
-        raise DomainError(f"|q_z| sits exactly on a lattice circle (Re(z) = {z.real:.4g})")
-    z_base = z - 2j * math.pi * tau * m
-    base = twisted_pk(k, tw, z_base, tau, cfg)
-    if tw.is_trivial:
-        return base - (m if k == 1 else 0)
-    return cmath.exp(-2j * math.pi * tw.mu * m) * base
+    """Alias of twisted_pk, whose domain is the whole plane off the period lattice."""
+    return twisted_pk(k, tw, z, tau, cfg)
 
 
 def _exp_frac_derivatives(alpha: float, order: int):
@@ -539,7 +712,7 @@ def coeff_D(k: int, l: int, tw: TwistPair, z: complex, tau: complex,
 
     Coefficients of z1^{k-1} z2^{l-1} in P_1[tw](z + z1 - z2); antisymmetric
     partner of coeff_C: D[tw](k, l, z) = -D[tw^-1](l, k, -z). Inherits the
-    annulus domain of twisted_pk.
+    domain of twisted_pk: the whole plane off the period lattice.
     """
     if k < 1 or l < 1:
         raise ValueError("coeff_D requires k, l >= 1")
@@ -557,7 +730,8 @@ def twisted_p1_theta_form(tw: TwistPair, z: complex, tau: complex,
     function needs its constant 1/2 restored on top).
 
     Raises DegenerateTheta when the denominator theta value is below cfg.tol.
-    Valid wherever the prime form is (0 < |z| < 2*pi).
+    Valid wherever the prime form is: the disk 0 < |z| < R = 2*pi*min|m*tau + n|
+    over (m, n) != (0, 0).
     """
     tau = require_upper_half(tau)
     z = complex(z)

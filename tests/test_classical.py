@@ -9,6 +9,7 @@ import pytest
 
 from twistell import (
     DomainError,
+    NearPole,
     NotConverged,
     bernoulli_poly,
     binomial,
@@ -90,9 +91,14 @@ class TestWeierstrassPk:
         approx = -dz(lambda w: weierstrass_pk(1, w, TAU), z)
         assert weierstrass_pk(2, z, TAU) == pytest.approx(approx, rel=1e-8)
 
-    def test_domain_error_outside_annulus(self):
+    def test_domain_is_the_plane_off_the_lattice(self):
+        # z = 0.5 lies outside the q-series annulus; the theta quotient still holds there
+        assert weierstrass_pk(1, 0.5, TAU) == pytest.approx(
+            weierstrass_pk_laurent(1, 0.5, TAU), rel=1e-12)
+        with pytest.raises(NearPole):
+            weierstrass_pk(1, 2j * math.pi * TAU, TAU)
         with pytest.raises(DomainError):
-            weierstrass_pk(1, 0.5, TAU)
+            weierstrass_pk(1, complex(math.nan, 0.0), TAU)
 
 
 class TestP0PrimeForm:

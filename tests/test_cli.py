@@ -82,8 +82,9 @@ class TestEval:
         assert json.loads(out)["re"] == 6
 
     def test_domain_error_exit(self, capsys):
-        code, out, err = run_cli(capsys, "eval", "weierstrass_pk",
-                                 "k=1", "z=2.0", "tau=i")
+        # |z| = 7 lies beyond the disk radius R = 2*pi of the Laurent series at tau = i
+        code, out, err = run_cli(capsys, "eval", "weierstrass_pk_laurent",
+                                 "k=1", "z=7", "tau=i")
         assert code == EXIT_DOMAIN
         assert out == ""
         assert json.loads(err)["error"] == "domain"
@@ -207,8 +208,9 @@ class TestTable:
         assert all(row[-1] == "ok" for row in rows[1:])
 
     def test_domain_error_rows_flagged(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--function", "weierstrass_pk",
-                               "k=1", "z=-3+0.5i:1+0.5i:5", "tau=i")
+        # the first two points lie beyond the disk radius R = 2*pi at tau = i
+        code, out, _ = run_cli(capsys, "table", "--function", "weierstrass_pk_laurent",
+                               "k=1", "z=-8+0.5i:-2+0.5i:5", "tau=i")
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))
         statuses = [row[-1] for row in rows[1:]]
@@ -257,6 +259,88 @@ class TestTable:
         assert code == EXIT_OK
         data = json.loads(out)
         assert len(data) == 3 and data[0]["status"] == "ok"
+
+
+class TestTableBatchForms:
+    """Grids of rows with a batch form: one batch call, the same bytes as eval."""
+
+    GRIDS = [
+        # a row on the lattice (z = 0) is near_pole, every other row ok
+        ("twisted_pk", ["k=1..3", "mu=0.31", "lam=0.77", "z=-2+1i:2-1i:5",
+                        "tau=0.12+1.1i"]),
+        # the first two points lie beyond the disk radius R = 2*pi at tau = i
+        ("p0", ["z=-8+0.5i:-2+0.5i:5", "tau=i"]),
+        ("weierstrass_pk_laurent", ["k=2", "z=-1.5+0.5i:1+2i:4", "tau=0.12+1.1i"]),
+        ("weierstrass_pk_laurent", ["k=1..3", "z=-1.5+0.5i", "tau=0.12+1.1i"]),
+    ]
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_twisted_pk_grid_is_one_kernel_call(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, twisted, "twisted_pk_batch")
+        code, out, _ = run_cli(capsys, "table", "--function", "twisted_pk", "k=1..3",
+                               "mu=0.31", "lam=0.77", "z=-6+1i:6-2i:25", "tau=0.12+1.1i")
+        assert code == EXIT_OK and len(calls) == 1
+        ks, _, zs, _, _ = calls[0]
+        assert list(ks) == [1, 2, 3] and len(zs) == 25
+        assert all(row[-1] == "ok" for row in list(csv.reader(io.StringIO(out)))[1:])
+
+    def test_p0_grid_is_one_batch_call(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, classical, "p0_batch")
+        code, _, _ = run_cli(capsys, "table", "--function", "p0", "z=-2+0.5i:2+0.5i:9",
+                             "tau=i")
+        assert code == EXIT_OK and len(calls) == 1 and len(calls[0][0]) == 9
+
+    @pytest.mark.parametrize("function,tokens", GRIDS, ids=[g[0] for g in GRIDS])
+    def test_rows_print_the_bytes_of_eval(self, capsys, function, tokens):
+        code, out, _ = run_cli(capsys, "table", "--function", function, *tokens)
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        header, rows = rows[0], rows[1:]
+        assert {row[-1] for row in rows} >= {"ok"}
+        for row in rows:
+            assignments = [f"{key}={cell}" for key, cell in zip(header[:-3], row)]
+            code, out, err = run_cli(capsys, "eval", function, *assignments)
+            if row[-1] == "ok":
+                assert code == EXIT_OK
+                text = out.split('"re":', 1)[1]
+                assert text.startswith(f"{row[-3]},\"im\":{row[-2]},")
+            else:
+                assert code == EXIT_DOMAIN and json.loads(err)["error"] in (
+                    "domain", "near_pole")
+
+    def test_grid_keeps_each_rows_status(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--function", "twisted_pk", "k=1..2",
+                               "mu=0.31", "lam=0.77", "z=-2+1i:2-1i:5", "tau=0.12+1.1i")
+        assert code == EXIT_OK
+        statuses = [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        assert statuses == ["ok", "ok", "near_pole", "ok", "ok"] * 2
+
+
+class TestWholePlane:
+    def test_twisted_pk_outside_the_annulus(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "twisted_pk", "k=1", "mu=0.31", "lam=0.77",
+                                 "z=0.5+0.1i", "tau=0.12+1.1i")
+        assert code == EXIT_OK, err
+        value = json.loads(out)
+        assert complex(value["re"], value["im"]) == twisted.twisted_pk(
+            1, _TW, 0.5 + 0.1j, _TAU)
+
+    @pytest.mark.parametrize("seed", [38, 54])
+    def test_formerly_refused_suite_seeds_pass(self, capsys, seed):
+        code, out, _ = run_cli(capsys, "verify", "--seed", str(seed))
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "17/17 checks passed"
 
 
 # registry name -> (eval key=value tokens, the same call made directly)

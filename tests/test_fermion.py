@@ -631,10 +631,9 @@ class TestBlockMatrixBuilder:
         calls, e_calls = [], []
         batch, ek = fermion.twisted_pk_batch, fermion.twisted_eisenstein
 
-        def count_batch(ks, tw, zs, tau, cfg, need=None):
-            calls.append([(tw, z, k) for i, k in enumerate(ks) for j, z in enumerate(zs)
-                          if need is None or need[i][j]])
-            return batch(ks, tw, zs, tau, cfg, need=need)
+        def count_batch(ks, tw, zs, tau, cfg):
+            calls.append([(tw, z, k) for k in ks for z in zs])
+            return batch(ks, tw, zs, tau, cfg)
 
         def count_e(n, tw, tau, cfg):
             e_calls.append(n)
@@ -645,32 +644,32 @@ class TestBlockMatrixBuilder:
         return calls, e_calls
 
     def test_one_evaluation_per_distinct_entry(self, monkeypatch):
-        # rank one: tw^-1 == tw, so one kernel call covers each unordered pair once
+        # rank one: one kernel call at every ordered difference, each (z, m) once
         calls, e_calls = self._count_kernel(monkeypatch)
         modes = [(1, 2), (1,), (2, 3), (1, 3, 4)]
         g = GSelector.IDENTITY
         rank1_fock_npoint(modes, self.ZS, g, TAU)
-        pairs = {(a, b) if (self.ZS[a] - self.ZS[b]).real < 0 else (b, a)
-                 for a in range(4) for b in range(4) if a != b}
-        assert len(pairs) == 6
+        pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
         want = {(g.twist(), self.ZS[a] - self.ZS[b], k + l - 1)
                 for a, b in pairs for k in modes[a] for l in modes[b]}
         [evaluated] = calls
-        assert len(evaluated) == len(set(evaluated)) and set(evaluated) == want
+        assert len(evaluated) == len(set(evaluated)) and want <= set(evaluated)
+        assert {z for _, z, _ in evaluated} == {self.ZS[a] - self.ZS[b] for a, b in pairs}
+        assert {m for _, _, m in evaluated} == {m for _, _, m in want}
         on = {k + l - 1 for ks in modes for k in ks for l in ks}
         assert sorted(e_calls) == sorted(on)
 
-    def test_rank2_matrix_takes_two_kernel_calls(self, monkeypatch):
-        # generic twist: tw for the entries with Re(z) < 0, tw^-1 for the reflected ones
+    def test_rank2_matrix_takes_one_kernel_call(self, monkeypatch):
+        # generic twist: one call with tw itself, at every ordered difference
         calls, _ = self._count_kernel(monkeypatch)
         p = OrbifoldParams(0.27, 0.63)
         labels = [((1, 2), (1,)), ((1,), (2, 3)), ((3,), (1,))]
         rank2_fock_npoint(labels, self.ZS[:3], p, TAU)
-        assert len(calls) == 2
-        assert {tw for call in calls for tw, _, _ in call} == {p.twist(), p.twist().inverse()}
-        evaluated = [key for call in calls for key in call]
+        [evaluated] = calls
+        assert {tw for tw, _, _ in evaluated} == {p.twist()}
         assert len(evaluated) == len(set(evaluated))
-        assert all(z.real < 0 for _, z, _ in evaluated)
+        assert {z for _, z, _ in evaluated} == {self.ZS[a] - self.ZS[b]
+                                                for a in range(3) for b in range(3) if a != b}
         calls.clear()
         rank2_generating(p, self.XS, self.YS, TAU)
         assert len(calls) == 1 and len(calls[0]) == len(self.XS) * len(self.YS)

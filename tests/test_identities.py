@@ -118,3 +118,19 @@ class TestRunAll:
             z = complex(z_part[2:].replace("i", "j"))
             tau = complex(tau_part[4:].replace("i", "j"))
             assert -2 * math.pi * tau.imag < z.real < 0
+
+
+def test_laurent_circle_is_one_kernel_call(monkeypatch):
+    from twistell import identities
+    from twistell.twisted import TwistPair
+
+    calls = []
+    batch = identities.twisted_pk_batch
+
+    def counted(ks, tw, zs, tau, cfg):
+        calls.append(len(zs))
+        return batch(ks, tw, zs, tau, cfg)
+
+    monkeypatch.setattr(identities, "twisted_pk_batch", counted)
+    coeffs = identities.laurent_coefficients(TwistPair(0.31, 0.77), 0.12 + 1.1j, DEFAULT_CONFIG)
+    assert calls == [64] and len(coeffs) == 5

@@ -33,6 +33,7 @@ from twistell import (
     twisted_pk_batch,
     twisted_pk_continued,
     twisted_pk_oracle,
+    twisted_pk_qseries,
     twisted_pk_reflected,
     weierstrass_pk,
 )
@@ -41,6 +42,11 @@ TAU = 0.12 + 1.1j
 Z = -1.3 + 0.4j
 NAN = float("nan")
 INF = float("inf")
+
+
+def qseries_pk(k, tw, z, tau):
+    """One-point call of the q-series oracle twisted_pk_qseries."""
+    return twisted_pk_qseries([k], tw, [z], tau)[0, 0]
 
 
 class TestTwistPair:
@@ -190,7 +196,7 @@ class TestTwistedPk:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            twisted_pk(1, TwistPair(0.3, 0.3), 0.5 + 0.1j, TAU)
+            qseries_pk(1, TwistPair(0.3, 0.3), 0.5 + 0.1j, TAU)
 
     def test_near_pole(self):
         with pytest.raises(NearPole):
@@ -198,7 +204,7 @@ class TestTwistedPk:
 
     def test_not_converged_near_boundary(self):
         with pytest.raises(NotConverged):
-            twisted_pk(1, TwistPair(0.3, 0.3), -1e-10 + 0.4j, TAU)
+            qseries_pk(1, TwistPair(0.3, 0.3), -1e-10 + 0.4j, TAU)
 
     def test_continued_matches_in_annulus(self):
         tw = TwistPair(0.31, 0.77)
@@ -214,7 +220,7 @@ class TestTwistedPk:
 
 
 def seed_twisted_pk(k, tw, z, tau, tol=1e-12, q_order=120):
-    """The scalar q-series loop that twisted_pk_batch replaced, kept as its reference."""
+    """The scalar q-series loop that twisted_pk_qseries batches, kept as its reference."""
     h = 2 * math.pi * tau.imag
     x = z.real
     if not (-h < x < 0.0 and cmath.isfinite(z)):
@@ -270,22 +276,22 @@ class TestBatchKernel:
         rng = random.Random(f"batch:{name}")
         for _ in range(4):
             zs, tau = self.batch(rng)
-            out = twisted_pk_batch(self.KS, tw, zs, tau)
+            out = twisted_pk_qseries(self.KS, tw, zs, tau)
             assert out.shape == (len(self.KS), len(zs))
             for i, k in enumerate(self.KS):
                 for j, z in enumerate(zs):
                     ref = seed_twisted_pk(k, tw, z, tau)
-                    assert out[i, j] == ref and twisted_pk(k, tw, z, tau) == ref
+                    assert out[i, j] == ref and qseries_pk(k, tw, z, tau) == ref
 
     def test_values_do_not_depend_on_the_batch(self):
         tw = self.TWISTS["generic"]
         zs, tau = self.batch(random.Random("batch:order"))
-        out = twisted_pk_batch(self.KS, tw, zs, tau)
-        assert np.array_equal(twisted_pk_batch(self.KS, tw, zs[::-1], tau), out[:, ::-1])
-        twice = twisted_pk_batch(self.KS, tw, zs + zs[:3], tau)
+        out = twisted_pk_qseries(self.KS, tw, zs, tau)
+        assert np.array_equal(twisted_pk_qseries(self.KS, tw, zs[::-1], tau), out[:, ::-1])
+        twice = twisted_pk_qseries(self.KS, tw, zs + zs[:3], tau)
         assert np.array_equal(twice, np.hstack([out, out[:, :3]]))
-        assert np.array_equal(twisted_pk_batch(self.KS[::-1], tw, zs, tau), out[::-1])
-        single = [twisted_pk_batch([k], tw, [z], tau)[0, 0] for k in self.KS for z in zs]
+        assert np.array_equal(twisted_pk_qseries(self.KS[::-1], tw, zs, tau), out[::-1])
+        single = [twisted_pk_qseries([k], tw, [z], tau)[0, 0] for k in self.KS for z in zs]
         assert np.array_equal(np.reshape(single, out.shape), out)
 
     @pytest.mark.parametrize("bad,error", [
@@ -296,9 +302,9 @@ class TestBatchKernel:
     def test_raises_when_one_point_would(self, bad, error):
         tw = self.TWISTS["generic"]
         with pytest.raises(error):
-            twisted_pk(1, tw, bad, TAU)
+            qseries_pk(1, tw, bad, TAU)
         with pytest.raises(error):
-            twisted_pk_batch([1, 2], tw, [Z, bad, Z - 0.5], TAU)
+            twisted_pk_qseries([1, 2], tw, [Z, bad, Z - 0.5], TAU)
 
     def test_near_pole_and_invalid_order(self):
         with pytest.raises(NearPole):
@@ -306,19 +312,102 @@ class TestBatchKernel:
         with pytest.raises(ValueError):
             twisted_pk_batch([1, 0], TwistPair(0.3, 0.3), [Z], TAU)
 
-    def test_need_mask_skips_entries(self):
-        # at Re(z) = -0.004 P_1 converges inside the window cap, P_5 does not
-        tw, tau, z = self.TWISTS["generic"], 0.8j, -0.004 + 0.3j
-        with pytest.raises(NotConverged):
-            twisted_pk_batch([1, 5], tw, [z], tau)
-        out = twisted_pk_batch([1, 5], tw, [z, Z], tau, need=[[True, False], [False, True]])
-        assert out[0, 0] == twisted_pk(1, tw, z, tau) and out[1, 1] == twisted_pk(5, tw, Z, tau)
-        assert out[1, 0] == out[0, 1] == 0
-
     def test_empty_batch(self):
         tw = self.TWISTS["generic"]
         assert twisted_pk_batch([1, 2], tw, [], TAU).shape == (2, 0)
         assert twisted_pk_batch([], tw, [Z], TAU).shape == (0, 1)
+
+
+class TestThetaKernel:
+    """twisted_pk_batch, the theta-quotient kernel, on the whole plane off the lattice."""
+
+    TAUS = [1j, 0.4 + 0.6j, 0.12 + 1.1j]
+    ORACLE_TWISTS = [TwistPair(0.31, 0.77), TwistPair(0.0, 0.4), TwistPair(0.62, 0.0),
+                     TwistPair(0.5, 0.5)]
+    KS = [1, 2, 3, 4, 5]
+
+    def check_oracle(self, fracs):
+        """Kernel against the lattice oracle at Re(z) = -frac * 2*pi*Im(tau), 1e-12 relative."""
+        rng = random.Random(f"theta:{fracs}")
+        for tw in self.ORACLE_TWISTS:
+            for tau in self.TAUS:
+                zs = [complex(-f * 2 * math.pi * tau.imag, rng.uniform(-3, 3)) for f in fracs]
+                out = twisted_pk_batch(self.KS, tw, zs, tau)
+                for i, k in enumerate(self.KS):
+                    for j, z in enumerate(zs):
+                        assert out[i, j] == pytest.approx(twisted_pk_oracle(k, tw, z, tau),
+                                                          rel=1e-12, abs=0)
+
+    def test_matches_oracle_near_both_edges(self):
+        self.check_oracle([1e-4, 1e-3, 1e-2, 1 - 1e-2, 1 - 1e-3, 1 - 1e-4])
+
+    def test_matches_oracle_outside_the_annulus(self):
+        self.check_oracle([-0.3, -1.7, 1.2, 2.6])
+
+    @pytest.mark.parametrize("tw", [TwistPair(0.31, 0.77), TwistPair.trivial(),
+                                    TwistPair(0.5, 0.0), TwistPair(0.0, 0.5)], ids=str)
+    def test_matches_qseries_mid_annulus(self, tw):
+        rng = random.Random(f"mid:{tw}")
+        for tau in self.TAUS:
+            zs = [complex(-rng.uniform(0.2, 0.8) * 2 * math.pi * tau.imag, rng.uniform(-3, 3))
+                  for _ in range(6)]
+            out = twisted_pk_batch(self.KS, tw, zs, tau)
+            ref = twisted_pk_qseries(self.KS, tw, zs, tau)
+            assert (np.abs(out - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+
+    @pytest.mark.parametrize("tau", [0.3 + 40j, 0.3 + 80j, 1000j])
+    def test_matches_qseries_at_large_im_tau(self, tau):
+        # past Im(tau) = 64 each point's largest term is taken out of the exponents
+        zs = [-0.3 + 0.4j, -1.1 - 0.2j, -2.0 + 1.0j]
+        for tw in (TwistPair(0.31, 0.77), TwistPair.trivial()):
+            out = twisted_pk_batch(self.KS, tw, zs, tau)
+            ref = twisted_pk_qseries(self.KS, tw, zs, tau)
+            assert (np.abs(out - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+
+    @pytest.mark.parametrize("tw", [TwistPair(0.31, 0.77), TwistPair.trivial(),
+                                    TwistPair(0.5, 0.5)], ids=str)
+    def test_values_do_not_depend_on_the_batch(self, tw):
+        rng = random.Random(f"invariance:{tw}")
+        tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 2.0))
+        zs = [complex(rng.uniform(-15, 15), rng.uniform(-6, 6)) for _ in range(23)]
+        out = twisted_pk_batch(self.KS, tw, zs, tau)
+        assert np.array_equal(twisted_pk_batch(self.KS, tw, zs[::-1], tau), out[:, ::-1])
+        twice = twisted_pk_batch(self.KS, tw, zs + zs[:3], tau)
+        assert np.array_equal(twice, np.hstack([out, out[:, :3]]))
+        assert np.array_equal(twisted_pk_batch(self.KS[::-1], tw, zs, tau), out[::-1])
+        single = [twisted_pk(k, tw, z, tau) for k in self.KS for z in zs]
+        assert np.array_equal(np.reshape(single, out.shape), out)
+
+    def test_near_pole(self):
+        tw = TwistPair(0.31, 0.77)
+        lattice = 2j * math.pi * (2 * TAU - 1)
+        for bad in (lattice, lattice + 1e-12j):
+            with pytest.raises(NearPole):
+                twisted_pk(3, tw, bad, TAU)
+            with pytest.raises(NearPole):
+                twisted_pk_batch([1, 3], tw, [Z, bad], TAU)
+        with pytest.raises(NearPole):
+            twisted_pk(1, TwistPair(1.5e-13, 0.0), Z, TAU)
+
+    @pytest.mark.parametrize("bad", [complex(NAN, 0.1), complex(-1.0, INF)], ids=["nan", "inf"])
+    def test_non_finite_z_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            twisted_pk_batch([1], TwistPair(0.31, 0.77), [Z, bad], TAU)
+
+    def test_small_im_tau_is_not_converged(self):
+        # the theta sums cancel to eta^3 ~ 3e-15 here: refused, not silently wrong
+        with pytest.raises(NotConverged):
+            twisted_pk(1, TwistPair(0.31, 0.77), -0.05 + 0.4j, 0.02j)
+        with pytest.raises(NotConverged):
+            twisted_pk(2, TwistPair.trivial(), -0.05 + 0.4j, 0.02j)
+
+    def test_fock_entry_the_qseries_got_wrong(self):
+        # a P_7 entry of a rank-one Fock matrix in the correlators benchmark pool,
+        # where the q-series was off by 1.4e-9 relative
+        tw, z = TwistPair(0.5, 0.5), -0.32317448642732893 + 2.751871444876066j
+        tau = -0.10620291850078084 + 1.2509418650958841j
+        assert twisted_pk(7, tw, z, tau) == pytest.approx(twisted_pk_oracle(7, tw, z, tau),
+                                                          rel=1e-12, abs=0)
 
 
 class TestTwistedEisenstein:
