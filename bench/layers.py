@@ -1,15 +1,17 @@
-"""Layer timings of the P_0 disk-series kernel (L1), the P_k theta-quotient kernel and its
-q-series oracle (L2), and the correlators built on them (L3).
+"""Layer timings of the E_n q-series and the P_0 disk-series kernel (L1), the P_k
+theta-quotient kernel, its q-series oracle and E_n[tw] (L2), and the correlators built on
+them (L3).
 
 Run from the repository root:
 
     python3 bench/layers.py                   # times the library in src/
     python3 bench/layers.py --src OTHER/src   # times another checkout, e.g. a parent commit
 
-Each figure is the min and the median over repeats, in microseconds per call,
-with the E_n and eta caches emptied before every repeat. A checkout without
-p0_batch or twisted_pk_batch reports only the scalar loops, one without
-twisted_pk_qseries no q-series rows (there twisted_pk_batch is the q-series).
+Each figure is the min and the median over repeats, in microseconds per call (per
+evaluation for the E_n rows), with the E_n and eta caches emptied before every
+repeat. A checkout without p0_batch or twisted_pk_batch reports only the scalar
+loops, one without twisted_pk_qseries no q-series rows (there twisted_pk_batch is
+the q-series).
 Prints one JSON object; needs nothing beyond the library itself and
 time.perf_counter.
 """
@@ -30,15 +32,16 @@ from pathlib import Path
 ORDERS = (1, 2, 3)
 
 
-def timed(fn, clear, repeats: int, inner: int = 1) -> dict:
-    """Min and median over repeats of fn's time per call, fn called inner times a repeat."""
+def timed(fn, clear, repeats: int, inner: int = 1, calls: int = 1) -> dict:
+    """Min and median over repeats of the time per call: fn runs inner times a repeat,
+    and each run makes `calls` calls of the timed function."""
     per_call = []
     for _ in range(repeats):
         clear()
         start = time.perf_counter()
         for _ in range(inner):
             fn()
-        per_call.append((time.perf_counter() - start) / inner)
+        per_call.append((time.perf_counter() - start) / (inner * calls))
     return {"min_us": round(min(per_call) * 1e6, 2),
             "median_us": round(statistics.median(per_call) * 1e6, 2)}
 
@@ -55,7 +58,7 @@ def main(argv=None) -> int:
     import twistell
     from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein, p0,
                           rank1_fock_npoint, rank2_generating, rank2_generating_boson,
-                          twisted_pk)
+                          twisted_eisenstein, twisted_pk)
 
     def clear():
         eisenstein.cache_clear()
@@ -71,11 +74,19 @@ def main(argv=None) -> int:
     points = [complex(-width * rng.uniform(0.05, 0.95), rng.uniform(-3, 3)) for _ in range(256)]
     out: dict = {}
 
-    def run(name, fn, inner=1):
-        out[name] = timed(fn, clear, args.repeats, inner)
+    def run(name, fn, inner=1, calls=1):
+        out[name] = timed(fn, clear, args.repeats, inner, calls)
         print(f"{name:32s} min {out[name]['min_us']:>11.2f} us  "
               f"median {out[name]['median_us']:>11.2f} us", file=sys.stderr)
 
+    # L1: cold E_n, even n = 2..60 at 8 tau of the periodicity check's box, per evaluation;
+    # its own stream keeps the points of earlier runs
+    eis_rng = random.Random(f"eisenstein:{args.seed}")
+    eis_taus = [complex(eis_rng.uniform(-0.15, 0.15), eis_rng.uniform(0.8, 0.95))
+                for _ in range(8)]
+    eis_calls = [(n, t) for t in eis_taus for n in range(2, 61, 2)]
+    run("L1.eisenstein.cold", lambda: [eisenstein(n, t) for n, t in eis_calls],
+        calls=len(eis_calls))
     # L1: P_0 at n points of its disk (|z| < 2.5, R = 2*pi), one call per z against
     # one batched call; a separate stream keeps the L2/L3 points of earlier runs
     disk_rng = random.Random(f"disk:{args.seed}")
@@ -91,6 +102,10 @@ def main(argv=None) -> int:
         z = complex(-width * frac, 0.4)
         for k in (1, 3):
             run(f"L2.pk_one.{label}.k{k}", lambda k=k, z=z: twisted_pk(k, tw, z, tau), inner=20)
+    # L2: E_n[tw], n = 1..3, per evaluation, at the table's smallest Im tau and at Im tau = 1
+    for label, t in (("im0.06", 0.12 + 0.06j), ("im1", 0.12 + 1j)):
+        run(f"L2.twisted_eisenstein.{label}",
+            lambda t=t: [twisted_eisenstein(n, tw, t) for n in ORDERS], calls=len(ORDERS))
     # L2: P_1..P_3 at n points, one call per (k, z) against one batched call
     for n in (1, 16, 256):
         zs = points[:n]

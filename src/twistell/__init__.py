@@ -78,17 +78,14 @@ from .twisted import (
     coeff_D,
     gamma_act_point,
     gamma_act_twist,
-    in_annulus,
     lattice_distance,
     twisted_eisenstein,
     twisted_eisenstein_oracle,
     twisted_p1_theta_form,
     twisted_pk,
     twisted_pk_batch,
-    twisted_pk_continued,
     twisted_pk_oracle,
     twisted_pk_qseries,
-    twisted_pk_reflected,
 )
 
 __version__ = "0.1.0"

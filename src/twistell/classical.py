@@ -18,15 +18,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NotConverged
+from .errors import DomainError, NearPole, NotConverged
 from .numeric import (
     DEFAULT_CONFIG,
     TruncationConfig,
     bernoulli_over_factorial,
+    bernoulli_poly,
     binomial,
 )
 
 _TWO_PI = 2.0 * math.pi
+_POLE_EPS = 1e-12
 
 # Hard cap on the z-power carried by the disk (Laurent) series.
 _DISK_SERIES_MAX_ORDER = 800
@@ -47,40 +49,79 @@ def require_upper_half(tau: complex) -> complex:
     return tau
 
 
+def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
+                       cfg: TruncationConfig) -> complex:
+    """E_n[theta; phi](tau) for the twist of phases (mu, lam): the one E_n q-series.
+
+    -B_n(lam)/n! plus two q-expansions over r + lam (from r = 0) and r - lam
+    (from r = 1), summed until both terms drop below cfg.tol or r exceeds
+    cfg.q_order. At the trivial twist the r = 0 term is omitted exactly, the
+    two streams are bitwise equal and one is summed for both, and the
+    constant is B_n(0)/n! as one float.
+    A float overflow of (r +- lam)^(n-1), (n-1)! or the constant is NotConverged.
+    tau must already be checked by require_upper_half.
+    """
+    trivial = lam == 0.0 and mu == 0.0
+    qtau = 2j * math.pi * tau
+    # theta^-1 and theta; 1 at the trivial twist
+    th_inv, th = ((1.0, 1.0) if trivial
+                  else (cmath.exp(2j * math.pi * mu), cmath.exp(-2j * math.pi * mu)))
+    exp, tol, eps, power = cmath.exp, cfg.tol, _POLE_EPS, n - 1
+    plus = 0.0 + 0.0j
+    minus = 0.0 + 0.0j
+    try:
+        for r in range(1 if trivial else 0, cfg.q_order + 1):
+            x = r + lam
+            w = th_inv * exp(qtau * x)
+            den = 1.0 - w
+            if abs(den) < eps:
+                raise NearPole(f"E_{n} plus-stream denominator degenerate at r = {r}")
+            t = x ** power * w / den
+            plus += t
+            biggest = abs(t)
+            if r and not trivial:
+                x = r - lam
+                v = th * exp(qtau * x)
+                den = 1.0 - v
+                if abs(den) < eps:
+                    raise NearPole(f"E_{n} minus-stream denominator degenerate at r = {r}")
+                t = x ** power * v / den
+                minus += t
+                if abs(t) > biggest:
+                    biggest = abs(t)
+            if r and biggest < tol:
+                break
+        else:
+            raise NotConverged(f"E_{n} q-series not below tol within q_order={cfg.q_order}")
+    except OverflowError:
+        raise NotConverged(f"E_{n} q-series term r^{n - 1} overflows a float at r = {r}") \
+            from None
+    if trivial:
+        minus = plus
+    try:
+        fac = float(math.factorial(n - 1))
+        const = (bernoulli_over_factorial(n) if trivial
+                 else bernoulli_poly(n, lam) / math.factorial(n))
+    except OverflowError:
+        raise NotConverged(f"E_{n} prefactors 1/(n-1)! and B_n(lam)/n! need factorials "
+                           f"as floats, which overflow past 170!") from None
+    return -const + plus / fac + (-1.0) ** n * minus / fac
+
+
 @lru_cache(maxsize=100_000)
 def eisenstein(n: int, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Eisenstein series E_n(tau); exactly 0 for odd n.
 
-    E_n = -B_n(0)/n! + (2/(n-1)!) sum_{r>=1} r^{n-1} q^r / (1 - q^r),
-    summed until terms drop below cfg.tol or r exceeds cfg.q_order.
+    E_n = -B_n(0)/n! + (2/(n-1)!) sum_{r>=1} r^{n-1} q^r / (1 - q^r): the
+    trivial twist of the E_n[tw] q-series _eisenstein_series, which
+    twisted_eisenstein evaluates at every twist.
     """
     if n < 2:
         raise ValueError("eisenstein requires n >= 2")
     tau = require_upper_half(tau)
     if n % 2 == 1:
         return 0.0 + 0.0j
-    q = cmath.exp(2j * math.pi * tau)
-    acc = 0.0 + 0.0j
-    converged = False
-    for r in range(1, cfg.q_order + 1):
-        qr = q**r
-        try:
-            term = r ** (n - 1) * qr / (1.0 - qr)
-        except OverflowError:
-            raise NotConverged(f"E_{n} q-series term r^{n - 1} overflows a float at r = {r}") \
-                from None
-        acc += term
-        if abs(term) < cfg.tol:
-            converged = True
-            break
-    if not converged:
-        raise NotConverged(f"E_{n} q-series not below tol within q_order={cfg.q_order}")
-    try:
-        scale = 2.0 / math.factorial(n - 1)
-    except OverflowError:
-        raise NotConverged(f"E_{n} prefactor 2/(n-1)! needs (n-1)! as a float, which "
-                           f"overflows for n > 171") from None
-    return -bernoulli_over_factorial(n) + scale * acc
+    return _eisenstein_series(n, 0.0, 0.0, tau, cfg)
 
 
 def weierstrass_pk(k: int, z: complex, tau: complex,

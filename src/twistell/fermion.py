@@ -292,17 +292,6 @@ def rank2_partition_theta(p: OrbifoldParams, tau: complex,
                                                       0.0, tau, cfg)
 
 
-def _check_annulus_diffs(xs, ys, tau):
-    h = 2.0 * math.pi * complex(tau).imag
-    for x in xs:
-        for y in ys:
-            re = (complex(x) - complex(y)).real
-            if not -h < re < 0.0:
-                raise DomainError(
-                    f"x - y = {complex(x) - complex(y):.6g} outside the annulus "
-                    f"(-{h:.4g} < Re < 0 required)")
-
-
 def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[complex],
                      tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Generating correlator of n psi+ at xs and n psi- at ys.
@@ -311,7 +300,8 @@ def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[comp
     det(Q) * eta(tau)^2 with Q the (n+1) x (n+1) untwisted-P_1 matrix bordered
     by a ones column/row and a zero corner; the trivially twisted P_1 used
     here exceeds it by the constant 1/2, which the ones border cancels from
-    the determinant. Requires every x_i - y_j in the annulus.
+    the determinant. Every x_i - y_j may lie anywhere off the period lattice,
+    the domain of the twisted_pk_batch kernel behind the matrix.
     """
     tau = require_upper_half(tau)
     xs = [complex(x) for x in xs]
@@ -323,7 +313,6 @@ def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[comp
         return rank2_partition(p, tau, cfg)
     _require_distinct(xs, "psi+ points")
     _require_distinct(ys, "psi- points")
-    _check_annulus_diffs(xs, ys, tau)
     one_mode = [(1,)] * n
     mat = _cd_matrix(p.twist(), one_mode, xs, one_mode, ys, tau, cfg)
     if p.is_trivial_twist:

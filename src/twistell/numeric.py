@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotAntisymmetric, OddDimension
+from .errors import NotAntisymmetric, NotConverged, OddDimension
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,22 @@ def bernoulli_poly(n: int, lam: float) -> float:
 
     Defined through q_z^lam/(q_z - 1) = 1/z + sum_{n>=1} B_n(lam)/n! z^{n-1};
     equivalently the classical polynomials with B_1(lam) = lam - 1/2.
-    Evaluated by the finite sum over Bernoulli numbers.
+    Evaluated by the finite sum over Bernoulli numbers. NotConverged when a
+    term or the sum leaves the float range (from n = 259 on for lam in [0, 1)).
     """
     if n < 0:
         raise ValueError("bernoulli_poly requires n >= 0")
     if n == 0:
         return 1.0
     acc = 0.0
-    for k in range(n + 1):
-        acc += math.comb(n, k) * float(bernoulli_fraction(k)) * lam ** (n - k)
-    return acc
+    try:
+        for k in range(n + 1):
+            acc += math.comb(n, k) * float(bernoulli_fraction(k)) * lam ** (n - k)
+        if math.isfinite(acc):
+            return acc
+    except OverflowError:
+        pass
+    raise NotConverged(f"B_{n}({lam:.6g}) leaves the float range")
 
 
 def q_exp(z: complex, s: complex) -> complex:

@@ -3,7 +3,8 @@
 A twist pair (theta, phi) in U(1) x U(1) is stored by canonical phases,
 theta = exp(-2*pi*i*mu) and phi = exp(2*pi*i*lam) with mu, lam in [0, 1).
 P_k[tw] is evaluated as a theta quotient on the whole plane off the period
-lattice (twisted_pk_batch); E_n[tw] by its q-expansion. Two oracles stay
+lattice (twisted_pk_batch); E_n[tw] by the q-expansion it shares with the
+classical E_n (classical._eisenstein_series). Two oracles stay
 independent of that kernel: the q-series of P_k[tw] on the annulus
 |q| < |q_z| < 1 (twisted_pk_qseries), and the lattice sums (double sums with
 the inner sum collapsed to S(x, phi) = 1/2*delta + q_x^lam/(q_x - 1)), which
@@ -21,7 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import _theta_terms, prime_form, require_upper_half, theta_char
+from .classical import (
+    _POLE_EPS,
+    _eisenstein_series,
+    _theta_terms,
+    prime_form,
+    require_upper_half,
+    theta_char,
+)
 from .errors import (
     DegenerateTheta,
     DomainError,
@@ -32,7 +40,6 @@ from .errors import (
 from .numeric import DEFAULT_CONFIG, TruncationConfig, bernoulli_poly, binomial
 
 _TWO_PI = 2.0 * math.pi
-_POLE_EPS = 1e-12
 
 
 def _reduce_phase(x: float) -> float:
@@ -150,11 +157,6 @@ def gamma_act_twist(gamma: GroupElement, tw: TwistPair) -> TwistPair:
     """
     return TwistPair(gamma.a * tw.mu - gamma.b * tw.lam,
                      gamma.d * tw.lam - gamma.c * tw.mu)
-
-
-def in_annulus(z: complex, tau: complex) -> bool:
-    """True when |q| < |q_z| < 1, i.e. -2*pi*Im(tau) < Re(z) < 0."""
-    return -_TWO_PI * complex(tau).imag < complex(z).real < 0.0
 
 
 def lattice_distance(z: complex, tau: complex) -> float:
@@ -504,18 +506,6 @@ def _pk_series(ks: list[int], tw: TwistPair, zs: list[complex], tau: complex,
             p[2] *= 2
 
 
-def twisted_pk_reflected(k: int, tw: TwistPair, z: complex, tau: complex,
-                         cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Alias of twisted_pk, whose domain covers both signs of Re(z)."""
-    return twisted_pk(k, tw, z, tau, cfg)
-
-
-def twisted_pk_continued(k: int, tw: TwistPair, z: complex, tau: complex,
-                         cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Alias of twisted_pk, whose domain is the whole plane off the period lattice."""
-    return twisted_pk(k, tw, z, tau, cfg)
-
-
 def _exp_frac_derivatives(alpha: float, order: int):
     """Term lists for d^j/dx^j of e^{alpha*x}/(e^x - 1), j = 0..order.
 
@@ -550,8 +540,12 @@ def _eval_exp_frac_terms(terms, x: complex) -> complex:
 
 def _collapsed_inner_sum(alpha: float, order: int):
     """S_n(x) = sum_j psi^j/(x - 2*pi*i*j)^n for psi = e^{2*pi*i*alpha}, n = order + 1."""
+    try:
+        scale = (-1.0) ** order / math.factorial(order)
+    except OverflowError:
+        raise NotConverged(f"lattice oracle of order {order + 1} needs {order}! as a float, "
+                           f"which overflows past 170!") from None
     terms = _exp_frac_derivatives(alpha, order)[order]
-    scale = (-1.0) ** order / math.factorial(order)
 
     def s_n(x: complex) -> complex:
         return scale * _eval_exp_frac_terms(terms, x)
@@ -615,7 +609,8 @@ def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
 
 def twisted_eisenstein(n: int, tw: TwistPair, tau: complex,
                        cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Twisted Eisenstein series E_n[theta; phi](tau).
+    """Twisted Eisenstein series E_n[theta; phi](tau), by the E_n q-series that
+    classical.eisenstein evaluates at the trivial twist (_eisenstein_series).
 
     -B_n(lam)/n! plus two q-expansions over r + lam and r - lam; the r = 0
     term is omitted exactly for the trivial twist. Reduces to the classical
@@ -623,38 +618,7 @@ def twisted_eisenstein(n: int, tw: TwistPair, tau: complex,
     """
     if n < 1:
         raise ValueError("twisted_eisenstein requires n >= 1")
-    tau = require_upper_half(tau)
-    lam, mu = tw.lam, tw.mu
-    qtau = 2j * math.pi * tau
-    th_inv = cmath.exp(2j * math.pi * mu)
-    th = cmath.exp(-2j * math.pi * mu)
-    plus = 0.0 + 0.0j
-    minus = 0.0 + 0.0j
-    converged = False
-    for r in range(cfg.q_order + 1):
-        biggest = 0.0
-        if not (r == 0 and tw.is_trivial):
-            w = th_inv * cmath.exp(qtau * (r + lam))
-            if abs(1.0 - w) < _POLE_EPS:
-                raise NearPole(f"E_{n} plus-stream denominator degenerate at r = {r}")
-            t = (r + lam) ** (n - 1) * w / (1.0 - w)
-            plus += t
-            biggest = max(biggest, abs(t))
-        if r >= 1:
-            v = th * cmath.exp(qtau * (r - lam))
-            if abs(1.0 - v) < _POLE_EPS:
-                raise NearPole(f"E_{n} minus-stream denominator degenerate at r = {r}")
-            t = (r - lam) ** (n - 1) * v / (1.0 - v)
-            minus += t
-            biggest = max(biggest, abs(t))
-        if r >= 1 and biggest < cfg.tol:
-            converged = True
-            break
-    if not converged:
-        raise NotConverged(f"E_{n}[tw] q-series not below tol within q_order={cfg.q_order}")
-    fac = math.factorial(n - 1)
-    return (-bernoulli_poly(n, lam) / math.factorial(n)
-            + plus / fac + (-1.0) ** n * minus / fac)
+    return _eisenstein_series(n, tw.lam, tw.mu, require_upper_half(tau), cfg)
 
 
 def twisted_eisenstein_oracle(n: int, tw: TwistPair, tau: complex,

@@ -38,7 +38,6 @@ from twistell import (
     sigma_module_partition,
     twisted_eisenstein,
     twisted_pk,
-    twisted_pk_continued,
 )
 from twistell.cli import main
 from twistell.identities import (
@@ -142,7 +141,7 @@ def test_c07_modular_covariance():
         gz, gtau = gamma_act_point(gamma, z, tau)
         aut = gamma.automorphy(tau)
         for k in (1, 2, 3):
-            lhs = twisted_pk_continued(k, gtw, gz, gtau, CFG)
+            lhs = twisted_pk(k, gtw, gz, gtau, CFG)
             rhs = aut**k * twisted_pk(k, tw, z, tau, CFG)
             worst_pk = max(worst_pk, residual(lhs, rhs))
             le = twisted_eisenstein(k, gtw, gtau, CFG)
@@ -162,7 +161,7 @@ def test_c07_modular_covariance():
         # weight-1 covariance of the one-pair generating correlator
         x, y = -1.5 + 0.3j, -0.3 - 0.2j
         gtwp = gamma_act_twist(gamma, p.twist())
-        lhs = (twisted_pk_continued(1, gtwp, (x - y) / aut, gtau, CFG)
+        lhs = (twisted_pk(1, gtwp, (x - y) / aut, gtau, CFG)
                * rank2_partition(gp, gtau, CFG))
         rhs = aut * eps * rank2_generating(p, [x], [y], tau, CFG)
         worst_g2 = max(worst_g2, residual(lhs, rhs))

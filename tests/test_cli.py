@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -341,6 +342,47 @@ class TestWholePlane:
         code, out, _ = run_cli(capsys, "verify", "--seed", str(seed))
         assert code == EXIT_OK
         assert out.splitlines()[-1] == "17/17 checks passed"
+
+
+# every registry row with an int order parameter (n, k, l), other parameters fixed by kind
+ORDER_ROWS = [name for name, (spec, _, _) in REGISTRY.items()
+              if any(kind == "int" for _, kind in spec)]
+_SWEEP_VALUES = {"float": "0.3", "complex": "-1+0.2i"}
+
+
+class TestOrderSweep:
+    def test_rows_with_orders(self):
+        assert {"bernoulli_poly", "eisenstein", "twisted_eisenstein", "coeff_C", "coeff_D",
+                "twisted_pk_oracle", "twisted_eisenstein_oracle"} <= set(ORDER_ROWS)
+
+    @pytest.mark.parametrize("order", [172, 400])
+    @pytest.mark.parametrize("function", ORDER_ROWS)
+    def test_large_order_is_a_value_or_a_documented_error(self, capsys, function, order):
+        spec = REGISTRY[function][0]
+        tokens = [f"{key}={order}" if kind == "int"
+                  else f"{key}={'i' if key == 'tau' else _SWEEP_VALUES[kind]}"
+                  for key, kind in spec]
+        code, out, err = run_cli(capsys, "eval", function, *tokens)
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONVERGENCE), err
+        if code == EXIT_OK:
+            value = json.loads(out)
+            assert math.isfinite(value["re"]) and math.isfinite(value["im"])
+        else:
+            assert out == "" and "Traceback" not in err
+            assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+    def test_bernoulli_poly_past_the_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "bernoulli_poly", "n=400", "lam=0.3")
+        assert code == EXIT_CONVERGENCE and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "convergence" and "B_400" in payload["message"]
+
+    def test_twisted_eisenstein_overflow(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "twisted_eisenstein", "n=150", "mu=0.3",
+                                 "lam=0.3", "tau=i")
+        assert code == EXIT_CONVERGENCE and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "convergence" and "E_150" in payload["message"]
 
 
 # registry name -> (eval key=value tokens, the same call made directly)

@@ -47,7 +47,6 @@ from twistell import (
     twisted_eisenstein,
     twisted_pk,
     twisted_pk_oracle,
-    twisted_pk_reflected,
     weierstrass_pk,
 )
 from twistell import classical, fermion
@@ -219,10 +218,15 @@ class TestRank2Generating:
         rhs = twisted_pk(1, p.twist(), x - y, TAU) * rank2_partition(p, TAU)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
-    def test_annulus_enforced(self):
+    def test_difference_outside_the_annulus(self):
+        # x - y = 0.5 + 0.3i has Re > 0, outside the q-series annulus but inside
+        # the prime-form disk, so the bosonized form covers it too
         p = OrbifoldParams(0.27, 0.63)
-        with pytest.raises(DomainError):
-            rank2_generating(p, [0.5 + 0.1j], [-0.2j], TAU)
+        x, y = 0.5 + 0.1j, -0.2j
+        lhs = rank2_generating(p, [x], [y], TAU)
+        rhs = twisted_pk(1, p.twist(), x - y, TAU) * rank2_partition(p, TAU)
+        assert lhs == pytest.approx(rhs, rel=1e-13)
+        assert lhs == pytest.approx(rank2_generating_boson(p, [x], [y], TAU), rel=1e-12)
 
     def test_antisymmetric_in_like_insertions(self):
         p = OrbifoldParams(0.27, 0.63)
@@ -263,7 +267,7 @@ class TestRank2Fock:
         lhs = rank2_fock_npoint([((1,), (1,)), ((1,), (1,))], zs, self.P, TAU)
         e1 = twisted_eisenstein(1, pair, TAU)
         p12 = twisted_pk(1, pair, zs[0] - zs[1], TAU)
-        p21 = twisted_pk_reflected(1, pair, zs[1] - zs[0], TAU)
+        p21 = twisted_pk(1, pair, zs[1] - zs[0], TAU)
         rhs = (e1 * e1 - p12 * p21) * rank2_partition(self.P, TAU)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -298,7 +302,7 @@ class TestRank2Fock:
                               z1 + r * cmath.exp(1j * angs[ib])]
                         ys = [z2 + r * cmath.exp(1j * angs[ic]),
                               z2 + r * cmath.exp(1j * angs[idx])]
-                        m = [[twisted_pk_reflected(1, pair, x - y, TAU) for y in ys]
+                        m = [[twisted_pk(1, pair, x - y, TAU) for y in ys]
                              for x in xs]
                         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
                         w = cmath.exp(-1j * (angs[ib] + angs[idx]))
@@ -535,7 +539,7 @@ def loop_p1_difference_matrix(tw, zs, tau, diag=0.0):
     for i in range(n):
         for j in range(n):
             if i != j:
-                mat[i, j] = twisted_pk_reflected(1, tw, zs[i] - zs[j], tau)
+                mat[i, j] = twisted_pk(1, tw, zs[i] - zs[j], tau)
     return mat
 
 
@@ -553,7 +557,7 @@ def loop_fock_matrix(tw, row_modes, col_modes, zs, tau):
                         mat[r, c] = coeff_C(k, l, tw, tau)
                     else:
                         mat[r, c] = ((-1.0) ** (k + 1) * binomial(k + l - 2, k - 1)
-                                     * twisted_pk_reflected(k + l - 1, tw, zs[a] - zs[b], tau))
+                                     * twisted_pk(k + l - 1, tw, zs[a] - zs[b], tau))
     return mat
 
 

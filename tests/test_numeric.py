@@ -9,6 +9,7 @@ import pytest
 
 from twistell import (
     NotAntisymmetric,
+    NotConverged,
     OddDimension,
     TruncationConfig,
     bernoulli_poly,
@@ -67,6 +68,13 @@ class TestBernoulli:
 
     def test_n_zero(self):
         assert bernoulli_poly(0, 0.77) == 1.0
+
+    def test_float_range_is_not_converged(self):
+        # B_258(0.3) is finite; the sum for B_259 meets inf - inf, B_260 overflows a float
+        assert math.isfinite(bernoulli_poly(258, 0.3))
+        for n in (259, 260, 400):
+            with pytest.raises(NotConverged, match=rf"B_{n}\(0.3\) leaves the float range"):
+                bernoulli_poly(n, 0.3)
 
 
 class TestBinomial:

@@ -17,6 +17,7 @@ from twistell import (
     NotConverged,
     RouteUnavailable,
     TwistPair,
+    bernoulli_poly,
     coeff_C,
     coeff_D,
     eisenstein,
@@ -31,12 +32,11 @@ from twistell import (
     twisted_p1_theta_form,
     twisted_pk,
     twisted_pk_batch,
-    twisted_pk_continued,
     twisted_pk_oracle,
     twisted_pk_qseries,
-    twisted_pk_reflected,
     weierstrass_pk,
 )
+from twistell.numeric import bernoulli_over_factorial
 
 TAU = 0.12 + 1.1j
 Z = -1.3 + 0.4j
@@ -134,14 +134,14 @@ class TestTwistedPk:
         assert val == pytest.approx(0.5 + weierstrass_pk(1, Z, TAU), rel=1e-13)
 
     def test_reflection(self):
-        # P_1[tw](z) = -P_1[tw^-1](-z); the reflected evaluator realizes it
+        # P_1[tw](z) = -P_1[tw^-1](-z), with -z across Re z = 0 from z
         tw = TwistPair(0.31, 0.77)
         lhs = twisted_pk(1, tw.inverse(), Z, TAU)
-        assert twisted_pk_reflected(1, tw, -Z, TAU) == pytest.approx(-lhs, rel=1e-12)
+        assert twisted_pk(1, tw, -Z, TAU) == pytest.approx(-lhs, rel=1e-12)
 
     def test_trivial_reflection_carries_constant(self):
         triv = TwistPair.trivial()
-        lhs = twisted_pk_reflected(1, triv, -Z, TAU)
+        lhs = twisted_pk(1, triv, -Z, TAU)
         assert lhs == pytest.approx(1.0 - twisted_pk(1, triv, Z, TAU), rel=1e-12)
 
     @pytest.mark.parametrize("mu,lam", [(0.31, 0.77), (0.0, 0.4), (0.62, 0.0)])
@@ -172,6 +172,12 @@ class TestTwistedPk:
         with pytest.raises(RouteUnavailable):
             twisted_pk_oracle(1, TwistPair.trivial(), Z, TAU)
 
+    def test_oracle_large_order_is_not_converged(self):
+        # the collapsed inner sum scales by 1/(k-1)!, beyond the float range from k = 172
+        for k in (172, 400):
+            with pytest.raises(NotConverged, match=f"order {k} needs {k - 1}!"):
+                twisted_pk_oracle(k, TwistPair(0.3, 0.3), Z, TAU)
+
     def test_oracle_window_insensitive(self):
         from twistell import DEFAULT_CONFIG
         import dataclasses
@@ -191,7 +197,7 @@ class TestTwistedPk:
     def test_parity_reflection_k2(self):
         tw = TwistPair(0.31, 0.77)
         lhs = twisted_pk(2, tw, Z, TAU)
-        rhs = twisted_pk_reflected(2, tw.inverse(), -Z, TAU)
+        rhs = twisted_pk(2, tw.inverse(), -Z, TAU)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_domain_error(self):
@@ -206,16 +212,11 @@ class TestTwistedPk:
         with pytest.raises(NotConverged):
             qseries_pk(1, TwistPair(0.3, 0.3), -1e-10 + 0.4j, TAU)
 
-    def test_continued_matches_in_annulus(self):
-        tw = TwistPair(0.31, 0.77)
-        assert twisted_pk_continued(1, tw, Z, TAU) == pytest.approx(
-            twisted_pk(1, tw, Z, TAU), rel=1e-14)
-
     def test_continued_matches_oracle_outside(self):
         tw = TwistPair(0.31, 0.77)
         for shift in (1, -2):
             z = Z + 2j * math.pi * TAU * shift
-            assert twisted_pk_continued(1, tw, z, TAU) == pytest.approx(
+            assert twisted_pk(1, tw, z, TAU) == pytest.approx(
                 twisted_pk_oracle(1, tw, z, TAU), rel=1e-9)
 
 
@@ -440,12 +441,152 @@ class TestTwistedEisenstein:
         assert twisted_eisenstein(n, tw, TAU) == pytest.approx(
             twisted_eisenstein_oracle(n, tw, TAU), rel=1e-10, abs=1e-11)
 
+    def test_oracle_large_order_is_not_converged(self):
+        # the collapsed inner sum scales by 1/(n-1)!, beyond the float range from n = 172
+        for tw in (TwistPair(0.3, 0.3), TwistPair(0.3, 0.0)):
+            with pytest.raises(NotConverged, match="order 172 needs 171!"):
+                twisted_eisenstein_oracle(172, tw, TAU)
+
     def test_parity(self):
         tw = TwistPair(0.31, 0.77)
         for n in (1, 2, 3, 4):
             lhs = twisted_eisenstein(n, tw.inverse(), TAU)
             assert lhs == pytest.approx((-1.0) ** n * twisted_eisenstein(n, tw, TAU),
                                         rel=1e-12, abs=1e-13)
+
+
+def seed_eisenstein(n, tau, tol=1e-12, q_order=120):
+    """The classical E_n q-series loop the shared series replaced, kept as its reference."""
+    q = cmath.exp(2j * math.pi * tau)
+    acc = 0.0 + 0.0j
+    for r in range(1, q_order + 1):
+        qr = q**r
+        try:
+            term = r ** (n - 1) * qr / (1.0 - qr)
+        except OverflowError:
+            raise NotConverged(f"E_{n} term overflows at r = {r}") from None
+        acc += term
+        if abs(term) < tol:
+            break
+    else:
+        raise NotConverged(f"E_{n} not below tol within q_order")
+    try:
+        scale = 2.0 / math.factorial(n - 1)
+    except OverflowError:
+        raise NotConverged(f"E_{n} needs (n-1)! as a float") from None
+    return -bernoulli_over_factorial(n) + scale * acc
+
+
+def seed_twisted_eisenstein(n, tw, tau, tol=1e-12, q_order=120):
+    """The two-stream E_n[tw] loop the shared series took over, kept as its reference;
+    a float overflow raises OverflowError, as it did there."""
+    lam, mu = tw.lam, tw.mu
+    qtau = 2j * math.pi * tau
+    th_inv = cmath.exp(2j * math.pi * mu)
+    th = cmath.exp(-2j * math.pi * mu)
+    plus = 0.0 + 0.0j
+    minus = 0.0 + 0.0j
+    for r in range(q_order + 1):
+        biggest = 0.0
+        if not (r == 0 and tw.is_trivial):
+            w = th_inv * cmath.exp(qtau * (r + lam))
+            if abs(1.0 - w) < 1e-12:
+                raise NearPole(f"E_{n} plus-stream denominator degenerate at r = {r}")
+            t = (r + lam) ** (n - 1) * w / (1.0 - w)
+            plus += t
+            biggest = max(biggest, abs(t))
+        if r >= 1:
+            v = th * cmath.exp(qtau * (r - lam))
+            if abs(1.0 - v) < 1e-12:
+                raise NearPole(f"E_{n} minus-stream denominator degenerate at r = {r}")
+            t = (r - lam) ** (n - 1) * v / (1.0 - v)
+            minus += t
+            biggest = max(biggest, abs(t))
+        if r >= 1 and biggest < tol:
+            break
+    else:
+        raise NotConverged(f"E_{n}[tw] not below tol within q_order")
+    fac = math.factorial(n - 1)
+    return (-bernoulli_poly(n, lam) / math.factorial(n)
+            + plus / fac + (-1.0) ** n * minus / fac)
+
+
+def verdict(fn, *args):
+    """fn's value, or "refused" when it raises NotConverged (OverflowError in a seed loop)."""
+    try:
+        return fn(*args)
+    except (NotConverged, OverflowError):
+        return "refused"
+
+
+def series_scale(n, tau):
+    """|B_n/n!| + 2/(n-1)! * sum_r |r^(n-1) q^r/(1 - q^r)|: the size float rounding
+    in the E_n q-series acts on, which exceeds |E_n| where the terms cancel."""
+    q = cmath.exp(2j * math.pi * tau)
+    acc = 0.0
+    for r in range(1, 121):
+        qr = q**r
+        term = abs(r ** (n - 1) * qr / (1.0 - qr))
+        acc += term
+        if term < 1e-12:
+            break
+    return abs(bernoulli_over_factorial(n)) + 2.0 / math.factorial(n - 1) * acc
+
+
+def sample_tau(rng):
+    """tau with Re in [-0.5, 0.5] and Im log-uniform in [0.06, 3]."""
+    return complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.06), math.log(3))))
+
+
+class TestEisensteinSeries:
+    """eisenstein and twisted_eisenstein share one q-series; the two loops it
+    replaced stay here as references."""
+
+    def test_nontrivial_twists_bit_for_bit(self):
+        rng = random.Random(71)
+        refused = 0
+        for _ in range(400):
+            mu, lam = rng.choice([(rng.random(), rng.random()), (rng.random(), 0.0),
+                                  (0.0, rng.random())])
+            tw = TwistPair(mu, lam)
+            n = rng.choice([rng.randint(1, 12), rng.randint(13, 171)])
+            tau = sample_tau(rng)
+            new = verdict(twisted_eisenstein, n, tw, tau)
+            assert new == verdict(seed_twisted_eisenstein, n, tw, tau), (n, tw, tau)
+            refused += new == "refused"
+        assert 0 < refused < 400
+
+    def test_trivial_twist_matches_classical_and_both_seeds(self):
+        # relative to the size of the summed terms, since near Re tau = 1/2 they
+        # cancel to an E_n far below them (|E_40| = 1.4e-22 from a scale of 1e-10
+        # at tau = 0.49 + 0.29i, where the two loops differ by 3e-4 of |E_40|)
+        rng = random.Random(72)
+        triv = TwistPair.trivial()
+        values = 0
+        for _ in range(400):
+            n = 2 * rng.randint(1, 85)
+            tau = sample_tau(rng)
+            new = verdict(eisenstein, n, tau)
+            assert verdict(twisted_eisenstein, n, triv, tau) == new
+            old, old_tw = verdict(seed_eisenstein, n, tau), \
+                verdict(seed_twisted_eisenstein, n, triv, tau)
+            assert (old == "refused") == (new == "refused"), (n, tau)
+            assert (old_tw == "refused") == (new == "refused"), (n, tau)
+            if new != "refused":
+                values += 1
+                scale = series_scale(n, tau)
+                assert abs(new - old) <= 1e-14 * scale, (n, tau)
+                assert abs(new - old_tw) <= 1e-14 * scale, (n, tau)
+        assert 0 < values < 400
+
+    def test_overflow_is_not_converged(self):
+        tw = TwistPair(0.3, 0.3)
+        with pytest.raises(NotConverged, match=r"E_150 q-series term r\^149 overflows"):
+            twisted_eisenstein(150, tw, 1j)
+        with pytest.raises(NotConverged, match="E_171"):
+            twisted_eisenstein(171, tw, 5j)
+        with pytest.raises(NotConverged, match="E_343"):
+            coeff_C(172, 172, tw, 1j)
 
 
 def fit_c_grid(tw, tau, kmax=3, n=12, r1=0.2, r2=0.13):
@@ -509,7 +650,7 @@ class TestCoefficients:
         tw = TwistPair(0.31, 0.77)
         for (k, l) in [(1, 2), (2, 2), (1, 3)]:
             lhs = coeff_D(k, l, tw, Z, TAU)
-            rhs = -twisted_pk_reflected(k + l - 1, tw.inverse(), -Z, TAU) \
+            rhs = -twisted_pk(k + l - 1, tw.inverse(), -Z, TAU) \
                 * (-1.0) ** (l + 1) * math.comb(k + l - 2, l - 1)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -567,7 +708,7 @@ class TestModularCovariance:
         gz, gtau = gamma_act_point(gamma, Z, TAU)
         aut = gamma.c * TAU + gamma.d
         for k in (1, 2, 3):
-            lhs = twisted_pk_continued(k, gtw, gz, gtau)
+            lhs = twisted_pk(k, gtw, gz, gtau)
             rhs = aut**k * twisted_pk(k, tw, Z, TAU)
             assert lhs == pytest.approx(rhs, rel=1e-9)
             le = twisted_eisenstein(k, gtw, gtau)
