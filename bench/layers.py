@@ -1,6 +1,6 @@
 """Layer timings of the E_n q-series and the P_0 disk-series kernel (L1), the P_k
-theta-quotient kernel, its q-series oracle and E_n[tw] (L2), and the correlators built on
-them (L3).
+theta-quotient kernel, its q-series oracle and E_n[tw] (L2), the correlators built on
+them (L3), and `twistell table` grids through cli.main in this process (L4).
 
 Run from the repository root:
 
@@ -8,8 +8,8 @@ Run from the repository root:
     python3 bench/layers.py --src OTHER/src   # times another checkout, e.g. a parent commit
 
 Each figure is the min and the median over repeats, in microseconds per call (per
-evaluation for the E_n rows), with the E_n and eta caches emptied before every
-repeat. A checkout without p0_batch or twisted_pk_batch reports only the scalar
+evaluation for the E_n rows, per grid for the table rows), with the E_n and eta caches
+emptied before every repeat. A checkout without p0_batch or twisted_pk_batch reports only the scalar
 loops, one without twisted_pk_qseries no q-series rows (there twisted_pk_batch is
 the q-series).
 Prints one JSON object; needs nothing beyond the library itself and
@@ -19,6 +19,8 @@ time.perf_counter.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -56,6 +58,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     import numpy as np
     import twistell
+    from twistell import cli
     from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein, p0,
                           rank1_fock_npoint, rank2_generating, rank2_generating_boson,
                           twisted_eisenstein, twisted_pk)
@@ -146,6 +149,19 @@ def main(argv=None) -> int:
     zs = [-2.6 + 0.3j, -1.9 - 0.8j, -1.1 + 0.9j, -0.4 - 0.2j]
     run("L3.rank1_fock_npoint.4x3",
         lambda: rank1_fock_npoint(labels, zs, GSelector.SIGMA, tau))
+    # L4: the argument parser, and table grids shaped like the benchmark's (25 points x
+    # 3 orders): P_k on a z line across the annulus, E_n[tw] on a tau line
+    def table(*tokens):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["table", "--function", *tokens]) == 0
+
+    run("L4.cli.build_parser", cli.build_parser, inner=20)
+    twist = (f"mu={tw.mu!r}", f"lam={tw.lam!r}")
+    run("L4.table.pk_grid", lambda: table(
+        "twisted_pk", "k=1..3", *twist, f"z={-0.01 * width}+1.5i:{-0.99 * width}+3.5i:25",
+        "tau=0.12+1.1i"), inner=5)
+    run("L4.table.en_grid", lambda: table(
+        "twisted_eisenstein", "n=1..3", *twist, "tau=0.12+0.3i:0.12+1.5i:25"), inner=5)
     print(json.dumps({"src": os.path.abspath(args.src), "python": platform.python_version(),
                       "numpy": np.__version__, "cpus": os.cpu_count(),
                       "repeats": args.repeats, "seed": args.seed, "timings": out}, indent=1))

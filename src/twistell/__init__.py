@@ -80,6 +80,7 @@ from .twisted import (
     gamma_act_twist,
     lattice_distance,
     twisted_eisenstein,
+    twisted_eisenstein_batch,
     twisted_eisenstein_oracle,
     twisted_p1_theta_form,
     twisted_pk,

@@ -49,8 +49,22 @@ def require_upper_half(tau: complex) -> complex:
     return tau
 
 
+def _eisenstein_prefactors(n: int, lam: float, trivial: bool) -> tuple[float, float]:
+    """(B_n(lam)/n!, (n-1)!) as floats, the constant and the divisor of the E_n
+    q-series; NotConverged when a factorial leaves the float range."""
+    try:
+        fac = float(math.factorial(n - 1))
+        const = (bernoulli_over_factorial(n) if trivial
+                 else bernoulli_poly(n, lam) / math.factorial(n))
+    except OverflowError:
+        raise NotConverged(f"E_{n} prefactors 1/(n-1)! and B_n(lam)/n! need factorials "
+                           f"as floats, which overflow past 170!") from None
+    return const, fac
+
+
 def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
-                       cfg: TruncationConfig) -> complex:
+                       cfg: TruncationConfig,
+                       prefactors: tuple[float, float] | None = None) -> complex:
     """E_n[theta; phi](tau) for the twist of phases (mu, lam): the one E_n q-series.
 
     -B_n(lam)/n! plus two q-expansions over r + lam (from r = 0) and r - lam
@@ -58,6 +72,8 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
     cfg.q_order. At the trivial twist the r = 0 term is omitted exactly, the
     two streams are bitwise equal and one is summed for both, and the
     constant is B_n(0)/n! as one float.
+    prefactors, when given, is _eisenstein_prefactors(n, lam, trivial), so a
+    caller at many tau computes it once per order.
     A float overflow of (r +- lam)^(n-1), (n-1)! or the constant is NotConverged.
     tau must already be checked by require_upper_half.
     """
@@ -98,13 +114,8 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
             from None
     if trivial:
         minus = plus
-    try:
-        fac = float(math.factorial(n - 1))
-        const = (bernoulli_over_factorial(n) if trivial
-                 else bernoulli_poly(n, lam) / math.factorial(n))
-    except OverflowError:
-        raise NotConverged(f"E_{n} prefactors 1/(n-1)! and B_n(lam)/n! need factorials "
-                           f"as floats, which overflow past 170!") from None
+    const, fac = prefactors if prefactors is not None else \
+        _eisenstein_prefactors(n, lam, trivial)
     return -const + plus / fac + (-1.0) ** n * minus / fac
 
 

@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 from itertools import product
 from types import ModuleType
 
@@ -153,7 +154,7 @@ _SIGNATURES = {
     "dedekind_eta": (classical, "tau:complex cfg"),
     "twisted_pk": (twisted, "k:int tw z:complex tau:complex cfg", "twisted_pk_batch k z"),
     "twisted_pk_oracle": (twisted, "k:int tw z:complex tau:complex cfg"),
-    "twisted_eisenstein": (twisted, "n:int tw tau:complex cfg"),
+    "twisted_eisenstein": (twisted, "n:int tw tau:complex cfg", "twisted_eisenstein_batch n tau"),
     "twisted_eisenstein_oracle": (twisted, "n:int tw tau:complex cfg"),
     "coeff_C": (twisted, "k:int l:int tw tau:complex cfg"),
     "coeff_D": (twisted, "k:int l:int tw z:complex tau:complex cfg"),
@@ -459,8 +460,27 @@ def _batch_values(batch, varying, fixed: dict, cfg) -> list[complex] | None:
         out = fn(call, cfg)
     except _ROW_ERRORS:
         return None
-    return [complex(out[tuple(dict(zip(grids, idx)).get(k, 0) for k in listed)])
-            for idx in product(*(range(len(grid)) for grid in grids.values()))]
+    # the varying axes first, in row order, then the length-1 axes of fixed listed parameters
+    axes = [listed.index(k) for k in grids] + [i for i, k in enumerate(listed) if k not in grids]
+    return out.transpose(axes).ravel().tolist()
+
+
+def _row_values(fn, names, combos, fixed: dict, cfg):
+    """(value, status) of every row, each row evaluated alone."""
+    for combo in combos:
+        call = dict(fixed)
+        call.update(zip(names, (arg for _, arg in combo)))
+        try:
+            yield complex(fn(call, cfg)[0]), "ok"
+        except _ROW_ERRORS as exc:
+            yield complex(0), _error_row(exc)[3]
+
+
+def _csv_cells(cells) -> str:
+    """cells joined as csv.writer writes them in one row, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
 
 
 def cmd_table(args) -> int:
@@ -478,29 +498,24 @@ def cmd_table(args) -> int:
 
     combos = list(product(*(grid for _, grid in varying)))
     values = _batch_values(batch, varying, fixed, cfg)
-    out_rows = []
-    for row, combo in enumerate(combos):
-        if values is not None:
-            value, status = values[row], "ok"
-        else:
-            call = dict(fixed)
-            call.update(zip(names, (arg for _, arg in combo)))
-            try:
-                value, status = complex(fn(call, cfg)[0]), "ok"
-            except _ROW_ERRORS as exc:
-                value, status = complex(0), _error_row(exc)[3]
-        out_rows.append([c for c, _ in combo] + fixed_cells
-                        + [format(value.real, ".17g"), format(value.imag, ".17g"), status])
+    results = (zip(values, ["ok"] * len(values)) if values is not None
+               else _row_values(fn, names, combos, fixed, cfg))
+    # (varying cells, re, im, status) per row
+    out_rows = [([c for c, _ in combo], format(value.real, ".17g"),
+                 format(value.imag, ".17g"), status)
+                for combo, (value, status) in zip(combos, results)]
 
     header = names + sorted(fixed) + ["re", "im", "status"]
     if args.format == "json":
-        text = dumps([dict(zip(header, row)) for row in out_rows]) + "\n"
+        text = dumps([dict(zip(header, cells + fixed_cells + [re, im, status]))
+                      for cells, re, im, status in out_rows]) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(out_rows)
-        text = buf.getvalue()
+        # the varying cells print numbers, which csv never quotes; the fixed ones are
+        # quoted once for the grid
+        fixed_text = "," + _csv_cells(fixed_cells) if fixed_cells else ""
+        text = "".join([_csv_cells(header) + "\n"]
+                       + [f"{','.join(cells)}{fixed_text},{re},{im},{status}\n"
+                          for cells, re, im, status in out_rows])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -519,6 +534,8 @@ def _add_cfg_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The twistell argument parser. A subcommand's `run` default names its cmd_*
+    function, which main looks up when it runs."""
     parser = argparse.ArgumentParser(prog="twistell",
                                      description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -528,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("function", nargs="?", default=None)
     p_eval.add_argument("assignments", nargs="*")
     _add_cfg_flags(p_eval)
-    p_eval.set_defaults(run=cmd_eval)
+    p_eval.set_defaults(run="cmd_eval")
 
     p_verify = subs.add_parser("verify", help="run identity-suite checks")
     p_verify.add_argument("--suite", default="all")
@@ -537,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--out", default=None)
     _add_cfg_flags(p_verify)
-    p_verify.set_defaults(run=cmd_verify)
+    p_verify.set_defaults(run="cmd_verify")
 
     p_table = subs.add_parser("table", help="tabulate a function over a parameter grid")
     p_table.add_argument("--function", required=True)
@@ -545,23 +562,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("json", "csv"), default="csv")
     p_table.add_argument("--out", default=None)
     _add_cfg_flags(p_table)
-    p_table.set_defaults(run=cmd_table)
+    p_table.set_defaults(run="cmd_table")
 
     p_report = subs.add_parser("report", help="re-read a JSON report and print its verdict")
     p_report.add_argument("path")
-    p_report.set_defaults(run=cmd_report)
+    p_report.set_defaults(run="cmd_report")
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main call of the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.run(args)
+        # looked up by name at call time, so a rebound cmd_* (a tracer, a test double) runs
+        return globals()[args.run](args)
     except _HANDLED as exc:
         _, kind, code, _ = _error_row(exc)
         _emit_error(kind, str(exc))

@@ -20,10 +20,11 @@ import numpy as np
 
 from .classical import dedekind_eta, p0_batch, require_upper_half, theta_char
 from .errors import BalanceError, DomainError, NotConverged, UnsupportedTwist
-from .numeric import DEFAULT_CONFIG, TruncationConfig, binomial, determinant, pfaffian
+from .numeric import DEFAULT_CONFIG, TruncationConfig, determinant, pfaffian
 from .twisted import (
     TwistPair,
     GroupElement,
+    _cd_factor,
     _reduce_phase,
     twisted_eisenstein,
     twisted_pk_batch,
@@ -136,14 +137,14 @@ def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[c
     ks = {k for _, k in rows}
     ls = {l for _, l in cols}
     # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
-    d_fac = {(k, l): (-1.0) ** (k + 1) * binomial(k + l - 2, k - 1) for k in ks for l in ls}
+    d_fac = {(k, l): _cd_factor(k + 1, k, l) for k in ks for l in ls}
     c_val: dict = {}                            # the C blocks' entries by (k, l)
     if shared:
         c_kl = {(k, l) for a, ks_a in enumerate(row_modes) for k in ks_a for l in col_modes[a]}
         if diag is None:
             eis = {m: twisted_eisenstein(m, tw, tau, cfg) for m in {k + l - 1 for k, l in c_kl}}
-        c_val = {(k, l): diag if diag is not None else
-                 (-1.0) ** l * binomial(k + l - 2, k - 1) * eis[k + l - 1] for k, l in c_kl}
+        c_val = {(k, l): diag if diag is not None else _cd_factor(l, k, l) * eis[k + l - 1]
+                 for k, l in c_kl}
     entries = [[c_val[k, l] if shared and a == b else d_fac[k, l] * p_at[a, b, k + l - 1]
                 for b, l in cols] for a, k in rows]
     return np.array(entries, dtype=complex).reshape(len(rows), len(cols))

@@ -24,6 +24,7 @@ import numpy as np
 
 from .classical import (
     _POLE_EPS,
+    _eisenstein_prefactors,
     _eisenstein_series,
     _theta_terms,
     prime_form,
@@ -621,6 +622,25 @@ def twisted_eisenstein(n: int, tw: TwistPair, tau: complex,
     return _eisenstein_series(n, tw.lam, tw.mu, require_upper_half(tau), cfg)
 
 
+def twisted_eisenstein_batch(ns: Sequence[int], tw: TwistPair, taus: Sequence[complex],
+                             cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """E_n[tw](tau) for every n in ns and tau in taus, shape (len(ns), len(taus)).
+
+    Each entry is twisted_eisenstein's value bit for bit, from the one E_n
+    q-series (_eisenstein_series), with B_n(lam)/n! and (n-1)! computed once per
+    order. Raises when twisted_eisenstein would at some (n, tau), or when those
+    prefactors of an order in ns leave the float range.
+    """
+    if any(n < 1 for n in ns):
+        raise ValueError("twisted_eisenstein requires n >= 1")
+    taus = [require_upper_half(tau) for tau in taus]
+    values = []
+    for n in ns:
+        pre = _eisenstein_prefactors(n, tw.lam, tw.is_trivial)
+        values.append([_eisenstein_series(n, tw.lam, tw.mu, tau, cfg, pre) for tau in taus])
+    return np.array(values, dtype=complex).reshape(len(ns), len(taus))
+
+
 def twisted_eisenstein_oracle(n: int, tw: TwistPair, tau: complex,
                               cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Lattice-sum oracle for E_n[tw], inner sum collapsed in closed form.
@@ -658,6 +678,16 @@ def twisted_eisenstein_oracle(n: int, tw: TwistPair, tau: complex,
     raise RouteUnavailable("lattice oracle needs theta != 1 or phi != 1")
 
 
+def _cd_factor(sign: int, k: int, l: int) -> float:
+    """(-1)^sign * C(k+l-2, k-1), the factor of C[tw](k, l) (sign l) and of
+    D[tw](k, l, z) (sign k + 1); NotConverged when the binomial leaves the float range."""
+    try:
+        return (-1.0) ** sign * binomial(k + l - 2, k - 1)
+    except OverflowError:
+        raise NotConverged(f"C/D coefficient ({k}, {l}): the binomial C({k + l - 2}, {k - 1}) "
+                           f"leaves the float range") from None
+
+
 def coeff_C(k: int, l: int, tw: TwistPair, tau: complex,
             cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Expansion coefficient C[tw](k, l) = (-1)^l C(k+l-2, k-1) E_{k+l-1}[tw].
@@ -667,7 +697,7 @@ def coeff_C(k: int, l: int, tw: TwistPair, tau: complex,
     """
     if k < 1 or l < 1:
         raise ValueError("coeff_C requires k, l >= 1")
-    return (-1.0) ** l * binomial(k + l - 2, k - 1) * twisted_eisenstein(k + l - 1, tw, tau, cfg)
+    return _cd_factor(l, k, l) * twisted_eisenstein(k + l - 1, tw, tau, cfg)
 
 
 def coeff_D(k: int, l: int, tw: TwistPair, z: complex, tau: complex,
@@ -680,7 +710,7 @@ def coeff_D(k: int, l: int, tw: TwistPair, z: complex, tau: complex,
     """
     if k < 1 or l < 1:
         raise ValueError("coeff_D requires k, l >= 1")
-    return (-1.0) ** (k + 1) * binomial(k + l - 2, k - 1) * twisted_pk(k + l - 1, tw, z, tau, cfg)
+    return _cd_factor(k + 1, k, l) * twisted_pk(k + l - 1, tw, z, tau, cfg)
 
 
 def twisted_p1_theta_form(tw: TwistPair, z: complex, tau: complex,

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from twistell import classical, fermion, twisted
+from twistell import classical, cli, fermion, twisted
 from twistell.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -273,7 +273,13 @@ class TestTableBatchForms:
         ("p0", ["z=-8+0.5i:-2+0.5i:5", "tau=i"]),
         ("weierstrass_pk_laurent", ["k=2", "z=-1.5+0.5i:1+2i:4", "tau=0.12+1.1i"]),
         ("weierstrass_pk_laurent", ["k=1..3", "z=-1.5+0.5i", "tau=0.12+1.1i"]),
+        # tau before n: the batch axes (n, tau) are transposed into row order; the
+        # Im tau = 0.02 rows are not_converged, every other row ok
+        ("twisted_eisenstein", ["tau=0.1+0.02i:0.1+1i:5", "n=1..3", "mu=0.31", "lam=0.77"]),
     ]
+    # a refused row's status -> its eval exit code and error kind
+    REFUSALS = {"domain_error": (EXIT_DOMAIN, "domain"), "near_pole": (EXIT_DOMAIN, "near_pole"),
+                "not_converged": (EXIT_CONVERGENCE, "convergence")}
 
     @staticmethod
     def count_calls(monkeypatch, module, name):
@@ -317,8 +323,39 @@ class TestTableBatchForms:
                 text = out.split('"re":', 1)[1]
                 assert text.startswith(f"{row[-3]},\"im\":{row[-2]},")
             else:
-                assert code == EXIT_DOMAIN and json.loads(err)["error"] in (
-                    "domain", "near_pole")
+                assert (code, json.loads(err)["error"]) == self.REFUSALS[row[-1]]
+
+    @pytest.mark.parametrize("low,statuses", [(0.06, ["ok"] * 3), (0.02, ["not_converged"] * 3)])
+    def test_twisted_eisenstein_grid_is_one_batch_call(self, capsys, monkeypatch, low, statuses):
+        # a refused row sends the grid back to the per-row loop, one scalar call a row
+        batch = self.count_calls(monkeypatch, twisted, "twisted_eisenstein_batch")
+        scalar = self.count_calls(monkeypatch, twisted, "twisted_eisenstein")
+        code, out, _ = run_cli(capsys, "table", "--function", "twisted_eisenstein", "n=1..3",
+                               "mu=0.31", "lam=0.77", f"tau=0.1+{low}i:0.1+1i:25")
+        assert code == EXIT_OK and len(batch) == 1
+        ns, _, taus, _ = batch[0]
+        assert list(ns) == [1, 2, 3] and len(taus) == 25
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[-1] for row in rows[::25]] == statuses
+        assert {row[-1] for row in rows[1:25] + rows[26:50] + rows[51:]} == {"ok"}
+        assert len(scalar) == (0 if low == 0.06 else 75)
+
+    def test_csv_bytes_with_fixed_list_cells(self, capsys):
+        # xs and ys print with commas, so csv quotes them
+        xs, ys = [-1.4 - 0.2j, -1.65 + 0.1j], [-0.2 + 0.15j, -0.31 - 0.1j]
+        code, out, _ = run_cli(capsys, "table", "--function", "rank2_generating", "alpha=0.27",
+                               "beta=0.63", "xs=-1.4-0.2i,-1.65+0.1i", "ys=-0.2+0.15i,-0.31-0.1i",
+                               "tau=0.12+1i:0.12+1.5i:4")
+        assert code == EXIT_OK
+        taus = [line.split(",", 1)[0] for line in out.splitlines()[1:]]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["tau", "alpha", "beta", "xs", "ys", "re", "im", "status"])
+        for cell in taus:
+            value = fermion.rank2_generating(_P, xs, ys, parse_complex(cell))
+            writer.writerow([cell, 0.27, 0.63, str(xs), str(ys), format(value.real, ".17g"),
+                             format(value.imag, ".17g"), "ok"])
+        assert len(taus) == 4 and out == buf.getvalue()
 
     def test_grid_keeps_each_rows_status(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--function", "twisted_pk", "k=1..2",
@@ -326,6 +363,25 @@ class TestTableBatchForms:
         assert code == EXIT_OK
         statuses = [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]]
         assert statuses == ["ok", "ok", "near_pole", "ok", "ok"] * 2
+
+
+class TestParserReuse:
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, "eval", "binomial", "n=7", "k=3")
+            assert code == EXIT_OK
+        assert builds == [1]
+
+    def test_a_command_rebound_after_the_first_call_runs(self, capsys, monkeypatch):
+        assert run_cli(capsys, "table", "--function", "p0", "z=-1:1:3", "tau=i")[0] == EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli, "cmd_table", lambda args: calls.append(args.function) or 7)
+        assert main(["table", "--function", "p0", "z=-1:1:3", "tau=i"]) == 7
+        assert calls == ["p0"]
 
 
 class TestWholePlane:
@@ -355,7 +411,7 @@ class TestOrderSweep:
         assert {"bernoulli_poly", "eisenstein", "twisted_eisenstein", "coeff_C", "coeff_D",
                 "twisted_pk_oracle", "twisted_eisenstein_oracle"} <= set(ORDER_ROWS)
 
-    @pytest.mark.parametrize("order", [172, 400])
+    @pytest.mark.parametrize("order", [172, 400, 600])
     @pytest.mark.parametrize("function", ORDER_ROWS)
     def test_large_order_is_a_value_or_a_documented_error(self, capsys, function, order):
         spec = REGISTRY[function][0]
@@ -376,6 +432,15 @@ class TestOrderSweep:
         assert code == EXIT_CONVERGENCE and out == ""
         payload = json.loads(err)
         assert payload["error"] == "convergence" and "B_400" in payload["message"]
+
+    @pytest.mark.parametrize("function,tokens", [
+        ("coeff_C", []), ("coeff_D", ["z=-1+0.2i"])])
+    def test_cd_binomial_past_the_float_range(self, capsys, function, tokens):
+        code, out, err = run_cli(capsys, "eval", function, "k=600", "l=600", "mu=0.3",
+                                 "lam=0.3", *tokens, "tau=i")
+        assert code == EXIT_CONVERGENCE and out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "convergence" and "C(1198, 599)" in payload["message"]
 
     def test_twisted_eisenstein_overflow(self, capsys):
         code, out, err = run_cli(capsys, "eval", "twisted_eisenstein", "n=150", "mu=0.3",

@@ -147,6 +147,11 @@ class TestRank1Fock:
             lambda a, b: rank1_generating(g, [a, b], TAU), z1, z2, (0, 1))
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
+    def test_binomial_past_the_float_range_is_not_converged(self):
+        # C(599, 600) needs the binomial C(1198, 599), past the float range
+        with pytest.raises(NotConverged, match=r"C\(1198, 599\)"):
+            rank1_fock_npoint([(599, 600)], [-1.0 + 0.2j], GSelector.SIGMA, TAU)
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             FockLabelRank1((2, 1))

@@ -28,6 +28,7 @@ from twistell import (
     rank1_generating,
     theta_char,
     twisted_eisenstein,
+    twisted_eisenstein_batch,
     twisted_eisenstein_oracle,
     twisted_p1_theta_form,
     twisted_pk,
@@ -579,6 +580,35 @@ class TestEisensteinSeries:
                 assert abs(new - old_tw) <= 1e-14 * scale, (n, tau)
         assert 0 < values < 400
 
+    def test_batch_is_the_scalar_bit_for_bit(self):
+        # trivial and nontrivial twists, Im tau down to 0.02 where low orders refuse
+        rng = random.Random(73)
+        refused = 0
+        for _ in range(60):
+            tw = rng.choice([TwistPair.trivial(), TwistPair(rng.random(), rng.random()),
+                             TwistPair(0.0, rng.random())])
+            ns = rng.sample(range(1, 40), 3)
+            taus = [complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.02), 1)))
+                    for _ in range(5)]
+            scalar = [[verdict(twisted_eisenstein, n, tw, tau) for tau in taus] for n in ns]
+            if any("refused" in row for row in scalar):
+                refused += 1
+                with pytest.raises(NotConverged):
+                    twisted_eisenstein_batch(ns, tw, taus)
+                continue
+            batch = twisted_eisenstein_batch(ns, tw, taus)
+            assert batch.shape == (3, 5) and batch.tolist() == scalar, (ns, tw, taus)
+        assert 0 < refused < 60
+
+    def test_batch_domain(self):
+        tw = TwistPair(0.3, 0.7)
+        assert twisted_eisenstein_batch([1, 2], tw, []).shape == (2, 0)
+        assert twisted_eisenstein_batch([], tw, [1j]).shape == (0, 1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            twisted_eisenstein_batch([1, 0], tw, [1j])
+        with pytest.raises(DomainError):
+            twisted_eisenstein_batch([1], tw, [1j, -1j])
+
     def test_overflow_is_not_converged(self):
         tw = TwistPair(0.3, 0.3)
         with pytest.raises(NotConverged, match=r"E_150 q-series term r\^149 overflows"):
@@ -587,6 +617,11 @@ class TestEisensteinSeries:
             twisted_eisenstein(171, tw, 5j)
         with pytest.raises(NotConverged, match="E_343"):
             coeff_C(172, 172, tw, 1j)
+        # the binomial C(1198, 599) leaves the float range before E_1199 or P_1199 is summed
+        with pytest.raises(NotConverged, match=r"C\(1198, 599\)"):
+            coeff_C(600, 600, tw, 1j)
+        with pytest.raises(NotConverged, match=r"C\(1198, 599\)"):
+            coeff_D(600, 600, tw, -1 + 0.2j, 1j)
 
 
 def fit_c_grid(tw, tau, kmax=3, n=12, r1=0.2, r2=0.13):
