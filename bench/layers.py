@@ -1,4 +1,4 @@
-"""Layer timings of the E_n q-series and the P_0 disk-series kernel (L1), the P_k
+"""Layer timings of the E_n q-series, theta and the P_0 disk-series kernel (L1), the P_k
 theta-quotient kernel, its q-series oracle and E_n[tw] (L2), the correlators built on
 them (L3), and `twistell table` grids through cli.main in this process (L4).
 
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     from twistell import cli
     from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein, p0,
                           rank1_fock_npoint, rank2_generating, rank2_generating_boson,
-                          twisted_eisenstein, twisted_pk)
+                          theta_char, twisted_eisenstein, twisted_pk)
 
     def clear():
         eisenstein.cache_clear()
@@ -90,6 +90,10 @@ def main(argv=None) -> int:
     eis_calls = [(n, t) for t in eis_taus for n in range(2, 61, 2)]
     run("L1.eisenstein.cold", lambda: [eisenstein(n, t) for n, t in eis_calls],
         calls=len(eis_calls))
+    # L1: one theta value at a characteristic near 0 and one near 40, where the window
+    # follows the characteristic (a checkout that keeps its window at n = 0 misses there)
+    for label, a in (("a0", 0.3), ("a40", 40.3)):
+        run(f"L1.theta_char.{label}", lambda a=a: theta_char(a, 0.2, 0.4 + 0.1j, tau), inner=50)
     # L1: P_0 at n points of its disk (|z| < 2.5, R = 2*pi), one call per z against
     # one batched call; a separate stream keeps the L2/L3 points of earlier runs
     disk_rng = random.Random(f"disk:{args.seed}")

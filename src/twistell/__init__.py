@@ -9,7 +9,6 @@ generalization).
 """
 
 from .classical import (
-    ThetaChar,
     dedekind_eta,
     eisenstein,
     p0,

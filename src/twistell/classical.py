@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +33,9 @@ _POLE_EPS = 1e-12
 
 # Hard cap on the z-power carried by the disk (Laurent) series.
 _DISK_SERIES_MAX_ORDER = 800
-
-
-class ThetaChar(NamedTuple):
-    """Real theta characteristics; no canonical reduction is applied."""
-
-    a: float
-    b: float
+# Hard cap on the terms either side of the centre of a theta window.
+_THETA_MAX_HALF_WIDTH = 512
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def require_upper_half(tau: complex) -> complex:
@@ -270,10 +267,16 @@ def theta_char(a: float, b: float, z: complex, tau: complex,
                cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Jacobi theta function with characteristics a, b.
 
-    theta[a;b](z, tau) = sum_n exp[i*pi*(n+a)^2*tau + (n+a)*(z + 2*pi*i*b)].
-    The window starts at cfg.theta_range and doubles until the boundary term
-    falls below cfg.tol (Gaussian decay makes this cheap); hard cap at
-    16*cfg.theta_range.
+    theta[a;b](z, tau) = sum_n exp[i*pi*(n+a)^2*tau + (n+a)*(z + 2*pi*i*b)],
+    for every real a, b and finite z. a is taken mod 1, since
+    theta[a+1; b] = theta[a; b] exactly. The terms peak at
+    n + a ~ x* = Re z / (2*pi*Im tau), at exp(pi*Im(tau)*x*^2); the window is
+    centred there and as wide as it takes for its outermost terms, and every
+    omitted term, to be below cfg.tol. DomainError for a non-finite a, b or
+    z. NotConverged, before any exp, when the peak term times 1 + 1/sqrt(Im
+    tau) (a bound on the sum over it) leaves the float range, e.g. at z = 100,
+    tau = i; or when the window passes 512 terms either side of its centre,
+    e.g. at Im tau = 1e-5.
     """
     _, terms = _theta_terms(a, b, z, tau, cfg)
     return complex(terms.sum())
@@ -281,20 +284,29 @@ def theta_char(a: float, b: float, z: complex, tau: complex,
 
 def _theta_terms(a: float, b: float, z: complex, tau: complex,
                  cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Summation indices n + a and terms of theta[a;b](z, tau) over its window."""
+    """Summation indices n + a (a mod 1) and terms of theta[a;b](z, tau) over its window."""
     tau = require_upper_half(tau)
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"theta needs a finite z, got {z}")
-    window = cfg.theta_range
-    shift = z + 2j * math.pi * b
-    while window <= 16 * cfg.theta_range:
-        ns = np.arange(-window, window + 1, dtype=float) + a
-        terms = np.exp(1j * math.pi * ns**2 * tau + ns * shift)
-        if abs(terms[0]) < cfg.tol and abs(terms[-1]) < cfg.tol:
-            return ns, terms
-        window *= 2
-    raise NotConverged(f"theta window exceeded 16*theta_range at tau = {tau}")
+    if not (math.isfinite(a) and math.isfinite(b) and cmath.isfinite(z)):
+        raise DomainError(f"theta needs finite a, b and z, got a = {a}, b = {b}, z = {z}")
+    a %= 1.0
+    # log |term| = spread * (peak^2 - (n + a - peak)^2)
+    spread = math.pi * tau.imag
+    peak = z.real / (2.0 * spread)
+    top = spread * peak * peak
+    if top + math.log1p(1.0 / math.sqrt(tau.imag)) > _LOG_FLOAT_MAX:
+        raise NotConverged(f"theta's largest term exp(pi*Im(tau)*x*^2), x* = {peak:.4g}, "
+                           f"leaves the float range at z = {z}, tau = {tau}")
+    # every term with |n + a - peak| >= reach is below tol; the centre n + a lies within
+    # 1/2 of the peak, so the window's outermost terms are, as is every term past them
+    reach = math.sqrt((top - math.log(cfg.tol)) / spread)
+    if reach + 0.5 > _THETA_MAX_HALF_WIDTH:      # also when reach is inf
+        raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
+                           f"either side of its centre at tau = {tau}")
+    half = math.ceil(reach + 0.5)
+    centre = round(peak - a)
+    ns = np.arange(centre - half, centre + half + 1, dtype=float) + a
+    return ns, np.exp(1j * math.pi * ns**2 * tau + ns * (z + 2j * math.pi * b))
 
 
 @lru_cache(maxsize=100_000)
@@ -302,6 +314,7 @@ def dedekind_eta(tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> comple
     """Dedekind eta function q^{1/24} prod_{n>=1} (1 - q^n).
 
     The prefactor is exp(2*pi*i*tau/24), fixing the 24th root branch-free.
+    NotConverged once |eta| underflows to a subnormal float (Im tau past ~2700).
     """
     tau = require_upper_half(tau)
     q = cmath.exp(2j * math.pi * tau)
@@ -315,4 +328,8 @@ def dedekind_eta(tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> comple
             break
     if not converged:
         raise NotConverged(f"eta product not below tol within q_order={cfg.q_order}")
-    return cmath.exp(2j * math.pi * tau / 24.0) * acc
+    val = cmath.exp(2j * math.pi * tau / 24.0) * acc
+    if abs(val) < sys.float_info.min:
+        # subnormal or 0: every eta quotient would lose its digits or divide by 0
+        raise NotConverged(f"eta underflows the float range at tau = {tau}")
+    return val

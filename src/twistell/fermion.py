@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -82,11 +83,15 @@ class OrbifoldParams:
     Derived data: kappa = beta + 1/2, theta = exp(-2*pi*i*alpha),
     phi = exp(-2*pi*i*beta). alpha and beta are kept as given (the q-power
     prefactor depends on beta itself, not beta mod 1); only the twist-pair
-    reduction happens mod 1.
+    reduction happens mod 1. DomainError unless both are finite.
     """
 
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DomainError(f"orbifold parameters must be finite, got {self}")
 
     @property
     def kappa(self) -> float:
@@ -262,7 +267,9 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
     q^{kappa^2/2 - 1/24} prod_{l>=1} (1 - theta^-1 q^{l-1/2-kappa})
     (1 - theta q^{l-1/2+kappa}); half-integer q-powers are evaluated as
     exp(2*pi*i*tau*s), so no roots are extracted. Exactly 0 for the trivial
-    twist.
+    twist. NotConverged when the prefactor underflows to a subnormal float,
+    or a factor or the product leaves the float range (large |beta| or
+    Im tau); rank2_partition_theta has no such limit in beta.
     """
     tau = require_upper_half(tau)
     if p.is_trivial_twist:
@@ -271,14 +278,23 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
     qlog = 2j * math.pi * tau
     th_inv = cmath.exp(2j * math.pi * p.alpha)
     th = cmath.exp(-2j * math.pi * p.alpha)
-    acc = cmath.exp(qlog * (kappa**2 / 2.0 - 1.0 / 24.0))
-    for l in range(1, cfg.q_order + 1):
-        e1 = l - 0.5 - kappa
-        e2 = l - 0.5 + kappa
-        acc *= (1.0 - th_inv * cmath.exp(qlog * e1)) * (1.0 - th * cmath.exp(qlog * e2))
-        if min(e1, e2) > 0 and abs(cmath.exp(qlog * min(e1, e2))) < cfg.tol:
-            return acc
-    raise NotConverged(f"partition product not below tol within q_order={cfg.q_order}")
+    try:
+        acc = cmath.exp(qlog * (kappa**2 / 2.0 - 1.0 / 24.0))
+        # a subnormal prefactor has lost its digits, and the product with them
+        normal = abs(acc) >= sys.float_info.min
+        for l in range(1, cfg.q_order + 1):
+            e1 = l - 0.5 - kappa
+            e2 = l - 0.5 + kappa
+            acc *= (1.0 - th_inv * cmath.exp(qlog * e1)) * (1.0 - th * cmath.exp(qlog * e2))
+            if min(e1, e2) > 0 and abs(cmath.exp(qlog * min(e1, e2))) < cfg.tol:
+                break
+        else:
+            raise NotConverged(f"partition product not below tol within q_order={cfg.q_order}")
+    except OverflowError:
+        normal = False
+    if normal and cmath.isfinite(acc):
+        return acc
+    raise NotConverged(f"partition product for {p} leaves the float range at tau = {tau}")
 
 
 def rank2_partition_theta(p: OrbifoldParams, tau: complex,

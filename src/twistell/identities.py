@@ -56,33 +56,32 @@ from .twisted import (
 
 _TWO_PI = 2.0 * math.pi
 
+# the sampling domains: the tau box, the relative margin of |q_z| inside (|q|, 1), and
+# the least distance of a sampled difference from the period lattice
+_TAU_RE = (-0.4, 0.4)
+_TAU_IM = (0.8, 2.0)
+_ANNULUS_MARGIN = 0.15
+_MIN_SEPARATION = 0.05
+# radius of the circle laurent_coefficients samples
+_LAURENT_RADIUS = 0.25
+
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Seeded sampling policy, encoding the convergence domains.
+    """Seeded sampling policy: the seed and the samples per check.
 
-    tau is drawn from the box [tau_re_min, tau_re_max] x [tau_im_min,
-    tau_im_max] i; |q_z| is drawn log-uniformly strictly inside (|q|, 1)
-    with relative margin annulus_margin; points landing within
-    min_separation of a lattice translate of 0 are rejected and redrawn.
+    The domains are fixed: tau is drawn from the box [-0.4, 0.4] x [0.8, 2] i;
+    |q_z| is drawn log-uniformly strictly inside (|q|, 1) with relative
+    margin 0.15; points landing within 0.05 of a lattice translate of 0 are
+    rejected and redrawn.
     """
 
     seed: int = 7
     count: int = 25
-    tau_re_min: float = -0.4
-    tau_re_max: float = 0.4
-    tau_im_min: float = 0.8
-    tau_im_max: float = 2.0
-    annulus_margin: float = 0.15
-    min_separation: float = 0.05
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if not 0 < self.annulus_margin < 1:
-            raise ValueError("annulus_margin must lie in (0, 1)")
-        if not self.tau_im_min > 0:
-            raise ValueError("tau box must stay in the upper half-plane")
 
 
 @dataclass
@@ -146,16 +145,13 @@ class _Sampler:
     """Deterministic per-check sampler; seeds derive from (plan.seed, name)."""
 
     def __init__(self, plan: SamplePlan, name: str):
-        self.plan = plan
         self.rng = random.Random(f"{plan.seed}:{name}")
 
     def uniform(self, a: float, b: float) -> float:
         return self.rng.uniform(a, b)
 
     def tau(self, im_max: float | None = None) -> complex:
-        p = self.plan
-        return complex(self.uniform(p.tau_re_min, p.tau_re_max),
-                       self.uniform(p.tau_im_min, im_max or p.tau_im_max))
+        return complex(self.uniform(*_TAU_RE), self.uniform(_TAU_IM[0], im_max or _TAU_IM[1]))
 
     def phase(self, lo: float = 0.06, hi: float = 0.94) -> float:
         return self.uniform(lo, hi)
@@ -172,21 +168,20 @@ class _Sampler:
                   hi: float | None = None) -> complex:
         """z with |q_z| log-uniform strictly inside (|q|, 1), off the lattice."""
         h = _TWO_PI * tau.imag
-        m = self.plan.annulus_margin
-        lo = m if lo is None else lo
-        hi = 1.0 - m if hi is None else hi
+        lo = _ANNULUS_MARGIN if lo is None else lo
+        hi = 1.0 - _ANNULUS_MARGIN if hi is None else hi
         for _ in range(100):
             z = complex(-self.uniform(lo, hi) * h, self.uniform(-math.pi, math.pi))
-            if lattice_distance(z, tau) >= self.plan.min_separation:
+            if lattice_distance(z, tau) >= _MIN_SEPARATION:
                 assert -h < z.real < 0.0
                 return z
-        raise RuntimeError("annulus sampling failed to clear min_separation")
+        raise RuntimeError("annulus sampling failed to clear the minimum separation")
 
     def spread_points(self, tau: complex, n: int, re_lo: float, re_hi: float,
                       min_sep: float | None = None) -> list[complex]:
         """n points with Re in (re_lo, re_hi), pairwise differences off the lattice
         and with nondegenerate real parts."""
-        sep = min_sep if min_sep is not None else self.plan.min_separation
+        sep = min_sep if min_sep is not None else _MIN_SEPARATION
         for _ in range(100):
             pts = [complex(self.uniform(re_lo, re_hi), self.uniform(-1.0, 1.0))
                    for _ in range(n)]
@@ -198,13 +193,11 @@ class _Sampler:
                         ok = False
             if ok:
                 return pts
-        raise RuntimeError("point-cluster sampling failed to clear min_separation")
+        raise RuntimeError("point-cluster sampling failed to clear the minimum separation")
 
-    def xy_clusters(self, tau: complex, n_x: int, n_y: int,
-                    min_sep: float | None = None) -> tuple[list[complex], list[complex]]:
+    def xy_clusters(self, tau: complex, n_x: int, n_y: int) -> tuple[list[complex], list[complex]]:
         """psi+ points and psi- points with every x - y strictly inside the annulus
         and every pairwise difference inside the prime-form disk."""
-        sep = min_sep if min_sep is not None else self.plan.min_separation
         for _ in range(100):
             xs = [complex(self.uniform(-2.2, -0.8), self.uniform(-0.9, 0.9))
                   for _ in range(n_x)]
@@ -214,16 +207,17 @@ class _Sampler:
             for group in (xs, ys):
                 for i in range(len(group)):
                     for j in range(i + 1, len(group)):
-                        if abs(group[i] - group[j]) < sep:
+                        if abs(group[i] - group[j]) < _MIN_SEPARATION:
                             ok = False
             for x in xs:
                 for y in ys:
                     d = x - y
-                    if lattice_distance(d, tau) < sep or not -_TWO_PI * tau.imag < d.real < 0:
+                    if (lattice_distance(d, tau) < _MIN_SEPARATION
+                            or not -_TWO_PI * tau.imag < d.real < 0):
                         ok = False
             if ok:
                 return xs, ys
-        raise RuntimeError("cluster sampling failed to clear min_separation")
+        raise RuntimeError("cluster sampling failed to clear the minimum separation")
 
 
 def _finish(name: str, records: list[SampleRecord], tol: float, cfg: TruncationConfig,
@@ -291,19 +285,18 @@ def check_eisenstein_lattice(n: int, plan: SamplePlan,
     return _finish(name, records, tolerance, cfg, plan.seed)
 
 
-def laurent_coefficients(tw: TwistPair, tau: complex, cfg: TruncationConfig,
-                         n_coeffs: int = 5, n_points: int = 64) -> list[complex]:
-    """Taylor coefficients of P_1[tw](z) - 1/z by Fourier inversion.
+def laurent_coefficients(tw: TwistPair, tau: complex, cfg: TruncationConfig) -> list[complex]:
+    """The first five Taylor coefficients of P_1[tw](z) - 1/z by Fourier inversion.
 
-    Samples on the circle |z| = cfg.series_radius at half-offset angles,
-    all of them in one kernel call.
+    Samples 64 points on the circle |z| = 0.25 at half-offset angles, all of
+    them in one kernel call.
     """
-    r = cfg.series_radius
+    r, n_points = _LAURENT_RADIUS, 64
     angles = [2.0 * math.pi * (j + 0.5) / n_points for j in range(n_points)]
     zs = [r * cmath.exp(1j * ang) for ang in angles]
     vals = [v - 1.0 / z for v, z in zip(twisted_pk_batch((1,), tw, zs, tau, cfg)[0].tolist(), zs)]
     coeffs = []
-    for k in range(n_coeffs):
+    for k in range(5):
         acc = sum(v * cmath.exp(-1j * k * ang) for v, ang in zip(vals, angles))
         coeffs.append(acc / n_points / r**k)
     return coeffs

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotAntisymmetric, NotConverged, OddDimension
+from .errors import DomainError, NotAntisymmetric, NotConverged, OddDimension
 
 
 @dataclass(frozen=True)
@@ -23,30 +23,20 @@ class TruncationConfig:
     """Series cutoffs and tolerances; the reproducibility contract.
 
     q_order        highest retained q-power index in q-series and products
-    theta_range    starting half-width of theta summation windows
-    lattice_range  starting half-width of lattice-oracle windows
     tol            target absolute accuracy of a single evaluation, in (0, 1)
-    series_radius  contour radius for Taylor-coefficient extraction, in (0, 1)
+
+    Every other window (theta, lattice oracles) is sized from its inputs and tol.
     """
 
     q_order: int = 120
-    theta_range: int = 32
-    lattice_range: int = 24
     tol: float = 1e-12
-    series_radius: float = 0.25
 
     def __post_init__(self):
         if self.q_order < 1:
             raise ValueError("q_order must be >= 1")
-        if self.theta_range < 1:
-            raise ValueError("theta_range must be >= 1")
-        if self.lattice_range < 1:
-            raise ValueError("lattice_range must be >= 1")
         if not 0 < self.tol < 1:
             # q-series windows are sized by -log(tol), which must be positive
             raise ValueError("tol must lie in (0, 1)")
-        if not 0 < self.series_radius < 1:
-            raise ValueError("series_radius must lie in (0, 1)")
         # every lru_cache lookup hashes the config: do it once, outside the fields
         object.__setattr__(self, "_hash", hash(tuple(self.asdict().values())))
 
@@ -97,20 +87,22 @@ def bernoulli_poly(n: int, lam: float) -> float:
     Defined through q_z^lam/(q_z - 1) = 1/z + sum_{n>=1} B_n(lam)/n! z^{n-1};
     equivalently the classical polynomials with B_1(lam) = lam - 1/2.
     Evaluated by the finite sum over Bernoulli numbers. NotConverged when a
-    term or the sum leaves the float range (from n = 259 on for lam in [0, 1)).
+    term or the sum leaves the float range (from n = 259 on for lam in [0, 1)),
+    at once from n = 260 on, where the sum needs B_260 as a float.
     """
     if n < 0:
         raise ValueError("bernoulli_poly requires n >= 0")
     if n == 0:
         return 1.0
-    acc = 0.0
-    try:
-        for k in range(n + 1):
-            acc += math.comb(n, k) * float(bernoulli_fraction(k)) * lam ** (n - k)
-        if math.isfinite(acc):
-            return acc
-    except OverflowError:
-        pass
+    if n < 260:      # B_260 is the first Bernoulli number past the float range
+        acc = 0.0
+        try:
+            for k in range(n + 1):
+                acc += math.comb(n, k) * float(bernoulli_fraction(k)) * lam ** (n - k)
+            if math.isfinite(acc):
+                return acc
+        except OverflowError:
+            pass
     raise NotConverged(f"B_{n}({lam:.6g}) leaves the float range")
 
 
@@ -118,9 +110,19 @@ def q_exp(z: complex, s: complex) -> complex:
     """Branch-free power q_z^s := exp(s*z).
 
     Every non-integer power of q_z in this library is defined this way, so
-    no branch cut is ever consulted.
+    no branch cut is ever consulted. DomainError for a non-finite z or s;
+    NotConverged when s*z or the power leaves the float range.
     """
-    return cmath.exp(s * complex(z))
+    z, s = complex(z), complex(s)
+    if not (cmath.isfinite(z) and cmath.isfinite(s)):
+        raise DomainError(f"q_exp needs a finite z and s, got z = {z}, s = {s}")
+    try:
+        w = s * z
+        if cmath.isfinite(w):
+            return cmath.exp(w)
+    except OverflowError:
+        pass
+    raise NotConverged(f"q_z^s = exp(s*z) leaves the float range at z = {z}, s = {s}")
 
 
 def as_square_matrix(entries) -> np.ndarray:

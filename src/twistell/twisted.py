@@ -17,13 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .classical import (
     _POLE_EPS,
+    _THETA_MAX_HALF_WIDTH,
     _eisenstein_prefactors,
     _eisenstein_series,
     _theta_terms,
@@ -174,14 +174,10 @@ def lattice_distance(z: complex, tau: complex) -> float:
 
 
 def _window_size(rate: float, tol: float, pad: int = 16) -> int:
-    """Smallest N with exp(-rate*N) below tol, padded; inf-safe."""
-    if rate <= 0:
-        return 1 << 62
-    return int(-math.log(tol) / rate) + pad
-
-
-# the three outermost terms on each side of a lone window, which decide its convergence
-_EDGES = np.array([[0, 1, 2, -3, -2, -1]])
+    """Smallest N with exp(-rate*N) below tol, padded; 2^62 when N is that large or
+    infinite (rate <= 0, or so small that -log(tol)/rate overflows)."""
+    size = -math.log(tol) / rate if rate > 0 else math.inf
+    return int(size) + pad if size < 1 << 62 else 1 << 62
 
 
 # the theta window drops terms below e^-_THETA_TAIL of the largest one, past any tol
@@ -274,7 +270,11 @@ def _p1_taylor(tw: TwistPair, ws: np.ndarray, tau: complex, order: int,
     Each w is moved by the quasi-period w -> w + 2 pi i tau m, m = round(Re w
     / (2 pi Im tau)), next to the imaginary axis, where theta's terms peak at
     |n + a| <= 1: one window |n| <= N with pi Im(tau) (N - 1)^2 >= _THETA_TAIL
-    then serves every point. The columns c_j(w) of theta[lam+1/2; mu+1/2] and
+    then serves every point (NotConverged past N = 512, below Im tau ~ 6e-5).
+    The characteristics are (lam - 1/2, mu + 1/2) and (1/2, 1/2), each a in
+    [-1/2, 1/2], so every exponent n (n + 2a) is >= 0: at w = 0 both peak at
+    n = 0, and taking out the largest term at large Im tau underflows neither
+    normalisation column. The columns c_j(w) of theta[lam+1/2; mu+1/2] and
     theta[1/2;1/2] (of theta[1/2;1/2] alone at the trivial twist) come from
     one exp table over the window, w = 0 being one more point, each summed in
     order of n. A term's relative rounding is at most eps times
@@ -283,10 +283,11 @@ def _p1_taylor(tw: TwistPair, ws: np.ndarray, tau: complex, order: int,
     shift); the bound of c_j sums those over |x^j/j! term|, and _divide
     carries it through the quotient.
     """
-    width = math.ceil(math.sqrt(_THETA_TAIL / (math.pi * tau.imag) + 0.25)) + 1
-    if width > 16 * cfg.theta_range:
-        raise NotConverged(f"theta window of {2 * width + 1} terms exceeds 32*theta_range "
-                           f"at tau = {tau}")
+    span = math.sqrt(_THETA_TAIL / (math.pi * tau.imag) + 0.25)
+    if span + 1 > _THETA_MAX_HALF_WIDTH:      # also when span is inf
+        raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
+                           f"either side of 0 at tau = {tau}")
+    width = math.ceil(span) + 1
     m = np.rint(ws.real / (_TWO_PI * tau.imag))
     shifted = np.count_nonzero(m)
     reach = np.abs(ws)
@@ -298,9 +299,8 @@ def _p1_taylor(tw: TwistPair, ws: np.ndarray, tau: complex, order: int,
     if trivial:
         bs, cols_needed = [(0.5, 0.5)], order + 1
     else:
-        # theta[lam+1/2; .] = theta[lam-1/2; .]: keep the characteristic in [-1/2, 1/2)
-        a = tw.lam + 0.5 if tw.lam < 0.5 else tw.lam - 0.5
-        bs, cols_needed = [(a, tw.mu + 0.5), (0.5, 0.5)], max(order, 2)
+        # theta[lam+1/2; .] = theta[lam-1/2; .], with lam - 1/2 in [-1/2, 1/2)
+        bs, cols_needed = [(tw.lam - 0.5, tw.mu + 0.5), (0.5, 0.5)], max(order, 2)
     rows = np.array([[a, 2j * math.pi * b, _EPS * _TWO_PI * abs(b)] for a, b in bs])
     ns = np.arange(-width, width + 1.0)
     xs = ns + rows[:, :1].real
@@ -408,103 +408,61 @@ def twisted_pk_qseries(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], 
 
     Returns the array of shape (len(ks), len(zs)) of
     ((-1)^k/(k-1)!) * sum over n in Z + lam of n^{k-1} q_z^n / (1 - theta^-1 q^n),
-    omitting n = 0 exactly when the twist is trivial. Each z sums its own
-    window, sized by its distance to the two annulus edges and doubled per
-    (k, z) until the three outermost terms on each side fall below cfg.tol;
-    the windows lie end to end in one flat array, so exp(n*z) is taken once
-    for all orders and the z-independent denominators once for all points.
-    Every value is the sum of its own contiguous segment: it does not depend
-    on the other points of the batch.
+    omitting n = 0 exactly when the twist is trivial. Each (k, z) sums its
+    own window, sized by the distance of z to the two annulus edges and
+    doubled until the three outermost terms on each side fall below cfg.tol.
 
-    Converges on the annulus |q| < |q_z| < 1 only; DomainError outside,
-    NearPole when a denominator degenerates, NotConverged when a window
-    passes 64*cfg.q_order terms. The stated bound is truncation only: near
-    the annulus edges the long windows lose digits to rounding. The batch
-    raises when one of its points would alone.
+    Converges on the annulus |q| < |q_z| < 1 only; DomainError outside (every
+    z is checked first), NearPole when a denominator degenerates, NotConverged
+    when a window passes 64*cfg.q_order terms. The stated bound is truncation
+    only: near the annulus edges the long windows lose digits to rounding.
     """
     ks = list(ks)
     if ks and min(ks) < 1:
         raise ValueError("twisted_pk_qseries requires k >= 1")
-    zs = [complex(z) for z in zs]
-    rows = _pk_series(ks, tw, zs, tau, cfg)
-    return np.array(rows, dtype=complex).reshape(len(ks), len(zs))
-
-
-def _pk_series(ks: list[int], tw: TwistPair, zs: list[complex], tau: complex,
-               cfg: TruncationConfig) -> list[list[complex]]:
-    """The q-series of twisted_pk_qseries, as one list of values per order."""
     tau = require_upper_half(tau)
+    zs = [complex(z) for z in zs]
     h = _TWO_PI * tau.imag
     for z in zs:
         if not (-h < z.real < 0.0 and cmath.isfinite(z)):
             raise DomainError(
                 f"q-series needs a finite z with -2*pi*Im(tau) < Re(z) < 0, got z = {z:.4g}, "
                 f"width {h:.4g}")
-    out = [[0j] * len(zs) for _ in ks]
-    # open points: [index into zs, window below n = 0, window from n = 0, open orders by index]
-    level = [[j, _window_size(h + z.real, cfg.tol), _window_size(-z.real, cfg.tol),
-              list(range(len(ks)))] for j, z in enumerate(zs)]
+    values = [[_pk_series(k, tw, z, tau, cfg) for z in zs] for k in ks]
+    return np.array(values, dtype=complex).reshape(len(ks), len(zs))
+
+
+def _pk_series(k: int, tw: TwistPair, z: complex, tau: complex,
+               cfg: TruncationConfig) -> complex:
+    """P_k[tw](z, tau) of twisted_pk_qseries, for z already checked to lie in the annulus."""
+    h = _TWO_PI * tau.imag
     cap = 64 * cfg.q_order
-    triv = int(tw.is_trivial)
+    n_up = _window_size(-z.real, cfg.tol)
+    n_dn = _window_size(h + z.real, cfg.tol)
     th_inv = cmath.exp(2j * math.pi * tw.mu)   # theta^{-1}
     th = cmath.exp(-2j * math.pi * tw.mu)
-    q_up = 2j * math.pi * tau
-    q_dn = -2j * math.pi * tau
     while True:
-        level = [p for p in level if p[3]]
-        if not level:
-            return out
-        dn = [p[1] for p in level]
-        up = [p[2] for p in level]
-        lo, hi = max(dn), max(up)
-        if max(lo, hi) > cap:
-            p = next(p for p in level if max(p[1], p[2]) > cap)
-            raise NotConverged(f"P_{ks[p[3][0]]} window exceeded {cap} terms "
-                               "near the annulus boundary")
-        # the table holds each n of the level once, the lo values n < 0 first
-        rs = np.arange(-lo, hi + 1, dtype=float)
-        if triv:
+        if max(n_up, n_dn) > cap:
+            raise NotConverged(f"P_{k} window exceeded {cap} terms near the annulus boundary")
+        rs = np.arange(-n_dn, n_up + 1, dtype=float)
+        if tw.is_trivial:
             rs = rs[rs != 0.0]
         ns = rs + tw.lam
-        den = 1.0 - np.concatenate((th * np.exp(q_dn * ns[:lo]), th_inv * np.exp(q_up * ns[lo:])))
-        mags = np.abs(den)
-        if np.minimum.reduce(mags) < _POLE_EPS:
-            p = next(p for p in level
-                     if np.minimum.reduce(mags[lo - p[1]:lo + p[2] + 1 - triv]) < _POLE_EPS)
-            raise NearPole(f"P_{ks[p[3][0]]} denominator within {_POLE_EPS} "
-                           f"of zero at tau = {tau}")
-        # point c's window is the table slice [lo - dn, lo + up], at flat offset start[c]
-        sizes = [d + u + 1 - triv for d, u in zip(dn, up)]
-        if len(level) == 1:
-            take, edges, start = slice(None), _EDGES, [0]
-        else:
-            start = list(accumulate(sizes, initial=0))
-            take = np.arange(start[-1]) + np.array(
-                [lo - d - s for d, s in zip(dn, start)]).repeat(sizes)
-            edges = np.array([(s, s + 1, s + 2, t - 3, t - 2, t - 1)
-                              for s, t in zip(start, start[1:])])
+        pos = ns >= 0.0
+        n_p, n_m = ns[pos], ns[~pos]
+        den_p = 1.0 - th_inv * np.exp(2j * math.pi * tau * n_p)
+        den_m = 1.0 - th * np.exp(-2j * math.pi * tau * n_m)
+        if min(np.abs(den_p).min(initial=1.0), np.abs(den_m).min(initial=1.0)) < _POLE_EPS:
+            raise NearPole(f"P_{k} denominator within {_POLE_EPS} of zero at tau = {tau}")
+        terms = np.empty(ns.shape, dtype=complex)
+        terms[pos] = n_p ** (k - 1) * np.exp(n_p * z) / den_p
         # n < 0 terms are multiplied through by -theta*q^{-n} to keep magnitudes tame
-        shifts = np.array([w for p in level for w in (zs[p[0]] - q_up, zs[p[0]])])
-        e = np.exp(ns[take] * shifts.repeat([c for d, u in zip(dn, up) for c in (d, u + 1 - triv)]))
-        den_f = den[take]
-        for i, k in enumerate(ks):
-            open_c = [c for c, p in enumerate(level) if i in p[3]]
-            if not open_c:
-                continue
-            pw = ns ** (k - 1)
-            coef = pw.astype(complex)
-            coef[:lo] = -th * pw[:lo]
-            terms = coef[take] * e / den_f
-            edge_mags = np.abs(terms[edges]).tolist()
-            pref = (-1.0) ** k / math.factorial(k - 1)
-            for c in open_c:
-                if sizes[c] >= 6 and max(edge_mags[c]) < cfg.tol:
-                    p = level[c]
-                    out[i][p[0]] = pref * complex(terms[start[c]:start[c] + sizes[c]].sum())
-                    p[3].remove(i)
-        for p in level:
-            p[1] *= 2
-            p[2] *= 2
+        terms[~pos] = -th * n_m ** (k - 1) * np.exp(n_m * (z - 2j * math.pi * tau)) / den_m
+        mags = np.abs(terms)
+        if mags.size >= 6 and mags[:3].max() < cfg.tol and mags[-3:].max() < cfg.tol:
+            return (-1.0) ** k / math.factorial(k - 1) * complex(terms.sum())
+        n_up *= 2
+        n_dn *= 2
 
 
 def _exp_frac_derivatives(alpha: float, order: int):
@@ -554,15 +512,22 @@ def _collapsed_inner_sum(alpha: float, order: int):
     return s_n
 
 
+# Hard cap on the terms either side of m = 0 in a lattice-oracle window.
+_LATTICE_MAX_HALF_WIDTH = 1536
+
+
 def _adaptive_lattice_sum(term, rate_up: float, rate_dn: float,
                           cfg: TruncationConfig) -> complex:
-    """Sum term(m) over m in Z with geometric tails; grows the window as needed."""
-    cap = 64 * cfg.lattice_range
-    m_up = max(cfg.lattice_range, _window_size(rate_up, cfg.tol, pad=8))
-    m_dn = max(cfg.lattice_range, _window_size(rate_dn, cfg.tol, pad=8))
+    """Sum term(m) over m in Z with geometric tails of those rates.
+
+    Each side starts where its tail bound exp(-rate*m) passes cfg.tol, and both
+    double until the three outermost terms on each side are below cfg.tol.
+    """
+    m_up = _window_size(rate_up, cfg.tol, pad=8)
+    m_dn = _window_size(rate_dn, cfg.tol, pad=8)
     while True:
-        if max(m_up, m_dn) > cap:
-            raise NotConverged(f"lattice window exceeded {cap} terms")
+        if max(m_up, m_dn) > _LATTICE_MAX_HALF_WIDTH:
+            raise NotConverged(f"lattice window exceeded {_LATTICE_MAX_HALF_WIDTH} terms")
         vals = [term(m) for m in range(-m_dn, m_up + 1)]
         lo = max(abs(v) for v in vals[:3])
         hi = max(abs(v) for v in vals[-3:])
@@ -585,6 +550,8 @@ def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
         raise ValueError("twisted_pk_oracle requires k >= 1")
     tau = require_upper_half(tau)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"lattice oracle needs a finite z, got z = {z}")
     if lattice_distance(z, tau) < 10 * _POLE_EPS:
         raise NearPole(f"z = {z:.6g} is a lattice translate of a pole")
     h = _TWO_PI * tau.imag

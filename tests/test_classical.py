@@ -341,8 +341,24 @@ class TestThetaChar:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_not_converged_tiny_imag(self):
-        with pytest.raises(NotConverged):
-            theta_char(0.3, 0.1, 0.5, 1e-5j)
+        # at 5e-324i the window arithmetic overflows
+        for tau in (1e-5j, 5e-324j):
+            with pytest.raises(NotConverged):
+                theta_char(0.3, 0.1, 0.5, tau)
+
+    def test_window_follows_the_characteristic(self):
+        # theta[a+1; b] = theta[a; b]
+        assert abs(theta_char(40, 0.5, 0, 1j) - theta_char(0, 0.5, 0, 1j)) <= 1e-14
+
+    def test_refusals(self):
+        for a, b, z in ((math.nan, 0.5, 0.0), (0.5, math.inf, 0.0),
+                        (0.5, 0.5, complex(0.0, math.nan))):
+            with pytest.raises(DomainError):
+                theta_char(a, b, z, 1j)
+        # the largest term, at n + a = 100/(2 pi), is exp(100^2/(4 pi)) > 1.8e308
+        for z in (100.0, -1e300):
+            with pytest.raises(NotConverged, match="largest term"):
+                theta_char(0.5, 0.5, z, 1j)
 
 
 class TestDedekindEta:
@@ -360,6 +376,11 @@ class TestDedekindEta:
         for tau in (TAU, 1j):
             approx = dz(lambda w: theta_char(0.5, 0.5, w, tau), 0.0)
             assert dedekind_eta(tau) ** 3 == pytest.approx(approx / 1j, rel=1e-10)
+
+    def test_underflow_is_not_converged(self):
+        # |eta(2800i)| = exp(-2800 pi/12) is subnormal
+        with pytest.raises(NotConverged, match="underflows"):
+            dedekind_eta(2800j)
 
     def test_s_transform(self):
         for tau in (TAU, 0.4 + 1.3j):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -95,6 +96,12 @@ class TestEval:
         assert code == EXIT_CONVERGENCE
         assert json.loads(err)["error"] == "convergence"
 
+    def test_theta_past_the_float_range_is_a_convergence_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "theta_char", "a=0.5", "b=0.5", "z=100",
+                                 "tau=i")
+        assert code == EXIT_CONVERGENCE and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "convergence"
+
     def test_float_overflow_is_a_convergence_error(self, capsys):
         code, out, err = run_cli(capsys, "eval", "prime_form", "z=-6+0.1i", "tau=i")
         assert code == EXIT_CONVERGENCE
@@ -120,8 +127,12 @@ class TestEval:
                                "--q-order", "64", "--tol", "1e-10")
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["cfg"]["q_order"] == 64
-        assert payload["cfg"]["tol"] == pytest.approx(1e-10)
+        assert payload["cfg"] == {"q_order": 64, "tol": pytest.approx(1e-10)}
+
+    @pytest.mark.parametrize("flag,value", [("--theta-range", "32"), ("--lattice-range", "24"),
+                                            ("--series-radius", "0.25")])
+    def test_window_sizes_are_not_flags(self, capsys, flag, value):
+        assert run_cli(capsys, "verify", flag, value)[0] == EXIT_PARSE
 
 
 class TestVerify:
@@ -448,6 +459,32 @@ class TestOrderSweep:
         assert code == EXIT_CONVERGENCE and out == ""
         payload = json.loads(err)
         assert payload["error"] == "convergence" and "E_150" in payload["message"]
+
+
+# every float or complex parameter of every registry row, one at a time
+VALUE_PARAMS = [(name, key) for name, (spec, _, _) in REGISTRY.items()
+                for key, kind in spec if kind in ("float", "complex")]
+
+
+class TestValueSweep:
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300", "-1e300", "1e300i"])
+    @pytest.mark.parametrize("function,key", VALUE_PARAMS)
+    def test_extreme_value_is_a_value_or_a_documented_error(self, capsys, function, key,
+                                                            value):
+        # the other arguments are the registry parity case's
+        tokens = [f"{key}={value}" if tok.partition("=")[0] == key else tok
+                  for tok in PARITY_CASES[function][0]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "eval", function, *tokens)
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_CONVERGENCE), err
+        if code == EXIT_OK:
+            value = json.loads(out)
+            assert math.isfinite(value["re"]) and math.isfinite(value["im"]), out
+        else:
+            assert out == "" and "Traceback" not in err
+            assert len(err.splitlines()) == 1 and "error" in json.loads(err)
 
 
 # registry name -> (eval key=value tokens, the same call made directly)

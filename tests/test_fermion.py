@@ -200,6 +200,26 @@ class TestRank2Partition:
         ratio = dedekind_eta(2 * TAU) / dedekind_eta(TAU)
         assert rank2_partition(p, TAU) == pytest.approx(2 * ratio**2, rel=1e-12)
 
+    def test_far_beta_agrees_with_the_theta_form(self):
+        p = OrbifoldParams(0.3, 14.0)
+        assert abs(rank2_partition(p, 1j) - rank2_partition_theta(p, 1j)) <= 1e-10
+
+    @pytest.mark.parametrize("beta,tau", [(14.8, 1j), (14.9, 1j), (15.0, 1j),
+                                          (0.7, 0.1 + 165j), (0.2, 0.1 + 600j)])
+    def test_product_past_the_float_range_is_not_converged(self, beta, tau):
+        # a subnormal prefactor (beta >= 14.8 at tau = i) or an overflowing factor
+        with pytest.raises(NotConverged, match="leaves the float range"):
+            rank2_partition(OrbifoldParams(0.3, beta), tau)
+
+    @pytest.mark.parametrize("tau", [1j, 0.2 + 0.9j])
+    @pytest.mark.parametrize("n", [15, 36, 60])
+    def test_theta_form_beta_shift(self, n, tau):
+        # Z(beta + n) = (-e^{2 pi i alpha})^n Z(beta) at every real beta
+        lhs = rank2_partition_theta(OrbifoldParams(0.3, 0.3 + n), tau)
+        rhs = (-cmath.exp(0.6j * math.pi)) ** n * rank2_partition_theta(
+            OrbifoldParams(0.3, 0.3), tau)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
     def test_kappa_uses_raw_beta(self):
         # |Z| is periodic in beta; the phase is an alpha-dependent constant
         p0 = OrbifoldParams(0.3, 0.2)

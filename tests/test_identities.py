@@ -28,10 +28,8 @@ class TestPlan:
     def test_invariants(self):
         with pytest.raises(ValueError):
             SamplePlan(count=0)
-        with pytest.raises(ValueError):
-            SamplePlan(annulus_margin=1.5)
-        with pytest.raises(ValueError):
-            SamplePlan(tau_im_min=-1.0)
+        # the sampling domains are constants, not settable fields
+        assert [f.name for f in dataclasses.fields(SamplePlan)] == ["seed", "count"]
 
     def test_residual_definition(self):
         assert residual(0, 0) == 0

@@ -1,5 +1,6 @@
 """Bernoulli data, binomials, branch-free powers, Pfaffians, determinants."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from twistell import (
+    DomainError,
     NotAntisymmetric,
     NotConverged,
     OddDimension,
@@ -19,6 +21,7 @@ from twistell import (
     pfaffian_pair_sum,
     q_exp,
 )
+from twistell.numeric import bernoulli_fraction
 
 
 def taylor_coeffs_exp_frac(lam: Fraction, order: int) -> list[Fraction]:
@@ -76,6 +79,12 @@ class TestBernoulli:
             with pytest.raises(NotConverged, match=rf"B_{n}\(0.3\) leaves the float range"):
                 bernoulli_poly(n, 0.3)
 
+    def test_past_b260_refuses_before_building_the_numbers(self):
+        bernoulli_fraction.cache_clear()
+        with pytest.raises(NotConverged, match=r"B_600\(0.3\) leaves the float range"):
+            bernoulli_poly(600, 0.3)
+        assert bernoulli_fraction.cache_info().currsize == 0
+
 
 class TestBinomial:
     def test_values(self):
@@ -101,6 +110,15 @@ class TestQExp:
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             s, t = rng.uniform(-3, 3), rng.uniform(-3, 3)
             assert q_exp(z, s + t) == pytest.approx(q_exp(z, s) * q_exp(z, t), rel=1e-12)
+
+    def test_refusals(self):
+        with pytest.raises(DomainError):
+            q_exp(complex(math.nan, 0.0), 1.0)
+        with pytest.raises(DomainError):
+            q_exp(1.0, math.inf)
+        for z, s in ((1e300, 1.0), (1e300, 1e300)):
+            with pytest.raises(NotConverged, match="leaves the float range"):
+                q_exp(z, s)
 
 
 def random_skew(rng, n):
@@ -193,12 +211,10 @@ class TestTruncationConfig:
             TruncationConfig(tol=0.0)
         with pytest.raises(ValueError):
             TruncationConfig(tol=1e40)
-        with pytest.raises(ValueError):
-            TruncationConfig(series_radius=1.5)
+        # every other window is sized from its inputs, not set here
+        assert [f.name for f in dataclasses.fields(TruncationConfig)] == ["q_order", "tol"]
 
     def test_hash_is_computed_once_from_the_fields(self):
-        import dataclasses
-
         cfg = TruncationConfig(q_order=64, tol=1e-10)
         assert hash(cfg) == hash(TruncationConfig(q_order=64, tol=1e-10))
         assert hash(cfg) == hash(tuple(cfg.asdict().values()))

@@ -184,7 +184,8 @@ class TestTwistedPk:
         import dataclasses
 
         tw = TwistPair(0.31, 0.77)
-        wide = dataclasses.replace(DEFAULT_CONFIG, lattice_range=96)
+        # a tighter tol starts wider windows
+        wide = dataclasses.replace(DEFAULT_CONFIG, tol=1e-15)
         assert twisted_pk_oracle(1, tw, Z, TAU) == pytest.approx(
             twisted_pk_oracle(1, tw, Z, TAU, wide), rel=1e-12)
 
@@ -210,8 +211,12 @@ class TestTwistedPk:
             twisted_pk(1, TwistPair(1.5e-13, 0.0), Z, TAU)
 
     def test_not_converged_near_boundary(self):
-        with pytest.raises(NotConverged):
-            qseries_pk(1, TwistPair(0.3, 0.3), -1e-10 + 0.4j, TAU)
+        # at Re z = -5e-324 the window size -log(tol)/|Re z| is inf
+        for x in (-1e-10, -5e-324):
+            with pytest.raises(NotConverged):
+                qseries_pk(1, TwistPair(0.3, 0.3), complex(x, 0.4), TAU)
+        with pytest.raises(NotConverged, match="exceeded 1536 terms"):
+            twisted_eisenstein_oracle(2, TwistPair(0.3, 0.3), 5e-324j)
 
     def test_continued_matches_oracle_outside(self):
         tw = TwistPair(0.31, 0.77)
@@ -359,9 +364,11 @@ class TestThetaKernel:
 
     @pytest.mark.parametrize("tau", [0.3 + 40j, 0.3 + 80j, 1000j])
     def test_matches_qseries_at_large_im_tau(self, tau):
-        # past Im(tau) = 64 each point's largest term is taken out of the exponents
+        # past Im(tau) = 64 each point's largest term is taken out of the exponents; at
+        # lam < 1/2 the characteristic lam - 1/2 keeps theta[1/2;1/2](0)'s column in range
         zs = [-0.3 + 0.4j, -1.1 - 0.2j, -2.0 + 1.0j]
-        for tw in (TwistPair(0.31, 0.77), TwistPair.trivial()):
+        for tw in (TwistPair(0.31, 0.77), TwistPair.trivial(), TwistPair(0.3, 0.3),
+                   TwistPair(0.7, 0.2)):
             out = twisted_pk_batch(self.KS, tw, zs, tau)
             ref = twisted_pk_qseries(self.KS, tw, zs, tau)
             assert (np.abs(out - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
@@ -402,6 +409,9 @@ class TestThetaKernel:
             twisted_pk(1, TwistPair(0.31, 0.77), -0.05 + 0.4j, 0.02j)
         with pytest.raises(NotConverged):
             twisted_pk(2, TwistPair.trivial(), -0.05 + 0.4j, 0.02j)
+        # at the least float Im tau the window size itself is inf
+        with pytest.raises(NotConverged, match="more than 512 terms"):
+            twisted_pk(1, TwistPair(0.31, 0.77), -0.05 + 0.4j, 5e-324j)
 
     def test_fock_entry_the_qseries_got_wrong(self):
         # a P_7 entry of a rank-one Fock matrix in the correlators benchmark pool,
