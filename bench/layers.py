@@ -8,10 +8,11 @@ Run from the repository root:
     python3 bench/layers.py --src OTHER/src   # times another checkout, e.g. a parent commit
 
 Each figure is the min and the median over repeats, in microseconds per call (per
-evaluation for the E_n rows, per grid for the table rows), with the E_n and eta caches
-emptied before every repeat. A checkout without p0_batch or twisted_pk_batch reports only the scalar
-loops, one without twisted_pk_qseries no q-series rows (there twisted_pk_batch is
-the q-series).
+evaluation for the E_n rows, per grid for the E_n[tw] grid and table rows), with the E_n
+and eta caches emptied before every repeat. A checkout without p0_batch or
+twisted_pk_batch reports only the scalar loops, one without twisted_pk_qseries no
+q-series rows (there twisted_pk_batch is the q-series), one without
+twisted_eisenstein_batch no E_n[tw] grid row.
 Prints one JSON object; needs nothing beyond the library itself and
 time.perf_counter.
 """
@@ -113,6 +114,12 @@ def main(argv=None) -> int:
     for label, t in (("im0.06", 0.12 + 0.06j), ("im1", 0.12 + 1j)):
         run(f"L2.twisted_eisenstein.{label}",
             lambda t=t: [twisted_eisenstein(n, tw, t) for n in ORDERS], calls=len(ORDERS))
+    # L2: E_n[tw], n = 1..3, on a 25-point tau line from Im tau 0.06 to 2, the shape of a
+    # table grid, in one batched call, per grid
+    en_batch = getattr(twistell, "twisted_eisenstein_batch", None)
+    if en_batch is not None:
+        line = [complex(0.12, 0.06 + (2.0 - 0.06) * i / 24) for i in range(25)]
+        run("L2.twisted_eisenstein_batch.grid", lambda: en_batch(ORDERS, tw, line))
     # L2: P_1..P_3 at n points, one call per (k, z) against one batched call
     for n in (1, 16, 256):
         zs = points[:n]

@@ -15,6 +15,7 @@ import cmath
 import math
 import sys
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +36,8 @@ _POLE_EPS = 1e-12
 _DISK_SERIES_MAX_ORDER = 800
 # Hard cap on the terms either side of the centre of a theta window.
 _THETA_MAX_HALF_WIDTH = 512
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_FLOAT_MAX = sys.float_info.max
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
 
 def require_upper_half(tau: complex) -> complex:
@@ -111,9 +113,192 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
             from None
     if trivial:
         minus = plus
-    const, fac = prefactors if prefactors is not None else \
-        _eisenstein_prefactors(n, lam, trivial)
+    return _eisenstein_total(n, plus, minus, prefactors if prefactors is not None else
+                             _eisenstein_prefactors(n, lam, trivial))
+
+
+def _eisenstein_total(n: int, plus: complex, minus: complex,
+                      prefactors: tuple[float, float]) -> complex:
+    """E_n from the sums of its two q-series streams and its prefactors."""
+    const, fac = prefactors
     return -const + plus / fac + (-1.0) ** n * minus / fac
+
+
+# elements of one (orders x tau x r) table of terms, about 0.4 MB of arrays at its peak:
+# _eisenstein_grid sums the taus in chunks that fit, and a tau whose table alone does
+# not by the loop
+_GRID_CHUNK = 1 << 12
+
+
+def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[complex],
+                     cfg: TruncationConfig) -> np.ndarray:
+    """_eisenstein_series(n, lam, mu, tau, cfg) for every n in ns and tau in taus, bit for
+    bit, shape (len(ns), len(taus)); the taus must already be checked by require_upper_half.
+
+    The taus are taken by Im tau, smallest first, in chunks whose (orders x tau x r)
+    table fits _GRID_CHUNK, r running up to the window of the chunk's first tau
+    (_grid_window). One numpy pass per chunk (_eisenstein_grid_sums) builds the
+    exponentials and denominators once for all orders and each power (r +- lam)^(n-1)
+    once for all tau; each (n, tau) keeps the loop's own stop and sums its terms in
+    order of r up to it. An entry whose terms meet a pole, a float overflow, a NaN
+    or the q_order cap before its stop is summed by the loop instead, so the grid
+    raises exactly where a loop call would: the first such entry in row order
+    decides the error, each order's prefactors being computed before its row.
+    """
+    trivial = lam == 0.0 and mu == 0.0
+    prefactors: dict[int, tuple[float, float] | NotConverged] = {}
+    for n in ns:
+        if n not in prefactors:
+            try:
+                prefactors[n] = _eisenstein_prefactors(n, lam, trivial)
+            except NotConverged as exc:
+                prefactors[n] = exc
+                break
+    orders = [n for n, pre in prefactors.items() if not isinstance(pre, NotConverged)]
+    sums: list[list] = [[None] * len(taus) for _ in orders]
+    by_im = sorted(range(len(taus)), key=lambda j: taus[j].imag)
+    while orders and by_im:
+        last = _grid_window(max(orders) - 1, _TWO_PI * taus[by_im[0]].imag, cfg)
+        size = _GRID_CHUNK // (len(orders) * (2 * last + 1))
+        chunk, by_im = by_im[:max(size, 1)], by_im[max(size, 1):]
+        if size:
+            rows = _eisenstein_grid_sums(orders, lam, mu, [taus[j] for j in chunk], last, cfg)
+            for k, row in enumerate(rows):
+                for j, s in zip(chunk, row):
+                    sums[k][j] = s
+    out = np.empty((len(ns), len(taus)), dtype=complex)
+    for i, n in enumerate(ns):
+        pre = prefactors[n]
+        if isinstance(pre, NotConverged):
+            raise pre
+        out[i] = [_eisenstein_series(n, lam, mu, tau, cfg, pre) if s is None
+                  else _eisenstein_total(n, *s, pre)
+                  for tau, s in zip(taus, sums[orders.index(n)])]
+    return out
+
+
+def _grid_window(p: int, h: float, cfg: TruncationConfig) -> int:
+    """The last r the grid sums at Im tau = h/(2 pi) for orders up to p + 1: the first r
+    past those at which (r+1)^p e^(-h(r-1)) / (1 - e^-h), a bound on the r-th terms, is
+    tol or more; those run from r = 1, where the bound is at least 1, as it is
+    log-concave in r. At most q_order, and past _GRID_CHUNK no chunk fits anyway."""
+    r = np.arange(1, min(cfg.q_order, _GRID_CHUNK) + 1)
+    live = p * np.log(r + 1.0) - h * (r - 1.0) >= math.log(cfg.tol) + math.log(-math.expm1(-h))
+    return min(np.count_nonzero(live) + 1, cfg.q_order)
+
+
+def _eisenstein_grid_sums(orders: list[int], lam: float, mu: float, taus: Sequence[complex],
+                          last: int, cfg: TruncationConfig) -> list[list]:
+    """For each order and tau, the sums (plus, minus) of the two streams of the E_n[tw]
+    q-series, each summed in order of r from 0.0 + 0.0j up to the loop's stop, where
+    they are the loop's, and None where the loop decides.
+
+    The table of terms (_eisenstein_terms) runs over r <= last, the window of the
+    smallest Im tau; a larger Im tau h/(2 pi) takes the exp of r - 1 <= (last - 1)
+    h_min/h + 1 only (where the same bound meets tol, (r - 1) h falls as h grows),
+    and NaN past it. abs(t) < tol is decided as abs decides it, by hypot where
+    max(|re|, |im|) leaves it open. An entry is None when it has no stop in its
+    window, when its sums are not finite (a term overflowed or met a NaN), when a
+    term near the float range or a near-pole denominator shows in its row, or when
+    q_tau * r leaves the float range.
+    """
+    trivial = lam == 0.0 and mu == 0.0
+    qtaus = np.array([2j * math.pi * tau for tau in taus])[:, None]
+    if not np.isfinite(np.abs(qtaus).max() * (last + 1)):            # q_tau * (r +- lam)
+        return [[None] * len(taus) for _ in orders]
+    h = -qtaus.real                                             # 2 pi Im tau
+    # the plus stream, r + lam from r = 0 (1 at the trivial twist), then the minus
+    # stream, r - lam from r = 1, side by side in one table, each (first r, first
+    # column); one stream when trivial
+    if trivial:
+        streams = [(1, 0)]
+        rs = np.arange(1, last + 1)
+        x = rs + lam
+        phase = np.ones(last)
+    else:
+        streams = [(0, 0), (1, last + 1)]
+        rs = np.concatenate((np.arange(last + 1), np.arange(1, last + 1)))
+        x = np.concatenate((rs[:last + 1] + lam, rs[last + 1:] - lam))
+        phase = np.full(x.size, cmath.exp(2j * math.pi * mu))
+        phase[last + 1:] = cmath.exp(-2j * math.pi * mu)
+    inside = rs <= (last - 1) * h.min() / h + 2.0
+    with np.errstate(all="ignore"):         # terms past a stop may overflow; the loop raises
+        t, near_pole = _eisenstein_terms(_powers(x, orders)[:, None, :], qtaus * x, phase,
+                                         inside)
+        big = np.abs(t.real)
+        np.maximum(big, np.abs(t.imag), out=big)        # abs(t) is in [big, sqrt(2) big]
+        # abs of a term near the float range may raise OverflowError
+        huge = (big > 0.5 * _FLOAT_MAX).any(axis=-1)
+        # abs(t) < tol, by hypot where big leaves it open
+        np.hypot(t.real, t.imag, out=big, where=(big >= 0.5 * cfg.tol) & (big < cfg.tol))
+        below = big < cfg.tol
+        small = below if trivial else below[..., 1:last + 1] & below[..., last + 1:]
+        stop = small.argmax(axis=-1) + 1                            # r of the stop
+        rows, cols = np.arange(len(orders))[:, None], np.arange(len(taus))
+        sums = []
+        for start, lo in streams:
+            t[..., lo] += 0.0                                       # 0.0 + 0.0j + first term
+            sums.append(np.add.accumulate(t[..., lo:lo + stop.max() - start + 1], axis=-1)
+                        [rows, cols, stop - start])
+        ok = (small.any(axis=-1) & np.isfinite(sums[0]) & np.isfinite(sums[-1])
+              & ~near_pole & ~huge)
+    return [[(p, m) if good else None for p, m, good in zip(*row)]
+            for row in zip(sums[0].tolist(), sums[-1].tolist(), ok.tolist())]
+
+
+def _eisenstein_terms(pw: np.ndarray, arg: np.ndarray, phase: np.ndarray,
+                      inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms x^(n-1) w / (1 - w), w = phase * exp(q_tau * x), of the E_n q-series
+    as _eisenstein_series computes them, from the powers pw (orders x 1 x r) and the
+    exponents arg = q_tau * x (tau x r), exp taken where inside and NaN elsewhere;
+    with, for each tau, whether max(|re|, |im|) of some denominator, which its abs
+    is at least, is below _POLE_EPS.
+
+    CPython's complex products are written out in real operations, numpy's complex
+    multiply and divide differing in the last bit, and _Py_c_quot's two branches
+    as num / den = ((num.re c1 + num.im c2) / denom, (num.im c1 - num.re c2) /
+    denom): c1 = 1 and c2 = ratio where |den.re| >= |den.im|, c1 = ratio and c2 = 1
+    elsewhere, a factor 1.0 being exact. The real part of q_tau * x differs from
+    CPython's only in the sign of a zero, which exp does not see.
+    """
+    e = np.exp(arg, out=np.full_like(arg, np.nan), where=inside)
+    er, ei = e.real, e.imag
+    wr = phase.real * er - phase.imag * ei                          # w = phase * e
+    wi = phase.real * ei + phase.imag * er
+    dr, di = 1.0 - wr, 0.0 - wi                                     # den = 1.0 - w
+    adr, adi = np.abs(dr), np.abs(di)
+    near_pole = (np.maximum(adr, adi) < _POLE_EPS).any(axis=-1)
+    by_real = adr >= adi
+    ratio = np.where(by_real, di / dr, dr / di)
+    denom = np.where(by_real, dr + di * ratio, dr * ratio + di)
+    c1, c2 = np.where(by_real, 1.0, ratio), np.where(by_real, ratio, 1.0)
+    nr = pw * wr - 0.0 * wi                                         # num = x^(n-1) * w
+    ni = pw * wi + 0.0 * wr
+    t = np.empty(ni.shape, dtype=complex)                           # num / den
+    np.divide(nr * c1 + ni * c2, denom, out=t.real)
+    np.divide(ni * c1 - nr * c2, denom, out=t.imag)
+    return t, near_pole
+
+
+def _powers(x: np.ndarray, orders: list[int]) -> np.ndarray:
+    """x ** (n - 1) for each n in orders and each x, shape (len(orders), x.size), by the
+    C pow that Python's float power calls (numpy's power differs in the last bit); inf
+    where it overflows."""
+    xs = x.tolist()
+    out = np.empty((len(orders), len(xs)))
+    for k, n in enumerate(orders):
+        if n == 1:
+            out[k] = 1.0                                    # pow(x, 0) is 1 for every x
+            continue
+        try:
+            out[k] = np.fromiter(map(math.pow, xs, repeat(float(n - 1))), float, len(xs))
+        except OverflowError:
+            for j, v in enumerate(xs):
+                try:
+                    out[k, j] = v ** (n - 1)
+                except OverflowError:
+                    out[k, j] = math.inf
+    return out
 
 
 @lru_cache(maxsize=100_000)

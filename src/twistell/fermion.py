@@ -266,15 +266,19 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
 
     q^{kappa^2/2 - 1/24} prod_{l>=1} (1 - theta^-1 q^{l-1/2-kappa})
     (1 - theta q^{l-1/2+kappa}); half-integer q-powers are evaluated as
-    exp(2*pi*i*tau*s), so no roots are extracted. Exactly 0 for the trivial
-    twist. NotConverged when the prefactor underflows to a subnormal float,
-    or a factor or the product leaves the float range (large |beta| or
-    Im tau); rank2_partition_theta has no such limit in beta.
+    exp(2*pi*i*tau*s), so no roots are extracted. The product is taken at
+    beta - n, n = round(beta), times (-e^{2 pi i alpha})^n = e^{2 pi i n (alpha + 1/2)}
+    (the shift law Z(beta + n) = (-e^{2 pi i alpha})^n Z(beta)), its phase
+    n (alpha + 1/2) reduced mod 1 exactly, so every beta keeps the factors in
+    range. Exactly 0 for the trivial twist. NotConverged when the prefactor
+    underflows to a subnormal float, or a factor or the product leaves the
+    float range (large Im tau).
     """
     tau = require_upper_half(tau)
     if p.is_trivial_twist:
         return 0.0 + 0.0j
-    kappa = p.kappa
+    shift = round(p.beta)
+    kappa = p.beta - shift + 0.5
     qlog = 2j * math.pi * tau
     th_inv = cmath.exp(2j * math.pi * p.alpha)
     th = cmath.exp(-2j * math.pi * p.alpha)
@@ -292,6 +296,10 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
             raise NotConverged(f"partition product not below tol within q_order={cfg.q_order}")
     except OverflowError:
         normal = False
+    if normal and shift:
+        num, den = p.alpha.as_integer_ratio()
+        # n (alpha + 1/2) mod 1, exactly
+        acc *= cmath.exp(2j * math.pi * (shift * (2 * num + den) % (2 * den) / (2 * den)))
     if normal and cmath.isfinite(acc):
         return acc
     raise NotConverged(f"partition product for {p} leaves the float range at tau = {tau}")

@@ -24,7 +24,7 @@ def test_layers_script_runs_every_row(capsys):
     assert "L3.rank1_fock_npoint.4x3" in rows
     assert {"L1.eisenstein.cold", "L1.theta_char.a0", "L1.theta_char.a40",
             "L2.twisted_eisenstein.im0.06",
-            "L2.twisted_eisenstein.im1"} <= set(rows)
+            "L2.twisted_eisenstein.im1", "L2.twisted_eisenstein_batch.grid"} <= set(rows)
     assert {"L4.cli.build_parser", "L4.table.pk_grid", "L4.table.en_grid"} <= set(rows)
     for row in rows.values():
         assert set(row) == {"min_us", "median_us"} and 0 < row["min_us"] <= row["median_us"]

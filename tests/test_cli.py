@@ -102,6 +102,12 @@ class TestEval:
         assert code == EXIT_CONVERGENCE and out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "convergence"
 
+    def test_subnormal_im_tau_in_the_lattice_oracle_is_a_convergence_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "twisted_pk_oracle", "k=1", "mu=0.3",
+                                 "lam=0.3", "z=-0.1+0.1i", "tau=5e-324i")
+        assert code == EXIT_CONVERGENCE and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "convergence"
+
     def test_float_overflow_is_a_convergence_error(self, capsys):
         code, out, err = run_cli(capsys, "eval", "prime_form", "z=-6+0.1i", "tau=i")
         assert code == EXIT_CONVERGENCE

@@ -205,11 +205,25 @@ class TestRank2Partition:
         assert abs(rank2_partition(p, 1j) - rank2_partition_theta(p, 1j)) <= 1e-10
 
     @pytest.mark.parametrize("beta,tau", [(14.8, 1j), (14.9, 1j), (15.0, 1j),
-                                          (0.7, 0.1 + 165j), (0.2, 0.1 + 600j)])
+                                          (0.7, 0.1 + 165j)])
+    def test_product_at_large_beta_matches_the_theta_form(self, beta, tau):
+        # the product at beta - round(beta) keeps its prefactor and factors in range
+        p = OrbifoldParams(0.3, beta)
+        rhs = rank2_partition_theta(p, tau)
+        assert abs(rank2_partition(p, tau) - rhs) <= 1e-12 * abs(rhs)
+
+    @pytest.mark.parametrize("beta,tau", [(0.2, 0.1 + 600j), (0.7, 0.1 + 6000j)])
     def test_product_past_the_float_range_is_not_converged(self, beta, tau):
-        # a subnormal prefactor (beta >= 14.8 at tau = i) or an overflowing factor
+        # a subnormal prefactor (kappa = 0.7 at Im tau = 600) or an overflowing one
+        # (kappa = 0.2 at Im tau = 6000)
         with pytest.raises(NotConverged, match="leaves the float range"):
             rank2_partition(OrbifoldParams(0.3, beta), tau)
+
+    def test_reduced_beta_keeps_an_exact_phase(self):
+        # (-e^{2 pi i alpha})^n = e^{2 pi i n 7/8} is exactly 1 at alpha = 3/8, n = 2^60
+        tau = 0.2 + 0.9j
+        assert rank2_partition(OrbifoldParams(0.375, 2.0**60), tau) == \
+            rank2_partition(OrbifoldParams(0.375, 0.0), tau)
 
     @pytest.mark.parametrize("tau", [1j, 0.2 + 0.9j])
     @pytest.mark.parametrize("n", [15, 36, 60])

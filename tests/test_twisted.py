@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ from twistell import (
     twisted_pk_qseries,
     weierstrass_pk,
 )
+from twistell import classical
+from twistell.classical import _eisenstein_prefactors
+from twistell.errors import TwistellError
 from twistell.numeric import bernoulli_over_factorial
 
 TAU = 0.12 + 1.1j
@@ -217,6 +221,9 @@ class TestTwistedPk:
                 qseries_pk(1, TwistPair(0.3, 0.3), complex(x, 0.4), TAU)
         with pytest.raises(NotConverged, match="exceeded 1536 terms"):
             twisted_eisenstein_oracle(2, TwistPair(0.3, 0.3), 5e-324j)
+        # the lattice row Im(z/(2 pi i))/Im tau of the pole check is inf
+        with pytest.raises(NotConverged, match="lattice row"):
+            twisted_pk_oracle(1, TwistPair(0.3, 0.3), -0.1 + 0.1j, 5e-324j)
 
     def test_continued_matches_oracle_outside(self):
         tw = TwistPair(0.31, 0.77)
@@ -522,6 +529,24 @@ def seed_twisted_eisenstein(n, tw, tau, tol=1e-12, q_order=120):
             + plus / fac + (-1.0) ** n * minus / fac)
 
 
+def loop_eisenstein_batch(ns, tw, taus):
+    """twisted_eisenstein over every (n, tau) in row order, each order's prefactors
+    checked before its row: what twisted_eisenstein_batch returns or raises."""
+    rows = []
+    for n in ns:
+        _eisenstein_prefactors(n, tw.lam, tw.is_trivial)
+        rows.append([twisted_eisenstein(n, tw, tau) for tau in taus])
+    return rows
+
+
+def outcome(fn, *args):
+    """("ok", value) or (error type and message, None)."""
+    try:
+        return "ok", fn(*args)
+    except TwistellError as exc:
+        return f"{type(exc).__name__}: {exc}", None
+
+
 def verdict(fn, *args):
     """fn's value, or "refused" when it raises NotConverged (OverflowError in a seed loop)."""
     try:
@@ -590,25 +615,46 @@ class TestEisensteinSeries:
                 assert abs(new - old_tw) <= 1e-14 * scale, (n, tau)
         assert 0 < values < 400
 
-    def test_batch_is_the_scalar_bit_for_bit(self):
-        # trivial and nontrivial twists, Im tau down to 0.02 where low orders refuse
+    def test_batch_is_the_scalar_bit_for_bit(self, monkeypatch):
+        # 25-tau lines down to Im tau 0.02, where low orders refuse at the q_order cap,
+        # orders up to 171, where (r +- lam)^(n-1) and 171! overflow, a repeated order,
+        # every kind of twist, and a near-trivial one at the r = 0 pole
         rng = random.Random(73)
-        refused = 0
-        for _ in range(60):
-            tw = rng.choice([TwistPair.trivial(), TwistPair(rng.random(), rng.random()),
-                             TwistPair(0.0, rng.random())])
-            ns = rng.sample(range(1, 40), 3)
-            taus = [complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.02), 1)))
-                    for _ in range(5)]
-            scalar = [[verdict(twisted_eisenstein, n, tw, tau) for tau in taus] for n in ns]
-            if any("refused" in row for row in scalar):
-                refused += 1
-                with pytest.raises(NotConverged):
-                    twisted_eisenstein_batch(ns, tw, taus)
-                continue
-            batch = twisted_eisenstein_batch(ns, tw, taus)
-            assert batch.shape == (3, 5) and batch.tolist() == scalar, (ns, tw, taus)
-        assert 0 < refused < 60
+        loop_calls = []
+        series = classical._eisenstein_series
+        monkeypatch.setattr(classical, "_eisenstein_series",
+                            lambda *args: loop_calls.append(args) or series(*args))
+        outcomes = []
+        for i in range(64):
+            tw = [TwistPair.trivial(), TwistPair(rng.random(), rng.random()),
+                  TwistPair(0.0, rng.random()), TwistPair(rng.random(), 0.0)][i % 4]
+            ns = rng.sample(range(1, 172), 3) if i % 3 == 0 else rng.sample(range(1, 13), 3)
+            if i == 61:
+                ns = [2, 5, 2]
+            if i == 62:
+                ns = [3, 171, 2]
+            if i == 63:
+                tw, ns = TwistPair(1e-13, 0.0), [2, 1, 3]
+            lo = math.exp(rng.uniform(math.log(0.02), math.log(1.5)))
+            taus = [complex(rng.uniform(-0.5, 0.5), lo * math.exp(rng.uniform(0, 1.5)))
+                    for _ in range(25)]
+            want = outcome(loop_eisenstein_batch, ns, tw, taus)
+            loop_calls.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = outcome(twisted_eisenstein_batch, ns, tw, taus)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            if want[0] == "ok":
+                assert got[0] == "ok" and got[1].shape == (3, 25), (ns, tw, taus)
+                # every bit, the signs of zeros included; all from the numpy pass
+                assert np.array_equal(np.array(want[1]).view(np.int64), got[1].view(np.int64))
+                assert not loop_calls
+            else:
+                assert got == want, (ns, tw, taus)
+            outcomes.append(want[0])
+        assert 20 < outcomes.count("ok") < 44
+        for kind in ("NearPole", "within q_order", "term r^", "past 170!"):
+            assert any(kind in out for out in outcomes), kind
 
     def test_batch_domain(self):
         tw = TwistPair(0.3, 0.7)
