@@ -1,6 +1,6 @@
-"""Layer timings of the E_n q-series, theta and the P_0 disk-series kernel (L1), the P_k
-theta-quotient kernel, its q-series oracle and E_n[tw] (L2), the correlators built on
-them (L3), and `twistell table` grids through cli.main in this process (L4).
+"""Layer timings of the E_n q-series, theta and P_0 = -log K from the theta-quotient prime
+form (L1), the P_k theta-quotient kernel and E_n[tw] (L2), the correlators built on them
+(L3), and `twistell table` grids through cli.main in this process (L4).
 
 Run from the repository root:
 
@@ -10,9 +10,8 @@ Run from the repository root:
 Each figure is the min and the median over repeats, in microseconds per call (per
 evaluation for the E_n rows, per grid for the E_n[tw] grid and table rows), with the E_n
 and eta caches emptied before every repeat. A checkout without p0_batch or
-twisted_pk_batch reports only the scalar loops, one without twisted_pk_qseries no
-q-series rows (there twisted_pk_batch is the q-series), one without
-twisted_eisenstein_batch no E_n[tw] grid row.
+twisted_pk_batch reports only the scalar loops, one without twisted_eisenstein_batch
+no E_n[tw] grid row.
 Prints one JSON object; needs nothing beyond the library itself and
 time.perf_counter.
 """
@@ -69,7 +68,6 @@ def main(argv=None) -> int:
         dedekind_eta.cache_clear()
 
     batch = getattr(twistell, "twisted_pk_batch", None)
-    qseries = getattr(twistell, "twisted_pk_qseries", None)
     p0_batch = getattr(twistell, "p0_batch", None)
     rng = random.Random(args.seed)
     tau = 0.12 + 1.1j
@@ -95,8 +93,9 @@ def main(argv=None) -> int:
     # follows the characteristic (a checkout that keeps its window at n = 0 misses there)
     for label, a in (("a0", 0.3), ("a40", 40.3)):
         run(f"L1.theta_char.{label}", lambda a=a: theta_char(a, 0.2, 0.4 + 0.1j, tau), inner=50)
-    # L1: P_0 at n points of its disk (|z| < 2.5, R = 2*pi), one call per z against
-    # one batched call; a separate stream keeps the L2/L3 points of earlier runs
+    # L1: P_0 at n points with |z| < 2.5, inside the radius R = 2*pi of its Laurent series,
+    # one call per z against one batched call; a separate stream keeps the L2/L3 points of
+    # earlier runs
     disk_rng = random.Random(f"disk:{args.seed}")
     disk = [complex(disk_rng.uniform(-2.0, -0.1), disk_rng.uniform(-1.5, 1.5))
             for _ in range(256)]
@@ -127,17 +126,12 @@ def main(argv=None) -> int:
                                                 for k in ORDERS for z in zs])
         if batch is not None:
             run(f"L2.pk_batch.n{n}", lambda zs=zs: batch(ORDERS, tw, zs, tau))
-        if qseries is not None:
-            run(f"L2.pk_qseries.n{n}", lambda zs=zs: qseries(ORDERS, tw, zs, tau))
-    # L2: 16 points 1e-3 of the width from the |q_z| = 1 edge, one call each: P_1 on every
-    # route, P_1..P_3 on the theta kernel only (the q-series window gives out for P_2);
-    # their own stream keeps the L3 points of earlier runs
+    # L2: 16 points 1e-3 of the width from the |q_z| = 1 edge, one call each: P_1, and
+    # P_1..P_3; their own stream keeps the L3 points of earlier runs
     edge_rng = random.Random(f"edge:{args.seed}")
     edge = [complex(-width * 1e-3, edge_rng.uniform(-3, 3)) for _ in range(16)]
     if batch is not None:
         run("L2.pk_batch.edge.k1", lambda: batch((1,), tw, edge, tau))
-    if qseries is not None:
-        run("L2.pk_qseries.edge.k1", lambda: qseries((1,), tw, edge, tau))
         run("L2.pk_batch.edge", lambda: batch(ORDERS, tw, edge, tau))
     # L3: determinant correlators on a jittered grid with every x - y in the annulus
     p = OrbifoldParams(0.27, 0.63)
@@ -148,7 +142,7 @@ def main(argv=None) -> int:
               for i in range(n)]
         run(f"L3.rank2_generating.n{n}", lambda xs=xs, ys=ys: rank2_generating(p, xs, ys, tau))
     # L3: the bosonized form, n^2 + n(n-1) prime forms, on two clusters whose pairwise
-    # differences all stay inside the prime-form disk (|z| < 2.6)
+    # differences all stay below 2.6 in modulus
     for n in (2, 4, 8, 16):
         xs = [complex(disk_rng.uniform(-2.2, -0.8), disk_rng.uniform(-0.9, 0.9)) for _ in range(n)]
         ys = [complex(disk_rng.uniform(-0.5, -0.01), disk_rng.uniform(-0.9, 0.9))

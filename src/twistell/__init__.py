@@ -16,8 +16,6 @@ from .classical import (
     prime_form,
     theta_char,
     weierstrass_pk,
-    weierstrass_pk_laurent,
-    weierstrass_pk_laurent_batch,
 )
 from .errors import (
     BalanceError,
@@ -85,7 +83,6 @@ from .twisted import (
     twisted_pk,
     twisted_pk_batch,
     twisted_pk_oracle,
-    twisted_pk_qseries,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Classical (untwisted) elliptic and modular functions.
 
 Eisenstein series E_n, the Weierstrass-type family P_k, the elliptic prime
-form K(z, tau) = exp(-P_0), Jacobi theta functions with real characteristics,
-and the Dedekind eta function.
+form K(z, tau) = theta[1/2;1/2](z, tau) / theta'[1/2;1/2](0, tau) and
+P_0 = -log K, Jacobi theta functions with real characteristics, and the
+Dedekind eta function.
 
 Conventions: q_z = exp(z) and q = exp(2*pi*i*tau), so the two periods are
 2*pi*i and 2*pi*i*tau (not 1 and tau); comparisons against tables using unit
@@ -26,16 +27,18 @@ from .numeric import (
     TruncationConfig,
     bernoulli_over_factorial,
     bernoulli_poly,
-    binomial,
 )
 
 _TWO_PI = 2.0 * math.pi
 _POLE_EPS = 1e-12
 
-# Hard cap on the z-power carried by the disk (Laurent) series.
-_DISK_SERIES_MAX_ORDER = 800
 # Hard cap on the terms either side of the centre of a theta window.
 _THETA_MAX_HALF_WIDTH = 512
+# a theta window drops terms below e^-_THETA_TAIL of the largest one, past any tol a
+# float can meet, so a rounding bound covers the truncation too
+_THETA_TAIL = 50.0
+_EPS = sys.float_info.epsilon
+_ZERO = np.zeros(1)
 _FLOAT_MAX = sys.float_info.max
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
@@ -73,7 +76,8 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
     constant is B_n(0)/n! as one float.
     prefactors, when given, is _eisenstein_prefactors(n, lam, trivial), so a
     caller at many tau computes it once per order.
-    A float overflow of (r +- lam)^(n-1), (n-1)! or the constant is NotConverged.
+    A float overflow of (r +- lam)^(n-1), (n-1)! or the constant, or of the
+    exponent 2 pi i tau r (at |Re tau| past about 3e306), is NotConverged.
     tau must already be checked by require_upper_half.
     """
     trivial = lam == 0.0 and mu == 0.0
@@ -111,6 +115,10 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
     except OverflowError:
         raise NotConverged(f"E_{n} q-series term r^{n - 1} overflows a float at r = {r}") \
             from None
+    except ValueError:
+        # cmath.exp of an infinite 2 pi i tau r, once |Re tau| r passes about 3e307
+        raise NotConverged(f"E_{n} q-series exponent 2 pi i tau r leaves the float range at "
+                           f"r = {r}, tau = {tau}") from None
     if trivial:
         minus = plus
     return _eisenstein_total(n, plus, minus, prefactors if prefactors is not None else
@@ -204,7 +212,7 @@ def _eisenstein_grid_sums(orders: list[int], lam: float, mu: float, taus: Sequen
     """
     trivial = lam == 0.0 and mu == 0.0
     qtaus = np.array([2j * math.pi * tau for tau in taus])[:, None]
-    if not np.isfinite(np.abs(qtaus).max() * (last + 1)):            # q_tau * (r +- lam)
+    if not math.isfinite(float(np.abs(qtaus).max()) * float(last + 1)):  # q_tau * (r +- lam)
         return [[None] * len(taus) for _ in orders]
     h = -qtaus.real                                             # 2 pi Im tau
     # the plus stream, r + lam from r = 0 (1 at the trivial twist), then the minus
@@ -319,133 +327,165 @@ def eisenstein(n: int, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
 
 def weierstrass_pk(k: int, z: complex, tau: complex,
                    cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Untwisted P_k(z, tau), evaluated through the twisted theta quotient twisted_pk.
+    """Untwisted P_k(z, tau): the one-point call of _weierstrass_pks.
 
-    P_k equals the trivially twisted function minus the constant 1/2 at k=1.
     Domain: the whole plane off the period lattice 2*pi*i*(Z*tau + Z).
     """
-    from .twisted import TwistPair, twisted_pk
-
-    val = twisted_pk(k, TwistPair.trivial(), z, tau, cfg)
-    if k == 1:
-        val -= 0.5
-    return val
+    return complex(_weierstrass_pks(k, [z], tau, cfg)[0])
 
 
-def _disk_radius(tau: complex) -> float:
-    """Radius R = 2*pi*min |m*tau + n| over integers (m, n) != (0, 0) of the disk series.
+def _weierstrass_pks(k: int, zs: Sequence[complex], tau: complex,
+                     cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Untwisted P_k(z, tau) at every z of zs, by one call of the twisted theta quotient:
+    the trivially twisted P_k minus the constant 1/2 at k = 1. Errors as twisted_pk_batch."""
+    from .twisted import TwistPair, twisted_pk_batch
 
-    R is the distance from 0 to the nearest other point of the period lattice
-    2*pi*i*(Z*tau + Z), found by Lagrange-Gauss reduction of the basis (1, tau);
-    it is below 2*pi whenever some |m*tau + n| < 1, e.g. when |tau| < 1.
+    vals = twisted_pk_batch([k], TwistPair.trivial(), zs, tau, cfg)[0]
+    return vals - 0.5 if k == 1 else vals
+
+
+def _odd_theta(zs: Sequence[complex], tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    """theta[1/2;1/2] by its terms n and -1-n taken together, at every z of zs.
+
+    With x = n + 1/2, s = pi Im tau and c_n = (-1)^n e^{i pi Re(tau) n(n+1)},
+        theta[1/2;1/2](z) = i e^{i pi tau/4} S(z),
+        S(z) = sum_{n>=0} c_n e^{-s n(n+1)} 2 sinh(xz),
+    and S'(0) = sum_{n>=0} c_n e^{-s n(n+1)} 2x. Returns S at every z and, as one
+    more entry, S'(0); with bounds on their rounding errors in units of eps.
+
+    S is odd: a point with z < 0 (Re z < 0, or Re z = 0 > Im z) is evaluated at
+    -z. With xz = u + i phi, u >= 0, e^{-s n(n+1)} 2 sinh(xz) = e^E ((1 - e^{-2u})
+    cos phi + i (1 + e^{-2u}) sin phi), E = u - s n(n+1), 1 - e^{-2u} by expm1:
+    so S keeps its relative accuracy as z -> 0, is exactly 0 at z = 0, and no
+    factor leaves the float range unless a term does. The Gaussian e^E peaks at
+    x* = Re z / (2 s); each point sums the terms from max(0, c - N) to c + N,
+    c = round(x* - 1/2), s (N - 1/2)^2 >= _THETA_TAIL, which cover every term
+    within e^-_THETA_TAIL of the largest. One (points x window) table serves
+    every point and, as one more row, z = 0, whose terms c_n e^{-s n(n+1)} 2x
+    give S'(0); a row is padded with -0.0 past its own terms and summed in
+    order of n, so each value depends only on its own z.
+
+    A bound is the sum over a point's terms of (4 + W + 2 pi|tau| n(n+1))
+    (|re| + |im|) + 4 e^E |xz|, W their number: the rounding of the arguments,
+    of the functions and of the sum. The window does not depend on a tol.
+    DomainError for a non-finite z; NotConverged when the window passes 512
+    terms (Im tau below about 6e-5) or a term, summed over the window, would
+    leave the float range.
     """
-    u, v = 1.0 + 0.0j, require_upper_half(tau)
-    while True:
-        v -= round((v / u).real) * u
-        if abs(v) >= abs(u):
-            return _TWO_PI * abs(u)
-        u, v = v, u
-
-
-def _disk_points(zs, tau: complex, what: str) -> tuple[np.ndarray, float]:
-    """zs as a 1-D complex array, checked to lie in the disk 0 < |z| < R, and max |z|."""
-    zs = np.asarray(zs, dtype=complex).reshape(-1)
-    if not zs.size:
-        return zs, 0.0
-    radius = _disk_radius(tau)
-    r = np.abs(zs)
-    reach = float(r.max())
-    if not (r.min() > 0 and reach < radius):      # NaN fails both
-        bad = r[~((r > 0) & (r < radius))][0]
-        raise DomainError(f"{what} needs 0 < |z| < R = 2*pi*min|m*tau + n| = {radius:.4g}, "
-                          f"got |z| = {bad:.4g}")
-    return zs, reach
-
-
-def _disk_series(coeff, start: int, shift: int, zs: np.ndarray, reach: float, tol: float,
-                 what: str) -> np.ndarray:
-    """Sum coeff(n) * z**(n - shift) over even n >= start, for every z of zs at once.
-
-    Each point stops after its first two successive terms below tol. Terms
-    grow with |z|, so the point of largest |z| (reach) stops last: the window
-    of orders ends where its term bound has twice fallen below tol, with a
-    1e-9 relative margin for the table's rounding. So coeff(n) is read once
-    per order for the whole batch and never past the last stop. The terms
-    form one (orders x points) table; each column is summed in order up to
-    its own stop, so a value depends only on its own z, and the batch raises
-    when one of its points would alone.
-    """
-    if not zs.size:
-        return zs
-    ns = range(start + start % 2, _DISK_SERIES_MAX_ORDER + 1, 2)
-    bound = tol / (1.0 + 1e-9)
-    coeffs: list[complex] = []
-    small = 0
-    for n in ns:
-        coeffs.append(coeff(n))
-        small = small + 1 if abs(coeffs[-1]) * reach ** (n - shift) < bound else 0
-        if small == 2:
-            break
-    else:
-        raise NotConverged(f"{what} stalled at |z| = {reach:.4g}")
-    powers = zs ** np.arange(ns.start - shift, n - shift + 1, 2)[:, None]
-    terms = np.array(coeffs)[:, None] * powers
-    below = np.abs(terms) < tol
-    stops = (below[1:] & below[:-1]).argmax(axis=0)      # row before each column's stop
-    return np.add.accumulate(terms)[1:][stops, np.arange(zs.size)]
-
-
-def weierstrass_pk_laurent_batch(k: int, zs: Sequence[complex], tau: complex,
-                                 cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Untwisted P_k by its Laurent series about z = 0, for every z of zs.
-
-    P_k = 1/z^k + (-1)^k sum_{n>=k} C(n-1, k-1) E_n(tau) z^{n-k}; only even n
-    contribute. Converges on the disk 0 < |z| < R = 2*pi*min|m*tau + n| over
-    (m, n) != (0, 0), so unlike the q-series it does not care about the sign of
-    Re(z); kept as an independent oracle. Each value depends only on its own z.
-    """
-    if k < 1:
-        raise ValueError("weierstrass_pk_laurent requires k >= 1")
     tau = require_upper_half(tau)
-    zs, reach = _disk_points(zs, tau, "Laurent series")
-    acc = _disk_series(lambda n: binomial(n - 1, k - 1) * eisenstein(n, tau, cfg), k, k, zs,
-                       reach, cfg.tol, f"P_{k} Laurent series")
-    return zs ** -k + (-1.0) ** k * acc
+    zs = np.array(zs, dtype=complex).reshape(-1)
+    finite = np.isfinite(zs)
+    if np.count_nonzero(finite) < zs.size:
+        raise DomainError(f"theta[1/2;1/2] needs a finite z, got z = {zs[~finite][0]}")
+    spread = math.pi * tau.imag
+    reach = math.sqrt(_THETA_TAIL / spread) + 0.5
+    if reach > _THETA_MAX_HALF_WIDTH:      # also when reach is inf
+        raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
+                           f"either side of its centre at tau = {tau}")
+    half = math.ceil(reach)
+    flip = zs < 0
+    ws = np.concatenate((np.where(flip, -zs, zs), _ZERO))      # z = 0 last
+    peak = ws.real / (2.0 * spread)
+    j = int(peak.argmax())
+    pk = float(peak[j])
+    # the largest E: s (x*^2 + 1/4) at x = x* >= 1/2, s x* at x = 1/2 below
+    top = spread * (pk * pk + 0.25) if pk >= 0.5 else spread * pk
+    if top + math.log(4.0 * half + 2.0) > _LOG_FLOAT_MAX:
+        raise NotConverged(f"theta[1/2;1/2]'s largest term would leave the float range at "
+                           f"z = {zs[j]:.6g}, tau = {tau}")
+    centre = np.rint(peak - 0.5)
+    first = np.maximum(centre - half, 0.0)
+    ns = first[:, None] + np.arange((centre - first).max() + half + 1.0)
+    pad = ns > (centre + half)[:, None]
+    xs = ns + 0.5
+    sq = ns * (ns + 1.0)
+    u = xs * ws.real[:, None]
+    phi = xs * ws.imag[:, None]
+    scale = np.exp(u - spread * sq)                             # e^E
+    em = np.expm1(-2.0 * u)
+    re = scale * -em * np.cos(phi)
+    im = scale * (2.0 + em) * np.sin(phi)
+    re[-1], im[-1] = 2.0 * xs[-1] * scale[-1], 0.0
+    # c_n over every n of the table
+    n_all = np.arange(ns[:, -1].max() + 1.0)
+    c = np.exp((1j * math.pi * tau.real) * (n_all * (n_all + 1.0)))
+    c[1::2] *= -1.0
+    cn = c[ns.astype(np.intp)]
+    terms = np.empty(re.shape, dtype=complex)
+    terms.real = cn.real * re - cn.imag * im
+    terms.imag = cn.real * im + cn.imag * re
+    terms[pad] = complex(-0.0, -0.0)        # x + -0.0 is x, for every x
+    sums = np.add.accumulate(terms, axis=1)[:, -1]
+    slack = (5.0 + half + centre - first)[:, None] + (2.0 * math.pi * abs(tau)) * sq
+    err = slack * (np.abs(re) + np.abs(im)) + (4.0 * scale) * (u + np.abs(phi))
+    err[pad] = 0.0
+    errs = np.add.accumulate(err, axis=1)[:, -1]
+    np.negative(sums[:-1], out=sums[:-1], where=flip)
+    return sums, errs
 
 
-def weierstrass_pk_laurent(k: int, z: complex, tau: complex,
-                           cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Untwisted P_k by its Laurent series: the one-point call of weierstrass_pk_laurent_batch."""
-    return complex(weierstrass_pk_laurent_batch(k, [z], tau, cfg)[0])
+def _prime_forms(zs: Sequence[complex], tau: complex,
+                 cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """K(z) = theta[1/2;1/2](z)/theta'[1/2;1/2](0) = S(z)/S'(0) at every z of zs, each
+    to cfg.tol relative to |K|, from one _odd_theta table; each value depends only
+    on its own z.
+
+    Every use of K in this library takes its log or divides by it, so K has the
+    domain of the kernels P_k: NearPole where |K| < 1e-11, within about 1e-11 of
+    a lattice point; NotConverged where the rounding bound, carried through the
+    quotient, passes cfg.tol |K| (close to the lattice points other than 0,
+    and at small Im tau, where both sums cancel); otherwise errors as
+    _odd_theta.
+    """
+    sums, errs = _odd_theta(zs, tau)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ks = sums[:-1] / sums[-1]
+        aks = np.abs(ks)
+        bounds = _EPS * ((errs[:-1] + aks * errs[-1]) / abs(sums[-1]) + 2.0 * aks)
+    zero = aks < 10 * _POLE_EPS
+    if zero.any():
+        j = int(zero.argmax())
+        raise NearPole(f"z = {complex(np.ravel(zs)[j]):.6g} is within {10 * _POLE_EPS} of a "
+                       f"zero of the prime form at tau = {tau}")
+    ok = bounds <= cfg.tol * aks
+    if np.count_nonzero(ok) < ok.size:
+        j = int(np.argmin(ok))
+        raise NotConverged(f"prime form at z = {complex(np.ravel(zs)[j]):.6g}, tau = {tau}: "
+                           f"rounding bound {bounds[j] / aks[j]:.3g} over tol {cfg.tol:.3g}")
+    return ks
 
 
 def p0_batch(zs: Sequence[complex], tau: complex,
              cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """P_0(z, tau) = -log z + sum_{k>=2} E_k(tau) z^k / k for every z of zs, principal log.
+    """P_0(z, tau) = -log K(z, tau) for every z of zs, on the branch -Log z - Log(K/z).
 
-    Defined on the disk 0 < |z| < R = 2*pi*min|m*tau + n| over (m, n) != (0, 0),
-    the distance to the nearest other lattice point; DomainError outside. One
-    disk-series table serves the whole batch, and each value depends only
-    on its own z.
+    Log is the principal logarithm. The branch is the one continuous from -log z
+    near 0, the sum -log z + sum_{k>=2} E_k(tau) z^k / k of the Laurent series on
+    the disk |z| < 2 pi min|m tau + n| over (m, n) != (0, 0); past the disk it is
+    cut where K/z crosses the negative real axis. K comes from _prime_forms, so
+    each value depends only on its own z, and its errors are p0's.
     """
-    tau = require_upper_half(tau)
-    zs, reach = _disk_points(zs, tau, "p0")
-    return _disk_series(lambda n: eisenstein(n, tau, cfg) / n, 2, 0, zs, reach, cfg.tol,
-                        "p0 series") - np.log(zs)
+    zs = np.array(zs, dtype=complex).reshape(-1)
+    ks = _prime_forms(zs, tau, cfg)
+    return -np.log(zs) - np.log(ks / zs)
 
 
 def p0(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """P_0(z, tau): the one-point call of p0_batch, on the same disk 0 < |z| < R."""
+    """P_0(z, tau): the one-point call of p0_batch, on the same branch."""
     return complex(p0_batch([z], tau, cfg)[0])
 
 
 def prime_form(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Elliptic prime form K(z, tau) = exp(-P_0(z, tau)), on the disk of p0.
+    """Elliptic prime form K(z, tau) = theta[1/2;1/2](z, tau) / theta'[1/2;1/2](0, tau).
 
-    Has a simple zero at z = 0 with unit derivative, and agrees with the
-    half-integral theta expression (-i/eta^3) * theta[1/2;1/2](z, tau).
+    Entire in z, with a simple zero at every lattice point, of unit derivative
+    at z = 0; K(z + 2 pi i) = -K(z), K(z + 2 pi i tau) = -e^{-z - i pi tau} K(z),
+    and K = exp(-P_0). The one-point call of _prime_forms, with its errors:
+    NearPole within about 1e-11 of a lattice point, where |K| < 1e-11;
+    NotConverged where K is not good to cfg.tol relative (at small Im tau, e.g.
+    0.02i, where the theta sums cancel) or its terms leave the float range.
     """
-    return cmath.exp(-p0(z, tau, cfg))
+    return complex(_prime_forms([z], tau, cfg)[0])
 
 
 def theta_char(a: float, b: float, z: complex, tau: complex,
@@ -462,7 +502,14 @@ def theta_char(a: float, b: float, z: complex, tau: complex,
     tau) (a bound on the sum over it) leaves the float range, e.g. at z = 100,
     tau = i; or when the window passes 512 terms either side of its centre,
     e.g. at Im tau = 1e-5.
+    theta[1/2;1/2], and theta[a;b] = +-theta[1/2;1/2] at a, b = 1/2 mod 1, is
+    i e^{i pi tau/4} S(z) of _odd_theta, the prime form's numerator: exactly 0
+    at z = 0 and relatively accurate near it, where the terms n and -1-n cancel.
     """
+    if a % 1.0 == 0.5 and b % 1.0 == 0.5:
+        tau = require_upper_half(tau)
+        sign = 1.0 if b % 2.0 == 0.5 else -1.0                  # theta[a;b+1] = -theta[a;b]
+        return sign * 1j * cmath.exp(0.25j * math.pi * tau) * complex(_odd_theta([z], tau)[0][0])
     _, terms = _theta_terms(a, b, z, tau, cfg)
     return complex(terms.sum())
 

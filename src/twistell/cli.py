@@ -146,10 +146,8 @@ _SIGNATURES = {
     "q_exp": (numeric, "z:complex s:complex"),
     "eisenstein": (classical, "n:int tau:complex cfg"),
     "weierstrass_pk": (classical, "k:int z:complex tau:complex cfg"),
-    "weierstrass_pk_laurent": (classical, "k:int z:complex tau:complex cfg",
-                               "weierstrass_pk_laurent_batch z"),
     "p0": (classical, "z:complex tau:complex cfg", "p0_batch z"),
-    "prime_form": (classical, "z:complex tau:complex cfg"),
+    "prime_form": (classical, "z:complex tau:complex cfg", "_prime_forms z"),
     "theta_char": (classical, "a:float b:float z:complex tau:complex cfg"),
     "dedekind_eta": (classical, "tau:complex cfg"),
     "twisted_pk": (twisted, "k:int tw z:complex tau:complex cfg", "twisted_pk_batch k z"),

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import dedekind_eta, p0_batch, require_upper_half, theta_char
+from .classical import _prime_forms, dedekind_eta, require_upper_half, theta_char
 from .errors import BalanceError, DomainError, NotConverged, UnsupportedTwist
 from .numeric import DEFAULT_CONFIG, TruncationConfig, determinant, pfaffian
 from .twisted import (
@@ -270,7 +270,9 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
     beta - n, n = round(beta), times (-e^{2 pi i alpha})^n = e^{2 pi i n (alpha + 1/2)}
     (the shift law Z(beta + n) = (-e^{2 pi i alpha})^n Z(beta)), its phase
     n (alpha + 1/2) reduced mod 1 exactly, so every beta keeps the factors in
-    range. Exactly 0 for the trivial twist. NotConverged when the prefactor
+    range. At kappa > 1/2 the l = 1 factor with the negative exponent 1/2 -
+    kappa gives its power of q to the prefactor, q^{(kappa-1)^2/2 - 1/24}.
+    Exactly 0 for the trivial twist. NotConverged when the prefactor
     underflows to a subnormal float, or a factor or the product leaves the
     float range (large Im tau).
     """
@@ -283,13 +285,21 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
     th_inv = cmath.exp(2j * math.pi * p.alpha)
     th = cmath.exp(-2j * math.pi * p.alpha)
     try:
-        acc = cmath.exp(qlog * (kappa**2 / 2.0 - 1.0 / 24.0))
+        lead, power = 1.0, kappa**2 / 2.0 - 1.0 / 24.0
+        if kappa > 0.5:
+            # the l = 1 factor 1 - theta^-1 q^e1, e1 = 1/2 - kappa < 0, is -theta^-1 q^e1
+            # (1 - theta q^-e1): q^e1 joins the prefactor, so neither leaves the float range
+            # alone (e^-766 and e^754 at kappa = 0.7, Im tau = 600)
+            lead, power = -th_inv, power + 0.5 - kappa
+        acc = lead * cmath.exp(qlog * power)
         # a subnormal prefactor has lost its digits, and the product with them
         normal = abs(acc) >= sys.float_info.min
         for l in range(1, cfg.q_order + 1):
             e1 = l - 0.5 - kappa
             e2 = l - 0.5 + kappa
-            acc *= (1.0 - th_inv * cmath.exp(qlog * e1)) * (1.0 - th * cmath.exp(qlog * e2))
+            f1 = 1.0 - th * cmath.exp(-qlog * e1) if e1 < 0 else \
+                1.0 - th_inv * cmath.exp(qlog * e1)
+            acc *= f1 * (1.0 - th * cmath.exp(qlog * e2))
             if min(e1, e2) > 0 and abs(cmath.exp(qlog * min(e1, e2))) < cfg.tol:
                 break
         else:
@@ -421,8 +431,8 @@ def rank2_generating_boson(p: OrbifoldParams, xs: Sequence[complex],
     charge insertions into the alternating order that defines the
     generating correlator; with it this expression equals rank2_generating
     on the overlap domain (the trisecant identity). Valid for both trivial
-    and nontrivial twists; all pairwise differences must stay inside the
-    prime-form disk 0 < |z| < R = 2*pi*min|m*tau + n| over (m, n) != (0, 0).
+    and nontrivial twists, at any points whose pairwise differences stay off
+    the period lattice.
     """
     tau = require_upper_half(tau)
     xs = [complex(x) for x in xs]
@@ -443,7 +453,8 @@ def lattice_npoint(p: OrbifoldParams, ms: Sequence[int], xs: Sequence[complex],
 
     pref/eta * theta[-beta+1/2; alpha+1/2](sum m_i x_i - sum n_j y_j)
     * prod K(x_i-x_k)^{m_i m_k} prod K(y_j-y_l)^{n_j n_l}
-    / prod K(x_i-y_j)^{m_i n_j}. Raises BalanceError unless sum(ms) == sum(ns).
+    / prod K(x_i-y_j)^{m_i n_j}, at any points whose pairwise differences stay
+    off the period lattice. Raises BalanceError unless sum(ms) == sum(ns).
     """
     tau = require_upper_half(tau)
     ms = [int(m) for m in ms]
@@ -466,9 +477,9 @@ def _bosonized(p: OrbifoldParams, ms: list[int], xs: list[complex], ns: list[int
     """pref/eta * theta(sum_a q_a u_a) * prod_{a<b} K(u_a - u_b)^{q_a q_b}.
 
     The points are u = xs + ys with charges q = ms, -ns, which gives the
-    prime forms of lattice_npoint. Each factor is exp(-q_a q_b P_0(u_a - u_b)),
-    all P_0 from one p0_batch call; a product that leaves the float range is
-    NotConverged.
+    prime forms of lattice_npoint. All K come from one _prime_forms call, with
+    its errors, and are raised to their integer powers, so no branch of log is
+    chosen. NotConverged also where the product leaves the float range.
     """
     us, qs = xs + ys, ms + [-n for n in ns]
     pref = cmath.exp(2j * math.pi * (p.alpha + 0.5) * (p.beta + 0.5))
@@ -476,10 +487,10 @@ def _bosonized(p: OrbifoldParams, ms: list[int], xs: list[complex], ns: list[int
     val = pref / dedekind_eta(tau, cfg) * theta_char(-p.beta + 0.5, p.alpha + 0.5,
                                                      arg, tau, cfg)
     pairs = [(a, b) for a in range(len(us)) for b in range(a + 1, len(us))]
-    p0s = p0_batch([us[a] - us[b] for a, b in pairs], tau, cfg)
-    weights = np.array([qs[a] * qs[b] for a, b in pairs], dtype=float)
+    ks = _prime_forms([us[a] - us[b] for a, b in pairs], tau, cfg)
+    weights = np.array([qs[a] * qs[b] for a, b in pairs])
     with np.errstate(over="ignore", invalid="ignore"):
-        val *= complex(np.exp(-weights * p0s).prod())
+        val *= complex((ks ** weights).prod())
     if not cmath.isfinite(val):
         raise NotConverged("product of prime forms leaves the float range")
     return val

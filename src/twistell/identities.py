@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import (
-    dedekind_eta,
-    eisenstein,
-    p0_batch,
-    theta_char,
-    weierstrass_pk_laurent_batch,
-)
+from .classical import _prime_forms, _weierstrass_pks, dedekind_eta, eisenstein, theta_char
 from .errors import RouteUnavailable
 from .fermion import (
     GSelector,
@@ -178,10 +172,9 @@ class _Sampler:
         raise RuntimeError("annulus sampling failed to clear the minimum separation")
 
     def spread_points(self, tau: complex, n: int, re_lo: float, re_hi: float,
-                      min_sep: float | None = None) -> list[complex]:
-        """n points with Re in (re_lo, re_hi), pairwise differences off the lattice
-        and with nondegenerate real parts."""
-        sep = min_sep if min_sep is not None else _MIN_SEPARATION
+                      min_sep: float) -> list[complex]:
+        """n points with Re in (re_lo, re_hi), pairwise differences at least min_sep
+        from the lattice and with nondegenerate real parts."""
         for _ in range(100):
             pts = [complex(self.uniform(re_lo, re_hi), self.uniform(-1.0, 1.0))
                    for _ in range(n)]
@@ -189,7 +182,7 @@ class _Sampler:
             for i in range(n):
                 for j in range(i + 1, n):
                     d = pts[i] - pts[j]
-                    if abs(d.real) < 0.04 or lattice_distance(d, tau) < sep:
+                    if abs(d.real) < 0.04 or lattice_distance(d, tau) < min_sep:
                         ok = False
             if ok:
                 return pts
@@ -197,7 +190,7 @@ class _Sampler:
 
     def xy_clusters(self, tau: complex, n_x: int, n_y: int) -> tuple[list[complex], list[complex]]:
         """psi+ points and psi- points with every x - y strictly inside the annulus
-        and every pairwise difference inside the prime-form disk."""
+        and the points of each group at least _MIN_SEPARATION apart."""
         for _ in range(100):
             xs = [complex(self.uniform(-2.2, -0.8), self.uniform(-0.9, 0.9))
                   for _ in range(n_x)]
@@ -357,15 +350,13 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         records.append(SampleRecord(f"P_1[tw] z+2pi*i*tau, tw={tw} z={_c(z)} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
 
-        # untwisted family on the disk evaluator: small tau keeps all four points
-        # inside its disk 0 < |z| < R = 2*pi*min|m*tau2 + n|, since
-        # |z| < pi*|tau2| + 0.71 < 3.9 and R >= 2*pi*Im(tau2) > 5
+        # untwisted family, by weierstrass_pk's batch form
         tau2 = complex(s.uniform(-0.15, 0.15), s.uniform(0.8, 0.95))
         w = complex(s.uniform(-0.5, 0.5), s.uniform(-0.5, 0.5))
         z2 = w - 1j * math.pi
         z3 = w - 1j * math.pi * tau2
-        disk = [z2 + 2j * math.pi, z2, z3 + 2j * math.pi * tau2, z3]
-        pk = [complex(v) for v in weierstrass_pk_laurent_batch(k, disk, tau2, cfg)]
+        four = [z2 + 2j * math.pi, z2, z3 + 2j * math.pi * tau2, z3]
+        pk = _weierstrass_pks(k, four, tau2, cfg).tolist()
         records.append(SampleRecord(f"P_{k} z+2pi*i, z={_c(z2)} tau={_c(tau2)}",
                                     pk[0], pk[1], residual(pk[0], pk[1])))
         rhs = pk[3] - (1.0 if k == 1 else 0.0)
@@ -385,8 +376,8 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         records.append(SampleRecord(f"theta z+2pi*i*tau, a={a:.4g} b={b:.4g} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
 
-        # prime form K = exp(-P_0) on the same four points of its disk
-        kf = [cmath.exp(-complex(v)) for v in p0_batch(disk, tau2, cfg)]
+        # the prime form at the same four points, by prime_form's batch form
+        kf = _prime_forms(four, tau2, cfg).tolist()
         records.append(SampleRecord(f"K z+2pi*i, z={_c(z2)} tau={_c(tau2)}",
                                     kf[0], -kf[1], residual(kf[0], -kf[1])))
         rhs = -cmath.exp(-z3) * cmath.exp(-1j * math.pi * tau2) * kf[3]
@@ -664,8 +655,8 @@ def check_modular_correlators(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_
             def _detq(xx, yy, tt):
                 q = np.ones((3, 3), dtype=complex)
                 q[2, 2] = 0.0
-                q[:2, :2] = weierstrass_pk_laurent_batch(
-                    1, [x - y for x in xx for y in yy], tt, cfg).reshape(2, 2)
+                q[:2, :2] = np.reshape(
+                    _weierstrass_pks(1, [x - y for x in xx for y in yy], tt, cfg), (2, 2))
                 return determinant(q)
 
             gxs = [gamma_act_point(gamma, x, tau)[0] for x in xs]

@@ -4,12 +4,11 @@ A twist pair (theta, phi) in U(1) x U(1) is stored by canonical phases,
 theta = exp(-2*pi*i*mu) and phi = exp(2*pi*i*lam) with mu, lam in [0, 1).
 P_k[tw] is evaluated as a theta quotient on the whole plane off the period
 lattice (twisted_pk_batch); E_n[tw] by the q-expansion it shares with the
-classical E_n (classical._eisenstein_series). Two oracles stay
-independent of that kernel: the q-series of P_k[tw] on the annulus
-|q| < |q_z| < 1 (twisted_pk_qseries), and the lattice sums (double sums with
-the inner sum collapsed to S(x, phi) = 1/2*delta + q_x^lam/(q_x - 1)), which
-converge for every z off the period lattice. Modular group actions on
-points and twists round out the module.
+classical E_n (classical._eisenstein_series). The lattice sums (double sums
+with the inner sum collapsed to S(x, phi) = 1/2*delta + q_x^lam/(q_x - 1)),
+which converge for every z off the period lattice, are the oracles that stay
+independent of that kernel. Modular group actions on points and twists round
+out the module.
 """
 
 from __future__ import annotations
@@ -22,8 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .classical import (
+    _EPS,
     _POLE_EPS,
     _THETA_MAX_HALF_WIDTH,
+    _THETA_TAIL,
+    _ZERO,
     _eisenstein_grid,
     _eisenstein_series,
     _theta_terms,
@@ -177,18 +179,11 @@ def lattice_distance(z: complex, tau: complex) -> float:
     return best
 
 
-def _window_size(rate: float, tol: float, pad: int = 16) -> int:
-    """Smallest N with exp(-rate*N) below tol, padded; 2^62 when N is that large or
+def _window_size(rate: float, tol: float) -> int:
+    """Smallest N with exp(-rate*N) below tol, padded by 8; 2^62 when N is that large or
     infinite (rate <= 0, or so small that -log(tol)/rate overflows)."""
     size = -math.log(tol) / rate if rate > 0 else math.inf
-    return int(size) + pad if size < 1 << 62 else 1 << 62
-
-
-# the theta window drops terms below e^-_THETA_TAIL of the largest one, past any tol
-# a float can meet, so the rounding bound below covers the truncation too
-_THETA_TAIL = 50.0
-_EPS = float(np.finfo(float).eps)
-_ZERO = np.zeros(1)
+    return int(size) + 8 if size < 1 << 62 else 1 << 62
 
 
 def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], tau: complex,
@@ -219,8 +214,8 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
     |term| over |theta|, weighted by each term's exponent, carried through
     the division -- passes cfg.tol relative to max(1, |P_k|): near lattice
     points, and at small Im tau (e.g. 0.05i), where the theta sums cancel.
-    The batch raises when one of its points would alone. twisted_pk_qseries
-    is the q-series oracle on the annulus.
+    The batch raises when one of its points would alone. twisted_pk_oracle
+    is the lattice-sum oracle at a nontrivial twist.
     """
     ks = list(ks)
     if ks and min(ks) < 1:
@@ -406,69 +401,6 @@ def twisted_pk(k: int, tw: TwistPair, z: complex, tau: complex,
     return complex(twisted_pk_batch([k], tw, [z], tau, cfg)[0, 0])
 
 
-def twisted_pk_qseries(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], tau: complex,
-                       cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """P_k[theta; phi](z, tau) by its q-series: the annulus oracle of twisted_pk_batch.
-
-    Returns the array of shape (len(ks), len(zs)) of
-    ((-1)^k/(k-1)!) * sum over n in Z + lam of n^{k-1} q_z^n / (1 - theta^-1 q^n),
-    omitting n = 0 exactly when the twist is trivial. Each (k, z) sums its
-    own window, sized by the distance of z to the two annulus edges and
-    doubled until the three outermost terms on each side fall below cfg.tol.
-
-    Converges on the annulus |q| < |q_z| < 1 only; DomainError outside (every
-    z is checked first), NearPole when a denominator degenerates, NotConverged
-    when a window passes 64*cfg.q_order terms. The stated bound is truncation
-    only: near the annulus edges the long windows lose digits to rounding.
-    """
-    ks = list(ks)
-    if ks and min(ks) < 1:
-        raise ValueError("twisted_pk_qseries requires k >= 1")
-    tau = require_upper_half(tau)
-    zs = [complex(z) for z in zs]
-    h = _TWO_PI * tau.imag
-    for z in zs:
-        if not (-h < z.real < 0.0 and cmath.isfinite(z)):
-            raise DomainError(
-                f"q-series needs a finite z with -2*pi*Im(tau) < Re(z) < 0, got z = {z:.4g}, "
-                f"width {h:.4g}")
-    values = [[_pk_series(k, tw, z, tau, cfg) for z in zs] for k in ks]
-    return np.array(values, dtype=complex).reshape(len(ks), len(zs))
-
-
-def _pk_series(k: int, tw: TwistPair, z: complex, tau: complex,
-               cfg: TruncationConfig) -> complex:
-    """P_k[tw](z, tau) of twisted_pk_qseries, for z already checked to lie in the annulus."""
-    h = _TWO_PI * tau.imag
-    cap = 64 * cfg.q_order
-    n_up = _window_size(-z.real, cfg.tol)
-    n_dn = _window_size(h + z.real, cfg.tol)
-    th_inv = cmath.exp(2j * math.pi * tw.mu)   # theta^{-1}
-    th = cmath.exp(-2j * math.pi * tw.mu)
-    while True:
-        if max(n_up, n_dn) > cap:
-            raise NotConverged(f"P_{k} window exceeded {cap} terms near the annulus boundary")
-        rs = np.arange(-n_dn, n_up + 1, dtype=float)
-        if tw.is_trivial:
-            rs = rs[rs != 0.0]
-        ns = rs + tw.lam
-        pos = ns >= 0.0
-        n_p, n_m = ns[pos], ns[~pos]
-        den_p = 1.0 - th_inv * np.exp(2j * math.pi * tau * n_p)
-        den_m = 1.0 - th * np.exp(-2j * math.pi * tau * n_m)
-        if min(np.abs(den_p).min(initial=1.0), np.abs(den_m).min(initial=1.0)) < _POLE_EPS:
-            raise NearPole(f"P_{k} denominator within {_POLE_EPS} of zero at tau = {tau}")
-        terms = np.empty(ns.shape, dtype=complex)
-        terms[pos] = n_p ** (k - 1) * np.exp(n_p * z) / den_p
-        # n < 0 terms are multiplied through by -theta*q^{-n} to keep magnitudes tame
-        terms[~pos] = -th * n_m ** (k - 1) * np.exp(n_m * (z - 2j * math.pi * tau)) / den_m
-        mags = np.abs(terms)
-        if mags.size >= 6 and mags[:3].max() < cfg.tol and mags[-3:].max() < cfg.tol:
-            return (-1.0) ** k / math.factorial(k - 1) * complex(terms.sum())
-        n_up *= 2
-        n_dn *= 2
-
-
 def _exp_frac_derivatives(alpha: float, order: int):
     """Term lists for d^j/dx^j of e^{alpha*x}/(e^x - 1), j = 0..order.
 
@@ -527,8 +459,8 @@ def _adaptive_lattice_sum(term, rate_up: float, rate_dn: float,
     Each side starts where its tail bound exp(-rate*m) passes cfg.tol, and both
     double until the three outermost terms on each side are below cfg.tol.
     """
-    m_up = _window_size(rate_up, cfg.tol, pad=8)
-    m_dn = _window_size(rate_dn, cfg.tol, pad=8)
+    m_up = _window_size(rate_up, cfg.tol)
+    m_dn = _window_size(rate_dn, cfg.tol)
     while True:
         if max(m_up, m_dn) > _LATTICE_MAX_HALF_WIDTH:
             raise NotConverged(f"lattice window exceeded {_LATTICE_MAX_HALF_WIDTH} terms")
@@ -700,8 +632,8 @@ def twisted_p1_theta_form(tw: TwistPair, z: complex, tau: complex,
     function needs its constant 1/2 restored on top).
 
     Raises DegenerateTheta when the denominator theta value is below cfg.tol.
-    Valid wherever the prime form is: the disk 0 < |z| < R = 2*pi*min|m*tau + n|
-    over (m, n) != (0, 0).
+    Valid off the period lattice, where the prime form does not vanish, and
+    wherever prime_form returns a value.
     """
     tau = require_upper_half(tau)
     z = complex(z)

@@ -20,10 +20,8 @@ from twistell import (
     prime_form,
     theta_char,
     weierstrass_pk,
-    weierstrass_pk_laurent,
-    weierstrass_pk_laurent_batch,
 )
-from twistell.classical import _disk_radius
+from twistell.classical import _odd_theta
 
 TAU = 0.12 + 1.1j
 
@@ -57,6 +55,58 @@ class TestEisenstein:
             eisenstein(4, 1e-4j)
 
 
+def seed_disk_series(term, start, tol=1e-14):
+    """Sum term(n) over even n >= start until two successive terms fall below tol."""
+    acc = 0.0 + 0.0j
+    small = 0
+    for n in range(start + start % 2, 801, 2):
+        t = term(n)
+        acc += t
+        small = small + 1 if abs(t) < tol else 0
+        if small >= 2:
+            return acc
+    raise NotConverged("stalled")
+
+
+def seed_p0(z, tau):
+    """P_0 = -log z + sum_{k>=2} E_k z^k / k, the Laurent series on the disk |z| < R."""
+    return -cmath.log(z) + seed_disk_series(lambda k: eisenstein(k, tau) * z**k / k, 2)
+
+
+def seed_laurent(k, z, tau):
+    """Untwisted P_k = 1/z^k + (-1)^k sum_{n>=k} C(n-1, k-1) E_n z^(n-k) on |z| < R: the
+    reference for weierstrass_pk, which no lattice oracle covers at the trivial twist."""
+    acc = seed_disk_series(
+        lambda n: binomial(n - 1, k - 1) * eisenstein(n, tau) * z ** (n - k), k)
+    return z ** (-k) + (-1.0) ** k * acc
+
+
+def disk_radius(tau):
+    """R = 2*pi*min |m*tau + n| over (m, n) != (0, 0), by Lagrange-Gauss reduction: the
+    radius of the disk where the Laurent series converge."""
+    u, v = 1.0 + 0.0j, complex(tau)
+    while True:
+        v -= round((v / u).real) * u
+        if abs(v) >= abs(u):
+            return 2 * math.pi * abs(u)
+        u, v = v, u
+
+
+def disk_batch(rng, tau, size, reach=0.95):
+    """size points spread over the disk out to reach * R, area-uniform."""
+    radius = disk_radius(tau)
+    return [cmath.rect(radius * reach * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+            for _ in range(size)]
+
+
+def mp_prime_form(z, tau):
+    """K(z) = 2i theta_1(-iz/2, q) / theta_1'(0, q), q = e^{i pi tau}, by mpmath at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        q = mp.exp(1j * mp.pi * mp.mpc(tau))
+        return complex(2j * mp.jtheta(1, -1j * mp.mpc(z) / 2, q) / mp.jtheta(1, 0, q, 1))
+
+
 class TestWeierstrassPk:
     def test_small_z_expansion(self):
         # P_1(z) = 1/z - E_2 z + O(z^3)
@@ -72,19 +122,18 @@ class TestWeierstrassPk:
                 weierstrass_pk(k, z, TAU), rel=1e-10, abs=1e-12)
 
     def test_quasi_period_in_two_pi_i_tau(self):
-        # evaluated on the disk series, whose domain holds both points
         tau = 0.05 + 0.85j
         z = 0.3 - 1j * math.pi * tau + 0.2j
         for k in (1, 2):
-            lhs = weierstrass_pk_laurent(k, z + 2j * math.pi * tau, tau)
-            rhs = weierstrass_pk_laurent(k, z, tau) - (1.0 if k == 1 else 0.0)
+            lhs = weierstrass_pk(k, z + 2j * math.pi * tau, tau)
+            rhs = weierstrass_pk(k, z, tau) - (1.0 if k == 1 else 0.0)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
 
-    def test_disk_series_matches_q_series(self):
+    def test_matches_the_laurent_series(self):
         for k in (1, 2, 3):
             z = -1.2 + 0.7j
-            assert weierstrass_pk(k, z, TAU) == pytest.approx(
-                weierstrass_pk_laurent(k, z, TAU), rel=1e-11)
+            assert weierstrass_pk(k, z, TAU) == pytest.approx(seed_laurent(k, z, TAU),
+                                                              rel=1e-11)
 
     def test_p2_is_minus_dp1(self):
         z = -1.1 + 0.3j
@@ -93,8 +142,8 @@ class TestWeierstrassPk:
 
     def test_domain_is_the_plane_off_the_lattice(self):
         # z = 0.5 lies outside the q-series annulus; the theta quotient still holds there
-        assert weierstrass_pk(1, 0.5, TAU) == pytest.approx(
-            weierstrass_pk_laurent(1, 0.5, TAU), rel=1e-12)
+        assert weierstrass_pk(1, 0.5, TAU) == pytest.approx(seed_laurent(1, 0.5, TAU),
+                                                            rel=1e-12)
         with pytest.raises(NearPole):
             weierstrass_pk(1, 2j * math.pi * TAU, TAU)
         with pytest.raises(DomainError):
@@ -126,147 +175,129 @@ class TestP0PrimeForm:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_theta_expression(self):
-        # K = (-i/eta^3) theta[1/2;1/2](z, tau) on 0 < |z| < 1
+        # K = (-i/eta^3) theta[1/2;1/2](z, tau), on the old disk and far past it
         rng = random.Random(9)
-        for tau in (TAU, 0.3 + 1.7j):
-            for _ in range(3):
-                z = cmath.rect(rng.uniform(0.1, 0.99), rng.uniform(0, 2 * math.pi))
+        for tau in (TAU, 0.3 + 1.7j, 0.3 + 0.8j):
+            for radius in (0.5, 3.0, 9.0):
+                z = cmath.rect(radius * rng.uniform(0.1, 0.99), rng.uniform(0, 2 * math.pi))
                 lhs = prime_form(z, tau)
                 rhs = -1j / dedekind_eta(tau) ** 3 * theta_char(0.5, 0.5, z, tau)
                 assert lhs == pytest.approx(rhs, rel=1e-11)
 
+    @pytest.mark.parametrize("z,tau", [
+        # once refused: the disk series needed E_150 there, whose term overflows
+        (-6 + 0.1j, 1j), (-6 + 0.1j, 5j),
+        # once refused: beyond the disk radius R = 2*pi*|tau| = 5.37
+        (-5.2 + 2j, 0.3 + 0.8j),
+        (1e-8 + 1e-9j, TAU), (1e-4 + 3e-5j, TAU), (0.3 - 2.1j, 0.45 + 0.07j)])
+    def test_matches_mpmath(self, z, tau):
+        ref = mp_prime_form(z, tau)
+        assert abs(prime_form(z, tau) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("z", [2e-11, 3e-11 - 1e-11j, 1e-7j, -2e-5 + 1e-5j])
+    def test_relative_accuracy_near_zero(self, z):
+        # terms n and -1-n taken together as a sinh: no cancellation as z -> 0
+        assert prime_form(z, TAU) == pytest.approx(z, rel=1e-12)
+        assert prime_form(-z, TAU) == -prime_form(z, TAU)
+
+    @pytest.mark.parametrize("tau", [300j, 1000j, 0.4 + 1000j])
+    def test_large_im_tau_is_twice_sinh(self, tau):
+        # K -> 2 sinh(z/2) as q -> 0; no ZeroDivisionError once e^{i pi tau/4} is out
+        for z in (0.3 - 0.2j, -4 + 2.5j, 12.0 + 1j):
+            ref = 2 * cmath.sinh(z / 2)
+            assert abs(prime_form(z, tau) - ref) <= 1e-12 * abs(ref)
+
     def test_float_overflow_is_not_converged(self):
-        # inside the disk, but the series reaches orders where r^(n-1) overflows a float
-        with pytest.raises(NotConverged, match=r"E_\d+ q-series term r\^\d+ overflows"):
-            prime_form(-6 + 0.1j, 1j)
-        with pytest.raises(NotConverged, match="E_400"):
-            eisenstein(400, 1j)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            p0(0.0, TAU)
-        with pytest.raises(DomainError):
-            p0(7.0, TAU)
-
-    def test_disk_radius_is_nearest_lattice_point(self):
-        # R = 2*pi*min|m*tau + n| over (m, n) != (0, 0), against a brute-force scan
-        rng = random.Random(5)
-        for tau in [1j, 0.3 + 0.8j, 0.5 + 0.2j, -0.5 + 0.87j, 3.4 + 0.1j] + [
-                complex(rng.uniform(-2, 2), rng.uniform(0.05, 2)) for _ in range(20)]:
-            brute = min(abs(m * tau + n) for m in range(-40, 41) for n in range(-90, 91)
-                        if (m, n) != (0, 0))
-            assert _disk_radius(tau) == pytest.approx(2 * math.pi * brute, rel=1e-12)
-
-    def test_domain_is_the_true_disk(self):
-        # |tau| < 1 puts the lattice point 2*pi*i*tau inside |z| < 2*pi
-        tau = 0.3 + 0.8j
-        radius = _disk_radius(tau)
-        assert radius == pytest.approx(2 * math.pi * abs(tau))
-        assert abs(-5.2 + 2j) > radius
-        with pytest.raises(DomainError, match="R = "):
-            prime_form(-5.2 + 2j, tau)
-        with pytest.raises(DomainError):
-            weierstrass_pk_laurent(1, -5.2 + 2j, tau)
-        # inside R the series still agrees with the theta expression
-        z = -4 + 1.5j
-        rhs = -1j / dedekind_eta(tau) ** 3 * theta_char(0.5, 0.5, z, tau)
-        assert prime_form(z, tau) == pytest.approx(rhs, rel=1e-9)
-
-    def test_large_orders_are_not_converged(self):
+        with pytest.raises(NotConverged, match="leave the float range"):
+            prime_form(100.0, 1j)
+        with pytest.raises(NotConverged, match="leave the float range"):
+            p0_batch([1.0, 1e300], 1j)
         # E_n for n > 171 needs (n-1)! beyond the float range: refused, not a raw OverflowError
         with pytest.raises(NotConverged, match="E_172"):
             eisenstein(172, 5j)
-        with pytest.raises(NotConverged):
-            p0(-6 + 0.1j, 5j)
+        with pytest.raises(NotConverged, match="E_400"):
+            eisenstein(400, 1j)
+
+    def test_small_im_tau_is_not_converged(self):
+        # the theta sums cancel to eta^3 ~ 3e-15 here: refused, not silently wrong
+        with pytest.raises(NotConverged, match="rounding bound"):
+            prime_form(0.1 + 0.05j, 0.02j)
+        with pytest.raises(NotConverged, match="rounding bound"):
+            p0(0.1 + 0.05j, 0.02j)
+        with pytest.raises(NotConverged, match="more than 512 terms"):
+            prime_form(0.1, 5e-324j)
+
+    def test_zeros(self):
+        # every use of K divides by it or takes its log: within 1e-11 of a lattice
+        # point K and P_0 = -log K are NearPole, as the kernels P_k are
+        for z in (0.0, 5e-12, 1e-300, 2j * math.pi, 2j * math.pi * TAU + 1e-13):
+            with pytest.raises(NearPole):
+                prime_form(z, TAU)
+            with pytest.raises(NearPole):
+                p0(z, TAU)
+        assert p0(2e-11, TAU) == pytest.approx(-cmath.log(2e-11), rel=1e-15)
+        with pytest.raises(DomainError):
+            p0(complex(math.nan, 0.0), TAU)
+
+    @pytest.mark.parametrize("z,tau", [
+        # once NotConverged: the disk series' last orders overflowed
+        (-0.95 * 2 * math.pi, 1j), (0.99 * disk_radius(0.3 + 0.8j), 0.3 + 0.8j),
+        # once a DomainError: beyond the disk radius
+        (7.0, TAU)])
+    def test_refusals_past_the_disk_became_values(self, z, tau):
+        assert cmath.exp(-p0(z, tau)) == pytest.approx(mp_prime_form(z, tau), rel=1e-12)
+
+    def test_branch(self):
+        # -Log z - Log(K/z): principal logs; K/z stays off the negative axis out to R
+        rng = random.Random(13)
+        for _ in range(40):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.06, 3.0))
+            zs = disk_batch(rng, tau, 25, reach=0.999)
+            vals = p0_batch(zs, tau)
+            for z, v in zip(zs, vals):
+                assert abs((v + cmath.log(z)).imag) < 2.6
 
 
-def seed_disk_series(term, start, tol=1e-12):
-    """The scalar disk-series loop the batched kernel replaced, kept as its reference."""
-    acc = 0.0 + 0.0j
-    small = 0
-    for n in range(start + start % 2, 801, 2):
-        t = term(n)
-        acc += t
-        small = small + 1 if abs(t) < tol else 0
-        if small >= 2:
-            return acc
-    raise NotConverged("stalled")
-
-
-def seed_p0(z, tau):
-    return -cmath.log(z) + seed_disk_series(lambda k: eisenstein(k, tau) * z**k / k, 2)
-
-
-def seed_laurent(k, z, tau):
-    acc = seed_disk_series(
-        lambda n: binomial(n - 1, k - 1) * eisenstein(n, tau) * z ** (n - k), k)
-    return z ** (-k) + (-1.0) ** k * acc
-
-
-def disk_batch(rng, tau, size, reach=0.95):
-    """size points spread over the disk out to reach * R, area-uniform."""
-    radius = _disk_radius(tau)
-    return [cmath.rect(radius * reach * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
-            for _ in range(size)]
-
-
-def split_by_reference(ref, zs):
-    """(points the reference evaluates with their values, points it refuses)."""
-    good, refused = [], []
-    for z in zs:
-        try:
-            good.append((z, ref(z)))
-        except NotConverged:
-            refused.append(z)
-    return good, refused
-
-
-KERNEL_TAUS = [TAU, 1j, 0.3 + 0.8j, -0.45 + 0.9j, 0.2 + 2.5j, 0.5 + 0.45j]
-
-
-class TestDiskSeriesBatch:
-    def test_p0_matches_scalar_loop(self):
+class TestP0Batch:
+    def test_matches_the_laurent_series_on_the_disk(self):
+        # seeded points out to 0.85 R, Im tau in [0.06, 3]; where the reference answers,
+        # p0 answers and agrees within tol
         rng = random.Random(31)
-        evaluated = refused = 0
-        for trial in range(24):
-            tau = KERNEL_TAUS[trial % len(KERNEL_TAUS)]
-            good, bad = split_by_reference(lambda z: seed_p0(z, tau),
-                                           disk_batch(rng, tau, rng.randint(1, 40)))
-            evaluated += len(good)
-            refused += len(bad)
-            if good:
-                vals = p0_batch([z for z, _ in good], tau)
-                for (z, ref), val in zip(good, vals):
-                    assert abs(val - ref) <= 1e-14 * abs(ref), (z, tau)
-            for z in bad:
-                with pytest.raises(NotConverged):
-                    p0(z, tau)
-        assert evaluated > 300 and refused > 10
+        evaluated = 0
+        for _ in range(24):
+            tau = complex(rng.uniform(-0.5, 0.5), 0.06 * 50 ** rng.random())
+            for z in disk_batch(rng, tau, rng.randint(1, 30), reach=0.85):
+                try:
+                    ref = seed_p0(z, tau)
+                except NotConverged:
+                    continue
+                evaluated += 1
+                assert abs(p0_batch([z], tau)[0] - ref) <= 1e-12 * max(1.0, abs(ref)), (z, tau)
+        assert evaluated > 150
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_laurent_matches_scalar_loop(self, k):
+    def test_weierstrass_pk_matches_the_laurent_series(self, k):
         rng = random.Random(40 + k)
         evaluated = 0
-        for trial in range(12):
-            tau = KERNEL_TAUS[trial % len(KERNEL_TAUS)]
-            good, bad = split_by_reference(lambda z: seed_laurent(k, z, tau),
-                                           disk_batch(rng, tau, rng.randint(1, 40)))
-            evaluated += len(good)
-            if good:
-                vals = weierstrass_pk_laurent_batch(k, [z for z, _ in good], tau)
-                for (z, ref), val in zip(good, vals):
-                    assert abs(val - ref) <= 1e-14 * abs(ref), (z, tau)
-            for z in bad:
-                with pytest.raises(NotConverged):
-                    weierstrass_pk_laurent(k, z, tau)
-        assert evaluated > 100
+        for _ in range(24):
+            tau = complex(rng.uniform(-0.5, 0.5), 0.06 * 50 ** rng.random())
+            for z in disk_batch(rng, tau, rng.randint(1, 20), reach=0.85):
+                try:
+                    ref = seed_laurent(k, z, tau)
+                    val = weierstrass_pk(k, z, tau)
+                except NotConverged:
+                    continue
+                evaluated += 1
+                assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)), (z, tau)
+        assert evaluated > 40
 
     def test_batch_invariance(self):
         # reordering and duplicating a batch, or calling one point alone, changes no bit
         rng = random.Random(12)
-        for tau in KERNEL_TAUS:
-            zs = disk_batch(rng, tau, 25, reach=0.6)
+        for tau in [TAU, 1j, 0.3 + 0.8j, -0.45 + 0.9j, 0.2 + 2.5j, 0.5 + 0.45j]:
+            zs = disk_batch(rng, tau, 25, reach=3.0)
             base = p0_batch(zs, tau)
+            assert np.array_equal(p0_batch(zs, tau), base)
             order = list(range(len(zs)))
             rng.shuffle(order)
             shuffled = p0_batch([zs[i] for i in order] + zs[:7], tau)
@@ -275,28 +306,34 @@ class TestDiskSeriesBatch:
             for i in (0, 9, 24):
                 assert p0(zs[i], tau) == base[i]
                 assert p0_batch(zs[i:i + 1], tau)[0] == base[i]
-            lau = weierstrass_pk_laurent_batch(2, zs, tau)
-            assert np.array_equal(weierstrass_pk_laurent_batch(2, zs[::-1], tau), lau[::-1])
-            assert weierstrass_pk_laurent(2, zs[5], tau) == lau[5]
+
+    def test_prime_form_table_depends_only_on_its_own_z(self):
+        # values to the sign of a zero, and bounds, whatever else the table holds
+        rng = random.Random(14)
+        for tau in [TAU, 0.3 + 0.8j, 1j, 0.3 + 40j, 0.1 + 0.07j]:
+            zs = [complex(rng.uniform(-9, 9), rng.uniform(-6, 6)) for _ in range(30)]
+            zs += [complex(rng.uniform(-3, 3), 0.0) for _ in range(5)] + [0.0, -0.0, 3j]
+            sums, errs = _odd_theta(zs, tau)
+            for i, z in enumerate(zs):
+                one, err = _odd_theta([z], tau)
+                assert one.tobytes() == sums[[i, -1]].tobytes(), z
+                assert err.tobytes() == errs[[i, -1]].tobytes(), z
 
     def test_batch_raises_as_its_failing_point_alone(self):
         tau = 0.3 + 0.8j
-        radius = _disk_radius(tau)
-        fine = [-1.0 + 0.2j, 0.5 - 0.7j, 1.4j]
-        for bad, error in [(0.99 * radius, NotConverged), (1.01 * radius * 1j, DomainError),
-                           (0.0, DomainError), (complex(math.nan, 0.0), DomainError),
+        fine = [-1.0 + 0.2j, 0.5 - 0.7j, 1.4j, 0.99 * disk_radius(tau)]
+        for bad, error in [(0.0, NearPole), (2j * math.pi * tau, NearPole),
+                           (complex(math.nan, 0.0), DomainError),
                            (complex(math.inf, 1.0), DomainError)]:
             with pytest.raises(error):
                 p0(bad, tau)
             with pytest.raises(error):
                 p0_batch(fine[:1] + [bad] + fine[1:], tau)
-            with pytest.raises(error):
-                weierstrass_pk_laurent_batch(3, fine + [bad], tau)
         assert np.all(np.isfinite(p0_batch(fine, tau)))
 
     def test_empty_batches(self):
-        for out in (p0_batch([], TAU), weierstrass_pk_laurent_batch(2, [], TAU)):
-            assert out.shape == (0,) and out.dtype == complex
+        out = p0_batch([], TAU)
+        assert out.shape == (0,) and out.dtype == complex
         with pytest.raises(DomainError):
             p0_batch([], 0.5)
 
@@ -349,6 +386,13 @@ class TestThetaChar:
     def test_window_follows_the_characteristic(self):
         # theta[a+1; b] = theta[a; b]
         assert abs(theta_char(40, 0.5, 0, 1j) - theta_char(0, 0.5, 0, 1j)) <= 1e-14
+
+    @pytest.mark.parametrize("z", [1e-300, 1e-8 + 1e-9j, 1e-4 + 3e-5j, -2.5 + 0.7j])
+    def test_odd_characteristic_is_relatively_accurate_near_zero(self, z):
+        # theta[1/2;1/2] = i eta^3 K, its terms n and -1-n taken together as a sinh
+        ref = 1j * dedekind_eta(TAU) ** 3 * mp_prime_form(z, TAU)
+        assert abs(theta_char(0.5, 0.5, z, TAU) - ref) <= 1e-13 * abs(ref)
+        assert theta_char(-0.5, 1.5, z, TAU) == -theta_char(0.5, 0.5, z, TAU)
 
     def test_refusals(self):
         for a, b, z in ((math.nan, 0.5, 0.0), (0.5, math.inf, 0.0),

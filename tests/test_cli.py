@@ -84,9 +84,8 @@ class TestEval:
         assert json.loads(out)["re"] == 6
 
     def test_domain_error_exit(self, capsys):
-        # |z| = 7 lies beyond the disk radius R = 2*pi of the Laurent series at tau = i
-        code, out, err = run_cli(capsys, "eval", "weierstrass_pk_laurent",
-                                 "k=1", "z=7", "tau=i")
+        # tau = 0.5 lies on the real axis, outside the upper half-plane
+        code, out, err = run_cli(capsys, "eval", "weierstrass_pk", "k=1", "z=7", "tau=0.5")
         assert code == EXIT_DOMAIN
         assert out == ""
         assert json.loads(err)["error"] == "domain"
@@ -94,6 +93,12 @@ class TestEval:
     def test_convergence_exit(self, capsys):
         code, _, err = run_cli(capsys, "eval", "eisenstein", "n=4", "tau=0.0001i")
         assert code == EXIT_CONVERGENCE
+        assert json.loads(err)["error"] == "convergence"
+
+    def test_huge_re_tau_is_a_convergence_error(self, capsys):
+        # once a raw ValueError from cmath.exp, reported as a parse error
+        code, out, err = run_cli(capsys, "eval", "eisenstein", "n=2", "tau=1e307+1i")
+        assert code == EXIT_CONVERGENCE and out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "convergence"
 
     def test_theta_past_the_float_range_is_a_convergence_error(self, capsys):
@@ -109,19 +114,21 @@ class TestEval:
         assert json.loads(err)["error"] == "convergence"
 
     def test_float_overflow_is_a_convergence_error(self, capsys):
-        code, out, err = run_cli(capsys, "eval", "prime_form", "z=-6+0.1i", "tau=i")
+        code, out, err = run_cli(capsys, "eval", "prime_form", "z=100", "tau=i")
         assert code == EXIT_CONVERGENCE
         assert out == ""
         payload = json.loads(err)
-        assert payload["error"] == "convergence" and "overflows" in payload["message"]
+        assert payload["error"] == "convergence" and "float range" in payload["message"]
 
-    def test_prime_form_outside_its_disk_is_a_domain_error(self, capsys):
-        # |z| = 5.57 lies below 2*pi but beyond R = 2*pi*|tau| = 5.37
-        code, out, err = run_cli(capsys, "eval", "prime_form", "z=-5.2+2i", "tau=0.3+0.8i")
-        assert code == EXIT_DOMAIN
-        assert out == ""
-        payload = json.loads(err)
-        assert payload["error"] == "domain" and "= 5.368" in payload["message"]
+    @pytest.mark.parametrize("z,tau", [("-6+0.1i", "i"), ("-5.2+2i", "0.3+0.8i")])
+    def test_prime_form_past_the_old_disk_is_a_value(self, capsys, z, tau):
+        # once refused: the E_150 term of the disk series overflowed at z = -6+0.1i, and
+        # |z| = 5.57 lies beyond that series' radius R = 2*pi*|tau| = 5.37
+        code, out, err = run_cli(capsys, "eval", "prime_form", f"z={z}", f"tau={tau}")
+        assert code == EXIT_OK, err
+        value = json.loads(out)
+        assert complex(value["re"], value["im"]) == classical.prime_form(
+            parse_complex(z), parse_complex(tau))
 
     def test_parse_errors(self, capsys):
         assert run_cli(capsys, "eval", "no_such", "x=1")[0] == EXIT_PARSE
@@ -226,9 +233,10 @@ class TestTable:
         assert all(row[-1] == "ok" for row in rows[1:])
 
     def test_domain_error_rows_flagged(self, capsys):
-        # the first two points lie beyond the disk radius R = 2*pi at tau = i
-        code, out, _ = run_cli(capsys, "table", "--function", "weierstrass_pk_laurent",
-                               "k=1", "z=-8+0.5i:-2+0.5i:5", "tau=i")
+        # the tau line crosses the real axis: its first two points are not in the upper
+        # half-plane
+        code, out, _ = run_cli(capsys, "table", "--function", "eisenstein",
+                               "n=2", "tau=0.1-0.5i:0.1+1.5i:5")
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))
         statuses = [row[-1] for row in rows[1:]]
@@ -286,10 +294,10 @@ class TestTableBatchForms:
         # a row on the lattice (z = 0) is near_pole, every other row ok
         ("twisted_pk", ["k=1..3", "mu=0.31", "lam=0.77", "z=-2+1i:2-1i:5",
                         "tau=0.12+1.1i"]),
-        # the first two points lie beyond the disk radius R = 2*pi at tau = i
-        ("p0", ["z=-8+0.5i:-2+0.5i:5", "tau=i"]),
-        ("weierstrass_pk_laurent", ["k=2", "z=-1.5+0.5i:1+2i:4", "tau=0.12+1.1i"]),
-        ("weierstrass_pk_laurent", ["k=1..3", "z=-1.5+0.5i", "tau=0.12+1.1i"]),
+        # the last row, z = 0, is near_pole, every other row ok, the first two past the
+        # radius 2*pi of the disk where P_0's Laurent series converges
+        ("p0", ["z=-8+0.5i:0:9", "tau=i"]),
+        ("prime_form", ["z=-8+0.5i:0:9", "tau=i"]),
         # tau before n: the batch axes (n, tau) are transposed into row order; the
         # Im tau = 0.02 rows are not_converged, every other row ok
         ("twisted_eisenstein", ["tau=0.1+0.02i:0.1+1i:5", "n=1..3", "mu=0.31", "lam=0.77"]),
@@ -319,9 +327,11 @@ class TestTableBatchForms:
         assert list(ks) == [1, 2, 3] and len(zs) == 25
         assert all(row[-1] == "ok" for row in list(csv.reader(io.StringIO(out)))[1:])
 
-    def test_p0_grid_is_one_batch_call(self, capsys, monkeypatch):
-        calls = self.count_calls(monkeypatch, classical, "p0_batch")
-        code, _, _ = run_cli(capsys, "table", "--function", "p0", "z=-2+0.5i:2+0.5i:9",
+    @pytest.mark.parametrize("function,batch", [("p0", "p0_batch"),
+                                                ("prime_form", "_prime_forms")])
+    def test_z_grid_is_one_batch_call(self, capsys, monkeypatch, function, batch):
+        calls = self.count_calls(monkeypatch, classical, batch)
+        code, _, _ = run_cli(capsys, "table", "--function", function, "z=-2+0.5i:2+0.5i:9",
                              "tau=i")
         assert code == EXIT_OK and len(calls) == 1 and len(calls[0][0]) == 9
 
@@ -502,8 +512,6 @@ PARITY_CASES = {
     "eisenstein": (["n=4", "tau=0.12+1.1i"], lambda: classical.eisenstein(4, _TAU)),
     "weierstrass_pk": (["k=2", "z=-1.3+0.4i", "tau=0.12+1.1i"],
                        lambda: classical.weierstrass_pk(2, -1.3 + 0.4j, _TAU)),
-    "weierstrass_pk_laurent": (["k=2", "z=-1.3+0.4i", "tau=0.12+1.1i"],
-                               lambda: classical.weierstrass_pk_laurent(2, -1.3 + 0.4j, _TAU)),
     "p0": (["z=0.7-0.4i", "tau=0.12+1.1i"], lambda: classical.p0(0.7 - 0.4j, _TAU)),
     "prime_form": (["z=0.7-0.4i", "tau=0.12+1.1i"],
                    lambda: classical.prime_form(0.7 - 0.4j, _TAU)),

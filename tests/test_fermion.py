@@ -15,6 +15,7 @@ from twistell import (
     FockLabelRank2,
     GroupElement,
     GSelector,
+    NearPole,
     NotConverged,
     OrbifoldParams,
     TwistPair,
@@ -212,12 +213,24 @@ class TestRank2Partition:
         rhs = rank2_partition_theta(p, tau)
         assert abs(rank2_partition(p, tau) - rhs) <= 1e-12 * abs(rhs)
 
-    @pytest.mark.parametrize("beta,tau", [(0.2, 0.1 + 600j), (0.7, 0.1 + 6000j)])
-    def test_product_past_the_float_range_is_not_converged(self, beta, tau):
-        # a subnormal prefactor (kappa = 0.7 at Im tau = 600) or an overflowing one
-        # (kappa = 0.2 at Im tau = 6000)
+    def test_product_past_the_float_range_is_not_converged(self):
+        # kappa = 0.7 at Im tau = 600: the prefactor e^-766 would underflow and the l = 1
+        # factor e^754 overflow; taken together they are e^-12.6, and Z is in range
+        p, tau = OrbifoldParams(0.3, 0.2), 0.1 + 600j
+        rhs = rank2_partition_theta(p, tau)
+        assert abs(rank2_partition(p, tau) - rhs) <= 1e-12 * abs(rhs)
+        # kappa = 0.2 at Im tau = 6000: |Z| ~ e^818 itself leaves the float range
         with pytest.raises(NotConverged, match="leaves the float range"):
-            rank2_partition(OrbifoldParams(0.3, beta), tau)
+            rank2_partition(OrbifoldParams(0.3, 0.7), 0.1 + 6000j)
+
+    @pytest.mark.parametrize("alpha,beta,tau", [
+        (0.3, 0.2, 0.1 + 1.1j), (0.71, 0.45, -0.2 + 0.9j), (0.3, -0.6, 0.3 + 80j),
+        (0.55, 2.1, 0.1 + 300j)])
+    def test_kappa_above_one_half_matches_the_theta_form(self, alpha, beta, tau):
+        # the l = 1 factor's negative power of q taken into the prefactor
+        p = OrbifoldParams(alpha, beta)
+        rhs = rank2_partition_theta(p, tau)
+        assert abs(rank2_partition(p, tau) - rhs) <= 1e-12 * abs(rhs)
 
     def test_reduced_beta_keeps_an_exact_phase(self):
         # (-e^{2 pi i alpha})^n = e^{2 pi i n 7/8} is exactly 1 at alpha = 3/8, n = 2^60
@@ -258,8 +271,8 @@ class TestRank2Generating:
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_difference_outside_the_annulus(self):
-        # x - y = 0.5 + 0.3i has Re > 0, outside the q-series annulus but inside
-        # the prime-form disk, so the bosonized form covers it too
+        # x - y = 0.5 + 0.3i has Re > 0, outside the q-series annulus; the bosonized
+        # form covers it too
         p = OrbifoldParams(0.27, 0.63)
         x, y = 0.5 + 0.1j, -0.2j
         lhs = rank2_generating(p, [x], [y], TAU)
@@ -486,18 +499,18 @@ class TestBosonizedBatch:
         assert rank2_generating_boson(p, [x], [y], TAU) == pytest.approx(
             boson_prefactor(p, x - y, TAU) / prime_form(x - y, TAU), rel=1e-14)
 
-    def test_one_p0_batch_call_per_request(self, monkeypatch):
+    def test_one_prime_form_table_per_request(self, monkeypatch):
         calls = []
-        batch = fermion.p0_batch
+        table = fermion._prime_forms
 
-        def counted(zs, tau, cfg=DEFAULT_CONFIG):
+        def counted(zs, tau, cfg):
             calls.append(len(zs))
-            return batch(zs, tau, cfg)
+            return table(zs, tau, cfg)
 
         def scalar(*args, **kwargs):
             raise AssertionError("scalar prime form called")
 
-        monkeypatch.setattr(fermion, "p0_batch", counted)
+        monkeypatch.setattr(fermion, "_prime_forms", counted)
         monkeypatch.setattr(classical, "p0", scalar)
         monkeypatch.setattr(classical, "prime_form", scalar)
         p = OrbifoldParams(0.27, 0.63)
@@ -511,10 +524,33 @@ class TestBosonizedBatch:
         assert calls == [6]
 
     def test_overflowing_product_is_not_converged(self):
-        # a psi+ and a psi- point 1e-300 apart: 1/K(x - y)^4 leaves the float range
+        # charges 20 and -20 at points 1e-10 apart: 1/K(x - y)^400 leaves the float range
         p = OrbifoldParams(0.27, 0.63)
-        with pytest.raises(NotConverged):
-            lattice_npoint(p, [2], [-1.0 + 1e-300j], [2], [-1.0], TAU)
+        with pytest.raises(NotConverged, match="float range"):
+            lattice_npoint(p, [20], [-1.0 + 1e-10j], [20], [-1.0], TAU)
+
+    def test_difference_on_the_lattice_is_near_pole(self):
+        # as for the determinant form, whose kernel refuses within 1e-11 of the lattice
+        p = OrbifoldParams(0.27, 0.63)
+        for x in (-1.0 + 1e-300j, -1.0 + 2j * math.pi, -1.0 + 2j * math.pi * TAU + 1e-13):
+            with pytest.raises(NearPole):
+                lattice_npoint(p, [2], [x], [2], [-1.0], TAU)
+            with pytest.raises(NearPole):
+                rank2_generating(p, [x], [-1.0], TAU)
+            with pytest.raises(NearPole):
+                rank2_generating_boson(p, [x], [-1.0], TAU)
+
+    @pytest.mark.parametrize("tau", [0.3 + 0.8j, TAU, 0.05 + 0.4j])
+    def test_matches_the_determinant_past_the_old_disk(self, tau):
+        # |x - y| beyond R = 2 pi min|m tau + n|, where the disk series refused
+        rng = random.Random(f"past-disk:{tau}")
+        for n in (1, 2, 3):
+            xs = [complex(rng.uniform(-6.5, -4.5), rng.uniform(-1.5, 1.5)) for _ in range(n)]
+            ys = [complex(rng.uniform(-0.6, 0.6), rng.uniform(-1.5, 1.5)) for _ in range(n)]
+            p = OrbifoldParams(rng.uniform(0.06, 0.94), rng.uniform(0.06, 0.94))
+            lhs = rank2_generating(p, xs, ys, tau)
+            rhs = rank2_generating_boson(p, xs, ys, tau)
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)), (n, xs, ys)
 
 
 class TestModularMultiplier:
