@@ -90,9 +90,11 @@ def main(argv=None) -> int:
     run("L1.eisenstein.cold", lambda: [eisenstein(n, t) for n, t in eis_calls],
         calls=len(eis_calls))
     # L1: one theta value at a characteristic near 0 and one near 40, where the window
-    # follows the characteristic (a checkout that keeps its window at n = 0 misses there)
-    for label, a in (("a0", 0.3), ("a40", 40.3)):
-        run(f"L1.theta_char.{label}", lambda a=a: theta_char(a, 0.2, 0.4 + 0.1j, tau), inner=50)
+    # follows the characteristic (a checkout that keeps its window at n = 0 misses there),
+    # and at [1/2;1/2], whose terms n and -1-n are taken together
+    for label, a, b in (("a0", 0.3, 0.2), ("a40", 40.3, 0.2), ("half", 0.5, 0.5)):
+        run(f"L1.theta_char.{label}", lambda a=a, b=b: theta_char(a, b, 0.4 + 0.1j, tau),
+            inner=50)
     # L1: P_0 at n points with |z| < 2.5, inside the radius R = 2*pi of its Laurent series,
     # one call per z against one batched call; a separate stream keeps the L2/L3 points of
     # earlier runs

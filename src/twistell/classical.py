@@ -3,7 +3,11 @@
 Eisenstein series E_n, the Weierstrass-type family P_k, the elliptic prime
 form K(z, tau) = theta[1/2;1/2](z, tau) / theta'[1/2;1/2](0, tau) and
 P_0 = -log K, Jacobi theta functions with real characteristics, and the
-Dedekind eta function.
+Dedekind eta function. theta_char, the prime form and the theta form of
+P_1[tw] (twisted.twisted_p1_theta_form) share one theta summation,
+_theta_columns: a window per point centred on its largest term, the terms
+n and -1-n of theta[1/2;1/2] taken together, a z-derivative of its own order
+at each point, a rounding bound on every value.
 
 Conventions: q_z = exp(z) and q = exp(2*pi*i*tau), so the two periods are
 2*pi*i and 2*pi*i*tau (not 1 and tau); comparisons against tables using unit
@@ -38,9 +42,8 @@ _THETA_MAX_HALF_WIDTH = 512
 # float can meet, so a rounding bound covers the truncation too
 _THETA_TAIL = 50.0
 _EPS = sys.float_info.epsilon
-_ZERO = np.zeros(1)
 _FLOAT_MAX = sys.float_info.max
-_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
+_FLOAT_MIN = sys.float_info.min
 
 
 def require_upper_half(tau: complex) -> complex:
@@ -344,114 +347,191 @@ def _weierstrass_pks(k: int, zs: Sequence[complex], tau: complex,
     return vals - 0.5 if k == 1 else vals
 
 
-def _odd_theta(zs: Sequence[complex], tau: complex) -> tuple[np.ndarray, np.ndarray]:
-    """theta[1/2;1/2] by its terms n and -1-n taken together, at every z of zs.
+def _turn(num: int, den: int) -> float:
+    """2 pi (num/den mod 1) for integers num and den > 0, the reduction exact."""
+    return _TWO_PI * (num % den / den)
 
-    With x = n + 1/2, s = pi Im tau and c_n = (-1)^n e^{i pi Re(tau) n(n+1)},
-        theta[1/2;1/2](z) = i e^{i pi tau/4} S(z),
-        S(z) = sum_{n>=0} c_n e^{-s n(n+1)} 2 sinh(xz),
-    and S'(0) = sum_{n>=0} c_n e^{-s n(n+1)} 2x. Returns S at every z and, as one
-    more entry, S'(0); with bounds on their rounding errors in units of eps.
 
-    S is odd: a point with z < 0 (Re z < 0, or Re z = 0 > Im z) is evaluated at
-    -z. With xz = u + i phi, u >= 0, e^{-s n(n+1)} 2 sinh(xz) = e^E ((1 - e^{-2u})
-    cos phi + i (1 + e^{-2u}) sin phi), E = u - s n(n+1), 1 - e^{-2u} by expm1:
-    so S keeps its relative accuracy as z -> 0, is exactly 0 at z = 0, and no
-    factor leaves the float range unless a term does. The Gaussian e^E peaks at
-    x* = Re z / (2 s); each point sums the terms from max(0, c - N) to c + N,
-    c = round(x* - 1/2), s (N - 1/2)^2 >= _THETA_TAIL, which cover every term
-    within e^-_THETA_TAIL of the largest. One (points x window) table serves
-    every point and, as one more row, z = 0, whose terms c_n e^{-s n(n+1)} 2x
-    give S'(0); a row is padded with -0.0 past its own terms and summed in
-    order of n, so each value depends only on its own z.
+def _theta_columns(a: float, b: float, zs: np.ndarray, tau: complex, js=0
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A z-derivative of theta[a;b], |a| <= 1/2 and b finite, at every z of zs: the one
+    theta summation behind theta_char, the prime form and twisted_p1_theta_form.
 
-    A bound is the sum over a point's terms of (4 + W + 2 pi|tau| n(n+1))
-    (|re| + |im|) + 4 e^E |xz|, W their number: the rounding of the arguments,
-    of the functions and of the sum. The window does not depend on a tol.
-    DomainError for a non-finite z; NotConverged when the window passes 512
-    terms (Im tau below about 6e-5) or a term, summed over the window, would
-    leave the float range.
+    With x = n + a, column j is d_j(z) = sum_n x^j e^{i pi tau (x^2 - a^2) + x (z +
+    2 pi i b)} = e^{-i pi tau a^2} theta^(j)[a;b](z), at each point the order j that
+    js gives it (an int for every point, or an integer array with one per point).
+    Returns the columns, their rounding bounds and each point's log-scale L: its
+    column is divided by e^L, L the largest real part of an exponent in its window.
+    tau must already be checked by require_upper_half.
+
+    b is taken as b - k, k = round(b), with the multiplier e^{2 pi i a k}, a k mod 1
+    exact, so the phases keep their digits at any b. Each point's window is centred
+    on its largest term, n + a nearest Re z / (2 pi Im tau), and reaches N terms
+    either side, pi Im(tau) (N - 1/2)^2 >= _THETA_TAIL: every term within
+    e^-_THETA_TAIL of the largest, so the rounding bound covers the truncation too.
+    Each window is summed in order of n, so each value depends only on its own z.
+    At (a, b) = (1/2, 1/2) mod 1 the terms n and -1-n are taken together over n >= 0
+    (the windows cut at n = 0 are padded with -0.0), as i (-1)^n e^{i pi tau n(n+1)}
+    times 2 sinh(xz) (even j) or 2 cosh(xz) (odd j), with exact signs: z < 0 (Re z
+    < 0, or Re z = 0 > Im z) is evaluated at -z by parity, and 1 - e^{-2 Re(xz)} by
+    expm1, so the columns stay relatively accurate as z -> 0.
+
+    The bound of d_j is eps times the sum, over the terms, of
+        |x^j| ((4 + t + 2j + 2 pi |tau| n(n + 2a) + 2 pi |b x| - (E - L)) |term|
+            + 4 e^{E - L} |x| |z|) + |s|,
+    E the real part of the term's exponent, t the multiplier's turn 2 pi (a k mod 1),
+    s the partial sum that adding the term gives, and no 2 pi |b x| when paired
+    (exact phases).
+    NotConverged when the window passes _THETA_MAX_HALF_WIDTH terms either side (Im
+    tau below about 6e-5) or pi Im tau leaves the float range; DomainError for a
+    non-finite z; NotConverged when |z|^2 / (4 pi Im tau), a bound on the log of a
+    point's largest term, passes 2^52, where no digit of its exponent is left.
     """
-    tau = require_upper_half(tau)
-    zs = np.array(zs, dtype=complex).reshape(-1)
-    finite = np.isfinite(zs)
-    if np.count_nonzero(finite) < zs.size:
-        raise DomainError(f"theta[1/2;1/2] needs a finite z, got z = {zs[~finite][0]}")
     spread = math.pi * tau.imag
-    reach = math.sqrt(_THETA_TAIL / spread) + 0.5
-    if reach > _THETA_MAX_HALF_WIDTH:      # also when reach is inf
+    half = math.sqrt(_THETA_TAIL / spread) + 0.5
+    if half > _THETA_MAX_HALF_WIDTH:      # also when half is inf
         raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
                            f"either side of its centre at tau = {tau}")
-    half = math.ceil(reach)
-    flip = zs < 0
-    ws = np.concatenate((np.where(flip, -zs, zs), _ZERO))      # z = 0 last
-    peak = ws.real / (2.0 * spread)
-    j = int(peak.argmax())
-    pk = float(peak[j])
-    # the largest E: s (x*^2 + 1/4) at x = x* >= 1/2, s x* at x = 1/2 below
-    top = spread * (pk * pk + 0.25) if pk >= 0.5 else spread * pk
-    if top + math.log(4.0 * half + 2.0) > _LOG_FLOAT_MAX:
-        raise NotConverged(f"theta[1/2;1/2]'s largest term would leave the float range at "
-                           f"z = {zs[j]:.6g}, tau = {tau}")
-    centre = np.rint(peak - 0.5)
-    first = np.maximum(centre - half, 0.0)
-    ns = first[:, None] + np.arange((centre - first).max() + half + 1.0)
-    pad = ns > (centre + half)[:, None]
-    xs = ns + 0.5
-    sq = ns * (ns + 1.0)
-    u = xs * ws.real[:, None]
-    phi = xs * ws.imag[:, None]
-    scale = np.exp(u - spread * sq)                             # e^E
-    em = np.expm1(-2.0 * u)
-    re = scale * -em * np.cos(phi)
-    im = scale * (2.0 + em) * np.sin(phi)
-    re[-1], im[-1] = 2.0 * xs[-1] * scale[-1], 0.0
-    # c_n over every n of the table
-    n_all = np.arange(ns[:, -1].max() + 1.0)
-    c = np.exp((1j * math.pi * tau.real) * (n_all * (n_all + 1.0)))
-    c[1::2] *= -1.0
-    cn = c[ns.astype(np.intp)]
-    terms = np.empty(re.shape, dtype=complex)
-    terms.real = cn.real * re - cn.imag * im
-    terms.imag = cn.real * im + cn.imag * re
-    terms[pad] = complex(-0.0, -0.0)        # x + -0.0 is x, for every x
-    sums = np.add.accumulate(terms, axis=1)[:, -1]
-    slack = (5.0 + half + centre - first)[:, None] + (2.0 * math.pi * abs(tau)) * sq
-    err = slack * (np.abs(re) + np.abs(im)) + (4.0 * scale) * (u + np.abs(phi))
-    err[pad] = 0.0
-    errs = np.add.accumulate(err, axis=1)[:, -1]
-    np.negative(sums[:-1], out=sums[:-1], where=flip)
-    return sums, errs
+    if spread > _FLOAT_MAX:
+        raise NotConverged(f"theta's exponents pi Im(tau) n^2 leave the float range at "
+                           f"tau = {tau}")
+    half = math.ceil(half)
+    zs = np.asarray(zs, dtype=complex)
+    if not zs.size:
+        return np.zeros(0, dtype=complex), np.zeros(0), np.zeros(0)
+    mod = np.abs(zs)
+    j = int(mod.argmax())
+    top = float(mod[j])
+    if not math.isfinite(top):
+        finite = np.isfinite(zs)
+        if not finite.all():
+            raise DomainError(f"theta needs a finite z, got z = {zs[~finite][0]}")
+    top /= 2.0 * spread
+    top *= spread * top
+    if not top <= 2.0 ** 52:
+        raise NotConverged(f"theta's largest term, up to e^{top:.3g}, would leave the float "
+                           f"range at z = {zs[j]:.6g}, tau = {tau}")
+    a, b = float(a), float(b)
+    k = round(b)
+    b -= k
+    paired = abs(a) == 0.5 and abs(b) == 0.5
+    if paired:
+        # theta[-1/2; b] = theta[1/2; b], and b = -1/2 is 1/2 with k - 1
+        k -= b < 0
+        a, b, turn = 0.5, 0.5, 0.0
+        flip = zs < 0
+        pts = np.where(flip, -zs, zs)
+    else:
+        num, den = a.as_integer_ratio()
+        turn, pts = _turn(num * k, den), zs
+    centre = np.rint(pts.real * (0.5 / spread) - a)
+    first, width = centre - half, 2 * half + 1
+    if paired:
+        # a window cut at n = 0 ends early: its rows past centre + N are padding
+        first = np.maximum(first, 0.0)
+        width = int(np.maximum.reduce(centre - first)) + half + 1
+    ns = np.arange(width)[:, None] + first
+    xs = ns + a
+    sq = ns * (ns + 2.0 * a)                                # x^2 - a^2 >= 0, as |a| <= 1/2
+    if paired:
+        # the terms n and -1-n together are i (-1)^n e^{i pi tau n(n+1)} times
+        # 2 sinh(xz) = e^u ((1 - e^{-2u}) cos phi + i (1 + e^{-2u}) sin phi) at even j
+        # and 2 cosh(xz) = e^u ((1 + e^{-2u}) cos phi + i (1 - e^{-2u}) sin phi) at odd j,
+        # xz = u + i phi, u >= 0, and 1 - e^{-2u} by expm1
+        u = xs * pts.real
+        real = u - spread * sq
+        scale = np.maximum.reduce(real)
+        real -= scale
+        ee = np.exp(real)                                   # e^{E - L}
+        odd = js % 2
+        # 1 - e^{-2u} at even j, its negative at odd j
+        em = np.expm1(-2.0 * u) * (2.0 * odd - 1.0)
+        phi = xs * pts.imag
+        # (-1)^n e^{i pi Re(tau) n(n+1)}, over the n of the table
+        lo = float(np.minimum.reduce(first))
+        n_all = np.arange(lo, np.maximum.reduce(first) + ns.shape[0])
+        phase = np.exp((1j * math.pi * tau.real) * (n_all * (n_all + 1.0)))
+        phase[int(lo + 1.0) % 2::2] *= -1.0
+        phase = phase[(ns - lo).astype(np.intp)]
+        re = (ee * np.cos(phi)) * (2.0 * odd + em)
+        im = (ee * np.sin(phi)) * ((2.0 - 2.0 * odd) - em)
+        # the product by the phase from real products and sums, so that no value depends
+        # on how numpy lays out the batch
+        terms = np.empty(re.shape, dtype=complex)
+        terms.real = phase.real * re - phase.imag * im
+        terms.imag = phase.real * im + phase.imag * re
+        pad = ns > centre + half
+        terms[pad] = complex(-0.0, -0.0)                   # x + -0.0 is x, for every x
+        size = np.abs(terms)
+        twist = 0.0                                         # the phase i (-1)^n is exact
+    else:
+        # the exponent i pi tau (x^2 - a^2) + x (z + 2 pi i b) + i t
+        expo = xs * (pts + 2j * math.pi * b) + (1j * math.pi * tau) * sq
+        if turn:
+            expo += 1j * turn
+        real = expo.real
+        scale = np.maximum.reduce(real)
+        expo -= scale
+        terms = np.exp(expo)
+        ee = size = np.abs(terms)                           # e^{E - L}
+        twist = _TWO_PI * abs(b)
+    pw = xs ** js                                           # rounds by at most eps
+    sums = np.add.accumulate(pw * terms, axis=0)
+    # each term's rounding in units of eps |term|, its drift with the rounding of xz,
+    # and the rounding of an addition, eps times the partial sum it gives
+    ax = np.abs(xs)
+    slack = ((4.0 + turn + 2.0 * js) + (_TWO_PI * abs(tau)) * sq + twist * ax) - real
+    err = np.abs(pw) * (size * slack + ax * (4.0 * mod) * ee) + np.abs(sums)
+    cols = sums[-1]
+    if paired:
+        err[pad] = 0.0
+        # i times the multiplier (-1)^k, and at -z the parity (-1)^(j+1)
+        cols *= np.where(flip & (odd == 0), -1j, 1j) * (1.0 - 2.0 * (k % 2))
+    return cols, _EPS * np.add.accumulate(err, axis=0)[-1], scale
 
 
 def _prime_forms(zs: Sequence[complex], tau: complex,
                  cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """K(z) = theta[1/2;1/2](z)/theta'[1/2;1/2](0) = S(z)/S'(0) at every z of zs, each
-    to cfg.tol relative to |K|, from one _odd_theta table; each value depends only
-    on its own z.
+    """K(z) = theta[1/2;1/2](z)/theta'[1/2;1/2](0) at every z of zs, each to cfg.tol
+    relative to |K|, from one _theta_columns call with z = 0 as one more point; each
+    value depends only on its own z.
 
     Every use of K in this library takes its log or divides by it, so K has the
     domain of the kernels P_k: NearPole where |K| < 1e-11, within about 1e-11 of
-    a lattice point; NotConverged where the rounding bound, carried through the
-    quotient, passes cfg.tol |K| (close to the lattice points other than 0,
-    and at small Im tau, where both sums cancel); otherwise errors as
-    _odd_theta.
+    a lattice point; NotConverged where K leaves the float range (e.g. z = 100,
+    tau = i) or where the rounding bound, carried through the quotient, passes
+    cfg.tol |K| (close to the lattice points other than 0, and at small Im tau,
+    where both sums cancel); otherwise errors as _theta_columns.
     """
-    sums, errs = _odd_theta(zs, tau)
+    tau = require_upper_half(tau)
+    zs = np.array(zs, dtype=complex).reshape(-1)
+    # S(z) at every z, and S'(0) at z = 0 as one more point
+    orders = np.zeros(zs.size + 1, dtype=np.intp)
+    orders[-1] = 1
+    cols, bounds, scale = _theta_columns(0.5, 0.5, np.append(zs, 0.0), tau, orders)
+    den = complex(cols[-1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ks = sums[:-1] / sums[-1]
+        grow = np.exp(scale[:-1] - scale[-1])
+        ratio = cols[:-1] / den
+        ks = ratio * grow
         aks = np.abs(ks)
-        bounds = _EPS * ((errs[:-1] + aks * errs[-1]) / abs(sums[-1]) + 2.0 * aks)
+        bounds = (grow * (bounds[:-1] + np.abs(ratio) * bounds[-1]) / abs(den)
+                  + 2.0 * _EPS * aks)
+    bad = ~np.isfinite(ks)
+    if bad.any():
+        j = int(bad.argmax())
+        raise NotConverged(f"prime form at z = {zs[j]:.6g}, tau = {tau}: theta's largest "
+                           f"term would leave the float range")
     zero = aks < 10 * _POLE_EPS
     if zero.any():
         j = int(zero.argmax())
-        raise NearPole(f"z = {complex(np.ravel(zs)[j]):.6g} is within {10 * _POLE_EPS} of a "
-                       f"zero of the prime form at tau = {tau}")
+        raise NearPole(f"z = {zs[j]:.6g} is within {10 * _POLE_EPS} of a zero of the prime "
+                       f"form at tau = {tau}")
     ok = bounds <= cfg.tol * aks
     if np.count_nonzero(ok) < ok.size:
         j = int(np.argmin(ok))
-        raise NotConverged(f"prime form at z = {complex(np.ravel(zs)[j]):.6g}, tau = {tau}: "
-                           f"rounding bound {bounds[j] / aks[j]:.3g} over tol {cfg.tol:.3g}")
+        raise NotConverged(f"prime form at z = {zs[j]:.6g}, tau = {tau}: rounding bound "
+                           f"{bounds[j] / aks[j]:.3g} over tol {cfg.tol:.3g}")
     return ks
 
 
@@ -483,7 +563,8 @@ def prime_form(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG)
     and K = exp(-P_0). The one-point call of _prime_forms, with its errors:
     NearPole within about 1e-11 of a lattice point, where |K| < 1e-11;
     NotConverged where K is not good to cfg.tol relative (at small Im tau, e.g.
-    0.02i, where the theta sums cancel) or its terms leave the float range.
+    0.02i, where the theta sums cancel), where it leaves the float range, or
+    when theta's window passes 512 terms either side (Im tau below about 6e-5).
     """
     return complex(_prime_forms([z], tau, cfg)[0])
 
@@ -493,52 +574,59 @@ def theta_char(a: float, b: float, z: complex, tau: complex,
     """Jacobi theta function with characteristics a, b.
 
     theta[a;b](z, tau) = sum_n exp[i*pi*(n+a)^2*tau + (n+a)*(z + 2*pi*i*b)],
-    for every real a, b and finite z. a is taken mod 1, since
-    theta[a+1; b] = theta[a; b] exactly. The terms peak at
-    n + a ~ x* = Re z / (2*pi*Im tau), at exp(pi*Im(tau)*x*^2); the window is
-    centred there and as wide as it takes for its outermost terms, and every
-    omitted term, to be below cfg.tol. DomainError for a non-finite a, b or
-    z. NotConverged, before any exp, when the peak term times 1 + 1/sqrt(Im
-    tau) (a bound on the sum over it) leaves the float range, e.g. at z = 100,
-    tau = i; or when the window passes 512 terms either side of its centre,
-    e.g. at Im tau = 1e-5.
-    theta[1/2;1/2], and theta[a;b] = +-theta[1/2;1/2] at a, b = 1/2 mod 1, is
-    i e^{i pi tau/4} S(z) of _odd_theta, the prime form's numerator: exactly 0
-    at z = 0 and relatively accurate near it, where the terms n and -1-n cancel.
+    for every real a, b and finite z: the one-point call of _theta_chars. a is
+    taken mod 1, since theta[a+1; b] = theta[a; b] exactly, and b by the shift
+    law theta[a; b+k] = e^{2 pi i a k} theta[a; b], its phase a k mod 1 exact, so
+    a large b keeps its digits. The window of _theta_columns is centred on the
+    largest term, at n + a ~ Re z / (2*pi*Im tau). At a, b = 1/2 mod 1 its
+    terms n and -1-n are taken together: theta[1/2;1/2] is exactly 0 at z = 0
+    and relatively accurate near it, where those terms cancel.
+    The value carries a rounding bound, and the rule is the prime form's: it is
+    returned where the bound is within cfg.tol |theta|, and an exact 0 is 0.
+    DomainError for a non-finite a, b or z. NotConverged where the bound passes
+    cfg.tol |theta| (close to a zero of theta[a;b], and where the terms cancel
+    at small Im tau); where theta leaves the float range (e.g. z = 100,
+    tau = i), or falls below its normal range (e.g. a = 0.3 at Im tau past
+    about 2500); or when the window passes 512 terms either side of its centre
+    (Im tau below about 6e-5).
     """
-    if a % 1.0 == 0.5 and b % 1.0 == 0.5:
-        tau = require_upper_half(tau)
-        sign = 1.0 if b % 2.0 == 0.5 else -1.0                  # theta[a;b+1] = -theta[a;b]
-        return sign * 1j * cmath.exp(0.25j * math.pi * tau) * complex(_odd_theta([z], tau)[0][0])
-    _, terms = _theta_terms(a, b, z, tau, cfg)
-    return complex(terms.sum())
+    return complex(_theta_chars(a, b, [z], tau, cfg)[0])
 
 
-def _theta_terms(a: float, b: float, z: complex, tau: complex,
-                 cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Summation indices n + a (a mod 1) and terms of theta[a;b](z, tau) over its window."""
+def _theta_chars(a: float, b: float, zs: Sequence[complex], tau: complex,
+                 cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """theta_char(a, b, z, tau, cfg) at every z of zs, from one _theta_columns call:
+    e^{i pi tau a^2 + L} c_0(z), with a taken to [-1/2, 1/2] exactly. Each value
+    depends only on its own z; the batch raises when one of its points would alone."""
     tau = require_upper_half(tau)
-    z = complex(z)
-    if not (math.isfinite(a) and math.isfinite(b) and cmath.isfinite(z)):
-        raise DomainError(f"theta needs finite a, b and z, got a = {a}, b = {b}, z = {z}")
-    a %= 1.0
-    # log |term| = spread * (peak^2 - (n + a - peak)^2)
-    spread = math.pi * tau.imag
-    peak = z.real / (2.0 * spread)
-    top = spread * peak * peak
-    if top + math.log1p(1.0 / math.sqrt(tau.imag)) > _LOG_FLOAT_MAX:
-        raise NotConverged(f"theta's largest term exp(pi*Im(tau)*x*^2), x* = {peak:.4g}, "
-                           f"leaves the float range at z = {z}, tau = {tau}")
-    # every term with |n + a - peak| >= reach is below tol; the centre n + a lies within
-    # 1/2 of the peak, so the window's outermost terms are, as is every term past them
-    reach = math.sqrt((top - math.log(cfg.tol)) / spread)
-    if reach + 0.5 > _THETA_MAX_HALF_WIDTH:      # also when reach is inf
-        raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
-                           f"either side of its centre at tau = {tau}")
-    half = math.ceil(reach + 0.5)
-    centre = round(peak - a)
-    ns = np.arange(centre - half, centre + half + 1, dtype=float) + a
-    return ns, np.exp(1j * math.pi * ns**2 * tau + ns * (z + 2j * math.pi * b))
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"theta needs finite a and b, got a = {a}, b = {b}")
+    a -= round(a)
+    zs = np.array(zs, dtype=complex).reshape(-1)
+    cols, bounds, scale = _theta_columns(a, b, zs, tau)
+    lead = 1j * math.pi * tau * (a * a)
+    slack = (4.0 + abs(lead)) * _EPS
+    vals = []
+    for z, col, bound, s in zip(zs.tolist(), cols.tolist(), bounds.tolist(),
+                                scale.tolist()):
+        try:
+            factor = cmath.exp(s + lead)
+        except OverflowError:
+            factor = complex(math.inf)
+        val = factor * col
+        if not cmath.isfinite(val):
+            raise NotConverged(f"theta's largest term would leave the float range at "
+                               f"z = {z:.6g}, tau = {tau}")
+        if abs(factor) < _FLOAT_MIN and col:
+            raise NotConverged(f"theta falls below the normal float range at z = {z:.6g}, "
+                               f"tau = {tau}")
+        bound = abs(factor) * bound + (slack + abs(s) * _EPS) * abs(val)
+        if not bound <= cfg.tol * abs(val):
+            raise NotConverged(f"theta[{a:.6g};{b:.6g}] at z = {z:.6g}, tau = {tau}: rounding "
+                               f"bound {bound / abs(val):.3g} over tol {cfg.tol:.3g}")
+        vals.append(val)
+    return np.array(vals, dtype=complex)
 
 
 @lru_cache(maxsize=100_000)
@@ -561,7 +649,7 @@ def dedekind_eta(tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> comple
     if not converged:
         raise NotConverged(f"eta product not below tol within q_order={cfg.q_order}")
     val = cmath.exp(2j * math.pi * tau / 24.0) * acc
-    if abs(val) < sys.float_info.min:
+    if abs(val) < _FLOAT_MIN:
         # subnormal or 0: every eta quotient would lose its digits or divide by 0
         raise NotConverged(f"eta underflows the float range at tau = {tau}")
     return val

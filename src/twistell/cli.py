@@ -148,7 +148,7 @@ _SIGNATURES = {
     "weierstrass_pk": (classical, "k:int z:complex tau:complex cfg"),
     "p0": (classical, "z:complex tau:complex cfg", "p0_batch z"),
     "prime_form": (classical, "z:complex tau:complex cfg", "_prime_forms z"),
-    "theta_char": (classical, "a:float b:float z:complex tau:complex cfg"),
+    "theta_char": (classical, "a:float b:float z:complex tau:complex cfg", "_theta_chars z"),
     "dedekind_eta": (classical, "tau:complex cfg"),
     "twisted_pk": (twisted, "k:int tw z:complex tau:complex cfg", "twisted_pk_batch k z"),
     "twisted_pk_oracle": (twisted, "k:int tw z:complex tau:complex cfg"),

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import _prime_forms, dedekind_eta, require_upper_half, theta_char
+from .classical import _prime_forms, _turn, dedekind_eta, require_upper_half, theta_char
 from .errors import BalanceError, DomainError, NotConverged, UnsupportedTwist
 from .numeric import DEFAULT_CONFIG, TruncationConfig, determinant, pfaffian
 from .twisted import (
@@ -309,22 +309,36 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
     if normal and shift:
         num, den = p.alpha.as_integer_ratio()
         # n (alpha + 1/2) mod 1, exactly
-        acc *= cmath.exp(2j * math.pi * (shift * (2 * num + den) % (2 * den) / (2 * den)))
+        acc *= cmath.exp(1j * _turn(shift * (2 * num + den), 2 * den))
     if normal and cmath.isfinite(acc):
         return acc
     raise NotConverged(f"partition product for {p} leaves the float range at tau = {tau}")
+
+
+def _theta_form(p: OrbifoldParams, z: complex, tau: complex, cfg: TruncationConfig) -> complex:
+    """exp(2 pi i (alpha+1/2)(beta+1/2)) / eta(tau) * theta[-beta+1/2; alpha+1/2](z, tau).
+
+    The theta is taken as theta[a; b] with a = 1/2 - (beta mod 1) and b = (alpha mod 1)
+    + 1/2, by theta[a+1; b] = theta[a; b] and theta[a; b+k] = e^{2 pi i a k} theta[a; b],
+    k = floor(alpha); the phase (alpha+1/2)(beta+1/2) + a k is reduced mod 1 exactly,
+    so a large alpha or beta keeps its digits (and beta = 1e300 its 1/2).
+    """
+    a, b = 0.5 - p.beta % 1.0, p.alpha % 1.0 + 0.5
+    # (alpha + 1/2)(beta + 1/2) + a floor(alpha) over the common denominator 4 q1 q2 q3
+    (p1, q1), (p2, q2), (p3, q3) = (x.as_integer_ratio() for x in (p.alpha, p.beta, a))
+    num = (2 * p1 + q1) * (2 * p2 + q2) * q3 + 4 * q1 * q2 * p3 * math.floor(p.alpha)
+    return (cmath.exp(1j * _turn(num, 4 * q1 * q2 * q3))
+            / dedekind_eta(tau, cfg) * theta_char(a, b, z, tau, cfg))
 
 
 def rank2_partition_theta(p: OrbifoldParams, tau: complex,
                           cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Partition function as a theta quotient (Jacobi-triple-product form).
 
-    exp(2*pi*i*(alpha+1/2)*(beta+1/2)) / eta(tau) * theta[-beta+1/2; alpha+1/2](0, tau).
+    exp(2*pi*i*(alpha+1/2)*(beta+1/2)) / eta(tau) * theta[-beta+1/2; alpha+1/2](0, tau),
+    with the phase and the characteristics reduced exactly (_theta_form).
     """
-    tau = require_upper_half(tau)
-    pref = cmath.exp(2j * math.pi * (p.alpha + 0.5) * (p.beta + 0.5))
-    return pref / dedekind_eta(tau, cfg) * theta_char(-p.beta + 0.5, p.alpha + 0.5,
-                                                      0.0, tau, cfg)
+    return _theta_form(p, 0.0, require_upper_half(tau), cfg)
 
 
 def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[complex],
@@ -482,10 +496,7 @@ def _bosonized(p: OrbifoldParams, ms: list[int], xs: list[complex], ns: list[int
     chosen. NotConverged also where the product leaves the float range.
     """
     us, qs = xs + ys, ms + [-n for n in ns]
-    pref = cmath.exp(2j * math.pi * (p.alpha + 0.5) * (p.beta + 0.5))
-    arg = sum(q * u for q, u in zip(qs, us))
-    val = pref / dedekind_eta(tau, cfg) * theta_char(-p.beta + 0.5, p.alpha + 0.5,
-                                                     arg, tau, cfg)
+    val = _theta_form(p, sum(q * u for q, u in zip(qs, us)), tau, cfg)
     pairs = [(a, b) for a in range(len(us)) for b in range(a + 1, len(us))]
     ks = _prime_forms([us[a] - us[b] for a, b in pairs], tau, cfg)
     weights = np.array([qs[a] * qs[b] for a, b in pairs])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import _prime_forms, _weierstrass_pks, dedekind_eta, eisenstein, theta_char
+from .classical import _prime_forms, _theta_chars, _weierstrass_pks, dedekind_eta, eisenstein
 from .errors import RouteUnavailable
 from .fermion import (
     GSelector,
@@ -363,18 +363,18 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         records.append(SampleRecord(f"P_{k} z+2pi*i*tau, z={_c(z3)} tau={_c(tau2)}",
                                     pk[2], rhs, residual(pk[2], rhs)))
 
-        # theta characteristics: entire, so any argument works
+        # theta characteristics: entire, so any argument works; by theta_char's batch form
         a, b = s.uniform(-1.5, 1.5), s.uniform(-1.5, 1.5)
         zt = complex(s.uniform(-2.0, 2.0), s.uniform(-2.0, 2.0))
-        lhs = theta_char(a, b, zt + 2j * math.pi, tau, cfg)
-        rhs = cmath.exp(2j * math.pi * a) * theta_char(a, b, zt, tau, cfg)
+        th = _theta_chars(a, b, [zt + 2j * math.pi, zt, zt + 2j * math.pi * tau], tau,
+                          cfg).tolist()
+        rhs = cmath.exp(2j * math.pi * a) * th[1]
         records.append(SampleRecord(f"theta z+2pi*i, a={a:.4g} b={b:.4g} tau={_c(tau)}",
-                                    lhs, rhs, residual(lhs, rhs)))
-        lhs = theta_char(a, b, zt + 2j * math.pi * tau, tau, cfg)
+                                    th[0], rhs, residual(th[0], rhs)))
         rhs = (cmath.exp(-2j * math.pi * b) * cmath.exp(-zt) * cmath.exp(-1j * math.pi * tau)
-               * theta_char(a, b, zt, tau, cfg))
+               * th[1])
         records.append(SampleRecord(f"theta z+2pi*i*tau, a={a:.4g} b={b:.4g} tau={_c(tau)}",
-                                    lhs, rhs, residual(lhs, rhs)))
+                                    th[2], rhs, residual(th[2], rhs)))
 
         # the prime form at the same four points, by prime_form's batch form
         kf = _prime_forms(four, tau2, cfg).tolist()

@@ -3,12 +3,14 @@
 A twist pair (theta, phi) in U(1) x U(1) is stored by canonical phases,
 theta = exp(-2*pi*i*mu) and phi = exp(2*pi*i*lam) with mu, lam in [0, 1).
 P_k[tw] is evaluated as a theta quotient on the whole plane off the period
-lattice (twisted_pk_batch); E_n[tw] by the q-expansion it shares with the
-classical E_n (classical._eisenstein_series). The lattice sums (double sums
-with the inner sum collapsed to S(x, phi) = 1/2*delta + q_x^lam/(q_x - 1)),
-which converge for every z off the period lattice, are the oracles that stay
-independent of that kernel. Modular group actions on points and twists round
-out the module.
+lattice (twisted_pk_batch, over its own table of theta terms, one window about
+n = 0 after a quasi-period shift); its theta form twisted_p1_theta_form sums the
+thetas by classical._theta_columns instead, so the two stay independent. E_n[tw]
+is the q-expansion it shares with the classical E_n (classical._eisenstein_series).
+The lattice sums (double sums with the inner sum collapsed to S(x, phi) =
+1/2*delta + q_x^lam/(q_x - 1)), which converge for every z off the period
+lattice, are the oracles that stay independent of that kernel. Modular group
+actions on points and twists round out the module.
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ from .classical import (
     _POLE_EPS,
     _THETA_MAX_HALF_WIDTH,
     _THETA_TAIL,
-    _ZERO,
     _eisenstein_grid,
     _eisenstein_series,
-    _theta_terms,
+    _theta_columns,
     prime_form,
     require_upper_half,
-    theta_char,
 )
 from .errors import (
     DegenerateTheta,
@@ -43,6 +43,7 @@ from .errors import (
 from .numeric import DEFAULT_CONFIG, TruncationConfig, bernoulli_poly, binomial
 
 _TWO_PI = 2.0 * math.pi
+_ZERO = np.zeros(1)
 
 
 def _reduce_phase(x: float) -> float:
@@ -626,28 +627,34 @@ def twisted_p1_theta_form(tw: TwistPair, z: complex, tau: complex,
     """P_1[tw](z) through theta functions and the prime form.
 
     Nontrivial twist:  theta[lam+1/2; mu+1/2](z) / theta[lam+1/2; mu+1/2](0) / K(z).
-    Trivial twist:     1/2 + theta'[1/2;1/2](z) / theta'[1/2;1/2](0) / K(z), with
-    theta' summed term by term as sum_n (n+1/2) * term_n over theta's own
-    window (the ratio is exactly K'/K = P_1, so the trivially twisted
-    function needs its constant 1/2 restored on top).
+    Trivial twist:     1/2 + theta'[1/2;1/2](z) / theta'[1/2;1/2](0) / K(z) (the
+    ratio is exactly K'/K = P_1, so the trivially twisted function needs its
+    constant 1/2 restored on top).
+    The theta at z and at 0 come from one classical._theta_columns call, the
+    summation behind theta_char and the prime form, and not the kernel's table, so
+    this form is an independent check of twisted_pk_batch.
 
-    Raises DegenerateTheta when the denominator theta value is below cfg.tol.
-    Valid off the period lattice, where the prime form does not vanish, and
-    wherever prime_form returns a value.
+    Valid off the period lattice, wherever prime_form returns a value, with its
+    errors (NearPole at the lattice points). DegenerateTheta when the theta
+    value in the denominator is below cfg.tol; DomainError for a non-finite z;
+    NotConverged when theta's window passes 512 terms either side of its centre
+    (Im tau below about 6e-5) or the thetas' ratio leaves the float range.
     """
     tau = require_upper_half(tau)
     z = complex(z)
     if tw.is_trivial:
-        def dtheta(w: complex) -> complex:
-            ns, terms = _theta_terms(0.5, 0.5, w, tau, cfg)
-            return complex((ns * terms).sum())
-
-        den = dtheta(0.0)
-        if abs(den) < cfg.tol:
-            raise DegenerateTheta(f"theta'[1/2;1/2](0) ~ 0 at tau = {tau}")
-        return 0.5 + dtheta(z) / den / prime_form(z, tau, cfg)
-    a, b = tw.lam + 0.5, tw.mu + 0.5
-    den = theta_char(a, b, 0.0, tau, cfg)
-    if abs(den) < cfg.tol:
-        raise DegenerateTheta(f"theta[{a};{b}](0) ~ 0 at tau = {tau}")
-    return theta_char(a, b, z, tau, cfg) / den / prime_form(z, tau, cfg)
+        a, b, col, what = 0.5, 0.5, 1, "theta'[1/2;1/2](0)"
+    else:
+        a, b, col = tw.lam + 0.5, tw.mu + 0.5, 0
+        a -= round(a)
+        what = f"theta[{tw.lam + 0.5};{b}](0)"
+    cols, _, logs = _theta_columns(a, b, np.array([z, 0.0]), tau, col)
+    at_z, at_0 = cols.tolist()
+    if abs(cmath.exp(logs[1] + 1j * math.pi * tau * a * a) * at_0) < cfg.tol:
+        raise DegenerateTheta(f"{what} ~ 0 at tau = {tau}")
+    try:
+        ratio = math.exp(logs[0] - logs[1]) * at_z / at_0
+    except OverflowError:
+        raise NotConverged(f"theta's largest term would leave the float range at z = {z}, "
+                           f"tau = {tau}") from None
+    return (0.5 if tw.is_trivial else 0.0) + ratio / prime_form(z, tau, cfg)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from twistell import (
     theta_char,
     weierstrass_pk,
 )
-from twistell.classical import _odd_theta
+from twistell.classical import _theta_chars, _theta_columns
 
 TAU = 0.12 + 1.1j
 
@@ -308,16 +309,20 @@ class TestP0Batch:
                 assert p0_batch(zs[i:i + 1], tau)[0] == base[i]
 
     def test_prime_form_table_depends_only_on_its_own_z(self):
-        # values to the sign of a zero, and bounds, whatever else the table holds
+        # columns to the sign of a zero, bounds and log-scales, whatever else the table
+        # holds and whatever orders its other points ask for: at the prime form's
+        # characteristic and at a general one
         rng = random.Random(14)
         for tau in [TAU, 0.3 + 0.8j, 1j, 0.3 + 40j, 0.1 + 0.07j]:
             zs = [complex(rng.uniform(-9, 9), rng.uniform(-6, 6)) for _ in range(30)]
             zs += [complex(rng.uniform(-3, 3), 0.0) for _ in range(5)] + [0.0, -0.0, 3j]
-            sums, errs = _odd_theta(zs, tau)
-            for i, z in enumerate(zs):
-                one, err = _odd_theta([z], tau)
-                assert one.tobytes() == sums[[i, -1]].tobytes(), z
-                assert err.tobytes() == errs[[i, -1]].tobytes(), z
+            orders = np.array([i % 3 for i in range(len(zs))] + [1])
+            for a, b in ((0.5, 0.5), (0.31 - 0.5, 0.77 - 0.5)):
+                table = _theta_columns(a, b, np.array(zs + [0.0]), tau, orders)
+                for i, z in enumerate(zs):
+                    one = _theta_columns(a, b, np.array([z, 0.0]), tau, orders[[i, -1]])
+                    for whole, part in zip(table, one):
+                        assert part.tobytes() == whole[[i, -1]].tobytes(), z
 
     def test_batch_raises_as_its_failing_point_alone(self):
         tau = 0.3 + 0.8j
@@ -382,6 +387,26 @@ class TestThetaChar:
         for tau in (1e-5j, 5e-324j):
             with pytest.raises(NotConverged):
                 theta_char(0.3, 0.1, 0.5, tau)
+
+    @pytest.mark.parametrize("a,b,tau", [(0.3, 0.2, TAU), (0.5, 0.5, TAU),
+                                         (-1.2, 2.7, 0.3 + 0.8j), (0.5, -1.5, 1j)])
+    def test_batch_values_do_not_depend_on_the_batch(self, a, b, tau):
+        # reordering and duplicating a batch, or calling one point alone, changes no bit
+        rng = random.Random(f"theta:{a}:{b}")
+        zs = [complex(rng.uniform(-9, 9), rng.uniform(-6, 6)) for _ in range(20)]
+        zs += [complex(rng.uniform(-3, 3), 0.0) for _ in range(3)] + [0.0, -0.0, 2j, 1e-9]
+        base = _theta_chars(a, b, zs, tau)
+        assert np.array_equal(_theta_chars(a, b, zs[::-1], tau), base[::-1])
+        twice = _theta_chars(a, b, zs + zs[:5], tau)
+        assert np.array_equal(twice, np.concatenate([base, base[:5]]))
+        assert np.array_equal(np.array([theta_char(a, b, z, tau) for z in zs]), base)
+
+    @pytest.mark.parametrize("b", [1e9 + 0.1, -2.5e7 - 0.3, 2.0**52 + 1.0])
+    def test_large_b_keeps_its_phase(self, b):
+        # theta[a; b] = e^{2 pi i a k} theta[a; b - k], k = round(b), a k mod 1 exact
+        a, z, k = 0.3, 0.4 + 0.1j, round(b)
+        ref = cmath.exp(2j * math.pi * float(Fraction(a) * k % 1)) * theta_char(a, b - k, z, TAU)
+        assert abs(theta_char(a, b, z, TAU) - ref) <= 1e-12 * abs(ref)
 
     def test_window_follows_the_characteristic(self):
         # theta[a+1; b] = theta[a; b]

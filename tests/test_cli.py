@@ -298,6 +298,9 @@ class TestTableBatchForms:
         # radius 2*pi of the disk where P_0's Laurent series converges
         ("p0", ["z=-8+0.5i:0:9", "tau=i"]),
         ("prime_form", ["z=-8+0.5i:0:9", "tau=i"]),
+        # a, b past 1/2 and z far from the imaginary axis: the multiplier of b - round(b)
+        # and windows off n = 0; every row ok
+        ("theta_char", ["a=1.3", "b=-2.7", "z=-9+0.5i:9-2i:13", "tau=0.12+1.1i"]),
         # tau before n: the batch axes (n, tau) are transposed into row order; the
         # Im tau = 0.02 rows are not_converged, every other row ok
         ("twisted_eisenstein", ["tau=0.1+0.02i:0.1+1i:5", "n=1..3", "mu=0.31", "lam=0.77"]),
@@ -327,13 +330,15 @@ class TestTableBatchForms:
         assert list(ks) == [1, 2, 3] and len(zs) == 25
         assert all(row[-1] == "ok" for row in list(csv.reader(io.StringIO(out)))[1:])
 
-    @pytest.mark.parametrize("function,batch", [("p0", "p0_batch"),
-                                                ("prime_form", "_prime_forms")])
-    def test_z_grid_is_one_batch_call(self, capsys, monkeypatch, function, batch):
+    @pytest.mark.parametrize("function,batch,fixed", [("p0", "p0_batch", []),
+                                                      ("prime_form", "_prime_forms", []),
+                                                      ("theta_char", "_theta_chars",
+                                                       ["a=0.3", "b=0.2"])])
+    def test_z_grid_is_one_batch_call(self, capsys, monkeypatch, function, batch, fixed):
         calls = self.count_calls(monkeypatch, classical, batch)
-        code, _, _ = run_cli(capsys, "table", "--function", function, "z=-2+0.5i:2+0.5i:9",
-                             "tau=i")
-        assert code == EXIT_OK and len(calls) == 1 and len(calls[0][0]) == 9
+        code, _, _ = run_cli(capsys, "table", "--function", function, *fixed,
+                             "z=-2+0.5i:2+0.5i:9", "tau=i")
+        assert code == EXIT_OK and len(calls) == 1 and len(calls[0][len(fixed)]) == 9
 
     @pytest.mark.parametrize("function,tokens", GRIDS, ids=[g[0] for g in GRIDS])
     def test_rows_print_the_bytes_of_eval(self, capsys, function, tokens):

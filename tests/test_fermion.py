@@ -247,6 +247,14 @@ class TestRank2Partition:
             OrbifoldParams(0.3, 0.3), tau)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
+    @pytest.mark.parametrize("beta", [0.25 + 1e9, -3.7e6 + 0.125, 1e300])
+    def test_theta_form_keeps_the_phase_of_a_large_beta(self, beta):
+        # the prefactor's phase (alpha+1/2)(beta+1/2) is reduced mod 1 exactly, and the
+        # characteristic -beta+1/2 is taken as 1/2 - (beta mod 1), so 1e300 keeps its 1/2
+        p = OrbifoldParams(0.3, beta)
+        ref = rank2_partition(p, 1j)
+        assert abs(rank2_partition_theta(p, 1j) - ref) <= 1e-12 * abs(ref)
+
     def test_kappa_uses_raw_beta(self):
         # |Z| is periodic in beta; the phase is an alpha-dependent constant
         p0 = OrbifoldParams(0.3, 0.2)

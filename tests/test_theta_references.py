@@ -1,0 +1,117 @@
+"""theta_char and the prime form against 30-digit direct sums by mpmath.
+
+The references sum theta[a;b](z, tau) = sum_n exp(i pi (n+a)^2 tau + (n+a)(z + 2 pi i b))
+term by term at 40 digits over a window wide enough for 30, with a, b, z and tau taken
+exactly as the floats given. They share nothing with the library's theta table, so they
+check it independently of twisted_p1_theta_form and of the P_k kernel.
+"""
+
+import cmath
+import math
+
+import pytest
+
+from twistell import DEFAULT_CONFIG, TwistellError, prime_form, theta_char
+
+mp = pytest.importorskip("mpmath")
+
+TOL = DEFAULT_CONFIG.tol
+
+
+def mp_theta(a, b, z, tau, digits=30):
+    """theta[a;b](z, tau) by its direct sum, every term within 10^-(digits + 10) of the
+    largest."""
+    with mp.workdps(digits + 10):
+        a, b, z, tau = mp.mpf(a), mp.mpf(b), mp.mpc(z), mp.mpc(tau)
+        spread = mp.pi * tau.imag
+        centre = int(mp.nint(z.real / (2 * spread) - a))
+        half = int(mp.sqrt((digits + 10) * mp.log(10) / spread)) + 2
+        total = mp.mpc(0)
+        for n in range(centre - half, centre + half + 1):
+            x = n + a
+            total += mp.exp(1j * mp.pi * x * x * tau + x * (z + 2j * mp.pi * b))
+        return total
+
+
+def mp_prime_form(z, tau):
+    """K(z) = theta[1/2;1/2](z) / theta'[1/2;1/2](0), the derivative by its own sum."""
+    with mp.workdps(40):
+        tau = mp.mpc(tau)
+        spread = mp.pi * tau.imag
+        half = int(mp.sqrt(40 * mp.log(10) / spread)) + 2
+        dtheta = mp.mpc(0)
+        for n in range(-half - 1, half + 1):
+            x = n + mp.mpf(0.5)
+            dtheta += x * mp.exp(1j * mp.pi * x * x * tau + x * 1j * mp.pi)
+        return mp_theta(0.5, 0.5, z, tau) / dtheta
+
+
+def close(value, ref):
+    """value agrees with the 30-digit ref within tol relative, as theta_char states."""
+    return abs(value - complex(ref)) <= TOL * float(abs(ref)) * (1.0 + 1e-6)
+
+
+THETA_GOLDENS = [
+    # general characteristics
+    (0.3, 0.2, 0.4 + 0.1j, 0.12 + 1.1j),
+    (-2.7, 1.45, -1.3 + 2.2j, 0.3 + 0.8j),
+    (1.9, -0.35, 0.8 - 3.1j, -0.4 + 1.7j),
+    # large Re z: the largest term is far from n = 0
+    (0.3, 0.1, 40.0 + 1.0j, 1j),
+    (0.5, 0.5, -35.0 + 0.3j, 0.12 + 1.1j),
+    (-0.2, 0.7, -60.0 - 2.0j, 0.2 + 2.5j),
+    # Im tau at 0.06, the smallest the table workload reaches
+    (0.0, 0.0, 0.3, 0.06j),
+    (0.25, 0.0, 0.1 + 0.2j, 0.1 + 0.06j),
+    # Im tau at 1000: e^{i pi tau a^2} near 1e-123
+    (0.3, 0.2, 0.4 + 0.1j, 1000j),
+    (1.0, 0.3, 2.0 + 1.0j, 0.4 + 1000j),
+    # large Re tau
+    (0.3, 0.2, 0.4 + 0.1j, 123.45 + 1.1j),
+    (-0.45, 2.2, -1.0 + 0.5j, -77.7 + 0.9j),
+]
+
+
+@pytest.mark.parametrize("a,b,z,tau", THETA_GOLDENS)
+def test_theta_char_matches_the_direct_sum(a, b, z, tau):
+    assert close(theta_char(a, b, z, tau), mp_theta(a, b, z, tau))
+
+
+@pytest.mark.parametrize("z,tau", [(1e-9 + 2e-10j, 0.12 + 1.1j), (3e-6j, 0.3 + 0.8j),
+                                   (-2e-4 + 1e-4j, 0.1 + 0.5j), (5e-3 - 7e-3j, 2j)])
+def test_prime_form_near_zero_matches_the_direct_sum(z, tau):
+    ref = mp_prime_form(z, tau)
+    assert abs(prime_form(z, tau) - complex(ref)) <= TOL * float(abs(ref))
+
+
+def test_theta_char_is_right_or_refused():
+    """Over a, b in [-3, 3], |Re z|, |Im z| <= 8 and Im tau in [0.06, 5], theta_char
+    either matches the direct sum within tol relative or raises a TwistellError."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    unit = st.floats(-3.0, 3.0, allow_nan=False)
+    coord = st.floats(-8.0, 8.0, allow_nan=False)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(a=unit, b=unit, x=coord, y=coord, re_tau=st.floats(-0.5, 0.5),
+                      im_tau=st.floats(0.06, 5.0))
+    def check(a, b, x, y, re_tau, im_tau):
+        z, tau = complex(x, y), complex(re_tau, im_tau)
+        try:
+            value = theta_char(a, b, z, tau)
+        except TwistellError:
+            return
+        assert cmath.isfinite(value)
+        assert close(value, mp_theta(a, b, z, tau)), (a, b, z, tau, value)
+
+    check()
+
+
+def test_refusals_are_documented_errors():
+    # theta[0;1/2](0, 0.02i) ~ 1e-16 is what is left of terms near 1: the rounding bound
+    # passes tol; at 4e-5i the window passes 512 terms (the sum was rounding noise, 3e-13,
+    # where the value is below 1e-300); theta[1/2;1/2] at Im tau = 1000 is below 1e-340
+    for args in ((0.0, 0.5, 0.0, 0.02j), (0.3, 0.1, 0.0, 4e-5j), (0.5, 0.5, 1.0, 1000j)):
+        with pytest.raises(TwistellError):
+            theta_char(*args)
+    assert math.isfinite(abs(theta_char(0.3, 0.1, 0.0, 0.5j)))
