@@ -1,6 +1,7 @@
 """Layer timings of the E_n q-series, theta and P_0 = -log K from the theta-quotient prime
 form (L1), the P_k theta-quotient kernel and E_n[tw] (L2), the correlators built on them
-(L3), and `twistell table` grids through cli.main in this process (L4).
+(L3), and `twistell table` grids through cli.main in this process (L4), one of them
+a grid of binomials that times the table's text path alone.
 
 Run from the repository root:
 
@@ -169,6 +170,9 @@ def main(argv=None) -> int:
         "tau=0.12+1.1i"), inner=5)
     run("L4.table.en_grid", lambda: table(
         "twisted_eisenstein", "n=1..3", *twist, "tau=0.12+0.3i:0.12+1.5i:25"), inner=5)
+    # L4: a 25 x 3 grid of binomials, evaluated one row at a time at next to no cost: the
+    # table's text path (argument parsing, grid cells, output) apart from the kernels
+    run("L4.table.text", lambda: table("binomial", "n=0..24", "k=0..2"), inner=5)
     print(json.dumps({"src": os.path.abspath(args.src), "python": platform.python_version(),
                       "numpy": np.__version__, "cpus": os.cpu_count(),
                       "repeats": args.repeats, "seed": args.seed, "timings": out}, indent=1))

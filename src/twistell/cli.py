@@ -20,7 +20,7 @@ from types import ModuleType
 from . import classical, fermion, numeric, twisted
 from .errors import DomainError, NearPole, NotConverged, TwistellError
 from .identities import SUITE, SamplePlan, run_all
-from .numeric import TruncationConfig
+from .numeric import DEFAULT_CONFIG, TruncationConfig
 from .twisted import GroupElement, TwistPair
 
 EXIT_OK = 0
@@ -272,7 +272,8 @@ def _error_row(exc: Exception) -> tuple:
 
 def _cfg_from_args(args) -> TruncationConfig:
     given = {f.name: getattr(args, f.name) for f in fields(TruncationConfig)}
-    return TruncationConfig(**{k: v for k, v in given.items() if v is not None})
+    given = {k: v for k, v in given.items() if v is not None}
+    return TruncationConfig(**given) if given else DEFAULT_CONFIG
 
 
 def _lookup(function: str):
@@ -429,18 +430,30 @@ class _Grid(list):
 
 
 def _parse_table_value(key: str, kind: str, text: str):
-    """A fixed argument, or a _Grid whose arguments are parsed from their printed cells,
-    so that a row label always names the value computed."""
+    """A fixed argument, or a _Grid of (cell, argument) pairs, each argument what its printed
+    cell parses to, taken from the number (.17g round-trips every float): a complex value,
+    a zero imaginary part as +0.0; a real value; int of an integral real value below 1e17
+    in modulus, past which .17g prints an exponent. Any other value raises the ParseError
+    its cell would."""
     if ".." not in text and text.count(":") != 2:
         return _PARSERS[kind](text)
     if kind not in ("int", "float", "complex"):
         raise ParseError(f"parameter {key!r} cannot vary")
-    cells = [_cell(v) for v in _parse_range(text)]
-    return _Grid((c, _PARSERS[kind](c)) for c in cells)
+    grid = _Grid()
+    for v in _parse_range(text):
+        cell = _cell(v)
+        if kind == "complex":
+            grid.append((cell, complex(v.real, v.imag if v.imag else 0.0)))
+        elif not v.imag and (kind == "float" or v.real.is_integer() and abs(v.real) < 1e17):
+            grid.append((cell, v.real if kind == "float" else int(v.real)))
+        else:
+            noun = "real number" if kind == "float" else "integer"
+            raise ParseError(f"cannot parse {noun} {cell!r}")
+    return grid
 
 
-def _batch_values(batch, varying, fixed: dict, cfg) -> list[complex] | None:
-    """Every row's value from one call of the row's batch form, in row order.
+def _batch_values(batch, varying, fixed: dict, cfg) -> tuple[list, list, list] | None:
+    """The re, im and status lists of the rows, in row order, from one batch form call.
 
     None when there is no batch form, when the grid varies a parameter the
     batch form does not list, or when the call raises a row error: the rows
@@ -460,18 +473,20 @@ def _batch_values(batch, varying, fixed: dict, cfg) -> list[complex] | None:
         return None
     # the varying axes first, in row order, then the length-1 axes of fixed listed parameters
     axes = [listed.index(k) for k in grids] + [i for i, k in enumerate(listed) if k not in grids]
-    return out.transpose(axes).ravel().tolist()
+    out = out.transpose(axes).ravel()
+    return out.real.tolist(), out.imag.tolist(), ["ok"] * out.size
 
 
 def _row_values(fn, names, combos, fixed: dict, cfg):
-    """(value, status) of every row, each row evaluated alone."""
+    """(re, im, status) of every row, each row evaluated alone."""
     for combo in combos:
         call = dict(fixed)
         call.update(zip(names, (arg for _, arg in combo)))
         try:
-            yield complex(fn(call, cfg)[0]), "ok"
+            value, status = complex(fn(call, cfg)[0]), "ok"
         except _ROW_ERRORS as exc:
-            yield complex(0), _error_row(exc)[3]
+            value, status = 0j, _error_row(exc)[3]
+        yield value.real, value.imag, status
 
 
 def _csv_cells(cells) -> str:
@@ -482,6 +497,9 @@ def _csv_cells(cells) -> str:
 
 
 def cmd_table(args) -> int:
+    """Tabulate a function over one or two grids: a row holds its grid cells, the fixed
+    cells, re and im at 17 significant digits, and its status. CSV is one % format of a
+    row template over the grid, JSON one object per row, its numbers as strings."""
     spec, fn, batch = _lookup(args.function)
     cfg = _cfg_from_args(args)
     parsed = _parse_assignments(args.assignments, spec, _parse_table_value)
@@ -494,26 +512,24 @@ def cmd_table(args) -> int:
     fixed = {k: v for k, v in parsed.items() if k not in names}
     fixed_cells = [_cell(fixed[k]) for k in sorted(fixed)]
 
-    combos = list(product(*(grid for _, grid in varying)))
-    values = _batch_values(batch, varying, fixed, cfg)
-    results = (zip(values, ["ok"] * len(values)) if values is not None
-               else _row_values(fn, names, combos, fixed, cfg))
-    # (varying cells, re, im, status) per row
-    out_rows = [([c for c, _ in combo], format(value.real, ".17g"),
-                 format(value.imag, ".17g"), status)
-                for combo, (value, status) in zip(combos, results)]
-
+    combos = product(*(grid for _, grid in varying))
+    values = (_batch_values(batch, varying, fixed, cfg)
+              or list(zip(*_row_values(fn, names, combos, fixed, cfg))))
+    # the cells of each varying parameter, then re, im and status: one list per column
+    columns = [*zip(*product(*([c for c, _ in grid] for _, grid in varying))), *values]
     header = names + sorted(fixed) + ["re", "im", "status"]
     if args.format == "json":
-        text = dumps([dict(zip(header, cells + fixed_cells + [re, im, status]))
-                      for cells, re, im, status in out_rows]) + "\n"
+        text = dumps([dict(zip(header, [*cells, *fixed_cells, "%.17g" % re, "%.17g" % im, st]))
+                      for *cells, re, im, st in zip(*columns)]) + "\n"
     else:
+        flat = [None] * (len(columns) * len(values[0]))
+        for i, column in enumerate(columns):
+            flat[i::len(columns)] = column
         # the varying cells print numbers, which csv never quotes; the fixed ones are
-        # quoted once for the grid
-        fixed_text = "," + _csv_cells(fixed_cells) if fixed_cells else ""
-        text = "".join([_csv_cells(header) + "\n"]
-                       + [f"{','.join(cells)}{fixed_text},{re},{im},{status}\n"
-                          for cells, re, im, status in out_rows])
+        # quoted once for the grid, their % escaped for the row template
+        fixed_text = ("," + _csv_cells(fixed_cells)).replace("%", "%%") if fixed_cells else ""
+        row = ",".join(["%s"] * len(names)) + fixed_text + ",%.17g,%.17g,%s\n"
+        text = _csv_cells(header) + "\n" + (row * len(values[0])) % tuple(flat)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

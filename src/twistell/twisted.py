@@ -214,7 +214,9 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
     there); NotConverged when the rounding bound -- eps times the sum of
     |term| over |theta|, weighted by each term's exponent, carried through
     the division -- passes cfg.tol relative to max(1, |P_k|): near lattice
-    points, and at small Im tau (e.g. 0.05i), where the theta sums cancel.
+    points, at small Im tau (e.g. 0.05i), where the theta sums cancel, and
+    at large |z|, once the rounding eps |x z| of each exponent x z passes tol
+    (P_1 at z = -3141.6+0.4i, tau = i, or z = 1e4+2i, tau = 10i).
     The batch raises when one of its points would alone. twisted_pk_oracle
     is the lattice-sum oracle at a nontrivial twist.
     """
@@ -397,7 +399,8 @@ def twisted_pk(k: int, tw: TwistPair, z: complex, tau: complex,
 
     The one-point call of twisted_pk_batch, with its domain: the whole plane
     off the period lattice. NearPole on a lattice point or at a twist within
-    1e-12 of trivial; NotConverged when the rounding bound passes cfg.tol.
+    1e-12 of trivial; NotConverged when the rounding bound passes cfg.tol,
+    which includes large |z|, once eps |x z| in the exponents passes tol.
     """
     return complex(twisted_pk_batch([k], tw, [z], tau, cfg)[0, 0])
 
@@ -454,14 +457,20 @@ _LATTICE_MAX_HALF_WIDTH = 1536
 
 
 def _adaptive_lattice_sum(term, rate_up: float, rate_dn: float,
-                          cfg: TruncationConfig) -> complex:
-    """Sum term(m) over m in Z with geometric tails of those rates.
+                          cfg: TruncationConfig, row: float = 0.0) -> complex:
+    """Sum term(m) over m in Z with geometric tails of those rates either side of row.
 
     Each side starts where its tail bound exp(-rate*m) passes cfg.tol, and both
     double until the three outermost terms on each side are below cfg.tol.
+    The window starts about m = 0, so NotConverged when row, where the terms
+    peak, lies outside it: its edge terms could then be below tol with the
+    sum's terms still ahead of it.
     """
     m_up = _window_size(rate_up, cfg.tol)
     m_dn = _window_size(rate_dn, cfg.tol)
+    if not -m_dn <= row <= m_up:
+        raise NotConverged(f"lattice row {row:.6g} lies outside the window "
+                           f"[{-m_dn}, {m_up}] about 0")
     while True:
         if max(m_up, m_dn) > _LATTICE_MAX_HALF_WIDTH:
             raise NotConverged(f"lattice window exceeded {_LATTICE_MAX_HALF_WIDTH} terms")
@@ -480,8 +489,10 @@ def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
 
     Uses whichever lattice route the twist admits (phi != 1 or theta != 1;
     RouteUnavailable otherwise), with the inner sum collapsed to the k-th
-    closed form S_k, so every k is summed directly. Valid for every z off
-    the period lattice, not just the annulus.
+    closed form S_k, so every k is summed directly. Valid off the period
+    lattice wherever the lattice row of z, where the terms peak, lies in the
+    starting window about row 0, a few rows either side of the annulus
+    (8 or more); NotConverged past it.
     """
     if k < 1:
         raise ValueError("twisted_pk_oracle requires k >= 1")
@@ -499,7 +510,8 @@ def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
         def term(m: int) -> complex:
             return cmath.exp(-2j * math.pi * tw.mu * m) * s_fun(z - 2j * math.pi * tau * m)
 
-        return _adaptive_lattice_sum(term, (1.0 - tw.lam) * h, tw.lam * h, cfg)
+        # the terms peak where Re(z - 2*pi*i*m*tau) = 0
+        return _adaptive_lattice_sum(term, (1.0 - tw.lam) * h, tw.lam * h, cfg, -z.real / h)
     if tw.mu != 0.0:
         # swapped summation order: P_k = tau^-k sum_n phi^n S_k((z - 2*pi*i*n)/tau, theta^-1)
         g_fun = _collapsed_inner_sum(1.0 - tw.mu, k - 1)
@@ -508,7 +520,9 @@ def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
         def term(n: int) -> complex:
             return cmath.exp(2j * math.pi * tw.lam * n) * g_fun((z - 2j * math.pi * n) / tau)
 
-        return _adaptive_lattice_sum(term, (1.0 - tw.mu) * hp, tw.mu * hp, cfg) / tau**k
+        # the terms peak where Re((z - 2*pi*i*n)/tau) = 0
+        row = (z * tau.conjugate()).real / h
+        return _adaptive_lattice_sum(term, (1.0 - tw.mu) * hp, tw.mu * hp, cfg, row) / tau**k
     raise RouteUnavailable("lattice oracle needs theta != 1 or phi != 1")
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import warnings
@@ -141,6 +142,12 @@ class TestEval:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["cfg"] == {"q_order": 64, "tol": pytest.approx(1e-10)}
+
+    def test_no_cfg_flag_is_the_default_config(self):
+        args = cli.build_parser().parse_args(["table", "--function", "p0", "--tol", "1e-10"])
+        assert cli._cfg_from_args(args) == cli.TruncationConfig(tol=1e-10)
+        args.tol = None
+        assert cli._cfg_from_args(args) is cli.DEFAULT_CONFIG
 
     @pytest.mark.parametrize("flag,value", [("--theta-range", "32"), ("--lattice-range", "24"),
                                             ("--series-radius", "0.25")])
@@ -395,6 +402,133 @@ class TestTableBatchForms:
         assert code == EXIT_OK
         statuses = [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]]
         assert statuses == ["ok", "ok", "near_pole", "ok", "ok"] * 2
+
+
+def readback(kind, text):
+    """Test-only reference for a grid's (cell, argument) pairs: each argument parsed back
+    from its printed cell, the rule that the table's rules on the numbers replace."""
+    return [(cell, cli._PARSERS[kind](cell)) for cell in map(cli._cell, cli._parse_range(text))]
+
+
+def same_argument(a, b) -> bool:
+    """Equal in type and value, zeros of the same sign; a NaN equals a NaN, whose sign no
+    output shows."""
+    if type(a) is not type(b):
+        return False
+    pairs = [(a.real, b.real), (a.imag, b.imag)] if isinstance(a, complex) else [(a, b)]
+    return all((x == y and math.copysign(1, x) == math.copysign(1, y)) or (x != x and y != y)
+               for x, y in pairs)
+
+
+def reference_table(function, tokens, fmt):
+    """Test-only reference for `twistell table` output: grid arguments read back from their
+    cells, every row evaluated alone, every number formatted on its own, every CSV row
+    written by csv.writer and every JSON row a dict through dumps."""
+    spec, evaluate, _ = REGISTRY[function]
+    kinds = dict(spec)
+    grids, fixed = {}, {}
+    for key, _, text in (tok.partition("=") for tok in tokens):
+        if ".." in text or text.count(":") == 2:
+            grids[key] = readback(kinds[key], text)
+        else:
+            fixed[key] = cli._PARSERS[kinds[key]](text)
+    header = [*grids, *sorted(fixed), "re", "im", "status"]
+    rows = []
+    for combo in itertools.product(*grids.values()):
+        args = {**fixed, **{key: arg for key, (_, arg) in zip(grids, combo)}}
+        try:
+            value, status = complex(evaluate(args, cli.DEFAULT_CONFIG)[0]), "ok"
+        except cli._ROW_ERRORS as exc:
+            value, status = 0j, cli._error_row(exc)[3]
+        rows.append([*(cell for cell, _ in combo), *(cli._cell(fixed[k]) for k in sorted(fixed)),
+                     format(value.real, ".17g"), format(value.imag, ".17g"), status])
+    if fmt == "json":
+        return dumps([dict(zip(header, row)) for row in rows]) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+class TestTableGridRules:
+    """Grid arguments and table bytes against the readback reference above."""
+
+    RULE_CASES = [
+        ("int", "1..5"), ("int", "1:3:3"), ("int", "1:3:5"), ("int", "-0:0:1"),
+        ("int", "1+1i:2:2"), ("int", "0.5i:1:1"),
+        # integral up to the largest float below 1e17, then across 1e17
+        ("int", "99999999999999840:99999999999999984:10"),
+        ("int", "99999999999999936:100000000000000064:3"),
+        ("float", "0.1:0.3:3"), ("float", "1..3"), ("float", "-0:5:1"), ("float", "0.1:0.2i:3"),
+        ("complex", "-1-0i:2:1"), ("complex", "-0-0i:0:1"), ("complex", "-2+1i:2-1i:5"),
+        ("complex", "0.1-0.5i:0.1+1.5i:5"), ("complex", "1e-300:1e300i:4"),
+        # an overflowing linspace (NaN values), and one-point grids at infinity
+        ("complex", "-1e308:1e308:3"), ("float", "-1e308:1e308:3"), ("int", "-1e308:1e308:3"),
+        ("complex", "inf:0:1"), ("complex", "1-infi:0:1"), ("float", "-inf:0:1"),
+        ("int", "inf:0:1"),
+    ]
+
+    @pytest.mark.parametrize("kind,text", RULE_CASES)
+    def test_arguments_match_the_readback_of_their_cells(self, kind, text):
+        try:
+            expected = readback(kind, text)
+        except cli.ParseError as exc:
+            with pytest.raises(cli.ParseError) as info:
+                cli._parse_table_value("x", kind, text)
+            assert str(info.value) == str(exc)
+            return
+        got = cli._parse_table_value("x", kind, text)
+        assert [cell for cell, _ in got] == [cell for cell, _ in expected]
+        assert all(same_argument(a, b) for (_, a), (_, b) in zip(got, expected)), (got, expected)
+
+    BYTE_CASES = [
+        ("twisted_eisenstein", ["n=1:3:3", "mu=0.3", "lam=0.7", "tau=i"]),
+        ("twisted_eisenstein", ["n=1:3:5", "mu=0.3", "lam=0.7", "tau=i"]),
+        ("twisted_eisenstein", ["n=1", "mu=0.1:0.2i:3", "lam=0.7", "tau=i"]),
+        ("binomial", ["n=99999999999999936:100000000000000064:3", "k=0"]),
+        # batch forms: one call; a near_pole row, and refused Im tau = 0.02 rows, send the
+        # grid back to one row at a time; n after tau transposes the batch axes
+        ("twisted_pk", ["k=1..3", "mu=0.31", "lam=0.77", "z=-6+1i:6-2i:25", "tau=0.12+1.1i"]),
+        ("twisted_pk", ["k=1..3", "mu=0.31", "lam=0.77", "z=-2+1i:2-1i:5", "tau=0.12+1.1i"]),
+        ("twisted_eisenstein", ["tau=0.1+0.02i:0.1+1i:5", "n=1..3", "mu=0.31", "lam=0.77"]),
+        ("p0", ["z=-1-0i:2:1", "tau=i"]),
+        ("theta_char", ["a=0.3", "b=0.2", "z=-1e308:1e308:3", "tau=i"]),
+        ("twisted_pk", ["k=1", "mu=0.31", "lam=0.77", "z=inf:0:1", "tau=i"]),
+        # no batch form: the eisenstein tau line crossing the real axis, and a 2-D grid
+        # varying a parameter the batch form does not list
+        ("eisenstein", ["n=2", "tau=0.1-0.5i:0.1+1.5i:5"]),
+        ("twisted_eisenstein", ["n=1..2", "mu=0.1:0.3:3", "lam=0.7", "tau=i"]),
+        # fixed cells holding commas
+        ("rank2_generating", ["alpha=0.27", "beta=0.63", "xs=-1.4-0.2i,-1.65+0.1i",
+                              "ys=-0.2+0.15i,-0.31-0.1i", "tau=0.12+1i:0.12+1.5i:4"]),
+        ("rank1_fock_npoint", ["labels=1;2", "zs=-1.2+0.3i,-0.4-0.2i", "g=identity",
+                               "tau=0.12+1.1i:0.12+1.3i:3"]),
+    ]
+
+    def check_bytes(self, capsys, function, tokens, fmt):
+        try:
+            expected = reference_table(function, tokens, fmt)
+        except cli.ParseError as exc:
+            code, out, err = run_cli(capsys, "table", "--function", function, *tokens,
+                                     "--format", fmt)
+            assert (code, out, json.loads(err)) == (EXIT_PARSE, "", {"error": "parse",
+                                                                     "message": str(exc)})
+            return
+        code, out, _ = run_cli(capsys, "table", "--function", function, *tokens,
+                               "--format", fmt)
+        assert code == EXIT_OK and out == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("function,tokens", BYTE_CASES)
+    def test_bytes_match_the_reference(self, capsys, function, tokens, fmt):
+        self.check_bytes(capsys, function, tokens, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fixed_cells_with_quotes_and_percent_signs(self, capsys, monkeypatch, fmt):
+        # no registry row prints a quote or a % sign, so a test row takes a text parameter
+        monkeypatch.setitem(cli._PARSERS, "text", str)
+        monkeypatch.setitem(REGISTRY, "echo", cli._entry(
+            "echo", lambda note, n: (complex(n, -n), []), "note:text n:int"))
+        self.check_bytes(capsys, "echo", ['note=50%, "%s" %% %(n)d', "n=-1..2"], fmt)
 
 
 class TestParserReuse:

@@ -211,6 +211,38 @@ class TestTwistedPk:
         with pytest.raises(NotConverged, match="lattice row"):
             twisted_pk_oracle(1, TwistPair(0.3, 0.3), -0.1 + 0.1j, 5e-324j)
 
+    @pytest.mark.parametrize("tw,z,tau", [
+        (TwistPair(0.3, 0.7), 1e4 + 2j, 10j),        # row -159, window [-8, 9]: was exactly 0j
+        (TwistPair(0.3, 0.0), -1 + 1000j, 1j),       # swapped route, row 159: was 1.75e-119
+        (TwistPair(0.3, 0.7), -3141.6 + 0.4j, 1j),   # row 500: was 0j
+    ])
+    def test_oracle_refuses_a_row_outside_its_window(self, tw, z, tau):
+        # the window starts about row 0; past it the edge terms fell below tol at once and
+        # the sum stopped without the terms of the row of z
+        with pytest.raises(NotConverged, match="lattice row .* lies outside the window"):
+            twisted_pk_oracle(1, tw, z, tau)
+
+    @pytest.mark.parametrize("tw,z,tau", [(TwistPair(0.3, 0.7), -3141.6 + 0.4j, 1j),
+                                          (TwistPair(0.3, 0.0), 1e4 + 2j, 10j)])
+    def test_kernel_refuses_large_z(self, tw, z, tau):
+        # eps |x z| in every exponent passes tol: NotConverged, never a value or a raw error;
+        # the oracle's swapped route still sums the second point (its row is 0.32)
+        with pytest.raises(NotConverged, match="rounding bound"):
+            twisted_pk(1, tw, z, tau)
+        with pytest.raises(NotConverged, match="rounding bound"):
+            twisted_pk_batch([1, 2], tw, [Z, z], tau)
+        if tw.lam == 0.0:
+            assert twisted_pk_oracle(1, tw, z, tau) == pytest.approx(-0.5000435 - 0.3632312j,
+                                                                     abs=1e-6)
+
+    def test_oracle_rows_inside_the_window_are_summed(self):
+        # a few periods out, the row still lies in the starting window
+        tw = TwistPair(0.31, 0.77)
+        for shift in (4, -5):
+            z = Z + 2j * math.pi * TAU * shift
+            assert twisted_pk(1, tw, z, TAU) == pytest.approx(
+                twisted_pk_oracle(1, tw, z, TAU), rel=1e-9)
+
     def test_continued_matches_oracle_outside(self):
         tw = TwistPair(0.31, 0.77)
         for shift in (1, -2):
