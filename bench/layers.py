@@ -61,8 +61,8 @@ def main(argv=None) -> int:
     import twistell
     from twistell import cli
     from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein, p0,
-                          rank1_fock_npoint, rank2_generating, rank2_generating_boson,
-                          theta_char, twisted_eisenstein, twisted_pk)
+                          rank1_fock_npoint, rank2_fock_npoint, rank2_generating,
+                          rank2_generating_boson, theta_char, twisted_eisenstein, twisted_pk)
 
     def clear():
         eisenstein.cache_clear()
@@ -136,6 +136,13 @@ def main(argv=None) -> int:
     if batch is not None:
         run("L2.pk_batch.edge.k1", lambda: batch((1,), tw, edge, tau))
         run("L2.pk_batch.edge", lambda: batch(ORDERS, tw, edge, tau))
+    # L2: the rank-two Fock shape, P_1..P_5 at the 6 differences of 3 insertion points, of
+    # both parities at a twist that is not its own inverse; its own stream, as above
+    fock_rng = random.Random(f"fock:{args.seed}")
+    fock = [complex(fock_rng.uniform(-2.6, -0.4), fock_rng.uniform(-2.0, 2.0)) for _ in range(3)]
+    mixed = [x - y for x in fock for y in fock if x != y]
+    if batch is not None:
+        run("L2.pk_batch.mixed", lambda: batch((1, 2, 3, 4, 5), tw, mixed, tau))
     # L3: determinant correlators on a jittered grid with every x - y in the annulus
     p = OrbifoldParams(0.27, 0.63)
     for n in (2, 4, 8, 16):
@@ -157,6 +164,9 @@ def main(argv=None) -> int:
     zs = [-2.6 + 0.3j, -1.9 - 0.8j, -1.1 + 0.9j, -0.4 - 0.2j]
     run("L3.rank1_fock_npoint.4x3",
         lambda: rank1_fock_npoint(labels, zs, GSelector.SIGMA, tau))
+    # L3: a 6 x 6 block determinant, 3 labels of (2, 2) modes at the L2 mixed rows' points
+    labels2 = [((1, 2), (1, 3)), ((2, 3), (1, 2)), ((1, 3), (2, 3))]
+    run("L3.rank2_fock_npoint.3x22", lambda: rank2_fock_npoint(labels2, fock, p, tau))
     # L4: the argument parser, and table grids shaped like the benchmark's (25 points x
     # 3 orders): P_k on a z line across the annulus, E_n[tw] on a tau line
     def table(*tokens):

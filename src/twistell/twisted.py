@@ -43,8 +43,7 @@ from .errors import (
 from .numeric import DEFAULT_CONFIG, TruncationConfig, bernoulli_poly, binomial
 
 _TWO_PI = 2.0 * math.pi
-_ZERO = np.zeros(1)
-
+_NEG_RE = np.array([-1.0, 1.0])      # (im, re) -> (-im, re)
 
 def _reduce_phase(x: float) -> float:
     x = float(x) % 1.0
@@ -195,18 +194,19 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
     P_1[tw](z) = theta'[1/2;1/2](0) theta[lam+1/2; mu+1/2](z)
                  / (theta[lam+1/2; mu+1/2](0) theta[1/2;1/2](z)),
     or 1/2 + theta'[1/2;1/2](z)/theta[1/2;1/2](z) at the trivial twist, and
-    P_{j+1}[tw](z) = (-1)^j f^(j)(z)/j! of f = P_1[tw]. One exp table gives
-    each point's Taylor columns c_j(z) = sum_n (n+a)^j/j! e^{i pi (n+a)^2 tau
-    + (n+a)(z + 2 pi i b)} of both thetas, with z = 0 as one more row for the
-    normalisation; power-series division of the columns gives the f^(j)/j!.
+    P_{j+1}[tw](z) = (-1)^j f^(j)(z)/j! of f = P_1[tw]. Points with Re z > 0
+    (or Re z = 0 < Im z) are evaluated at -z through the parity
+    P_k[tw](z) = (-1)^k P_k[tw^-1](-z) (1 - P_1[1;1](-z) for the trivial P_1),
+    so that relation holds bit for bit wherever tw^-1 inverts back to tw (not
+    where 1 - mu or 1 - lam rounds), and with it the exact antisymmetry of
+    the correlators' Pfaffian matrices. One _p1_taylor table serves the whole
+    batch, flipped points included: each point takes the numerator
+    characteristic of its own twist, tw or tw^-1, and the Taylor columns of
+    both thetas; power-series division of the columns gives the f^(j)/j!.
     Each point's window is centred on round(Re z / (2 pi Im tau)) (the
     quasi-period moves z next to the imaginary axis and leaves the multiplier
     theta^-m) and sized a priori from the Gaussian tail, so every value
-    depends only on its own z and on nothing else in the batch. Points with
-    Re z > 0 (or Re z = 0 < Im z) are evaluated at -z through the parity
-    P_k[tw](z) = (-1)^k P_k[tw^-1](-z) (1 - P_1[1;1](-z) for the trivial P_1),
-    so that relation holds bit for bit, and with it the exact antisymmetry of
-    the correlators' Pfaffian matrices.
+    depends only on its own z and on nothing else in the batch.
 
     Domain: the whole plane off the period lattice 2 pi i (Z tau + Z).
     DomainError for a non-finite z; NearPole within 1e-11 of a lattice
@@ -231,28 +231,24 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
     if np.count_nonzero(finite) < zs.size:
         raise DomainError(f"P_k[tw] needs a finite z, got z = {zs[~finite][0]}")
     order = max(ks)
-    sign = (-1.0) ** np.arange(order)[:, None] if order > 1 else 1.0   # (-1)^(k-1)
     # complex order is lexicographic: z > 0 means Re z > 0, or Re z = 0 < Im z
     flip = zs > 0
+    flipped = np.count_nonzero(flip)
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.count_nonzero(flip):
-            ws = np.where(flip, -zs, zs)
-            inv = tw.inverse()
-            if inv == tw:
-                f, err = _p1_taylor(tw, ws, tau, order, cfg)
-            else:
-                f = np.empty((order, zs.size), dtype=complex)
-                err = np.empty((order, zs.size))
-                for twist, sel in ((tw, ~flip), (inv, flip)):
-                    if np.count_nonzero(sel):
-                        f[:, sel], err[:, sel] = _p1_taylor(twist, ws[sel], tau, order, cfg)
+        # P_k = (-1)^(k-1) f_(k-1), and at a flipped point -f_(k-1) of tw^-1 at w = -z;
+        # tw^-1 is tw at the half-integer twists, and the only twist when all points flip
+        twist, inverse = tw, None
+        if flipped and not (tw.mu in (0.0, 0.5) and tw.lam in (0.0, 0.5)):
+            twist, inverse = (tw.inverse(), None) if flipped == zs.size else (tw, flip)
+        vals, err = _p1_taylor(twist, np.where(flip, -zs, zs) if flipped else zs, inverse,
+                               tau, order, cfg)
+        sign = (-1.0) ** np.arange(order)[:, None] if order > 1 else 1.0   # (-1)^(k-1)
+        if flipped:
             if tw.is_trivial:
-                f[0] -= flip
-            # at w = -z, P_k = -f_(k-1) of the inverse twist
-            vals = f * np.where(flip, -1.0, sign)
-        else:
-            f, err = _p1_taylor(tw, zs, tau, order, cfg)
-            vals = f * sign if order > 1 else f
+                vals[0] -= flip
+            vals = vals * np.where(flip, -1.0, sign)
+        elif order > 1:
+            vals = vals * sign
         if ks != list(range(1, order + 1)):
             rows = np.array(ks) - 1
             vals, err = vals[rows], err[rows]
@@ -265,21 +261,28 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
     return vals
 
 
-def _p1_taylor(tw: TwistPair, ws: np.ndarray, tau: complex, order: int,
-               cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """f^(j)(w)/j! of f = P_1[tw], j < order, at every w of ws, with their rounding bounds.
+def _p1_taylor(tw: TwistPair, ws: np.ndarray, inverse: np.ndarray | None, tau: complex,
+               order: int, cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """f^(j)(w)/j!, j < order, of f = P_1[tw] at every w of ws, or of P_1[tw^-1] where the
+    mask inverse is set, with their rounding bounds.
 
     Each w is moved by the quasi-period w -> w + 2 pi i tau m, m = round(Re w
     / (2 pi Im tau)), next to the imaginary axis, where theta's terms peak at
     |n + a| <= 1: one window |n| <= N with pi Im(tau) (N - 1)^2 >= _THETA_TAIL
     then serves every point (NotConverged past N = 512, below Im tau ~ 6e-5).
-    The characteristics are (lam - 1/2, mu + 1/2) and (1/2, 1/2), each a in
-    [-1/2, 1/2], so every exponent n (n + 2a) is >= 0: at w = 0 both peak at
-    n = 0, and taking out the largest term at large Im tau underflows neither
-    normalisation column. The columns c_j(w) of theta[lam+1/2; mu+1/2] and
-    theta[1/2;1/2] (of theta[1/2;1/2] alone at the trivial twist) come from
-    one exp table over the window, w = 0 being one more point, each summed in
-    order of n. A term's relative rounding is at most eps times
+    One exp table, laid out (n, theta, column), holds every point and, as one
+    more column per numerator twist, w = 0. Its rows are the numerator
+    theta[lam+1/2; mu+1/2] of tw, and of tw^-1 when the mask is given, then
+    theta[1/2;1/2] (alone at the trivial twist). Their characteristics
+    (lam - 1/2, mu + 1/2) and (1/2, 1/2) have a in [-1/2, 1/2], so every
+    exponent n (n + 2a) is >= 0: at w = 0 they peak at n = 0, and taking out
+    the largest term at large Im tau underflows no normalisation. Each row
+    sums its Taylor columns c_j, j < order, in order of n, and at order 1 one
+    more, j = 1, for theta'[1/2;1/2](0) (j <= order at the trivial twist): a
+    sum of that one column at w = 0 alone costs a one-point call more than
+    the column costs a 256-point one. Each point then divides the
+    numerator row of its own twist by theta[1/2;1/2]'s, normalised for that
+    twist. A term's relative rounding is at most eps times
     2 + pi|tau| n (n + 2a) + 2 pi |b x| + |x| reach, x = n + a, where reach
     covers |w| and the rounding of the shift (three times |w| plus the
     shift); the bound of c_j sums those over |x^j/j! term|, and _divide
@@ -290,69 +293,101 @@ def _p1_taylor(tw: TwistPair, ws: np.ndarray, tau: complex, order: int,
         raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
                            f"either side of 0 at tau = {tau}")
     width = math.ceil(span) + 1
-    m = np.rint(ws.real / (_TWO_PI * tau.imag))
-    shifted = np.count_nonzero(m)
-    reach = np.abs(ws)
-    if shifted:
-        ws = ws + (2j * math.pi * tau) * m
-        reach += abs(_TWO_PI * tau) * np.abs(m)
     trivial = tw.is_trivial
-    # characteristics (a, b) with |a| <= 1/2, as rows (a, 2 pi i b, eps 2 pi |b|)
-    if trivial:
-        bs, cols_needed = [(0.5, 0.5)], order + 1
-    else:
-        # theta[lam+1/2; .] = theta[lam-1/2; .], with lam - 1/2 in [-1/2, 1/2)
-        bs, cols_needed = [(tw.lam - 0.5, tw.mu + 0.5), (0.5, 0.5)], max(order, 2)
-    rows = np.array([[a, 2j * math.pi * b, _EPS * _TWO_PI * abs(b)] for a, b in bs])
-    ns = np.arange(-width, width + 1.0)
-    xs = ns + rows[:, :1].real
+    npts = ws.size
+    # the numerator twists (mu, lam): tw, and tw^-1 for the points of inverse
+    twists = [(tw.mu, tw.lam)] + ([] if inverse is None else
+                                  [(_reduce_phase(-tw.mu), _reduce_phase(-tw.lam))])
+    # the columns: every w, then w = 0 for each numerator twist
+    pts = np.zeros(npts + len(twists), dtype=complex)
+    pts[:npts] = ws
+    m = np.rint(pts.real / (_TWO_PI * tau.imag))
+    shifted = np.count_nonzero(m)
+    reach = np.abs(pts)
+    if shifted:
+        pts += (2j * math.pi * tau) * m
+        reach += abs(_TWO_PI * tau) * np.abs(m)
+    # characteristics (a, b), |a| <= 1/2: theta[lam+1/2; .] = theta[lam-1/2; .], with
+    # lam - 1/2 in [-1/2, 1/2), then theta[1/2;1/2]; as rows a, 2a, b and eps 2 pi b
+    chars = ([] if trivial else [(lam - 0.5, mu + 0.5) for mu, lam in twists]) + [(0.5, 0.5)]
+    a, a2, b, eb = np.array([(ca, 2.0 * ca, cb, _EPS * _TWO_PI * cb) for ca, cb in chars]).T
+    ns = np.arange(-width, width + 1.0)[:, None]
+    xs = ns + a
     ax = np.abs(xs)
-    # exponents i pi (x^2 - a^2) tau + x (w + 2 pi i b), laid out (chars, x, points), w = 0
-    # last: x^2 - a^2 = n (n + 2a) >= 0 is exact at the peak, and the shift by a^2 tau
+    # exponents i pi (x^2 - a^2) tau + x (w + 2 pi i b), laid out (x, row, column):
+    # x^2 - a^2 = n (n + 2a) >= 0 is exact at the peak, and the shift by a^2 tau
     # cancels from A/B and from B'/B
-    sq = ns * (ns + 2.0 * rows[:, :1].real)
-    pts = np.concatenate((ws, _ZERO))
-    expo = ((1j * math.pi * tau) * sq + rows[:, 1:2] * xs)[:, :, None] + xs[:, :, None] * pts
+    sq = ns * (ns + a2)
+    expo = ((1j * math.pi * tau) * sq + (2j * math.pi) * b * xs)[:, :, None] \
+        + xs[:, :, None] * pts
     if tau.imag > 64.0:
-        # so large an Im(tau) leaves the float range: take out each point's largest term,
-        # which also cancels
-        expo -= expo.real.max(axis=(0, 1))
-    pw = np.empty((len(bs), cols_needed, xs.shape[1], 1))
+        # so large an Im(tau) leaves the float range: take out each column's largest term
+        # over its numerator row and theta[1/2;1/2]'s, which also cancels
+        top = expo.real.max(axis=0)
+        row = np.arange(-npts, len(twists))
+        row[:npts] = 0 if inverse is None else inverse
+        expo -= np.maximum(top[row, np.arange(row.size)], top[-1])
+    # pw[:, j] = x^j / j!, j <= max(order - 1, 1) (<= order at the trivial twist), the
+    # running product of x / i over i <= j: column 1 gives theta'[1/2;1/2](0) at w = 0
+    cols_n = order + 1 if trivial else max(order, 2)
+    pw = np.empty((ns.size, cols_n, a.size, 1))
     pw[:, 0] = 1.0
-    for j in range(1, cols_needed):
-        pw[:, j] = pw[:, j - 1] * (xs / j)[:, :, None]
-    cols = np.add.accumulate(pw * np.exp(expo)[:, None], axis=2)[:, :, -1]
-    slack = (2.0 * _EPS + (_EPS * math.pi * abs(tau)) * sq + rows[:, 2:].real * ax)[:, :, None] \
-        + ax[:, :, None] * np.concatenate(((3.0 * _EPS) * reach, _ZERO))
-    bounds = np.abs(pw[..., 0]) @ (np.exp(expo.real) * slack)
-    # theta[1/2;1/2](w) ~ theta'[1/2;1/2](0) * d at distance d from the lattice
-    absden = np.abs(cols[-1, :order, :-1])
-    if np.count_nonzero(absden[0] < 10 * _POLE_EPS * abs(complex(cols[-1, 1, -1]))):
+    np.divide(xs[:, None, :, None], np.arange(1.0, cols_n)[:, None, None], out=pw[:, 1:])
+    pw = np.multiply.accumulate(pw, axis=1)
+    # sums over n, (j, row, column): np.add.reduce over the leading axis of a C-ordered
+    # array adds whole blocks, never one element, in order of n; from -0, not its default
+    # +0, it gives the bits of adding from the first term, signed zeros included
+    cols = np.add.reduce(pw * np.exp(expo)[:, None], axis=0, initial=-0j)
+    slack = (2.0 * _EPS + (_EPS * math.pi * abs(tau)) * sq + eb * ax)[:, :, None] \
+        + ax[:, :, None] * ((3.0 * _EPS) * reach)
+    bounds = (np.abs(pw[..., 0]).transpose(2, 1, 0)
+              @ (np.exp(expo.real) * slack).transpose(1, 0, 2)).transpose(1, 0, 2)
+    # per numerator twist: the pole threshold (theta[1/2;1/2](w) ~ theta'[1/2;1/2](0) d at
+    # distance d from the lattice), and off the trivial twist the normalisation theta'(0)
+    # / theta[a;b](0), its inverse modulus, the multiplier's 2 pi i mu and relative bound
+    per_twist = []
+    for t, (mu, _) in enumerate(twists):
+        den1 = complex(cols[1, -1, npts + t])
+        per_twist.append([10 * _POLE_EPS * abs(den1)])
+        if not trivial:
+            num0 = complex(cols[0, t, npts + t])
+            if abs(num0) < _POLE_EPS * abs(den1):
+                raise NearPole(f"twist {tw} is within {_POLE_EPS} of trivial, where "
+                               f"P_k[tw] has a pole")
+            norm = den1 / num0
+            per_twist[t] += [norm, 1.0 / abs(norm), _TWO_PI * 1j * mu,
+                             float(bounds[0, t, npts + t]) / abs(num0)
+                             + float(bounds[1, -1, npts + t]) / abs(den1) + 4.0 * _EPS]
+    # each point's numerator row and twist values: tw's, or at the points of inverse tw^-1's
+    if inverse is None:
+        num, num_err = cols[:order, 0, :npts], bounds[:order, 0, :npts]
+        per = per_twist[0]
+    else:
+        num = np.where(inverse, cols[:order, 1, :npts], cols[:order, 0, :npts])
+        num_err = np.where(inverse, bounds[:order, 1, :npts], bounds[:order, 0, :npts])
+        per = np.array(per_twist)[inverse.view(np.int8)].T
+    absden = np.abs(cols[:order, -1, :npts])
+    if np.count_nonzero(absden[0] < per[0].real):
         j = int(absden[0].argmin())
-        raise NearPole(f"z = {ws[j]:.6g} (up to sign and a period) is within "
+        raise NearPole(f"w = {pts[j]:.6g} (up to a period) is within "
                        f"{10 * _POLE_EPS} of a pole of P_k[tw] at tau = {tau}")
+    m = m[:npts]
     if trivial:
         # f = 1/2 + theta'/theta: theta'(w + t) has columns (j+1) c_{j+1}
         j1 = np.arange(1.0, order + 1.0)[:, None]
-        f, err = _divide(j1 * cols[0, 1:, :-1], j1 * bounds[0, 1:, :-1],
-                         cols[0, :order, :-1], bounds[0, :order, :-1], absden, 4.0 * _EPS)
+        f, err = _divide(j1 * cols[1:, 0, :npts], j1 * bounds[1:, 0, :npts],
+                         cols[:order, 0, :npts], bounds[:order, 0, :npts], absden, 4.0 * _EPS)
         f[0] += 0.5 + m
         err[0] += _EPS * np.abs(f[0])
         return f, err
-    num0, den1 = complex(cols[0, 0, -1]), complex(cols[1, 1, -1])
-    if abs(num0) < _POLE_EPS * abs(den1):
-        raise NearPole(f"twist {tw} is within {_POLE_EPS} of trivial, where P_k[tw] has a pole")
-    # f = theta[a;b] / (theta[1/2;1/2] / norm): the normalisation theta'[1/2;1/2](0) /
-    # theta[a;b](0) and the multiplier theta^-m of the shift divide the denominator
-    norm = den1 / num0
-    den = cols[1, :order, :-1] / norm
-    rel = float(bounds[0, 0, -1]) / abs(num0) + float(bounds[1, 1, -1]) / abs(den1) + 4.0 * _EPS
+    # f = theta[a;b] / (theta[1/2;1/2] / norm): the normalisation and the multiplier
+    # theta^-m of the shift divide the denominator
+    norm, scale, mu2pi, rel = per[1], per[2].real, per[3], per[4].real
+    den = cols[:order, -1, :npts] / norm
     if shifted:
-        den /= np.exp(_TWO_PI * 1j * tw.mu * m)
+        den /= np.exp(mu2pi * m)
         rel = rel + _EPS * _TWO_PI * np.abs(m)
-    scale = 1.0 / abs(norm)
-    return _divide(cols[0, :order, :-1], bounds[0, :order, :-1], den,
-                   bounds[1, :order, :-1] * scale, absden * scale, rel)
+    return _divide(num, num_err, den, bounds[:order, -1, :npts] * scale, absden * scale, rel)
 
 
 def _divide(num: np.ndarray, num_err: np.ndarray, den: np.ndarray, den_err: np.ndarray,
@@ -360,37 +395,43 @@ def _divide(num: np.ndarray, num_err: np.ndarray, den: np.ndarray, den_err: np.n
     """Taylor coefficients of num/den by power-series division, with rounding bounds.
 
     q_j = (num_j - sum_{i=1..j} den_i q_{j-i}) / den_0, row by row, the sum
-    taken in order of i; absden is |den|. The first-order bound carries the
+    still taken in order of i: one reduction over the rows of products, from
+    -0 (numpy adds whole rows in order when it reduces a leading axis over
+    more than one column), so O(order) numpy calls. Each product is formed
+    from real products and sums: numpy's complex multiply fuses them, which
+    would change the bits. absden is |den|. The first-order bound carries the
     columns' bounds through the recurrence, adds the recurrence's own
     rounding, eps times its sum of magnitudes, and rel times |q_j|.
     """
+    n = num.shape[0]
     q = num / den[0]
-    for j in range(1, num.shape[0]):
-        prods = _cmul(den[1:j + 1], q[j - 1::-1])
-        acc = prods[0]
-        for prod in prods[1:]:
-            acc = acc + prod
-        q[j] = (num[j] - acc) / den[0]
+    if n > 1:
+        # den_i q = re(q) (re, im) + im(q) (-im, re) of den_i, on (re, im) float views
+        ri = np.ascontiguousarray(den).view(float).reshape(n, -1, 2)
+        ir = ri[..., ::-1] * _NEG_RE
+        qq = q.view(float).reshape(n, -1, 2)
+        for j in range(1, n):
+            prods = ri[1:j + 1] * qq[j - 1::-1, :, :1] + ir[1:j + 1] * qq[j - 1::-1, :, 1:]
+            np.subtract(num[j], np.add.reduce(prods, initial=-0.0).view(complex)[:, 0], out=q[j])
+            np.divide(q[j], den[0], out=q[j])
     aq = np.abs(q)
     e = (num_err + den_err[0] * aq) / absden[0] + rel * aq
-    if num.shape[0] > 1:
-        # |den_i q_(j-i)| bounds each product, which rounds by eps and sums by eps more
-        slack = den_err + 4.0 * _EPS * absden
-        for j in range(1, num.shape[0]):
-            e[j] += ((slack[1:j + 1] * aq[j - 1::-1] + absden[1:j + 1] * e[j - 1::-1])
-                     .sum(axis=0) / absden[0])
+    if n > 1:
+        # |den_i q_(j-i)| bounds each product, which rounds by eps and sums by eps more: e_j
+        # gains sum_(i=1..j) (slack_i |q_(j-i)| + |den_i| e_(j-i)) / |den_0|, one sum over
+        # the (weight, term) pairs of wt and ve, e_j itself at weight 1, written back in place
+        ve = np.empty((n, 2) + q.shape[1:])
+        ve[:, 0] = aq
+        ve[:, 1] = e
+        e = ve[:, 1]
+        wt = np.empty(ve.shape)
+        wt[0, 0] = 0.0
+        wt[0, 1] = 1.0
+        np.divide(den_err[1:] + 4.0 * _EPS * absden[1:], absden[0], out=wt[1:, 0])
+        np.divide(absden[1:], absden[0], out=wt[1:, 1])
+        for j in range(1, n):
+            np.add.reduce((wt[:j + 1] * ve[j::-1]).reshape((-1,) + e.shape[1:]), out=e[j])
     return q, e
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for arrays of one shape, from real products and sums: numpy's complex
-    multiply may fuse them, depending on the array layout, which would make a value
-    depend on its batch."""
-    out = np.empty(a.shape, dtype=complex)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    out.real = ar * br - ai * bi
-    out.imag = ar * bi + ai * br
-    return out
 
 
 def twisted_pk(k: int, tw: TwistPair, z: complex, tau: complex,

@@ -18,10 +18,10 @@ def test_layers_script_runs_every_row(capsys):
     for n in (1, 16, 256):
         assert {f"L1.p0_loop.n{n}", f"L1.p0_batch.n{n}", f"L2.pk_loop.n{n}",
                 f"L2.pk_batch.n{n}"} <= set(rows)
-    assert {"L2.pk_batch.edge", "L2.pk_batch.edge.k1"} <= set(rows)
+    assert {"L2.pk_batch.edge", "L2.pk_batch.edge.k1", "L2.pk_batch.mixed"} <= set(rows)
     for n in (2, 4, 8, 16):
         assert {f"L3.rank2_generating.n{n}", f"L3.rank2_generating_boson.n{n}"} <= set(rows)
-    assert "L3.rank1_fock_npoint.4x3" in rows
+    assert {"L3.rank1_fock_npoint.4x3", "L3.rank2_fock_npoint.3x22"} <= set(rows)
     assert {"L1.eisenstein.cold", "L1.theta_char.a0", "L1.theta_char.a40",
             "L1.theta_char.half",
             "L2.twisted_eisenstein.im0.06",

@@ -667,6 +667,13 @@ class TestBlockMatrixBuilder:
         assert np.array_equal(p1_difference_matrix(tw, self.ZS, TAU, diag=diag),
                               loop_p1_difference_matrix(tw, self.ZS, TAU, diag))
 
+    def test_p1_difference_matrix_is_antisymmetric(self):
+        # z_i - z_j and z_j - z_i share one w = -(z_i - z_j) at the half-integer twist
+        rng = random.Random("antisymmetry")
+        zs = [complex(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(9)]
+        mat = p1_difference_matrix(TwistPair(0.5, 0.5), zs, TAU)
+        assert np.all(mat == -mat.T)
+
     def test_rank1_fock(self):
         g = GSelector.SIGMA
         modes = [(1, 2), (1,), (2, 3), (1, 3, 4)]

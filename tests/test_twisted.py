@@ -37,7 +37,7 @@ from twistell import (
     twisted_pk_oracle,
     weierstrass_pk,
 )
-from twistell import classical
+from twistell import classical, twisted
 from twistell.classical import _eisenstein_prefactors
 from twistell.errors import TwistellError
 from twistell.numeric import bernoulli_over_factorial
@@ -362,13 +362,51 @@ class TestThetaKernel:
         rng = random.Random(f"invariance:{tw}")
         tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 2.0))
         zs = [complex(rng.uniform(-15, 15), rng.uniform(-6, 6)) for _ in range(23)]
-        out = twisted_pk_batch(self.KS, tw, zs, tau)
-        assert np.array_equal(twisted_pk_batch(self.KS, tw, zs[::-1], tau), out[:, ::-1])
-        twice = twisted_pk_batch(self.KS, tw, zs + zs[:3], tau)
+        ks = list(range(1, 8))
+        out = twisted_pk_batch(ks, tw, zs, tau)
+        assert np.array_equal(twisted_pk_batch(ks, tw, zs[::-1], tau), out[:, ::-1])
+        twice = twisted_pk_batch(ks, tw, zs + zs[:3], tau)
         assert np.array_equal(twice, np.hstack([out, out[:, :3]]))
-        assert np.array_equal(twisted_pk_batch(self.KS[::-1], tw, zs, tau), out[::-1])
-        single = [twisted_pk(k, tw, z, tau) for k in self.KS for z in zs]
+        assert np.array_equal(twisted_pk_batch(ks[::-1], tw, zs, tau), out[::-1])
+        single = [twisted_pk(k, tw, z, tau) for k in ks for z in zs]
         assert np.array_equal(np.reshape(single, out.shape), out)
+
+    def test_mixed_parity_batch_is_one_table_pass(self, monkeypatch):
+        # z and -z at a twist that is not its own inverse: the flipped points take tw^-1's
+        # numerator row of the same table, and every entry equals its one-point call
+        tw = TwistPair(0.31, 0.77)
+        rng = random.Random("mixed-parity")
+        zs = [complex(rng.uniform(-2.5, -0.1), rng.uniform(-2, 2)) for _ in range(5)]
+        zs += [-z for z in zs] + [complex(0.0, 1.3), complex(-0.0, -0.7)]
+        ks = list(range(1, 8))
+        calls = []
+        taylor = twisted._p1_taylor
+        monkeypatch.setattr(twisted, "_p1_taylor", lambda *a: calls.append(a) or taylor(*a))
+        out = twisted_pk_batch(ks, tw, zs, TAU)
+        assert len(calls) == 1 and calls[0][2] is not None
+        single = [twisted_pk(k, tw, z, TAU) for k in ks for z in zs]
+        assert len(calls) == 1 + len(single)
+        assert np.array_equal(np.reshape(single, out.shape), out)
+
+    @pytest.mark.parametrize("tw", [TwistPair(0.75, 0.625), TwistPair(0.5, 0.5),
+                                    TwistPair(0.5, 0.0), TwistPair(0.0, 0.5),
+                                    TwistPair.trivial()], ids=str)
+    def test_parity_holds_bit_for_bit(self, tw):
+        # P_k[tw](z) = (-1)^k P_k[tw^-1](-z) exactly, wherever tw^-1 inverts back to tw (a
+        # phase x that 1 - x rounds does not); at the trivial twist P_1 at the flipped one
+        # of z, -z is 1 - P_1 at the other
+        assert tw.inverse().inverse() == tw
+        ks = np.arange(1, 8)
+        zs = np.array([-1.3 + 0.4j, -0.2 - 2.1j, -4.0 + 1.0j, 2.2 + 0.3j, 9.5 - 1.2j])
+        out = twisted_pk_batch(ks, tw, zs, TAU)
+        partner = twisted_pk_batch(ks, tw.inverse(), -zs, TAU) * (-1.0) ** ks[:, None]
+        if tw.is_trivial:
+            flipped = zs.real > 0
+            at_z, at_minus_z = out[0], -partner[0]
+            assert np.array_equal(np.where(flipped, at_z, at_minus_z),
+                                  1.0 - np.where(flipped, at_minus_z, at_z))
+            out, partner = out[1:], partner[1:]
+        assert np.array_equal(out, partner)
 
     def test_near_pole(self):
         tw = TwistPair(0.31, 0.77)
