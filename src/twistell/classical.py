@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DomainError, NearPole, NotConverged
 from .numeric import (
     DEFAULT_CONFIG,
+    Q_ORDER,
     TruncationConfig,
     bernoulli_over_factorial,
     bernoulli_poly,
@@ -73,8 +74,8 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
     """E_n[theta; phi](tau) for the twist of phases (mu, lam): the one E_n q-series.
 
     -B_n(lam)/n! plus two q-expansions over r + lam (from r = 0) and r - lam
-    (from r = 1), summed until both terms drop below cfg.tol or r exceeds
-    cfg.q_order. At the trivial twist the r = 0 term is omitted exactly, the
+    (from r = 1), summed until both terms drop below cfg.tol; NotConverged when r
+    passes Q_ORDER first. At the trivial twist the r = 0 term is omitted exactly, the
     two streams are bitwise equal and one is summed for both, and the
     constant is B_n(0)/n! as one float.
     prefactors, when given, is _eisenstein_prefactors(n, lam, trivial), so a
@@ -92,7 +93,7 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
     plus = 0.0 + 0.0j
     minus = 0.0 + 0.0j
     try:
-        for r in range(1 if trivial else 0, cfg.q_order + 1):
+        for r in range(1 if trivial else 0, Q_ORDER + 1):
             x = r + lam
             w = th_inv * exp(qtau * x)
             den = 1.0 - w
@@ -114,7 +115,7 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
             if r and biggest < tol:
                 break
         else:
-            raise NotConverged(f"E_{n} q-series not below tol within q_order={cfg.q_order}")
+            raise NotConverged(f"E_{n} q-series not below tol within Q_ORDER = {Q_ORDER} terms")
     except OverflowError:
         raise NotConverged(f"E_{n} q-series term r^{n - 1} overflows a float at r = {r}") \
             from None
@@ -152,9 +153,9 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
     exponentials and denominators once for all orders and each power (r +- lam)^(n-1)
     once for all tau; each (n, tau) keeps the loop's own stop and sums its terms in
     order of r up to it. An entry whose terms meet a pole, a float overflow, a NaN
-    or the q_order cap before its stop is summed by the loop instead, so the grid
-    raises exactly where a loop call would: the first such entry in row order
-    decides the error, each order's prefactors being computed before its row.
+    or no stop by Q_ORDER is summed by the loop instead, so the grid raises exactly
+    where a loop call would: the first such entry in row order decides the error,
+    each order's prefactors being computed before its row.
     """
     trivial = lam == 0.0 and mu == 0.0
     prefactors: dict[int, tuple[float, float] | NotConverged] = {}
@@ -192,10 +193,10 @@ def _grid_window(p: int, h: float, cfg: TruncationConfig) -> int:
     """The last r the grid sums at Im tau = h/(2 pi) for orders up to p + 1: the first r
     past those at which (r+1)^p e^(-h(r-1)) / (1 - e^-h), a bound on the r-th terms, is
     tol or more; those run from r = 1, where the bound is at least 1, as it is
-    log-concave in r. At most q_order, and past _GRID_CHUNK no chunk fits anyway."""
-    r = np.arange(1, min(cfg.q_order, _GRID_CHUNK) + 1)
+    log-concave in r. At most Q_ORDER, where the loop stops."""
+    r = np.arange(1, Q_ORDER + 1)
     live = p * np.log(r + 1.0) - h * (r - 1.0) >= math.log(cfg.tol) + math.log(-math.expm1(-h))
-    return min(np.count_nonzero(live) + 1, cfg.q_order)
+    return min(np.count_nonzero(live) + 1, Q_ORDER)
 
 
 def _eisenstein_grid_sums(orders: list[int], lam: float, mu: float, taus: Sequence[complex],
@@ -634,20 +635,22 @@ def dedekind_eta(tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> comple
     """Dedekind eta function q^{1/24} prod_{n>=1} (1 - q^n).
 
     The prefactor is exp(2*pi*i*tau/24), fixing the 24th root branch-free.
-    NotConverged once |eta| underflows to a subnormal float (Im tau past ~2700).
+    NotConverged when |q|^n is not below tol by n = Q_ORDER (Im tau below about
+    0.037 at tol 1e-12), or once |eta| underflows to a subnormal float (Im tau
+    past ~2700).
     """
     tau = require_upper_half(tau)
     q = cmath.exp(2j * math.pi * tau)
     acc = 1.0 + 0.0j
     converged = False
-    for n in range(1, cfg.q_order + 1):
+    for n in range(1, Q_ORDER + 1):
         qn = q**n
         acc *= 1.0 - qn
         if abs(qn) < cfg.tol:
             converged = True
             break
     if not converged:
-        raise NotConverged(f"eta product not below tol within q_order={cfg.q_order}")
+        raise NotConverged(f"eta product not below tol within Q_ORDER = {Q_ORDER} factors")
     val = cmath.exp(2j * math.pi * tau / 24.0) * acc
     if abs(val) < _FLOAT_MIN:
         # subnormal or 0: every eta quotient would lose its digits or divide by 0

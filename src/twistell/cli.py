@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import fields
 from functools import cache
 from itertools import product
 from types import ModuleType
@@ -271,9 +270,7 @@ def _error_row(exc: Exception) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _cfg_from_args(args) -> TruncationConfig:
-    given = {f.name: getattr(args, f.name) for f in fields(TruncationConfig)}
-    given = {k: v for k, v in given.items() if v is not None}
-    return TruncationConfig(**given) if given else DEFAULT_CONFIG
+    return DEFAULT_CONFIG if args.tol is None else TruncationConfig(tol=args.tol)
 
 
 def _lookup(function: str):
@@ -543,8 +540,7 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_cfg_flags(sub):
-    for f in fields(TruncationConfig):
-        sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
+    sub.add_argument("--tol", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .classical import _prime_forms, _turn, dedekind_eta, require_upper_half, theta_char
 from .errors import BalanceError, DomainError, NotConverged, UnsupportedTwist
-from .numeric import DEFAULT_CONFIG, TruncationConfig, determinant, pfaffian
+from .numeric import DEFAULT_CONFIG, Q_ORDER, TruncationConfig, determinant, pfaffian
 from .twisted import (
     TwistPair,
     GroupElement,
@@ -201,6 +201,18 @@ def sigma_module_partition(tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG)
     return dedekind_eta(2.0 * tau, cfg) / dedekind_eta(tau, cfg)
 
 
+def _rank1_pfaffian(tw: TwistPair, modes: Sequence[Sequence[int]], zs: list[complex],
+                    partition, tau: complex, cfg: TruncationConfig,
+                    diag: complex | None = None) -> complex:
+    """Pf of the C/D block matrix of the modes at zs times partition(tau, cfg); 0 when
+    the total mode count is odd. diag, when given, fills the C entries."""
+    if sum(len(m) for m in modes) % 2:
+        return 0.0 + 0.0j
+    _require_distinct(zs, "insertion points")
+    mat = _cd_matrix(tw, modes, zs, modes, None, tau, cfg, diag=diag)
+    return pfaffian(mat, cfg) * partition(tau, cfg)
+
+
 def rank1_generating(g: GSelector, zs: Sequence[complex], tau: complex,
                      cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """All-fermion insertion correlator; 0 for odd n, else Pf(P) * Z(g).
@@ -209,11 +221,8 @@ def rank1_generating(g: GSelector, zs: Sequence[complex], tau: complex,
     Totally antisymmetric in the insertion points.
     """
     zs = [complex(z) for z in zs]
-    if len(zs) % 2:
-        return 0.0 + 0.0j
-    _require_distinct(zs, "insertion points")
-    mat = p1_difference_matrix(g.twist(), zs, tau, cfg)
-    return pfaffian(mat, cfg) * rank1_partition(g, tau, cfg)
+    return _rank1_pfaffian(g.twist(), [(1,)] * len(zs), zs,
+                           lambda t, c: rank1_partition(g, t, c), tau, cfg, diag=0.0)
 
 
 def rank1_sigma_twisted_generating(zs: Sequence[complex], tau: complex,
@@ -223,11 +232,8 @@ def rank1_sigma_twisted_generating(zs: Sequence[complex], tau: complex,
     For even n: Pf(P_1[-1; 1](z_i - z_j)) * eta(2*tau)/eta(tau).
     """
     zs = [complex(z) for z in zs]
-    if len(zs) % 2:
-        return 0.0 + 0.0j
-    _require_distinct(zs, "insertion points")
-    mat = p1_difference_matrix(TwistPair(0.5, 0.0), zs, tau, cfg)
-    return pfaffian(mat, cfg) * sigma_module_partition(tau, cfg)
+    return _rank1_pfaffian(TwistPair(0.5, 0.0), [(1,)] * len(zs), zs,
+                           sigma_module_partition, tau, cfg, diag=0.0)
 
 
 def _as_rank1_labels(labels) -> list[FockLabelRank1]:
@@ -248,12 +254,8 @@ def rank1_fock_npoint(labels, zs: Sequence[complex], g: GSelector, tau: complex,
     zs = [complex(z) for z in zs]
     if len(labels) != len(zs):
         raise ValueError("labels and insertion points must pair up")
-    if sum(len(lab.ks) for lab in labels) % 2:
-        return 0.0 + 0.0j
-    _require_distinct(zs, "insertion points")
-    modes = [lab.ks for lab in labels]
-    mat = _cd_matrix(g.twist(), modes, zs, modes, None, tau, cfg)
-    return pfaffian(mat, cfg) * rank1_partition(g, tau, cfg)
+    return _rank1_pfaffian(g.twist(), [lab.ks for lab in labels], zs,
+                           lambda t, c: rank1_partition(g, t, c), tau, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +296,7 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
         acc = lead * cmath.exp(qlog * power)
         # a subnormal prefactor has lost its digits, and the product with them
         normal = abs(acc) >= sys.float_info.min
-        for l in range(1, cfg.q_order + 1):
+        for l in range(1, Q_ORDER + 1):
             e1 = l - 0.5 - kappa
             e2 = l - 0.5 + kappa
             f1 = 1.0 - th * cmath.exp(-qlog * e1) if e1 < 0 else \
@@ -303,7 +305,8 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
             if min(e1, e2) > 0 and abs(cmath.exp(qlog * min(e1, e2))) < cfg.tol:
                 break
         else:
-            raise NotConverged(f"partition product not below tol within q_order={cfg.q_order}")
+            raise NotConverged(f"partition product not below tol within Q_ORDER = {Q_ORDER} "
+                               f"factors")
     except OverflowError:
         normal = False
     if normal and shift:

@@ -50,11 +50,10 @@ from .twisted import (
 
 _TWO_PI = 2.0 * math.pi
 
-# the sampling domains: the tau box, the relative margin of |q_z| inside (|q|, 1), and
-# the least distance of a sampled difference from the period lattice
+# the sampling domains: the tau box, and the least distance of a sampled point or
+# difference from the period lattice
 _TAU_RE = (-0.4, 0.4)
 _TAU_IM = (0.8, 2.0)
-_ANNULUS_MARGIN = 0.15
 _MIN_SEPARATION = 0.05
 # radius of the circle laurent_coefficients samples
 _LAURENT_RADIUS = 0.25
@@ -65,9 +64,9 @@ class SamplePlan:
     """Seeded sampling policy: the seed and the samples per check.
 
     The domains are fixed: tau is drawn from the box [-0.4, 0.4] x [0.8, 2] i;
-    |q_z| is drawn log-uniformly strictly inside (|q|, 1) with relative
-    margin 0.15; points landing within 0.05 of a lattice translate of 0 are
-    rejected and redrawn.
+    points z uniformly from |Re z| < 2 pi Im tau, |Im z| < pi, both sides of the
+    imaginary axis; a draw with a point or a difference of two points within 0.05
+    of the period lattice (0.2 or 0.3 where a check asks) is redrawn.
     """
 
     seed: int = 7
@@ -136,7 +135,8 @@ def _c(z: complex) -> str:
 
 
 class _Sampler:
-    """Deterministic per-check sampler; seeds derive from (plan.seed, name)."""
+    """Deterministic per-check sampler; seeds derive from (plan.seed, name). Points
+    come from two fundamental domains, one either side of the imaginary axis."""
 
     def __init__(self, plan: SamplePlan, name: str):
         self.rng = random.Random(f"{plan.seed}:{name}")
@@ -158,57 +158,31 @@ class _Sampler:
             return TwistPair(self.phase(), 0.0)
         return TwistPair(self.phase(), self.phase())
 
-    def annulus_z(self, tau: complex, lo: float | None = None,
-                  hi: float | None = None) -> complex:
-        """z with |q_z| log-uniform strictly inside (|q|, 1), off the lattice."""
+    def points(self, tau: complex, n: int, min_sep: float = _MIN_SEPARATION) -> list[complex]:
+        """n points with |Re z| < 2 pi Im tau and |Im z| < pi, each point and each
+        pairwise difference at least min_sep from the period lattice."""
         h = _TWO_PI * tau.imag
-        lo = _ANNULUS_MARGIN if lo is None else lo
-        hi = 1.0 - _ANNULUS_MARGIN if hi is None else hi
         for _ in range(100):
-            z = complex(-self.uniform(lo, hi) * h, self.uniform(-math.pi, math.pi))
-            if lattice_distance(z, tau) >= _MIN_SEPARATION:
-                assert -h < z.real < 0.0
-                return z
-        raise RuntimeError("annulus sampling failed to clear the minimum separation")
-
-    def spread_points(self, tau: complex, n: int, re_lo: float, re_hi: float,
-                      min_sep: float) -> list[complex]:
-        """n points with Re in (re_lo, re_hi), pairwise differences at least min_sep
-        from the lattice and with nondegenerate real parts."""
-        for _ in range(100):
-            pts = [complex(self.uniform(re_lo, re_hi), self.uniform(-1.0, 1.0))
+            pts = [complex(self.uniform(-h, h), self.uniform(-math.pi, math.pi))
                    for _ in range(n)]
-            ok = True
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d = pts[i] - pts[j]
-                    if abs(d.real) < 0.04 or lattice_distance(d, tau) < min_sep:
-                        ok = False
-            if ok:
+            diffs = [a - b for i, a in enumerate(pts) for b in pts[i + 1:]]
+            if all(lattice_distance(d, tau) >= min_sep for d in pts + diffs):
                 return pts
-        raise RuntimeError("point-cluster sampling failed to clear the minimum separation")
+        raise RuntimeError("point sampling failed to clear the minimum separation")
 
     def xy_clusters(self, tau: complex, n_x: int, n_y: int) -> tuple[list[complex], list[complex]]:
-        """psi+ points and psi- points with every x - y strictly inside the annulus
-        and the points of each group at least _MIN_SEPARATION apart."""
+        """psi+ points with Re x in (-2.2, -0.8), psi- points with Re y in (-0.5, -0.01),
+        all with |Im| < 0.9, the points of each group at least _MIN_SEPARATION apart.
+        The boxes bound sum(x) - sum(y), the bosonized side's theta argument, whose
+        rounding bound grows with it; Re(x - y) in (-2.19, -0.3) keeps every x - y off
+        the lattice at every tau of the sampled box."""
         for _ in range(100):
             xs = [complex(self.uniform(-2.2, -0.8), self.uniform(-0.9, 0.9))
                   for _ in range(n_x)]
             ys = [complex(self.uniform(-0.5, -0.01), self.uniform(-0.9, 0.9))
                   for _ in range(n_y)]
-            ok = True
-            for group in (xs, ys):
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        if abs(group[i] - group[j]) < _MIN_SEPARATION:
-                            ok = False
-            for x in xs:
-                for y in ys:
-                    d = x - y
-                    if (lattice_distance(d, tau) < _MIN_SEPARATION
-                            or not -_TWO_PI * tau.imag < d.real < 0):
-                        ok = False
-            if ok:
+            if all(abs(a - b) >= _MIN_SEPARATION
+                   for group in (xs, ys) for i, a in enumerate(group) for b in group[i + 1:]):
                 return xs, ys
         raise RuntimeError("cluster sampling failed to clear the minimum separation")
 
@@ -241,7 +215,7 @@ def check_doublesum(k: int, plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CO
     for i in range(plan.count):
         tw = s.twist(mode=i % 3)
         tau = s.tau()
-        z = s.annulus_z(tau)
+        z = s.points(tau, 1)[0]
         lhs = twisted_pk(k, tw, z, tau, cfg)
         rhs = twisted_pk_oracle(k, tw, z, tau, cfg)
         records.append(SampleRecord(f"tw={tw} z={_c(z)} tau={_c(tau)}",
@@ -337,7 +311,7 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
     for i in range(plan.count):
         tau = s.tau()
         tw = s.twist(mode=0 if i % 2 else 1)  # keep phi != 1 so the oracle applies
-        z = s.annulus_z(tau)
+        z = s.points(tau, 1)[0]
         k = 1 + i % 3
         # one kernel call: P_1 and P_k at z + 2*pi*i and z
         pk = twisted_pk_batch((1, k), tw, [z + 2j * math.pi, z], tau, cfg).tolist()
@@ -410,7 +384,7 @@ def check_modular_twisted(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONF
             records.append(SampleRecord(f"{glabel} tw={tw}", 0j, 0j, 0.0, "skipped",
                                         "transformed twist degenerated to trivial"))
             continue
-        z = s.annulus_z(tau, lo=0.2, hi=0.8)
+        z = s.points(tau, 1)[0]
         gz, gtau = gamma_act_point(gamma, z, tau)
         aut = gamma.automorphy(tau)
         gpk = twisted_pk_batch((1, 2, 3), gtw, [gz], gtau, cfg)[:, 0].tolist()
@@ -437,7 +411,7 @@ def check_modular_twisted(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONF
     cubed = st @ st @ st
     tau = s.tau()
     tw = s.twist()
-    z = s.annulus_z(tau)
+    z = s.points(tau, 1)[0]
     gz, gtau = gamma_act_point(cubed, z, tau)
     gtw = gamma_act_twist(cubed, tw)
     dev = abs(gz - z) + abs(gtau - tau) + (0.0 if gtw.isclose(tw) else 1.0)
@@ -583,7 +557,7 @@ def check_rank1_square(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
     for i in range(plan.count):
         label, tw = pairings[i % 2]
         tau = s.tau()
-        zs = s.spread_points(tau, 2, -2.4, -0.4, min_sep=0.3)
+        zs = s.points(tau, 2, min_sep=0.3)
         e1 = twisted_eisenstein(1, tw, tau, cfg)
         mat = p1_difference_matrix(tw, zs, tau, cfg, diag=-e1)
         lhs = determinant(mat)
@@ -595,7 +569,7 @@ def check_rank1_square(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         records.append(SampleRecord(f"{label} n=2 tau={_c(tau)}", lhs, rhs,
                                     residual(lhs, rhs), note=note))
         if i < 4:
-            zs3 = s.spread_points(tau, 3, -2.7, -0.4, min_sep=0.3)
+            zs3 = s.points(tau, 3, min_sep=0.3)
             det3 = determinant(p1_difference_matrix(tw, zs3, tau, cfg, diag=-e1))
             records.append(SampleRecord(f"{label} n=3 det tau={_c(tau)}", det3, 0j,
                                         residual(det3, 0j), note="odd size vanishes"))
@@ -603,7 +577,7 @@ def check_rank1_square(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
                                         residual(e1, 0j), note="diagonal term vanishes"))
     # cross-check against the named rank-one correlators themselves
     tau = s.tau()
-    zs = s.spread_points(tau, 2, -2.4, -0.4, min_sep=0.3)
+    zs = s.points(tau, 2, min_sep=0.3)
     det_m = determinant(p1_difference_matrix(TwistPair(0.5, 0.5), zs, tau, cfg))
     g = rank1_generating(GSelector.SIGMA, zs, tau, cfg) / rank1_partition(
         GSelector.SIGMA, tau, cfg)
@@ -700,7 +674,7 @@ def check_correlator_structure(plan: SamplePlan, cfg: TruncationConfig = DEFAULT
                                     abs(pf**2 - det) / max(1.0, abs(det))))
     tau = s.tau()
     g = GSelector.IDENTITY
-    zs = s.spread_points(tau, 4, -2.6, -0.4, min_sep=0.2)
+    zs = s.points(tau, 4, min_sep=0.2)
     base = rank1_generating(g, zs, tau, cfg)
     swapped = rank1_generating(g, [zs[1], zs[0], zs[2], zs[3]], tau, cfg)
     records.append(SampleRecord("antisymmetry swap z1<->z2 (n=4)", swapped, -base,
@@ -709,7 +683,7 @@ def check_correlator_structure(plan: SamplePlan, cfg: TruncationConfig = DEFAULT
     records.append(SampleRecord("odd n vanishing (n=3)", odd, 0j, abs(odd)))
     # cofactor expansion along the first row reproduces the n -> n-2 recursion
     for n in (4, 6):
-        zs = s.spread_points(tau, n, -2.8, -0.3, min_sep=0.2)
+        zs = s.points(tau, n, min_sep=0.2)
         mat = p1_difference_matrix(g.twist(), zs, tau, cfg)
         pf = pfaffian_pair_sum(mat)
         acc = 0j

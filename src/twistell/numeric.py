@@ -18,22 +18,23 @@ import numpy as np
 from .errors import DomainError, NotAntisymmetric, NotConverged, OddDimension
 
 
+# highest retained q-power index of the E_n q-series and the eta and partition products:
+# they refuse past it, having no rounding bound that would make more terms safe
+Q_ORDER = 120
+
+
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Series cutoffs and tolerances; the reproducibility contract.
+    """The target absolute accuracy tol of a single evaluation, in (0, 1); the
+    reproducibility contract.
 
-    q_order        highest retained q-power index in q-series and products
-    tol            target absolute accuracy of a single evaluation, in (0, 1)
-
-    Every other window (theta, lattice oracles) is sized from its inputs and tol.
+    Every window (theta, lattice oracles, q-series up to Q_ORDER) is sized from its
+    inputs and tol.
     """
 
-    q_order: int = 120
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.q_order < 1:
-            raise ValueError("q_order must be >= 1")
         if not 0 < self.tol < 1:
             # q-series windows are sized by -log(tol), which must be positive
             raise ValueError("tol must lie in (0, 1)")

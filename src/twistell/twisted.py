@@ -532,8 +532,8 @@ def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
     RouteUnavailable otherwise), with the inner sum collapsed to the k-th
     closed form S_k, so every k is summed directly. Valid off the period
     lattice wherever the lattice row of z, where the terms peak, lies in the
-    starting window about row 0, a few rows either side of the annulus
-    (8 or more); NotConverged past it.
+    starting window about row 0 (8 rows or more either side, more as tol or the
+    decay rates fall); NotConverged where it does not.
     """
     if k < 1:
         raise ValueError("twisted_pk_oracle requires k >= 1")
@@ -592,7 +592,7 @@ def twisted_eisenstein_batch(ns: Sequence[int], tw: TwistPair, taus: Sequence[co
     Each entry equals twisted_eisenstein's value bit for bit: a pass performs the
     scalar loop's float operations as CPython does (complex products and
     quotients written out in real operations), and an entry that meets a pole, an
-    overflow or the q_order cap goes to the loop. So the batch raises where
+    overflow or no stop by Q_ORDER goes to the loop. So the batch raises where
     twisted_eisenstein would at some (n, tau), the first such entry in row order
     deciding the error, or when B_n(lam)/n! and (n-1)! of an order in ns leave
     the float range. A single (n, tau) stays on the loop (twisted_eisenstein):

@@ -1,17 +1,22 @@
-"""Smoke test of the layer bench script, so it keeps running against the library."""
+"""Smoke tests of the bench scripts, so they keep running against the library."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_layers_script_runs_every_row(capsys):
-    spec = importlib.util.spec_from_file_location("bench_layers", BENCH)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    assert layers.main(["--repeats", "1"]) == 0
+    assert _load("layers").main(["--repeats", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert {"src", "python", "numpy", "cpus", "repeats", "seed", "timings"} <= set(report)
     rows = report["timings"]
@@ -30,3 +35,30 @@ def test_layers_script_runs_every_row(capsys):
             "L4.table.text"} <= set(rows)
     for row in rows.values():
         assert set(row) == {"min_us", "median_us"} and 0 < row["min_us"] <= row["median_us"]
+
+
+def test_seeds_script_passes_a_seed(capsys):
+    assert _load("seeds").main(["0", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 failing of 17 (seed, check) pairs, seeds 0..0"]
+
+
+def test_seeds_script_lists_refusals_and_misses(capsys, monkeypatch):
+    from twistell import identities
+    from twistell.errors import NotConverged
+
+    def refuses(plan, cfg):
+        raise NotConverged("no value")
+
+    def misses(plan, cfg):
+        report = identities.check_laurent(plan, cfg)
+        return dataclasses.replace(report, passed=False)
+
+    seeds = _load("seeds")
+    monkeypatch.setattr(identities, "SUITE", {"refuses": (refuses, 1), "misses": (misses, 1)})
+    monkeypatch.setattr(seeds, "SUITE", identities.SUITE)
+    assert seeds.main(["3", "5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "seed=3 check=refuses refused NotConverged: no value"
+    assert out[1].startswith("seed=3 check=misses max_residual=")
+    assert out[-1] == "4 failing of 4 (seed, check) pairs, seeds 3..4"

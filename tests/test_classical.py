@@ -451,6 +451,13 @@ class TestDedekindEta:
         with pytest.raises(NotConverged, match="underflows"):
             dedekind_eta(2800j)
 
+    def test_product_past_the_q_order_cap_is_not_converged(self):
+        # |q|^120 = e^-15 at Im tau 0.02: the product would need more factors than
+        # Q_ORDER, and without a rounding bound taking more is not safe (taken to its
+        # stop the product is 7.4e-12 relative off mpmath's at tol 1e-12)
+        with pytest.raises(NotConverged, match="within Q_ORDER = 120"):
+            dedekind_eta(0.02j)
+
     def test_s_transform(self):
         for tau in (TAU, 0.4 + 1.3j):
             lhs = dedekind_eta(-1 / tau)

@@ -60,7 +60,7 @@ class TestEval:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert abs(payload["re"]) < 1e-12 and abs(payload["im"]) < 1e-12
-        assert payload["cfg"]["q_order"] == 120
+        assert payload["cfg"] == {"tol": 1e-12}
         assert payload["warnings"] == []
 
     def test_trivial_partition_is_zero(self, capsys):
@@ -137,11 +137,19 @@ class TestEval:
         assert run_cli(capsys, "eval", "binomial", "n=4", "k=2", "j=9")[0] == EXIT_PARSE
 
     def test_cfg_override(self, capsys):
-        code, out, _ = run_cli(capsys, "eval", "dedekind_eta", "tau=i",
-                               "--q-order", "64", "--tol", "1e-10")
+        code, out, _ = run_cli(capsys, "eval", "dedekind_eta", "tau=i", "--tol", "1e-10")
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["cfg"] == {"q_order": 64, "tol": pytest.approx(1e-10)}
+        assert payload["cfg"] == {"tol": pytest.approx(1e-10)}
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "dedekind_eta", "tau=i", "--q-order", "64"),
+        ("verify", "--suite", "laurent", "--q-order", "64"),
+        ("table", "--function", "dedekind_eta", "tau=i", "--q-order", "64"),
+    ])
+    def test_q_order_is_not_a_flag(self, capsys, argv):
+        # the q-series cap is the library's constant, not a knob: --tol is the only flag
+        assert run_cli(capsys, *argv)[0] == EXIT_PARSE
 
     def test_no_cfg_flag_is_the_default_config(self):
         args = cli.build_parser().parse_args(["table", "--function", "p0", "--tol", "1e-10"])

@@ -1,6 +1,7 @@
 """Identity-suite reports: determinism, domains, bookkeeping, verdicts."""
 
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -104,10 +105,11 @@ class TestRunAll:
             run_all(PLAN, DEFAULT_CONFIG, names=["no_such_check"])
 
     def test_samples_inside_declared_domains(self):
-        # the doublesum sampler must stay inside the annulus by construction;
-        # the assert inside annulus_z would have tripped otherwise, so spot
-        # check the recorded inputs parse back into the annulus
-        report = check_doublesum(1, dataclasses.replace(PLAN, count=6))
+        # doublesum draws z from |Re z| < 2 pi Im tau, |Im z| < pi, off the lattice:
+        # both sides of the imaginary axis, and past the kernel's quasi-period shift
+        # (|Re z| > pi Im tau); the recorded inputs parse back into that box
+        report = check_doublesum(1, dataclasses.replace(PLAN, count=25))
+        zs = []
         for s in report.samples:
             if s.status != "ok":
                 continue
@@ -115,7 +117,27 @@ class TestRunAll:
             tau_part = [tok for tok in s.input.split() if tok.startswith("tau=")][0]
             z = complex(z_part[2:].replace("i", "j"))
             tau = complex(tau_part[4:].replace("i", "j"))
-            assert -2 * math.pi * tau.imag < z.real < 0
+            assert abs(z.real) < 2 * math.pi * tau.imag and abs(z.imag) < math.pi
+            zs.append((z, tau))
+        assert len(zs) == 25
+        assert any(z.real > 0 for z, _ in zs) and any(z.real < 0 for z, _ in zs)
+        assert any(abs(z.real) > math.pi * tau.imag for z, tau in zs)
+
+    def test_points_clear_the_lattice(self):
+        from twistell.identities import _Sampler
+        from twistell.twisted import lattice_distance
+
+        sampler = _Sampler(PLAN, "points")
+        for i in range(40):
+            tau = sampler.tau()
+            min_sep = (0.05, 0.2, 0.3)[i % 3]
+            pts = sampler.points(tau, 1 + i % 6, min_sep=min_sep)
+            assert len(pts) == 1 + i % 6
+            for a in pts:
+                assert abs(a.real) < 2 * math.pi * tau.imag and abs(a.imag) < math.pi
+                assert lattice_distance(a, tau) >= min_sep
+            for a, b in itertools.combinations(pts, 2):
+                assert lattice_distance(a - b, tau) >= min_sep
 
 
 def test_laurent_circle_is_one_kernel_call(monkeypatch):

@@ -206,22 +206,22 @@ class TestDeterminant:
 class TestTruncationConfig:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            TruncationConfig(q_order=0)
-        with pytest.raises(ValueError):
             TruncationConfig(tol=0.0)
         with pytest.raises(ValueError):
             TruncationConfig(tol=1e40)
-        # every other window is sized from its inputs, not set here
-        assert [f.name for f in dataclasses.fields(TruncationConfig)] == ["q_order", "tol"]
+        # every window is sized from its inputs, not set here
+        assert [f.name for f in dataclasses.fields(TruncationConfig)] == ["tol"]
+        with pytest.raises(TypeError):
+            TruncationConfig(q_order=64)
 
     def test_hash_is_computed_once_from_the_fields(self):
-        cfg = TruncationConfig(q_order=64, tol=1e-10)
-        assert hash(cfg) == hash(TruncationConfig(q_order=64, tol=1e-10))
+        cfg = TruncationConfig(tol=1e-10)
+        assert hash(cfg) == hash(TruncationConfig(tol=1e-10))
         assert hash(cfg) == hash(tuple(cfg.asdict().values()))
-        assert list(cfg.asdict()) == [f.name for f in dataclasses.fields(cfg)]
-        wider = dataclasses.replace(cfg, q_order=128)
-        assert wider != cfg and hash(wider) == hash(TruncationConfig(q_order=128, tol=1e-10))
-        assert hash(dataclasses.replace(wider, q_order=64)) == hash(cfg)
+        assert cfg.asdict() == {"tol": 1e-10}
+        looser = dataclasses.replace(cfg, tol=1e-8)
+        assert looser != cfg and hash(looser) == hash(TruncationConfig(tol=1e-8))
+        assert hash(dataclasses.replace(looser, tol=1e-10)) == hash(cfg)
 
     def test_distinct_equal_config_hits_the_cache(self):
         from twistell import DEFAULT_CONFIG, eisenstein

@@ -444,6 +444,13 @@ class TestThetaKernel:
 
 
 class TestTwistedEisenstein:
+    def test_series_past_the_q_order_cap_is_not_converged(self):
+        # at Im tau 0.01 the terms are not below tol by r = Q_ORDER; the series has no
+        # rounding bound that would make more terms safe (summed to its stop, past
+        # 120 terms, E_6 is 5.6e-10 relative off a 50-digit sum at tol 1e-12)
+        with pytest.raises(NotConverged, match="within Q_ORDER = 120"):
+            twisted_eisenstein(6, TwistPair(0.3, 0.7), 0.3 + 0.01j)
+
     def test_trivial_odd(self):
         assert twisted_eisenstein(1, TwistPair.trivial(), TAU) == pytest.approx(0.5)
         assert twisted_eisenstein(3, TwistPair.trivial(), TAU) == pytest.approx(
@@ -630,7 +637,7 @@ class TestEisensteinSeries:
         assert 0 < values < 400
 
     def test_batch_is_the_scalar_bit_for_bit(self, monkeypatch):
-        # 25-tau lines down to Im tau 0.02, where low orders refuse at the q_order cap,
+        # 25-tau lines down to Im tau 0.02, where low orders refuse at the Q_ORDER cap,
         # orders up to 171, where (r +- lam)^(n-1) and 171! overflow, a repeated order,
         # every kind of twist, and a near-trivial one at the r = 0 pole
         rng = random.Random(73)
@@ -667,7 +674,7 @@ class TestEisensteinSeries:
                 assert got == want, (ns, tw, taus)
             outcomes.append(want[0])
         assert 20 < outcomes.count("ok") < 44
-        for kind in ("NearPole", "within q_order", "term r^", "past 170!"):
+        for kind in ("NearPole", "within Q_ORDER", "term r^", "past 170!"):
             assert any(kind in out for out in outcomes), kind
 
     def test_batch_domain(self):
