@@ -1,7 +1,7 @@
-"""Layer timings of the E_n q-series, theta and P_0 = -log K from the theta-quotient prime
-form (L1), the P_k theta-quotient kernel and E_n[tw] (L2), the correlators built on them
-(L3), and `twistell table` grids through cli.main in this process (L4), one of them
-a grid of binomials that times the table's text path alone.
+"""Layer timings of the E_n q-series, theta, the prime form K and P_0 = -log K (L1), the
+P_k theta-quotient kernel and E_n[tw] (L2), the correlators built on them (L3), and
+`twistell table` grids through cli.main in this process (L4), one of them a grid of
+binomials that times the table's text path alone.
 
 Run from the repository root:
 
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     import twistell
     from twistell import cli
     from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein, p0,
-                          rank1_fock_npoint, rank2_fock_npoint, rank2_generating,
+                          prime_form, rank1_fock_npoint, rank2_fock_npoint, rank2_generating,
                           rank2_generating_boson, theta_char, twisted_eisenstein, twisted_pk)
 
     def clear():
@@ -92,10 +92,14 @@ def main(argv=None) -> int:
         calls=len(eis_calls))
     # L1: one theta value at a characteristic near 0 and one near 40, where the window
     # follows the characteristic (a checkout that keeps its window at n = 0 misses there),
-    # and at [1/2;1/2], whose terms n and -1-n are taken together
-    for label, a, b in (("a0", 0.3, 0.2), ("a40", 40.3, 0.2), ("half", 0.5, 0.5)):
-        run(f"L1.theta_char.{label}", lambda a=a, b=b: theta_char(a, b, 0.4 + 0.1j, tau),
+    # at [1/2;1/2], whose terms n and -1-n cancel near z = 0, and far from 0, at z = 30+1i,
+    # five quasi-periods out
+    for label, a, b, z in (("a0", 0.3, 0.2, 0.4 + 0.1j), ("a40", 40.3, 0.2, 0.4 + 0.1j),
+                           ("half", 0.5, 0.5, 0.4 + 0.1j), ("far", 0.3, 0.2, 30 + 1j)):
+        run(f"L1.theta_char.{label}", lambda a=a, b=b, z=z: theta_char(a, b, z, tau),
             inner=50)
+    # L1: one prime form value, the quotient of theta[1/2;1/2] at z and its derivative at 0
+    run("L1.prime_form.one", lambda: prime_form(-1.2 + 0.3j, tau), inner=50)
     # L1: P_0 at n points with |z| < 2.5, inside the radius R = 2*pi of its Laurent series,
     # one call per z against one batched call; a separate stream keeps the L2/L3 points of
     # earlier runs

@@ -19,7 +19,6 @@ from .classical import (
 )
 from .errors import (
     BalanceError,
-    DegenerateTheta,
     DomainError,
     NearPole,
     NotAntisymmetric,
@@ -79,7 +78,6 @@ from .twisted import (
     twisted_eisenstein,
     twisted_eisenstein_batch,
     twisted_eisenstein_oracle,
-    twisted_p1_theta_form,
     twisted_pk,
     twisted_pk_batch,
     twisted_pk_oracle,

@@ -3,11 +3,11 @@
 Eisenstein series E_n, the Weierstrass-type family P_k, the elliptic prime
 form K(z, tau) = theta[1/2;1/2](z, tau) / theta'[1/2;1/2](0, tau) and
 P_0 = -log K, Jacobi theta functions with real characteristics, and the
-Dedekind eta function. theta_char, the prime form and the theta form of
-P_1[tw] (twisted.twisted_p1_theta_form) share one theta summation,
-_theta_columns: a window per point centred on its largest term, the terms
-n and -1-n of theta[1/2;1/2] taken together, a z-derivative of its own order
-at each point, a rounding bound on every value.
+Dedekind eta function. theta_char, the prime form and the P_k kernel
+(twisted.twisted_pk_batch) share one theta summation, _theta_table: each
+point reduced next to 0 by the periods first, one window about n = 0 for every
+point and characteristic row, Taylor columns in z, the terms n and -1-n of
+theta[1/2;1/2] taken together near 0, a rounding bound on every column.
 
 Conventions: q_z = exp(z) and q = exp(2*pi*i*tau), so the two periods are
 2*pi*i and 2*pi*i*tau (not 1 and tau); comparisons against tables using unit
@@ -35,13 +35,22 @@ from .numeric import (
 )
 
 _TWO_PI = 2.0 * math.pi
+# 2 pi - _TWO_PI, the part of 2 pi that a float misses
+_TWO_PI_TAIL = 2.4492935982947064e-16
 _POLE_EPS = 1e-12
 
-# Hard cap on the terms either side of the centre of a theta window.
+# Hard cap on the terms either side of n = 0 in the theta window.
 _THETA_MAX_HALF_WIDTH = 512
-# a theta window drops terms below e^-_THETA_TAIL of the largest one, past any tol a
+# the theta window drops terms below e^-_THETA_TAIL of the largest one, past any tol a
 # float can meet, so a rounding bound covers the truncation too
 _THETA_TAIL = 50.0
+# theta[1/2;1/2] takes its terms n and -1-n together at the points w with |w| below this,
+# where they cancel; past it they cancel to at most about 2/|w| of theta
+_PAIR_RADIUS = 0.0625
+# Veltkamp's splitter 2^27 + 1, and the bound on a quasi-period shift m below which the
+# products of m by 26-bit parts are exact
+_SPLITTER = 134217729.0
+_SHIFT_MAX = 2.0 ** 26
 _EPS = sys.float_info.epsilon
 _FLOAT_MAX = sys.float_info.max
 _FLOAT_MIN = sys.float_info.min
@@ -353,171 +362,198 @@ def _turn(num: int, den: int) -> float:
     return _TWO_PI * (num % den / den)
 
 
-def _theta_columns(a: float, b: float, zs: np.ndarray, tau: complex, js=0
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A z-derivative of theta[a;b], |a| <= 1/2 and b finite, at every z of zs: the one
-    theta summation behind theta_char, the prime form and twisted_p1_theta_form.
+def _split(x):
+    """The leading 26 bits of a float or float array x (Veltkamp): their product by an
+    integer below 2^27 is exact, and x less them is exact and has 26 bits too."""
+    f = _SPLITTER * x
+    return f - (f - x)
 
-    With x = n + a, column j is d_j(z) = sum_n x^j e^{i pi tau (x^2 - a^2) + x (z +
-    2 pi i b)} = e^{-i pi tau a^2} theta^(j)[a;b](z), at each point the order j that
-    js gives it (an int for every point, or an integer array with one per point).
-    Returns the columns, their rounding bounds and each point's log-scale L: its
-    column is divided by e^L, L the largest real part of an exponent in its window.
-    tau must already be checked by require_upper_half.
 
-    b is taken as b - k, k = round(b), with the multiplier e^{2 pi i a k}, a k mod 1
-    exact, so the phases keep their digits at any b. Each point's window is centred
-    on its largest term, n + a nearest Re z / (2 pi Im tau), and reaches N terms
-    either side, pi Im(tau) (N - 1/2)^2 >= _THETA_TAIL: every term within
-    e^-_THETA_TAIL of the largest, so the rounding bound covers the truncation too.
-    Each window is summed in order of n, so each value depends only on its own z.
-    At (a, b) = (1/2, 1/2) mod 1 the terms n and -1-n are taken together over n >= 0
-    (the windows cut at n = 0 are padded with -0.0), as i (-1)^n e^{i pi tau n(n+1)}
-    times 2 sinh(xz) (even j) or 2 cosh(xz) (odd j), with exact signs: z < 0 (Re z
-    < 0, or Re z = 0 > Im z) is evaluated at -z by parity, and 1 - e^{-2 Re(xz)} by
-    expm1, so the columns stay relatively accurate as z -> 0.
+_TWO_PI_HI = _split(_TWO_PI)
+_TWO_PI_LO = (_TWO_PI - _TWO_PI_HI) + _TWO_PI_TAIL
 
-    The bound of d_j is eps times the sum, over the terms, of
-        |x^j| ((4 + t + 2j + 2 pi |tau| n(n + 2a) + 2 pi |b x| - (E - L)) |term|
-            + 4 e^{E - L} |x| |z|) + |s|,
-    E the real part of the term's exponent, t the multiplier's turn 2 pi (a k mod 1),
-    s the partial sum that adding the term gives, and no 2 pi |b x| when paired
-    (exact phases).
-    NotConverged when the window passes _THETA_MAX_HALF_WIDTH terms either side (Im
-    tau below about 6e-5) or pi Im tau leaves the float range; DomainError for a
-    non-finite z; NotConverged when |z|^2 / (4 pi Im tau), a bound on the log of a
-    point's largest term, passes 2^52, where no digit of its exponent is left.
+
+def _period_parts(tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The leading 26-bit parts of (Re 2 pi i tau, Im -2 pi i), by which the shifts (m, k)
+    multiply exactly, and the rest of 2 pi i tau as (real, imaginary part): 2 pi t is
+    Dekker's exact product of _TWO_PI and t plus _TWO_PI_TAIL t (Cody and Waite)."""
+    parts = []
+    for t in (-tau.imag, tau.real):
+        hi, t1 = _TWO_PI * t, _split(t)
+        lo = ((((_TWO_PI_HI * t1 - hi) + _TWO_PI_HI * (t - t1)
+                + (_TWO_PI - _TWO_PI_HI) * t1) + (_TWO_PI - _TWO_PI_HI) * (t - t1))
+              + _TWO_PI_TAIL * t)
+        parts.append((_split(hi), hi - _split(hi) + lo))
+    (r1, r2), (i1, i2) = parts
+    return np.array([r1, -_TWO_PI_HI]), np.array([r2, i1 + i2])
+
+
+def _sum_over_n(terms: np.ndarray) -> np.ndarray:
+    """A table's sum over its leading axis n, in order of n, so that each column's sum
+    depends only on that column: add.reduce adds whole rows in order while a row holds
+    more than one element, and may sum a lone column pairwise."""
+    if terms[0].size > 1:
+        # from -0, not the default +0: the bits of adding from the first term
+        return np.add.reduce(terms, axis=0, initial=-0j if terms.dtype == complex else -0.0)
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _turns(b, m):
+    """2 pi (b m mod 1) to a few eps for floats b and integer-valued floats m, |m| < 2^26,
+    scalars or arrays: with b1 = _split(b), b1 m and so its mod 1 are exact."""
+    b1 = _split(b)
+    return _TWO_PI * ((b1 * m) % 1.0 + (b - b1) * m)
+
+
+def _theta_table(chars: Sequence[tuple[float, float]], zs: np.ndarray, tau: complex,
+                 order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
+    """Taylor columns of theta at every point of zs and characteristic row of chars: the
+    one theta summation behind theta_char, the prime form and the P_k kernel.
+
+    Each z is first moved next to 0, to w = z' + 2 pi i tau m, z' = z - 2 pi i k, k =
+    round(Im z / 2 pi) and m = round(Re z / (2 pi Im tau)), the periods split so that
+    w is good to a few eps |w| however far out z lies (_period_parts). The terms of
+    every row then peak at |n| <= 1, and one window |n| <= N, pi Im(tau) (N - 1)^2 >=
+    _THETA_TAIL, serves every point: past it the terms are below e^-_THETA_TAIL of the
+    largest, which the rounding bound covers. A row (a, b), |a| <= 1/2, sums
+        S[a;b](w) = sum_n e^{i pi tau n(n + 2a) + x (w + 2 pi i b)},  x = n + a,
+    and theta[a;b](z) = e^{i pi tau a^2 + 2 pi i (a k + b m) + m (z' + w) / 2} S[a;b](w).
+    Returns, laid out (j, row, point) for j < order, the columns S^(j)(w) / (j! e^L) and
+    their rounding bounds, each point's log-scale L (the largest real part of an
+    exponent at the point, so that no column leaves the float range), its shifts (m, k)
+    and w (z itself where nothing moves); _scales gives the multiplier's log-scale and
+    phase, _turns each row's phase. Each column is summed in order of n, so each value
+    depends only on its own point. At the row (1/2, 1/2) the terms n and -1-n are taken
+    together where 0 < |w| < _PAIR_RADIUS, as 2 i (-1)^n e^{i pi tau n(n+1)} x^j sinh(x
+    w) at even j (odd j do not cancel), so theta[1/2;1/2] and K stay relatively accurate
+    as w -> 0.
+
+    A bound is u = eps/2 times the sum over the column's terms of |x^j/j! term| times
+        3 order + 3 + (7 pi |tau| + 1) n(n + 2a) + |x| (8 |w| + 40 |b|) + L - Re E,
+    E the exponent (the rounding of exp, of x^j/j!, of i pi tau n(n + 2a), of w, 2 pi b,
+    x and x (w + 2 pi i b), and of L - Re E), plus (N + 1) |column|: the partial sums
+    are at most the sum of |t| up to n < 0, and |column| plus the rest from n = 0 on.
+    NotConverged when the window passes _THETA_MAX_HALF_WIDTH terms either side (Im tau
+    below about 6e-5), when pi Im tau leaves the float range, or when |m| or |k|
+    reaches 2^26, where theta's largest term is far past the float range and z keeps
+    no digit once reduced; DomainError for a non-finite z. tau must already be checked
+    by require_upper_half.
     """
-    spread = math.pi * tau.imag
-    half = math.sqrt(_THETA_TAIL / spread) + 0.5
-    if half > _THETA_MAX_HALF_WIDTH:      # also when half is inf
+    pi_im = math.pi * tau.imag
+    span = math.sqrt(_THETA_TAIL / pi_im + 0.25)
+    if span + 1.0 > _THETA_MAX_HALF_WIDTH:        # also when span is inf
         raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
-                           f"either side of its centre at tau = {tau}")
-    if spread > _FLOAT_MAX:
+                           f"either side of 0 at tau = {tau}")
+    if pi_im > _FLOAT_MAX:
         raise NotConverged(f"theta's exponents pi Im(tau) n^2 leave the float range at "
                            f"tau = {tau}")
-    half = math.ceil(half)
+    width = math.ceil(span) + 1
     zs = np.asarray(zs, dtype=complex)
-    if not zs.size:
-        return np.zeros(0, dtype=complex), np.zeros(0), np.zeros(0)
-    mod = np.abs(zs)
-    j = int(mod.argmax())
-    top = float(mod[j])
-    if not math.isfinite(top):
-        finite = np.isfinite(zs)
-        if not finite.all():
-            raise DomainError(f"theta needs a finite z, got z = {zs[~finite][0]}")
-    top /= 2.0 * spread
-    top *= spread * top
-    if not top <= 2.0 ** 52:
-        raise NotConverged(f"theta's largest term, up to e^{top:.3g}, would leave the float "
-                           f"range at z = {zs[j]:.6g}, tau = {tau}")
-    a, b = float(a), float(b)
-    k = round(b)
-    b -= k
-    paired = abs(a) == 0.5 and abs(b) == 0.5
-    if paired:
-        # theta[-1/2; b] = theta[1/2; b], and b = -1/2 is 1/2 with k - 1
-        k -= b < 0
-        a, b, turn = 0.5, 0.5, 0.0
-        flip = zs < 0
-        pts = np.where(flip, -zs, zs)
-    else:
-        num, den = a.as_integer_ratio()
-        turn, pts = _turn(num * k, den), zs
-    centre = np.rint(pts.real * (0.5 / spread) - a)
-    first, width = centre - half, 2 * half + 1
-    if paired:
-        # a window cut at n = 0 ends early: its rows past centre + N are padding
-        first = np.maximum(first, 0.0)
-        width = int(np.maximum.reduce(centre - first)) + half + 1
-    ns = np.arange(width)[:, None] + first
+    # the shifts (m, k) of every point side by side, NaN or inf at a non-finite z
+    shifts = np.rint(zs.view(float).reshape(-1, 2)
+                     * np.array([1.0 / (_TWO_PI * tau.imag), 1.0 / _TWO_PI]))
+    w = zs
+    far = np.abs(shifts).max(initial=0.0)
+    if far:
+        m, k = shifts[:, 0], shifts[:, 1]
+        if not far < _SHIFT_MAX:
+            finite = np.isfinite(zs)
+            if not finite.all():
+                raise DomainError(f"theta needs a finite z, got z = {zs[~finite][0]}")
+            j = int(np.abs(shifts).max(axis=1).argmax())
+            raise NotConverged(f"theta's largest term would leave the float range at "
+                               f"z = {zs[j]:.6g}, tau = {tau}: the shift of z by "
+                               f"{m[j]:.6g} and {k[j]:.6g} periods keeps none of its digits")
+        # the leading parts' products and sums are exact, each sum being at most half a
+        # period (Sterbenz); the rest rounds at |w|
+        lead, rest = _period_parts(tau)
+        w = zs.view(float).reshape(-1, 2) + shifts * lead
+        w += m[:, None] * rest
+        if np.count_nonzero(k):
+            w[:, 1] -= _TWO_PI_LO * k
+        w = w.view(complex).reshape(-1)
+    a, b = np.array(chars).T
+    ns = np.arange(-width, width + 1.0)[:, None]
     xs = ns + a
-    sq = ns * (ns + 2.0 * a)                                # x^2 - a^2 >= 0, as |a| <= 1/2
-    if paired:
-        # the terms n and -1-n together are i (-1)^n e^{i pi tau n(n+1)} times
-        # 2 sinh(xz) = e^u ((1 - e^{-2u}) cos phi + i (1 + e^{-2u}) sin phi) at even j
-        # and 2 cosh(xz) = e^u ((1 + e^{-2u}) cos phi + i (1 - e^{-2u}) sin phi) at odd j,
-        # xz = u + i phi, u >= 0, and 1 - e^{-2u} by expm1
-        u = xs * pts.real
-        real = u - spread * sq
-        scale = np.maximum.reduce(real)
-        real -= scale
-        ee = np.exp(real)                                   # e^{E - L}
-        odd = js % 2
-        # 1 - e^{-2u} at even j, its negative at odd j
-        em = np.expm1(-2.0 * u) * (2.0 * odd - 1.0)
-        phi = xs * pts.imag
-        # (-1)^n e^{i pi Re(tau) n(n+1)}, over the n of the table
-        lo = float(np.minimum.reduce(first))
-        n_all = np.arange(lo, np.maximum.reduce(first) + ns.shape[0])
-        phase = np.exp((1j * math.pi * tau.real) * (n_all * (n_all + 1.0)))
-        phase[int(lo + 1.0) % 2::2] *= -1.0
-        phase = phase[(ns - lo).astype(np.intp)]
-        re = (ee * np.cos(phi)) * (2.0 * odd + em)
-        im = (ee * np.sin(phi)) * ((2.0 - 2.0 * odd) - em)
-        # the product by the phase from real products and sums, so that no value depends
-        # on how numpy lays out the batch
-        terms = np.empty(re.shape, dtype=complex)
-        terms.real = phase.real * re - phase.imag * im
-        terms.imag = phase.real * im + phase.imag * re
-        pad = ns > centre + half
-        terms[pad] = complex(-0.0, -0.0)                   # x + -0.0 is x, for every x
-        size = np.abs(terms)
-        twist = 0.0                                         # the phase i (-1)^n is exact
-    else:
-        # the exponent i pi tau (x^2 - a^2) + x (z + 2 pi i b) + i t
-        expo = xs * (pts + 2j * math.pi * b) + (1j * math.pi * tau) * sq
-        if turn:
-            expo += 1j * turn
-        real = expo.real
-        scale = np.maximum.reduce(real)
-        expo -= scale
-        terms = np.exp(expo)
-        ee = size = np.abs(terms)                           # e^{E - L}
-        twist = _TWO_PI * abs(b)
-    pw = xs ** js                                           # rounds by at most eps
-    sums = np.add.accumulate(pw * terms, axis=0)
-    # each term's rounding in units of eps |term|, its drift with the rounding of xz,
-    # and the rounding of an addition, eps times the partial sum it gives
     ax = np.abs(xs)
-    slack = ((4.0 + turn + 2.0 * js) + (_TWO_PI * abs(tau)) * sq + twist * ax) - real
-    err = np.abs(pw) * (size * slack + ax * (4.0 * mod) * ee) + np.abs(sums)
-    cols = sums[-1]
-    if paired:
-        err[pad] = 0.0
-        # i times the multiplier (-1)^k, and at -z the parity (-1)^(j+1)
-        cols *= np.where(flip & (odd == 0), -1j, 1j) * (1.0 - 2.0 * (k % 2))
-    return cols, _EPS * np.add.accumulate(err, axis=0)[-1], scale
+    sq = ns * (xs + a)                                      # x^2 - a^2 >= 0, as |a| <= 1/2
+    # exponents laid out (n, row, point), less each point's log-scale
+    quad = sq * (1j * math.pi * tau)
+    expo = xs[:, :, None] * np.add.outer([2j * math.pi * cb for _, cb in chars], w)
+    expo += quad[:, :, None]
+    real = expo.real
+    top = real.max(axis=(0, 1))
+    real -= top
+    # each term's relative rounding in units of u, |n| <= n(n + 2a) + 1 with it
+    aw = np.abs(w)
+    slack = ax[:, :, None] * np.add.outer([40.0 * abs(cb) for _, cb in chars], 8.0 * aw)
+    slack -= real
+    slack += (3.0 * order + 4.0 + (7.0 * math.pi * abs(tau) + 1.0) * sq)[:, :, None]
+    terms = np.exp(expo)[:, None]
+    mags = (np.exp(real) * slack)[:, None]
+    if order > 1:
+        # pw[:, j] = x^j / j!, the running product of x / i over i <= j
+        pw = np.empty((ns.size, order, a.size, 1))
+        pw[:, 0] = 1.0
+        np.divide(xs[:, None, :, None], np.arange(1.0, order)[:, None, None], out=pw[:, 1:])
+        if order > 2:
+            pw = np.multiply.accumulate(pw, axis=1)
+        terms = pw * terms
+        mags = np.abs(pw) * mags
+    cols = _sum_over_n(terms)
+    bounds = (0.5 * _EPS) * (_sum_over_n(mags) + (width + 1.0) * np.abs(cols))
+    if (0.5, 0.5) in chars:
+        h = chars.index((0.5, 0.5))
+        at = [j for j, v in enumerate(aw.tolist()) if 0.0 < v < _PAIR_RADIUS]
+        if at:
+            # the terms n >= 0 and -1-n together, x = n + 1/2: (n, point), then (n, j, point)
+            sign = np.where(ns[width:] % 2.0, -2j, 2j)
+            terms = (np.exp(quad[width:, h:h + 1] - top[at]) * sign
+                     * np.sinh(xs[width:, h:h + 1] * w[at]))
+            pe = pw[width:, 0::2, h] if order > 1 else np.ones((1, 1, 1))
+            cols[0::2, h, at] = paired = _sum_over_n(pe * terms[:, None])
+            mags = np.abs(pe) * (np.abs(terms) * slack[width:, h, at])[:, None]
+            bounds[0::2, h, at] = (0.5 * _EPS) * (_sum_over_n(mags)
+                                                  + (width + 1.0) * np.abs(paired))
+    return cols, bounds, top, shifts, w
+
+
+def _scales(top, m, w, tau: complex):
+    """The log-scale plus i times the phase of theta's multiplier at a point that the table
+    shifted by m quasi-periods to w: top + m (z' + w) / 2 = top + m w - i pi tau m^2."""
+    return top + (m * w - (1j * math.pi * tau) * (m * m))
 
 
 def _prime_forms(zs: Sequence[complex], tau: complex,
                  cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
     """K(z) = theta[1/2;1/2](z)/theta'[1/2;1/2](0) at every z of zs, each to cfg.tol
-    relative to |K|, from one _theta_columns call with z = 0 as one more point; each
+    relative to |K|, from one _theta_table call with z = 0 as one more point; each
     value depends only on its own z.
 
     Every use of K in this library takes its log or divides by it, so K has the
     domain of the kernels P_k: NearPole where |K| < 1e-11, within about 1e-11 of
     a lattice point; NotConverged where K leaves the float range (e.g. z = 100,
     tau = i) or where the rounding bound, carried through the quotient, passes
-    cfg.tol |K| (close to the lattice points other than 0, and at small Im tau,
-    where both sums cancel); otherwise errors as _theta_columns.
+    cfg.tol |K| (close to the lattice points 2 pi i n, n != 0, and at small Im tau,
+    where both sums cancel); otherwise errors as _theta_table.
     """
     tau = require_upper_half(tau)
     zs = np.array(zs, dtype=complex).reshape(-1)
     # S(z) at every z, and S'(0) at z = 0 as one more point
-    orders = np.zeros(zs.size + 1, dtype=np.intp)
-    orders[-1] = 1
-    cols, bounds, scale = _theta_columns(0.5, 0.5, np.append(zs, 0.0), tau, orders)
-    den = complex(cols[-1])
+    cols, bounds, scale, shifts, w = _theta_table([(0.5, 0.5)], np.append(zs, 0.0), tau, 2)
+    if np.count_nonzero(shifts[:, 0]):
+        scale = _scales(scale, shifts[:, 0], w, tau)
+    den = complex(cols[1, 0, -1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the multiplier of theta[1/2;1/2] is e^{scale} (-1)^(m + k)
         grow = np.exp(scale[:-1] - scale[-1])
-        ratio = cols[:-1] / den
+        np.negative(grow, out=grow, where=shifts[:-1].sum(axis=1) % 2.0 == 1.0)
+        ratio = cols[0, 0, :-1] / den
         ks = ratio * grow
         aks = np.abs(ks)
-        bounds = (grow * (bounds[:-1] + np.abs(ratio) * bounds[-1]) / abs(den)
-                  + 2.0 * _EPS * aks)
+        bounds = (np.abs(grow) * (bounds[0, 0, :-1] + np.abs(ratio) * bounds[1, 0, -1])
+                  / abs(den) + (3.0 + 3.0 * np.abs(scale[:-1])) * _EPS * aks)
     bad = ~np.isfinite(ks)
     if bad.any():
         j = int(bad.argmax())
@@ -578,17 +614,18 @@ def theta_char(a: float, b: float, z: complex, tau: complex,
     for every real a, b and finite z: the one-point call of _theta_chars. a is
     taken mod 1, since theta[a+1; b] = theta[a; b] exactly, and b by the shift
     law theta[a; b+k] = e^{2 pi i a k} theta[a; b], its phase a k mod 1 exact, so
-    a large b keeps its digits. The window of _theta_columns is centred on the
-    largest term, at n + a ~ Re z / (2*pi*Im tau). At a, b = 1/2 mod 1 its
-    terms n and -1-n are taken together: theta[1/2;1/2] is exactly 0 at z = 0
-    and relatively accurate near it, where those terms cancel.
+    a large b keeps its digits. z is moved next to the imaginary axis by the
+    quasi-period first (_theta_table), so one window about n = 0 serves any z. At
+    a, b = 1/2 mod 1 the terms n and -1-n are taken together near z = 0:
+    theta[1/2;1/2] is exactly 0 at z = 0 and relatively accurate near it, where
+    those terms cancel.
     The value carries a rounding bound, and the rule is the prime form's: it is
     returned where the bound is within cfg.tol |theta|, and an exact 0 is 0.
     DomainError for a non-finite a, b or z. NotConverged where the bound passes
     cfg.tol |theta| (close to a zero of theta[a;b], and where the terms cancel
     at small Im tau); where theta leaves the float range (e.g. z = 100,
     tau = i), or falls below its normal range (e.g. a = 0.3 at Im tau past
-    about 2500); or when the window passes 512 terms either side of its centre
+    about 2500); or when the window passes 512 terms either side of n = 0
     (Im tau below about 6e-5).
     """
     return complex(_theta_chars(a, b, [z], tau, cfg)[0])
@@ -596,23 +633,46 @@ def theta_char(a: float, b: float, z: complex, tau: complex,
 
 def _theta_chars(a: float, b: float, zs: Sequence[complex], tau: complex,
                  cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """theta_char(a, b, z, tau, cfg) at every z of zs, from one _theta_columns call:
-    e^{i pi tau a^2 + L} c_0(z), with a taken to [-1/2, 1/2] exactly. Each value
-    depends only on its own z; the batch raises when one of its points would alone."""
+    """theta_char(a, b, z, tau, cfg) at every z of zs, from one _theta_table call: e^{i
+    pi tau a^2 + scale} c_0(w) times the phases of b's shift and of the quasi-period,
+    with a taken to [-1/2, 1/2] and b to [-1/2, 1/2] exactly. Each value depends only
+    on its own z; the batch raises when one of its points would alone."""
     tau = require_upper_half(tau)
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"theta needs finite a and b, got a = {a}, b = {b}")
     a -= round(a)
+    k = round(b)
+    b -= k
+    sign = 1.0
+    odd = abs(a) == 0.5 and abs(b) == 0.5
+    if odd:
+        # theta[-1/2; b] = theta[1/2; b], and b = -1/2 is 1/2 with k - 1: the multiplier
+        # e^{i pi k} is the exact sign (-1)^k
+        k -= b < 0
+        a, b, turn, sign = 0.5, 0.5, 0.0, 1.0 - 2.0 * (k % 2)
+    else:
+        num, den = a.as_integer_ratio()
+        turn = _turn(num * k, den)
     zs = np.array(zs, dtype=complex).reshape(-1)
-    cols, bounds, scale = _theta_columns(a, b, zs, tau)
+    cols, bounds, top, shifts, w = _theta_table([(a, b)], zs, tau, 1)
     lead = 1j * math.pi * tau * (a * a)
-    slack = (4.0 + abs(lead)) * _EPS
     vals = []
-    for z, col, bound, s in zip(zs.tolist(), cols.tolist(), bounds.tolist(),
-                                scale.tolist()):
+    for z, col, bound, s, (m, kz), wz in zip(zs.tolist(), cols[0, 0].tolist(),
+                                             bounds[0, 0].tolist(), top.tolist(),
+                                             shifts.tolist(), w.tolist()):
+        if odd and not z:
+            vals.append(0j)                       # theta[1/2;1/2] is odd
+            continue
+        # the phases, each to 3 eps 2 pi (_turns)
+        phase, slack = turn, 4.0 + abs(lead)
+        if m:
+            s = _scales(s, m, wz, tau)
+            phase, slack = phase + _turns(b, m), slack + 10.0
+        if kz:
+            phase, slack = phase + _turns(a, kz), slack + 10.0
         try:
-            factor = cmath.exp(s + lead)
+            factor = cmath.exp(s + lead + 1j * phase) * sign
         except OverflowError:
             factor = complex(math.inf)
         val = factor * col
@@ -622,7 +682,7 @@ def _theta_chars(a: float, b: float, zs: Sequence[complex], tau: complex,
         if abs(factor) < _FLOAT_MIN and col:
             raise NotConverged(f"theta falls below the normal float range at z = {z:.6g}, "
                                f"tau = {tau}")
-        bound = abs(factor) * bound + (slack + abs(s) * _EPS) * abs(val)
+        bound = abs(factor) * bound + (slack + 3.0 * abs(s)) * _EPS * abs(val)
         if not bound <= cfg.tol * abs(val):
             raise NotConverged(f"theta[{a:.6g};{b:.6g}] at z = {z:.6g}, tau = {tau}: rounding "
                                f"bound {bound / abs(val):.3g} over tol {cfg.tol:.3g}")

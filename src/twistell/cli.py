@@ -155,7 +155,6 @@ _SIGNATURES = {
     "twisted_eisenstein_oracle": (twisted, "n:int tw tau:complex cfg"),
     "coeff_C": (twisted, "k:int l:int tw tau:complex cfg"),
     "coeff_D": (twisted, "k:int l:int tw z:complex tau:complex cfg"),
-    "twisted_p1_theta_form": (twisted, "tw z:complex tau:complex cfg"),
     "rank1_partition": (fermion, "g:g tau:complex cfg"),
     "rank1_generating": (fermion, "g:g zs:clist tau:complex cfg"),
     "rank1_fock_npoint": (fermion, "labels:labels zs:clist g:g tau:complex cfg"),

@@ -38,10 +38,6 @@ class RouteUnavailable(TwistellError):
     """Neither lattice-oracle route applies (both twist components trivial)."""
 
 
-class DegenerateTheta(TwistellError):
-    """Theta denominator vanishes at this characteristic; identity is 0/0 here."""
-
-
 class BalanceError(DomainError):
     """Lattice charges do not balance (sum of m's != sum of n's)."""
 

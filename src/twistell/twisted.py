@@ -3,10 +3,9 @@
 A twist pair (theta, phi) in U(1) x U(1) is stored by canonical phases,
 theta = exp(-2*pi*i*mu) and phi = exp(2*pi*i*lam) with mu, lam in [0, 1).
 P_k[tw] is evaluated as a theta quotient on the whole plane off the period
-lattice (twisted_pk_batch, over its own table of theta terms, one window about
-n = 0 after a quasi-period shift); its theta form twisted_p1_theta_form sums the
-thetas by classical._theta_columns instead, so the two stay independent. E_n[tw]
-is the q-expansion it shares with the classical E_n (classical._eisenstein_series).
+lattice (twisted_pk_batch), its thetas summed by classical._theta_table, the
+summation behind theta_char and the prime form too. E_n[tw] is the
+q-expansion it shares with the classical E_n (classical._eisenstein_series).
 The lattice sums (double sums with the inner sum collapsed to S(x, phi) =
 1/2*delta + q_x^lam/(q_x - 1)), which converge for every z off the period
 lattice, are the oracles that stay independent of that kernel. Modular group
@@ -25,21 +24,13 @@ import numpy as np
 from .classical import (
     _EPS,
     _POLE_EPS,
-    _THETA_MAX_HALF_WIDTH,
-    _THETA_TAIL,
     _eisenstein_grid,
     _eisenstein_series,
-    _theta_columns,
-    prime_form,
+    _theta_table,
+    _turns,
     require_upper_half,
 )
-from .errors import (
-    DegenerateTheta,
-    DomainError,
-    NearPole,
-    NotConverged,
-    RouteUnavailable,
-)
+from .errors import DomainError, NearPole, NotConverged, RouteUnavailable
 from .numeric import DEFAULT_CONFIG, TruncationConfig, bernoulli_poly, binomial
 
 _TWO_PI = 2.0 * math.pi
@@ -93,7 +84,14 @@ class TwistPair:
         return self.mu == 0.0 and self.lam == 0.0
 
     def inverse(self) -> "TwistPair":
-        return TwistPair(-self.mu, -self.lam)
+        """The pair (-mu, -lam) mod 1, linked back to this one, so that
+        tw.inverse().inverse() is tw even where 1 - mu or 1 - lam rounds."""
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            inv = TwistPair(-self.mu, -self.lam)
+            object.__setattr__(inv, "_inverse", self)
+            object.__setattr__(self, "_inverse", inv)
+        return inv
 
     def isclose(self, other: "TwistPair", tol: float = 1e-12) -> bool:
         def circ(x, y):
@@ -197,28 +195,28 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
     P_{j+1}[tw](z) = (-1)^j f^(j)(z)/j! of f = P_1[tw]. Points with Re z > 0
     (or Re z = 0 < Im z) are evaluated at -z through the parity
     P_k[tw](z) = (-1)^k P_k[tw^-1](-z) (1 - P_1[1;1](-z) for the trivial P_1),
-    so that relation holds bit for bit wherever tw^-1 inverts back to tw (not
-    where 1 - mu or 1 - lam rounds), and with it the exact antisymmetry of
-    the correlators' Pfaffian matrices. One _p1_taylor table serves the whole
-    batch, flipped points included: each point takes the numerator
-    characteristic of its own twist, tw or tw^-1, and the Taylor columns of
-    both thetas; power-series division of the columns gives the f^(j)/j!.
-    Each point's window is centred on round(Re z / (2 pi Im tau)) (the
-    quasi-period moves z next to the imaginary axis and leaves the multiplier
-    theta^-m) and sized a priori from the Gaussian tail, so every value
-    depends only on its own z and on nothing else in the batch.
+    so that relation holds bit for bit, tw^-1 inverting back to tw itself, and
+    with it the exact antisymmetry of the correlators' Pfaffian matrices. One
+    _p1_taylor table serves the whole batch, flipped points included: each
+    point takes the numerator characteristic of its own twist, tw or tw^-1,
+    and the Taylor columns of both thetas; power-series division of the
+    columns gives the f^(j)/j!. Each point is moved next to 0 by the periods
+    first (the multiplier theta^-m phi^k of the shift is exact), and the
+    window is sized a priori from the Gaussian tail, so every value depends
+    only on its own z and on nothing else in the batch.
 
     Domain: the whole plane off the period lattice 2 pi i (Z tau + Z).
     DomainError for a non-finite z; NearPole within 1e-11 of a lattice
     point, or when the twist is within 1e-12 of trivial (P_k[tw] has a pole
     there); NotConverged when the rounding bound -- eps times the sum of
-    |term| over |theta|, weighted by each term's exponent, carried through
-    the division -- passes cfg.tol relative to max(1, |P_k|): near lattice
-    points, at small Im tau (e.g. 0.05i), where the theta sums cancel, and
-    at large |z|, once the rounding eps |x z| of each exponent x z passes tol
-    (P_1 at z = -3141.6+0.4i, tau = i, or z = 1e4+2i, tau = 10i).
-    The batch raises when one of its points would alone. twisted_pk_oracle
-    is the lattice-sum oracle at a nontrivial twist.
+    |term| over |theta|, weighted by each term's exponent at the reduced
+    point, carried through the division -- passes cfg.tol relative to
+    max(1, |P_k|): near lattice points, and at small Im tau (e.g. 0.05i),
+    where the theta sums cancel; and past 2^26 periods from 0, where the
+    reduction keeps no digit of z. So z = -3141.6+0.4i at tau = i, 500
+    quasi-periods out, is summed at w = -0.0073+0.4i. The batch raises when
+    one of its points would alone. twisted_pk_oracle is the lattice-sum
+    oracle at a nontrivial twist.
     """
     ks = list(ks)
     if ks and min(ks) < 1:
@@ -227,14 +225,12 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
     zs = np.array(zs, dtype=complex).reshape(-1)
     if not (ks and zs.size):
         return np.zeros((len(ks), zs.size), dtype=complex)
-    finite = np.isfinite(zs)
-    if np.count_nonzero(finite) < zs.size:
-        raise DomainError(f"P_k[tw] needs a finite z, got z = {zs[~finite][0]}")
     order = max(ks)
-    # complex order is lexicographic: z > 0 means Re z > 0, or Re z = 0 < Im z
-    flip = zs > 0
-    flipped = np.count_nonzero(flip)
     with np.errstate(over="ignore", invalid="ignore"):
+        # complex order is lexicographic: z > 0 means Re z > 0, or Re z = 0 < Im z; a
+        # non-finite z is the table's DomainError
+        flip = zs > 0
+        flipped = np.count_nonzero(flip)
         # P_k = (-1)^(k-1) f_(k-1), and at a flipped point -f_(k-1) of tw^-1 at w = -z;
         # tw^-1 is tw at the half-integer twists, and the only twist when all points flip
         twist, inverse = tw, None
@@ -266,98 +262,50 @@ def _p1_taylor(tw: TwistPair, ws: np.ndarray, inverse: np.ndarray | None, tau: c
     """f^(j)(w)/j!, j < order, of f = P_1[tw] at every w of ws, or of P_1[tw^-1] where the
     mask inverse is set, with their rounding bounds.
 
-    Each w is moved by the quasi-period w -> w + 2 pi i tau m, m = round(Re w
-    / (2 pi Im tau)), next to the imaginary axis, where theta's terms peak at
-    |n + a| <= 1: one window |n| <= N with pi Im(tau) (N - 1)^2 >= _THETA_TAIL
-    then serves every point (NotConverged past N = 512, below Im tau ~ 6e-5).
-    One exp table, laid out (n, theta, column), holds every point and, as one
-    more column per numerator twist, w = 0. Its rows are the numerator
-    theta[lam+1/2; mu+1/2] of tw, and of tw^-1 when the mask is given, then
-    theta[1/2;1/2] (alone at the trivial twist). Their characteristics
-    (lam - 1/2, mu + 1/2) and (1/2, 1/2) have a in [-1/2, 1/2], so every
-    exponent n (n + 2a) is >= 0: at w = 0 they peak at n = 0, and taking out
-    the largest term at large Im tau underflows no normalisation. Each row
-    sums its Taylor columns c_j, j < order, in order of n, and at order 1 one
-    more, j = 1, for theta'[1/2;1/2](0) (j <= order at the trivial twist): a
-    sum of that one column at w = 0 alone costs a one-point call more than
-    the column costs a 256-point one. Each point then divides the
-    numerator row of its own twist by theta[1/2;1/2]'s, normalised for that
-    twist. A term's relative rounding is at most eps times
-    2 + pi|tau| n (n + 2a) + 2 pi |b x| + |x| reach, x = n + a, where reach
-    covers |w| and the rounding of the shift (three times |w| plus the
-    shift); the bound of c_j sums those over |x^j/j! term|, and _divide
-    carries it through the quotient.
+    One classical._theta_table call holds every point and, as one more column per
+    numerator twist, w = 0. Its rows are the numerator theta[lam+1/2; mu+1/2] of
+    tw, and of tw^-1 when the mask is given, each summed as theta[lam-1/2; mu-1/2]
+    (a in [-1/2, 1/2) as the table asks, |b| <= 1/2), then theta[1/2;1/2] (alone at
+    the trivial twist). Each row has its Taylor columns c_j,
+    j < order, and at order 1 one more, j = 1, for theta'[1/2;1/2](0) (j <= order
+    at the trivial twist): a sum of that one column at w = 0 alone costs a
+    one-point call more than the column costs a 256-point one. Each point then
+    divides the numerator row of its own twist by theta[1/2;1/2]'s, normalised for
+    that twist; the table's shifts m and k leave the multiplier theta^-m phi^k =
+    e^{2 pi i (mu m + lam k)} of the quotient, its phases taken exactly (_turns),
+    and m itself in theta'/theta. The table's log-scales cancel from the quotient,
+    and _divide carries the columns' bounds through it.
     """
-    span = math.sqrt(_THETA_TAIL / (math.pi * tau.imag) + 0.25)
-    if span + 1 > _THETA_MAX_HALF_WIDTH:      # also when span is inf
-        raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
-                           f"either side of 0 at tau = {tau}")
-    width = math.ceil(span) + 1
     trivial = tw.is_trivial
     npts = ws.size
-    # the numerator twists (mu, lam): tw, and tw^-1 for the points of inverse
-    twists = [(tw.mu, tw.lam)] + ([] if inverse is None else
-                                  [(_reduce_phase(-tw.mu), _reduce_phase(-tw.lam))])
+    # the numerator twists: tw, and tw^-1 for the points of inverse
+    twists = [tw] + ([] if inverse is None else [tw.inverse()])
     # the columns: every w, then w = 0 for each numerator twist
     pts = np.zeros(npts + len(twists), dtype=complex)
     pts[:npts] = ws
-    m = np.rint(pts.real / (_TWO_PI * tau.imag))
-    shifted = np.count_nonzero(m)
-    reach = np.abs(pts)
-    if shifted:
-        pts += (2j * math.pi * tau) * m
-        reach += abs(_TWO_PI * tau) * np.abs(m)
-    # characteristics (a, b), |a| <= 1/2: theta[lam+1/2; .] = theta[lam-1/2; .], with
-    # lam - 1/2 in [-1/2, 1/2), then theta[1/2;1/2]; as rows a, 2a, b and eps 2 pi b
-    chars = ([] if trivial else [(lam - 0.5, mu + 0.5) for mu, lam in twists]) + [(0.5, 0.5)]
-    a, a2, b, eb = np.array([(ca, 2.0 * ca, cb, _EPS * _TWO_PI * cb) for ca, cb in chars]).T
-    ns = np.arange(-width, width + 1.0)[:, None]
-    xs = ns + a
-    ax = np.abs(xs)
-    # exponents i pi (x^2 - a^2) tau + x (w + 2 pi i b), laid out (x, row, column):
-    # x^2 - a^2 = n (n + 2a) >= 0 is exact at the peak, and the shift by a^2 tau
-    # cancels from A/B and from B'/B
-    sq = ns * (ns + a2)
-    expo = ((1j * math.pi * tau) * sq + (2j * math.pi) * b * xs)[:, :, None] \
-        + xs[:, :, None] * pts
-    if tau.imag > 64.0:
-        # so large an Im(tau) leaves the float range: take out each column's largest term
-        # over its numerator row and theta[1/2;1/2]'s, which also cancels
-        top = expo.real.max(axis=0)
-        row = np.arange(-npts, len(twists))
-        row[:npts] = 0 if inverse is None else inverse
-        expo -= np.maximum(top[row, np.arange(row.size)], top[-1])
-    # pw[:, j] = x^j / j!, j <= max(order - 1, 1) (<= order at the trivial twist), the
-    # running product of x / i over i <= j: column 1 gives theta'[1/2;1/2](0) at w = 0
-    cols_n = order + 1 if trivial else max(order, 2)
-    pw = np.empty((ns.size, cols_n, a.size, 1))
-    pw[:, 0] = 1.0
-    np.divide(xs[:, None, :, None], np.arange(1.0, cols_n)[:, None, None], out=pw[:, 1:])
-    pw = np.multiply.accumulate(pw, axis=1)
-    # sums over n, (j, row, column): np.add.reduce over the leading axis of a C-ordered
-    # array adds whole blocks, never one element, in order of n; from -0, not its default
-    # +0, it gives the bits of adding from the first term, signed zeros included
-    cols = np.add.reduce(pw * np.exp(expo)[:, None], axis=0, initial=-0j)
-    slack = (2.0 * _EPS + (_EPS * math.pi * abs(tau)) * sq + eb * ax)[:, :, None] \
-        + ax[:, :, None] * ((3.0 * _EPS) * reach)
-    bounds = (np.abs(pw[..., 0]).transpose(2, 1, 0)
-              @ (np.exp(expo.real) * slack).transpose(1, 0, 2)).transpose(1, 0, 2)
+    # theta[lam+1/2; mu+1/2] = e^{2 pi i a} theta[a; mu-1/2] for a = lam - 1/2 in [-1/2,
+    # 1/2), the constant cancelling from the normalisation
+    chars = ([] if trivial else [(t.lam - 0.5, t.mu - 0.5) for t in twists]) + [(0.5, 0.5)]
+    cols, bounds, _, shifts, w = _theta_table(chars, pts, tau,
+                                              order + 1 if trivial else max(order, 2))
     # per numerator twist: the pole threshold (theta[1/2;1/2](w) ~ theta'[1/2;1/2](0) d at
     # distance d from the lattice), and off the trivial twist the normalisation theta'(0)
-    # / theta[a;b](0), its inverse modulus, the multiplier's 2 pi i mu and relative bound
+    # / theta[a;b](0), its inverse modulus, mu, lam and the normalisation's relative bound
     per_twist = []
-    for t, (mu, _) in enumerate(twists):
-        den1 = complex(cols[1, -1, npts + t])
+    at_0 = cols[:2, :, npts:].tolist()
+    err_0 = bounds[:2, :, npts:].tolist()
+    for t, twist in enumerate(twists):
+        den1 = at_0[1][-1][t]
         per_twist.append([10 * _POLE_EPS * abs(den1)])
         if not trivial:
-            num0 = complex(cols[0, t, npts + t])
+            num0 = at_0[0][t][t]
             if abs(num0) < _POLE_EPS * abs(den1):
                 raise NearPole(f"twist {tw} is within {_POLE_EPS} of trivial, where "
                                f"P_k[tw] has a pole")
             norm = den1 / num0
-            per_twist[t] += [norm, 1.0 / abs(norm), _TWO_PI * 1j * mu,
-                             float(bounds[0, t, npts + t]) / abs(num0)
-                             + float(bounds[1, -1, npts + t]) / abs(den1) + 4.0 * _EPS]
+            per_twist[t] += [norm, 1.0 / abs(norm), twist.mu, twist.lam,
+                             err_0[0][t][t] / abs(num0) + err_0[1][-1][t] / abs(den1)
+                             + 4.0 * _EPS]
     # each point's numerator row and twist values: tw's, or at the points of inverse tw^-1's
     if inverse is None:
         num, num_err = cols[:order, 0, :npts], bounds[:order, 0, :npts]
@@ -369,24 +317,27 @@ def _p1_taylor(tw: TwistPair, ws: np.ndarray, inverse: np.ndarray | None, tau: c
     absden = np.abs(cols[:order, -1, :npts])
     if np.count_nonzero(absden[0] < per[0].real):
         j = int(absden[0].argmin())
-        raise NearPole(f"w = {pts[j]:.6g} (up to a period) is within "
-                       f"{10 * _POLE_EPS} of a pole of P_k[tw] at tau = {tau}")
-    m = m[:npts]
+        raise NearPole(f"z = {ws[j]:.6g} (or its negative) is within {10 * _POLE_EPS} of a "
+                       f"pole of P_k[tw] at tau = {tau}")
+    shifts = shifts[:npts]
     if trivial:
         # f = 1/2 + theta'/theta: theta'(w + t) has columns (j+1) c_{j+1}
         j1 = np.arange(1.0, order + 1.0)[:, None]
         f, err = _divide(j1 * cols[1:, 0, :npts], j1 * bounds[1:, 0, :npts],
                          cols[:order, 0, :npts], bounds[:order, 0, :npts], absden, 4.0 * _EPS)
-        f[0] += 0.5 + m
+        f[0] += 0.5 + shifts[:, 0]
         err[0] += _EPS * np.abs(f[0])
         return f, err
-    # f = theta[a;b] / (theta[1/2;1/2] / norm): the normalisation and the multiplier
-    # theta^-m of the shift divide the denominator
-    norm, scale, mu2pi, rel = per[1], per[2].real, per[3], per[4].real
+    # f = theta[a;b] / (theta[1/2;1/2] / norm): the normalisation and the multipliers
+    # e^{2 pi i (mu m + lam k)} of the shifts divide the denominator
+    norm, scale, mu, lam, rel = per[1], per[2].real, per[3].real, per[4].real, per[5].real
     den = cols[:order, -1, :npts] / norm
-    if shifted:
-        den /= np.exp(mu2pi * m)
-        rel = rel + _EPS * _TWO_PI * np.abs(m)
+    if w is not pts:                                # some point was shifted
+        for base, shift in ((mu, shifts[:, 0]), (lam, shifts[:, 1])):
+            if np.count_nonzero(shift):
+                den /= np.exp(1j * _turns(base, shift))
+                # the phase to 3 eps 2 pi, its exp to eps
+                rel = rel + (1.0 + 6.0 * math.pi) * _EPS
     return _divide(num, num_err, den, bounds[:order, -1, :npts] * scale, absden * scale, rel)
 
 
@@ -440,8 +391,7 @@ def twisted_pk(k: int, tw: TwistPair, z: complex, tau: complex,
 
     The one-point call of twisted_pk_batch, with its domain: the whole plane
     off the period lattice. NearPole on a lattice point or at a twist within
-    1e-12 of trivial; NotConverged when the rounding bound passes cfg.tol,
-    which includes large |z|, once eps |x z| in the exponents passes tol.
+    1e-12 of trivial; NotConverged when the rounding bound passes cfg.tol.
     """
     return complex(twisted_pk_batch([k], tw, [z], tau, cfg)[0, 0])
 
@@ -675,41 +625,3 @@ def coeff_D(k: int, l: int, tw: TwistPair, z: complex, tau: complex,
     if k < 1 or l < 1:
         raise ValueError("coeff_D requires k, l >= 1")
     return _cd_factor(k + 1, k, l) * twisted_pk(k + l - 1, tw, z, tau, cfg)
-
-
-def twisted_p1_theta_form(tw: TwistPair, z: complex, tau: complex,
-                          cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """P_1[tw](z) through theta functions and the prime form.
-
-    Nontrivial twist:  theta[lam+1/2; mu+1/2](z) / theta[lam+1/2; mu+1/2](0) / K(z).
-    Trivial twist:     1/2 + theta'[1/2;1/2](z) / theta'[1/2;1/2](0) / K(z) (the
-    ratio is exactly K'/K = P_1, so the trivially twisted function needs its
-    constant 1/2 restored on top).
-    The theta at z and at 0 come from one classical._theta_columns call, the
-    summation behind theta_char and the prime form, and not the kernel's table, so
-    this form is an independent check of twisted_pk_batch.
-
-    Valid off the period lattice, wherever prime_form returns a value, with its
-    errors (NearPole at the lattice points). DegenerateTheta when the theta
-    value in the denominator is below cfg.tol; DomainError for a non-finite z;
-    NotConverged when theta's window passes 512 terms either side of its centre
-    (Im tau below about 6e-5) or the thetas' ratio leaves the float range.
-    """
-    tau = require_upper_half(tau)
-    z = complex(z)
-    if tw.is_trivial:
-        a, b, col, what = 0.5, 0.5, 1, "theta'[1/2;1/2](0)"
-    else:
-        a, b, col = tw.lam + 0.5, tw.mu + 0.5, 0
-        a -= round(a)
-        what = f"theta[{tw.lam + 0.5};{b}](0)"
-    cols, _, logs = _theta_columns(a, b, np.array([z, 0.0]), tau, col)
-    at_z, at_0 = cols.tolist()
-    if abs(cmath.exp(logs[1] + 1j * math.pi * tau * a * a) * at_0) < cfg.tol:
-        raise DegenerateTheta(f"{what} ~ 0 at tau = {tau}")
-    try:
-        ratio = math.exp(logs[0] - logs[1]) * at_z / at_0
-    except OverflowError:
-        raise NotConverged(f"theta's largest term would leave the float range at z = {z}, "
-                           f"tau = {tau}") from None
-    return (0.5 if tw.is_trivial else 0.0) + ratio / prime_form(z, tau, cfg)

@@ -28,7 +28,7 @@ def test_layers_script_runs_every_row(capsys):
         assert {f"L3.rank2_generating.n{n}", f"L3.rank2_generating_boson.n{n}"} <= set(rows)
     assert {"L3.rank1_fock_npoint.4x3", "L3.rank2_fock_npoint.3x22"} <= set(rows)
     assert {"L1.eisenstein.cold", "L1.theta_char.a0", "L1.theta_char.a40",
-            "L1.theta_char.half",
+            "L1.theta_char.half", "L1.theta_char.far", "L1.prime_form.one",
             "L2.twisted_eisenstein.im0.06",
             "L2.twisted_eisenstein.im1", "L2.twisted_eisenstein_batch.grid"} <= set(rows)
     assert {"L4.cli.build_parser", "L4.table.pk_grid", "L4.table.en_grid",

@@ -22,7 +22,7 @@ from twistell import (
     theta_char,
     weierstrass_pk,
 )
-from twistell.classical import _theta_chars, _theta_columns
+from twistell.classical import _theta_chars, _theta_table
 
 TAU = 0.12 + 1.1j
 
@@ -309,20 +309,27 @@ class TestP0Batch:
                 assert p0_batch(zs[i:i + 1], tau)[0] == base[i]
 
     def test_prime_form_table_depends_only_on_its_own_z(self):
-        # columns to the sign of a zero, bounds and log-scales, whatever else the table
-        # holds and whatever orders its other points ask for: at the prime form's
-        # characteristic and at a general one
+        # columns to the sign of a zero, bounds, log-scales and shifts, whatever else the
+        # table holds: at the prime form's characteristic, at a general one and at both,
+        # with points near 0 (paired), at 0 and past the quasi-period
         rng = random.Random(14)
         for tau in [TAU, 0.3 + 0.8j, 1j, 0.3 + 40j, 0.1 + 0.07j]:
             zs = [complex(rng.uniform(-9, 9), rng.uniform(-6, 6)) for _ in range(30)]
             zs += [complex(rng.uniform(-3, 3), 0.0) for _ in range(5)] + [0.0, -0.0, 3j]
-            orders = np.array([i % 3 for i in range(len(zs))] + [1])
-            for a, b in ((0.5, 0.5), (0.31 - 0.5, 0.77 - 0.5)):
-                table = _theta_columns(a, b, np.array(zs + [0.0]), tau, orders)
-                for i, z in enumerate(zs):
-                    one = _theta_columns(a, b, np.array([z, 0.0]), tau, orders[[i, -1]])
-                    for whole, part in zip(table, one):
-                        assert part.tobytes() == whole[[i, -1]].tobytes(), z
+            zs += [complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1)) for _ in range(4)]
+            for chars in ([(0.5, 0.5)], [(0.31 - 0.5, 0.77 - 0.5)],
+                          [(0.31 - 0.5, 0.77 + 0.5), (0.5, 0.5)]):
+                for order in (1, 3):
+                    cols, bounds, top, shifts, w = _theta_table(chars, np.array(zs + [0.0]),
+                                                                tau, order)
+                    for i, z in enumerate(zs):
+                        one = _theta_table(chars, np.array([z, 0.0]), tau, order)
+                        at = [i, -1]
+                        whole = (cols[..., at], bounds[..., at], top[at], shifts[at])
+                        for part, same in zip(one, whole):
+                            assert part.tobytes() == same.tobytes(), z
+                        # the reduced points, but for the sign of a zero
+                        assert np.array_equal(one[4], w[at]), z
 
     def test_batch_raises_as_its_failing_point_alone(self):
         tau = 0.3 + 0.8j

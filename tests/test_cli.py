@@ -677,8 +677,6 @@ PARITY_CASES = {
                 lambda: twisted.coeff_C(1, 2, _TW, _TAU)),
     "coeff_D": (["k=2", "l=1", "mu=0.31", "lam=0.77", "z=-1.3+0.4i", "tau=0.12+1.1i"],
                 lambda: twisted.coeff_D(2, 1, _TW, -1.3 + 0.4j, _TAU)),
-    "twisted_p1_theta_form": (["mu=0.31", "lam=0.77", "z=-1.3+0.4i", "tau=0.12+1.1i"],
-                              lambda: twisted.twisted_p1_theta_form(_TW, -1.3 + 0.4j, _TAU)),
     "rank1_partition": (["g=sigma", "tau=0.12+1.1i"],
                         lambda: fermion.rank1_partition(GSelector.SIGMA, _TAU)),
     "rank1_generating": (["g=identity", "zs=-1.2+0.3i,-0.4-0.2i", "tau=0.12+1.1i"],

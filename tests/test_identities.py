@@ -140,6 +140,26 @@ class TestRunAll:
                 assert lattice_distance(a - b, tau) >= min_sep
 
 
+BOSONIZED = ["fay_trisecant_n2", "fay_trisecant_n3", "k_secant_n2",
+             "generalized_trisecant_2_2", "generalized_trisecant_21_12"]
+
+
+@pytest.mark.parametrize("seed", [39, 42, 52, 65, 70, 81, 95, 162, 164, 258, 293, 297, 371])
+def test_bosonized_checks_pass_at_large_theta_arguments(monkeypatch, seed):
+    # psi+ and psi- points drawn from the whole sampling box put the bosonized side's
+    # theta at |z| up to about 40; at these seeds theta_char once refused right values
+    # there, its bound charging eps |x z| at the unreduced point
+    from twistell import identities
+
+    def whole_box(sampler, tau, n_x, n_y):
+        pts = sampler.points(tau, n_x + n_y)
+        return pts[:n_x], pts[n_x:]
+
+    monkeypatch.setattr(identities._Sampler, "xy_clusters", whole_box)
+    for report in run_all(SamplePlan(seed=seed), DEFAULT_CONFIG, names=BOSONIZED):
+        assert report.passed, (seed, report.identity_name, report.max_residual)
+
+
 def test_laurent_circle_is_one_kernel_call(monkeypatch):
     from twistell import identities
     from twistell.twisted import TwistPair

@@ -1,9 +1,10 @@
-"""theta_char and the prime form against 30-digit direct sums by mpmath.
+"""theta_char, the prime form and P_1[tw] against 30-digit direct sums by mpmath.
 
 The references sum theta[a;b](z, tau) = sum_n exp(i pi (n+a)^2 tau + (n+a)(z + 2 pi i b))
 term by term at 40 digits over a window wide enough for 30, with a, b, z and tau taken
-exactly as the floats given. They share nothing with the library's theta table, so they
-check it independently of twisted_p1_theta_form and of the P_k kernel.
+exactly as the floats given, and P_1[tw] as their quotient. They share nothing with the
+library's theta table, which theta_char, the prime form and the P_k kernel all sum, so
+they check it independently.
 """
 
 import cmath
@@ -11,16 +12,16 @@ import math
 
 import pytest
 
-from twistell import DEFAULT_CONFIG, TwistellError, prime_form, theta_char
+from twistell import DEFAULT_CONFIG, TwistellError, TwistPair, prime_form, theta_char, twisted_pk
 
 mp = pytest.importorskip("mpmath")
 
 TOL = DEFAULT_CONFIG.tol
 
 
-def mp_theta(a, b, z, tau, digits=30):
-    """theta[a;b](z, tau) by its direct sum, every term within 10^-(digits + 10) of the
-    largest."""
+def mp_theta(a, b, z, tau, digits=30, j=0):
+    """theta[a;b](z, tau), or its j-th z-derivative, by its direct sum, every term within
+    10^-(digits + 10) of the largest."""
     with mp.workdps(digits + 10):
         a, b, z, tau = mp.mpf(a), mp.mpf(b), mp.mpc(z), mp.mpc(tau)
         spread = mp.pi * tau.imag
@@ -29,7 +30,7 @@ def mp_theta(a, b, z, tau, digits=30):
         total = mp.mpc(0)
         for n in range(centre - half, centre + half + 1):
             x = n + a
-            total += mp.exp(1j * mp.pi * x * x * tau + x * (z + 2j * mp.pi * b))
+            total += x ** j * mp.exp(1j * mp.pi * x * x * tau + x * (z + 2j * mp.pi * b))
         return total
 
 
@@ -44,6 +45,16 @@ def mp_prime_form(z, tau):
             x = n + mp.mpf(0.5)
             dtheta += x * mp.exp(1j * mp.pi * x * x * tau + x * 1j * mp.pi)
         return mp_theta(0.5, 0.5, z, tau) / dtheta
+
+
+def mp_p1(tw, z, tau):
+    """P_1[tw](z) = theta'[1/2;1/2](0) theta[lam+1/2; mu+1/2](z)
+    / (theta[lam+1/2; mu+1/2](0) theta[1/2;1/2](z)), the characteristics exact."""
+    with mp.workdps(40):
+        half = mp.mpf(1) / 2
+        a, b = mp.mpf(tw.lam) + half, mp.mpf(tw.mu) + half
+        return (mp_theta(half, half, 0, tau, j=1) * mp_theta(a, b, z, tau)
+                / (mp_theta(a, b, 0, tau) * mp_theta(half, half, z, tau)))
 
 
 def close(value, ref):
@@ -69,6 +80,15 @@ THETA_GOLDENS = [
     # large Re tau
     (0.3, 0.2, 0.4 + 0.1j, 123.45 + 1.1j),
     (-0.45, 2.2, -1.0 + 0.5j, -77.7 + 0.9j),
+    # |z| from 7 to 30, at the bosonized side's theta argument: once refused, the bound
+    # charging eps |x z| of the unreduced point; the third cancels, sum |term| / |theta|
+    # being 380
+    (-0.0894107, 0.612741, -23.2005 + 0.336017j, -0.314615 + 1.421713j),
+    (0.5, 0.5, 21.7704 + 2.94526j, 0.261253 + 1.735631j),
+    (-0.401298, 1.2924, -7.02244 - 3.51744j, 0.257125 + 1.239983j),
+    (0.211148, 0.854951, -30.4105 - 1.5888j, 0.021839 + 0.907821j),
+    # large Im z, reduced by 2 pi i first
+    (0.257887, 0.732147, -1.55841 + 11.5824j, 0.312239 + 1.036584j),
 ]
 
 
@@ -82,6 +102,28 @@ def test_theta_char_matches_the_direct_sum(a, b, z, tau):
 def test_prime_form_near_zero_matches_the_direct_sum(z, tau):
     ref = mp_prime_form(z, tau)
     assert abs(prime_form(z, tau) - complex(ref)) <= TOL * float(abs(ref))
+
+
+P1_POINTS = [
+    # a seeded spread over the plane, both sides of the imaginary axis and past the
+    # quasi-period
+    (TwistPair(0.31, 0.77), complex(-9.1, 2.3), 0.12 + 1.1j),
+    (TwistPair(0.31, 0.77), complex(14.2, -5.0), 0.12 + 1.1j),
+    (TwistPair(0.62, 0.05), complex(-2.2, 7.9), -0.3 + 0.8j),
+    (TwistPair(0.5, 0.5), complex(4.4, 0.7), 0.2 + 2.5j),
+    (TwistPair(0.07, 0.93), complex(-0.6, -3.3), 0.45 + 0.6j),
+    # 500 quasi-periods out: once refused, the rounding eps |x z| of the unreduced point
+    # passing tol; the lattice oracle's window does not reach its row
+    (TwistPair(0.3, 0.7), complex(-3141.6, 0.4), 1j),
+    # next to the pole at 0, where theta[1/2;1/2]'s terms cancel
+    (TwistPair(0.31, 0.77), complex(0.0, -3e-6), 0.12 + 1.1j),
+]
+
+
+@pytest.mark.parametrize("tw,z,tau", P1_POINTS)
+def test_p1_matches_the_theta_quotient(tw, z, tau):
+    ref = mp_p1(tw, z, tau)
+    assert close(twisted_pk(1, tw, z, tau), ref)
 
 
 def test_theta_char_is_right_or_refused():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from twistell import (
-    DegenerateTheta,
     DomainError,
     GroupElement,
     GSelector,
@@ -31,7 +30,6 @@ from twistell import (
     twisted_eisenstein,
     twisted_eisenstein_batch,
     twisted_eisenstein_oracle,
-    twisted_p1_theta_form,
     twisted_pk,
     twisted_pk_batch,
     twisted_pk_oracle,
@@ -69,6 +67,14 @@ class TestTwistPair:
         inv = tw.inverse()
         assert inv.theta == pytest.approx(1 / tw.theta)
         assert inv.phi == pytest.approx(1 / tw.phi)
+
+    def test_inverse_is_an_involution(self):
+        # 1 - 0.31 rounds, so (-mu, -lam) of the inverse is not 0.31 again: the inverse
+        # links back to its pair
+        rng = random.Random(5)
+        for tw in [TwistPair(0.31, 0.77)] + [TwistPair(rng.random(), rng.random())
+                                             for _ in range(50)]:
+            assert tw.inverse().inverse() == tw
 
     def test_modulus_validated(self):
         with pytest.raises(ValueError):
@@ -222,18 +228,27 @@ class TestTwistedPk:
         with pytest.raises(NotConverged, match="lattice row .* lies outside the window"):
             twisted_pk_oracle(1, tw, z, tau)
 
-    @pytest.mark.parametrize("tw,z,tau", [(TwistPair(0.3, 0.7), -3141.6 + 0.4j, 1j),
-                                          (TwistPair(0.3, 0.0), 1e4 + 2j, 10j)])
-    def test_kernel_refuses_large_z(self, tw, z, tau):
-        # eps |x z| in every exponent passes tol: NotConverged, never a value or a raw error;
-        # the oracle's swapped route still sums the second point (its row is 0.32)
-        with pytest.raises(NotConverged, match="rounding bound"):
-            twisted_pk(1, tw, z, tau)
-        with pytest.raises(NotConverged, match="rounding bound"):
-            twisted_pk_batch([1, 2], tw, [Z, z], tau)
-        if tw.lam == 0.0:
-            assert twisted_pk_oracle(1, tw, z, tau) == pytest.approx(-0.5000435 - 0.3632312j,
-                                                                     abs=1e-6)
+    def test_kernel_sums_large_z(self):
+        # the kernel reduces z by the quasi-period first, exactly enough that eps |w| of the
+        # reduced point, not eps |z|, enters the bound: once refused; the oracle's swapped
+        # route sums this point (its row is 0.32); -3141.6+0.4i at tau = i, where the
+        # oracle refuses, is checked against mpmath in test_theta_references
+        tw, z, tau = TwistPair(0.3, 0.0), 1e4 + 2j, 10j
+        ref = twisted_pk_oracle(1, tw, z, tau)
+        assert ref == pytest.approx(-0.5000435 - 0.3632312j, abs=1e-6)
+        assert abs(twisted_pk(1, tw, z, tau) - ref) <= 1e-12 * abs(ref)
+        vals = twisted_pk_batch([1, 2], tw, [Z, z], tau)
+        assert vals[0, 1] == twisted_pk(1, tw, z, tau)
+
+    def test_p1_near_zero_matches_the_oracle(self):
+        # theta[1/2;1/2]'s terms n and -1-n are taken together near w = 0, so P_1 ~ 1/z
+        # keeps its digits: refused once with a bound of 1.6e-9 on |P_1| ~ 1e3 (closer to
+        # 0 the oracle itself loses digits; test_theta_references checks there by mpmath)
+        tw = TwistPair(0.31, 0.77)
+        for z in (-1e-3, 2e-4 - 1e-4j):
+            for k in (1, 2, 3):
+                ref = twisted_pk_oracle(k, tw, z, TAU)
+                assert abs(twisted_pk(k, tw, z, TAU) - ref) <= 1e-12 * abs(ref), (k, z)
 
     def test_oracle_rows_inside_the_window_are_summed(self):
         # a few periods out, the row still lies in the starting window
@@ -347,7 +362,7 @@ class TestThetaKernel:
 
     @pytest.mark.parametrize("tau", [0.3 + 40j, 0.3 + 80j, 1000j])
     def test_matches_qseries_at_large_im_tau(self, tau):
-        # past Im(tau) = 64 each point's largest term is taken out of the exponents; at
+        # each point's largest term is taken out of the exponents as its log-scale; at
         # lam < 1/2 the characteristic lam - 1/2 keeps theta[1/2;1/2](0)'s column in range
         zs = [-0.3 + 0.4j, -1.1 - 0.2j, -2.0 + 1.0j]
         for tw in (TwistPair(0.31, 0.77), TwistPair.trivial(), TwistPair(0.3, 0.3),
@@ -388,13 +403,13 @@ class TestThetaKernel:
         assert len(calls) == 1 + len(single)
         assert np.array_equal(np.reshape(single, out.shape), out)
 
-    @pytest.mark.parametrize("tw", [TwistPair(0.75, 0.625), TwistPair(0.5, 0.5),
-                                    TwistPair(0.5, 0.0), TwistPair(0.0, 0.5),
-                                    TwistPair.trivial()], ids=str)
+    @pytest.mark.parametrize("tw", [TwistPair(0.31, 0.77), TwistPair(0.75, 0.625),
+                                    TwistPair(0.5, 0.5), TwistPair(0.5, 0.0),
+                                    TwistPair(0.0, 0.5), TwistPair.trivial()], ids=str)
     def test_parity_holds_bit_for_bit(self, tw):
-        # P_k[tw](z) = (-1)^k P_k[tw^-1](-z) exactly, wherever tw^-1 inverts back to tw (a
-        # phase x that 1 - x rounds does not); at the trivial twist P_1 at the flipped one
-        # of z, -z is 1 - P_1 at the other
+        # P_k[tw](z) = (-1)^k P_k[tw^-1](-z) exactly, tw^-1 inverting back to tw itself (at
+        # 0.31, 1 - 0.31 rounds); at the trivial twist P_1 at the flipped one of z, -z is
+        # 1 - P_1 at the other
         assert tw.inverse().inverse() == tw
         ks = np.arange(1, 8)
         zs = np.array([-1.3 + 0.4j, -0.2 - 2.1j, -4.0 + 1.0j, 2.2 + 0.3j, 9.5 - 1.2j])
@@ -717,7 +732,7 @@ class TestEisensteinSeries:
 def fit_c_grid(tw, tau, kmax=3, n=12, r1=0.2, r2=0.13):
     """Bivariate Fourier fit of P_1[tw](z1 - z2) - 1/(z1 - z2).
 
-    Uses the theta/prime-form route, which needs no annulus, as the
+    Uses the lattice oracle, which shares nothing with the theta kernel, as the
     independent evaluator.
     """
     grid = {}
@@ -728,7 +743,7 @@ def fit_c_grid(tw, tau, kmax=3, n=12, r1=0.2, r2=0.13):
         for bb in angs:
             z1 = r1 * cmath.exp(1j * aa)
             z2 = r2 * cmath.exp(1j * bb)
-            row.append(twisted_p1_theta_form(tw, z1 - z2, tau) - 1 / (z1 - z2))
+            row.append(twisted_pk_oracle(1, tw, z1 - z2, tau) - 1 / (z1 - z2))
         vals.append(row)
     for k in range(1, kmax + 1):
         for l in range(1, kmax + 1):
@@ -793,39 +808,6 @@ class TestCoefficients:
                     acc += vals[ia][ib] * cmath.exp(-1j * ((k - 1) * aa + (l - 1) * bb))
             fit = acc / n**2 / r1 ** (k - 1) / r2 ** (l - 1)
             assert coeff_D(k, l, tw, Z, TAU) == pytest.approx(fit, rel=1e-6)
-
-
-class TestThetaForm:
-    def test_matches_q_series(self):
-        rng = random.Random(31)
-        for _ in range(3):
-            tw = TwistPair(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
-            tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.9, 1.6))
-            z = complex(-rng.uniform(0.5, 3.0), rng.uniform(-1, 1))
-            assert twisted_p1_theta_form(tw, z, tau) == pytest.approx(
-                twisted_pk(1, tw, z, tau), rel=1e-11)
-
-    def test_trivial_matches_half_plus_p1(self):
-        assert twisted_p1_theta_form(TwistPair.trivial(), Z, TAU) == pytest.approx(
-            0.5 + weierstrass_pk(1, Z, TAU), rel=1e-11)
-
-    def test_two_pi_i_multiplier(self):
-        tw = TwistPair(0.31, 0.77)
-        z = -1.1 - 2.5j
-        lhs = twisted_p1_theta_form(tw, z + 2j * math.pi, TAU)
-        assert lhs == pytest.approx(tw.phi * twisted_p1_theta_form(tw, z, TAU),
-                                    rel=1e-11)
-
-    def test_degenerate_theta(self):
-        with pytest.raises(DegenerateTheta):
-            twisted_p1_theta_form(TwistPair(1.2e-13, 1.2e-13), Z, TAU)
-
-    def test_lattice_point_is_near_pole(self):
-        # the prime form in the denominator refuses its zeros: no raw ZeroDivisionError
-        for tw in (TwistPair.trivial(), TwistPair(0.31, 0.77)):
-            for z in (0.0, 2j * math.pi * TAU):
-                with pytest.raises(NearPole):
-                    twisted_p1_theta_form(tw, z, TAU)
 
 
 class TestModularCovariance:
