@@ -1,7 +1,7 @@
 """Layer timings of the E_n q-series, theta, the prime form K and P_0 = -log K (L1), the
-P_k theta-quotient kernel and E_n[tw] (L2), the correlators built on them (L3), and
-`twistell table` grids through cli.main in this process (L4), one of them a grid of
-binomials that times the table's text path alone.
+P_k theta-quotient kernel, E_n[tw] and their lattice oracles (L2), the correlators built
+on them (L3), and `twistell table` grids through cli.main in this process (L4), one of
+them a grid of binomials that times the table's text path alone.
 
 Run from the repository root:
 
@@ -62,7 +62,8 @@ def main(argv=None) -> int:
     from twistell import cli
     from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein, p0,
                           prime_form, rank1_fock_npoint, rank2_fock_npoint, rank2_generating,
-                          rank2_generating_boson, theta_char, twisted_eisenstein, twisted_pk)
+                          rank2_generating_boson, theta_char, twisted_eisenstein,
+                          twisted_eisenstein_oracle, twisted_pk, twisted_pk_oracle)
 
     def clear():
         eisenstein.cache_clear()
@@ -120,6 +121,15 @@ def main(argv=None) -> int:
     for label, t in (("im0.06", 0.12 + 0.06j), ("im1", 0.12 + 1j)):
         run(f"L2.twisted_eisenstein.{label}",
             lambda t=t: [twisted_eisenstein(n, tw, t) for n in ORDERS], calls=len(ORDERS))
+    # L2: the lattice oracles, one call each, on the route of phi != 1 (tw) and on the
+    # route of theta != 1 (phi = 1), the point mid-annulus
+    z = complex(-width * 0.5, 0.4)
+    for route, t in (("phi", tw), ("theta", TwistPair(tw.mu, 0.0))):
+        for k in (1, 3):
+            run(f"L2.pk_oracle.{route}.k{k}",
+                lambda k=k, t=t: twisted_pk_oracle(k, t, z, tau), inner=20)
+        run(f"L2.eisenstein_oracle.{route}.n2",
+            lambda t=t: twisted_eisenstein_oracle(2, t, tau), inner=20)
     # L2: E_n[tw], n = 1..3, on a 25-point tau line from Im tau 0.06 to 2, the shape of a
     # table grid, in one batched call, per grid
     en_batch = getattr(twistell, "twisted_eisenstein_batch", None)

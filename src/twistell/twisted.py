@@ -6,10 +6,10 @@ P_k[tw] is evaluated as a theta quotient on the whole plane off the period
 lattice (twisted_pk_batch), its thetas summed by classical._theta_table, the
 summation behind theta_char and the prime form too. E_n[tw] is the
 q-expansion it shares with the classical E_n (classical._eisenstein_series).
-The lattice sums (double sums with the inner sum collapsed to S(x, phi) =
-1/2*delta + q_x^lam/(q_x - 1)), which converge for every z off the period
-lattice, are the oracles that stay independent of that kernel. Modular group
-actions on points and twists round out the module.
+The oracles that stay independent of both are one twisted lattice double sum
+(_lattice_sum), its inner sum collapsed to derivatives of e^{a x}/(e^x - 1):
+P_k[tw] itself, and E_n[tw] from it at z = 0. Modular group actions on points
+and twists round out the module.
 """
 
 from __future__ import annotations
@@ -396,94 +396,93 @@ def twisted_pk(k: int, tw: TwistPair, z: complex, tau: complex,
     return complex(twisted_pk_batch([k], tw, [z], tau, cfg)[0, 0])
 
 
-def _exp_frac_derivatives(alpha: float, order: int):
-    """Term lists for d^j/dx^j of e^{alpha*x}/(e^x - 1), j = 0..order.
-
-    Each term list holds (coef, s, b) triples meaning coef * e^{s*x} / (e^x - 1)^b;
-    the algebra is closed under differentiation so the result is exact.
-    """
-    terms = {(alpha, 1): 1.0}
-    out = [list(terms.items())]
+def _exp_frac_derivatives(alpha: float, order: int) -> list[float]:
+    """The c_b, b = 1..order+1, of d^order/dx^order e^{alpha x}/(e^x - 1) =
+    sum_b c_b e^{(alpha+b-1) x}/(e^x - 1)^b; the form is closed under d/dx."""
+    coefs = [1.0]
     for _ in range(order):
-        new: dict = {}
-        for (s, b), c in terms.items():
-            new[(s, b)] = new.get((s, b), 0.0) + c * s
-            new[(s + 1.0, b + 1)] = new.get((s + 1.0, b + 1), 0.0) - c * b
-        terms = {sb: c for sb, c in new.items() if c != 0.0}
-        out.append(list(terms.items()))
-    return out
-
-
-def _eval_exp_frac_terms(terms, x: complex) -> complex:
-    """Evaluate a (coef, s, b) term list stably on either side of Re(x) = 0."""
-    acc = 0.0 + 0.0j
-    if x.real > 0.0:
-        em = cmath.exp(-x)
-        for (s, b), c in terms:
-            acc += c * cmath.exp((s - b) * x) / (1.0 - em) ** b
-    else:
-        den = cmath.exp(x) - 1.0
-        for (s, b), c in terms:
-            acc += c * cmath.exp(s * x) / den**b
-    return acc
-
-
-def _collapsed_inner_sum(alpha: float, order: int):
-    """S_n(x) = sum_j psi^j/(x - 2*pi*i*j)^n for psi = e^{2*pi*i*alpha}, n = order + 1."""
-    try:
-        scale = (-1.0) ** order / math.factorial(order)
-    except OverflowError:
-        raise NotConverged(f"lattice oracle of order {order + 1} needs {order}! as a float, "
-                           f"which overflows past 170!") from None
-    terms = _exp_frac_derivatives(alpha, order)[order]
-
-    def s_n(x: complex) -> complex:
-        return scale * _eval_exp_frac_terms(terms, x)
-
-    return s_n
+        coefs = [(alpha + b) * c - b * prev
+                 for b, (c, prev) in enumerate(zip(coefs + [0.0], [0.0] + coefs))]
+    return coefs
 
 
 # Hard cap on the terms either side of m = 0 in a lattice-oracle window.
 _LATTICE_MAX_HALF_WIDTH = 1536
 
 
-def _adaptive_lattice_sum(term, rate_up: float, rate_dn: float,
-                          cfg: TruncationConfig, row: float = 0.0) -> complex:
-    """Sum term(m) over m in Z with geometric tails of those rates either side of row.
-
-    Each side starts where its tail bound exp(-rate*m) passes cfg.tol, and both
-    double until the three outermost terms on each side are below cfg.tol.
-    The window starts about m = 0, so NotConverged when row, where the terms
-    peak, lies outside it: its edge terms could then be below tol with the
-    sum's terms still ahead of it.
+def _lattice_sum(k: int, tw: TwistPair, z: complex, tau: complex, cfg: TruncationConfig,
+                 skip_zero: bool = False) -> complex:
+    """The twisted lattice double sum of P_k[tw](z, tau), its inner sum collapsed to
+    S_k(x; a) = sum_j e^{2 pi i a j}/(x - 2 pi i j)^k, (-1)^(k-1)/(k-1)! times the
+    (k-1)-th derivative of e^{a x}/(e^x - 1), on the route the twist admits:
+      phi != 1:   sum_m e^{-2 pi i mu m} S_k(z - 2 pi i m tau; lam),
+      theta != 1: tau^-k sum_n e^{2 pi i lam n} S_k((z - 2 pi i n)/tau; 1 - mu);
+    RouteUnavailable at the trivial twist. A window's rows are evaluated at once, S_k as
+    e^{a x}/(e^x - 1) times a polynomial in e^x/(e^x - 1), both divided through by e^x
+    where Re x > 0 so that no exponent grows, e^x - 1 by expm1 so that rows next to the
+    pole x = 0 keep their digits; skip_zero drops row 0 unevaluated. Each side starts
+    where its tail bound exp(-rate m) passes cfg.tol; both double until the three
+    outermost terms either side are below it. NotConverged when the row where the terms
+    peak (Re x = 0) lies outside the starting window about row 0 (its edge terms could
+    pass that test with the peak still ahead), past _LATTICE_MAX_HALF_WIDTH rows a side,
+    or when (k-1)! or the sum leaves the float range.
     """
-    m_up = _window_size(rate_up, cfg.tol)
-    m_dn = _window_size(rate_dn, cfg.tol)
+    h = _TWO_PI * tau.imag
+    if tw.lam != 0.0:
+        alpha, phase, step, div = tw.lam, -tw.mu, tau, 1.0
+        rates, row = ((1.0 - tw.lam) * h, tw.lam * h), -z.real / h
+    elif tw.mu != 0.0:
+        hp = (2j * math.pi / tau).real            # Re x falls by hp a row
+        alpha, phase, step, div = 1.0 - tw.mu, tw.lam, 1.0, tau
+        rates, row = ((1.0 - tw.mu) * hp, tw.mu * hp), (z * tau.conjugate()).real / h
+    else:
+        raise RouteUnavailable("lattice oracle needs theta != 1 or phi != 1")
+    try:
+        scale = (-1.0) ** (k - 1) / math.factorial(k - 1)
+    except OverflowError:
+        raise NotConverged(f"lattice oracle of order {k} needs {k - 1}! as a float, "
+                           f"which overflows past 170!") from None
+    coefs = [scale * c for c in reversed(_exp_frac_derivatives(alpha, k - 1))]
+    m_up, m_dn = (_window_size(rate, cfg.tol) for rate in rates)
     if not -m_dn <= row <= m_up:
         raise NotConverged(f"lattice row {row:.6g} lies outside the window "
                            f"[{-m_dn}, {m_up}] about 0")
-    while True:
-        if max(m_up, m_dn) > _LATTICE_MAX_HALF_WIDTH:
-            raise NotConverged(f"lattice window exceeded {_LATTICE_MAX_HALF_WIDTH} terms")
-        vals = [term(m) for m in range(-m_dn, m_up + 1)]
-        lo = max(abs(v) for v in vals[:3])
-        hi = max(abs(v) for v in vals[-3:])
-        if lo < cfg.tol and hi < cfg.tol:
-            return complex(sum(vals))
-        m_up *= 2
-        m_dn *= 2
+    with np.errstate(all="ignore"):
+        while True:
+            if max(m_up, m_dn) > _LATTICE_MAX_HALF_WIDTH:
+                raise NotConverged(f"lattice window exceeded {_LATTICE_MAX_HALF_WIDTH} terms")
+            ms = np.arange(-m_dn, m_up + 1)
+            if skip_zero:
+                ms = ms[ms != 0]
+            x = (z - 2j * math.pi * step * ms) / div
+            pos = x.real > 0.0
+            em1 = np.expm1(np.where(pos, -x, x))
+            den = np.where(pos, -em1, em1)              # e^x - 1, or 1 - e^-x where Re x > 0
+            g = np.exp(np.where(pos, 0.0, x)) / den     # e^x/(e^x - 1)
+            poly = coefs[0]
+            for c in coefs[1:]:
+                poly = poly * g + c
+            terms = (poly * np.exp(alpha * x - np.where(pos, x, 0.0)) / den
+                     * np.exp(2j * math.pi * phase * ms))
+            mag = np.abs(terms)
+            if mag[:3].max() < cfg.tol and mag[-3:].max() < cfg.tol:
+                break
+            m_up, m_dn = 2 * m_up, 2 * m_dn
+    total = complex(terms.sum()) / div**k
+    if not cmath.isfinite(total):
+        raise NotConverged(f"lattice sum of order {k} at z = {z:.6g}, tau = {tau} leaves "
+                           f"the float range")
+    return total
 
 
 def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
                       cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Slow closed-form oracle for P_k[tw] from the collapsed double sums.
-
-    Uses whichever lattice route the twist admits (phi != 1 or theta != 1;
-    RouteUnavailable otherwise), with the inner sum collapsed to the k-th
-    closed form S_k, so every k is summed directly. Valid off the period
-    lattice wherever the lattice row of z, where the terms peak, lies in the
-    starting window about row 0 (8 rows or more either side, more as tol or the
-    decay rates fall); NotConverged where it does not.
+    """Slow closed-form oracle for P_k[tw], the twisted lattice double sum
+    sum_m theta^m S_k(z - 2 pi i m tau; lam) where phi != 1, else
+    tau^-k sum_n phi^n S_k((z - 2 pi i n)/tau; 1 - mu) (RouteUnavailable at the trivial
+    twist), every k summed directly. Valid off the period lattice wherever the lattice
+    row of z, where the terms peak, lies in the starting window about row 0 (8 rows or
+    more either side, more as tol or the decay rates fall); NotConverged where it does not.
     """
     if k < 1:
         raise ValueError("twisted_pk_oracle requires k >= 1")
@@ -493,28 +492,7 @@ def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
         raise DomainError(f"lattice oracle needs a finite z, got z = {z}")
     if lattice_distance(z, tau) < 10 * _POLE_EPS:
         raise NearPole(f"z = {z:.6g} is a lattice translate of a pole")
-    h = _TWO_PI * tau.imag
-    if tw.lam != 0.0:
-        # collapse the inner n-sum: P_k = sum_m theta^m S_k(z - 2*pi*i*m*tau, phi)
-        s_fun = _collapsed_inner_sum(tw.lam, k - 1)
-
-        def term(m: int) -> complex:
-            return cmath.exp(-2j * math.pi * tw.mu * m) * s_fun(z - 2j * math.pi * tau * m)
-
-        # the terms peak where Re(z - 2*pi*i*m*tau) = 0
-        return _adaptive_lattice_sum(term, (1.0 - tw.lam) * h, tw.lam * h, cfg, -z.real / h)
-    if tw.mu != 0.0:
-        # swapped summation order: P_k = tau^-k sum_n phi^n S_k((z - 2*pi*i*n)/tau, theta^-1)
-        g_fun = _collapsed_inner_sum(1.0 - tw.mu, k - 1)
-        hp = h / abs(tau) ** 2
-
-        def term(n: int) -> complex:
-            return cmath.exp(2j * math.pi * tw.lam * n) * g_fun((z - 2j * math.pi * n) / tau)
-
-        # the terms peak where Re((z - 2*pi*i*n)/tau) = 0
-        row = (z * tau.conjugate()).real / h
-        return _adaptive_lattice_sum(term, (1.0 - tw.mu) * hp, tw.mu * hp, cfg, row) / tau**k
-    raise RouteUnavailable("lattice oracle needs theta != 1 or phi != 1")
+    return _lattice_sum(k, tw, z, tau, cfg)
 
 
 def twisted_eisenstein(n: int, tw: TwistPair, tau: complex,
@@ -557,39 +535,20 @@ def twisted_eisenstein_batch(ns: Sequence[int], tw: TwistPair, taus: Sequence[co
 
 def twisted_eisenstein_oracle(n: int, tw: TwistPair, tau: complex,
                               cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
-    """Lattice-sum oracle for E_n[tw], inner sum collapsed in closed form.
+    """Lattice-sum oracle for E_n[tw], the z^(n-1) coefficient of P_1[tw] - 1/z.
 
-    phi != 1 route:   -B_n(lam)/n!   + sum_{m != 0} theta^m S_n(2*pi*i*m*tau)
-    theta != 1 route: tau^-n * [ -B_n(1-mu)/n! + sum_{j != 0} phi^j S_n(2*pi*i*j/tau) ]
-    where S_n is the n-th collapsed inner sum; the (2*pi*i)^-n prefactor has
-    been absorbed. RouteUnavailable at the trivial twist.
+    By S_n(-x; 1 - a) = (-1)^n S_n(x; a), E_n[tw] = c + (-1)^n times the lattice sum of
+    twisted_pk_oracle at z = 0 with its pole row 0 dropped, c = -B_n(lam)/n! on the
+    phi != 1 route and -B_n(1 - mu)/(n! tau^n) on the theta != 1 route.
+    RouteUnavailable at the trivial twist.
     """
     if n < 1:
         raise ValueError("twisted_eisenstein_oracle requires n >= 1")
     tau = require_upper_half(tau)
-    h = _TWO_PI * tau.imag
+    tail = (-1) ** n * _lattice_sum(n, tw, 0j, tau, cfg, skip_zero=True)
     if tw.lam != 0.0:
-        s_fun = _collapsed_inner_sum(1.0 - tw.lam, n - 1)
-
-        def term(m: int) -> complex:
-            if m == 0:
-                return 0.0 + 0.0j
-            return cmath.exp(-2j * math.pi * tw.mu * m) * s_fun(2j * math.pi * m * tau)
-
-        tail = _adaptive_lattice_sum(term, (1.0 - tw.lam) * h, tw.lam * h, cfg)
-        return -bernoulli_poly(n, tw.lam) / math.factorial(n) + tail
-    if tw.mu != 0.0:
-        s_fun = _collapsed_inner_sum(tw.mu, n - 1)
-        hp = h / abs(tau) ** 2
-
-        def term(j: int) -> complex:
-            if j == 0:
-                return 0.0 + 0.0j
-            return cmath.exp(2j * math.pi * tw.lam * j) * s_fun(2j * math.pi * j / tau)
-
-        tail = _adaptive_lattice_sum(term, (1.0 - tw.mu) * hp, tw.mu * hp, cfg)
-        return (-bernoulli_poly(n, 1.0 - tw.mu) / math.factorial(n) + tail) / tau**n
-    raise RouteUnavailable("lattice oracle needs theta != 1 or phi != 1")
+        return tail - bernoulli_poly(n, tw.lam) / math.factorial(n)
+    return tail - bernoulli_poly(n, 1.0 - tw.mu) / math.factorial(n) / tau**n
 
 
 def _cd_factor(sign: int, k: int, l: int) -> float:

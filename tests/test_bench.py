@@ -24,6 +24,9 @@ def test_layers_script_runs_every_row(capsys):
         assert {f"L1.p0_loop.n{n}", f"L1.p0_batch.n{n}", f"L2.pk_loop.n{n}",
                 f"L2.pk_batch.n{n}"} <= set(rows)
     assert {"L2.pk_batch.edge", "L2.pk_batch.edge.k1", "L2.pk_batch.mixed"} <= set(rows)
+    for route in ("phi", "theta"):
+        assert {f"L2.pk_oracle.{route}.k1", f"L2.pk_oracle.{route}.k3",
+                f"L2.eisenstein_oracle.{route}.n2"} <= set(rows)
     for n in (2, 4, 8, 16):
         assert {f"L3.rank2_generating.n{n}", f"L3.rank2_generating_boson.n{n}"} <= set(rows)
     assert {"L3.rank1_fock_npoint.4x3", "L3.rank2_fock_npoint.3x22"} <= set(rows)

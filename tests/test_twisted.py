@@ -242,13 +242,40 @@ class TestTwistedPk:
 
     def test_p1_near_zero_matches_the_oracle(self):
         # theta[1/2;1/2]'s terms n and -1-n are taken together near w = 0, so P_1 ~ 1/z
-        # keeps its digits: refused once with a bound of 1.6e-9 on |P_1| ~ 1e3 (closer to
-        # 0 the oracle itself loses digits; test_theta_references checks there by mpmath)
+        # keeps its digits: refused once with a bound of 1.6e-9 on |P_1| ~ 1e3. The oracle
+        # keeps its digits there too by forming e^x - 1 with expm1; exp(x) - 1 would put it
+        # 1.5e-11 off at -3e-6i and 2e-8 off at -1e-9+1e-9i
         tw = TwistPair(0.31, 0.77)
-        for z in (-1e-3, 2e-4 - 1e-4j):
+        for z in (-1e-3, 2e-4 - 1e-4j, -3e-6j, -1e-9 + 1e-9j):
             for k in (1, 2, 3):
                 ref = twisted_pk_oracle(k, tw, z, TAU)
                 assert abs(twisted_pk(k, tw, z, TAU) - ref) <= 1e-12 * abs(ref), (k, z)
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda: twisted_eisenstein_oracle(2, TwistPair(0.3, 0.3), 5e-324j), NotConverged),
+        (lambda: twisted_eisenstein_oracle(2, TwistPair(0.3, 0.0), 5e-324j), NotConverged),
+        (lambda: twisted_pk_oracle(1, TwistPair(0.3, 0.3), -0.1 + 0.1j, 5e-324j),
+         NotConverged),
+        (lambda: twisted_pk_oracle(172, TwistPair(0.3, 0.3), Z, TAU), NotConverged),
+        (lambda: twisted_eisenstein_oracle(172, TwistPair(0.3, 0.0), TAU), NotConverged),
+        (lambda: twisted_pk_oracle(1, TwistPair(0.3, 0.7), 1e4 + 2j, 10j), NotConverged),
+        (lambda: twisted_pk_oracle(1, TwistPair(0.3, 0.7), 2j * math.pi * TAU, TAU), NearPole),
+        (lambda: twisted_pk_oracle(1, TwistPair.trivial(), Z, TAU), RouteUnavailable),
+        (lambda: twisted_pk_oracle(40, TwistPair(0.3, 0.0), -1e-9 + 1e-9j, TAU), NotConverged),
+        (lambda: twisted_pk_oracle(3, TwistPair(0.31, 0.77), -1e-9 + 1e-9j, TAU), None),
+    ], ids=["en-im-tau-5e-324", "en-theta-route-im-tau-5e-324", "pk-im-tau-5e-324",
+            "pk-order-172", "en-order-172", "row-outside-window", "lattice-point",
+            "trivial-twist", "order-40-past-the-float-range", "near-pole-value"])
+    def test_oracles_leak_no_warning(self, call, error):
+        # numpy sums the rows: its overflow and invalid-value warnings stay inside, and a
+        # sum that leaves the float range (order 40 next to the pole) is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is None:
+                assert cmath.isfinite(call())
+            else:
+                with pytest.raises(error):
+                    call()
 
     def test_oracle_rows_inside_the_window_are_summed(self):
         # a few periods out, the row still lies in the starting window
