@@ -1,7 +1,8 @@
-"""Layer timings of the E_n q-series, theta, the prime form K and P_0 = -log K (L1), the
-P_k theta-quotient kernel, E_n[tw] and their lattice oracles (L2), the correlators built
-on them (L3), and `twistell table` grids through cli.main in this process (L4), one of
-them a grid of binomials that times the table's text path alone.
+"""Layer timings of the Pfaffian and the determinant (L0), the E_n q-series, theta, the
+prime form K and P_0 = -log K (L1), the P_k theta-quotient kernel, E_n[tw] and their
+lattice oracles (L2), the correlators built on them (L3), and `twistell table` grids
+through cli.main in this process (L4), one of them a grid of binomials that times the
+table's text path alone.
 
 Run from the repository root:
 
@@ -60,8 +61,9 @@ def main(argv=None) -> int:
     import numpy as np
     import twistell
     from twistell import cli
-    from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, eisenstein, p0,
-                          prime_form, rank1_fock_npoint, rank2_fock_npoint, rank2_generating,
+    from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, determinant,
+                          eisenstein, p0, pfaffian, prime_form, rank1_fock_npoint,
+                          rank1_generating, rank2_fock_npoint, rank2_generating,
                           rank2_generating_boson, theta_char, twisted_eisenstein,
                           twisted_eisenstein_oracle, twisted_pk, twisted_pk_oracle)
 
@@ -83,6 +85,15 @@ def main(argv=None) -> int:
         print(f"{name:32s} min {out[name]['min_us']:>11.2f} us  "
               f"median {out[name]['median_us']:>11.2f} us", file=sys.stderr)
 
+    # L0: Pfaffian and determinant of seeded antisymmetric complex matrices; their own
+    # stream keeps the points of earlier runs
+    mat_rng = np.random.default_rng(args.seed)
+    for d in (4, 8, 12, 16, 32):
+        a = mat_rng.standard_normal((d, d)) + 1j * mat_rng.standard_normal((d, d))
+        a = a - a.T
+        run(f"L0.pfaffian.d{d}", lambda a=a: pfaffian(a), inner=20)
+        if d != 12:
+            run(f"L0.determinant.d{d}", lambda a=a: determinant(a), inner=20)
     # L1: cold E_n, even n = 2..60 at 8 tau of the periodicity check's box, per evaluation;
     # its own stream keeps the points of earlier runs
     eis_rng = random.Random(f"eisenstein:{args.seed}")
@@ -165,6 +176,10 @@ def main(argv=None) -> int:
         ys = [complex(-0.9 + 0.7 * rng.random(), 6.0 * (i + rng.random()) / n - 3.0)
               for i in range(n)]
         run(f"L3.rank2_generating.n{n}", lambda xs=xs, ys=ys: rank2_generating(p, xs, ys, tau))
+    # L3: rank-one Pfaffian correlators, n points spread over the box of the L2 points
+    for n in (4, 8, 12):
+        zs = points[256 - n:]
+        run(f"L3.rank1_generating.n{n}", lambda zs=zs: rank1_generating(GSelector.SIGMA, zs, tau))
     # L3: the bosonized form, n^2 + n(n-1) prime forms, on two clusters whose pairwise
     # differences all stay below 2.6 in modulus
     for n in (2, 4, 8, 16):

@@ -192,12 +192,12 @@ def _entry(name: str, owner, params: str, batch: str = ""):
             getters.append(lambda a, cfg, key=key: a[key])
 
     def call(fn_name, a, cfg):
-        return getattr(owner, fn_name)(*(get(a, cfg) for get in getters))
+        return getattr(owner, fn_name)(*[get(a, cfg) for get in getters])
 
     def evaluate(a, cfg):
         if isinstance(owner, ModuleType):
             return call(name, a, cfg), []
-        return owner(*(get(a, cfg) for get in getters))
+        return owner(*[get(a, cfg) for get in getters])
 
     if not batch:
         return spec, evaluate, None
@@ -473,11 +473,11 @@ def _batch_values(batch, varying, fixed: dict, cfg) -> tuple[list, list, list] |
     return out.real.tolist(), out.imag.tolist(), ["ok"] * out.size
 
 
-def _row_values(fn, names, combos, fixed: dict, cfg):
-    """(re, im, status) of every row, each row evaluated alone."""
-    for combo in combos:
-        call = dict(fixed)
-        call.update(zip(names, (arg for _, arg in combo)))
+def _row_values(fn, names, rows, fixed: dict, cfg):
+    """(re, im, status) of every row of arguments, each row evaluated alone."""
+    call = dict(fixed)          # the grid's argument template: each row sets its names
+    for args in rows:
+        call.update(zip(names, args))
         try:
             value, status = complex(fn(call, cfg)[0]), "ok"
         except _ROW_ERRORS as exc:
@@ -508,9 +508,9 @@ def cmd_table(args) -> int:
     fixed = {k: v for k, v in parsed.items() if k not in names}
     fixed_cells = [_cell(fixed[k]) for k in sorted(fixed)]
 
-    combos = product(*(grid for _, grid in varying))
+    rows = product(*([arg for _, arg in grid] for _, grid in varying))
     values = (_batch_values(batch, varying, fixed, cfg)
-              or list(zip(*_row_values(fn, names, combos, fixed, cfg))))
+              or list(zip(*_row_values(fn, names, rows, fixed, cfg))))
     # the cells of each varying parameter, then re, im and status: one list per column
     columns = [*zip(*product(*([c for c, _ in grid] for _, grid in varying))), *values]
     header = names + sorted(fixed) + ["re", "im", "status"]

@@ -11,6 +11,7 @@ multiplier system of the partition function.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -125,34 +126,47 @@ def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[c
     the modes l_j of col_modes[b] at ys[b]. With ys None the columns sit at
     the row points, and block a == b holds C[tw](k_i, l_j), or the constant
     diag when one is given; each E_m[tw] is evaluated once. Every other
-    entry is D[tw](k_i, l_j, xs[a] - ys[b]), m = k_i + l_j - 1, and needs
-    P_m[tw](z) at z = xs[a] - ys[b]: one twisted_pk_batch call evaluates
-    every order m at the difference of every ordered pair of blocks.
+    entry is D[tw](k_i, l_j, xs[a] - ys[b]), m = k_i + l_j - 1: one
+    twisted_pk_batch call takes every m at every difference of two blocks,
+    row major. The matrix is gathered from a table with a row per distinct
+    (k, l) and a slot per block pair (a, b), row major, in each: a matrix row
+    gives the offset of its k's rows plus a * blocks, a column that of its l
+    plus b, and an entry's index is their sum.
     """
     shared = ys is None
-    ys = xs if shared else ys
-    rows = [(a, k) for a, ks in enumerate(row_modes) for k in ks]
-    cols = [(b, l) for b, ls in enumerate(col_modes) for l in ls]
-    pairs = [(a, b) for a in range(len(row_modes)) for b in range(len(col_modes))
-             if not (shared and a == b)]
-    ms = sorted({k + l - 1 for a, b in pairs for k in row_modes[a] for l in col_modes[b]})
-    block = twisted_pk_batch(ms, tw, [xs[a] - ys[b] for a, b in pairs], tau, cfg).tolist() \
-        if pairs else []
-    p_at = {(a, b, m): row[j] for m, row in zip(ms, block) for j, (a, b) in enumerate(pairs)}
-    ks = {k for _, k in rows}
-    ls = {l for _, l in cols}
-    # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
-    d_fac = {(k, l): _cd_factor(k + 1, k, l) for k in ks for l in ls}
-    c_val: dict = {}                            # the C blocks' entries by (k, l)
+    nr, nb = len(row_modes), len(col_modes)
+    ks = list({k for modes in row_modes for k in modes})    # set order: it picks the binomial
+    ls = list({l for modes in col_modes for l in modes})    # that a NotConverged names
+    cells = [(k, l) for k in ks for l in ls]
+    at = np.add.outer([(ks.index(k) * len(ls) * nr + a) * nb
+                       for a, modes in enumerate(row_modes) for k in modes],
+                      [ls.index(l) * nr * nb + b for b, lb in enumerate(col_modes) for l in lb]
+                      ).astype(np.intp, copy=False)     # an empty side comes as float
     if shared:
-        c_kl = {(k, l) for a, ks_a in enumerate(row_modes) for k in ks_a for l in col_modes[a]}
+        k_in = {k: {a for a, modes in enumerate(row_modes) if k in modes} for k in ks}
+        l_in = {l: {b for b, modes in enumerate(col_modes) if l in modes} for l in ls}
+    ms = sorted({k + l - 1 for k, l in cells if not shared or len(k_in[k] | l_in[l]) > 1})
+    with np.errstate(over="ignore", invalid="ignore"):     # inf and nan silently, as in Python
+        zs = np.subtract.outer(xs, xs if shared else ys).ravel()
+        if shared:
+            zs = zs[1:].reshape(-1, nb + 1)[:, :-1].ravel()     # the a != b of the grid
+        block = twisted_pk_batch(ms, tw, zs, tau, cfg) if zs.size else None
+        # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
+        d_fac = np.array([[_cd_factor(k + 1, k, l)] for k, l in cells])
+        if ms:
+            row_of = {m: i for i, m in enumerate(ms)}
+            d = d_fac * block.take([row_of.get(k + l - 1, 0) for k, l in cells], axis=0)
+        table = d if ms and not shared else np.empty((len(cells), nr * nb), dtype=complex)
+        if ms and shared:   # the slots a != b, as in zs
+            table[:, 1:].reshape(-1, nb - 1, nb + 1)[:, :, :-1] = d.reshape(-1, nb - 1, nb)
+    if shared:
         if diag is None:
-            eis = {m: twisted_eisenstein(m, tw, tau, cfg) for m in {k + l - 1 for k, l in c_kl}}
-        c_val = {(k, l): diag if diag is not None else _cd_factor(l, k, l) * eis[k + l - 1]
-                 for k, l in c_kl}
-    entries = [[c_val[k, l] if shared and a == b else d_fac[k, l] * p_at[a, b, k + l - 1]
-                for b, l in cols] for a, k in rows]
-    return np.array(entries, dtype=complex).reshape(len(rows), len(cols))
+            on = {(k, l) for k, l in cells if k_in[k] & l_in[l]}
+            eis = {m: twisted_eisenstein(m, tw, tau, cfg) for m in {k + l - 1 for k, l in on}}
+            diag = np.array([_cd_factor(l, k, l) * eis[k + l - 1] if (k, l) in on else 0j
+                             for k, l in cells], dtype=complex)[:, None]
+        table[:, ::nb + 1] = diag
+    return table.take(at)
 
 
 def p1_difference_matrix(tw: TwistPair, zs: Sequence[complex], tau: complex,
@@ -166,11 +180,12 @@ def p1_difference_matrix(tw: TwistPair, zs: Sequence[complex], tau: complex,
 
 def _require_distinct(points: Sequence[complex], what: str) -> None:
     pts = [complex(p) for p in points]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                raise DomainError(f"{what} must be pairwise distinct; "
-                                  f"entries {i} and {j} coincide at {pts[i]}")
+    if len(set(pts)) < len(pts):        # only then look for the first pair that coincides
+        for i, p in enumerate(pts):
+            for j in range(i + 1, len(pts)):
+                if p == pts[j]:
+                    raise DomainError(f"{what} must be pairwise distinct; "
+                                      f"entries {i} and {j} coincide at {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +251,6 @@ def rank1_sigma_twisted_generating(zs: Sequence[complex], tau: complex,
                            sigma_module_partition, tau, cfg, diag=0.0)
 
 
-def _as_rank1_labels(labels) -> list[FockLabelRank1]:
-    return [lab if isinstance(lab, FockLabelRank1) else FockLabelRank1(tuple(lab))
-            for lab in labels]
-
-
 def rank1_fock_npoint(labels, zs: Sequence[complex], g: GSelector, tau: complex,
                       cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """n-point function of rank-one Fock insertions: Pf of a C/D block matrix.
@@ -250,7 +260,8 @@ def rank1_fock_npoint(labels, zs: Sequence[complex], g: GSelector, tau: complex,
     The diagonal entries C(k, k) vanish identically at theta = +-1, phi = -1,
     and the Pfaffian never reads them.
     """
-    labels = _as_rank1_labels(labels)
+    labels = [lab if isinstance(lab, FockLabelRank1) else FockLabelRank1(tuple(lab))
+              for lab in labels]
     zs = [complex(z) for z in zs]
     if len(labels) != len(zs):
         raise ValueError("labels and insertion points must pair up")
@@ -383,20 +394,11 @@ def alternating_sign(s_counts: Sequence[int], t_counts: Sequence[int]) -> int:
     psi+, psi-, psi+, ... All modes are odd, so the sign is the permutation
     parity of that reordering.
     """
-    seq: list[int] = []
-    for s_a, t_a in zip(s_counts, t_counts):
-        seq += [0] * s_a + [1] * t_a
-    plus_seen = minus_seen = 0
-    targets = []
-    for kind in seq:
-        if kind == 0:
-            targets.append(2 * plus_seen)
-            plus_seen += 1
-        else:
-            targets.append(2 * minus_seen + 1)
-            minus_seen += 1
-    inversions = sum(1 for i in range(len(targets)) for j in range(i + 1, len(targets))
-                     if targets[i] > targets[j])
+    # the i-th psi+ goes to place 2i, the i-th psi- to place 2i + 1
+    places = (itertools.count(0, 2), itertools.count(1, 2))
+    targets = [next(places[kind]) for s_a, t_a in zip(s_counts, t_counts)
+               for kind in [0] * s_a + [1] * t_a]
+    inversions = sum(t > u for i, t in enumerate(targets) for u in targets[i + 1:])
     return -1 if inversions % 2 else 1
 
 
@@ -494,17 +496,19 @@ def _bosonized(p: OrbifoldParams, ms: list[int], xs: list[complex], ns: list[int
     """pref/eta * theta(sum_a q_a u_a) * prod_{a<b} K(u_a - u_b)^{q_a q_b}.
 
     The points are u = xs + ys with charges q = ms, -ns, which gives the
-    prime forms of lattice_npoint. All K come from one _prime_forms call, with
-    its errors, and are raised to their integer powers, so no branch of log is
-    chosen. NotConverged also where the product leaves the float range.
+    prime forms of lattice_npoint; a mask picks the pairs a < b, row major,
+    from the outer arrays of u_a - u_b and q_a q_b. All K come from one
+    _prime_forms call, with its errors, and are raised to their integer
+    powers, so no branch of log is chosen. NotConverged also where the
+    product leaves the float range.
     """
     us, qs = xs + ys, ms + [-n for n in ns]
     val = _theta_form(p, sum(q * u for q, u in zip(qs, us)), tau, cfg)
-    pairs = [(a, b) for a in range(len(us)) for b in range(a + 1, len(us))]
-    ks = _prime_forms([us[a] - us[b] for a, b in pairs], tau, cfg)
-    weights = np.array([qs[a] * qs[b] for a, b in pairs])
+    u, q, index = np.array(us, dtype=complex), np.array(qs, dtype=int), np.arange(len(us))
+    upper = index[:, None] < index
     with np.errstate(over="ignore", invalid="ignore"):
-        val *= complex((ks ** weights).prod())
+        ks = _prime_forms(np.subtract.outer(u, u)[upper], tau, cfg)
+        val *= complex((ks ** np.multiply.outer(q, q)[upper]).prod())
     if not cmath.isfinite(val):
         raise NotConverged("product of prime forms leaves the float range")
     return val

@@ -146,10 +146,7 @@ def antisymmetry_defect(m: np.ndarray) -> float:
 
 def determinant(m) -> complex:
     """Determinant of a complex square matrix (LU with partial pivoting)."""
-    a = as_square_matrix(m)
-    if a.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(a))
+    return complex(np.linalg.det(as_square_matrix(m)))
 
 
 def pfaffian_pair_sum(m) -> complex:
@@ -163,8 +160,6 @@ def pfaffian_pair_sum(m) -> complex:
     n = a.shape[0]
     if n % 2:
         raise OddDimension(f"pfaffian needs even dimension, got {n}")
-    if n == 0:
-        return 1.0 + 0.0j
 
     def rec(indices):
         if not indices:
@@ -188,8 +183,10 @@ def _pfaffian_parlett_reid(a: np.ndarray) -> complex:
     for k in range(0, n - 1, 2):
         kp = k + 1 + int(np.abs(a[k + 1:, k]).argmax())
         if kp != k + 1:
-            a[[k + 1, kp], :] = a[[kp, k + 1], :]
-            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
+            # step k reads only a[k:, k:]: swap k + 1 and kp there, one view each way
+            pair = slice(k + 1, kp + 1, kp - k - 1)
+            a[pair, k:] = a[pair, k:][::-1]
+            a[k:, pair] = a[k:, pair][:, ::-1]
             pf = -pf
         if a[k + 1, k] == 0:
             return 0.0 + 0.0j
@@ -197,7 +194,7 @@ def _pfaffian_parlett_reid(a: np.ndarray) -> complex:
         if k + 2 < n:
             tau = a[k, k + 2:] / a[k, k + 1]
             col = a[k + 2:, k + 1]
-            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+            a[k + 2:, k + 2:] += np.multiply.outer(tau, col) - np.multiply.outer(col, tau)
     return complex(pf)
 
 
@@ -218,6 +215,4 @@ def pfaffian(m, cfg: TruncationConfig | None = None) -> complex:
     defect = antisymmetry_defect(a)
     if not defect <= 10 * cfg.tol:
         raise NotAntisymmetric(defect)
-    if n == 0:
-        return 1.0 + 0.0j
     return _pfaffian_parlett_reid(a.copy())

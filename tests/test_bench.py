@@ -30,6 +30,9 @@ def test_layers_script_runs_every_row(capsys):
     for n in (2, 4, 8, 16):
         assert {f"L3.rank2_generating.n{n}", f"L3.rank2_generating_boson.n{n}"} <= set(rows)
     assert {"L3.rank1_fock_npoint.4x3", "L3.rank2_fock_npoint.3x22"} <= set(rows)
+    assert {f"L3.rank1_generating.n{n}" for n in (4, 8, 12)} <= set(rows)
+    assert {f"L0.pfaffian.d{d}" for d in (4, 8, 12, 16, 32)} <= set(rows)
+    assert {f"L0.determinant.d{d}" for d in (4, 8, 16, 32)} <= set(rows)
     assert {"L1.eisenstein.cold", "L1.theta_char.a0", "L1.theta_char.a40",
             "L1.theta_char.half", "L1.theta_char.far", "L1.prime_form.one",
             "L2.twisted_eisenstein.im0.06",

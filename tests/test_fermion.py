@@ -108,6 +108,24 @@ class TestRank1Generating:
         with pytest.raises(DomainError):
             rank1_generating(GSelector.IDENTITY, [-1.0, -1.0], TAU)
 
+    def test_non_finite_point_is_a_domain_error(self):
+        # the differences are taken in numpy: inf - inf is nan there too, without a warning
+        inf = complex(math.inf, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            rank1_generating(GSelector.SIGMA, [inf, -1.0], TAU)
+        with pytest.raises(DomainError, match="finite"):
+            rank2_generating(OrbifoldParams(0.27, 0.63), [inf], [inf], TAU)
+
+    def test_coincidence_names_the_first_pair(self):
+        # (0, 4) comes before (1, 3) in row-major pair order
+        zs = [-1.0, -0.5 + 0.2j, -0.2, -0.5 + 0.2j, -1.0, 0.3]
+        with pytest.raises(DomainError, match=r"^insertion points must be pairwise distinct; "
+                                              r"entries 0 and 4 coincide at \(-1\+0j\)$"):
+            rank1_generating(GSelector.IDENTITY, zs, TAU)
+        with pytest.raises(DomainError, match=r"^psi- points .* entries 0 and 2 coincide"):
+            rank2_generating(OrbifoldParams(0.27, 0.63), [-1.0, -0.5, -0.2],
+                             [-0.3j, 0.1, -0.3j], TAU)
+
 
 def extract_coeff_2d(fn, z1, z2, orders, n=16, r1=0.22, r2=0.15):
     """Fourier-extract the coefficient x^orders[0] y^orders[1] of fn(z1+x, z2+y)."""
@@ -676,22 +694,26 @@ class TestBlockMatrixBuilder:
 
     def test_rank1_fock(self):
         g = GSelector.SIGMA
-        modes = [(1, 2), (1,), (2, 3), (1, 3, 4)]
-        ref = loop_fock_matrix(g.twist(), modes, modes, self.ZS, TAU)
-        assert np.array_equal(
-            fermion._cd_matrix(g.twist(), modes, self.ZS, modes, None, TAU,
-                               DEFAULT_CONFIG), ref)
-        assert rank1_fock_npoint(modes, self.ZS, g, TAU) == \
-            pfaffian(ref) * rank1_partition(g, TAU)
+        for modes in ([(1, 2), (1,), (2, 3), (1, 3, 4)], [(1, 2), (), (2, 3, 4), (1,)]):
+            ref = loop_fock_matrix(g.twist(), modes, modes, self.ZS, TAU)
+            assert np.array_equal(
+                fermion._cd_matrix(g.twist(), modes, self.ZS, modes, None, TAU,
+                                   DEFAULT_CONFIG), ref)
+            assert rank1_fock_npoint(modes, self.ZS, g, TAU) == \
+                pfaffian(ref) * rank1_partition(g, TAU)
 
     def test_rank2_fock(self):
         p = OrbifoldParams(0.27, 0.63)
-        labels = [((1, 2), (1,)), ((1,), (2, 3)), ((3,), (1,))]
-        ref = loop_fock_matrix(p.twist(), [ks for ks, _ in labels],
-                               [ls for _, ls in labels], self.ZS[:3], TAU)
-        eps = alternating_sign([2, 1, 1], [1, 2, 1])
-        assert rank2_fock_npoint(labels, self.ZS[:3], p, TAU) == \
-            eps * determinant(ref) * rank2_partition(p, TAU)
+        for labels in ([((1, 2), (1,)), ((1,), (2, 3)), ((3,), (1,))],
+                       [((1, 2), ()), ((), (2, 3)), ((3,), (1,))]):
+            ks, ls = [ks for ks, _ in labels], [ls for _, ls in labels]
+            ref = loop_fock_matrix(p.twist(), ks, ls, self.ZS[:3], TAU)
+            assert np.array_equal(
+                fermion._cd_matrix(p.twist(), ks, self.ZS[:3], ls, None, TAU, DEFAULT_CONFIG),
+                ref)
+            eps = alternating_sign([len(k) for k in ks], [len(l) for l in ls])
+            assert rank2_fock_npoint(labels, self.ZS[:3], p, TAU) == \
+                eps * determinant(ref) * rank2_partition(p, TAU)
 
     def test_rank2_generating_nontrivial(self):
         p = OrbifoldParams(0.27, 0.63)
@@ -713,12 +735,15 @@ class TestBlockMatrixBuilder:
         assert val == pytest.approx(ref, rel=1e-13)
 
     def test_generalized_trisecant_block(self):
+        # (2, 3): two column blocks against three row blocks, a 6 x 5 matrix
         tw = OrbifoldParams(0.27, 0.63).twist()
-        ms, ns = (2, 1, 3), (1, 3, 2)
-        mat = fermion._cd_matrix(tw, [range(1, m + 1) for m in ms], self.XS,
-                                 [range(1, n + 1) for n in ns], self.YS, TAU,
-                                 DEFAULT_CONFIG)
-        assert np.array_equal(mat, loop_trisecant_matrix(tw, ms, ns, self.XS, self.YS, TAU))
+        ms = (2, 1, 3)
+        for ns in ((1, 3, 2), (2, 3)):
+            ys = self.YS[:len(ns)]
+            mat = fermion._cd_matrix(tw, [range(1, m + 1) for m in ms], self.XS,
+                                     [range(1, n + 1) for n in ns], ys, TAU,
+                                     DEFAULT_CONFIG)
+            assert np.array_equal(mat, loop_trisecant_matrix(tw, ms, ns, self.XS, ys, TAU))
 
     def _count_kernel(self, monkeypatch):
         """Record each kernel call as the list of its evaluated (twist, z, m)."""
