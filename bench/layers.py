@@ -2,7 +2,8 @@
 prime form K and P_0 = -log K (L1), the P_k theta-quotient kernel, E_n[tw] and their
 lattice oracles (L2), the correlators built on them (L3), and `twistell table` grids
 through cli.main in this process (L4), one of them a grid of binomials that times the
-table's text path alone.
+table's text path alone. The *_many rows time samples at distinct tau, as the identity
+suite draws them, as a loop of one-point calls and as one call with per-point arguments.
 
 Run from the repository root:
 
@@ -66,6 +67,7 @@ def main(argv=None) -> int:
                           rank1_generating, rank2_fock_npoint, rank2_generating,
                           rank2_generating_boson, theta_char, twisted_eisenstein,
                           twisted_eisenstein_oracle, twisted_pk, twisted_pk_oracle)
+    from twistell.errors import TwistellError
 
     def clear():
         eisenstein.cache_clear()
@@ -112,6 +114,47 @@ def main(argv=None) -> int:
             inner=50)
     # L1: one prime form value, the quotient of theta[1/2;1/2] at z and its derivative at 0
     run("L1.prime_form.one", lambda: prime_form(-1.2 + 0.3j, tau), inner=50)
+    # L1: cold eta at the 8 tau of the E_n row, per evaluation
+    run("L1.eta", lambda: [dedekind_eta(t) for t in eis_taus], calls=len(eis_taus))
+    # L1, L2: samples at distinct tau and characteristic or twist, drawn as the identity
+    # suite draws them (tau in its box; P_1 at z with |Re z| < 2 pi Im tau, |Im z| < pi,
+    # theta at z with |Re z|, |Im z| < 2), where the one-point calls return values:
+    # one-point calls in a loop (.loop), against one call taking tau and the
+    # characteristic or twist per point; a checkout without per-point arguments reports
+    # the loops only
+    many_rng = random.Random(f"many:{args.seed}")
+    many = []
+    while len(many) < 100:
+        s = complex(many_rng.uniform(-0.4, 0.4), many_rng.uniform(0.8, 2.0))
+        h = 2 * math.pi * s.imag
+        sample = (s, complex(many_rng.uniform(-h, h), many_rng.uniform(-math.pi, math.pi)),
+                  TwistPair(many_rng.uniform(0.06, 0.94), many_rng.uniform(0.06, 0.94)),
+                  complex(many_rng.uniform(-2, 2), many_rng.uniform(-2, 2)),
+                  many_rng.uniform(-1.5, 1.5), many_rng.uniform(-1.5, 1.5))
+        try:
+            twisted_pk(1, sample[2], sample[1], s)
+            theta_char(sample[4], sample[5], sample[3], s)
+        except TwistellError:
+            continue
+        many.append(sample)
+    m_taus, m_zs, m_tws, m_zt, m_a, m_b = (list(c) for c in zip(*many))
+
+    def per_point(name, fn):
+        try:
+            fn()
+        except (AttributeError, TypeError, ValueError):
+            return
+        run(name, fn)
+
+    run("L1.theta_many.n100.loop",
+        lambda: [theta_char(*s) for s in zip(m_a, m_b, m_zt, m_taus)])
+    theta_chars = getattr(twistell.classical, "_theta_chars", None)
+    if theta_chars is not None:
+        per_point("L1.theta_many.n100", lambda: theta_chars(m_a, m_b, m_zt, m_taus))
+    run("L2.pk_many.n50.loop",
+        lambda: [twisted_pk(1, *s) for s in zip(m_tws[:50], m_zs[:50], m_taus[:50])])
+    if batch is not None:
+        per_point("L2.pk_many.n50", lambda: batch((1,), m_tws[:50], m_zs[:50], m_taus[:50]))
     # L1: P_0 at n points with |z| < 2.5, inside the radius R = 2*pi of its Laurent series,
     # one call per z against one batched call; a separate stream keeps the L2/L3 points of
     # earlier runs
@@ -159,6 +202,8 @@ def main(argv=None) -> int:
     edge_rng = random.Random(f"edge:{args.seed}")
     edge = [complex(-width * 1e-3, edge_rng.uniform(-3, 3)) for _ in range(16)]
     if batch is not None:
+        # the fixed cost of a call with no points
+        run("L2.pk_batch.empty", lambda: batch(ORDERS, tw, [], tau), inner=50)
         run("L2.pk_batch.edge.k1", lambda: batch((1,), tw, edge, tau))
         run("L2.pk_batch.edge", lambda: batch(ORDERS, tw, edge, tau))
     # L2: the rank-two Fock shape, P_1..P_5 at the 6 differences of 3 insertion points, of

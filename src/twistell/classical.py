@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NearPole, NotConverged
+from .errors import DomainError, NearPole, NotConverged, TwistellError
 from .numeric import (
     DEFAULT_CONFIG,
     Q_ORDER,
@@ -47,6 +47,11 @@ _THETA_TAIL = 50.0
 # theta[1/2;1/2] takes its terms n and -1-n together at the points w with |w| below this,
 # where they cancel; past it they cancel to at most about 2/|w| of theta
 _PAIR_RADIUS = 0.0625
+# the test 0 < |w| < _PAIR_RADIUS in numpy, bits(|w|) - 1 < bits(_PAIR_RADIUS) - 1 as
+# uint64s, and the table size from which it costs less than a Python comprehension
+_ONE_BIT = np.uint64(1)
+_PAIR_BITS = np.float64(_PAIR_RADIUS).view(np.uint64) - _ONE_BIT
+_PAIR_SCAN = 40
 # Veltkamp's splitter 2^27 + 1, and the bound on a quasi-period shift m below which the
 # products of m by 26-bit parts are exact
 _SPLITTER = 134217729.0
@@ -373,10 +378,11 @@ _TWO_PI_HI = _split(_TWO_PI)
 _TWO_PI_LO = (_TWO_PI - _TWO_PI_HI) + _TWO_PI_TAIL
 
 
-def _period_parts(tau: complex) -> tuple[np.ndarray, np.ndarray]:
+def _period_parts(tau):
     """The leading 26-bit parts of (Re 2 pi i tau, Im -2 pi i), by which the shifts (m, k)
     multiply exactly, and the rest of 2 pi i tau as (real, imaginary part): 2 pi t is
-    Dekker's exact product of _TWO_PI and t plus _TWO_PI_TAIL t (Cody and Waite)."""
+    Dekker's exact product of _TWO_PI and t plus _TWO_PI_TAIL t (Cody and Waite). Shape
+    (2,) for one tau, (points, 2) for an array of them."""
     parts = []
     for t in (-tau.imag, tau.real):
         hi, t1 = _TWO_PI * t, _split(t)
@@ -385,13 +391,17 @@ def _period_parts(tau: complex) -> tuple[np.ndarray, np.ndarray]:
               + _TWO_PI_TAIL * t)
         parts.append((_split(hi), hi - _split(hi) + lo))
     (r1, r2), (i1, i2) = parts
+    if isinstance(tau, np.ndarray):
+        return (np.stack((r1, np.full_like(r1, -_TWO_PI_HI)), axis=1),
+                np.stack((r2, i1 + i2), axis=1))
     return np.array([r1, -_TWO_PI_HI]), np.array([r2, i1 + i2])
 
 
 def _sum_over_n(terms: np.ndarray) -> np.ndarray:
     """A table's sum over its leading axis n, in order of n, so that each column's sum
-    depends only on that column: add.reduce adds whole rows in order while a row holds
-    more than one element, and may sum a lone column pairwise."""
+    depends only on that column: add.reduce adds whole rows of a C-ordered table in
+    order while a row holds more than one element, and may sum a lone column, or a
+    column contiguous in memory, pairwise."""
     if terms[0].size > 1:
         # from -0, not the default +0: the bits of adding from the first term
         return np.add.reduce(terms, axis=0, initial=-0j if terms.dtype == complex else -0.0)
@@ -405,18 +415,40 @@ def _turns(b, m):
     return _TWO_PI * ((b1 * m) % 1.0 + (b - b1) * m)
 
 
-def _theta_table(chars: Sequence[tuple[float, float]], zs: np.ndarray, tau: complex,
-                 order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray]:
+def _window(tau: complex) -> int:
+    """Half-width N of theta's window at tau, pi Im(tau) (N - 1)^2 >= _THETA_TAIL;
+    NotConverged past _THETA_MAX_HALF_WIDTH or where pi Im tau leaves the float range."""
+    pi_im = math.pi * tau.imag
+    span = math.sqrt(_THETA_TAIL / pi_im + 0.25)
+    if span + 1.0 > _THETA_MAX_HALF_WIDTH:        # also when span is inf
+        raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
+                           f"either side of 0 at tau = {tau}")
+    if pi_im > _FLOAT_MAX:
+        raise NotConverged(f"theta's exponents pi Im(tau) n^2 leave the float range at "
+                           f"tau = {tau}")
+    return math.ceil(span) + 1
+
+
+def _last(x, at):
+    """x at the points at along its last axis, C-ordered as _sum_over_n asks, or x itself
+    when that axis broadcasts."""
+    return np.take(x, at, axis=-1) if x.shape[-1] > 1 else x
+
+
+def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Taylor columns of theta at every point of zs and characteristic row of chars: the
     one theta summation behind theta_char, the prime form and the P_k kernel.
 
-    Each z is first moved next to 0, to w = z' + 2 pi i tau m, z' = z - 2 pi i k, k =
-    round(Im z / 2 pi) and m = round(Re z / (2 pi Im tau)), the periods split so that
-    w is good to a few eps |w| however far out z lies (_period_parts). The terms of
-    every row then peak at |n| <= 1, and one window |n| <= N, pi Im(tau) (N - 1)^2 >=
-    _THETA_TAIL, serves every point: past it the terms are below e^-_THETA_TAIL of the
-    largest, which the rounding bound covers. A row (a, b), |a| <= 1/2, sums
+    A column is one (row, point) pair. A row's characteristic (a, b) is a pair of floats;
+    the first row's may be a pair of numpy arrays of one value per point instead. tau is
+    one complex, or a numpy array of one per point, the rows of a point sharing it. Each
+    z is first moved next to 0, to w = z' + 2 pi i tau m, z' = z - 2 pi i k, k = round(Im
+    z / 2 pi) and m = round(Re z / (2 pi Im tau)), the periods split so that w is good to
+    a few eps |w| however far out z lies (_period_parts). The terms of every row then
+    peak at |n| <= 1, and one window |n| <= N, pi Im(tau) (N - 1)^2 >= _THETA_TAIL
+    (_window), serves every row of a point: past it the terms are below e^-_THETA_TAIL of
+    the largest, which the rounding bound covers. A row (a, b), |a| <= 1/2, sums
         S[a;b](w) = sum_n e^{i pi tau n(n + 2a) + x (w + 2 pi i b)},  x = n + a,
     and theta[a;b](z) = e^{i pi tau a^2 + 2 pi i (a k + b m) + m (z' + w) / 2} S[a;b](w).
     Returns, laid out (j, row, point) for j < order, the columns S^(j)(w) / (j! e^L) and
@@ -424,10 +456,12 @@ def _theta_table(chars: Sequence[tuple[float, float]], zs: np.ndarray, tau: comp
     exponent at the point, so that no column leaves the float range), its shifts (m, k)
     and w (z itself where nothing moves); _scales gives the multiplier's log-scale and
     phase, _turns each row's phase. Each column is summed in order of n, so each value
-    depends only on its own point. At the row (1/2, 1/2) the terms n and -1-n are taken
-    together where 0 < |w| < _PAIR_RADIUS, as 2 i (-1)^n e^{i pi tau n(n+1)} x^j sinh(x
-    w) at even j (odd j do not cancel), so theta[1/2;1/2] and K stay relatively accurate
-    as w -> 0.
+    depends only on its own point: where the points' windows differ, the table spans the
+    widest, and a point's terms outside its own window are exact zeros (-0, which leave
+    a sum's bits as they are) that its log-scale and bound leave out. At a column of
+    (1/2, 1/2) the terms n and -1-n are taken together where 0 < |w| < _PAIR_RADIUS, as
+    2 i (-1)^n e^{i pi tau n(n+1)} x^j sinh(x w) at even j (odd j do not cancel), so
+    theta[1/2;1/2] and K stay relatively accurate as w -> 0.
 
     A bound is u = eps/2 times the sum over the column's terms of |x^j/j! term| times
         3 order + 3 + (7 pi |tau| + 1) n(n + 2a) + |x| (8 |w| + 40 |b|) + L - Re E,
@@ -440,19 +474,26 @@ def _theta_table(chars: Sequence[tuple[float, float]], zs: np.ndarray, tau: comp
     no digit once reduced; DomainError for a non-finite z. tau must already be checked
     by require_upper_half.
     """
-    pi_im = math.pi * tau.imag
-    span = math.sqrt(_THETA_TAIL / pi_im + 0.25)
-    if span + 1.0 > _THETA_MAX_HALF_WIDTH:        # also when span is inf
-        raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
-                           f"either side of 0 at tau = {tau}")
-    if pi_im > _FLOAT_MAX:
-        raise NotConverged(f"theta's exponents pi Im(tau) n^2 leave the float range at "
-                           f"tau = {tau}")
-    width = math.ceil(span) + 1
     zs = np.asarray(zs, dtype=complex)
+    # each point's window |n| <= width, the table's |n| <= most, and the factors of the
+    # shifts (m, k)
+    per_tau = isinstance(tau, np.ndarray)
+    if per_tau:
+        pi_im = math.pi * tau.imag
+        span = np.sqrt(_THETA_TAIL / pi_im + 0.25)
+        bad = (span + 1.0 > _THETA_MAX_HALF_WIDTH) | (pi_im > _FLOAT_MAX)
+        if bad.any():
+            _window(complex(tau[bad.argmax()]))
+        width = np.ceil(span) + 1.0
+        most = int(width.max())
+        inv = np.empty((zs.size, 2))
+        inv[:, 0] = 1.0 / (_TWO_PI * tau.imag)
+        inv[:, 1] = 1.0 / _TWO_PI
+    else:
+        width = most = _window(tau)
+        inv = np.array([1.0 / (_TWO_PI * tau.imag), 1.0 / _TWO_PI])
     # the shifts (m, k) of every point side by side, NaN or inf at a non-finite z
-    shifts = np.rint(zs.view(float).reshape(-1, 2)
-                     * np.array([1.0 / (_TWO_PI * tau.imag), 1.0 / _TWO_PI]))
+    shifts = np.rint(zs.view(float).reshape(-1, 2) * inv)
     w = zs
     far = np.abs(shifts).max(initial=0.0)
     if far:
@@ -463,8 +504,9 @@ def _theta_table(chars: Sequence[tuple[float, float]], zs: np.ndarray, tau: comp
                 raise DomainError(f"theta needs a finite z, got z = {zs[~finite][0]}")
             j = int(np.abs(shifts).max(axis=1).argmax())
             raise NotConverged(f"theta's largest term would leave the float range at "
-                               f"z = {zs[j]:.6g}, tau = {tau}: the shift of z by "
-                               f"{m[j]:.6g} and {k[j]:.6g} periods keeps none of its digits")
+                               f"z = {zs[j]:.6g}, tau = {complex(_pick(tau, j))}: the shift "
+                               f"of z by {m[j]:.6g} and {k[j]:.6g} periods keeps none of "
+                               f"its digits")
         # the leading parts' products and sums are exact, each sum being at most half a
         # period (Sterbenz); the rest rounds at |w|
         lead, rest = _period_parts(tau)
@@ -473,49 +515,89 @@ def _theta_table(chars: Sequence[tuple[float, float]], zs: np.ndarray, tau: comp
         if np.count_nonzero(k):
             w[:, 1] -= _TWO_PI_LO * k
         w = w.view(complex).reshape(-1)
-    a, b = np.array(chars).T
-    ns = np.arange(-width, width + 1.0)[:, None]
+    # the characteristics (row, point or 1), w + 2 pi i b and 8 |w| + 40 |b| at each
+    # column, and the rows that hold (1/2, 1/2), with the points where they do when the
+    # row varies by point
+    aw = np.abs(w)
+    per_char = isinstance(chars[0][0], np.ndarray)
+    halves = ([(chars.index((0.5, 0.5), per_char), None)]
+              if (0.5, 0.5) in (chars[1:] if per_char else chars) else [])
+    if per_char:
+        a, b = np.empty((2, len(chars), zs.size))
+        for r, (ca, cb) in enumerate(chars):
+            a[r], b[r] = ca, cb
+        odd = (a[0] == 0.5) & (b[0] == 0.5)
+        if odd.any():
+            halves.insert(0, (0, odd))
+        turned, weight = 2j * math.pi * b + w, 40.0 * np.abs(b) + 8.0 * aw
+    else:
+        a, b = np.array(chars).T[..., None]
+        turned = np.add.outer([2j * math.pi * cb for _, cb in chars], w)
+        weight = np.add.outer([40.0 * abs(cb) for _, cb in chars], 8.0 * aw)
+    ns = np.arange(-most, most + 1.0)[:, None, None]
     xs = ns + a
     ax = np.abs(xs)
     sq = ns * (xs + a)                                      # x^2 - a^2 >= 0, as |a| <= 1/2
     # exponents laid out (n, row, point), less each point's log-scale
     quad = sq * (1j * math.pi * tau)
-    expo = xs[:, :, None] * np.add.outer([2j * math.pi * cb for _, cb in chars], w)
-    expo += quad[:, :, None]
+    expo = xs * turned
+    expo += quad
     real = expo.real
-    top = real.max(axis=(0, 1))
+    # the terms of each point's own window, where the windows differ
+    if per_tau and width.min() < most:
+        inside = np.abs(ns) <= width
+        top = real.max(axis=(0, 1), where=inside, initial=-math.inf)
+    else:
+        inside = None
+        top = real.max(axis=(0, 1))
     real -= top
     # each term's relative rounding in units of u, |n| <= n(n + 2a) + 1 with it
-    aw = np.abs(w)
-    slack = ax[:, :, None] * np.add.outer([40.0 * abs(cb) for _, cb in chars], 8.0 * aw)
+    slack = ax * weight
     slack -= real
-    slack += (3.0 * order + 4.0 + (7.0 * math.pi * abs(tau) + 1.0) * sq)[:, :, None]
+    # |tau| by Python's abs, whose last bit numpy's does not always match
+    rate = 7.0 * math.pi * (np.array([abs(t) for t in tau.tolist()]) if per_tau
+                            else abs(tau)) + 1.0
+    slack += 3.0 * order + 4.0 + rate * sq
     terms = np.exp(expo)[:, None]
     mags = (np.exp(real) * slack)[:, None]
     if order > 1:
         # pw[:, j] = x^j / j!, the running product of x / i over i <= j
-        pw = np.empty((ns.size, order, a.size, 1))
+        pw = np.empty((ns.size, order) + xs.shape[1:])
         pw[:, 0] = 1.0
-        np.divide(xs[:, None, :, None], np.arange(1.0, order)[:, None, None], out=pw[:, 1:])
+        np.divide(xs[:, None], np.arange(1.0, order)[:, None, None], out=pw[:, 1:])
         if order > 2:
             pw = np.multiply.accumulate(pw, axis=1)
         terms = pw * terms
         mags = np.abs(pw) * mags
+    if inside is not None:
+        np.copyto(terms, -0j, where=~inside[:, None])
+        np.copyto(mags, 0.0, where=~inside[:, None])
     cols = _sum_over_n(terms)
     bounds = (0.5 * _EPS) * (_sum_over_n(mags) + (width + 1.0) * np.abs(cols))
-    if (0.5, 0.5) in chars:
-        h = chars.index((0.5, 0.5))
-        at = [j for j, v in enumerate(aw.tolist()) if 0.0 < v < _PAIR_RADIUS]
-        if at:
+    if halves:
+        # the points with 0 < |w| < _PAIR_RADIUS
+        if aw.size > _PAIR_SCAN:
+            near = (np.subtract(aw.view(np.uint64), _ONE_BIT) < _PAIR_BITS).nonzero()[0]
+        else:
+            near = [j for j, v in enumerate(aw.tolist()) if 0.0 < v < _PAIR_RADIUS]
+        for h, mask in halves:
+            at = near if mask is None else np.asarray(near, dtype=int)[mask[near]]
+            if not len(at):
+                continue
             # the terms n >= 0 and -1-n together, x = n + 1/2: (n, point), then (n, j, point)
-            sign = np.where(ns[width:] % 2.0, -2j, 2j)
-            terms = (np.exp(quad[width:, h:h + 1] - top[at]) * sign
-                     * np.sinh(xs[width:, h:h + 1] * w[at]))
-            pe = pw[width:, 0::2, h] if order > 1 else np.ones((1, 1, 1))
-            cols[0::2, h, at] = paired = _sum_over_n(pe * terms[:, None])
-            mags = np.abs(pe) * (np.abs(terms) * slack[width:, h, at])[:, None]
+            sign = np.where(ns[most:, 0] % 2.0, -2j, 2j)
+            terms = (np.exp(_last(quad[most:, h], at) - top[at]) * sign
+                     * np.sinh(_last(xs[most:, h], at) * w[at]))
+            pe = _last(pw[most:, 0::2, h], at) if order > 1 else np.ones((1, 1, 1))
+            mags = np.abs(pe) * (np.abs(terms) * _last(slack[most:, h], at))[:, None]
+            terms = pe * terms[:, None]
+            span = width[at] if per_tau else width
+            if inside is not None:
+                np.copyto(terms, -0j, where=ns[most:] > span)
+                np.copyto(mags, 0.0, where=ns[most:] > span)
+            cols[0::2, h, at] = paired = _sum_over_n(terms)
             bounds[0::2, h, at] = (0.5 * _EPS) * (_sum_over_n(mags)
-                                                  + (width + 1.0) * np.abs(paired))
+                                                  + (span + 1.0) * np.abs(paired))
     return cols, bounds, top, shifts, w
 
 
@@ -525,11 +607,64 @@ def _scales(top, m, w, tau: complex):
     return top + (m * w - (1j * math.pi * tau) * (m * m))
 
 
-def _prime_forms(zs: Sequence[complex], tau: complex,
-                 cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+# the types of one tau, a or b; anything else is a sequence of one value per point
+_SCALARS = (complex, float, int, np.number)
+
+
+def _per_point(x, n: int, what: str) -> bool:
+    """Whether x gives one value per point (anything but a number), its length checked."""
+    if isinstance(x, _SCALARS):
+        return False
+    if len(x) != n:
+        raise ValueError(f"{what} has {len(x)} values for {n} points")
+    return True
+
+
+def _pick(x, j: int):
+    """Point j's value of x: x itself when it is one number, else its j-th value."""
+    return x if isinstance(x, _SCALARS) else x[j]
+
+
+def _taus(tau, n: int):
+    """tau checked by require_upper_half: one complex, or a complex array of the n
+    values of a per-point sequence, the first bad one raising."""
+    if isinstance(tau, _SCALARS) or not _per_point(tau, n, "tau"):
+        return require_upper_half(tau)
+    taus = np.array(tau, dtype=complex).reshape(-1)
+    good = (taus.imag > 0) & np.isfinite(taus)
+    if not good.all():
+        require_upper_half(taus[good.argmin()])
+    return taus
+
+
+def _part(x, lo: int, hi: int):
+    """Points lo..hi-1's values of x: x itself when it is one number."""
+    return x if isinstance(x, _SCALARS) else x[lo:hi]
+
+
+def _first_refusal(exc: TwistellError, n: int, part) -> TwistellError:
+    """The error a refused batch of n points raises: that of its first failing point, in
+    point order, as the point would raise it alone. part(lo, hi) evaluates the points
+    lo..hi-1 as a batch of the same form, which raises its own first failing point's
+    error: the first half, then the second, so a refusal costs about two batches more.
+    A batch refuses exactly where one of its points would alone, so the second half
+    refuses when the first does not; a one-point batch's error is its own."""
+    if n > 1:
+        for lo, hi in ((0, n // 2), (n // 2, n)):
+            try:
+                part(lo, hi)
+            except TwistellError as first:
+                return first
+    return exc
+
+
+def _prime_forms(zs: Sequence[complex], tau, cfg: TruncationConfig = DEFAULT_CONFIG
+                 ) -> np.ndarray:
     """K(z) = theta[1/2;1/2](z)/theta'[1/2;1/2](0) at every z of zs, each to cfg.tol
-    relative to |K|, from one _theta_table call with z = 0 as one more point; each
-    value depends only on its own z.
+    relative to |K|, from one _theta_table call with z = 0 as one more point per distinct
+    tau; tau is one complex or a sequence of one per point. Each value depends only on
+    its own z and tau, and equals the one-point call bit for bit; the batch raises what
+    its first failing point would raise alone.
 
     Every use of K in this library takes its log or divides by it, so K has the
     domain of the kernels P_k: NearPole where |K| < 1e-11, within about 1e-11 of
@@ -538,38 +673,70 @@ def _prime_forms(zs: Sequence[complex], tau: complex,
     cfg.tol |K| (close to the lattice points 2 pi i n, n != 0, and at small Im tau,
     where both sums cancel); otherwise errors as _theta_table.
     """
-    tau = require_upper_half(tau)
     zs = np.array(zs, dtype=complex).reshape(-1)
-    # S(z) at every z, and S'(0) at z = 0 as one more point
-    cols, bounds, scale, shifts, w = _theta_table([(0.5, 0.5)], np.append(zs, 0.0), tau, 2)
-    if np.count_nonzero(shifts[:, 0]):
-        scale = _scales(scale, shifts[:, 0], w, tau)
-    den = complex(cols[1, 0, -1])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the multiplier of theta[1/2;1/2] is e^{scale} (-1)^(m + k)
-        grow = np.exp(scale[:-1] - scale[-1])
-        np.negative(grow, out=grow, where=shifts[:-1].sum(axis=1) % 2.0 == 1.0)
-        ratio = cols[0, 0, :-1] / den
-        ks = ratio * grow
-        aks = np.abs(ks)
-        bounds = (np.abs(grow) * (bounds[0, 0, :-1] + np.abs(ratio) * bounds[1, 0, -1])
-                  / abs(den) + (3.0 + 3.0 * np.abs(scale[:-1])) * _EPS * aks)
-    bad = ~np.isfinite(ks)
-    if bad.any():
-        j = int(bad.argmax())
-        raise NotConverged(f"prime form at z = {zs[j]:.6g}, tau = {tau}: theta's largest "
-                           f"term would leave the float range")
-    zero = aks < 10 * _POLE_EPS
-    if zero.any():
-        j = int(zero.argmax())
-        raise NearPole(f"z = {zs[j]:.6g} is within {10 * _POLE_EPS} of a zero of the prime "
-                       f"form at tau = {tau}")
-    ok = bounds <= cfg.tol * aks
-    if np.count_nonzero(ok) < ok.size:
-        j = int(np.argmin(ok))
-        raise NotConverged(f"prime form at z = {zs[j]:.6g}, tau = {tau}: rounding bound "
-                           f"{bounds[j] / aks[j]:.3g} over tol {cfg.tol:.3g}")
-    return ks
+    try:
+        taus = _taus(tau, zs.size)
+        npts = zs.size
+        per_tau = isinstance(taus, np.ndarray)
+        if per_tau:
+            # S'(0) at each distinct tau, in column zero[j] for point j
+            distinct, zero = np.unique(taus, return_inverse=True)
+            col_tau, nzero, zero = np.concatenate((taus, distinct)), distinct.size, zero + npts
+        else:
+            col_tau, nzero, zero = taus, 1, npts
+        # S(z) at every z, and S'(0) at z = 0 as the last points
+        pts = np.zeros(npts + nzero, dtype=complex)
+        pts[:npts] = zs
+        cols, bounds, scale, shifts, w = _theta_table([(0.5, 0.5)], pts, col_tau, 2)
+        m = shifts[:, 0]
+        moved = np.count_nonzero(m)
+        if moved:
+            # the multiplier's log-scale and phase at every column; a point that stays keeps
+            # the real log-scale alone, as it has alone
+            shifted = _scales(scale, m, w, col_tau)
+        if per_tau:
+            den = cols[1, 0, zero]
+            absden = np.array([abs(d) for d in cols[1, 0, npts:].tolist()])[zero - npts]
+        else:
+            den = complex(cols[1, 0, -1])
+            absden = abs(den)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the multiplier of theta[1/2;1/2] is e^{scale} (-1)^(m + k)
+            odd = shifts[:npts].sum(axis=1) % 2.0 == 1.0
+            grow = np.exp(scale[:npts] - scale[zero])
+            np.negative(grow, out=grow, where=odd)
+            if moved:
+                scale = shifted
+                far = np.exp(scale[:npts] - scale[zero])
+                np.negative(far, out=far, where=odd)
+                grow = np.where(m[:npts] != 0.0, far, grow)
+            ratio = cols[0, 0, :npts] / den
+            ks = ratio * grow
+            aks = np.abs(ks)
+            bounds = (np.abs(grow) * (bounds[0, 0, :npts]
+                                      + np.abs(ratio) * bounds[1, 0, zero]) / absden
+                      + (3.0 + 3.0 * np.abs(scale[:npts])) * _EPS * aks)
+        bad = ~np.isfinite(ks)
+        if bad.any():
+            j = int(bad.argmax())
+            raise NotConverged(f"prime form at z = {zs[j]:.6g}, "
+                               f"tau = {complex(_pick(taus, j))}: theta's largest term "
+                               f"would leave the float range")
+        tiny = aks < 10 * _POLE_EPS
+        if tiny.any():
+            j = int(tiny.argmax())
+            raise NearPole(f"z = {zs[j]:.6g} is within {10 * _POLE_EPS} of a zero of the "
+                           f"prime form at tau = {complex(_pick(taus, j))}")
+        ok = bounds <= cfg.tol * aks
+        if np.count_nonzero(ok) < ok.size:
+            j = int(np.argmin(ok))
+            raise NotConverged(f"prime form at z = {zs[j]:.6g}, "
+                               f"tau = {complex(_pick(taus, j))}: rounding bound "
+                               f"{bounds[j] / aks[j]:.3g} over tol {cfg.tol:.3g}")
+        return ks
+    except TwistellError as exc:
+        raise _first_refusal(exc, zs.size, lambda lo, hi: _prime_forms(
+            zs[lo:hi], _part(tau, lo, hi), cfg)) from None
 
 
 def p0_batch(zs: Sequence[complex], tau: complex,
@@ -631,63 +798,86 @@ def theta_char(a: float, b: float, z: complex, tau: complex,
     return complex(_theta_chars(a, b, [z], tau, cfg)[0])
 
 
-def _theta_chars(a: float, b: float, zs: Sequence[complex], tau: complex,
+def _theta_chars(a, b, zs: Sequence[complex], tau,
                  cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
     """theta_char(a, b, z, tau, cfg) at every z of zs, from one _theta_table call: e^{i
     pi tau a^2 + scale} c_0(w) times the phases of b's shift and of the quasi-period,
-    with a taken to [-1/2, 1/2] and b to [-1/2, 1/2] exactly. Each value depends only
-    on its own z; the batch raises when one of its points would alone."""
-    tau = require_upper_half(tau)
+    with a taken to [-1/2, 1/2] and b to [-1/2, 1/2] exactly. a, b and tau are each one
+    number or a sequence of one per point. Each value depends only on its own point and
+    equals the one-point call bit for bit; the batch raises what its first failing point
+    would raise alone."""
+    zs = np.array(zs, dtype=complex).reshape(-1)
+    try:
+        taus = _taus(tau, zs.size)
+        npts = zs.size
+        per_a = not isinstance(a, _SCALARS) and _per_point(a, npts, "a")
+        per_b = not isinstance(b, _SCALARS) and _per_point(b, npts, "b")
+        if per_a or per_b:
+            chars = [_reduced_char(ca, cb) for ca, cb in zip(a if per_a else repeat(a),
+                                                             b if per_b else repeat(b))]
+            row = (np.array([c[0] for c in chars]), np.array([c[1] for c in chars]))
+        else:
+            chars = repeat(_reduced_char(a, b))
+            row = next(chars)[:2]
+        per_tau = isinstance(taus, np.ndarray)
+        cols, bounds, top, shifts, w = _theta_table([row], zs, taus, 1)
+        vals = []
+        for z, col, bound, s, (m, kz), wz, (ra, rb, turn, sign, odd), t in zip(
+                zs.tolist(), cols[0, 0].tolist(), bounds[0, 0].tolist(), top.tolist(),
+                shifts.tolist(), w.tolist(), chars,
+                taus.tolist() if per_tau else repeat(taus)):
+            if odd and not z:
+                vals.append(0j)                       # theta[1/2;1/2] is odd
+                continue
+            # the phases, each to 3 eps 2 pi (_turns)
+            lead = 1j * math.pi * t * (ra * ra)
+            phase, slack = turn, 4.0 + abs(lead)
+            if m:
+                s = _scales(s, m, wz, t)
+                phase, slack = phase + _turns(rb, m), slack + 10.0
+            if kz:
+                phase, slack = phase + _turns(ra, kz), slack + 10.0
+            try:
+                factor = cmath.exp(s + lead + 1j * phase) * sign
+            except OverflowError:
+                factor = complex(math.inf)
+            val = factor * col
+            if not cmath.isfinite(val):
+                raise NotConverged(f"theta's largest term would leave the float range at "
+                                   f"z = {z:.6g}, tau = {t}")
+            if abs(factor) < _FLOAT_MIN and col:
+                raise NotConverged(f"theta falls below the normal float range at "
+                                   f"z = {z:.6g}, tau = {t}")
+            bound = abs(factor) * bound + (slack + 3.0 * abs(s)) * _EPS * abs(val)
+            if not bound <= cfg.tol * abs(val):
+                raise NotConverged(f"theta[{ra:.6g};{rb:.6g}] at z = {z:.6g}, tau = {t}: "
+                                   f"rounding bound {bound / abs(val):.3g} over tol "
+                                   f"{cfg.tol:.3g}")
+            vals.append(val)
+        return np.array(vals, dtype=complex)
+    except TwistellError as exc:
+        raise _first_refusal(exc, zs.size, lambda lo, hi: _theta_chars(
+            _part(a, lo, hi), _part(b, lo, hi), zs[lo:hi], _part(tau, lo, hi),
+            cfg)) from None
+
+
+def _reduced_char(a: float, b: float) -> tuple[float, float, float, float, bool]:
+    """(a', b', turn, sign, odd) for theta[a;b]: a and b taken to a', b' in [-1/2, 1/2]
+    exactly, theta[a;b] = e^{i turn} sign theta[a';b'], and odd at [1/2;1/2], the odd
+    theta. DomainError for a non-finite a or b."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"theta needs finite a and b, got a = {a}, b = {b}")
     a -= round(a)
     k = round(b)
     b -= k
-    sign = 1.0
-    odd = abs(a) == 0.5 and abs(b) == 0.5
-    if odd:
+    if abs(a) == 0.5 and abs(b) == 0.5:
         # theta[-1/2; b] = theta[1/2; b], and b = -1/2 is 1/2 with k - 1: the multiplier
         # e^{i pi k} is the exact sign (-1)^k
         k -= b < 0
-        a, b, turn, sign = 0.5, 0.5, 0.0, 1.0 - 2.0 * (k % 2)
-    else:
-        num, den = a.as_integer_ratio()
-        turn = _turn(num * k, den)
-    zs = np.array(zs, dtype=complex).reshape(-1)
-    cols, bounds, top, shifts, w = _theta_table([(a, b)], zs, tau, 1)
-    lead = 1j * math.pi * tau * (a * a)
-    vals = []
-    for z, col, bound, s, (m, kz), wz in zip(zs.tolist(), cols[0, 0].tolist(),
-                                             bounds[0, 0].tolist(), top.tolist(),
-                                             shifts.tolist(), w.tolist()):
-        if odd and not z:
-            vals.append(0j)                       # theta[1/2;1/2] is odd
-            continue
-        # the phases, each to 3 eps 2 pi (_turns)
-        phase, slack = turn, 4.0 + abs(lead)
-        if m:
-            s = _scales(s, m, wz, tau)
-            phase, slack = phase + _turns(b, m), slack + 10.0
-        if kz:
-            phase, slack = phase + _turns(a, kz), slack + 10.0
-        try:
-            factor = cmath.exp(s + lead + 1j * phase) * sign
-        except OverflowError:
-            factor = complex(math.inf)
-        val = factor * col
-        if not cmath.isfinite(val):
-            raise NotConverged(f"theta's largest term would leave the float range at "
-                               f"z = {z:.6g}, tau = {tau}")
-        if abs(factor) < _FLOAT_MIN and col:
-            raise NotConverged(f"theta falls below the normal float range at z = {z:.6g}, "
-                               f"tau = {tau}")
-        bound = abs(factor) * bound + (slack + 3.0 * abs(s)) * _EPS * abs(val)
-        if not bound <= cfg.tol * abs(val):
-            raise NotConverged(f"theta[{a:.6g};{b:.6g}] at z = {z:.6g}, tau = {tau}: rounding "
-                               f"bound {bound / abs(val):.3g} over tol {cfg.tol:.3g}")
-        vals.append(val)
-    return np.array(vals, dtype=complex)
+        return 0.5, 0.5, 0.0, 1.0 - 2.0 * (k % 2), True
+    num, den = a.as_integer_ratio()
+    return a, b, _turn(num * k, den), 1.0, False
 
 
 @lru_cache(maxsize=100_000)

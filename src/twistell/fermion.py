@@ -20,8 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import _prime_forms, _turn, dedekind_eta, require_upper_half, theta_char
-from .errors import BalanceError, DomainError, NotConverged, UnsupportedTwist
+from .classical import (
+    _first_refusal,
+    _prime_forms,
+    _theta_chars,
+    _turn,
+    dedekind_eta,
+    require_upper_half,
+    theta_char,
+)
+from .errors import BalanceError, DomainError, NotConverged, TwistellError, UnsupportedTwist
 from .numeric import DEFAULT_CONFIG, Q_ORDER, TruncationConfig, determinant, pfaffian
 from .twisted import (
     TwistPair,
@@ -329,8 +337,10 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
     raise NotConverged(f"partition product for {p} leaves the float range at tau = {tau}")
 
 
-def _theta_form(p: OrbifoldParams, z: complex, tau: complex, cfg: TruncationConfig) -> complex:
-    """exp(2 pi i (alpha+1/2)(beta+1/2)) / eta(tau) * theta[-beta+1/2; alpha+1/2](z, tau).
+def _form_char(p: OrbifoldParams) -> tuple[float, float, float]:
+    """(a, b, turn) with exp(2 pi i (alpha+1/2)(beta+1/2)) theta[-beta+1/2; alpha+1/2] =
+    e^{i turn} theta[a; b], all reduced exactly: the characteristics and phase of
+    _theta_form.
 
     The theta is taken as theta[a; b] with a = 1/2 - (beta mod 1) and b = (alpha mod 1)
     + 1/2, by theta[a+1; b] = theta[a; b] and theta[a; b+k] = e^{2 pi i a k} theta[a; b],
@@ -341,8 +351,14 @@ def _theta_form(p: OrbifoldParams, z: complex, tau: complex, cfg: TruncationConf
     # (alpha + 1/2)(beta + 1/2) + a floor(alpha) over the common denominator 4 q1 q2 q3
     (p1, q1), (p2, q2), (p3, q3) = (x.as_integer_ratio() for x in (p.alpha, p.beta, a))
     num = (2 * p1 + q1) * (2 * p2 + q2) * q3 + 4 * q1 * q2 * p3 * math.floor(p.alpha)
-    return (cmath.exp(1j * _turn(num, 4 * q1 * q2 * q3))
-            / dedekind_eta(tau, cfg) * theta_char(a, b, z, tau, cfg))
+    return a, b, _turn(num, 4 * q1 * q2 * q3)
+
+
+def _theta_form(p: OrbifoldParams, z: complex, tau: complex, cfg: TruncationConfig) -> complex:
+    """exp(2 pi i (alpha+1/2)(beta+1/2)) / eta(tau) * theta[-beta+1/2; alpha+1/2](z, tau),
+    with the characteristics and the phase reduced exactly (_form_char)."""
+    a, b, turn = _form_char(p)
+    return cmath.exp(1j * turn) / dedekind_eta(tau, cfg) * theta_char(a, b, z, tau, cfg)
 
 
 def rank2_partition_theta(p: OrbifoldParams, tau: complex,
@@ -353,6 +369,24 @@ def rank2_partition_theta(p: OrbifoldParams, tau: complex,
     with the phase and the characteristics reduced exactly (_theta_form).
     """
     return _theta_form(p, 0.0, require_upper_half(tau), cfg)
+
+
+def _partition_thetas(ps: Sequence[OrbifoldParams], taus: Sequence[complex],
+                      cfg: TruncationConfig = DEFAULT_CONFIG) -> list[complex]:
+    """rank2_partition_theta at every pair (p, tau) of ps and taus, bit for bit, its thetas
+    from one _theta_chars call; it raises what its first failing pair would raise alone
+    (a pair's eta before its theta, as there)."""
+    if not ps:
+        return []
+    try:
+        etas = [dedekind_eta(require_upper_half(tau), cfg) for tau in taus]
+        a, b, turns = zip(*map(_form_char, ps))
+        thetas = _theta_chars(a, b, np.zeros(len(ps)), taus, cfg).tolist()
+        return [cmath.exp(1j * turn) / eta * theta
+                for turn, eta, theta in zip(turns, etas, thetas)]
+    except TwistellError as exc:
+        raise _first_refusal(exc, len(ps), lambda lo, hi: _partition_thetas(
+            ps[lo:hi], taus[lo:hi], cfg)) from None
 
 
 def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[complex],

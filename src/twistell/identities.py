@@ -22,6 +22,7 @@ from .fermion import (
     GSelector,
     OrbifoldParams,
     _cd_matrix,
+    _partition_thetas,
     lattice_npoint,
     modular_multiplier,
     p1_difference_matrix,
@@ -213,11 +214,14 @@ def check_doublesum(k: int, plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CO
     name = f"doublesum_k{k}"
     s = _Sampler(plan, name)
     records = []
+    # draw every sample first, then the kernel at all of them in one call
+    draws = []
     for i in range(plan.count):
         tw = s.twist(mode=i % 3)
         tau = s.tau()
-        z = s.points(tau, 1)[0]
-        lhs = twisted_pk(k, tw, z, tau, cfg)
+        draws.append((tw, s.points(tau, 1)[0], tau))
+    kernel = twisted_pk_batch((k,), *zip(*draws), cfg)[0].tolist()
+    for (tw, z, tau), lhs in zip(draws, kernel):
         rhs = twisted_pk_oracle(k, tw, z, tau, cfg)
         records.append(SampleRecord(f"tw={tw} z={_c(z)} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
@@ -308,56 +312,68 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
     """Quasi-periodicity of P_k[tw], untwisted P_k, theta, and the prime form."""
     name = "periodicity"
     s = _Sampler(plan, name)
-    records = []
+    # draw every sample first, then evaluate each function at all of them in one kernel
+    # call (P_k[tw] and P_k one per order k), each point as (arguments..., tau)
+    draws, pk_at, wp_at, th_at, kf_at = [], {}, {}, [], []
     for i in range(plan.count):
         tau = s.tau()
         tw = s.twist(mode=0 if i % 2 else 1)  # keep phi != 1 so the oracle applies
         z = s.points(tau, 1)[0]
         k = 1 + i % 3
-        # one kernel call: P_1 and P_k at z + 2*pi*i and z
-        pk = twisted_pk_batch((1, k), tw, [z + 2j * math.pi, z], tau, cfg).tolist()
-        lhs = pk[1][0]
-        rhs = tw.phi * pk[1][1]
-        records.append(SampleRecord(f"P_{k}[tw] z+2pi*i, tw={tw} z={_c(z)} tau={_c(tau)}",
-                                    lhs, rhs, residual(lhs, rhs)))
-        lhs = twisted_pk_oracle(1, tw, z + 2j * math.pi * tau, tau, cfg)
-        rhs = tw.theta * pk[0][1]
-        records.append(SampleRecord(f"P_1[tw] z+2pi*i*tau, tw={tw} z={_c(z)} tau={_c(tau)}",
-                                    lhs, rhs, residual(lhs, rhs)))
-
-        # untwisted family, by weierstrass_pk's batch form
+        # P_1 and P_k[tw] at z + 2 pi i and z
+        pk_at.setdefault(k, []).extend([(tw, z + 2j * math.pi, tau), (tw, z, tau)])
+        # the untwisted family and the prime form at the same four points
         tau2 = complex(s.uniform(-0.15, 0.15), s.uniform(0.8, 0.95))
         w = complex(s.uniform(-0.5, 0.5), s.uniform(-0.5, 0.5))
         z2 = w - 1j * math.pi
         z3 = w - 1j * math.pi * tau2
-        four = [z2 + 2j * math.pi, z2, z3 + 2j * math.pi * tau2, z3]
-        pk = _weierstrass_pks(k, four, tau2, cfg).tolist()
-        records.append(SampleRecord(f"P_{k} z+2pi*i, z={_c(z2)} tau={_c(tau2)}",
-                                    pk[0], pk[1], residual(pk[0], pk[1])))
-        rhs = pk[3] - (1.0 if k == 1 else 0.0)
-        records.append(SampleRecord(f"P_{k} z+2pi*i*tau, z={_c(z3)} tau={_c(tau2)}",
-                                    pk[2], rhs, residual(pk[2], rhs)))
-
-        # theta characteristics: entire, so any argument works; by theta_char's batch form
+        four = [(p, tau2) for p in (z2 + 2j * math.pi, z2, z3 + 2j * math.pi * tau2, z3)]
+        wp_at.setdefault(k, []).extend(four)
+        kf_at.extend(four)
+        # theta characteristics: entire, so any argument works
         a, b = s.uniform(-1.5, 1.5), s.uniform(-1.5, 1.5)
         zt = complex(s.uniform(-2.0, 2.0), s.uniform(-2.0, 2.0))
-        th = _theta_chars(a, b, [zt + 2j * math.pi, zt, zt + 2j * math.pi * tau], tau,
-                          cfg).tolist()
-        rhs = cmath.exp(2j * math.pi * a) * th[1]
-        records.append(SampleRecord(f"theta z+2pi*i, a={a:.4g} b={b:.4g} tau={_c(tau)}",
-                                    th[0], rhs, residual(th[0], rhs)))
-        rhs = (cmath.exp(-2j * math.pi * b) * cmath.exp(-zt) * cmath.exp(-1j * math.pi * tau)
-               * th[1])
-        records.append(SampleRecord(f"theta z+2pi*i*tau, a={a:.4g} b={b:.4g} tau={_c(tau)}",
-                                    th[2], rhs, residual(th[2], rhs)))
+        th_at.extend((a, b, p, tau) for p in (zt + 2j * math.pi, zt, zt + 2j * math.pi * tau))
+        draws.append((k, tau, tw, z, tau2, z2, z3, a, b, zt))
+    pk = {k: iter(twisted_pk_batch((1, k), *zip(*at), cfg).T.tolist())
+          for k, at in pk_at.items()}
+    wp = {k: iter(_weierstrass_pks(k, *zip(*at), cfg).tolist()) for k, at in wp_at.items()}
+    th = iter(_theta_chars(*zip(*th_at), cfg).tolist())
+    kf = iter(_prime_forms(*zip(*kf_at), cfg).tolist())
+    records = []
+    for k, tau, tw, z, tau2, z2, z3, a, b, zt in draws:
+        # [P_1, P_k] at z + 2 pi i and at z
+        (_, lhs), (p1, pz) = next(pk[k]), next(pk[k])
+        rhs = tw.phi * pz
+        records.append(SampleRecord(f"P_{k}[tw] z+2pi*i, tw={tw} z={_c(z)} tau={_c(tau)}",
+                                    lhs, rhs, residual(lhs, rhs)))
+        lhs = twisted_pk_oracle(1, tw, z + 2j * math.pi * tau, tau, cfg)
+        rhs = tw.theta * p1
+        records.append(SampleRecord(f"P_1[tw] z+2pi*i*tau, tw={tw} z={_c(z)} tau={_c(tau)}",
+                                    lhs, rhs, residual(lhs, rhs)))
 
-        # the prime form at the same four points, by prime_form's batch form
-        kf = _prime_forms(four, tau2, cfg).tolist()
+        pk2, pk3 = [next(wp[k]) for _ in range(2)], [next(wp[k]) for _ in range(2)]
+        records.append(SampleRecord(f"P_{k} z+2pi*i, z={_c(z2)} tau={_c(tau2)}",
+                                    pk2[0], pk2[1], residual(pk2[0], pk2[1])))
+        rhs = pk3[1] - (1.0 if k == 1 else 0.0)
+        records.append(SampleRecord(f"P_{k} z+2pi*i*tau, z={_c(z3)} tau={_c(tau2)}",
+                                    pk3[0], rhs, residual(pk3[0], rhs)))
+
+        shift, here, shift_tau = next(th), next(th), next(th)
+        rhs = cmath.exp(2j * math.pi * a) * here
+        records.append(SampleRecord(f"theta z+2pi*i, a={a:.4g} b={b:.4g} tau={_c(tau)}",
+                                    shift, rhs, residual(shift, rhs)))
+        rhs = (cmath.exp(-2j * math.pi * b) * cmath.exp(-zt) * cmath.exp(-1j * math.pi * tau)
+               * here)
+        records.append(SampleRecord(f"theta z+2pi*i*tau, a={a:.4g} b={b:.4g} tau={_c(tau)}",
+                                    shift_tau, rhs, residual(shift_tau, rhs)))
+
+        kf2, kf3 = [next(kf) for _ in range(2)], [next(kf) for _ in range(2)]
         records.append(SampleRecord(f"K z+2pi*i, z={_c(z2)} tau={_c(tau2)}",
-                                    kf[0], -kf[1], residual(kf[0], -kf[1])))
-        rhs = -cmath.exp(-z3) * cmath.exp(-1j * math.pi * tau2) * kf[3]
+                                    kf2[0], -kf2[1], residual(kf2[0], -kf2[1])))
+        rhs = -cmath.exp(-z3) * cmath.exp(-1j * math.pi * tau2) * kf3[1]
         records.append(SampleRecord(f"K z+2pi*i*tau, z={_c(z3)} tau={_c(tau2)}",
-                                    kf[2], rhs, residual(kf[2], rhs)))
+                                    kf3[0], rhs, residual(kf3[0], rhs)))
     return _finish(name, records, tolerance, cfg, plan.seed)
 
 
@@ -375,24 +391,34 @@ def check_modular_twisted(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONF
     s = _Sampler(plan, name)
     records = []
     gamma_names = list(_GAMMAS)
+    # draw every sample first; P_1..P_3 at (gtw, gamma z, gamma tau) and at (tw, z, tau)
+    # of each in one kernel call
+    draws, points = [], []
     for i in range(plan.count):
-        gamma = _GAMMAS[gamma_names[i % 3]]
         glabel = gamma_names[i % 3]
+        gamma = _GAMMAS[glabel]
         tau = s.tau()
         tw = s.twist()
         gtw = gamma_act_twist(gamma, tw)
         if gtw.is_trivial:
-            records.append(SampleRecord(f"{glabel} tw={tw}", 0j, 0j, 0.0, "skipped",
-                                        "transformed twist degenerated to trivial"))
+            draws.append((glabel, tau, tw, gtw, None, None))
             continue
         z = s.points(tau, 1)[0]
         gz, gtau = gamma_act_point(gamma, z, tau)
+        points += [(gtw, gz, gtau), (tw, z, tau)]
+        draws.append((glabel, tau, tw, gtw, z, gtau))
+    pk = iter(twisted_pk_batch((1, 2, 3), *zip(*points), cfg).T.tolist() if points else ())
+    for glabel, tau, tw, gtw, z, gtau in draws:
+        if z is None:
+            records.append(SampleRecord(f"{glabel} tw={tw}", 0j, 0j, 0.0, "skipped",
+                                        "transformed twist degenerated to trivial"))
+            continue
+        gamma = _GAMMAS[glabel]
         aut = gamma.automorphy(tau)
-        gpk = twisted_pk_batch((1, 2, 3), gtw, [gz], gtau, cfg)[:, 0].tolist()
-        pk = twisted_pk_batch((1, 2, 3), tw, [z], tau, cfg)[:, 0].tolist()
+        gpk, zpk = next(pk), next(pk)
         for k in (1, 2, 3):
             lhs = gpk[k - 1]
-            rhs = aut**k * pk[k - 1]
+            rhs = aut**k * zpk[k - 1]
             records.append(SampleRecord(
                 f"P_{k} under {glabel}, tw={tw} z={_c(z)} tau={_c(tau)}",
                 lhs, rhs, residual(lhs, rhs)))
@@ -431,11 +457,14 @@ def check_jacobi_triple_product(plan: SamplePlan, cfg: TruncationConfig = DEFAUL
     name = "jacobi_triple_product"
     s = _Sampler(plan, name)
     records = []
+    # draw every sample first, then the theta quotients of all of them in one call
+    draws = []
     for _ in range(plan.count):
         p = OrbifoldParams(s.uniform(0.0, 1.0), s.uniform(0.0, 1.0))
-        tau = s.tau()
+        draws.append((p, s.tau()))
+    thetas = _partition_thetas(*zip(*draws), cfg)
+    for (p, tau), rhs in zip(draws, thetas):
         lhs = rank2_partition(p, tau, cfg)
-        rhs = rank2_partition_theta(p, tau, cfg)
         records.append(SampleRecord(f"p={p} tau={_c(tau)}", lhs, rhs, residual(lhs, rhs)))
     tau = s.tau()
     lhs = rank2_partition(OrbifoldParams(0.0, 0.0), tau, cfg)

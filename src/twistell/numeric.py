@@ -82,6 +82,12 @@ def bernoulli_over_factorial(n: int) -> float:
     return float(bernoulli_fraction(n) / math.factorial(n))
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_floats(n: int) -> tuple[float, ...]:
+    """B_0, ..., B_n as floats, n < 260."""
+    return tuple(float(bernoulli_fraction(k)) for k in range(n + 1))
+
+
 def bernoulli_poly(n: int, lam: float) -> float:
     """Bernoulli polynomial B_n(lam).
 
@@ -98,8 +104,8 @@ def bernoulli_poly(n: int, lam: float) -> float:
     if n < 260:      # B_260 is the first Bernoulli number past the float range
         acc = 0.0
         try:
-            for k in range(n + 1):
-                acc += math.comb(n, k) * float(bernoulli_fraction(k)) * lam ** (n - k)
+            for k, b in enumerate(_bernoulli_floats(n)):
+                acc += math.comb(n, k) * b * lam ** (n - k)
             if math.isfinite(acc):
                 return acc
         except OverflowError:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -26,11 +27,16 @@ from .classical import (
     _POLE_EPS,
     _eisenstein_grid,
     _eisenstein_series,
+    _first_refusal,
+    _part,
+    _per_point,
+    _pick,
+    _taus,
     _theta_table,
     _turns,
     require_upper_half,
 )
-from .errors import DomainError, NearPole, NotConverged, RouteUnavailable
+from .errors import DomainError, NearPole, NotConverged, RouteUnavailable, TwistellError
 from .numeric import DEFAULT_CONFIG, TruncationConfig, bernoulli_poly, binomial
 
 _TWO_PI = 2.0 * math.pi
@@ -184,11 +190,14 @@ def _window_size(rate: float, tol: float) -> int:
     return int(size) + 8 if size < 1 << 62 else 1 << 62
 
 
-def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], tau: complex,
+def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
                      cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Twisted Weierstrass functions P_k[theta; phi](z, tau) for every k in ks, z in zs.
 
-    Returns the array of shape (len(ks), len(zs)) of the theta quotient
+    tw is one TwistPair or a sequence of one per point, and tau one complex or
+    a sequence of one per point, so one call evaluates samples at distinct
+    (tw, tau) too. Returns the array of shape (len(ks), len(zs)) of the theta
+    quotient
     P_1[tw](z) = theta'[1/2;1/2](0) theta[lam+1/2; mu+1/2](z)
                  / (theta[lam+1/2; mu+1/2](0) theta[1/2;1/2](z)),
     or 1/2 + theta'[1/2;1/2](z)/theta[1/2;1/2](z) at the trivial twist, and
@@ -197,13 +206,15 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
     P_k[tw](z) = (-1)^k P_k[tw^-1](-z) (1 - P_1[1;1](-z) for the trivial P_1),
     so that relation holds bit for bit, tw^-1 inverting back to tw itself, and
     with it the exact antisymmetry of the correlators' Pfaffian matrices. One
-    _p1_taylor table serves the whole batch, flipped points included: each
-    point takes the numerator characteristic of its own twist, tw or tw^-1,
-    and the Taylor columns of both thetas; power-series division of the
-    columns gives the f^(j)/j!. Each point is moved next to 0 by the periods
-    first (the multiplier theta^-m phi^k of the shift is exact), and the
-    window is sized a priori from the Gaussian tail, so every value depends
-    only on its own z and on nothing else in the batch.
+    _p1_taylor table serves the points of nontrivial twists, flipped points
+    included, and one those of the trivial twist: each point takes the
+    numerator characteristic of its own twist, or of its inverse, and the
+    Taylor columns of both thetas; power-series division of the columns gives
+    the f^(j)/j!. Each point is moved next to 0 by the periods first (the
+    multiplier theta^-m phi^k of the shift is exact), and the window is sized a
+    priori from the Gaussian tail, so every value depends only on its own z,
+    tw and tau and on nothing else in the batch, and equals the one-point call
+    bit for bit.
 
     Domain: the whole plane off the period lattice 2 pi i (Z tau + Z).
     DomainError for a non-finite z; NearPole within 1e-11 of a lattice
@@ -214,117 +225,183 @@ def twisted_pk_batch(ks: Sequence[int], tw: TwistPair, zs: Sequence[complex], ta
     max(1, |P_k|): near lattice points, and at small Im tau (e.g. 0.05i),
     where the theta sums cancel; and past 2^26 periods from 0, where the
     reduction keeps no digit of z. So z = -3141.6+0.4i at tau = i, 500
-    quasi-periods out, is summed at w = -0.0073+0.4i. The batch raises when
-    one of its points would alone. twisted_pk_oracle is the lattice-sum
-    oracle at a nontrivial twist.
+    quasi-periods out, is summed at w = -0.0073+0.4i. The batch raises what
+    its first failing point would raise alone. twisted_pk_oracle is the
+    lattice-sum oracle at a nontrivial twist.
     """
     ks = list(ks)
     if ks and min(ks) < 1:
         raise ValueError("twisted_pk requires k >= 1")
-    tau = require_upper_half(tau)
     zs = np.array(zs, dtype=complex).reshape(-1)
-    if not (ks and zs.size):
-        return np.zeros((len(ks), zs.size), dtype=complex)
-    order = max(ks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # complex order is lexicographic: z > 0 means Re z > 0, or Re z = 0 < Im z; a
-        # non-finite z is the table's DomainError
-        flip = zs > 0
-        flipped = np.count_nonzero(flip)
-        # P_k = (-1)^(k-1) f_(k-1), and at a flipped point -f_(k-1) of tw^-1 at w = -z;
-        # tw^-1 is tw at the half-integer twists, and the only twist when all points flip
-        twist, inverse = tw, None
-        if flipped and not (tw.mu in (0.0, 0.5) and tw.lam in (0.0, 0.5)):
-            twist, inverse = (tw.inverse(), None) if flipped == zs.size else (tw, flip)
-        vals, err = _p1_taylor(twist, np.where(flip, -zs, zs) if flipped else zs, inverse,
-                               tau, order, cfg)
-        sign = (-1.0) ** np.arange(order)[:, None] if order > 1 else 1.0   # (-1)^(k-1)
-        if flipped:
-            if tw.is_trivial:
-                vals[0] -= flip
-            vals = vals * np.where(flip, -1.0, sign)
-        elif order > 1:
-            vals = vals * sign
-        if ks != list(range(1, order + 1)):
-            rows = np.array(ks) - 1
-            vals, err = vals[rows], err[rows]
-        # inf and NaN values carry an inf or NaN bound, and fail
-        ok = err / np.maximum(1.0, np.abs(vals)) <= cfg.tol
-    if np.count_nonzero(ok) < ok.size:
-        i, j = np.argwhere(~ok)[0]
-        raise NotConverged(f"P_{ks[i]}[tw] theta quotient at z = {zs[j]:.6g}, tau = {tau}: "
-                           f"rounding bound {err[i, j]:.3g} over tol {cfg.tol:.3g}")
-    return vals
+    per_tw = not isinstance(tw, TwistPair) and _per_point(tw, zs.size, "tw")
+    try:
+        taus = _taus(tau, zs.size)
+        if not (ks and zs.size):
+            return np.zeros((len(ks), zs.size), dtype=complex)
+        order = max(ks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # complex order is lexicographic: z > 0 means Re z > 0, or Re z = 0 < Im z; a
+            # non-finite z is the table's DomainError
+            flip = zs > 0
+            flipped = np.count_nonzero(flip)
+            # P_k = (-1)^(k-1) f_(k-1), and at a flipped point -f_(k-1) of tw^-1 at w = -z;
+            # tw^-1 is tw at the half-integer twists, and the only twist when all points
+            # flip. twists lists the numerator twists, which[j] point j's (None: the one
+            # twist); split when some are trivial and some not, which takes two tables
+            if isinstance(tw, TwistPair):
+                twists, which, split = [tw], None, False
+                if flipped and not _half_integer(tw):
+                    if flipped == zs.size:
+                        twists = [tw.inverse()]
+                    else:
+                        twists, which = [tw, tw.inverse()], flip.view(np.int8)
+                        split = twists[1].is_trivial != tw.is_trivial
+            else:
+                index: dict[TwistPair, int] = {}
+                which = np.array([index.setdefault(t.inverse() if f and not _half_integer(t)
+                                                   else t, len(index))
+                                  for t, f in zip(tw, flip.tolist())])
+                twists, trivial = list(index), np.array([t.is_trivial for t in tw])
+                split = len({t.is_trivial for t in twists}) > 1
+                if not trivial.any():
+                    trivial = False
+            vals, err = (_quotients if split else _p1_taylor)(
+                twists, which, np.where(flip, -zs, zs) if flipped else zs, taus, order, cfg)
+            sign = (-1.0) ** np.arange(order)[:, None] if order > 1 else 1.0   # (-1)^(k-1)
+            if flipped:
+                # the trivial P_1's 1 - P_1(-z), at the points of the trivial twist
+                if not per_tw:
+                    trivial = tw.is_trivial
+                if trivial is not False:
+                    vals[0] -= flip & trivial
+                vals = vals * np.where(flip, -1.0, sign)
+            elif order > 1:
+                vals = vals * sign
+            if ks != list(range(1, order + 1)):
+                rows = np.array(ks) - 1
+                vals, err = vals[rows], err[rows]
+            # inf and NaN values carry an inf or NaN bound, and fail
+            ok = err / np.maximum(1.0, np.abs(vals)) <= cfg.tol
+        if np.count_nonzero(ok) < ok.size:
+            i, j = np.argwhere(~ok)[0]
+            raise NotConverged(f"P_{ks[i]}[tw] theta quotient at z = {zs[j]:.6g}, "
+                               f"tau = {complex(_pick(taus, j))}: rounding bound "
+                               f"{err[i, j]:.3g} over tol {cfg.tol:.3g}")
+        return vals
+    except TwistellError as exc:
+        raise _first_refusal(exc, zs.size, lambda lo, hi: twisted_pk_batch(
+            ks, tw[lo:hi] if per_tw else tw, zs[lo:hi], _part(tau, lo, hi), cfg)) from None
 
 
-def _p1_taylor(tw: TwistPair, ws: np.ndarray, inverse: np.ndarray | None, tau: complex,
+def _half_integer(tw: TwistPair) -> bool:
+    """Whether tw is its own inverse: mu and lam in {0, 1/2}."""
+    return tw.mu in (0.0, 0.5) and tw.lam in (0.0, 0.5)
+
+
+def _quotients(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray, tau,
                order: int, cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """f^(j)(w)/j!, j < order, of f = P_1[tw] at every w of ws, or of P_1[tw^-1] where the
-    mask inverse is set, with their rounding bounds.
+    """_p1_taylor at points whose numerator twists are trivial at some points and not at
+    others, one table for each kind. (The inverse of a twist within about 1e-15 of
+    trivial may be trivial.)"""
+    kinds = np.array([t.is_trivial for t in twists])
+    vals, err = np.empty((order, ws.size), dtype=complex), np.empty((order, ws.size))
+    rank = np.empty(kinds.size, dtype=int)
+    for kind in (True, False):
+        mine = np.flatnonzero(kinds == kind)
+        rank[mine] = np.arange(mine.size)
+        part = np.flatnonzero(kinds[which] == kind)
+        vals[:, part], err[:, part] = _p1_taylor(
+            [twists[i] for i in mine], rank[which[part]], ws[part],
+            tau[part] if isinstance(tau, np.ndarray) else tau, order, cfg)
+    return vals, err
+
+
+def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray, tau,
+               order: int, cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """f^(j)(w)/j!, j < order, of f = P_1[t] at every w of ws, t point j's numerator
+    twist twists[which[j]] (twists[0] when which is None), all trivial or none, with
+    their rounding bounds; tau is one complex or one per point.
 
     One classical._theta_table call holds every point and, as one more column per
-    numerator twist, w = 0. Its rows are the numerator theta[lam+1/2; mu+1/2] of
-    tw, and of tw^-1 when the mask is given, each summed as theta[lam-1/2; mu-1/2]
-    (a in [-1/2, 1/2) as the table asks, |b| <= 1/2), then theta[1/2;1/2] (alone at
-    the trivial twist). Each row has its Taylor columns c_j,
-    j < order, and at order 1 one more, j = 1, for theta'[1/2;1/2](0) (j <= order
-    at the trivial twist): a sum of that one column at w = 0 alone costs a
-    one-point call more than the column costs a 256-point one. Each point then
-    divides the numerator row of its own twist by theta[1/2;1/2]'s, normalised for
-    that twist; the table's shifts m and k leave the multiplier theta^-m phi^k =
+    distinct (numerator twist, tau) of the points, w = 0. Its rows are the
+    numerator theta[lam+1/2; mu+1/2], summed as theta[lam-1/2; mu-1/2] (a in
+    [-1/2, 1/2) as the table asks, |b| <= 1/2): one row per twist when there are at
+    most two, a point reading its own, else one row whose characteristic is each
+    column's twist's; then theta[1/2;1/2] (alone at the trivial twist), which sets
+    every column's log-scale either way. Each row has its Taylor columns
+    c_j, j < order, and at order 1 one more, j = 1, for theta'[1/2;1/2](0)
+    (j <= order at the trivial twist): a sum of that one column at w = 0 alone
+    costs a one-point call more than the column costs a 256-point one. Each point
+    then divides its numerator row by theta[1/2;1/2]'s, normalised for its twist
+    and tau; the table's shifts m and k leave the multiplier theta^-m phi^k =
     e^{2 pi i (mu m + lam k)} of the quotient, its phases taken exactly (_turns),
     and m itself in theta'/theta. The table's log-scales cancel from the quotient,
     and _divide carries the columns' bounds through it.
     """
-    trivial = tw.is_trivial
+    trivial = twists[0].is_trivial
     npts = ws.size
-    # the numerator twists: tw, and tw^-1 for the points of inverse
-    twists = [tw] + ([] if inverse is None else [tw.inverse()])
-    # the columns: every w, then w = 0 for each numerator twist
-    pts = np.zeros(npts + len(twists), dtype=complex)
+    if len(twists) == 1:
+        which = None
+    # the normalisation columns, one per distinct (twist, tau): combo[j] is point j's, and
+    # ctw, col_tau their twists and the taus of all columns
+    if isinstance(tau, np.ndarray):
+        index: dict[tuple, int] = {}
+        combo = np.array([index.setdefault(key, len(index)) for key in zip(
+            repeat(0) if which is None else which.tolist(), tau.tolist())])
+        ctw = [t for t, _ in index]
+        col_tau = np.concatenate((tau, [c for _, c in index]))
+    else:
+        combo, ctw, col_tau = which, range(len(twists)), tau
+    pts = np.zeros(npts + len(ctw), dtype=complex)
     pts[:npts] = ws
     # theta[lam+1/2; mu+1/2] = e^{2 pi i a} theta[a; mu-1/2] for a = lam - 1/2 in [-1/2,
-    # 1/2), the constant cancelling from the normalisation
-    chars = ([] if trivial else [(t.lam - 0.5, t.mu - 0.5) for t in twists]) + [(0.5, 0.5)]
-    cols, bounds, _, shifts, w = _theta_table(chars, pts, tau,
+    # 1/2), the constant cancelling from the normalisation: a row per twist when there are
+    # two (rows), else one row, its characteristic varying by column past two
+    chars = [(0.5, 0.5)]
+    rows = not trivial and len(twists) == 2
+    if not trivial:
+        nums = [(t.lam - 0.5, t.mu - 0.5) for t in twists]
+        chars[:0] = (nums if len(twists) < 3 else
+                     [tuple(np.array(nums)[np.concatenate((which, ctw))].T)])
+    cols, bounds, _, shifts, w = _theta_table(chars, pts, col_tau,
                                               order + 1 if trivial else max(order, 2))
-    # per numerator twist: the pole threshold (theta[1/2;1/2](w) ~ theta'[1/2;1/2](0) d at
-    # distance d from the lattice), and off the trivial twist the normalisation theta'(0)
-    # / theta[a;b](0), its inverse modulus, mu, lam and the normalisation's relative bound
-    per_twist = []
+    # per normalisation column: the pole threshold (theta[1/2;1/2](w) ~ theta'[1/2;1/2](0)
+    # d at distance d from the lattice), and off the trivial twist the normalisation
+    # theta'(0) / theta[a;b](0), its inverse modulus, mu, lam and the normalisation's
+    # relative bound
+    per_combo = []
     at_0 = cols[:2, :, npts:].tolist()
     err_0 = bounds[:2, :, npts:].tolist()
-    for t, twist in enumerate(twists):
-        den1 = at_0[1][-1][t]
-        per_twist.append([10 * _POLE_EPS * abs(den1)])
+    for c, t in enumerate(ctw):
+        den1 = at_0[1][-1][c]
+        per_combo.append([10 * _POLE_EPS * abs(den1)])
         if not trivial:
-            num0 = at_0[0][t][t]
+            r = t if rows else 0
+            num0 = at_0[0][r][c]
             if abs(num0) < _POLE_EPS * abs(den1):
-                raise NearPole(f"twist {tw} is within {_POLE_EPS} of trivial, where "
+                raise NearPole(f"twist {twists[t]} is within {_POLE_EPS} of trivial, where "
                                f"P_k[tw] has a pole")
             norm = den1 / num0
-            per_twist[t] += [norm, 1.0 / abs(norm), twist.mu, twist.lam,
-                             err_0[0][t][t] / abs(num0) + err_0[1][-1][t] / abs(den1)
+            per_combo[c] += [norm, 1.0 / abs(norm), twists[t].mu, twists[t].lam,
+                             err_0[0][r][c] / abs(num0) + err_0[1][-1][c] / abs(den1)
                              + 4.0 * _EPS]
-    # each point's numerator row and twist values: tw's, or at the points of inverse tw^-1's
-    if inverse is None:
-        num, num_err = cols[:order, 0, :npts], bounds[:order, 0, :npts]
-        per = per_twist[0]
-    else:
-        num = np.where(inverse, cols[:order, 1, :npts], cols[:order, 0, :npts])
-        num_err = np.where(inverse, bounds[:order, 1, :npts], bounds[:order, 0, :npts])
-        per = np.array(per_twist)[inverse.view(np.int8)].T
+    # each point's normalisation values
+    per = per_combo[0] if combo is None else np.array(per_combo)[combo].T
     absden = np.abs(cols[:order, -1, :npts])
     if np.count_nonzero(absden[0] < per[0].real):
         j = int(absden[0].argmin())
         raise NearPole(f"z = {ws[j]:.6g} (or its negative) is within {10 * _POLE_EPS} of a "
-                       f"pole of P_k[tw] at tau = {tau}")
+                       f"pole of P_k[tw] at tau = {complex(_pick(tau, j))}")
     shifts = shifts[:npts]
+    num, num_err = cols[:order, 0, :npts], bounds[:order, 0, :npts]
+    if rows:
+        num = np.where(which, cols[:order, 1, :npts], num)
+        num_err = np.where(which, bounds[:order, 1, :npts], num_err)
     if trivial:
         # f = 1/2 + theta'/theta: theta'(w + t) has columns (j+1) c_{j+1}
         j1 = np.arange(1.0, order + 1.0)[:, None]
         f, err = _divide(j1 * cols[1:, 0, :npts], j1 * bounds[1:, 0, :npts],
-                         cols[:order, 0, :npts], bounds[:order, 0, :npts], absden, 4.0 * _EPS)
+                         num, num_err, absden, 4.0 * _EPS)
         f[0] += 0.5 + shifts[:, 0]
         err[0] += _EPS * np.abs(f[0])
         return f, err
@@ -334,10 +411,12 @@ def _p1_taylor(tw: TwistPair, ws: np.ndarray, inverse: np.ndarray | None, tau: c
     den = cols[:order, -1, :npts] / norm
     if w is not pts:                                # some point was shifted
         for base, shift in ((mu, shifts[:, 0]), (lam, shifts[:, 1])):
-            if np.count_nonzero(shift):
+            moved = np.count_nonzero(shift)
+            if moved:
                 den /= np.exp(1j * _turns(base, shift))
-                # the phase to 3 eps 2 pi, its exp to eps
-                rel = rel + (1.0 + 6.0 * math.pi) * _EPS
+                # the phase to 3 eps 2 pi, its exp to eps, at the points it moves
+                step = (1.0 + 6.0 * math.pi) * _EPS
+                rel = rel + (step if moved == npts else step * (shift != 0.0))
     return _divide(num, num_err, den, bounds[:order, -1, :npts] * scale, absden * scale, rel)
 
 

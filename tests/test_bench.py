@@ -33,6 +33,8 @@ def test_layers_script_runs_every_row(capsys):
     assert {f"L3.rank1_generating.n{n}" for n in (4, 8, 12)} <= set(rows)
     assert {f"L0.pfaffian.d{d}" for d in (4, 8, 12, 16, 32)} <= set(rows)
     assert {f"L0.determinant.d{d}" for d in (4, 8, 16, 32)} <= set(rows)
+    assert {"L1.eta", "L1.theta_many.n100", "L1.theta_many.n100.loop", "L2.pk_many.n50",
+            "L2.pk_many.n50.loop", "L2.pk_batch.empty"} <= set(rows)
     assert {"L1.eisenstein.cold", "L1.theta_char.a0", "L1.theta_char.a40",
             "L1.theta_char.half", "L1.theta_char.far", "L1.prime_form.one",
             "L2.twisted_eisenstein.im0.06",
@@ -47,6 +49,23 @@ def test_seeds_script_passes_a_seed(capsys):
     assert _load("seeds").main(["0", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "0 failing of 17 (seed, check) pairs, seeds 0..0"]
+
+
+def test_seeds_script_digests_every_report(capsys):
+    # one CRC32 line per (seed, check), of the bytes cli.dumps writes for its report
+    import zlib
+
+    from twistell.cli import dumps
+    from twistell.identities import SUITE, SamplePlan, run_all
+
+    assert _load("seeds").main(["2", "3", "--digest"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "0 failing of 17 (seed, check) pairs, seeds 2..2"
+    assert len(out) == len(SUITE) + 1
+    for line, name in zip(out, SUITE):
+        report, = run_all(SamplePlan(seed=2), names=[name])
+        crc = zlib.crc32(dumps(report.to_dict()).encode())
+        assert line == f"seed=2 check={name} crc32={crc:08x}"
 
 
 def test_seeds_script_lists_refusals_and_misses(capsys, monkeypatch):

@@ -174,3 +174,34 @@ def test_laurent_circle_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(identities, "twisted_pk_batch", counted)
     coeffs = identities.laurent_coefficients(TwistPair(0.31, 0.77), 0.12 + 1.1j, DEFAULT_CONFIG)
     assert calls == [64] and len(coeffs) == 5
+
+
+def test_one_point_checks_make_one_kernel_call_per_function(monkeypatch):
+    # the checks whose samples are one-point evaluations draw every sample first and
+    # evaluate each function at all of them in one call (P_k and P_k[tw] one per order)
+    from twistell import identities
+
+    calls = []
+
+    def counting(name):
+        fn = getattr(identities, name)
+
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(identities, name, counted)
+
+    for name in ("twisted_pk_batch", "_weierstrass_pks", "_theta_chars", "_prime_forms",
+                 "_partition_thetas"):
+        counting(name)
+    plan = SamplePlan(seed=7, count=6)
+    for check, expected in [
+            (lambda: check_doublesum(1, plan), ["twisted_pk_batch"]),
+            (lambda: check_modular_twisted(plan), ["twisted_pk_batch"]),
+            (lambda: check_jacobi_triple_product(plan), ["_partition_thetas"]),
+            (lambda: check_periodicity(plan),
+             ["twisted_pk_batch"] * 3 + ["_weierstrass_pks"] * 3
+             + ["_theta_chars", "_prime_forms"])]:
+        calls.clear()
+        assert check().passed
+        assert sorted(calls) == sorted(expected)
