@@ -3,7 +3,8 @@ prime form K and P_0 = -log K (L1), the P_k theta-quotient kernel, E_n[tw] and t
 lattice oracles (L2), the correlators built on them (L3), and `twistell table` grids
 through cli.main in this process (L4), one of them a grid of binomials that times the
 table's text path alone. The *_many rows time samples at distinct tau, as the identity
-suite draws them, as a loop of one-point calls and as one call with per-point arguments.
+suite draws them, as a loop of one-point (one-sample) calls and as one call with
+per-point (per-sample) arguments.
 
 Run from the repository root:
 
@@ -233,6 +234,30 @@ def main(argv=None) -> int:
               for _ in range(n)]
         run(f"L3.rank2_generating_boson.n{n}",
             lambda xs=xs, ys=ys: rank2_generating_boson(p, xs, ys, tau))
+    # L3: 25 n = 2 samples at distinct (p, tau), drawn as the Fay check draws them (p's
+    # phases in [0.08, 0.92], tau in its box, the psi+/psi- clusters with each group's
+    # points 0.05 apart), as a loop of one-sample calls (.loop) against one batched call;
+    # a checkout without the batched correlators reports the loops only
+    fay_rng = random.Random(f"fay:{args.seed}")
+    fay = []
+    while len(fay) < 25:
+        fp = OrbifoldParams(fay_rng.uniform(0.08, 0.92), fay_rng.uniform(0.08, 0.92))
+        ft = complex(fay_rng.uniform(-0.4, 0.4), fay_rng.uniform(0.8, 2.0))
+        xs = [complex(fay_rng.uniform(-2.2, -0.8), fay_rng.uniform(-0.9, 0.9)) for _ in range(2)]
+        ys = [complex(fay_rng.uniform(-0.5, -0.01), fay_rng.uniform(-0.9, 0.9))
+              for _ in range(2)]
+        if abs(xs[0] - xs[1]) >= 0.05 and abs(ys[0] - ys[1]) >= 0.05:
+            fay.append((fp, xs, ys, ft))
+    run("L3.rank2_many.n25.loop", lambda: [rank2_generating(*s) for s in fay])
+    run("L3.boson_many.n25.loop", lambda: [rank2_generating_boson(*s) for s in fay])
+    fermion = twistell.fermion
+    rank2_many = getattr(fermion, "_rank2_generatings", None)
+    boson_form = getattr(fermion, "_boson_form", None)
+    if rank2_many is not None:
+        per_point("L3.rank2_many.n25", lambda: rank2_many(fay, twistell.DEFAULT_CONFIG))
+    if boson_form is not None:
+        per_point("L3.boson_many.n25", lambda: fermion._bosonized(
+            [(boson_form, *s) for s in fay], twistell.DEFAULT_CONFIG))
     # L3: a 12 x 12 block Pfaffian, 4 labels of 3 modes
     labels = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     zs = [-2.6 + 0.3j, -1.9 - 0.8j, -1.1 + 0.9j, -0.4 - 0.2j]

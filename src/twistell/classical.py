@@ -664,7 +664,7 @@ def _prime_forms(zs: Sequence[complex], tau, cfg: TruncationConfig = DEFAULT_CON
     relative to |K|, from one _theta_table call with z = 0 as one more point per distinct
     tau; tau is one complex or a sequence of one per point. Each value depends only on
     its own z and tau, and equals the one-point call bit for bit; the batch raises what
-    its first failing point would raise alone.
+    its first failing point would raise alone. A batch of no points is empty.
 
     Every use of K in this library takes its log or divides by it, so K has the
     domain of the kernels P_k: NearPole where |K| < 1e-11, within about 1e-11 of
@@ -677,6 +677,8 @@ def _prime_forms(zs: Sequence[complex], tau, cfg: TruncationConfig = DEFAULT_CON
     try:
         taus = _taus(tau, zs.size)
         npts = zs.size
+        if not npts:
+            return np.zeros(0, dtype=complex)
         per_tau = isinstance(taus, np.ndarray)
         if per_tau:
             # S'(0) at each distinct tau, in column zero[j] for point j
@@ -805,13 +807,15 @@ def _theta_chars(a, b, zs: Sequence[complex], tau,
     with a taken to [-1/2, 1/2] and b to [-1/2, 1/2] exactly. a, b and tau are each one
     number or a sequence of one per point. Each value depends only on its own point and
     equals the one-point call bit for bit; the batch raises what its first failing point
-    would raise alone."""
+    would raise alone. A batch of no points is empty."""
     zs = np.array(zs, dtype=complex).reshape(-1)
     try:
         taus = _taus(tau, zs.size)
         npts = zs.size
         per_a = not isinstance(a, _SCALARS) and _per_point(a, npts, "a")
         per_b = not isinstance(b, _SCALARS) and _per_point(b, npts, "b")
+        if not npts:
+            return np.zeros(0, dtype=complex)
         if per_a or per_b:
             chars = [_reduced_char(ca, cb) for ca, cb in zip(a if per_a else repeat(a),
                                                              b if per_b else repeat(b))]

@@ -27,7 +27,6 @@ from .classical import (
     _turn,
     dedekind_eta,
     require_upper_half,
-    theta_char,
 )
 from .errors import BalanceError, DomainError, NotConverged, TwistellError, UnsupportedTwist
 from .numeric import DEFAULT_CONFIG, Q_ORDER, TruncationConfig, determinant, pfaffian
@@ -125,65 +124,119 @@ class OrbifoldParams:
         return f"(alpha={self.alpha:.6g}, beta={self.beta:.6g})"
 
 
-def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[complex],
-               col_modes: Sequence[Sequence[int]], ys: Sequence[complex] | None,
-               tau: complex, cfg: TruncationConfig, diag: complex | None = None) -> np.ndarray:
-    """C/D block matrix of the expansion coefficients of P_1[tw].
+def _cd_matrices(samples: Sequence[tuple], cfg: TruncationConfig) -> list[np.ndarray]:
+    """C/D block matrices of the expansion coefficients of P_1[tw], one per sample
+    (tw, row_modes, xs, col_modes, ys, tau, diag) of samples.
 
     Row block a holds the modes k_i of row_modes[a] at xs[a]; column block b
     the modes l_j of col_modes[b] at ys[b]. With ys None the columns sit at
     the row points, and block a == b holds C[tw](k_i, l_j), or the constant
     diag when one is given; each E_m[tw] is evaluated once. Every other
-    entry is D[tw](k_i, l_j, xs[a] - ys[b]), m = k_i + l_j - 1: one
-    twisted_pk_batch call takes every m at every difference of two blocks,
-    row major. The matrix is gathered from a table with a row per distinct
-    (k, l) and a slot per block pair (a, b), row major, in each: a matrix row
-    gives the offset of its k's rows plus a * blocks, a column that of its l
-    plus b, and an entry's index is their sum.
+    entry is D[tw](k_i, l_j, xs[a] - ys[b]), m = k_i + l_j - 1, from the kernel at
+    every m at every difference of two blocks, row major. The matrix is gathered
+    from a table with a row per distinct (k, l) and a slot per block pair (a, b),
+    row major, in each: a matrix row gives the offset of its k's rows plus
+    a * blocks, a column that of its l plus b, and an entry's index is their sum.
+
+    The D entries of every matrix come from one twisted_pk_batch call per distinct
+    tuple of orders m, since a point's refusal may depend on the highest order asked;
+    each point carries its own twist and tau, and a call that serves one sample
+    passes them as one value. Each matrix equals its one-sample call bit for bit, and
+    the batch raises what its first failing sample would raise alone.
     """
-    shared = ys is None
-    nr, nb = len(row_modes), len(col_modes)
-    ks = list({k for modes in row_modes for k in modes})    # set order: it picks the binomial
-    ls = list({l for modes in col_modes for l in modes})    # that a NotConverged names
-    cells = [(k, l) for k in ks for l in ls]
-    at = np.add.outer([(ks.index(k) * len(ls) * nr + a) * nb
-                       for a, modes in enumerate(row_modes) for k in modes],
-                      [ls.index(l) * nr * nb + b for b, lb in enumerate(col_modes) for l in lb]
-                      ).astype(np.intp, copy=False)     # an empty side comes as float
-    if shared:
-        k_in = {k: {a for a, modes in enumerate(row_modes) if k in modes} for k in ks}
-        l_in = {l: {b for b, modes in enumerate(col_modes) if l in modes} for l in ls}
-    ms = sorted({k + l - 1 for k, l in cells if not shared or len(k_in[k] | l_in[l]) > 1})
-    with np.errstate(over="ignore", invalid="ignore"):     # inf and nan silently, as in Python
-        zs = np.subtract.outer(xs, xs if shared else ys).ravel()
-        if shared:
-            zs = zs[1:].reshape(-1, nb + 1)[:, :-1].ravel()     # the a != b of the grid
-        block = twisted_pk_batch(ms, tw, zs, tau, cfg) if zs.size else None
-        # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
-        d_fac = np.array([[_cd_factor(k + 1, k, l)] for k, l in cells])
-        if ms:
-            row_of = {m: i for i, m in enumerate(ms)}
-            d = d_fac * block.take([row_of.get(k + l - 1, 0) for k, l in cells], axis=0)
-        table = d if ms and not shared else np.empty((len(cells), nr * nb), dtype=complex)
-        if ms and shared:   # the slots a != b, as in zs
-            table[:, 1:].reshape(-1, nb - 1, nb + 1)[:, :, :-1] = d.reshape(-1, nb - 1, nb)
-    if shared:
-        if diag is None:
-            on = {(k, l) for k, l in cells if k_in[k] & l_in[l]}
-            eis = {m: twisted_eisenstein(m, tw, tau, cfg) for m in {k + l - 1 for k, l in on}}
-            diag = np.array([_cd_factor(l, k, l) * eis[k + l - 1] if (k, l) in on else 0j
-                             for k, l in cells], dtype=complex)[:, None]
-        table[:, ::nb + 1] = diag
-    return table.take(at)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):     # inf and nan silently, as in Python
+            layouts, groups = [], {}
+            for i, (tw, row_modes, xs, col_modes, ys, tau, diag) in enumerate(samples):
+                shared = ys is None
+                nr, nb = len(row_modes), len(col_modes)
+                ks = list({k for modes in row_modes for k in modes})    # set order: it picks
+                ls = list({l for modes in col_modes for l in modes})    # the binomial that a
+                cells = [(k, l) for k in ks for l in ls]                # NotConverged names
+                if shared:
+                    k_in = {k: {a for a, modes in enumerate(row_modes) if k in modes} for k in ks}
+                    l_in = {l: {b for b, modes in enumerate(col_modes) if l in modes} for l in ls}
+                    ms = tuple(sorted({k + l - 1 for k, l in cells if len(k_in[k] | l_in[l]) > 1}))
+                    zs = np.subtract.outer(xs, xs).ravel()
+                    zs = zs[1:].reshape(-1, nb + 1)[:, :-1].ravel()     # the a != b of the grid
+                else:
+                    k_in = l_in = None
+                    ms = tuple(sorted({k + l - 1 for k, l in cells}))
+                    zs = np.subtract.outer(xs, ys).ravel()
+                layouts.append((ms, zs, nr, nb, ks, ls, cells, k_in, l_in))
+                if zs.size:
+                    groups.setdefault(ms, []).append(i)
+            blocks = [None] * len(samples)
+            for ms, members in groups.items():
+                if len(members) == 1:
+                    i = members[0]
+                    blocks[i] = twisted_pk_batch(ms, samples[i][0], layouts[i][1], samples[i][5],
+                                                 cfg)
+                    continue
+                sizes = [layouts[i][1].size for i in members]
+                block = twisted_pk_batch(
+                    ms, [samples[i][0] for i, n in zip(members, sizes) for _ in range(n)],
+                    np.concatenate([layouts[i][1] for i in members]),
+                    np.repeat([samples[i][5] for i in members], sizes), cfg)
+                lo = 0
+                for i, n in zip(members, sizes):
+                    blocks[i] = block[:, lo:lo + n]
+                    lo += n
+            mats = []
+            for (tw, row_modes, _, col_modes, ys, tau, diag), block, (
+                    ms, _, nr, nb, ks, ls, cells, k_in, l_in) in zip(samples, blocks, layouts):
+                at = np.add.outer([(ks.index(k) * len(ls) * nr + a) * nb
+                                   for a, modes in enumerate(row_modes) for k in modes],
+                                  [ls.index(l) * nr * nb + b
+                                   for b, lb in enumerate(col_modes) for l in lb]
+                                  ).astype(np.intp, copy=False)     # an empty side comes as float
+                # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
+                d_fac = np.array([[_cd_factor(k + 1, k, l)] for k, l in cells])
+                if ms:
+                    row_of = {m: i for i, m in enumerate(ms)}
+                    d = d_fac * block.take([row_of.get(k + l - 1, 0) for k, l in cells], axis=0)
+                if ys is not None:
+                    mats.append((d if ms else np.empty((len(cells), nr * nb), dtype=complex)
+                                 ).take(at))
+                    continue
+                table = np.empty((len(cells), nr * nb), dtype=complex)
+                if ms:   # the slots a != b, as in zs
+                    table[:, 1:].reshape(-1, nb - 1, nb + 1)[:, :, :-1] = d.reshape(-1, nb - 1, nb)
+                if diag is None:
+                    on = {(k, l) for k, l in cells if k_in[k] & l_in[l]}
+                    eis = {m: twisted_eisenstein(m, tw, tau, cfg)
+                           for m in {k + l - 1 for k, l in on}}
+                    diag = np.array([_cd_factor(l, k, l) * eis[k + l - 1] if (k, l) in on else 0j
+                                     for k, l in cells], dtype=complex)[:, None]
+                table[:, ::nb + 1] = diag
+                mats.append(table.take(at))
+            return mats
+    except TwistellError as exc:
+        raise _first_refusal(exc, len(samples), lambda lo, hi: _cd_matrices(
+            samples[lo:hi], cfg)) from None
+
+
+def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[complex],
+               col_modes: Sequence[Sequence[int]], ys: Sequence[complex] | None,
+               tau: complex, cfg: TruncationConfig, diag: complex | None = None) -> np.ndarray:
+    """The one-sample call of _cd_matrices."""
+    return _cd_matrices([(tw, row_modes, xs, col_modes, ys, tau, diag)], cfg)[0]
 
 
 def p1_difference_matrix(tw: TwistPair, zs: Sequence[complex], tau: complex,
                          cfg: TruncationConfig = DEFAULT_CONFIG,
                          diag: complex = 0.0) -> np.ndarray:
-    """Matrix P_1[tw](z_i - z_j) with a prescribed diagonal value."""
+    """Matrix P_1[tw](z_i - z_j) with a prescribed diagonal value: the one-sample call of
+    _cd_matrices, whose samples _p1_sample builds."""
+    return _cd_matrices([_p1_sample(tw, zs, tau, diag)], cfg)[0]
+
+
+def _p1_sample(tw: TwistPair, zs: Sequence[complex], tau: complex,
+               diag: complex | None = 0.0) -> tuple:
+    """The _cd_matrices sample of the matrix P_1[tw](z_i - z_j) with diagonal diag."""
     zs = [complex(z) for z in zs]
     one_mode = [(1,)] * len(zs)
-    return _cd_matrix(tw, one_mode, zs, one_mode, None, tau, cfg, diag=diag)
+    return tw, one_mode, zs, one_mode, None, tau, diag
 
 
 def _require_distinct(points: Sequence[complex], what: str) -> None:
@@ -224,16 +277,25 @@ def sigma_module_partition(tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG)
     return dedekind_eta(2.0 * tau, cfg) / dedekind_eta(tau, cfg)
 
 
-def _rank1_pfaffian(tw: TwistPair, modes: Sequence[Sequence[int]], zs: list[complex],
-                    partition, tau: complex, cfg: TruncationConfig,
-                    diag: complex | None = None) -> complex:
-    """Pf of the C/D block matrix of the modes at zs times partition(tau, cfg); 0 when
-    the total mode count is odd. diag, when given, fills the C entries."""
-    if sum(len(m) for m in modes) % 2:
-        return 0.0 + 0.0j
-    _require_distinct(zs, "insertion points")
-    mat = _cd_matrix(tw, modes, zs, modes, None, tau, cfg, diag=diag)
-    return pfaffian(mat, cfg) * partition(tau, cfg)
+def _rank1_pfaffians(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]:
+    """Pf of the C/D block matrix of the modes at zs times partition(tau, cfg), at every
+    (tw, modes, zs, partition, tau, diag) of samples; 0 when the total mode count is odd.
+    diag, when not None, fills the C entries. The matrices come from one _cd_matrices
+    call; each value equals its one-sample call bit for bit, and the batch raises what
+    its first failing sample would raise alone."""
+    try:
+        even = [not sum(len(m) for m in sample[1]) % 2 for sample in samples]
+        for (_, _, zs, *_), pf in zip(samples, even):
+            if pf:
+                _require_distinct(zs, "insertion points")
+        mats = iter(_cd_matrices([(tw, modes, zs, modes, None, tau, diag)
+                                  for (tw, modes, zs, _, tau, diag), pf in zip(samples, even)
+                                  if pf], cfg))
+        return [pfaffian(next(mats), cfg) * partition(tau, cfg) if pf else 0.0 + 0.0j
+                for (_, _, _, partition, tau, _), pf in zip(samples, even)]
+    except TwistellError as exc:
+        raise _first_refusal(exc, len(samples), lambda lo, hi: _rank1_pfaffians(
+            samples[lo:hi], cfg)) from None
 
 
 def rank1_generating(g: GSelector, zs: Sequence[complex], tau: complex,
@@ -243,9 +305,13 @@ def rank1_generating(g: GSelector, zs: Sequence[complex], tau: complex,
     P(i, j) = P_1[theta; -1](z_i - z_j) with theta fixed by the selector.
     Totally antisymmetric in the insertion points.
     """
+    return _rank1_pfaffians([_rank1_generating_sample(g, zs, tau)], cfg)[0]
+
+
+def _rank1_generating_sample(g: GSelector, zs: Sequence[complex], tau: complex) -> tuple:
+    """The _rank1_pfaffians sample of rank1_generating(g, zs, tau)."""
     zs = [complex(z) for z in zs]
-    return _rank1_pfaffian(g.twist(), [(1,)] * len(zs), zs,
-                           lambda t, c: rank1_partition(g, t, c), tau, cfg, diag=0.0)
+    return g.twist(), [(1,)] * len(zs), zs, lambda t, c: rank1_partition(g, t, c), tau, 0.0
 
 
 def rank1_sigma_twisted_generating(zs: Sequence[complex], tau: complex,
@@ -254,9 +320,13 @@ def rank1_sigma_twisted_generating(zs: Sequence[complex], tau: complex,
 
     For even n: Pf(P_1[-1; 1](z_i - z_j)) * eta(2*tau)/eta(tau).
     """
+    return _rank1_pfaffians([_sigma_twisted_sample(zs, tau)], cfg)[0]
+
+
+def _sigma_twisted_sample(zs: Sequence[complex], tau: complex) -> tuple:
+    """The _rank1_pfaffians sample of rank1_sigma_twisted_generating(zs, tau)."""
     zs = [complex(z) for z in zs]
-    return _rank1_pfaffian(TwistPair(0.5, 0.0), [(1,)] * len(zs), zs,
-                           sigma_module_partition, tau, cfg, diag=0.0)
+    return TwistPair(0.5, 0.0), [(1,)] * len(zs), zs, sigma_module_partition, tau, 0.0
 
 
 def rank1_fock_npoint(labels, zs: Sequence[complex], g: GSelector, tau: complex,
@@ -273,8 +343,8 @@ def rank1_fock_npoint(labels, zs: Sequence[complex], g: GSelector, tau: complex,
     zs = [complex(z) for z in zs]
     if len(labels) != len(zs):
         raise ValueError("labels and insertion points must pair up")
-    return _rank1_pfaffian(g.twist(), [lab.ks for lab in labels], zs,
-                           lambda t, c: rank1_partition(g, t, c), tau, cfg)
+    return _rank1_pfaffians([(g.twist(), [lab.ks for lab in labels], zs,
+                              lambda t, c: rank1_partition(g, t, c), tau, None)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +409,8 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
 
 def _form_char(p: OrbifoldParams) -> tuple[float, float, float]:
     """(a, b, turn) with exp(2 pi i (alpha+1/2)(beta+1/2)) theta[-beta+1/2; alpha+1/2] =
-    e^{i turn} theta[a; b], all reduced exactly: the characteristics and phase of
-    _theta_form.
+    e^{i turn} theta[a; b], all reduced exactly: the characteristics and phase of the
+    theta forms of _bosonized.
 
     The theta is taken as theta[a; b] with a = 1/2 - (beta mod 1) and b = (alpha mod 1)
     + 1/2, by theta[a+1; b] = theta[a; b] and theta[a; b+k] = e^{2 pi i a k} theta[a; b],
@@ -354,39 +424,15 @@ def _form_char(p: OrbifoldParams) -> tuple[float, float, float]:
     return a, b, _turn(num, 4 * q1 * q2 * q3)
 
 
-def _theta_form(p: OrbifoldParams, z: complex, tau: complex, cfg: TruncationConfig) -> complex:
-    """exp(2 pi i (alpha+1/2)(beta+1/2)) / eta(tau) * theta[-beta+1/2; alpha+1/2](z, tau),
-    with the characteristics and the phase reduced exactly (_form_char)."""
-    a, b, turn = _form_char(p)
-    return cmath.exp(1j * turn) / dedekind_eta(tau, cfg) * theta_char(a, b, z, tau, cfg)
-
-
 def rank2_partition_theta(p: OrbifoldParams, tau: complex,
                           cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Partition function as a theta quotient (Jacobi-triple-product form).
 
     exp(2*pi*i*(alpha+1/2)*(beta+1/2)) / eta(tau) * theta[-beta+1/2; alpha+1/2](0, tau),
-    with the phase and the characteristics reduced exactly (_theta_form).
+    with the phase and the characteristics reduced exactly (_form_char): the
+    one-sample call of _bosonized, its form _partition_form.
     """
-    return _theta_form(p, 0.0, require_upper_half(tau), cfg)
-
-
-def _partition_thetas(ps: Sequence[OrbifoldParams], taus: Sequence[complex],
-                      cfg: TruncationConfig = DEFAULT_CONFIG) -> list[complex]:
-    """rank2_partition_theta at every pair (p, tau) of ps and taus, bit for bit, its thetas
-    from one _theta_chars call; it raises what its first failing pair would raise alone
-    (a pair's eta before its theta, as there)."""
-    if not ps:
-        return []
-    try:
-        etas = [dedekind_eta(require_upper_half(tau), cfg) for tau in taus]
-        a, b, turns = zip(*map(_form_char, ps))
-        thetas = _theta_chars(a, b, np.zeros(len(ps)), taus, cfg).tolist()
-        return [cmath.exp(1j * turn) / eta * theta
-                for turn, eta, theta in zip(turns, etas, thetas)]
-    except TwistellError as exc:
-        raise _first_refusal(exc, len(ps), lambda lo, hi: _partition_thetas(
-            ps[lo:hi], taus[lo:hi], cfg)) from None
+    return _bosonized([(_partition_form, p, tau)], cfg)[0]
 
 
 def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[complex],
@@ -398,26 +444,55 @@ def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[comp
     by a ones column/row and a zero corner; the trivially twisted P_1 used
     here exceeds it by the constant 1/2, which the ones border cancels from
     the determinant. Every x_i - y_j may lie anywhere off the period lattice,
-    the domain of the twisted_pk_batch kernel behind the matrix.
+    the domain of the twisted_pk_batch kernel behind the matrix. The one-sample
+    call of _rank2_generatings.
     """
+    return _rank2_generatings([(p, xs, ys, tau)], cfg)[0]
+
+
+def _rank2_generatings(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]:
+    """rank2_generating at every (p, xs, ys, tau) of samples, the matrices from one
+    _cd_matrices call; each value equals its one-sample call bit for bit, and the batch
+    raises what its first failing sample would raise alone (a ValueError for a
+    malformed sample before anything is evaluated)."""
+    try:
+        mats, sizes = [], []     # sizes: (p, n, tau) per sample
+        for p, xs, ys, tau in samples:
+            xs, ys, tau = _rank2_points(xs, ys, tau)
+            if xs:
+                one_mode = [(1,)] * len(xs)
+                mats.append((p.twist(), one_mode, xs, one_mode, ys, tau, None))
+            sizes.append((p, len(xs), tau))
+        mats = iter(_cd_matrices(mats, cfg))
+        vals = []
+        for p, n, tau in sizes:
+            if not n:
+                vals.append(rank2_partition(p, tau, cfg))
+            elif p.is_trivial_twist:
+                q = np.ones((n + 1, n + 1), dtype=complex)
+                q[:n, :n] = next(mats)
+                q[n, n] = 0.0
+                vals.append(determinant(q) * dedekind_eta(tau, cfg) ** 2)
+            else:
+                vals.append(determinant(next(mats)) * rank2_partition(p, tau, cfg))
+        return vals
+    except TwistellError as exc:
+        raise _first_refusal(exc, len(samples), lambda lo, hi: _rank2_generatings(
+            samples[lo:hi], cfg)) from None
+
+
+def _rank2_points(xs: Sequence[complex], ys: Sequence[complex],
+                  tau: complex) -> tuple[list[complex], list[complex], complex]:
+    """xs, ys and tau of a rank-two generating correlator, checked: tau in the upper
+    half-plane, as many psi+ points xs as psi- points ys, each group pairwise distinct."""
     tau = require_upper_half(tau)
     xs = [complex(x) for x in xs]
     ys = [complex(y) for y in ys]
     if len(xs) != len(ys):
         raise ValueError("need equally many psi+ and psi- insertions")
-    n = len(xs)
-    if n == 0:
-        return rank2_partition(p, tau, cfg)
     _require_distinct(xs, "psi+ points")
     _require_distinct(ys, "psi- points")
-    one_mode = [(1,)] * n
-    mat = _cd_matrix(p.twist(), one_mode, xs, one_mode, ys, tau, cfg)
-    if p.is_trivial_twist:
-        q = np.ones((n + 1, n + 1), dtype=complex)
-        q[:n, :n] = mat
-        q[n, n] = 0.0
-        return determinant(q) * dedekind_eta(tau, cfg) ** 2
-    return determinant(mat) * rank2_partition(p, tau, cfg)
+    return xs, ys, tau
 
 
 def alternating_sign(s_counts: Sequence[int], t_counts: Sequence[int]) -> int:
@@ -485,18 +560,9 @@ def rank2_generating_boson(p: OrbifoldParams, xs: Sequence[complex],
     generating correlator; with it this expression equals rank2_generating
     on the overlap domain (the trisecant identity). Valid for both trivial
     and nontrivial twists, at any points whose pairwise differences stay off
-    the period lattice.
+    the period lattice. The one-sample call of _bosonized, its form _boson_form.
     """
-    tau = require_upper_half(tau)
-    xs = [complex(x) for x in xs]
-    ys = [complex(y) for y in ys]
-    if len(xs) != len(ys):
-        raise ValueError("need equally many psi+ and psi- insertions")
-    _require_distinct(xs, "psi+ points")
-    _require_distinct(ys, "psi- points")
-    n = len(xs)
-    # K(y_j - y_i) for i < j is K(y'_i - y'_j) of the reversed y's: lattice charges one
-    return _bosonized(p, [1] * n, xs, [1] * n, ys[::-1], tau, cfg)
+    return _bosonized([(_boson_form, p, xs, ys, tau)], cfg)[0]
 
 
 def lattice_npoint(p: OrbifoldParams, ms: Sequence[int], xs: Sequence[complex],
@@ -507,8 +573,29 @@ def lattice_npoint(p: OrbifoldParams, ms: Sequence[int], xs: Sequence[complex],
     pref/eta * theta[-beta+1/2; alpha+1/2](sum m_i x_i - sum n_j y_j)
     * prod K(x_i-x_k)^{m_i m_k} prod K(y_j-y_l)^{n_j n_l}
     / prod K(x_i-y_j)^{m_i n_j}, at any points whose pairwise differences stay
-    off the period lattice. Raises BalanceError unless sum(ms) == sum(ns).
+    off the period lattice. Raises BalanceError unless sum(ms) == sum(ns). The
+    one-sample call of _bosonized, its form _lattice_form.
     """
+    return _bosonized([(_lattice_form, p, ms, xs, ns, ys, tau)], cfg)[0]
+
+
+def _partition_form(p: OrbifoldParams, tau: complex) -> tuple:
+    """The _bosonized form of rank2_partition_theta: theta at 0 and no prime forms."""
+    return p, (), None, require_upper_half(tau)
+
+
+def _boson_form(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[complex],
+                tau: complex) -> tuple:
+    """The _bosonized form of rank2_generating_boson, its arguments checked."""
+    xs, ys, tau = _rank2_points(xs, ys, tau)
+    # K(y_j - y_i) for i < j is K(y'_i - y'_j) of the reversed y's: lattice charges one
+    return p, [1] * len(xs) + [-1] * len(ys), xs + ys[::-1], tau
+
+
+def _lattice_form(p: OrbifoldParams, ms: Sequence[int], xs: Sequence[complex],
+                  ns: Sequence[int], ys: Sequence[complex], tau: complex) -> tuple:
+    """The _bosonized form of lattice_npoint, its arguments checked: the points xs + ys
+    with the charges ms, -ns."""
     tau = require_upper_half(tau)
     ms = [int(m) for m in ms]
     ns = [int(n) for n in ns]
@@ -522,30 +609,65 @@ def lattice_npoint(p: OrbifoldParams, ms: Sequence[int], xs: Sequence[complex],
         raise BalanceError(f"charges must balance: sum(ms)={sum(ms)} != sum(ns)={sum(ns)}")
     _require_distinct(xs, "x points")
     _require_distinct(ys, "y points")
-    return _bosonized(p, ms, xs, ns, ys, tau, cfg)
+    return p, ms + [-n for n in ns], xs + ys, tau
 
 
-def _bosonized(p: OrbifoldParams, ms: list[int], xs: list[complex], ns: list[int],
-               ys: list[complex], tau: complex, cfg: TruncationConfig) -> complex:
-    """pref/eta * theta(sum_a q_a u_a) * prod_{a<b} K(u_a - u_b)^{q_a q_b}.
+def _bosonized(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]:
+    """e^{i turn}/eta * theta[a;b](sum_a q_a u_a) * prod_{a<b} K(u_a - u_b)^{q_a q_b}, with
+    (a, b, turn) = _form_char(p), at every sample (form, *args) of samples, form(*args)
+    giving the sample's (p, qs, us, tau): _boson_form, _lattice_form or _partition_form,
+    the last with us None, which leaves the product out.
 
-    The points are u = xs + ys with charges q = ms, -ns, which gives the
-    prime forms of lattice_npoint; a mask picks the pairs a < b, row major,
-    from the outer arrays of u_a - u_b and q_a q_b. All K come from one
-    _prime_forms call, with its errors, and are raised to their integer
-    powers, so no branch of log is chosen. NotConverged also where the
-    product leaves the float range.
+    All thetas come from one _theta_chars call, and the K of every sample with points
+    from one _prime_forms call, each point at its sample's tau (one value when there is
+    one sample). A mask picks a sample's pairs a < b, row major, from the outer arrays of
+    u_a - u_b and q_a q_b, and the K are raised to their integer powers, so no branch of
+    log is chosen. NotConverged also where a product leaves the float range. Each value
+    equals its one-sample call bit for bit, and the batch raises what its first failing
+    sample would raise alone (a ValueError for a malformed sample before anything is
+    evaluated).
     """
-    us, qs = xs + ys, ms + [-n for n in ns]
-    val = _theta_form(p, sum(q * u for q, u in zip(qs, us)), tau, cfg)
-    u, q, index = np.array(us, dtype=complex), np.array(qs, dtype=int), np.arange(len(us))
-    upper = index[:, None] < index
-    with np.errstate(over="ignore", invalid="ignore"):
-        ks = _prime_forms(np.subtract.outer(u, u)[upper], tau, cfg)
-        val *= complex((ks ** np.multiply.outer(q, q)[upper]).prod())
-    if not cmath.isfinite(val):
-        raise NotConverged("product of prime forms leaves the float range")
-    return val
+    try:
+        # per sample: its theta's a, b and argument, tau, e^{i turn}/eta, and its points
+        a_s, b_s, args, taus, prefs, pairs = [], [], [], [], [], []
+        for j, (form, *params) in enumerate(samples):
+            p, qs, us, tau = form(*params)
+            a, b, turn = _form_char(p)
+            a_s.append(a)
+            b_s.append(b)
+            args.append(sum(q * u for q, u in zip(qs, us)) if us else 0)
+            taus.append(tau)
+            prefs.append(cmath.exp(1j * turn) / dedekind_eta(tau, cfg))
+            if us is not None:
+                pairs.append((j, qs, us, tau))
+        if not taus:
+            return []
+        one = len(taus) == 1
+        vals = [pref * theta for pref, theta in zip(prefs, _theta_chars(
+            a_s[0] if one else a_s, b_s[0] if one else b_s, args, taus[0] if one else taus,
+            cfg).tolist())]
+        if pairs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                diffs, powers = [], []
+                for _, qs, us, _ in pairs:
+                    u, q, index = (np.array(us, dtype=complex), np.array(qs, dtype=int),
+                                   np.arange(len(us)))
+                    upper = index[:, None] < index
+                    diffs.append(np.subtract.outer(u, u)[upper])
+                    powers.append(np.multiply.outer(q, q)[upper])
+                ks = _prime_forms(diffs[0] if one else np.concatenate(diffs),
+                                  taus[0] if one else np.repeat([tau for *_, tau in pairs],
+                                                                [d.size for d in diffs]), cfg)
+                lo = 0
+                for (j, *_), q in zip(pairs, powers):
+                    vals[j] *= complex((ks[lo:lo + q.size] ** q).prod())
+                    if not cmath.isfinite(vals[j]):
+                        raise NotConverged("product of prime forms leaves the float range")
+                    lo += q.size
+        return vals
+    except TwistellError as exc:
+        raise _first_refusal(exc, len(samples), lambda lo, hi: _bosonized(
+            samples[lo:hi], cfg)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -247,18 +247,18 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
             # P_k = (-1)^(k-1) f_(k-1), and at a flipped point -f_(k-1) of tw^-1 at w = -z;
             # tw^-1 is tw at the half-integer twists, and the only twist when all points
             # flip. twists lists the numerator twists, which[j] point j's (None: the one
-            # twist); split when some are trivial and some not, which takes two tables
+            # twist); split when some are trivial and some not (twists of several points),
+            # which takes two tables
             if isinstance(tw, TwistPair):
                 twists, which, split = [tw], None, False
                 if flipped and not _half_integer(tw):
                     if flipped == zs.size:
-                        twists = [tw.inverse()]
+                        twists = [_flipped(tw)]
                     else:
-                        twists, which = [tw, tw.inverse()], flip.view(np.int8)
-                        split = twists[1].is_trivial != tw.is_trivial
+                        twists, which = [tw, _flipped(tw)], flip.view(np.int8)
             else:
                 index: dict[TwistPair, int] = {}
-                which = np.array([index.setdefault(t.inverse() if f and not _half_integer(t)
+                which = np.array([index.setdefault(_flipped(t) if f and not _half_integer(t)
                                                    else t, len(index))
                                   for t, f in zip(tw, flip.tolist())])
                 twists, trivial = list(index), np.array([t.is_trivial for t in tw])
@@ -293,6 +293,16 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
             ks, tw[lo:hi] if per_tw else tw, zs[lo:hi], _part(tau, lo, hi), cfg)) from None
 
 
+def _flipped(tw: TwistPair) -> TwistPair:
+    """The numerator twist tw^-1 of a point evaluated at -z. NearPole, as at -z's own side,
+    where tw^-1 rounds to the trivial twist and tw does not (a component of tw within
+    about 1.1e-15 of 0): the pole test of P_k[tw] at the trivial twist reads tw^-1."""
+    inv = tw.inverse()
+    if inv.is_trivial and not tw.is_trivial:
+        raise NearPole(f"twist {tw} is within {_POLE_EPS} of trivial, where P_k[tw] has a pole")
+    return inv
+
+
 def _half_integer(tw: TwistPair) -> bool:
     """Whether tw is its own inverse: mu and lam in {0, 1/2}."""
     return tw.mu in (0.0, 0.5) and tw.lam in (0.0, 0.5)
@@ -301,8 +311,7 @@ def _half_integer(tw: TwistPair) -> bool:
 def _quotients(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray, tau,
                order: int, cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
     """_p1_taylor at points whose numerator twists are trivial at some points and not at
-    others, one table for each kind. (The inverse of a twist within about 1e-15 of
-    trivial may be trivial.)"""
+    others (a batch of twists per point), one table for each kind."""
     kinds = np.array([t.is_trivial for t in twists])
     vals, err = np.empty((order, ws.size), dtype=complex), np.empty((order, ws.size))
     rank = np.empty(kinds.size, dtype=int)

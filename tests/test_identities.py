@@ -177,31 +177,46 @@ def test_laurent_circle_is_one_kernel_call(monkeypatch):
 
 
 def test_one_point_checks_make_one_kernel_call_per_function(monkeypatch):
-    # the checks whose samples are one-point evaluations draw every sample first and
-    # evaluate each function at all of them in one call (P_k and P_k[tw] one per order)
-    from twistell import identities
+    # every check but modular_correlators draws every sample first and evaluates each
+    # function at all of them in one call: P_k and P_k[tw] one per list of orders, the
+    # correlator checks' P_1 kernel one per order set of their matrices, and their
+    # bosonized side one theta and one prime-form call (the correlators' own calls,
+    # in the fermion module, counted with the suite's)
+    from twistell import fermion, identities
 
     calls = []
 
-    def counting(name):
-        fn = getattr(identities, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def counted(*args):
-            calls.append(name)
+            calls.append((name, tuple(args[0])) if name.endswith("_batch") else name)
             return fn(*args)
-        monkeypatch.setattr(identities, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    for name in ("twisted_pk_batch", "_weierstrass_pks", "_theta_chars", "_prime_forms",
-                 "_partition_thetas"):
-        counting(name)
+    for name in ("twisted_pk_batch", "_weierstrass_pks", "_theta_chars", "_prime_forms"):
+        counting(identities, name)
+    for name in ("twisted_pk_batch", "_theta_chars", "_prime_forms"):
+        counting(fermion, name)
     plan = SamplePlan(seed=7, count=6)
+    p1 = ("twisted_pk_batch", (1,))
+    bosonized = [p1, "_theta_chars", "_prime_forms"]
+    # the generalized trisecant's n = 1 sample needs P_1, the others P_1..P_3
+    blocks = [p1, ("twisted_pk_batch", (1, 2, 3)), "_theta_chars", "_prime_forms"]
     for check, expected in [
-            (lambda: check_doublesum(1, plan), ["twisted_pk_batch"]),
-            (lambda: check_modular_twisted(plan), ["twisted_pk_batch"]),
-            (lambda: check_jacobi_triple_product(plan), ["_partition_thetas"]),
+            (lambda: check_doublesum(1, plan), [p1]),
+            (lambda: check_modular_twisted(plan), [("twisted_pk_batch", (1, 2, 3))]),
+            (lambda: check_jacobi_triple_product(plan), ["_theta_chars"]),
             (lambda: check_periodicity(plan),
-             ["twisted_pk_batch"] * 3 + ["_weierstrass_pks"] * 3
-             + ["_theta_chars", "_prime_forms"])]:
+             [("twisted_pk_batch", (1, k)) for k in (1, 2, 3)] + ["_weierstrass_pks"] * 3
+             + ["_theta_chars", "_prime_forms"]),
+            (lambda: check_fay_trisecant(2, plan), bosonized),
+            (lambda: check_fay_trisecant(3, plan), bosonized),
+            (lambda: check_k_secant(2, plan), bosonized),
+            (lambda: check_generalized_trisecant((2,), (2,), plan), blocks),
+            (lambda: check_generalized_trisecant((2, 1), (1, 2), plan), blocks),
+            # the check's P_1 matrices, then the named rank-one generators'
+            (lambda: check_rank1_square(plan), [p1, p1])]:
         calls.clear()
         assert check().passed
-        assert sorted(calls) == sorted(expected)
+        assert sorted(calls, key=str) == sorted(expected, key=str)

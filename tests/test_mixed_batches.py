@@ -7,6 +7,11 @@ call bit for bit, and a batch raises what its first failing point, in point orde
 would raise alone. The draws put Im tau between 0.1 and 5, so the points' theta windows
 differ in width, and mix points inside the box, points past a quasi-period, points
 with Re z > 0 (the kernel's parity flip) and points within _PAIR_RADIUS of 0.
+
+The correlator builders batch whole samples the same way: fermion._cd_matrices (the
+C/D matrices, p1_difference_matrix among them), fermion._rank2_generatings (the
+rank-two determinant) and fermion._bosonized (rank2_generating_boson, lattice_npoint
+and rank2_partition_theta), each sample of mixed size at its own tau and twist.
 """
 
 import math
@@ -14,8 +19,18 @@ import math
 import numpy as np
 import pytest
 
+from twistell import fermion
 from twistell.classical import _PAIR_RADIUS, _prime_forms, _theta_chars, prime_form, theta_char
 from twistell.errors import TwistellError
+from twistell.fermion import (
+    OrbifoldParams,
+    lattice_npoint,
+    p1_difference_matrix,
+    rank2_generating,
+    rank2_generating_boson,
+    rank2_partition_theta,
+)
+from twistell.numeric import DEFAULT_CONFIG
 from twistell.twisted import TwistPair, twisted_pk_batch
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -25,10 +40,19 @@ SETTINGS = hypothesis.settings(max_examples=120, deadline=None, derandomize=True
                                database=None)
 
 
+taus = st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.1, 5.0))
+
+
 @st.composite
 def point(draw):
     """(z, tau): tau with Im tau in [0.1, 5], z of one of four kinds."""
-    tau = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.1, 5.0)))
+    tau = draw(taus)
+    return draw(z_at(tau)), tau
+
+
+@st.composite
+def z_at(draw, tau):
+    """A point at tau: inside the box, past a quasi-period, with Re z > 0, or near 0."""
     h = math.pi * tau.imag
     kind = draw(st.sampled_from(["box", "shifted", "flipped", "near"]))
     if kind == "box":
@@ -41,7 +65,7 @@ def point(draw):
     else:
         r = _PAIR_RADIUS / 1.5
         z = complex(draw(st.floats(-r, r)), draw(st.floats(-r, r)))
-    return z, tau
+    return z
 
 
 phase = st.floats(0.0, 1.0, exclude_max=True)
@@ -69,7 +93,8 @@ def check_batch(batch, alone):
         return
     values = batch()
     for j, one in enumerate(alone):
-        assert np.ascontiguousarray(values[..., j]).tobytes() == one, j
+        value = values[j] if isinstance(values, list) else values[..., j]
+        assert np.ascontiguousarray(value).tobytes() == one, j
 
 
 @SETTINGS
@@ -141,3 +166,109 @@ def test_points_with_different_windows():
     for j, (z, tau) in enumerate(zip(zs, taus)):
         assert _prime_forms(zs, taus)[j] == prime_form(z, tau)
         assert _theta_chars(0.5, 0.5, zs, taus)[j] == theta_char(0.5, 0.5, z, tau)
+
+
+# the correlator batches: samples of mixed sizes, each at its own tau and twist
+
+@st.composite
+def cluster(draw, tau, n, lo, hi):
+    """n points: most in the check's cluster, Re z in (lo, hi) and |Im z| < 0.9, some of
+    any kind of z_at."""
+    return [draw(st.one_of(st.builds(complex, st.floats(lo, hi), st.floats(-0.9, 0.9)),
+                           z_at(tau))) for _ in range(n)]
+
+
+orbifold = twist.map(lambda ab: OrbifoldParams(*ab))
+
+
+@st.composite
+def rank2_sample(draw):
+    """(p, xs, ys, tau) with 0 to 3 points a side."""
+    tau = draw(taus)
+    n = draw(st.integers(0, 3))
+    return (draw(orbifold), draw(cluster(tau, n, -2.2, -0.8)), draw(cluster(tau, n, -0.5, -0.01)),
+            tau)
+
+
+@st.composite
+def lattice_sample(draw):
+    """(p, ms, xs, ns, ys, tau): charges of 1 to 3 at up to three points a side, balanced but
+    for a few draws (BalanceError)."""
+    tau = draw(taus)
+    ms = draw(st.lists(st.integers(1, 3), min_size=0, max_size=3))
+    ns = draw(st.one_of(st.permutations(ms), st.just(list(reversed(ms))),
+                        st.lists(st.integers(1, 3), max_size=3)))
+    return (draw(orbifold), ms, draw(cluster(tau, len(ms), -2.2, -0.8)), ns,
+            draw(cluster(tau, len(ns), -0.5, -0.01)), tau)
+
+
+@SETTINGS
+@hypothesis.given(samples=st.lists(rank2_sample(), min_size=1, max_size=5))
+def test_rank2_generating_batch_matches_one_sample_calls(samples):
+    # nontrivial twists take det(P_1[tw]) Z, the trivial one the bordered det(Q) eta^2
+    alone = [outcome(lambda s=s: rank2_generating(*s)) for s in samples]
+    check_batch(lambda: np.array(fermion._rank2_generatings(samples, DEFAULT_CONFIG)), alone)
+
+
+@SETTINGS
+@hypothesis.given(samples=st.lists(st.one_of(
+    rank2_sample().map(lambda s: (fermion._boson_form, *s)),
+    lattice_sample().map(lambda s: (fermion._lattice_form, *s)),
+    st.tuples(st.just(fermion._partition_form), orbifold, taus)), min_size=1, max_size=5))
+def test_bosonized_batch_matches_one_sample_calls(samples):
+    one_sample = {fermion._boson_form: rank2_generating_boson,
+                  fermion._lattice_form: lattice_npoint,
+                  fermion._partition_form: rank2_partition_theta}
+    alone = [outcome(lambda form=form, args=args: one_sample[form](*args))
+             for form, *args in samples]
+    check_batch(lambda: np.array(fermion._bosonized(samples, DEFAULT_CONFIG)), alone)
+
+
+@st.composite
+def matrix_sample(draw):
+    """A _cd_matrices sample and its one-sample call: P_1[tw](z_i - z_j) with a diagonal,
+    or the generalized trisecant's blocks, of the orders P_1..P_3."""
+    tau = draw(taus)
+    tw = TwistPair(*draw(twist))
+    if draw(st.booleans()):
+        zs = draw(cluster(tau, draw(st.integers(0, 4)), -2.6, -0.4))
+        diag = draw(st.sampled_from([0.0, 0.37 - 0.2j, -1.5j]))
+        return (fermion._p1_sample(tw, zs, tau, diag),
+                lambda: p1_difference_matrix(tw, zs, tau, diag=diag))
+    ms = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    ns = draw(st.permutations(ms))
+    xs = draw(cluster(tau, len(ms), -2.2, -0.8))
+    ys = draw(cluster(tau, len(ns), -0.5, -0.01))
+    rows, cols = [range(1, m + 1) for m in ms], [range(1, n + 1) for n in ns]
+    return ((tw, rows, xs, cols, ys, tau, None),
+            lambda: fermion._cd_matrix(tw, rows, xs, cols, ys, tau, DEFAULT_CONFIG))
+
+
+@SETTINGS
+@hypothesis.given(samples=st.lists(matrix_sample(), min_size=1, max_size=5))
+def test_cd_matrix_batch_matches_one_sample_calls(samples):
+    # one kernel call per order set: P_1 matrices, the (1,)-(1,) blocks and the P_1..P_3
+    # blocks share calls by their orders
+    alone = [outcome(one) for _, one in samples]
+    check_batch(lambda: fermion._cd_matrices([sample for sample, _ in samples], DEFAULT_CONFIG),
+                alone)
+
+
+def test_cd_matrix_batch_calls_the_kernel_once_per_order_set(monkeypatch):
+    calls = []
+    kernel = fermion.twisted_pk_batch
+
+    def counted(ks, tw, zs, tau, cfg):
+        calls.append((tuple(ks), len(zs)))
+        return kernel(ks, tw, zs, tau, cfg)
+
+    monkeypatch.setattr(fermion, "twisted_pk_batch", counted)
+    tw, tau = TwistPair(0.3, 0.6), 0.1 + 1.2j
+    xs, ys = [-1.9 + 0.2j, -1.1 - 0.4j], [-0.3 + 0.5j, -0.1 - 0.2j]
+    samples = [fermion._p1_sample(tw, xs + ys, tau),
+               (tw, [range(1, 3)], xs[:1], [range(1, 3)], ys[:1], 0.2 + 0.9j, None),
+               fermion._p1_sample(TwistPair(0.5, 0.5), xs, 0.3 + 2.0j, 0.5),
+               (tw, [(1,)], xs[:1], [(1,)], ys[:1], tau, None)]
+    mats = fermion._cd_matrices(samples, DEFAULT_CONFIG)
+    assert sorted(calls) == [((1,), 12 + 2 + 1), ((1, 2, 3), 1)]
+    assert [m.shape for m in mats] == [(4, 4), (2, 2), (2, 2), (1, 1)]

@@ -461,6 +461,22 @@ class TestThetaKernel:
         with pytest.raises(NearPole):
             twisted_pk(1, TwistPair(1.5e-13, 0.0), Z, TAU)
 
+    @pytest.mark.parametrize("tw", [TwistPair(0.0, 1e-15), TwistPair(1e-15, 0.0),
+                                    TwistPair(1e-15, 1e-15), TwistPair(0.0, 1.2e-15)])
+    def test_near_trivial_twist_refuses_on_both_sides(self, tw):
+        # the inverse of a twist within about 1.1e-15 of trivial rounds to the trivial
+        # twist: a point with Re z > 0, evaluated at -z through tw^-1, refuses as its
+        # mirror image does rather than return the trivial kernel's value
+        for z in (1j, -1j, 0.3 + 1j, -0.3 + 1j, 0.3 - 1j, -0.3 - 1j):
+            with pytest.raises(NearPole, match=r"^twist .* is within 1e-12 of trivial") as info:
+                twisted_pk(1, tw, z, 1j)
+            if tw.inverse().is_trivial:     # both sides name tw itself
+                assert str(info.value).startswith(f"twist {tw} is")
+        # a batch raises its first point's refusal, flipped or not
+        for zs in ([0.3 + 1j, -0.3 + 1j], [-0.3 + 1j, 0.3 + 1j]):
+            with pytest.raises(NearPole, match=r"^twist"):
+                twisted_pk_batch([1, 2], tw, zs, 1j)
+
     @pytest.mark.parametrize("bad", [complex(NAN, 0.1), complex(-1.0, INF)], ids=["nan", "inf"])
     def test_non_finite_z_is_a_domain_error(self, bad):
         with pytest.raises(DomainError):
