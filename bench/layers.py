@@ -267,7 +267,8 @@ def main(argv=None) -> int:
     labels2 = [((1, 2), (1, 3)), ((2, 3), (1, 2)), ((1, 3), (2, 3))]
     run("L3.rank2_fock_npoint.3x22", lambda: rank2_fock_npoint(labels2, fock, p, tau))
     # L4: the argument parser, and table grids shaped like the benchmark's (25 points x
-    # 3 orders): P_k on a z line across the annulus, E_n[tw] on a tau line
+    # 3 orders): P_k on a z line across the annulus and on one ending on the pole z = 0,
+    # whose last row is refused, E_n[tw] on a tau line
     def table(*tokens):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["table", "--function", *tokens]) == 0
@@ -277,6 +278,8 @@ def main(argv=None) -> int:
     run("L4.table.pk_grid", lambda: table(
         "twisted_pk", "k=1..3", *twist, f"z={-0.01 * width}+1.5i:{-0.99 * width}+3.5i:25",
         "tau=0.12+1.1i"), inner=5)
+    run("L4.table.pk_grid_refused", lambda: table(
+        "twisted_pk", "k=1..3", *twist, "z=-3+0.5i:0:25", "tau=0.12+1.1i"), inner=5)
     run("L4.table.en_grid", lambda: table(
         "twisted_eisenstein", "n=1..3", *twist, "tau=0.12+0.3i:0.12+1.5i:25"), inner=5)
     # L4: a 25 x 3 grid of binomials, evaluated one row at a time at next to no cost: the

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NearPole, NotConverged, TwistellError
+from .errors import DomainError, NearPole, NotConverged, Refusal, TwistellError
 from .numeric import (
     DEFAULT_CONFIG,
     Q_ORDER,
@@ -61,11 +61,14 @@ _FLOAT_MAX = sys.float_info.max
 _FLOAT_MIN = sys.float_info.min
 
 
+_UPPER_HALF = "tau must be a finite point of the upper half-plane, got {}"
+
+
 def require_upper_half(tau: complex) -> complex:
     """Validate a finite tau with Im(tau) > 0 (so |q| < 1) and return it as complex."""
     tau = complex(tau)
     if not (tau.imag > 0 and cmath.isfinite(tau)):
-        raise DomainError(f"tau must be a finite point of the upper half-plane, got {tau}")
+        raise DomainError(_UPPER_HALF.format(tau))
     return tau
 
 
@@ -157,7 +160,7 @@ _GRID_CHUNK = 1 << 12
 
 
 def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[complex],
-                     cfg: TruncationConfig) -> np.ndarray:
+                     cfg: TruncationConfig, fails: dict) -> np.ndarray:
     """_eisenstein_series(n, lam, mu, tau, cfg) for every n in ns and tau in taus, bit for
     bit, shape (len(ns), len(taus)); the taus must already be checked by require_upper_half.
 
@@ -167,9 +170,11 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
     exponentials and denominators once for all orders and each power (r +- lam)^(n-1)
     once for all tau; each (n, tau) keeps the loop's own stop and sums its terms in
     order of r up to it. An entry whose terms meet a pole, a float overflow, a NaN
-    or no stop by Q_ORDER is summed by the loop instead, so the grid raises exactly
-    where a loop call would: the first such entry in row order decides the error,
-    each order's prefactors being computed before its row.
+    or no stop by Q_ORDER is summed by the loop instead, and so is every entry of an
+    order whose prefactors leave the float range: so each entry is refused exactly
+    where a loop call would refuse it, with the loop's error. fails maps the columns of
+    refused taus (stand-ins in taus) to the refusal each of their entries takes. A refused grid raises, with its outcome, the first refused tau's error; else,
+    in row order, the first order's prefactor error or its first refused entry's.
     """
     trivial = lam == 0.0 and mu == 0.0
     prefactors: dict[int, tuple[float, float] | NotConverged] = {}
@@ -179,7 +184,6 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
                 prefactors[n] = _eisenstein_prefactors(n, lam, trivial)
             except NotConverged as exc:
                 prefactors[n] = exc
-                break
     orders = [n for n, pre in prefactors.items() if not isinstance(pre, NotConverged)]
     sums: list[list] = [[None] * len(taus) for _ in orders]
     by_im = sorted(range(len(taus)), key=lambda j: taus[j].imag)
@@ -192,15 +196,39 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
             for k, row in enumerate(rows):
                 for j, s in zip(chunk, row):
                     sums[k][j] = s
+    refused: dict = {}                  # (order, tau) -> Refusal
+
+    def loop(i, j, n, tau, pre):
+        """Entry (i, j) by the loop, or 0 with its refusal recorded."""
+        try:
+            return _eisenstein_series(n, lam, mu, tau, cfg, pre)
+        except TwistellError as exc:
+            refused[i, j] = Refusal.of(exc)
+            return 0j
+
     out = np.empty((len(ns), len(taus)), dtype=complex)
     for i, n in enumerate(ns):
         pre = prefactors[n]
-        if isinstance(pre, NotConverged):
-            raise pre
-        out[i] = [_eisenstein_series(n, lam, mu, tau, cfg, pre) if s is None
-                  else _eisenstein_total(n, *s, pre)
-                  for tau, s in zip(taus, sums[orders.index(n)])]
-    return out
+        failed = isinstance(pre, NotConverged)
+        row_sums = repeat(None) if failed else sums[orders.index(n)]
+        out[i] = [0j if j in fails else _eisenstein_total(n, *s, pre) if s is not None
+                  else loop(i, j, n, tau, None if failed else pre)
+                  for j, (tau, s) in enumerate(zip(taus, row_sums))]
+    if not (fails or refused):
+        return out
+    statuses = np.full(out.shape, None, dtype=object)
+    for (i, j), refusal in refused.items():
+        statuses[i, j] = refusal
+    for j, refusal in fails.items():
+        statuses[:, j] = refusal
+    if fails:
+        first = fails[min(fails)]
+    else:
+        # every entry of an order whose prefactors fail is refused
+        i, j = min(refused)
+        pre = prefactors[ns[i]]
+        first = Refusal.of(pre) if isinstance(pre, NotConverged) else refused[i, j]
+    _refused(out, statuses, first)
 
 
 def _grid_window(p: int, h: float, cfg: TruncationConfig) -> int:
@@ -355,11 +383,13 @@ def weierstrass_pk(k: int, z: complex, tau: complex,
 def _weierstrass_pks(k: int, zs: Sequence[complex], tau: complex,
                      cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Untwisted P_k(z, tau) at every z of zs, by one call of the twisted theta quotient:
-    the trivially twisted P_k minus the constant 1/2 at k = 1. Errors as twisted_pk_batch."""
+    the trivially twisted P_k minus the constant 1/2 at k = 1. Errors as twisted_pk_batch,
+    the outcome holding these values."""
     from .twisted import TwistPair, twisted_pk_batch
 
-    vals = twisted_pk_batch([k], TwistPair.trivial(), zs, tau, cfg)[0]
-    return vals - 0.5 if k == 1 else vals
+    vals, statuses = _outcome(twisted_pk_batch, [k], TwistPair.trivial(), zs, tau, cfg)
+    vals = vals[0] - 0.5 if k == 1 else vals[0]
+    return vals if statuses is None else _refused(vals, statuses[0])
 
 
 def _turn(num: int, den: int) -> float:
@@ -415,17 +445,18 @@ def _turns(b, m):
     return _TWO_PI * ((b1 * m) % 1.0 + (b - b1) * m)
 
 
-def _window(tau: complex) -> int:
-    """Half-width N of theta's window at tau, pi Im(tau) (N - 1)^2 >= _THETA_TAIL;
-    NotConverged past _THETA_MAX_HALF_WIDTH or where pi Im tau leaves the float range."""
+def _window(tau: complex) -> int | NotConverged:
+    """Half-width N of theta's window at tau, pi Im(tau) (N - 1)^2 >= _THETA_TAIL; or the
+    NotConverged refusal past _THETA_MAX_HALF_WIDTH or where pi Im tau leaves the float
+    range."""
     pi_im = math.pi * tau.imag
     span = math.sqrt(_THETA_TAIL / pi_im + 0.25)
     if span + 1.0 > _THETA_MAX_HALF_WIDTH:        # also when span is inf
-        raise NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
-                           f"either side of 0 at tau = {tau}")
+        return NotConverged(f"theta window needs more than {_THETA_MAX_HALF_WIDTH} terms "
+                            f"either side of 0 at tau = {tau}")
     if pi_im > _FLOAT_MAX:
-        raise NotConverged(f"theta's exponents pi Im(tau) n^2 leave the float range at "
-                           f"tau = {tau}")
+        return NotConverged(f"theta's exponents pi Im(tau) n^2 leave the float range at "
+                            f"tau = {tau}")
     return math.ceil(span) + 1
 
 
@@ -435,7 +466,7 @@ def _last(x, at):
     return np.take(x, at, axis=-1) if x.shape[-1] > 1 else x
 
 
-def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int
+def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails: dict
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Taylor columns of theta at every point of zs and characteristic row of chars: the
     one theta summation behind theta_char, the prime form and the P_k kernel.
@@ -468,13 +499,16 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int
     E the exponent (the rounding of exp, of x^j/j!, of i pi tau n(n + 2a), of w, 2 pi b,
     x and x (w + 2 pi i b), and of L - Re E), plus (N + 1) |column|: the partial sums
     are at most the sum of |t| up to n < 0, and |column| plus the rest from n = 0 on.
-    NotConverged when the window passes _THETA_MAX_HALF_WIDTH terms either side (Im tau
-    below about 6e-5), when pi Im tau leaves the float range, or when |m| or |k|
-    reaches 2^26, where theta's largest term is far past the float range and z keeps
-    no digit once reduced; DomainError for a non-finite z. tau must already be checked
-    by require_upper_half.
+    A column is refused, in this order, with NotConverged when its window passes
+    _THETA_MAX_HALF_WIDTH terms either side (Im tau below about 6e-5) or pi Im tau leaves
+    the float range, with DomainError for a non-finite z, and with NotConverged when |m|
+    or |k| reaches 2^26, where theta's largest term is far past the float range and z
+    keeps no digit once reduced. fails holds the columns refused so far (the per-point
+    layer's map) and takes the table's own refusals; a refused column is summed as a
+    stand-in (_stand_ins), so it widens no window. tau must already be checked by
+    require_upper_half.
     """
-    zs = np.asarray(zs, dtype=complex)
+    zs, tau = _stand_ins(fails, np.asarray(zs, dtype=complex), tau)
     # each point's window |n| <= width, the table's |n| <= most, and the factors of the
     # shifts (m, k)
     per_tau = isinstance(tau, np.ndarray)
@@ -483,7 +517,9 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int
         span = np.sqrt(_THETA_TAIL / pi_im + 0.25)
         bad = (span + 1.0 > _THETA_MAX_HALF_WIDTH) | (pi_im > _FLOAT_MAX)
         if bad.any():
-            _window(complex(tau[bad.argmax()]))
+            _refuse(fails, bad, NotConverged, lambda j, t=tau: _window(complex(t[j])))
+            zs, tau = _stand_ins(fails, zs, tau)
+            span = np.sqrt(_THETA_TAIL / (math.pi * tau.imag) + 0.25)
         width = np.ceil(span) + 1.0
         most = int(width.max())
         inv = np.empty((zs.size, 2))
@@ -491,22 +527,28 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int
         inv[:, 1] = 1.0 / _TWO_PI
     else:
         width = most = _window(tau)
+        if not isinstance(most, int):       # every column refused: stand-ins at tau = i
+            _refuse(fails, range(zs.size), NotConverged, most)
+            zs, tau = _stand_ins(fails, zs, 1j)
+            width = most = _window(tau)
         inv = np.array([1.0 / (_TWO_PI * tau.imag), 1.0 / _TWO_PI])
     # the shifts (m, k) of every point side by side, NaN or inf at a non-finite z
     shifts = np.rint(zs.view(float).reshape(-1, 2) * inv)
-    w = zs
     far = np.abs(shifts).max(initial=0.0)
+    if far and not far < _SHIFT_MAX:
+        _refuse(fails, ~np.isfinite(zs), DomainError,
+                lambda j, z=zs: f"theta needs a finite z, got z = {z[j]}")
+        _refuse(fails, ~(np.abs(shifts).max(axis=1) < _SHIFT_MAX), NotConverged,
+                lambda j, z=zs, t=tau, s=shifts: (
+                    f"theta's largest term would leave the float range at z = {z[j]:.6g}, "
+                    f"tau = {_tau_at(t, j)}: the shift of z by {s[j, 0]:.6g} and "
+                    f"{s[j, 1]:.6g} periods keeps none of its digits"))
+        zs, tau = _stand_ins(fails, zs, tau)
+        shifts = np.rint(zs.view(float).reshape(-1, 2) * inv)
+        far = np.abs(shifts).max(initial=0.0)
+    w = zs
     if far:
         m, k = shifts[:, 0], shifts[:, 1]
-        if not far < _SHIFT_MAX:
-            finite = np.isfinite(zs)
-            if not finite.all():
-                raise DomainError(f"theta needs a finite z, got z = {zs[~finite][0]}")
-            j = int(np.abs(shifts).max(axis=1).argmax())
-            raise NotConverged(f"theta's largest term would leave the float range at "
-                               f"z = {zs[j]:.6g}, tau = {complex(_pick(tau, j))}: the shift "
-                               f"of z by {m[j]:.6g} and {k[j]:.6g} periods keeps none of "
-                               f"its digits")
         # the leading parts' products and sums are exact, each sum being at most half a
         # period (Sterbenz); the rest rounds at |w|
         lead, rest = _period_parts(tau)
@@ -611,7 +653,11 @@ def _scales(top, m, w, tau: complex):
 _SCALARS = (complex, float, int, np.number)
 
 
-def _per_point(x, n: int, what: str) -> bool:
+# the per-point layer of the batch forms: fails maps each refused point (or table column)
+# to its Refusal, the first check the point fails; later stages skip it, and it takes a
+# stand-in z and tau that widen no window
+
+def _by_point(x, n: int, what: str) -> bool:
     """Whether x gives one value per point (anything but a number), its length checked."""
     if isinstance(x, _SCALARS):
         return False
@@ -620,42 +666,98 @@ def _per_point(x, n: int, what: str) -> bool:
     return True
 
 
-def _pick(x, j: int):
-    """Point j's value of x: x itself when it is one number, else its j-th value."""
-    return x if isinstance(x, _SCALARS) else x[j]
-
-
-def _taus(tau, n: int):
-    """tau checked by require_upper_half: one complex, or a complex array of the n
-    values of a per-point sequence, the first bad one raising."""
-    if isinstance(tau, _SCALARS) or not _per_point(tau, n, "tau"):
-        return require_upper_half(tau)
+def _point_taus(tau, n: int, fails: dict):
+    """tau checked by require_upper_half: one complex, or a complex array of the n values
+    of a per-point sequence. A refused tau refuses its point, or every point when it is
+    one value (an empty batch raises), and is replaced by 1j."""
+    if isinstance(tau, _SCALARS) or not _by_point(tau, n, "tau"):
+        try:
+            return require_upper_half(tau)
+        except DomainError as exc:
+            if not n:
+                raise
+            _refuse(fails, range(n), DomainError, exc)
+            return 1j
     taus = np.array(tau, dtype=complex).reshape(-1)
     good = (taus.imag > 0) & np.isfinite(taus)
     if not good.all():
-        require_upper_half(taus[good.argmin()])
+        _refuse(fails, ~good, DomainError,
+                lambda j, t=taus.copy(): _UPPER_HALF.format(complex(t[j])))
+        taus[~good] = 1j
     return taus
 
 
-def _part(x, lo: int, hi: int):
-    """Points lo..hi-1's values of x: x itself when it is one number."""
-    return x if isinstance(x, _SCALARS) else x[lo:hi]
+def _tau_at(tau, j: int) -> complex:
+    """Point j's tau: tau itself when it is one complex, else its j-th value."""
+    return complex(tau[j] if isinstance(tau, np.ndarray) else tau)
 
 
-def _first_refusal(exc: TwistellError, n: int, part) -> TwistellError:
-    """The error a refused batch of n points raises: that of its first failing point, in
-    point order, as the point would raise it alone. part(lo, hi) evaluates the points
-    lo..hi-1 as a batch of the same form, which raises its own first failing point's
-    error: the first half, then the second, so a refusal costs about two batches more.
-    A batch refuses exactly where one of its points would alone, so the second half
-    refuses when the first does not; a one-point batch's error is its own."""
-    if n > 1:
-        for lo, hi in ((0, n // 2), (n // 2, n)):
-            try:
-                part(lo, hi)
-            except TwistellError as first:
-                return first
-    return exc
+def _refuse(fails: dict, at, kind: type, message) -> None:
+    """Record the refusal of kind at the points at (a mask or indexes) that have none yet;
+    message is the error itself or message(j), point j's, built only when it is raised."""
+    if isinstance(at, np.ndarray) and at.dtype == bool:
+        at = np.flatnonzero(at).tolist()
+    for j in at:
+        if j not in fails:
+            fails[j] = Refusal(kind, message, j)
+
+
+def _stand_ins(fails: dict, zs: np.ndarray, tau):
+    """zs and tau with each refused point's z at 0 and its tau that of the first passing
+    point (1j when none passes), so that a refused point leaves the sizing alone."""
+    if not fails:
+        return zs, tau
+    out = np.fromiter(fails, dtype=np.intp, count=len(fails))
+    zs = zs.copy()
+    zs[out] = 0.0
+    if isinstance(tau, np.ndarray):
+        live = np.ones(tau.size, dtype=bool)
+        live[out] = False
+        tau = np.where(live, tau, tau[live.argmax()] if live.any() else 1j)
+    return zs, tau
+
+
+def _settle(values, fails: dict):
+    """values when no point is refused; else _refused, with one status per point."""
+    if not fails:
+        return values
+    statuses = np.full(len(values), None, dtype=object)
+    for j, refusal in fails.items():
+        statuses[j] = refusal
+    _refused(values, statuses)
+
+
+def _refused(values, statuses: np.ndarray, first: Refusal | None = None):
+    """Raise the error of the refusal first, by default the first refused entry of
+    statuses in point order (point, then row), with the batch's outcome (values,
+    statuses)."""
+    exc = (first or next(r for r in statuses.T.flat if r is not None)).error()
+    exc.outcome = values, statuses
+    raise exc
+
+
+def _take_refusals(fails: dict, points, statuses, sizes=None) -> None:
+    """Record in fails the refusals of a batch over the given points in order, statuses
+    its outcome's (None when it refused none): each point takes the first refused entry
+    of its one column, or of its sizes[j] columns when sizes is given, in point order."""
+    if statuses is None:
+        return
+    ends = np.cumsum([0, *sizes]).tolist() if sizes else range(len(points) + 1)
+    for j, lo, hi in zip(points, ends, ends[1:]):
+        first = next((r for r in statuses[..., lo:hi].T.flat if r is not None), None)
+        if first is not None:
+            fails.setdefault(j, first)
+
+
+def _outcome(batch, *args) -> tuple:
+    """(values, statuses) of the batch form call batch(*args): statuses None when no entry
+    is refused, else the outcome its error carries."""
+    try:
+        return batch(*args), None
+    except TwistellError as exc:
+        if exc.outcome is None:
+            raise
+        return exc.outcome
 
 
 def _prime_forms(zs: Sequence[complex], tau, cfg: TruncationConfig = DEFAULT_CONFIG
@@ -663,8 +765,9 @@ def _prime_forms(zs: Sequence[complex], tau, cfg: TruncationConfig = DEFAULT_CON
     """K(z) = theta[1/2;1/2](z)/theta'[1/2;1/2](0) at every z of zs, each to cfg.tol
     relative to |K|, from one _theta_table call with z = 0 as one more point per distinct
     tau; tau is one complex or a sequence of one per point. Each value depends only on
-    its own z and tau, and equals the one-point call bit for bit; the batch raises what
-    its first failing point would raise alone. A batch of no points is empty.
+    its own z and tau, and equals the one-point call bit for bit; a refused batch raises
+    its first refused point's error, with the batch's outcome (_settle). A batch of no
+    points is empty.
 
     Every use of K in this library takes its log or divides by it, so K has the
     domain of the kernels P_k: NearPole where |K| < 1e-11, within about 1e-11 of
@@ -674,71 +777,69 @@ def _prime_forms(zs: Sequence[complex], tau, cfg: TruncationConfig = DEFAULT_CON
     where both sums cancel); otherwise errors as _theta_table.
     """
     zs = np.array(zs, dtype=complex).reshape(-1)
-    try:
-        taus = _taus(tau, zs.size)
-        npts = zs.size
-        if not npts:
-            return np.zeros(0, dtype=complex)
-        per_tau = isinstance(taus, np.ndarray)
-        if per_tau:
-            # S'(0) at each distinct tau, in column zero[j] for point j
-            distinct, zero = np.unique(taus, return_inverse=True)
-            col_tau, nzero, zero = np.concatenate((taus, distinct)), distinct.size, zero + npts
-        else:
-            col_tau, nzero, zero = taus, 1, npts
-        # S(z) at every z, and S'(0) at z = 0 as the last points
-        pts = np.zeros(npts + nzero, dtype=complex)
-        pts[:npts] = zs
-        cols, bounds, scale, shifts, w = _theta_table([(0.5, 0.5)], pts, col_tau, 2)
-        m = shifts[:, 0]
-        moved = np.count_nonzero(m)
+    npts = zs.size
+    fails: dict = {}
+    taus = _point_taus(tau, npts, fails)
+    if not npts:
+        return np.zeros(0, dtype=complex)
+    per_tau = isinstance(taus, np.ndarray)
+    pts_z, pts_tau = _stand_ins(fails, zs, taus)
+    if per_tau:
+        # S'(0) at each distinct tau, in column zero[j] for point j
+        distinct, zero = np.unique(pts_tau, return_inverse=True)
+        col_tau, nzero, zero = np.concatenate((pts_tau, distinct)), distinct.size, zero + npts
+    else:
+        col_tau, nzero, zero = taus, 1, npts
+    # S(z) at every z, and S'(0) at z = 0 as the last points
+    pts = np.zeros(npts + nzero, dtype=complex)
+    pts[:npts] = pts_z
+    cols, bounds, scale, shifts, w = _theta_table([(0.5, 0.5)], pts, col_tau, 2, fails)
+    for c in range(npts, pts.size):
+        fails.pop(c, None)
+    m = shifts[:, 0]
+    moved = np.count_nonzero(m)
+    if moved:
+        # the multiplier's log-scale and phase at every column; a point that stays keeps
+        # the real log-scale alone, as it has alone
+        shifted = _scales(scale, m, w, col_tau)
+    if per_tau:
+        den = cols[1, 0, zero]
+        absden = np.array([abs(d) for d in cols[1, 0, npts:].tolist()])[zero - npts]
+    else:
+        den = complex(cols[1, 0, -1])
+        absden = abs(den)
+    with np.errstate(all="ignore"):
+        # the multiplier of theta[1/2;1/2] is e^{scale} (-1)^(m + k)
+        odd = shifts[:npts].sum(axis=1) % 2.0 == 1.0
+        grow = np.exp(scale[:npts] - scale[zero])
+        np.negative(grow, out=grow, where=odd)
         if moved:
-            # the multiplier's log-scale and phase at every column; a point that stays keeps
-            # the real log-scale alone, as it has alone
-            shifted = _scales(scale, m, w, col_tau)
-        if per_tau:
-            den = cols[1, 0, zero]
-            absden = np.array([abs(d) for d in cols[1, 0, npts:].tolist()])[zero - npts]
-        else:
-            den = complex(cols[1, 0, -1])
-            absden = abs(den)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the multiplier of theta[1/2;1/2] is e^{scale} (-1)^(m + k)
-            odd = shifts[:npts].sum(axis=1) % 2.0 == 1.0
-            grow = np.exp(scale[:npts] - scale[zero])
-            np.negative(grow, out=grow, where=odd)
-            if moved:
-                scale = shifted
-                far = np.exp(scale[:npts] - scale[zero])
-                np.negative(far, out=far, where=odd)
-                grow = np.where(m[:npts] != 0.0, far, grow)
-            ratio = cols[0, 0, :npts] / den
-            ks = ratio * grow
-            aks = np.abs(ks)
-            bounds = (np.abs(grow) * (bounds[0, 0, :npts]
-                                      + np.abs(ratio) * bounds[1, 0, zero]) / absden
-                      + (3.0 + 3.0 * np.abs(scale[:npts])) * _EPS * aks)
+            scale = shifted
+            far = np.exp(scale[:npts] - scale[zero])
+            np.negative(far, out=far, where=odd)
+            grow = np.where(m[:npts] != 0.0, far, grow)
+        ratio = cols[0, 0, :npts] / den
+        ks = ratio * grow
+        aks = np.abs(ks)
+        bounds = (np.abs(grow) * (bounds[0, 0, :npts]
+                                  + np.abs(ratio) * bounds[1, 0, zero]) / absden
+                  + (3.0 + 3.0 * np.abs(scale[:npts])) * _EPS * aks)
         bad = ~np.isfinite(ks)
-        if bad.any():
-            j = int(bad.argmax())
-            raise NotConverged(f"prime form at z = {zs[j]:.6g}, "
-                               f"tau = {complex(_pick(taus, j))}: theta's largest term "
-                               f"would leave the float range")
         tiny = aks < 10 * _POLE_EPS
-        if tiny.any():
-            j = int(tiny.argmax())
-            raise NearPole(f"z = {zs[j]:.6g} is within {10 * _POLE_EPS} of a zero of the "
-                           f"prime form at tau = {complex(_pick(taus, j))}")
         ok = bounds <= cfg.tol * aks
-        if np.count_nonzero(ok) < ok.size:
-            j = int(np.argmin(ok))
-            raise NotConverged(f"prime form at z = {zs[j]:.6g}, "
-                               f"tau = {complex(_pick(taus, j))}: rounding bound "
-                               f"{bounds[j] / aks[j]:.3g} over tol {cfg.tol:.3g}")
-        return ks
-    except TwistellError as exc:
-        raise _first_refusal(exc, zs.size, lambda lo, hi: _prime_forms(
-            zs[lo:hi], _part(tau, lo, hi), cfg)) from None
+    if bad.any():
+        _refuse(fails, bad, NotConverged, lambda j: (
+            f"prime form at z = {zs[j]:.6g}, tau = {_tau_at(taus, j)}: theta's largest "
+            f"term would leave the float range"))
+    if tiny.any():
+        _refuse(fails, tiny, NearPole, lambda j: (
+            f"z = {zs[j]:.6g} is within {10 * _POLE_EPS} of a zero of the prime form at "
+            f"tau = {_tau_at(taus, j)}"))
+    if np.count_nonzero(ok) < ok.size:
+        _refuse(fails, ~ok, NotConverged, lambda j: (
+            f"prime form at z = {zs[j]:.6g}, tau = {_tau_at(taus, j)}: rounding bound "
+            f"{bounds[j] / aks[j]:.3g} over tol {cfg.tol:.3g}"))
+    return _settle(ks, fails)
 
 
 def p0_batch(zs: Sequence[complex], tau: complex,
@@ -752,8 +853,11 @@ def p0_batch(zs: Sequence[complex], tau: complex,
     each value depends only on its own z, and its errors are p0's.
     """
     zs = np.array(zs, dtype=complex).reshape(-1)
-    ks = _prime_forms(zs, tau, cfg)
-    return -np.log(zs) - np.log(ks / zs)
+    ks, statuses = _outcome(_prime_forms, zs, tau, cfg)
+    if statuses is None:
+        return -np.log(zs) - np.log(ks / zs)
+    with np.errstate(all="ignore"):
+        _refused(-np.log(zs) - np.log(ks / zs), statuses)
 
 
 def p0(z: complex, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
@@ -806,72 +910,72 @@ def _theta_chars(a, b, zs: Sequence[complex], tau,
     pi tau a^2 + scale} c_0(w) times the phases of b's shift and of the quasi-period,
     with a taken to [-1/2, 1/2] and b to [-1/2, 1/2] exactly. a, b and tau are each one
     number or a sequence of one per point. Each value depends only on its own point and
-    equals the one-point call bit for bit; the batch raises what its first failing point
-    would raise alone. A batch of no points is empty."""
+    equals the one-point call bit for bit; a refused batch raises its first refused
+    point's error, with the batch's outcome (_settle). A batch of no points is empty."""
     zs = np.array(zs, dtype=complex).reshape(-1)
-    try:
-        taus = _taus(tau, zs.size)
-        npts = zs.size
-        per_a = not isinstance(a, _SCALARS) and _per_point(a, npts, "a")
-        per_b = not isinstance(b, _SCALARS) and _per_point(b, npts, "b")
-        if not npts:
-            return np.zeros(0, dtype=complex)
-        if per_a or per_b:
-            chars = [_reduced_char(ca, cb) for ca, cb in zip(a if per_a else repeat(a),
-                                                             b if per_b else repeat(b))]
-            row = (np.array([c[0] for c in chars]), np.array([c[1] for c in chars]))
+    npts = zs.size
+    fails: dict = {}
+    taus = _point_taus(tau, npts, fails)
+    per_a = _by_point(a, npts, "a")
+    per_b = _by_point(b, npts, "b")
+    if not npts:
+        return np.zeros(0, dtype=complex)
+    if per_a or per_b:
+        chars = [_reduced_char(ca, cb, fails, j) for j, (ca, cb) in enumerate(
+            zip(a if per_a else repeat(a), b if per_b else repeat(b)))]
+        row = (np.array([c[0] for c in chars]), np.array([c[1] for c in chars]))
+    else:
+        chars = repeat(_reduced_char(a, b, fails, range(npts)))
+        row = next(chars)[:2]
+    per_tau = isinstance(taus, np.ndarray)
+    cols, bounds, top, shifts, w = _theta_table([row], zs, taus, 1, fails)
+    vals = []
+    for j, (z, col, bound, s, (m, kz), wz, (ra, rb, turn, sign, odd), t) in enumerate(zip(
+            zs.tolist(), cols[0, 0].tolist(), bounds[0, 0].tolist(), top.tolist(),
+            shifts.tolist(), w.tolist(), chars, taus.tolist() if per_tau else repeat(taus))):
+        if j in fails or odd and not z:
+            vals.append(0j)                       # refused, or theta[1/2;1/2](0), odd
+            continue
+        # the phases, each to 3 eps 2 pi (_turns)
+        lead = 1j * math.pi * t * (ra * ra)
+        phase, slack = turn, 4.0 + abs(lead)
+        if m:
+            s = _scales(s, m, wz, t)
+            phase, slack = phase + _turns(rb, m), slack + 10.0
+        if kz:
+            phase, slack = phase + _turns(ra, kz), slack + 10.0
+        try:
+            factor = cmath.exp(s + lead + 1j * phase) * sign
+        except OverflowError:
+            factor = complex(math.inf)
+        val = factor * col
+        vals.append(val)
+        if not cmath.isfinite(val):
+            fails[j] = Refusal(NotConverged, lambda _, z=z, t=t: (
+                f"theta's largest term would leave the float range at z = {z:.6g}, tau = {t}"))
+        elif abs(factor) < _FLOAT_MIN and col:
+            fails[j] = Refusal(NotConverged, lambda _, z=z, t=t: (
+                f"theta falls below the normal float range at z = {z:.6g}, tau = {t}"))
         else:
-            chars = repeat(_reduced_char(a, b))
-            row = next(chars)[:2]
-        per_tau = isinstance(taus, np.ndarray)
-        cols, bounds, top, shifts, w = _theta_table([row], zs, taus, 1)
-        vals = []
-        for z, col, bound, s, (m, kz), wz, (ra, rb, turn, sign, odd), t in zip(
-                zs.tolist(), cols[0, 0].tolist(), bounds[0, 0].tolist(), top.tolist(),
-                shifts.tolist(), w.tolist(), chars,
-                taus.tolist() if per_tau else repeat(taus)):
-            if odd and not z:
-                vals.append(0j)                       # theta[1/2;1/2] is odd
-                continue
-            # the phases, each to 3 eps 2 pi (_turns)
-            lead = 1j * math.pi * t * (ra * ra)
-            phase, slack = turn, 4.0 + abs(lead)
-            if m:
-                s = _scales(s, m, wz, t)
-                phase, slack = phase + _turns(rb, m), slack + 10.0
-            if kz:
-                phase, slack = phase + _turns(ra, kz), slack + 10.0
-            try:
-                factor = cmath.exp(s + lead + 1j * phase) * sign
-            except OverflowError:
-                factor = complex(math.inf)
-            val = factor * col
-            if not cmath.isfinite(val):
-                raise NotConverged(f"theta's largest term would leave the float range at "
-                                   f"z = {z:.6g}, tau = {t}")
-            if abs(factor) < _FLOAT_MIN and col:
-                raise NotConverged(f"theta falls below the normal float range at "
-                                   f"z = {z:.6g}, tau = {t}")
             bound = abs(factor) * bound + (slack + 3.0 * abs(s)) * _EPS * abs(val)
             if not bound <= cfg.tol * abs(val):
-                raise NotConverged(f"theta[{ra:.6g};{rb:.6g}] at z = {z:.6g}, tau = {t}: "
-                                   f"rounding bound {bound / abs(val):.3g} over tol "
-                                   f"{cfg.tol:.3g}")
-            vals.append(val)
-        return np.array(vals, dtype=complex)
-    except TwistellError as exc:
-        raise _first_refusal(exc, zs.size, lambda lo, hi: _theta_chars(
-            _part(a, lo, hi), _part(b, lo, hi), zs[lo:hi], _part(tau, lo, hi),
-            cfg)) from None
+                fails[j] = Refusal(NotConverged, lambda _, z=z, t=t, r=bound / abs(val), a=ra,
+                                   b=rb: (f"theta[{a:.6g};{b:.6g}] at z = {z:.6g}, tau = "
+                                          f"{t}: rounding bound {r:.3g} over tol {cfg.tol:.3g}"))
+    return _settle(np.array(vals, dtype=complex), fails)
 
 
-def _reduced_char(a: float, b: float) -> tuple[float, float, float, float, bool]:
+def _reduced_char(a: float, b: float, fails: dict, at
+                  ) -> tuple[float, float, float, float, bool]:
     """(a', b', turn, sign, odd) for theta[a;b]: a and b taken to a', b' in [-1/2, 1/2]
     exactly, theta[a;b] = e^{i turn} sign theta[a';b'], and odd at [1/2;1/2], the odd
-    theta. DomainError for a non-finite a or b."""
+    theta. A non-finite a or b refuses the points at (an index or a range) in fails with
+    DomainError, and stands in as a = b = 0."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"theta needs finite a and b, got a = {a}, b = {b}")
+        _refuse(fails, [at] if isinstance(at, int) else at, DomainError,
+                lambda _, a=a, b=b: f"theta needs finite a and b, got a = {a}, b = {b}")
+        a = b = 0.0
     a -= round(a)
     k = round(b)
     b -= k

@@ -260,8 +260,10 @@ _HANDLED = tuple(exc for exc, _, _, _ in _ERRORS)
 _ROW_ERRORS = tuple(exc for exc, _, _, status in _ERRORS if status)
 
 
-def _error_row(exc: Exception) -> tuple:
-    return next(row for row in _ERRORS if isinstance(exc, row[0]))
+def _error_row(exc) -> tuple:
+    """The _ERRORS row of an exception, or of an exception type."""
+    kind = exc if isinstance(exc, type) else type(exc)
+    return next(row for row in _ERRORS if issubclass(kind, row[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +451,12 @@ def _parse_table_value(key: str, kind: str, text: str):
 
 
 def _batch_values(batch, varying, fixed: dict, cfg) -> tuple[list, list, list] | None:
-    """The re, im and status lists of the rows, in row order, from one batch form call.
+    """The re, im and status lists of the rows, in row order, from one batch form call:
+    a refused row's status from the refusal its entry would meet in a batch of its own
+    (the batch's outcome), its value 0.
 
-    None when there is no batch form, when the grid varies a parameter the
-    batch form does not list, or when the call raises a row error: the rows
-    are then evaluated one by one, each with its own status.
+    None when there is no batch form, or when the grid varies a parameter the batch
+    form does not list: the rows are then evaluated one by one.
     """
     if batch is None:
         return None
@@ -463,14 +466,19 @@ def _batch_values(batch, varying, fixed: dict, cfg) -> tuple[list, list, list] |
         return None
     call = dict(fixed)
     call.update({k: [arg for _, arg in grids[k]] if k in grids else [fixed[k]] for k in listed})
-    try:
-        out = fn(call, cfg)
-    except _ROW_ERRORS:
-        return None
+    out, statuses = classical._outcome(fn, call, cfg)
     # the varying axes first, in row order, then the length-1 axes of fixed listed parameters
     axes = [listed.index(k) for k in grids] + [i for i, k in enumerate(listed) if k not in grids]
     out = out.transpose(axes).ravel()
-    return out.real.tolist(), out.imag.tolist(), ["ok"] * out.size
+    re, im, status = out.real.tolist(), out.imag.tolist(), ["ok"] * out.size
+    if statuses is not None:
+        for row, refusal in enumerate(statuses.transpose(axes).ravel().tolist()):
+            if refusal is not None and refusal.alone:
+                status[row] = _error_row(refusal.kind)[3]
+                if status[row] is None:       # not a row error: it aborts the table
+                    raise refusal.error()
+                re[row] = im[row] = 0.0
+    return re, im, status
 
 
 def _row_values(fn, names, rows, fixed: dict, cfg):

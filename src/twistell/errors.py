@@ -7,7 +7,35 @@ resample or widen windows.
 
 
 class TwistellError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A batch form raises the error of its first refused point, which carries the batch's
+    outcome: (values, statuses), statuses an object array holding each refused entry's
+    Refusal and None elsewhere, laid out as the values. outcome is None on any other
+    error.
+    """
+
+    outcome = None
+
+
+class Refusal:
+    """One refused entry of a batch: the type of its error, and the error itself, built
+    only when it is raised: kind(message(at)), message(at) giving the message or the
+    error; or message is the error already built. alone is whether the entry is refused
+    in a batch of its own too, False where only the rest of the batch refuses it."""
+
+    __slots__ = ("kind", "message", "at", "alone")
+
+    def __init__(self, kind: type, message, at=None):
+        self.kind, self.message, self.at, self.alone = kind, message, at, True
+
+    @classmethod
+    def of(cls, exc: TwistellError) -> "Refusal":
+        return cls(type(exc), exc)
+
+    def error(self) -> TwistellError:
+        msg = self.message(self.at) if callable(self.message) else self.message
+        return msg if isinstance(msg, TwistellError) else self.kind(msg)
 
 
 class DomainError(TwistellError):

@@ -21,14 +21,23 @@ from typing import Sequence
 import numpy as np
 
 from .classical import (
-    _first_refusal,
+    _outcome,
     _prime_forms,
+    _settle,
+    _take_refusals,
     _theta_chars,
     _turn,
     dedekind_eta,
     require_upper_half,
 )
-from .errors import BalanceError, DomainError, NotConverged, TwistellError, UnsupportedTwist
+from .errors import (
+    BalanceError,
+    DomainError,
+    NotConverged,
+    Refusal,
+    TwistellError,
+    UnsupportedTwist,
+)
 from .numeric import DEFAULT_CONFIG, Q_ORDER, TruncationConfig, determinant, pfaffian
 from .twisted import (
     TwistPair,
@@ -141,79 +150,89 @@ def _cd_matrices(samples: Sequence[tuple], cfg: TruncationConfig) -> list[np.nda
     The D entries of every matrix come from one twisted_pk_batch call per distinct
     tuple of orders m, since a point's refusal may depend on the highest order asked;
     each point carries its own twist and tau, and a call that serves one sample
-    passes them as one value. Each matrix equals its one-sample call bit for bit, and
-    the batch raises what its first failing sample would raise alone.
+    passes them as one value. Each matrix equals its one-sample call bit for bit. A
+    sample is refused by the first refused entry of its points in the kernel's outcome
+    (point order, then order), else by its assembly (_cd_factor, E_m); a refused batch
+    raises its first refused sample's error with the batch's outcome (_settle).
     """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):     # inf and nan silently, as in Python
-            layouts, groups = [], {}
-            for i, (tw, row_modes, xs, col_modes, ys, tau, diag) in enumerate(samples):
-                shared = ys is None
-                nr, nb = len(row_modes), len(col_modes)
-                ks = list({k for modes in row_modes for k in modes})    # set order: it picks
-                ls = list({l for modes in col_modes for l in modes})    # the binomial that a
-                cells = [(k, l) for k in ks for l in ls]                # NotConverged names
-                if shared:
-                    k_in = {k: {a for a, modes in enumerate(row_modes) if k in modes} for k in ks}
-                    l_in = {l: {b for b, modes in enumerate(col_modes) if l in modes} for l in ls}
-                    ms = tuple(sorted({k + l - 1 for k, l in cells if len(k_in[k] | l_in[l]) > 1}))
-                    zs = np.subtract.outer(xs, xs).ravel()
-                    zs = zs[1:].reshape(-1, nb + 1)[:, :-1].ravel()     # the a != b of the grid
-                else:
-                    k_in = l_in = None
-                    ms = tuple(sorted({k + l - 1 for k, l in cells}))
-                    zs = np.subtract.outer(xs, ys).ravel()
-                layouts.append((ms, zs, nr, nb, ks, ls, cells, k_in, l_in))
-                if zs.size:
-                    groups.setdefault(ms, []).append(i)
-            blocks = [None] * len(samples)
-            for ms, members in groups.items():
-                if len(members) == 1:
-                    i = members[0]
-                    blocks[i] = twisted_pk_batch(ms, samples[i][0], layouts[i][1], samples[i][5],
-                                                 cfg)
-                    continue
-                sizes = [layouts[i][1].size for i in members]
-                block = twisted_pk_batch(
-                    ms, [samples[i][0] for i, n in zip(members, sizes) for _ in range(n)],
-                    np.concatenate([layouts[i][1] for i in members]),
-                    np.repeat([samples[i][5] for i in members], sizes), cfg)
-                lo = 0
-                for i, n in zip(members, sizes):
-                    blocks[i] = block[:, lo:lo + n]
-                    lo += n
-            mats = []
-            for (tw, row_modes, _, col_modes, ys, tau, diag), block, (
-                    ms, _, nr, nb, ks, ls, cells, k_in, l_in) in zip(samples, blocks, layouts):
-                at = np.add.outer([(ks.index(k) * len(ls) * nr + a) * nb
-                                   for a, modes in enumerate(row_modes) for k in modes],
-                                  [ls.index(l) * nr * nb + b
-                                   for b, lb in enumerate(col_modes) for l in lb]
-                                  ).astype(np.intp, copy=False)     # an empty side comes as float
-                # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
-                d_fac = np.array([[_cd_factor(k + 1, k, l)] for k, l in cells])
-                if ms:
-                    row_of = {m: i for i, m in enumerate(ms)}
-                    d = d_fac * block.take([row_of.get(k + l - 1, 0) for k, l in cells], axis=0)
-                if ys is not None:
-                    mats.append((d if ms else np.empty((len(cells), nr * nb), dtype=complex)
-                                 ).take(at))
-                    continue
-                table = np.empty((len(cells), nr * nb), dtype=complex)
-                if ms:   # the slots a != b, as in zs
-                    table[:, 1:].reshape(-1, nb - 1, nb + 1)[:, :, :-1] = d.reshape(-1, nb - 1, nb)
-                if diag is None:
-                    on = {(k, l) for k, l in cells if k_in[k] & l_in[l]}
-                    eis = {m: twisted_eisenstein(m, tw, tau, cfg)
-                           for m in {k + l - 1 for k, l in on}}
-                    diag = np.array([_cd_factor(l, k, l) * eis[k + l - 1] if (k, l) in on else 0j
-                                     for k, l in cells], dtype=complex)[:, None]
-                table[:, ::nb + 1] = diag
-                mats.append(table.take(at))
-            return mats
-    except TwistellError as exc:
-        raise _first_refusal(exc, len(samples), lambda lo, hi: _cd_matrices(
-            samples[lo:hi], cfg)) from None
+    fails: dict = {}
+    with np.errstate(over="ignore", invalid="ignore"):     # inf and nan silently, as in Python
+        layouts, groups = [], {}
+        for i, (tw, row_modes, xs, col_modes, ys, tau, diag) in enumerate(samples):
+            shared = ys is None
+            nr, nb = len(row_modes), len(col_modes)
+            ks = list({k for modes in row_modes for k in modes})    # set order: it picks
+            ls = list({l for modes in col_modes for l in modes})    # the binomial that a
+            cells = [(k, l) for k in ks for l in ls]                # NotConverged names
+            if shared:
+                k_in = {k: {a for a, modes in enumerate(row_modes) if k in modes} for k in ks}
+                l_in = {l: {b for b, modes in enumerate(col_modes) if l in modes} for l in ls}
+                ms = tuple(sorted({k + l - 1 for k, l in cells if len(k_in[k] | l_in[l]) > 1}))
+                zs = np.subtract.outer(xs, xs).ravel()
+                zs = zs[1:].reshape(-1, nb + 1)[:, :-1].ravel()     # the a != b of the grid
+            else:
+                k_in = l_in = None
+                ms = tuple(sorted({k + l - 1 for k, l in cells}))
+                zs = np.subtract.outer(xs, ys).ravel()
+            layouts.append((ms, zs, nr, nb, ks, ls, cells, k_in, l_in))
+            if zs.size:
+                groups.setdefault(ms, []).append(i)
+        blocks = [None] * len(samples)
+        for ms, members in groups.items():
+            sizes = [layouts[i][1].size for i in members]
+            if len(members) == 1:
+                i = members[0]
+                tws, zs, taus = samples[i][0], layouts[i][1], samples[i][5]
+            else:
+                tws = [samples[i][0] for i, n in zip(members, sizes) for _ in range(n)]
+                zs = np.concatenate([layouts[i][1] for i in members])
+                taus = np.repeat([samples[i][5] for i in members], sizes)
+            block, statuses = _outcome(twisted_pk_batch, ms, tws, zs, taus, cfg)
+            _take_refusals(fails, members, statuses, sizes)
+            lo = 0
+            for i, n in zip(members, sizes):
+                blocks[i] = block[:, lo:lo + n]
+                lo += n
+        mats = []
+        for i, (sample, block, layout) in enumerate(zip(samples, blocks, layouts)):
+            try:
+                mats.append(None if i in fails else _cd_assembly(sample, block, layout, cfg))
+            except TwistellError as exc:
+                fails[i] = Refusal.of(exc)
+                mats.append(None)
+    return _settle(mats, fails)
+
+
+def _cd_assembly(sample: tuple, block: np.ndarray | None, layout: tuple,
+                 cfg: TruncationConfig) -> np.ndarray:
+    """The matrix of one _cd_matrices sample, gathered from its kernel block and its
+    layout: the D entries at every order and block pair, and the C entries (or diag) on
+    the diagonal blocks of a shared side."""
+    tw, row_modes, _, col_modes, ys, tau, diag = sample
+    ms, _, nr, nb, ks, ls, cells, k_in, l_in = layout
+    at = np.add.outer([(ks.index(k) * len(ls) * nr + a) * nb
+                       for a, modes in enumerate(row_modes) for k in modes],
+                      [ls.index(l) * nr * nb + b
+                       for b, lb in enumerate(col_modes) for l in lb]
+                      ).astype(np.intp, copy=False)     # an empty side comes as float
+    # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
+    d_fac = np.array([[_cd_factor(k + 1, k, l)] for k, l in cells])
+    if ms:
+        row_of = {m: i for i, m in enumerate(ms)}
+        d = d_fac * block.take([row_of.get(k + l - 1, 0) for k, l in cells], axis=0)
+    if ys is not None:
+        return (d if ms else np.empty((len(cells), nr * nb), dtype=complex)).take(at)
+    table = np.empty((len(cells), nr * nb), dtype=complex)
+    if ms:   # the slots a != b, as in zs
+        table[:, 1:].reshape(-1, nb - 1, nb + 1)[:, :, :-1] = d.reshape(-1, nb - 1, nb)
+    if diag is None:
+        on = {(k, l) for k, l in cells if k_in[k] & l_in[l]}
+        eis = {m: twisted_eisenstein(m, tw, tau, cfg)
+               for m in {k + l - 1 for k, l in on}}
+        diag = np.array([_cd_factor(l, k, l) * eis[k + l - 1] if (k, l) in on else 0j
+                         for k, l in cells], dtype=complex)[:, None]
+    table[:, ::nb + 1] = diag
+    return table.take(at)
 
 
 def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[complex],
@@ -281,21 +300,32 @@ def _rank1_pfaffians(samples: Sequence[tuple], cfg: TruncationConfig) -> list[co
     """Pf of the C/D block matrix of the modes at zs times partition(tau, cfg), at every
     (tw, modes, zs, partition, tau, diag) of samples; 0 when the total mode count is odd.
     diag, when not None, fills the C entries. The matrices come from one _cd_matrices
-    call; each value equals its one-sample call bit for bit, and the batch raises what
-    its first failing sample would raise alone."""
-    try:
-        even = [not sum(len(m) for m in sample[1]) % 2 for sample in samples]
-        for (_, _, zs, *_), pf in zip(samples, even):
-            if pf:
+    call; each value equals its one-sample call bit for bit. A sample is refused, in
+    this order, by _require_distinct, by its matrix and by the Pfaffian or the partition
+    function; a refused batch raises its first refused sample's error (_settle)."""
+    fails: dict = {}
+    even = [not sum(len(m) for m in sample[1]) % 2 for sample in samples]
+    for i, ((_, _, zs, *_), pf) in enumerate(zip(samples, even)):
+        if pf:
+            try:
                 _require_distinct(zs, "insertion points")
-        mats = iter(_cd_matrices([(tw, modes, zs, modes, None, tau, diag)
-                                  for (tw, modes, zs, _, tau, diag), pf in zip(samples, even)
-                                  if pf], cfg))
-        return [pfaffian(next(mats), cfg) * partition(tau, cfg) if pf else 0.0 + 0.0j
-                for (_, _, _, partition, tau, _), pf in zip(samples, even)]
-    except TwistellError as exc:
-        raise _first_refusal(exc, len(samples), lambda lo, hi: _rank1_pfaffians(
-            samples[lo:hi], cfg)) from None
+            except DomainError as exc:
+                fails[i] = Refusal.of(exc)
+    live = [i for i, pf in enumerate(even) if pf and i not in fails]
+    mats, statuses = _outcome(_cd_matrices, [(tw, modes, zs, modes, None, tau, diag)
+                                             for tw, modes, zs, _, tau, diag
+                                             in (samples[i] for i in live)], cfg)
+    _take_refusals(fails, live, statuses)
+    mats = dict(zip(live, mats))
+    vals = []
+    for i, (_, _, _, partition, tau, _) in enumerate(samples):
+        try:
+            vals.append(pfaffian(mats[i], cfg) * partition(tau, cfg)
+                        if even[i] and i not in fails else 0.0 + 0.0j)
+        except TwistellError as exc:
+            fails[i] = Refusal.of(exc)
+            vals.append(0j)
+    return _settle(vals, fails)
 
 
 def rank1_generating(g: GSelector, zs: Sequence[complex], tau: complex,
@@ -452,33 +482,45 @@ def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[comp
 
 def _rank2_generatings(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]:
     """rank2_generating at every (p, xs, ys, tau) of samples, the matrices from one
-    _cd_matrices call; each value equals its one-sample call bit for bit, and the batch
-    raises what its first failing sample would raise alone (a ValueError for a
-    malformed sample before anything is evaluated)."""
-    try:
-        mats, sizes = [], []     # sizes: (p, n, tau) per sample
-        for p, xs, ys, tau in samples:
+    _cd_matrices call; each value equals its one-sample call bit for bit. A sample is
+    refused, in this order, by its points (_rank2_points), its matrix, and the
+    determinant, eta or partition function; a refused batch raises its first refused
+    sample's error (_settle), and a malformed sample's ValueError before anything is
+    evaluated."""
+    fails: dict = {}
+    mats, sizes = [], []     # sizes: (p, n, tau) per sample
+    for i, (p, xs, ys, tau) in enumerate(samples):
+        try:
             xs, ys, tau = _rank2_points(xs, ys, tau)
-            if xs:
-                one_mode = [(1,)] * len(xs)
-                mats.append((p.twist(), one_mode, xs, one_mode, ys, tau, None))
-            sizes.append((p, len(xs), tau))
-        mats = iter(_cd_matrices(mats, cfg))
-        vals = []
-        for p, n, tau in sizes:
-            if not n:
+        except TwistellError as exc:
+            fails[i] = Refusal.of(exc)
+            xs = []
+        if xs:
+            one_mode = [(1,)] * len(xs)
+            mats.append((p.twist(), one_mode, xs, one_mode, ys, tau, None))
+        sizes.append((p, len(xs), tau))
+    live = [i for i, (_, n, _) in enumerate(sizes) if n]
+    mats, statuses = _outcome(_cd_matrices, mats, cfg)
+    _take_refusals(fails, live, statuses)
+    mats = dict(zip(live, mats))
+    vals = []
+    for i, (p, n, tau) in enumerate(sizes):
+        try:
+            if i in fails:
+                vals.append(0j)
+            elif not n:
                 vals.append(rank2_partition(p, tau, cfg))
             elif p.is_trivial_twist:
                 q = np.ones((n + 1, n + 1), dtype=complex)
-                q[:n, :n] = next(mats)
+                q[:n, :n] = mats[i]
                 q[n, n] = 0.0
                 vals.append(determinant(q) * dedekind_eta(tau, cfg) ** 2)
             else:
-                vals.append(determinant(next(mats)) * rank2_partition(p, tau, cfg))
-        return vals
-    except TwistellError as exc:
-        raise _first_refusal(exc, len(samples), lambda lo, hi: _rank2_generatings(
-            samples[lo:hi], cfg)) from None
+                vals.append(determinant(mats[i]) * rank2_partition(p, tau, cfg))
+        except TwistellError as exc:
+            fails[i] = Refusal.of(exc)
+            vals.append(0j)
+    return _settle(vals, fails)
 
 
 def _rank2_points(xs: Sequence[complex], ys: Sequence[complex],
@@ -619,55 +661,68 @@ def _bosonized(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]
     the last with us None, which leaves the product out.
 
     All thetas come from one _theta_chars call, and the K of every sample with points
-    from one _prime_forms call, each point at its sample's tau (one value when there is
-    one sample). A mask picks a sample's pairs a < b, row major, from the outer arrays of
+    from one _prime_forms call, each point at its sample's tau (one value when one
+    sample takes part). A mask picks a sample's pairs a < b, row major, from the outer arrays of
     u_a - u_b and q_a q_b, and the K are raised to their integer powers, so no branch of
     log is chosen. NotConverged also where a product leaves the float range. Each value
-    equals its one-sample call bit for bit, and the batch raises what its first failing
-    sample would raise alone (a ValueError for a malformed sample before anything is
-    evaluated).
+    equals its one-sample call bit for bit. A sample is refused, in this order, by its
+    form, by eta, by its theta, by its first refused prime form and by the product; a
+    refused batch raises its first refused sample's error (_settle), and a malformed
+    sample's ValueError before anything is evaluated.
     """
-    try:
-        # per sample: its theta's a, b and argument, tau, e^{i turn}/eta, and its points
-        a_s, b_s, args, taus, prefs, pairs = [], [], [], [], [], []
-        for j, (form, *params) in enumerate(samples):
+    fails: dict = {}
+    # per sample that its form and eta pass: its theta's a, b and argument, tau, e^{i
+    # turn}/eta, and its points
+    live, a_s, b_s, args, taus, prefs, pairs = [], [], [], [], [], [], []
+    for j, (form, *params) in enumerate(samples):
+        try:
             p, qs, us, tau = form(*params)
             a, b, turn = _form_char(p)
-            a_s.append(a)
-            b_s.append(b)
-            args.append(sum(q * u for q, u in zip(qs, us)) if us else 0)
-            taus.append(tau)
             prefs.append(cmath.exp(1j * turn) / dedekind_eta(tau, cfg))
-            if us is not None:
-                pairs.append((j, qs, us, tau))
-        if not taus:
-            return []
-        one = len(taus) == 1
-        vals = [pref * theta for pref, theta in zip(prefs, _theta_chars(
-            a_s[0] if one else a_s, b_s[0] if one else b_s, args, taus[0] if one else taus,
-            cfg).tolist())]
-        if pairs:
-            with np.errstate(over="ignore", invalid="ignore"):
-                diffs, powers = [], []
-                for _, qs, us, _ in pairs:
-                    u, q, index = (np.array(us, dtype=complex), np.array(qs, dtype=int),
-                                   np.arange(len(us)))
-                    upper = index[:, None] < index
-                    diffs.append(np.subtract.outer(u, u)[upper])
-                    powers.append(np.multiply.outer(q, q)[upper])
-                ks = _prime_forms(diffs[0] if one else np.concatenate(diffs),
-                                  taus[0] if one else np.repeat([tau for *_, tau in pairs],
-                                                                [d.size for d in diffs]), cfg)
-                lo = 0
-                for (j, *_), q in zip(pairs, powers):
+        except TwistellError as exc:
+            fails[j] = Refusal.of(exc)
+            continue
+        live.append(j)
+        a_s.append(a)
+        b_s.append(b)
+        args.append(sum(q * u for q, u in zip(qs, us)) if us else 0)
+        taus.append(tau)
+        if us is not None:
+            pairs.append((j, qs, us, tau))
+    vals = [0j] * len(samples)
+    if live:
+        one = len(live) == 1
+        thetas, statuses = _outcome(_theta_chars, a_s[0] if one else a_s, b_s[0] if one else b_s,
+                                    args, taus[0] if one else taus, cfg)
+        _take_refusals(fails, live, statuses)
+        for j, pref, theta in zip(live, prefs, thetas.tolist()):
+            vals[j] = pref * theta
+    pairs = [pair for pair in pairs if pair[0] not in fails]
+    if pairs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs, powers = [], []
+            for _, qs, us, _ in pairs:
+                u, q, index = (np.array(us, dtype=complex), np.array(qs, dtype=int),
+                               np.arange(len(us)))
+                upper = index[:, None] < index
+                diffs.append(np.subtract.outer(u, u)[upper])
+                powers.append(np.multiply.outer(q, q)[upper])
+            one = len(pairs) == 1
+            ks, statuses = _outcome(_prime_forms, diffs[0] if one else np.concatenate(diffs),
+                                    pairs[0][3] if one else np.repeat(
+                                        [tau for *_, tau in pairs], [d.size for d in diffs]),
+                                    cfg)
+            if statuses is not None:
+                _take_refusals(fails, [j for j, *_ in pairs], statuses, [q.size for q in powers])
+            lo = 0
+            for (j, *_), q in zip(pairs, powers):
+                if j not in fails:
                     vals[j] *= complex((ks[lo:lo + q.size] ** q).prod())
                     if not cmath.isfinite(vals[j]):
-                        raise NotConverged("product of prime forms leaves the float range")
-                    lo += q.size
-        return vals
-    except TwistellError as exc:
-        raise _first_refusal(exc, len(samples), lambda lo, hi: _bosonized(
-            samples[lo:hi], cfg)) from None
+                        fails[j] = Refusal(NotConverged,
+                                           "product of prime forms leaves the float range")
+                lo += q.size
+    return _settle(vals, fails)
 
 
 # ---------------------------------------------------------------------------

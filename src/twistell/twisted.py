@@ -25,18 +25,20 @@ import numpy as np
 from .classical import (
     _EPS,
     _POLE_EPS,
+    _by_point,
     _eisenstein_grid,
     _eisenstein_series,
-    _first_refusal,
-    _part,
-    _per_point,
-    _pick,
-    _taus,
+    _outcome,
+    _point_taus,
+    _refuse,
+    _refused,
+    _stand_ins,
+    _tau_at,
     _theta_table,
     _turns,
     require_upper_half,
 )
-from .errors import DomainError, NearPole, NotConverged, RouteUnavailable, TwistellError
+from .errors import DomainError, NearPole, NotConverged, Refusal, RouteUnavailable
 from .numeric import DEFAULT_CONFIG, TruncationConfig, bernoulli_poly, binomial
 
 _TWO_PI = 2.0 * math.pi
@@ -225,81 +227,107 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
     max(1, |P_k|): near lattice points, and at small Im tau (e.g. 0.05i),
     where the theta sums cancel; and past 2^26 periods from 0, where the
     reduction keeps no digit of z. So z = -3141.6+0.4i at tau = i, 500
-    quasi-periods out, is summed at w = -0.0073+0.4i. The batch raises what
-    its first failing point would raise alone. twisted_pk_oracle is the
-    lattice-sum oracle at a nontrivial twist.
+    quasi-periods out, is summed at w = -0.0073+0.4i. Every stage records, per
+    point, the first check the point fails (the bound per entry, at the call's
+    top order), and a refused point takes no part in the later stages' sizing;
+    a refused batch raises its first refused point's error, as the point would
+    alone, with the outcome, where an entry the bound refuses below the top
+    order also carries its verdict at its own order (Refusal.alone).
+    twisted_pk_oracle is the lattice-sum oracle at a nontrivial twist.
     """
     ks = list(ks)
     if ks and min(ks) < 1:
         raise ValueError("twisted_pk requires k >= 1")
     zs = np.array(zs, dtype=complex).reshape(-1)
-    per_tw = not isinstance(tw, TwistPair) and _per_point(tw, zs.size, "tw")
-    try:
-        taus = _taus(tau, zs.size)
-        if not (ks and zs.size):
-            return np.zeros((len(ks), zs.size), dtype=complex)
-        order = max(ks)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # complex order is lexicographic: z > 0 means Re z > 0, or Re z = 0 < Im z; a
-            # non-finite z is the table's DomainError
-            flip = zs > 0
-            flipped = np.count_nonzero(flip)
-            # P_k = (-1)^(k-1) f_(k-1), and at a flipped point -f_(k-1) of tw^-1 at w = -z;
-            # tw^-1 is tw at the half-integer twists, and the only twist when all points
-            # flip. twists lists the numerator twists, which[j] point j's (None: the one
-            # twist); split when some are trivial and some not (twists of several points),
-            # which takes two tables
-            if isinstance(tw, TwistPair):
-                twists, which, split = [tw], None, False
-                if flipped and not _half_integer(tw):
-                    if flipped == zs.size:
-                        twists = [_flipped(tw)]
-                    else:
-                        twists, which = [tw, _flipped(tw)], flip.view(np.int8)
-            else:
-                index: dict[TwistPair, int] = {}
-                which = np.array([index.setdefault(_flipped(t) if f and not _half_integer(t)
-                                                   else t, len(index))
-                                  for t, f in zip(tw, flip.tolist())])
-                twists, trivial = list(index), np.array([t.is_trivial for t in tw])
-                split = len({t.is_trivial for t in twists}) > 1
-                if not trivial.any():
-                    trivial = False
-            vals, err = (_quotients if split else _p1_taylor)(
-                twists, which, np.where(flip, -zs, zs) if flipped else zs, taus, order, cfg)
-            sign = (-1.0) ** np.arange(order)[:, None] if order > 1 else 1.0   # (-1)^(k-1)
-            if flipped:
-                # the trivial P_1's 1 - P_1(-z), at the points of the trivial twist
-                if not per_tw:
-                    trivial = tw.is_trivial
-                if trivial is not False:
-                    vals[0] -= flip & trivial
-                vals = vals * np.where(flip, -1.0, sign)
-            elif order > 1:
-                vals = vals * sign
-            if ks != list(range(1, order + 1)):
-                rows = np.array(ks) - 1
-                vals, err = vals[rows], err[rows]
-            # inf and NaN values carry an inf or NaN bound, and fail
-            ok = err / np.maximum(1.0, np.abs(vals)) <= cfg.tol
-        if np.count_nonzero(ok) < ok.size:
-            i, j = np.argwhere(~ok)[0]
-            raise NotConverged(f"P_{ks[i]}[tw] theta quotient at z = {zs[j]:.6g}, "
-                               f"tau = {complex(_pick(taus, j))}: rounding bound "
-                               f"{err[i, j]:.3g} over tol {cfg.tol:.3g}")
+    per_tw = not isinstance(tw, TwistPair) and _by_point(tw, zs.size, "tw")
+    fails: dict = {}
+    taus = _point_taus(tau, zs.size, fails)
+    if not (ks and zs.size):
+        return np.zeros((len(ks), zs.size), dtype=complex)
+    order = max(ks)
+    with np.errstate(all="ignore"):
+        # complex order is lexicographic: z > 0 means Re z > 0, or Re z = 0 < Im z; a
+        # non-finite z is the table's DomainError
+        flip = zs > 0
+        flipped = np.count_nonzero(flip)
+        # P_k = (-1)^(k-1) f_(k-1), and at a flipped point -f_(k-1) of tw^-1 at w = -z;
+        # tw^-1 is tw at the half-integer twists, and the only twist when all points
+        # flip. twists lists the numerator twists, which[j] point j's (None: the one
+        # twist); split when some are trivial and some not (twists of several points),
+        # which takes two tables
+        if isinstance(tw, TwistPair):
+            twists, which, split = [tw], None, False
+            if flipped and not _half_integer(tw):
+                inv = _flipped(tw, flip, fails)
+                if flipped == zs.size:
+                    twists = [inv]
+                elif inv is not tw:
+                    twists, which = [tw, inv], flip.view(np.int8)
+        else:
+            index: dict[TwistPair, int] = {}
+            which = np.array([index.setdefault(_flipped(t, [j], fails)
+                                               if f and not _half_integer(t) else t, len(index))
+                              for j, (t, f) in enumerate(zip(tw, flip.tolist()))])
+            twists, trivial = list(index), np.array([t.is_trivial for t in tw])
+            split = len({t.is_trivial for t in twists}) > 1
+            if not trivial.any():
+                trivial = False
+        vals, err = (_quotients if split else _p1_taylor)(
+            twists, which, np.where(flip, -zs, zs) if flipped else zs, taus, order, cfg,
+            fails, flip if flipped else None)
+        sign = (-1.0) ** np.arange(order)[:, None] if order > 1 else 1.0   # (-1)^(k-1)
+        if flipped:
+            # the trivial P_1's 1 - P_1(-z), at the points of the trivial twist
+            if not per_tw:
+                trivial = tw.is_trivial
+            if trivial is not False:
+                vals[0] -= flip & trivial
+            vals = vals * np.where(flip, -1.0, sign)
+        elif order > 1:
+            vals = vals * sign
+        if ks != list(range(1, order + 1)):
+            rows = np.array(ks) - 1
+            vals, err = vals[rows], err[rows]
+        # inf and NaN values carry an inf or NaN bound, and fail
+        rel = err / np.maximum(1.0, np.abs(vals))
+        ok = rel <= cfg.tol
+    if not fails and np.count_nonzero(ok) == ok.size:
         return vals
-    except TwistellError as exc:
-        raise _first_refusal(exc, zs.size, lambda lo, hi: twisted_pk_batch(
-            ks, tw[lo:hi] if per_tw else tw, zs[lo:hi], _part(tau, lo, hi), cfg)) from None
+    # each entry's status: its point's refusal, else the bound's, raised in point order
+    statuses = np.full(vals.shape, None, dtype=object)
+    for j, refusal in fails.items():
+        statuses[:, j] = refusal
+    for i, j in np.argwhere(~ok).tolist():
+        if statuses[i, j] is None:
+            statuses[i, j] = Refusal(NotConverged, lambda at: (
+                f"P_{ks[at[0]]}[tw] theta quotient at z = {zs[at[1]]:.6g}, tau = "
+                f"{_tau_at(taus, at[1])}: " + (
+                    f"rounding bound {rel[at]:.3g} over tol {cfg.tol:.3g}"
+                    if np.isfinite(vals[at]) else "its value leaves the float range")),
+                (i, j))
+    for i, k in enumerate(ks):
+        # the bound grows with the call's top order: an entry it refuses below that order
+        # takes its own verdict from one more batch, at its own order
+        low = [j for j in np.flatnonzero(~ok[i]).tolist() if j not in fails] if k < order else ()
+        if low:
+            again = _outcome(twisted_pk_batch, [k], [tw[j] for j in low] if per_tw else tw,
+                             zs[low], taus[low] if isinstance(taus, np.ndarray) else taus,
+                             cfg)[1]
+            for c, j in enumerate(low):
+                statuses[i, j].alone = again is not None and again[0, c] is not None
+    _refused(vals, statuses)
 
 
-def _flipped(tw: TwistPair) -> TwistPair:
-    """The numerator twist tw^-1 of a point evaluated at -z. NearPole, as at -z's own side,
-    where tw^-1 rounds to the trivial twist and tw does not (a component of tw within
-    about 1.1e-15 of 0): the pole test of P_k[tw] at the trivial twist reads tw^-1."""
+def _flipped(tw: TwistPair, at, fails: dict) -> TwistPair:
+    """The numerator twist tw^-1 of the points at (a mask or indexes), evaluated at -z.
+    Where tw^-1 rounds to the trivial twist and tw does not (a component of tw within
+    about 1.1e-15 of 0), the pole test of P_k[tw] at the trivial twist would read tw^-1:
+    the points are refused with NearPole, as at -z's own side, and keep tw in its place."""
     inv = tw.inverse()
     if inv.is_trivial and not tw.is_trivial:
-        raise NearPole(f"twist {tw} is within {_POLE_EPS} of trivial, where P_k[tw] has a pole")
+        _refuse(fails, at, NearPole, lambda _: (
+            f"twist {tw} is within {_POLE_EPS} of trivial, where P_k[tw] has a pole"))
+        return tw
     return inv
 
 
@@ -309,9 +337,11 @@ def _half_integer(tw: TwistPair) -> bool:
 
 
 def _quotients(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray, tau,
-               order: int, cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
+               order: int, cfg: TruncationConfig, fails: dict, flip: np.ndarray | None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """_p1_taylor at points whose numerator twists are trivial at some points and not at
-    others (a batch of twists per point), one table for each kind."""
+    others (a batch of twists per point), one table for each kind, each kind's points'
+    refusals recorded in fails."""
     kinds = np.array([t.is_trivial for t in twists])
     vals, err = np.empty((order, ws.size), dtype=complex), np.empty((order, ws.size))
     rank = np.empty(kinds.size, dtype=int)
@@ -319,17 +349,27 @@ def _quotients(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
         mine = np.flatnonzero(kinds == kind)
         rank[mine] = np.arange(mine.size)
         part = np.flatnonzero(kinds[which] == kind)
+        # the part's refusals, by its own point numbers
+        own = {c: fails[j] for c, j in enumerate(part.tolist()) if j in fails}
         vals[:, part], err[:, part] = _p1_taylor(
             [twists[i] for i in mine], rank[which[part]], ws[part],
-            tau[part] if isinstance(tau, np.ndarray) else tau, order, cfg)
+            tau[part] if isinstance(tau, np.ndarray) else tau, order, cfg, own,
+            None if flip is None else flip[part])
+        for c, refusal in own.items():
+            fails.setdefault(int(part[c]), refusal)
     return vals, err
 
 
 def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray, tau,
-               order: int, cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
+               order: int, cfg: TruncationConfig, fails: dict, flip: np.ndarray | None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """f^(j)(w)/j!, j < order, of f = P_1[t] at every w of ws, t point j's numerator
     twist twists[which[j]] (twists[0] when which is None), all trivial or none, with
-    their rounding bounds; tau is one complex or one per point.
+    their rounding bounds; tau is one complex or one per point. fails holds the points
+    refused so far, which take stand-ins, and takes the refusals of the table and of the
+    pole tests: NearPole at a twist within 1e-12 of trivial, named as the point's own
+    (the inverse of its numerator twist where flip, the points evaluated at -z, is
+    set), and within 1e-11 of a lattice point.
 
     One classical._theta_table call holds every point and, as one more column per
     distinct (numerator twist, tau) of the points, w = 0. Its rows are the
@@ -351,6 +391,7 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
     npts = ws.size
     if len(twists) == 1:
         which = None
+    ws, tau = _stand_ins(fails, ws, tau)
     # the normalisation columns, one per distinct (twist, tau): combo[j] is point j's, and
     # ctw, col_tau their twists and the taus of all columns
     if isinstance(tau, np.ndarray):
@@ -373,7 +414,9 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
         chars[:0] = (nums if len(twists) < 3 else
                      [tuple(np.array(nums)[np.concatenate((which, ctw))].T)])
     cols, bounds, _, shifts, w = _theta_table(chars, pts, col_tau,
-                                              order + 1 if trivial else max(order, 2))
+                                              order + 1 if trivial else max(order, 2), fails)
+    for c in range(npts, pts.size):
+        fails.pop(c, None)
     # per normalisation column: the pole threshold (theta[1/2;1/2](w) ~ theta'[1/2;1/2](0)
     # d at distance d from the lattice), and off the trivial twist the normalisation
     # theta'(0) / theta[a;b](0), its inverse modulus, mu, lam and the normalisation's
@@ -388,8 +431,11 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
             r = t if rows else 0
             num0 = at_0[0][r][c]
             if abs(num0) < _POLE_EPS * abs(den1):
-                raise NearPole(f"twist {twists[t]} is within {_POLE_EPS} of trivial, where "
-                               f"P_k[tw] has a pole")
+                _refuse(fails, range(npts) if combo is None else combo == c, NearPole,
+                        lambda j, t=twists[t]: (
+                            f"twist {t.inverse() if flip is not None and flip[j] else t} is "
+                            f"within {_POLE_EPS} of trivial, where P_k[tw] has a pole"))
+                num0 = den1 = 1.0               # stand-ins: the combination's points are refused
             norm = den1 / num0
             per_combo[c] += [norm, 1.0 / abs(norm), twists[t].mu, twists[t].lam,
                              err_0[0][r][c] / abs(num0) + err_0[1][-1][c] / abs(den1)
@@ -397,10 +443,11 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
     # each point's normalisation values
     per = per_combo[0] if combo is None else np.array(per_combo)[combo].T
     absden = np.abs(cols[:order, -1, :npts])
-    if np.count_nonzero(absden[0] < per[0].real):
-        j = int(absden[0].argmin())
-        raise NearPole(f"z = {ws[j]:.6g} (or its negative) is within {10 * _POLE_EPS} of a "
-                       f"pole of P_k[tw] at tau = {complex(_pick(tau, j))}")
+    near = absden[0] < per[0].real
+    if np.count_nonzero(near):
+        _refuse(fails, near, NearPole, lambda j: (
+            f"z = {ws[j]:.6g} (or its negative) is within {10 * _POLE_EPS} of a pole of "
+            f"P_k[tw] at tau = {_tau_at(tau, j)}"))
     shifts = shifts[:npts]
     num, num_err = cols[:order, 0, :npts], bounds[:order, 0, :npts]
     if rows:
@@ -611,14 +658,17 @@ def twisted_eisenstein_batch(ns: Sequence[int], tw: TwistPair, taus: Sequence[co
     overflow or no stop by Q_ORDER goes to the loop. So the batch raises where
     twisted_eisenstein would at some (n, tau), the first such entry in row order
     deciding the error, or when B_n(lam)/n! and (n-1)! of an order in ns leave
-    the float range. A single (n, tau) stays on the loop (twisted_eisenstein):
-    the fixed cost of a pass, a few dozen numpy calls, is 6 to 12 times the
-    loop's time for one value.
+    the float range; a tau outside the upper half-plane refuses its column, the
+    first such raising first. The error carries the outcome, each entry refused
+    as twisted_eisenstein would refuse it. A single (n, tau) stays on the loop
+    (twisted_eisenstein): the fixed cost of a pass, a few dozen numpy calls, is 6
+    to 12 times the loop's time for one value.
     """
     if any(n < 1 for n in ns):
         raise ValueError("twisted_eisenstein requires n >= 1")
-    taus = [require_upper_half(tau) for tau in taus]
-    return _eisenstein_grid(list(ns), tw.lam, tw.mu, taus, cfg)
+    fails: dict = {}
+    taus = _point_taus(list(taus), len(taus), fails).tolist()
+    return _eisenstein_grid(list(ns), tw.lam, tw.mu, taus, cfg, fails)
 
 
 def twisted_eisenstein_oracle(n: int, tw: TwistPair, tau: complex,

@@ -41,8 +41,8 @@ def test_layers_script_runs_every_row(capsys):
             "L1.theta_char.half", "L1.theta_char.far", "L1.prime_form.one",
             "L2.twisted_eisenstein.im0.06",
             "L2.twisted_eisenstein.im1", "L2.twisted_eisenstein_batch.grid"} <= set(rows)
-    assert {"L4.cli.build_parser", "L4.table.pk_grid", "L4.table.en_grid",
-            "L4.table.text"} <= set(rows)
+    assert {"L4.cli.build_parser", "L4.table.pk_grid", "L4.table.pk_grid_refused",
+            "L4.table.en_grid", "L4.table.text"} <= set(rows)
     for row in rows.values():
         assert set(row) == {"min_us", "median_us"} and 0 < row["min_us"] <= row["median_us"]
 

@@ -321,9 +321,9 @@ class TestP0Batch:
                           [(0.31 - 0.5, 0.77 + 0.5), (0.5, 0.5)]):
                 for order in (1, 3):
                     cols, bounds, top, shifts, w = _theta_table(chars, np.array(zs + [0.0]),
-                                                                tau, order)
+                                                                tau, order, {})
                     for i, z in enumerate(zs):
-                        one = _theta_table(chars, np.array([z, 0.0]), tau, order)
+                        one = _theta_table(chars, np.array([z, 0.0]), tau, order, {})
                         at = [i, -1]
                         whole = (cols[..., at], bounds[..., at], top[at], shifts[at])
                         for part, same in zip(one, whole):

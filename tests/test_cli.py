@@ -320,6 +320,18 @@ class TestTableBatchForms:
         # Im tau = 0.02 rows are not_converged, every other row ok
         ("twisted_eisenstein", ["tau=0.1+0.02i:0.1+1i:5", "n=1..3", "mu=0.31", "lam=0.77"]),
     ]
+    # a refused row in the middle of a grid: the prime form's zero at z = 0, and the zero
+    # of theta[0;0] at z = -pi + pi i, tau = i, where the rounding bound fails
+    MIDDLE_REFUSED = [
+        ("prime_form", ["z=-1:1:5", "tau=i"]),
+        ("theta_char", ["a=0", "b=0", f"z=-5+{math.pi!r}i:{5 - 2 * math.pi!r}+{math.pi!r}i:3",
+                        "tau=i"]),
+    ]
+    # k = 1 passes alone but not in a call up to k = 3: the rounding bound grows with the
+    # call's top order (found among 3000 draws at small Im tau)
+    ORDER_DEPENDENT = ["k=1..3", "mu=0.8570167391377412", "lam=0.796584380552441",
+                       "z=-0.0064325510852901342-2.7788758273291272i",
+                       "tau=-0.0055590549091550923+0.079553597222646183i"]
     # a refused row's status -> its eval exit code and error kind
     REFUSALS = {"domain_error": (EXIT_DOMAIN, "domain"), "near_pole": (EXIT_DOMAIN, "near_pole"),
                 "not_converged": (EXIT_CONVERGENCE, "convergence")}
@@ -338,12 +350,40 @@ class TestTableBatchForms:
 
     def test_twisted_pk_grid_is_one_kernel_call(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch, twisted, "twisted_pk_batch")
-        code, out, _ = run_cli(capsys, "table", "--function", "twisted_pk", "k=1..3",
-                               "mu=0.31", "lam=0.77", "z=-6+1i:6-2i:25", "tau=0.12+1.1i")
+        for top, zs, statuses in [
+                (3, "-6+1i:6-2i:25", ["ok"] * 75),
+                # a row on the lattice: its refusal comes from the same one call
+                (2, "-2+1i:2-1i:5", ["ok", "ok", "near_pole", "ok", "ok"] * 2)]:
+            calls.clear()
+            code, out, _ = run_cli(capsys, "table", "--function", "twisted_pk", f"k=1..{top}",
+                                   "mu=0.31", "lam=0.77", f"z={zs}", "tau=0.12+1.1i")
+            assert code == EXIT_OK and len(calls) == 1
+            called_ks, _, called_zs, _, _ = calls[0]
+            assert list(called_ks) == list(range(1, top + 1))
+            assert len(called_zs) == len(statuses) // top
+            assert [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]] == statuses
+
+    def test_order_dependent_refusal_keeps_each_rows_own_status(self, capsys, monkeypatch):
+        # the bound of the call up to k = 3 refuses every entry; those below k = 3 take their
+        # own verdicts from one more kernel call per order, where k = 1 passes
+        calls = self.count_calls(monkeypatch, twisted, "twisted_pk_batch")
+        code, out, _ = run_cli(capsys, "table", "--function", "twisted_pk",
+                               *self.ORDER_DEPENDENT)
+        assert code == EXIT_OK
+        assert [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]] == \
+            ["ok", "not_converged", "not_converged"]
+        assert [(list(ks), len(zs)) for ks, _, zs, _, _ in calls] == [([1, 2, 3], 1), ([1], 1),
+                                                                         ([2], 1)]
+
+    @pytest.mark.parametrize("function,tokens", MIDDLE_REFUSED, ids=["prime_form", "theta_char"])
+    def test_refused_middle_row_is_one_batch_call(self, capsys, monkeypatch, function, tokens):
+        calls = self.count_calls(monkeypatch, classical, f"_{function}s")
+        code, out, _ = run_cli(capsys, "table", "--function", function, *tokens)
         assert code == EXIT_OK and len(calls) == 1
-        ks, _, zs, _, _ = calls[0]
-        assert list(ks) == [1, 2, 3] and len(zs) == 25
-        assert all(row[-1] == "ok" for row in list(csv.reader(io.StringIO(out)))[1:])
+        statuses = [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        middle = len(statuses) // 2
+        assert statuses[middle] != "ok"
+        assert statuses[:middle] + statuses[middle + 1:] == ["ok"] * (len(statuses) - 1)
 
     @pytest.mark.parametrize("function,batch,fixed", [("p0", "p0_batch", []),
                                                       ("prime_form", "_prime_forms", []),
@@ -355,7 +395,10 @@ class TestTableBatchForms:
                              "z=-2+0.5i:2+0.5i:9", "tau=i")
         assert code == EXIT_OK and len(calls) == 1 and len(calls[0][len(fixed)]) == 9
 
-    @pytest.mark.parametrize("function,tokens", GRIDS, ids=[g[0] for g in GRIDS])
+    @pytest.mark.parametrize("function,tokens",
+                             GRIDS + MIDDLE_REFUSED + [("twisted_pk", ORDER_DEPENDENT)],
+                             ids=[g[0] for g in GRIDS] + ["prime_form_middle", "theta_char_middle",
+                                                          "twisted_pk_order"])
     def test_rows_print_the_bytes_of_eval(self, capsys, function, tokens):
         code, out, _ = run_cli(capsys, "table", "--function", function, *tokens)
         assert code == EXIT_OK
@@ -374,7 +417,7 @@ class TestTableBatchForms:
 
     @pytest.mark.parametrize("low,statuses", [(0.06, ["ok"] * 3), (0.02, ["not_converged"] * 3)])
     def test_twisted_eisenstein_grid_is_one_batch_call(self, capsys, monkeypatch, low, statuses):
-        # a refused row sends the grid back to the per-row loop, one scalar call a row
+        # a refused row takes its status from the batch's outcome: no scalar call a row
         batch = self.count_calls(monkeypatch, twisted, "twisted_eisenstein_batch")
         scalar = self.count_calls(monkeypatch, twisted, "twisted_eisenstein")
         code, out, _ = run_cli(capsys, "table", "--function", "twisted_eisenstein", "n=1..3",
@@ -385,7 +428,7 @@ class TestTableBatchForms:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [row[-1] for row in rows[::25]] == statuses
         assert {row[-1] for row in rows[1:25] + rows[26:50] + rows[51:]} == {"ok"}
-        assert len(scalar) == (0 if low == 0.06 else 75)
+        assert not scalar
 
     def test_csv_bytes_with_fixed_list_cells(self, capsys):
         # xs and ys print with commas, so csv quotes them

@@ -4,9 +4,11 @@ calls.
 twisted_pk_batch, classical._theta_chars and classical._prime_forms take tau, and the
 twist or the characteristic, per point. Each value of such a batch equals its one-point
 call bit for bit, and a batch raises what its first failing point, in point order,
-would raise alone. The draws put Im tau between 0.1 and 5, so the points' theta windows
-differ in width, and mix points inside the box, points past a quasi-period, points
-with Re z > 0 (the kernel's parity flip) and points within _PAIR_RADIUS of 0.
+would raise alone; its error's outcome holds every point's status, the type of the
+point's one-point refusal, and the passing points' values. The draws put Im tau between
+0.1 and 5, so the points' theta windows differ in width, and mix points inside the box,
+points past a quasi-period, points with Re z > 0 (the kernel's parity flip) and points
+within _PAIR_RADIUS of 0.
 
 The correlator builders batch whole samples the same way: fermion._cd_matrices (the
 C/D matrices, p1_difference_matrix among them), fermion._rank2_generatings (the
@@ -84,17 +86,24 @@ def outcome(fn):
 
 
 def check_batch(batch, alone):
-    """A batch against its points' one-point outcomes, in point order."""
+    """A batch against its points' one-point outcomes, in point order: the first refusal
+    raised, then each point's status (its first refused entry's type) and each passing
+    point's value in the error's outcome."""
     refusals = [one for one in alone if isinstance(one, tuple)]
     if refusals:
         with pytest.raises(TwistellError) as info:
             batch()
         assert (type(info.value), str(info.value)) == refusals[0]
-        return
-    values = batch()
+        values, statuses = info.value.outcome
+        by_point = statuses.reshape(-1, statuses.shape[-1]).T
+        kinds = [next((r.kind for r in entries if r is not None), None) for entries in by_point]
+        assert kinds == [one[0] if isinstance(one, tuple) else None for one in alone]
+    else:
+        values = batch()
     for j, one in enumerate(alone):
-        value = values[j] if isinstance(values, list) else values[..., j]
-        assert np.ascontiguousarray(value).tobytes() == one, j
+        if not isinstance(one, tuple):
+            value = values[j] if isinstance(values, list) else values[..., j]
+            assert np.ascontiguousarray(value).tobytes() == one, j
 
 
 @SETTINGS

@@ -466,12 +466,12 @@ class TestThetaKernel:
     def test_near_trivial_twist_refuses_on_both_sides(self, tw):
         # the inverse of a twist within about 1.1e-15 of trivial rounds to the trivial
         # twist: a point with Re z > 0, evaluated at -z through tw^-1, refuses as its
-        # mirror image does rather than return the trivial kernel's value
+        # mirror image does rather than return the trivial kernel's value; both sides
+        # name the point's own twist, also where tw^-1 does not round (1.2e-15)
         for z in (1j, -1j, 0.3 + 1j, -0.3 + 1j, 0.3 - 1j, -0.3 - 1j):
             with pytest.raises(NearPole, match=r"^twist .* is within 1e-12 of trivial") as info:
                 twisted_pk(1, tw, z, 1j)
-            if tw.inverse().is_trivial:     # both sides name tw itself
-                assert str(info.value).startswith(f"twist {tw} is")
+            assert str(info.value).startswith(f"twist {tw} is")
         # a batch raises its first point's refusal, flipped or not
         for zs in ([0.3 + 1j, -0.3 + 1j], [-0.3 + 1j, 0.3 + 1j]):
             with pytest.raises(NearPole, match=r"^twist"):
@@ -481,6 +481,15 @@ class TestThetaKernel:
     def test_non_finite_z_is_a_domain_error(self, bad):
         with pytest.raises(DomainError):
             twisted_pk_batch([1], TwistPair(0.31, 0.77), [Z, bad], TAU)
+
+    @pytest.mark.parametrize("k,message", [
+        (15, r"P_15\[tw\] .*: rounding bound 1\.11e-12 over tol 1e-12$"),
+        (700, r"P_700\[tw\] .*: its value leaves the float range$")], ids=["k15", "k700"])
+    def test_bound_refusal_prints_the_relative_bound(self, k, message):
+        # the test is err / max(1, |P_k|) <= tol, and the message prints that ratio; a
+        # value past the float range has no bound to print
+        with pytest.raises(NotConverged, match=message):
+            twisted_pk(k, TwistPair(0.31, 0.77), -0.3 + 0.2j, 1j)
 
     def test_small_im_tau_is_not_converged(self):
         # the theta sums cancel to eta^3 ~ 3e-15 here: refused, not silently wrong
