@@ -15,7 +15,7 @@ Each figure is the min and the median over repeats, in microseconds per call (pe
 evaluation for the E_n rows, per grid for the E_n[tw] grid and table rows), with the E_n
 and eta caches emptied before every repeat. A checkout without p0_batch or
 twisted_pk_batch reports only the scalar loops, one without twisted_eisenstein_batch
-no E_n[tw] grid row.
+no E_n[tw] grid row, one without the oracle batch forms only the oracle loops.
 Prints one JSON object; needs nothing beyond the library itself and
 time.perf_counter.
 """
@@ -156,6 +156,19 @@ def main(argv=None) -> int:
         lambda: [twisted_pk(1, *s) for s in zip(m_tws[:50], m_zs[:50], m_taus[:50])])
     if batch is not None:
         per_point("L2.pk_many.n50", lambda: batch((1,), m_tws[:50], m_zs[:50], m_taus[:50]))
+    # L2: the lattice oracles at the same samples, P_1 at z and E_2 at tau
+    run("L2.pk_oracle_many.n50.loop",
+        lambda: [twisted_pk_oracle(1, *s) for s in zip(m_tws[:50], m_zs[:50], m_taus[:50])])
+    run("L2.eisenstein_oracle_many.n50.loop",
+        lambda: [twisted_eisenstein_oracle(2, *s) for s in zip(m_tws[:50], m_taus[:50])])
+    pk_oracles = getattr(twistell.twisted, "twisted_pk_oracle_batch", None)
+    en_oracles = getattr(twistell.twisted, "twisted_eisenstein_oracle_batch", None)
+    if pk_oracles is not None:
+        per_point("L2.pk_oracle_many.n50",
+                  lambda: pk_oracles(1, m_tws[:50], m_zs[:50], m_taus[:50]))
+    if en_oracles is not None:
+        per_point("L2.eisenstein_oracle_many.n50",
+                  lambda: en_oracles(2, m_tws[:50], m_taus[:50]))
     # L1: P_0 at n points with |z| < 2.5, inside the radius R = 2*pi of its Laurent series,
     # one call per z against one batched call; a separate stream keeps the L2/L3 points of
     # earlier runs

@@ -78,9 +78,11 @@ from .twisted import (
     twisted_eisenstein,
     twisted_eisenstein_batch,
     twisted_eisenstein_oracle,
+    twisted_eisenstein_oracle_batch,
     twisted_pk,
     twisted_pk_batch,
     twisted_pk_oracle,
+    twisted_pk_oracle_batch,
 )
 
 __version__ = "0.1.0"

@@ -150,9 +150,11 @@ _SIGNATURES = {
     "theta_char": (classical, "a:float b:float z:complex tau:complex cfg", "_theta_chars z"),
     "dedekind_eta": (classical, "tau:complex cfg"),
     "twisted_pk": (twisted, "k:int tw z:complex tau:complex cfg", "twisted_pk_batch k z"),
-    "twisted_pk_oracle": (twisted, "k:int tw z:complex tau:complex cfg"),
+    "twisted_pk_oracle": (twisted, "k:int tw z:complex tau:complex cfg",
+                          "twisted_pk_oracle_batch z"),
     "twisted_eisenstein": (twisted, "n:int tw tau:complex cfg", "twisted_eisenstein_batch n tau"),
-    "twisted_eisenstein_oracle": (twisted, "n:int tw tau:complex cfg"),
+    "twisted_eisenstein_oracle": (twisted, "n:int tw tau:complex cfg",
+                                  "twisted_eisenstein_oracle_batch tau"),
     "coeff_C": (twisted, "k:int l:int tw tau:complex cfg"),
     "coeff_D": (twisted, "k:int l:int tw z:complex tau:complex cfg"),
     "rank1_partition": (fermion, "g:g tau:complex cfg"),

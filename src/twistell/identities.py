@@ -16,8 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import _prime_forms, _theta_chars, _weierstrass_pks, dedekind_eta, eisenstein
-from .errors import RouteUnavailable
+from .classical import (
+    _outcome,
+    _prime_forms,
+    _theta_chars,
+    _weierstrass_pks,
+    dedekind_eta,
+    eisenstein,
+)
+from .errors import Refusal, RouteUnavailable
 from .fermion import (
     GSelector,
     OrbifoldParams,
@@ -32,10 +39,7 @@ from .fermion import (
     _rank2_generatings,
     _sigma_twisted_sample,
     modular_multiplier,
-    p1_difference_matrix,
-    rank1_generating,
     rank1_partition,
-    rank2_generating,
     rank2_partition,
     sigma_module_partition,
 )
@@ -47,10 +51,9 @@ from .twisted import (
     gamma_act_twist,
     lattice_distance,
     twisted_eisenstein,
-    twisted_eisenstein_oracle,
-    twisted_pk,
+    twisted_eisenstein_oracle_batch,
     twisted_pk_batch,
-    twisted_pk_oracle,
+    twisted_pk_oracle_batch,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -210,6 +213,25 @@ def _finish(name: str, records: list[SampleRecord], tol: float, cfg: TruncationC
     )
 
 
+def _each(batch, *args) -> list:
+    """Each point's or sample's value of the batch form call batch(*args), or its Refusal
+    where the batch refuses it (classical._outcome). A check reads them in its record loop
+    through _got, so a refused sample raises its error where its one-sample call did."""
+    values, statuses = _outcome(batch, *args)
+    if isinstance(values, np.ndarray):
+        values = values.reshape(-1).tolist()
+    if statuses is None:
+        return list(values)
+    return [v if r is None else r for v, r in zip(values, statuses.reshape(-1).tolist())]
+
+
+def _got(result):
+    """A value of _each, or the error of its Refusal raised."""
+    if isinstance(result, Refusal):
+        raise result.error()
+    return result
+
+
 # ---------------------------------------------------------------------------
 # twisted-function checks
 # ---------------------------------------------------------------------------
@@ -220,24 +242,28 @@ def check_doublesum(k: int, plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CO
     name = f"doublesum_k{k}"
     s = _Sampler(plan, name)
     records = []
-    # draw every sample first, then the kernel at all of them in one call
+    # draw every sample first, then the kernel at all of them in one call, and the oracle
+    # at all of them and, last, at the trivial twist, where it has no route, in another
     draws = []
     for i in range(plan.count):
         tw = s.twist(mode=i % 3)
         tau = s.tau()
         draws.append((tw, s.points(tau, 1)[0], tau))
     kernel = twisted_pk_batch((k,), *zip(*draws), cfg)[0].tolist()
-    for (tw, z, tau), lhs in zip(draws, kernel):
-        rhs = twisted_pk_oracle(k, tw, z, tau, cfg)
+    *oracle, trivial = _each(twisted_pk_oracle_batch, k, *zip(
+        *draws, (TwistPair.trivial(), complex(-1.0, 0.3), complex(0.1, 1.1))), cfg)
+    for (tw, z, tau), lhs, rhs in zip(draws, kernel, oracle):
+        rhs = _got(rhs)
         records.append(SampleRecord(f"tw={tw} z={_c(z)} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
-    try:
-        twisted_pk_oracle(k, TwistPair.trivial(), complex(-1.0, 0.3), complex(0.1, 1.1), cfg)
+    if not isinstance(trivial, Refusal):
         records.append(SampleRecord("tw=trivial", 0j, 0j, math.inf, "ok",
                                     "trivial twist unexpectedly accepted"))
-    except RouteUnavailable:
+    elif issubclass(trivial.kind, RouteUnavailable):
         records.append(SampleRecord("tw=trivial", 0j, 0j, 0.0, "skipped",
                                     "RouteUnavailable: no lattice route at trivial twist"))
+    else:
+        raise trivial.error()
     return _finish(name, records, tolerance, cfg, plan.seed)
 
 
@@ -248,11 +274,12 @@ def check_eisenstein_lattice(n: int, plan: SamplePlan,
     name = f"eisenstein_lattice_n{n}"
     s = _Sampler(plan, name)
     records = []
-    for i in range(plan.count):
-        tw = s.twist(mode=i % 3)
-        tau = s.tau()
+    # draw every sample first, then the oracle at all of them in one call
+    draws = [(s.twist(mode=i % 3), s.tau()) for i in range(plan.count)]
+    oracle = _each(twisted_eisenstein_oracle_batch, n, *zip(*draws), cfg)
+    for (tw, tau), rhs in zip(draws, oracle):
         lhs = twisted_eisenstein(n, tw, tau, cfg)
-        rhs = twisted_eisenstein_oracle(n, tw, tau, cfg)
+        rhs = _got(rhs)
         records.append(SampleRecord(f"tw={tw} tau={_c(tau)}", lhs, rhs, residual(lhs, rhs)))
     tau = s.tau()
     triv = TwistPair.trivial()
@@ -319,8 +346,9 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
     name = "periodicity"
     s = _Sampler(plan, name)
     # draw every sample first, then evaluate each function at all of them in one kernel
-    # call (P_k[tw] and P_k one per order k), each point as (arguments..., tau)
-    draws, pk_at, wp_at, th_at, kf_at = [], {}, {}, [], []
+    # call (P_k[tw] and P_k one per order k) and the oracle in one more, each point as
+    # (arguments..., tau)
+    draws, pk_at, wp_at, th_at, kf_at, oracle_at = [], {}, {}, [], [], []
     for i in range(plan.count):
         tau = s.tau()
         tw = s.twist(mode=0 if i % 2 else 1)  # keep phi != 1 so the oracle applies
@@ -328,6 +356,7 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         k = 1 + i % 3
         # P_1 and P_k[tw] at z + 2 pi i and z
         pk_at.setdefault(k, []).extend([(tw, z + 2j * math.pi, tau), (tw, z, tau)])
+        oracle_at.append((tw, z + 2j * math.pi * tau, tau))
         # the untwisted family and the prime form at the same four points
         tau2 = complex(s.uniform(-0.15, 0.15), s.uniform(0.8, 0.95))
         w = complex(s.uniform(-0.5, 0.5), s.uniform(-0.5, 0.5))
@@ -346,6 +375,7 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
     wp = {k: iter(_weierstrass_pks(k, *zip(*at), cfg).tolist()) for k, at in wp_at.items()}
     th = iter(_theta_chars(*zip(*th_at), cfg).tolist())
     kf = iter(_prime_forms(*zip(*kf_at), cfg).tolist())
+    oracle = iter(_each(twisted_pk_oracle_batch, 1, *zip(*oracle_at), cfg))
     records = []
     for k, tau, tw, z, tau2, z2, z3, a, b, zt in draws:
         # [P_1, P_k] at z + 2 pi i and at z
@@ -353,7 +383,7 @@ def check_periodicity(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         rhs = tw.phi * pz
         records.append(SampleRecord(f"P_{k}[tw] z+2pi*i, tw={tw} z={_c(z)} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
-        lhs = twisted_pk_oracle(1, tw, z + 2j * math.pi * tau, tau, cfg)
+        lhs = _got(next(oracle))
         rhs = tw.theta * p1
         records.append(SampleRecord(f"P_1[tw] z+2pi*i*tau, tw={tw} z={_c(z)} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
@@ -653,26 +683,49 @@ def check_modular_correlators(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_
     """Covariance of partition and generating correlators under S and T."""
     name = "modular_correlators"
     s = _Sampler(plan, name)
-    records = []
+    # draw every sample first, then evaluate P_1[gamma tw](gamma z, gamma tau) at all of
+    # them in one call, the generating correlators in one, and every P_1 entry of the
+    # trivially twisted det Q, at gamma z and gamma tau and at z and tau, in one
+    draws, pk_at, pairs, q_at = [], [], [], []
     for i in range(plan.count):
         glabel = "S" if i % 2 == 0 else "T"
         gamma = _GAMMAS[glabel]
         p = OrbifoldParams(s.phase(0.08, 0.92), s.phase(0.08, 0.92))
         tau = s.tau()
-        eps, gp = modular_multiplier(gamma, p)
         gtau = gamma_act_point(gamma, 0.0, tau)[1]
         aut = gamma.automorphy(tau)
+        xs, ys = s.xy_clusters(tau, 1, 1)
+        gtw = gamma_act_twist(gamma, p.twist())
+        pk_at.append((gtw, (xs[0] - ys[0]) / aut, gtau))
+        pairs.append((p, xs, ys, tau))
+        if i % 4 == 0:
+            xs, ys = s.xy_clusters(tau, 2, 2)
+            gxs = [gamma_act_point(gamma, x, tau)[0] for x in xs]
+            gys = [gamma_act_point(gamma, y, tau)[0] for y in ys]
+            q_at += [(x - y, gtau) for x in gxs for y in gys] + [(x - y, tau) for x in xs
+                                                                   for y in ys]
+        draws.append((glabel, gamma, p, tau, gtau, aut, gtw, i % 4 == 0))
+    pk = _each(twisted_pk_batch, (1,), *zip(*pk_at), cfg)
+    generating = _each(_rank2_generatings, pairs, cfg)
+    q_entries = iter(_each(_weierstrass_pks, 1, *zip(*q_at), cfg))
+
+    def _detq():
+        # the bordered determinant of the next four P_1 entries
+        q = np.ones((3, 3), dtype=complex)
+        q[2, 2] = 0.0
+        q[:2, :2] = np.reshape([_got(next(q_entries)) for _ in range(4)], (2, 2))
+        return determinant(q)
+
+    records = []
+    for (glabel, gamma, p, tau, gtau, aut, gtw, quad), p1, g2 in zip(draws, pk, generating):
+        eps, gp = modular_multiplier(gamma, p)
         lhs = rank2_partition(gp, gtau, cfg)
         rhs = eps * rank2_partition(p, tau, cfg)
         records.append(SampleRecord(f"Z under {glabel}, p={p} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
         # one-pair generating correlator: weight 1 with the same multiplier
-        xs, ys = s.xy_clusters(tau, 1, 1)
-        gz = (xs[0] - ys[0]) / aut
-        gtw = gamma_act_twist(gamma, p.twist())
-        lhs = (twisted_pk(1, gtw, gz, gtau, cfg)
-               * rank2_partition(gp, gtau, cfg))
-        rhs = aut * eps * rank2_generating(p, xs, ys, tau, cfg)
+        lhs = _got(p1) * rank2_partition(gp, gtau, cfg)
+        rhs = aut * eps * _got(g2)
         records.append(SampleRecord(f"G_2 under {glabel}, p={p} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
         # integer-weight one-point insertion transforms with weight 1
@@ -682,19 +735,9 @@ def check_modular_correlators(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_
         records.append(SampleRecord(f"weight-1 insertion under {glabel}, p={p}",
                                     lhs, rhs, residual(lhs, rhs)))
         # trivially twisted bordered determinant: weight n - 1, no multiplier
-        if i % 4 == 0:
-            xs, ys = s.xy_clusters(tau, 2, 2)
-            def _detq(xx, yy, tt):
-                q = np.ones((3, 3), dtype=complex)
-                q[2, 2] = 0.0
-                q[:2, :2] = np.reshape(
-                    _weierstrass_pks(1, [x - y for x in xx for y in yy], tt, cfg), (2, 2))
-                return determinant(q)
-
-            gxs = [gamma_act_point(gamma, x, tau)[0] for x in xs]
-            gys = [gamma_act_point(gamma, y, tau)[0] for y in ys]
-            lhs = _detq(gxs, gys, gtau)
-            rhs = aut * _detq(xs, ys, tau)
+        if quad:
+            lhs = _detq()
+            rhs = aut * _detq()
             records.append(SampleRecord(f"det Q under {glabel}, tau={_c(tau)}",
                                         lhs, rhs, residual(lhs, rhs)))
     # multiplier words: (ST)^3 = 1 and S^2 = -I against direct covariance
@@ -730,19 +773,21 @@ def check_correlator_structure(plan: SamplePlan, cfg: TruncationConfig = DEFAULT
         det = determinant(skew)
         records.append(SampleRecord(f"Pf^2=det dim={dim}", pf**2, det,
                                     abs(pf**2 - det) / max(1.0, abs(det))))
+    # draw the points first, then the three rank-one generators in one call and the two
+    # cofactor matrices in another
     tau = s.tau()
     g = GSelector.IDENTITY
     zs = s.points(tau, 4, min_sep=0.2)
-    base = rank1_generating(g, zs, tau, cfg)
-    swapped = rank1_generating(g, [zs[1], zs[0], zs[2], zs[3]], tau, cfg)
+    cofactor_zs = [s.points(tau, n, min_sep=0.2) for n in (4, 6)]
+    base, swapped, odd = _rank1_pfaffians([_rank1_generating_sample(g, z, tau) for z in (
+        zs, [zs[1], zs[0], zs[2], zs[3]], zs[:3])], cfg)
     records.append(SampleRecord("antisymmetry swap z1<->z2 (n=4)", swapped, -base,
                                 residual(swapped, -base)))
-    odd = rank1_generating(g, zs[:3], tau, cfg)
     records.append(SampleRecord("odd n vanishing (n=3)", odd, 0j, abs(odd)))
     # cofactor expansion along the first row reproduces the n -> n-2 recursion
-    for n in (4, 6):
-        zs = s.points(tau, n, min_sep=0.2)
-        mat = p1_difference_matrix(g.twist(), zs, tau, cfg)
+    mats = _cd_matrices([_p1_sample(g.twist(), z, tau) for z in cofactor_zs], cfg)
+    for zs, mat in zip(cofactor_zs, mats):
+        n = len(zs)
         pf = pfaffian_pair_sum(mat)
         acc = 0j
         for r in range(1, n):

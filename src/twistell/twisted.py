@@ -7,9 +7,9 @@ lattice (twisted_pk_batch), its thetas summed by classical._theta_table, the
 summation behind theta_char and the prime form too. E_n[tw] is the
 q-expansion it shares with the classical E_n (classical._eisenstein_series).
 The oracles that stay independent of both are one twisted lattice double sum
-(_lattice_sum), its inner sum collapsed to derivatives of e^{a x}/(e^x - 1):
-P_k[tw] itself, and E_n[tw] from it at z = 0. Modular group actions on points
-and twists round out the module.
+(_lattice_sums, every sample of a batch in one pass), its inner sum collapsed to
+derivatives of e^{a x}/(e^x - 1): P_k[tw] itself, and E_n[tw] from it at z = 0.
+Modular group actions on points and twists round out the module.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from .classical import (
     _EPS,
     _POLE_EPS,
+    _SCALARS,
     _by_point,
     _eisenstein_grid,
     _eisenstein_series,
@@ -32,6 +33,7 @@ from .classical import (
     _point_taus,
     _refuse,
     _refused,
+    _settle,
     _stand_ins,
     _tau_at,
     _theta_table,
@@ -545,69 +547,150 @@ def _exp_frac_derivatives(alpha: float, order: int) -> list[float]:
 _LATTICE_MAX_HALF_WIDTH = 1536
 
 
-def _lattice_sum(k: int, tw: TwistPair, z: complex, tau: complex, cfg: TruncationConfig,
-                 skip_zero: bool = False) -> complex:
-    """The twisted lattice double sum of P_k[tw](z, tau), its inner sum collapsed to
+def _lattice_sums(k: int, tws: Sequence[TwistPair], zs: Sequence[complex],
+                  taus: Sequence[complex], cfg: TruncationConfig, fails: dict,
+                  skip_zero: bool = False) -> np.ndarray:
+    """The twisted lattice double sum of P_k[tw](z, tau) at every (tw, z, tau) of tws, zs
+    and taus (Python complex z and tau), its inner sum collapsed to
     S_k(x; a) = sum_j e^{2 pi i a j}/(x - 2 pi i j)^k, (-1)^(k-1)/(k-1)! times the
     (k-1)-th derivative of e^{a x}/(e^x - 1), on the route the twist admits:
       phi != 1:   sum_m e^{-2 pi i mu m} S_k(z - 2 pi i m tau; lam),
-      theta != 1: tau^-k sum_n e^{2 pi i lam n} S_k((z - 2 pi i n)/tau; 1 - mu);
-    RouteUnavailable at the trivial twist. A window's rows are evaluated at once, S_k as
-    e^{a x}/(e^x - 1) times a polynomial in e^x/(e^x - 1), both divided through by e^x
-    where Re x > 0 so that no exponent grows, e^x - 1 by expm1 so that rows next to the
-    pole x = 0 keep their digits; skip_zero drops row 0 unevaluated. Each side starts
-    where its tail bound exp(-rate m) passes cfg.tol; both double until the three
-    outermost terms either side are below it. NotConverged when the row where the terms
-    peak (Re x = 0) lies outside the starting window about row 0 (its edge terms could
-    pass that test with the peak still ahead), past _LATTICE_MAX_HALF_WIDTH rows a side,
-    or when (k-1)! or the sum leaves the float range.
+      theta != 1: tau^-k sum_n e^{2 pi i lam n} S_k((z - 2 pi i n)/tau; 1 - mu).
+    A window's rows are evaluated at once, S_k as e^{a x}/(e^x - 1) times a polynomial in
+    e^x/(e^x - 1), both divided through by e^x where Re x > 0 so that no exponent grows,
+    e^x - 1 by expm1 so that rows next to the pole x = 0 keep their digits; skip_zero
+    drops row 0 unevaluated. Each side starts where its tail bound exp(-rate m) passes
+    cfg.tol; both double until the three outermost terms either side are below it.
+
+    One pass evaluates the windows of every sample still open, side by side in one flat
+    array with no padding; a sample whose edges pass is summed, the others double their
+    windows and go again. Each sample sums its own contiguous segment and divides by
+    div^k on Python scalars, so its value depends on its own (tw, z, tau) alone and
+    equals its one-sample call bit for bit. fails holds the samples refused so far,
+    which are skipped, and takes each sample's first refusal, in this order:
+    RouteUnavailable at the trivial twist; NotConverged when (k-1)! leaves the float
+    range, when the row where the terms peak (Re x = 0) lies outside the starting window
+    about row 0 (its edge terms could pass that test with the peak still ahead), past
+    _LATTICE_MAX_HALF_WIDTH rows a side, or when the sum, or tau^k on the theta != 1
+    route, leaves the float range. A refused sample's value is 0.
     """
-    h = _TWO_PI * tau.imag
-    if tw.lam != 0.0:
-        alpha, phase, step, div = tw.lam, -tw.mu, tau, 1.0
-        rates, row = ((1.0 - tw.lam) * h, tw.lam * h), -z.real / h
-    elif tw.mu != 0.0:
-        hp = (2j * math.pi / tau).real            # Re x falls by hp a row
-        alpha, phase, step, div = 1.0 - tw.mu, tw.lam, 1.0, tau
-        rates, row = ((1.0 - tw.mu) * hp, tw.mu * hp), (z * tau.conjugate()).real / h
-    else:
-        raise RouteUnavailable("lattice oracle needs theta != 1 or phi != 1")
+    out = np.zeros(len(zs), dtype=complex)
     try:
         scale = (-1.0) ** (k - 1) / math.factorial(k - 1)
     except OverflowError:
-        raise NotConverged(f"lattice oracle of order {k} needs {k - 1}! as a float, "
-                           f"which overflows past 170!") from None
-    coefs = [scale * c for c in reversed(_exp_frac_derivatives(alpha, k - 1))]
-    m_up, m_dn = (_window_size(rate, cfg.tol) for rate in rates)
-    if not -m_dn <= row <= m_up:
-        raise NotConverged(f"lattice row {row:.6g} lies outside the window "
-                           f"[{-m_dn}, {m_up}] about 0")
+        scale = None
+    exceeded = f"lattice window exceeded {_LATTICE_MAX_HALF_WIDTH} terms"
+    # per open sample: [index, m_dn, m_up, div], and its row constants in consts: z, div,
+    # 2 pi i step, 2 pi i phase, alpha and the polynomial's coefficients, each real one as a
+    # complex of imaginary part +0, which numpy's complex operations read as they read a float
+    open_, consts = [], []
+    for j, (tw, z, tau) in enumerate(zip(tws, zs, taus)):
+        if j in fails:
+            continue
+        h = _TWO_PI * tau.imag
+        if tw.lam != 0.0:
+            alpha, phase, step, div = tw.lam, -tw.mu, tau, 1.0
+            rates, row = ((1.0 - tw.lam) * h, tw.lam * h), -z.real / h
+        elif tw.mu != 0.0:
+            hp = (2j * math.pi / tau).real            # Re x falls by hp a row
+            alpha, phase, step, div = 1.0 - tw.mu, tw.lam, 1.0, tau
+            rates, row = ((1.0 - tw.mu) * hp, tw.mu * hp), (z * tau.conjugate()).real / h
+        else:
+            _refuse(fails, [j], RouteUnavailable, "lattice oracle needs theta != 1 or phi != 1")
+            continue
+        if scale is None:
+            _refuse(fails, [j], NotConverged, f"lattice oracle of order {k} needs {k - 1}! as "
+                                              f"a float, which overflows past 170!")
+            continue
+        m_up, m_dn = (_window_size(rate, cfg.tol) for rate in rates)
+        if not -m_dn <= row <= m_up:
+            _refuse(fails, [j], NotConverged, f"lattice row {row:.6g} lies outside the window "
+                                              f"[{-m_dn}, {m_up}] about 0")
+            continue
+        if max(m_up, m_dn) > _LATTICE_MAX_HALF_WIDTH:
+            _refuse(fails, [j], NotConverged, exceeded)
+            continue
+        open_.append([j, m_dn, m_up, div])
+        consts.append([z, div, 2j * math.pi * step, 2j * math.pi * phase, alpha,
+                       *(scale * c for c in reversed(_exp_frac_derivatives(alpha, k - 1)))])
+    consts = np.array(consts, dtype=complex)
     with np.errstate(all="ignore"):
-        while True:
-            if max(m_up, m_dn) > _LATTICE_MAX_HALF_WIDTH:
-                raise NotConverged(f"lattice window exceeded {_LATTICE_MAX_HALF_WIDTH} terms")
-            ms = np.arange(-m_dn, m_up + 1)
+        while open_:
+            # every open sample's window rows side by side, sample i's at bounds[i]:bounds[i+1],
+            # each row with its sample's constants and its number m
+            sizes = [s[1] + s[2] + (not skip_zero) for s in open_]
+            bounds = [0, *accumulate(sizes)]
+            z, div, c_step, c_phase, alpha, *coefs = consts.T.repeat(sizes, axis=1)
+            ms = np.concatenate([np.arange(-s[1], s[2] + 1) for s in open_])
             if skip_zero:
                 ms = ms[ms != 0]
-            x = (z - 2j * math.pi * step * ms) / div
+            x = (z - c_step * ms) / div
             pos = x.real > 0.0
-            em1 = np.expm1(np.where(pos, -x, x))
-            den = np.where(pos, -em1, em1)              # e^x - 1, or 1 - e^-x where Re x > 0
-            g = np.exp(np.where(pos, 0.0, x)) / den     # e^x/(e^x - 1)
+            den = np.expm1(np.where(pos, -x, x))
+            np.negative(den, out=den, where=pos)        # e^x - 1, or 1 - e^-x where Re x > 0
             poly = coefs[0]
-            for c in coefs[1:]:
-                poly = poly * g + c
+            if k > 1:
+                g = np.exp(np.where(pos, 0.0, x)) / den     # e^x/(e^x - 1)
+                for c in coefs[1:]:
+                    poly = poly * g + c
             terms = (poly * np.exp(alpha * x - np.where(pos, x, 0.0)) / den
-                     * np.exp(2j * math.pi * phase * ms))
-            mag = np.abs(terms)
-            if mag[:3].max() < cfg.tol and mag[-3:].max() < cfg.tol:
+                     * np.exp(c_phase * ms))
+            small = (np.abs(terms) < cfg.tol).tolist()
+            again = []
+            for i, (s, lo, hi) in enumerate(zip(open_, bounds, bounds[1:])):
+                # the three outermost terms either side below cfg.tol, or a window twice as wide
+                if not all(small[lo:lo + 3] + small[hi - 3:hi]):
+                    s[1], s[2] = 2 * s[1], 2 * s[2]
+                    if max(s[1], s[2]) > _LATTICE_MAX_HALF_WIDTH:
+                        _refuse(fails, [s[0]], NotConverged, exceeded)
+                    else:
+                        again.append(i)
+                    continue
+                try:
+                    total = complex(terms[lo:hi].sum()) / s[3]**k
+                except (ZeroDivisionError, OverflowError):      # tau^k out of the float range
+                    total = math.inf
+                if cmath.isfinite(total):
+                    out[s[0]] = total
+                else:
+                    _refuse(fails, [s[0]], NotConverged, f"lattice sum of order {k} at z = "
+                                                         f"{zs[s[0]]:.6g}, tau = {taus[s[0]]} "
+                                                         f"leaves the float range")
+            if not again:
                 break
-            m_up, m_dn = 2 * m_up, 2 * m_dn
-    total = complex(terms.sum()) / div**k
-    if not cmath.isfinite(total):
-        raise NotConverged(f"lattice sum of order {k} at z = {z:.6g}, tau = {tau} leaves "
-                           f"the float range")
-    return total
+            open_, consts = [open_[i] for i in again], consts[again]
+    return out
+
+
+def twisted_pk_oracle_batch(k: int, tw, zs: Sequence[complex], tau,
+                            cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """twisted_pk_oracle at every z of zs, from one _lattice_sums pass: tw one TwistPair
+    or a sequence of one per point, tau one complex or a sequence of one per point. Each
+    value and each refusal equals the one-point call's, bit for bit; a refused batch
+    raises its first refused point's error with the batch's outcome (_settle). A point
+    is refused, in this order, by its tau, a non-finite z, NearPole on a lattice point
+    (NotConverged where its lattice row leaves the float range), then by _lattice_sums.
+    """
+    if k < 1:
+        raise ValueError("twisted_pk_oracle requires k >= 1")
+    zs = [complex(z) for z in zs]
+    n = len(zs)
+    tws = list(tw) if not isinstance(tw, TwistPair) and _by_point(tw, n, "tw") else [tw] * n
+    fails: dict = {}
+    taus = _point_taus(tau, n, fails)
+    taus = taus.tolist() if isinstance(taus, np.ndarray) else [taus] * n
+    for j, (z, t) in enumerate(zip(zs, taus)):
+        if j in fails:
+            continue
+        if not cmath.isfinite(z):
+            _refuse(fails, [j], DomainError, f"lattice oracle needs a finite z, got z = {z}")
+            continue
+        try:
+            if lattice_distance(z, t) < 10 * _POLE_EPS:
+                _refuse(fails, [j], NearPole, f"z = {z:.6g} is a lattice translate of a pole")
+        except NotConverged as exc:
+            _refuse(fails, [j], NotConverged, exc)
+    return _settle(_lattice_sums(k, tws, zs, taus, cfg, fails), fails)
 
 
 def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
@@ -618,16 +701,9 @@ def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
     twist), every k summed directly. Valid off the period lattice wherever the lattice
     row of z, where the terms peak, lies in the starting window about row 0 (8 rows or
     more either side, more as tol or the decay rates fall); NotConverged where it does not.
+    The one-point call of twisted_pk_oracle_batch.
     """
-    if k < 1:
-        raise ValueError("twisted_pk_oracle requires k >= 1")
-    tau = require_upper_half(tau)
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"lattice oracle needs a finite z, got z = {z}")
-    if lattice_distance(z, tau) < 10 * _POLE_EPS:
-        raise NearPole(f"z = {z:.6g} is a lattice translate of a pole")
-    return _lattice_sum(k, tw, z, tau, cfg)
+    return complex(twisted_pk_oracle_batch(k, tw, [z], tau, cfg)[0])
 
 
 def twisted_eisenstein(n: int, tw: TwistPair, tau: complex,
@@ -671,6 +747,40 @@ def twisted_eisenstein_batch(ns: Sequence[int], tw: TwistPair, taus: Sequence[co
     return _eisenstein_grid(list(ns), tw.lam, tw.mu, taus, cfg, fails)
 
 
+def twisted_eisenstein_oracle_batch(n: int, tw, tau,
+                                    cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """twisted_eisenstein_oracle at every point, from one _lattice_sums pass: tw one
+    TwistPair or a sequence of one per point, tau one complex or a sequence of one per
+    point; one point when both are one value. Each value and each refusal equals the
+    one-point call's, bit for bit; a refused batch raises its first refused point's error
+    with the batch's outcome (_settle). A point is refused, in this order, by its tau,
+    by _lattice_sums, then by B_n (bernoulli_poly).
+    """
+    if n < 1:
+        raise ValueError("twisted_eisenstein_oracle requires n >= 1")
+    per_tw = not isinstance(tw, TwistPair)
+    npts = len(tw) if per_tw else 1 if isinstance(tau, _SCALARS) else len(tau)
+    tws = list(tw) if per_tw else [tw] * npts
+    fails: dict = {}
+    taus = _point_taus(tau, npts, fails)
+    taus = taus.tolist() if isinstance(taus, np.ndarray) else [taus] * npts
+    # S_n(-x; 1 - a) = (-1)^n S_n(x; a): E_n[tw] - c is (-1)^n times the sum at z = 0
+    tails = _lattice_sums(n, tws, [0j] * npts, taus, cfg, fails, skip_zero=True).tolist()
+    out = np.zeros(npts, dtype=complex)
+    for j, (t, tau_j, tail) in enumerate(zip(tws, taus, tails)):
+        if j in fails:
+            continue
+        tail = (-1) ** n * tail
+        try:
+            if t.lam != 0.0:
+                out[j] = tail - bernoulli_poly(n, t.lam) / math.factorial(n)
+            else:
+                out[j] = tail - bernoulli_poly(n, 1.0 - t.mu) / math.factorial(n) / tau_j**n
+        except NotConverged as exc:
+            _refuse(fails, [j], NotConverged, exc)
+    return _settle(out, fails)
+
+
 def twisted_eisenstein_oracle(n: int, tw: TwistPair, tau: complex,
                               cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Lattice-sum oracle for E_n[tw], the z^(n-1) coefficient of P_1[tw] - 1/z.
@@ -678,15 +788,10 @@ def twisted_eisenstein_oracle(n: int, tw: TwistPair, tau: complex,
     By S_n(-x; 1 - a) = (-1)^n S_n(x; a), E_n[tw] = c + (-1)^n times the lattice sum of
     twisted_pk_oracle at z = 0 with its pole row 0 dropped, c = -B_n(lam)/n! on the
     phi != 1 route and -B_n(1 - mu)/(n! tau^n) on the theta != 1 route.
-    RouteUnavailable at the trivial twist.
+    RouteUnavailable at the trivial twist. The one-point call of
+    twisted_eisenstein_oracle_batch.
     """
-    if n < 1:
-        raise ValueError("twisted_eisenstein_oracle requires n >= 1")
-    tau = require_upper_half(tau)
-    tail = (-1) ** n * _lattice_sum(n, tw, 0j, tau, cfg, skip_zero=True)
-    if tw.lam != 0.0:
-        return tail - bernoulli_poly(n, tw.lam) / math.factorial(n)
-    return tail - bernoulli_poly(n, 1.0 - tw.mu) / math.factorial(n) / tau**n
+    return complex(twisted_eisenstein_oracle_batch(n, tw, tau, cfg)[0])
 
 
 def _cd_factor(sign: int, k: int, l: int) -> float:

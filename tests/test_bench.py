@@ -35,6 +35,8 @@ def test_layers_script_runs_every_row(capsys):
     assert {f"L0.determinant.d{d}" for d in (4, 8, 16, 32)} <= set(rows)
     assert {"L1.eta", "L1.theta_many.n100", "L1.theta_many.n100.loop", "L2.pk_many.n50",
             "L2.pk_many.n50.loop", "L2.pk_batch.empty"} <= set(rows)
+    assert {"L2.pk_oracle_many.n50", "L2.pk_oracle_many.n50.loop",
+            "L2.eisenstein_oracle_many.n50", "L2.eisenstein_oracle_many.n50.loop"} <= set(rows)
     assert {"L3.rank2_many.n25", "L3.rank2_many.n25.loop", "L3.boson_many.n25",
             "L3.boson_many.n25.loop"} <= set(rows)
     assert {"L1.eisenstein.cold", "L1.theta_char.a0", "L1.theta_char.a40",

@@ -319,6 +319,11 @@ class TestTableBatchForms:
         # tau before n: the batch axes (n, tau) are transposed into row order; the
         # Im tau = 0.02 rows are not_converged, every other row ok
         ("twisted_eisenstein", ["tau=0.1+0.02i:0.1+1i:5", "n=1..3", "mu=0.31", "lam=0.77"]),
+        # the lattice oracles: a z line ending on the pole z = 0, its last row near_pole, and a
+        # tau line starting on the real axis, its first row domain_error
+        ("twisted_pk_oracle", ["k=2", "mu=0.31", "lam=0.77", "z=-3+0.5i:0:7",
+                               "tau=0.12+1.1i"]),
+        ("twisted_eisenstein_oracle", ["n=2", "mu=0.31", "lam=0.77", "tau=0.1:0.1+1i:5"]),
     ]
     # a refused row in the middle of a grid: the prime form's zero at z = 0, and the zero
     # of theta[0;0] at z = -pi + pi i, tau = i, where the rounding bound fails
@@ -394,6 +399,15 @@ class TestTableBatchForms:
         code, _, _ = run_cli(capsys, "table", "--function", function, *fixed,
                              "z=-2+0.5i:2+0.5i:9", "tau=i")
         assert code == EXIT_OK and len(calls) == 1 and len(calls[0][len(fixed)]) == 9
+
+    @pytest.mark.parametrize("function,tokens,statuses", [
+        (GRIDS[-2][0], GRIDS[-2][1], ["ok"] * 6 + ["near_pole"]),
+        (GRIDS[-1][0], GRIDS[-1][1], ["domain_error"] + ["ok"] * 4)])
+    def test_oracle_grid_is_one_batch_call(self, capsys, monkeypatch, function, tokens, statuses):
+        calls = self.count_calls(monkeypatch, twisted, f"{function}_batch")
+        code, out, _ = run_cli(capsys, "table", "--function", function, *tokens)
+        assert code == EXIT_OK and len(calls) == 1 and len(calls[0][2]) == len(statuses)
+        assert [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]] == statuses
 
     @pytest.mark.parametrize("function,tokens",
                              GRIDS + MIDDLE_REFUSED + [("twisted_pk", ORDER_DEPENDENT)],

@@ -8,6 +8,7 @@ import pytest
 
 from twistell import DEFAULT_CONFIG, SUITE, SamplePlan, run_all
 from twistell.identities import (
+    check_correlator_structure,
     check_doublesum,
     check_eisenstein_lattice,
     check_fay_trisecant,
@@ -177,11 +178,11 @@ def test_laurent_circle_is_one_kernel_call(monkeypatch):
 
 
 def test_one_point_checks_make_one_kernel_call_per_function(monkeypatch):
-    # every check but modular_correlators draws every sample first and evaluates each
-    # function at all of them in one call: P_k and P_k[tw] one per list of orders, the
-    # correlator checks' P_1 kernel one per order set of their matrices, and their
-    # bosonized side one theta and one prime-form call (the correlators' own calls,
-    # in the fermion module, counted with the suite's)
+    # every check but laurent draws every sample first and evaluates each function at all
+    # of them in one call: P_k and P_k[tw] one per list of orders, each lattice oracle one
+    # per order, the correlator builders one each, their P_1 kernel one per order set of
+    # their matrices, and their bosonized side one theta and one prime-form call (the
+    # correlators' own calls, in the fermion module, counted with the suite's)
     from twistell import fermion, identities
 
     calls = []
@@ -190,33 +191,48 @@ def test_one_point_checks_make_one_kernel_call_per_function(monkeypatch):
         fn = getattr(module, name)
 
         def counted(*args):
-            calls.append((name, tuple(args[0])) if name.endswith("_batch") else name)
+            order = args[0] if isinstance(args[0], int) else tuple(args[0])
+            calls.append((name, order) if name.endswith("_batch") else name)
             return fn(*args)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("twisted_pk_batch", "_weierstrass_pks", "_theta_chars", "_prime_forms"):
+    for name in ("twisted_pk_batch", "twisted_pk_oracle_batch", "twisted_eisenstein_oracle_batch",
+                 "_weierstrass_pks", "_theta_chars", "_prime_forms", "_cd_matrices",
+                 "_rank1_pfaffians", "_rank2_generatings"):
         counting(identities, name)
     for name in ("twisted_pk_batch", "_theta_chars", "_prime_forms"):
         counting(fermion, name)
     plan = SamplePlan(seed=7, count=6)
     p1 = ("twisted_pk_batch", (1,))
-    bosonized = [p1, "_theta_chars", "_prime_forms"]
+    bosonized = [p1, "_rank2_generatings", "_theta_chars", "_prime_forms"]
     # the generalized trisecant's n = 1 sample needs P_1, the others P_1..P_3
-    blocks = [p1, ("twisted_pk_batch", (1, 2, 3)), "_theta_chars", "_prime_forms"]
+    blocks = [p1, ("twisted_pk_batch", (1, 2, 3)), "_cd_matrices", "_theta_chars",
+              "_prime_forms"]
     for check, expected in [
-            (lambda: check_doublesum(1, plan), [p1]),
+            (lambda: check_doublesum(1, plan), [p1, ("twisted_pk_oracle_batch", 1)]),
+            (lambda: check_doublesum(2, plan),
+             [("twisted_pk_batch", (2,)), ("twisted_pk_oracle_batch", 2)]),
+            *[(lambda n=n: check_eisenstein_lattice(n, plan),
+               [("twisted_eisenstein_oracle_batch", n)]) for n in (1, 2, 3)],
             (lambda: check_modular_twisted(plan), [("twisted_pk_batch", (1, 2, 3))]),
             (lambda: check_jacobi_triple_product(plan), ["_theta_chars"]),
             (lambda: check_periodicity(plan),
              [("twisted_pk_batch", (1, k)) for k in (1, 2, 3)] + ["_weierstrass_pks"] * 3
-             + ["_theta_chars", "_prime_forms"]),
+             + ["_theta_chars", "_prime_forms", ("twisted_pk_oracle_batch", 1)]),
             (lambda: check_fay_trisecant(2, plan), bosonized),
             (lambda: check_fay_trisecant(3, plan), bosonized),
             (lambda: check_k_secant(2, plan), bosonized),
             (lambda: check_generalized_trisecant((2,), (2,), plan), blocks),
             (lambda: check_generalized_trisecant((2, 1), (1, 2), plan), blocks),
             # the check's P_1 matrices, then the named rank-one generators'
-            (lambda: check_rank1_square(plan), [p1, p1])]:
+            (lambda: check_rank1_square(plan), [p1, p1, "_cd_matrices", "_rank1_pfaffians"]),
+            # P_1[tw] at the transformed points, the generating correlators' matrices, and
+            # every entry of det Q
+            (lambda: check_modular_correlators(plan),
+             [p1, p1, "_rank2_generatings", "_weierstrass_pks"]),
+            # the three rank-one generators' matrices, then the two cofactor matrices
+            (lambda: check_correlator_structure(plan),
+             [p1, p1, "_rank1_pfaffians", "_cd_matrices"])]:
         calls.clear()
         assert check().passed
         assert sorted(calls, key=str) == sorted(expected, key=str)

@@ -10,6 +10,10 @@ point's one-point refusal, and the passing points' values. The draws put Im tau 
 points past a quasi-period, points with Re z > 0 (the kernel's parity flip) and points
 within _PAIR_RADIUS of 0.
 
+The lattice oracles' batch forms, twisted_pk_oracle_batch and
+twisted_eisenstein_oracle_batch, take tw and tau per point too; their draws mix passing
+points with points refused at each stage of the one-point call.
+
 The correlator builders batch whole samples the same way: fermion._cd_matrices (the
 C/D matrices, p1_difference_matrix among them), fermion._rank2_generatings (the
 rank-two determinant) and fermion._bosonized (rank2_generating_boson, lattice_npoint
@@ -33,7 +37,14 @@ from twistell.fermion import (
     rank2_partition_theta,
 )
 from twistell.numeric import DEFAULT_CONFIG
-from twistell.twisted import TwistPair, twisted_pk_batch
+from twistell.twisted import (
+    TwistPair,
+    twisted_eisenstein_oracle,
+    twisted_eisenstein_oracle_batch,
+    twisted_pk_batch,
+    twisted_pk_oracle,
+    twisted_pk_oracle_batch,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -137,6 +148,56 @@ def test_prime_form_batch_matches_one_point_calls(samples):
     taus = [tau for _, tau in samples]
     alone = [outcome(lambda z=z, tau=tau: prime_form(z, tau)) for z, tau in samples]
     check_batch(lambda: _prime_forms(zs, taus), alone)
+
+
+@st.composite
+def oracle_point(draw):
+    """(tw, z, tau) of a lattice oracle: most pass, the others are refused at one stage each,
+    in the one-point call's order: tau, a non-finite z, a lattice point (or, at a subnormal
+    Im tau, a lattice row out of the float range), the trivial twist, then, in the sum, a
+    row outside the starting window and a window past its cap (Im tau 0.002)."""
+    tau = draw(st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 3.0)))
+    h = 2.0 * math.pi * tau.imag
+    tw = TwistPair(*draw(st.one_of(st.tuples(phase, phase), st.tuples(st.just(0.0), phase),
+                                   st.tuples(phase, st.just(0.0)))))
+    z = complex(draw(st.floats(-h, h)), draw(st.floats(-math.pi, math.pi)))
+    kind = draw(st.sampled_from(["pass"] * 6 + ["tau", "finite", "pole", "subnormal",
+                                                "trivial", "row", "cap"]))
+    if kind == "tau":
+        tau = complex(tau.real, -tau.imag)
+    elif kind == "finite":
+        z = complex(draw(st.sampled_from([math.inf, -math.inf, math.nan])), z.imag)
+    elif kind == "pole":
+        z = 2j * math.pi * (draw(st.integers(-2, 2)) * tau + draw(st.integers(-2, 2)))
+    elif kind == "subnormal":
+        tau = complex(tau.real, 5e-324)
+    elif kind == "trivial":
+        tw = TwistPair()
+    elif kind == "row":
+        z = complex(-draw(st.floats(60.0, 200.0)) * h, z.imag)
+    elif kind == "cap":
+        tau = complex(tau.real, 0.002)
+    return tw, z, tau
+
+
+@SETTINGS
+@hypothesis.given(samples=st.lists(oracle_point(), min_size=1, max_size=8),
+                  k=st.sampled_from([1, 2, 3, 172]))
+def test_pk_oracle_batch_matches_one_point_calls(samples, k):
+    # k = 172 refuses every point that passes the checks before (k-1)!
+    alone = [outcome(lambda s=s: twisted_pk_oracle(k, *s)) for s in samples]
+    check_batch(lambda: twisted_pk_oracle_batch(k, *zip(*samples)), alone)
+
+
+@SETTINGS
+@hypothesis.given(samples=st.lists(oracle_point(), min_size=1, max_size=8),
+                  n=st.sampled_from([1, 2, 3, 172]))
+def test_eisenstein_oracle_batch_matches_one_point_calls(samples, n):
+    # the oracle at z = 0, its pole row dropped: the points' own z take no part
+    alone = [outcome(lambda tw=tw, tau=tau: twisted_eisenstein_oracle(n, tw, tau))
+             for tw, _, tau in samples]
+    check_batch(lambda: twisted_eisenstein_oracle_batch(
+        n, [tw for tw, _, _ in samples], [tau for *_, tau in samples]), alone)
 
 
 def test_one_twist_and_tau_spread_over_the_points():

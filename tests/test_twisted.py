@@ -217,6 +217,15 @@ class TestTwistedPk:
         with pytest.raises(NotConverged, match="lattice row"):
             twisted_pk_oracle(1, TwistPair(0.3, 0.3), -0.1 + 0.1j, 5e-324j)
 
+    @pytest.mark.parametrize("call", [
+        lambda: twisted_eisenstein_oracle(2, TwistPair(0.3, 0.0), 1e-170 + 1e-170j),
+        lambda: twisted_pk_oracle(2, TwistPair(0.3, 0.0), 0.3j, 1e-300 + 5e-324j)])
+    def test_oracle_refuses_tau_to_the_k_out_of_the_float_range(self, call):
+        # on the theta != 1 route the sum is divided by tau^k, here 0 after underflow: a
+        # refusal, not Python's ZeroDivisionError
+        with pytest.raises(NotConverged, match="leaves the float range"):
+            call()
+
     @pytest.mark.parametrize("tw,z,tau", [
         (TwistPair(0.3, 0.7), 1e4 + 2j, 10j),        # row -159, window [-8, 9]: was exactly 0j
         (TwistPair(0.3, 0.0), -1 + 1000j, 1j),       # swapped route, row 159: was 1.75e-119
