@@ -271,6 +271,25 @@ def main(argv=None) -> int:
     if boson_form is not None:
         per_point("L3.boson_many.n25", lambda: fermion._bosonized(
             [(boson_form, *s) for s in fay], twistell.DEFAULT_CONFIG))
+    # L3: 25 P_1[tw](z_i - z_j) matrices of 4 shared points with a given diagonal, at
+    # distinct (tw, tau) drawn as above and points drawn as the rank-one square check
+    # draws them (four points in the Fay clusters' strip, 0.05 apart), as a loop of
+    # one-sample calls (.loop) against one call; a checkout without the batched builder
+    # reports the loop only
+    cd_rng = random.Random(f"cd:{args.seed}")
+    cd = []
+    while len(cd) < 25:
+        ct = complex(cd_rng.uniform(-0.4, 0.4), cd_rng.uniform(0.8, 2.0))
+        ctw = TwistPair(cd_rng.uniform(0.06, 0.94), cd_rng.uniform(0.06, 0.94))
+        zs = [complex(cd_rng.uniform(-2.6, -0.4), cd_rng.uniform(-0.9, 0.9)) for _ in range(4)]
+        if all(abs(a - b) >= 0.05 for i, a in enumerate(zs) for b in zs[i + 1:]):
+            cd.append((ctw, zs, ct, -0.3 + 0.1j))
+    p1_matrix = twistell.p1_difference_matrix
+    run("L3.cd_many.n25.loop", lambda: [p1_matrix(ctw, zs, ct, diag=dg) for ctw, zs, ct, dg in cd])
+    p1_sample = getattr(fermion, "_p1_sample", None)
+    if p1_sample is not None:
+        per_point("L3.cd_many.n25", lambda: fermion._cd_matrices(
+            [p1_sample(*s) for s in cd], twistell.DEFAULT_CONFIG))
     # L3: a 12 x 12 block Pfaffian, 4 labels of 3 modes
     labels = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     zs = [-2.6 + 0.3j, -1.9 - 0.8j, -1.1 + 0.9j, -0.4 - 0.2j]

@@ -133,106 +133,165 @@ class OrbifoldParams:
         return f"(alpha={self.alpha:.6g}, beta={self.beta:.6g})"
 
 
-def _cd_matrices(samples: Sequence[tuple], cfg: TruncationConfig) -> list[np.ndarray]:
-    """C/D block matrices of the expansion coefficients of P_1[tw], one per sample
-    (tw, row_modes, xs, col_modes, ys, tau, diag) of samples.
+def _cd_stacks(samples: Sequence[tuple], cfg: TruncationConfig, fails: dict) -> list[tuple]:
+    """The C/D block matrices of the expansion coefficients of P_1[tw] at every sample
+    (tw, row_modes, xs, col_modes, ys, tau, diag) of samples, as (members, stack) per
+    layout, stack[j] the matrix of sample members[j]. A refused sample's refusal goes to
+    fails and its slot of the stack is undefined; a layout may have no stack when all of
+    its samples are refused.
 
-    Row block a holds the modes k_i of row_modes[a] at xs[a]; column block b
-    the modes l_j of col_modes[b] at ys[b]. With ys None the columns sit at
-    the row points, and block a == b holds C[tw](k_i, l_j), or the constant
-    diag when one is given; each E_m[tw] is evaluated once. Every other
-    entry is D[tw](k_i, l_j, xs[a] - ys[b]), m = k_i + l_j - 1, from the kernel at
-    every m at every difference of two blocks, row major. The matrix is gathered
-    from a table with a row per distinct (k, l) and a slot per block pair (a, b),
-    row major, in each: a matrix row gives the offset of its k's rows plus
-    a * blocks, a column that of its l plus b, and an entry's index is their sum.
+    Row block a holds the modes k_i of row_modes[a] at xs[a]; column block b the modes
+    l_j of col_modes[b] at ys[b]. With ys None the columns sit at the row points, and
+    block a == b holds C[tw](k_i, l_j), or the constant diag when one is given; each
+    E_m[tw] is evaluated once a sample. Every other entry is D[tw](k_i, l_j, xs[a] -
+    ys[b]), m = k_i + l_j - 1, from the kernel at every m at every difference of two
+    blocks, row major.
 
-    The D entries of every matrix come from one twisted_pk_batch call per distinct
-    tuple of orders m, since a point's refusal may depend on the highest order asked;
-    each point carries its own twist and tau, and a call that serves one sample
-    passes them as one value. Each matrix equals its one-sample call bit for bit. A
-    sample is refused by the first refused entry of its points in the kernel's outcome
-    (point order, then order), else by its assembly (_cd_factor, E_m); a refused batch
-    raises its first refused sample's error with the batch's outcome (_settle).
+    A layout, (row_modes, col_modes, shared or not, diag given or not) with the modes as
+    tuples or ranges, fixes the cells (k, l), the orders, their factors and the gather
+    index, each built once. Its samples' differences come from one stacked subtraction,
+    and its matrices from one take of a table with a row per distinct (k, l), then a
+    column per sample, then a slot per block pair (a, b), row major: a matrix row gives
+    the offset of its k's rows plus a * blocks, a column that of its l plus b, and an
+    entry's index is their sum plus its sample's offset.
+
+    The D entries come from one twisted_pk_batch call per distinct tuple of orders m,
+    since a point's refusal may depend on the highest order asked; each point carries
+    its own twist and tau, and a call that serves one sample passes them as one value.
+    Each matrix equals its one-sample call bit for bit. A sample is refused by the first
+    refused entry of its points in the kernel's outcome (point order, then order), else
+    by its layout's factors (_cd_factor), else by its E_m.
     """
-    fails: dict = {}
+    groups: dict = {}
+    for i, sample in enumerate(samples):
+        groups.setdefault((tuple(sample[1]), tuple(sample[3]), sample[4] is None,
+                           sample[6] is None), []).append(i)
     with np.errstate(over="ignore", invalid="ignore"):     # inf and nan silently, as in Python
-        layouts, groups = [], {}
-        for i, (tw, row_modes, xs, col_modes, ys, tau, diag) in enumerate(samples):
-            shared = ys is None
-            nr, nb = len(row_modes), len(col_modes)
+        layouts, diffs, calls = [], [], {}     # calls: the layouts of each tuple of orders
+        for (row_modes, col_modes, shared, _), members in groups.items():
+            g, nr, nb = len(members), len(row_modes), len(col_modes)
             ks = list({k for modes in row_modes for k in modes})    # set order: it picks
             ls = list({l for modes in col_modes for l in modes})    # the binomial that a
             cells = [(k, l) for k in ks for l in ls]                # NotConverged names
+            xs = np.array([samples[i][2] for i in members], dtype=complex)     # (g, nr)
             if shared:
                 k_in = {k: {a for a, modes in enumerate(row_modes) if k in modes} for k in ks}
                 l_in = {l: {b for b, modes in enumerate(col_modes) if l in modes} for l in ls}
                 ms = tuple(sorted({k + l - 1 for k, l in cells if len(k_in[k] | l_in[l]) > 1}))
-                zs = np.subtract.outer(xs, xs).ravel()
-                zs = zs[1:].reshape(-1, nb + 1)[:, :-1].ravel()     # the a != b of the grid
+                on = {(k, l) for k, l in cells if k_in[k] & l_in[l]}
+                zs = (xs[:, :, None] - xs[:, None, :]).reshape(g, nr * nb)
+                zs = zs[:, 1:].reshape(g, -1, nb + 1)[:, :, :-1]     # the a != b of the grid
             else:
-                k_in = l_in = None
                 ms = tuple(sorted({k + l - 1 for k, l in cells}))
-                zs = np.subtract.outer(xs, ys).ravel()
-            layouts.append((ms, zs, nr, nb, ks, ls, cells, k_in, l_in))
+                on = None
+                zs = xs[:, :, None] - np.array([samples[i][4] for i in members],
+                                               dtype=complex)[:, None, :]
             if zs.size:
-                groups.setdefault(ms, []).append(i)
-        blocks = [None] * len(samples)
-        for ms, members in groups.items():
-            sizes = [layouts[i][1].size for i in members]
+                calls.setdefault(ms, []).append(len(layouts))
+            layouts.append((members, row_modes, col_modes, ks, ls, cells, ms, on))
+            diffs.append(zs.reshape(-1))
+        blocks = [None] * len(layouts)
+        for ms, parts in calls.items():
+            members = [i for j in parts for i in layouts[j][0]]
+            sizes = [diffs[j].size // len(layouts[j][0]) for j in parts for _ in layouts[j][0]]
             if len(members) == 1:
-                i = members[0]
-                tws, zs, taus = samples[i][0], layouts[i][1], samples[i][5]
+                tws, zs, taus = samples[members[0]][0], diffs[parts[0]], samples[members[0]][5]
             else:
                 tws = [samples[i][0] for i, n in zip(members, sizes) for _ in range(n)]
-                zs = np.concatenate([layouts[i][1] for i in members])
+                zs = np.concatenate([diffs[j] for j in parts])
                 taus = np.repeat([samples[i][5] for i in members], sizes)
             block, statuses = _outcome(twisted_pk_batch, ms, tws, zs, taus, cfg)
             _take_refusals(fails, members, statuses, sizes)
             lo = 0
-            for i, n in zip(members, sizes):
-                blocks[i] = block[:, lo:lo + n]
-                lo += n
-        mats = []
-        for i, (sample, block, layout) in enumerate(zip(samples, blocks, layouts)):
+            for j in parts:
+                blocks[j] = block[:, lo:lo + diffs[j].size]
+                lo += diffs[j].size
+        stacks = []
+        for (members, row_modes, col_modes, ks, ls, cells, ms, on), block in zip(layouts, blocks):
+            g, nr, nb = len(members), len(row_modes), len(col_modes)
+            # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
             try:
-                mats.append(None if i in fails else _cd_assembly(sample, block, layout, cfg))
+                d_fac = np.array([[_cd_factor(k + 1, k, l)] for k, l in cells])
+            except TwistellError as exc:
+                for i in members:
+                    fails.setdefault(i, Refusal.of(exc))
+                continue
+            if ms:
+                row_of = {m: i for i, m in enumerate(ms)}
+                d = d_fac * block.take([row_of.get(k + l - 1, 0) for k, l in cells], axis=0)
+            if on is None:
+                table = d if ms else np.empty((len(cells), g * nr * nb), dtype=complex)
+            else:
+                table = np.empty((len(cells), g, nr * nb), dtype=complex)
+                if ms:   # the slots a != b, as in zs
+                    table[:, :, 1:].reshape(len(cells), g, nb - 1, nb + 1)[..., :-1] = \
+                        d.reshape(len(cells), g, nb - 1, nb)
+                table[:, :, ::nb + 1] = _cd_diagonals(samples, members, cells, on, fails, cfg)
+            t = g * nr * nb     # a cell's stride in the table
+            at = np.add.outer([(ks.index(k) * len(ls) * t + a * nb)
+                               for a, modes in enumerate(row_modes) for k in modes],
+                              [ls.index(l) * t + b for b, lb in enumerate(col_modes) for l in lb]
+                              ).astype(np.intp, copy=False)     # an empty side comes as float
+            at = at + (nr * nb * np.arange(g))[:, None, None] if g > 1 else at[None]
+            stacks.append((members, table.take(at)))
+    return stacks
+
+
+def _cd_diagonals(samples: Sequence[tuple], members: list, cells: list, on: set, fails: dict,
+                  cfg: TruncationConfig) -> np.ndarray:
+    """The diagonal-block entries of a shared _cd_stacks layout, broadcast to (cells,
+    members, 1): each sample's diag, or its C[tw](k, l) where (k, l) meets on a diagonal
+    block and 0 off it, E_m[tw] once per m and sample. A sample refused before, or by an
+    E_m, has 0 there. The C factors cannot fail where the D factors passed: both are the
+    binomial C(k+l-2, k-1)."""
+    if samples[members[0]][6] is not None:
+        return np.array([[samples[i][6]] for i in members], dtype=complex)
+    e_ms = {k + l - 1 for k, l in on}
+    c_fac = [_cd_factor(l, k, l) if (k, l) in on else None for k, l in cells]
+    diags = []
+    for i in members:
+        diag = [0j] * len(cells)
+        if i not in fails:
+            tw, tau = samples[i][0], samples[i][5]
+            try:
+                eis = {m: twisted_eisenstein(m, tw, tau, cfg) for m in e_ms}
+                diag = [0j if f is None else f * eis[k + l - 1] for f, (k, l) in zip(c_fac, cells)]
             except TwistellError as exc:
                 fails[i] = Refusal.of(exc)
-                mats.append(None)
-    return _settle(mats, fails)
+        diags.append(diag)
+    return np.array(diags, dtype=complex).reshape(len(members), len(cells)).T[:, :, None]
 
 
-def _cd_assembly(sample: tuple, block: np.ndarray | None, layout: tuple,
-                 cfg: TruncationConfig) -> np.ndarray:
-    """The matrix of one _cd_matrices sample, gathered from its kernel block and its
-    layout: the D entries at every order and block pair, and the C entries (or diag) on
-    the diagonal blocks of a shared side."""
-    tw, row_modes, _, col_modes, ys, tau, diag = sample
-    ms, _, nr, nb, ks, ls, cells, k_in, l_in = layout
-    at = np.add.outer([(ks.index(k) * len(ls) * nr + a) * nb
-                       for a, modes in enumerate(row_modes) for k in modes],
-                      [ls.index(l) * nr * nb + b
-                       for b, lb in enumerate(col_modes) for l in lb]
-                      ).astype(np.intp, copy=False)     # an empty side comes as float
-    # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
-    d_fac = np.array([[_cd_factor(k + 1, k, l)] for k, l in cells])
-    if ms:
-        row_of = {m: i for i, m in enumerate(ms)}
-        d = d_fac * block.take([row_of.get(k + l - 1, 0) for k, l in cells], axis=0)
-    if ys is not None:
-        return (d if ms else np.empty((len(cells), nr * nb), dtype=complex)).take(at)
-    table = np.empty((len(cells), nr * nb), dtype=complex)
-    if ms:   # the slots a != b, as in zs
-        table[:, 1:].reshape(-1, nb - 1, nb + 1)[:, :, :-1] = d.reshape(-1, nb - 1, nb)
-    if diag is None:
-        on = {(k, l) for k, l in cells if k_in[k] & l_in[l]}
-        eis = {m: twisted_eisenstein(m, tw, tau, cfg)
-               for m in {k + l - 1 for k, l in on}}
-        diag = np.array([_cd_factor(l, k, l) * eis[k + l - 1] if (k, l) in on else 0j
-                         for k, l in cells], dtype=complex)[:, None]
-    table[:, ::nb + 1] = diag
-    return table.take(at)
+def _unstack(stacks: list[tuple], count: int, fails: dict) -> list:
+    """Each sample's entry of the (members, stack) pairs of stacks, in sample order: its
+    matrix, or its determinant where stack is a list of them; None where fails holds it."""
+    out = [None] * count
+    for members, stack in stacks:
+        for i, entry in zip(members, stack):
+            if i not in fails:
+                out[i] = entry
+    return out
+
+
+def _cd_matrices(samples: Sequence[tuple], cfg: TruncationConfig) -> list[np.ndarray]:
+    """The C/D block matrix of every (tw, row_modes, xs, col_modes, ys, tau, diag) of
+    samples (_cd_stacks), each a view into its layout's stack. A refused batch raises its
+    first refused sample's error with the batch's outcome (_settle)."""
+    fails: dict = {}
+    stacks = _cd_stacks(samples, cfg, fails)
+    return _settle(_unstack(stacks, len(samples), fails), fails)
+
+
+def _cd_determinants(samples: Sequence[tuple], cfg: TruncationConfig
+                     ) -> tuple[list[np.ndarray], list[complex]]:
+    """The matrices of _cd_matrices at samples and their determinants, one np.linalg.det
+    call per layout stack; numpy factors each matrix of a stack as it does one matrix
+    alone, so each determinant equals numeric.determinant of its matrix bit for bit."""
+    fails: dict = {}
+    stacks = _cd_stacks(samples, cfg, fails)
+    mats = _settle(_unstack(stacks, len(samples), fails), fails)
+    return mats, _unstack([(members, np.linalg.det(stack).tolist()) for members, stack in stacks],
+                          len(samples), fails)
 
 
 def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[complex],
@@ -299,7 +358,7 @@ def sigma_module_partition(tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG)
 def _rank1_pfaffians(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]:
     """Pf of the C/D block matrix of the modes at zs times partition(tau, cfg), at every
     (tw, modes, zs, partition, tau, diag) of samples; 0 when the total mode count is odd.
-    diag, when not None, fills the C entries. The matrices come from one _cd_matrices
+    diag, when not None, fills the C entries. The matrices come from one _cd_stacks
     call; each value equals its one-sample call bit for bit. A sample is refused, in
     this order, by _require_distinct, by its matrix and by the Pfaffian or the partition
     function; a refused batch raises its first refused sample's error (_settle)."""
@@ -312,11 +371,13 @@ def _rank1_pfaffians(samples: Sequence[tuple], cfg: TruncationConfig) -> list[co
             except DomainError as exc:
                 fails[i] = Refusal.of(exc)
     live = [i for i, pf in enumerate(even) if pf and i not in fails]
-    mats, statuses = _outcome(_cd_matrices, [(tw, modes, zs, modes, None, tau, diag)
-                                             for tw, modes, zs, _, tau, diag
-                                             in (samples[i] for i in live)], cfg)
-    _take_refusals(fails, live, statuses)
-    mats = dict(zip(live, mats))
+    matfails: dict = {}
+    stacks = _cd_stacks([(tw, modes, zs, modes, None, tau, diag)
+                         for tw, modes, zs, _, tau, diag in (samples[i] for i in live)],
+                        cfg, matfails)
+    for j, refusal in matfails.items():
+        fails[live[j]] = refusal
+    mats = {live[j]: mat for members, stack in stacks for j, mat in zip(members, stack)}
     vals = []
     for i, (_, _, _, partition, tau, _) in enumerate(samples):
         try:
@@ -416,12 +477,15 @@ def rank2_partition(p: OrbifoldParams, tau: complex,
         # a subnormal prefactor has lost its digits, and the product with them
         normal = abs(acc) >= sys.float_info.min
         for l in range(1, Q_ORDER + 1):
+            # kappa is in [0, 1], so e1 <= e2: the stop test reads q^e1 of the first factor
             e1 = l - 0.5 - kappa
             e2 = l - 0.5 + kappa
-            f1 = 1.0 - th * cmath.exp(-qlog * e1) if e1 < 0 else \
-                1.0 - th_inv * cmath.exp(qlog * e1)
-            acc *= f1 * (1.0 - th * cmath.exp(qlog * e2))
-            if min(e1, e2) > 0 and abs(cmath.exp(qlog * min(e1, e2))) < cfg.tol:
+            if e1 < 0:
+                acc *= (1.0 - th * cmath.exp(-qlog * e1)) * (1.0 - th * cmath.exp(qlog * e2))
+                continue
+            q1 = cmath.exp(qlog * e1)
+            acc *= (1.0 - th_inv * q1) * (1.0 - th * cmath.exp(qlog * e2))
+            if e1 > 0 and abs(q1) < cfg.tol:
                 break
         else:
             raise NotConverged(f"partition product not below tol within Q_ORDER = {Q_ORDER} "
@@ -482,11 +546,12 @@ def rank2_generating(p: OrbifoldParams, xs: Sequence[complex], ys: Sequence[comp
 
 def _rank2_generatings(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]:
     """rank2_generating at every (p, xs, ys, tau) of samples, the matrices from one
-    _cd_matrices call; each value equals its one-sample call bit for bit. A sample is
-    refused, in this order, by its points (_rank2_points), its matrix, and the
-    determinant, eta or partition function; a refused batch raises its first refused
-    sample's error (_settle), and a malformed sample's ValueError before anything is
-    evaluated."""
+    _cd_stacks call and the determinants of each stack's nontrivial twists, and of its
+    trivial twists' bordered matrices, from one np.linalg.det call each; each value
+    equals its one-sample call bit for bit. A sample is refused, in this order, by its
+    points (_rank2_points), its matrix, and eta or the partition function; a refused
+    batch raises its first refused sample's error (_settle), and a malformed sample's
+    ValueError before anything is evaluated."""
     fails: dict = {}
     mats, sizes = [], []     # sizes: (p, n, tau) per sample
     for i, (p, xs, ys, tau) in enumerate(samples):
@@ -496,13 +561,31 @@ def _rank2_generatings(samples: Sequence[tuple], cfg: TruncationConfig) -> list[
             fails[i] = Refusal.of(exc)
             xs = []
         if xs:
-            one_mode = [(1,)] * len(xs)
+            one_mode = ((1,),) * len(xs)
             mats.append((p.twist(), one_mode, xs, one_mode, ys, tau, None))
         sizes.append((p, len(xs), tau))
     live = [i for i, (_, n, _) in enumerate(sizes) if n]
-    mats, statuses = _outcome(_cd_matrices, mats, cfg)
-    _take_refusals(fails, live, statuses)
-    mats = dict(zip(live, mats))
+    matfails: dict = {}
+    stacks = _cd_stacks(mats, cfg, matfails)
+    for j, refusal in matfails.items():
+        fails[live[j]] = refusal
+    dets = {}
+    for members, stack in stacks:
+        n = stack.shape[1]
+        plain, bordered = [], []
+        for j, i in enumerate(members):
+            i = live[i]
+            if i not in fails:
+                (bordered if sizes[i][0].is_trivial_twist else plain).append((j, i))
+        if plain:
+            picked = stack if len(plain) == len(members) else stack[[j for j, _ in plain]]
+            dets.update(zip([i for _, i in plain], np.linalg.det(picked).tolist()))
+        if bordered:
+            # det Q: the trivially twisted matrix bordered by ones, with a zero corner
+            q = np.ones((len(bordered), n + 1, n + 1), dtype=complex)
+            q[:, :n, :n] = stack[[j for j, _ in bordered]]
+            q[:, n, n] = 0.0
+            dets.update(zip([i for _, i in bordered], np.linalg.det(q).tolist()))
     vals = []
     for i, (p, n, tau) in enumerate(sizes):
         try:
@@ -511,12 +594,9 @@ def _rank2_generatings(samples: Sequence[tuple], cfg: TruncationConfig) -> list[
             elif not n:
                 vals.append(rank2_partition(p, tau, cfg))
             elif p.is_trivial_twist:
-                q = np.ones((n + 1, n + 1), dtype=complex)
-                q[:n, :n] = mats[i]
-                q[n, n] = 0.0
-                vals.append(determinant(q) * dedekind_eta(tau, cfg) ** 2)
+                vals.append(dets[i] * dedekind_eta(tau, cfg) ** 2)
             else:
-                vals.append(determinant(mats[i]) * rank2_partition(p, tau, cfg))
+                vals.append(dets[i] * rank2_partition(p, tau, cfg))
         except TwistellError as exc:
             fails[i] = Refusal.of(exc)
             vals.append(0j)
@@ -662,13 +742,15 @@ def _bosonized(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]
 
     All thetas come from one _theta_chars call, and the K of every sample with points
     from one _prime_forms call, each point at its sample's tau (one value when one
-    sample takes part). A mask picks a sample's pairs a < b, row major, from the outer arrays of
-    u_a - u_b and q_a q_b, and the K are raised to their integer powers, so no branch of
-    log is chosen. NotConverged also where a product leaves the float range. Each value
-    equals its one-sample call bit for bit. A sample is refused, in this order, by its
-    form, by eta, by its theta, by its first refused prime form and by the product; a
-    refused batch raises its first refused sample's error (_settle), and a malformed
-    sample's ValueError before anything is evaluated.
+    sample takes part). The samples of one charge list qs form a group: the pairs a < b,
+    row major, found once per point count, index the group's stacked u_a - u_b and q_a
+    q_b, and the K are raised to their integer powers, so no branch of log is chosen, and
+    multiplied out row by row in one pass over the group. NotConverged also
+    where a product leaves the float range. Each value equals its one-sample call bit for
+    bit. A sample is refused, in this order, by its form, by eta, by its theta, by its
+    first refused prime form and by the product; a refused batch raises its first
+    refused sample's error (_settle), and a malformed sample's ValueError before anything
+    is evaluated.
     """
     fails: dict = {}
     # per sample that its form and eta pass: its theta's a, b and argument, tau, e^{i
@@ -699,29 +781,44 @@ def _bosonized(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]
             vals[j] = pref * theta
     pairs = [pair for pair in pairs if pair[0] not in fails]
     if pairs:
-        with np.errstate(over="ignore", invalid="ignore"):
-            diffs, powers = [], []
-            for _, qs, us, _ in pairs:
-                u, q, index = (np.array(us, dtype=complex), np.array(qs, dtype=int),
-                               np.arange(len(us)))
-                upper = index[:, None] < index
-                diffs.append(np.subtract.outer(u, u)[upper])
-                powers.append(np.multiply.outer(q, q)[upper])
+        # a refused sample's K may be 0 or not finite; its product is never read
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # samples of one charge list share their pairs a < b, row major, and the powers
+            # q_a q_b; their differences come from one stacked subtraction, their products
+            # from one pass
+            groups, pairs_of = {}, {}
+            for pair in pairs:
+                groups.setdefault(tuple(pair[1]), []).append(pair)
+            parts = []
+            for qs, group in groups.items():
+                n = len(qs)
+                if n not in pairs_of:
+                    index = np.arange(n)
+                    pairs_of[n] = np.nonzero(index[:, None] < index)
+                a, b = pairs_of[n]
+                u = np.array([us for _, _, us, _ in group], dtype=complex)
+                q = np.array(qs, dtype=int)
+                parts.append((group, u.take(a, axis=1) - u.take(b, axis=1), q[a] * q[b]))
+            order = [pair for group, _, _ in parts for pair in group]
+            sizes = [diffs.shape[1] for group, diffs, _ in parts for _ in group]
             one = len(pairs) == 1
-            ks, statuses = _outcome(_prime_forms, diffs[0] if one else np.concatenate(diffs),
-                                    pairs[0][3] if one else np.repeat(
-                                        [tau for *_, tau in pairs], [d.size for d in diffs]),
-                                    cfg)
+            ks, statuses = _outcome(
+                _prime_forms, parts[0][1][0] if one else np.concatenate(
+                    [diffs.reshape(-1) for _, diffs, _ in parts]),
+                pairs[0][3] if one else np.repeat([tau for *_, tau in order], sizes), cfg)
             if statuses is not None:
-                _take_refusals(fails, [j for j, *_ in pairs], statuses, [q.size for q in powers])
+                _take_refusals(fails, [j for j, *_ in order], statuses, sizes)
             lo = 0
-            for (j, *_), q in zip(pairs, powers):
-                if j not in fails:
-                    vals[j] *= complex((ks[lo:lo + q.size] ** q).prod())
-                    if not cmath.isfinite(vals[j]):
-                        fails[j] = Refusal(NotConverged,
-                                           "product of prime forms leaves the float range")
-                lo += q.size
+            for group, diffs, powers in parts:
+                hi = lo + diffs.size
+                prods = (ks[lo:hi].reshape(diffs.shape) ** powers).prod(axis=1).tolist()
+                lo = hi
+                for (j, *_), prod in zip(group, prods):
+                    if j not in fails:
+                        vals[j] *= prod
+                        if not cmath.isfinite(vals[j]):
+                            fails[j] = Refusal(NotConverged,
+                                               "product of prime forms leaves the float range")
     return _settle(vals, fails)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -30,6 +31,7 @@ from .fermion import (
     OrbifoldParams,
     _boson_form,
     _bosonized,
+    _cd_determinants,
     _cd_matrices,
     _lattice_form,
     _p1_sample,
@@ -63,8 +65,12 @@ _TWO_PI = 2.0 * math.pi
 _TAU_RE = (-0.4, 0.4)
 _TAU_IM = (0.8, 2.0)
 _MIN_SEPARATION = 0.05
-# radius of the circle laurent_coefficients samples
+# the circle laurent_coefficients samples: 64 points on |z| = 0.25 at half-offset angles,
+# and the phases e^{-ik angle}, k = 0..4, of its Fourier sums
 _LAURENT_RADIUS = 0.25
+_LAURENT_ANGLES = [2.0 * math.pi * (j + 0.5) / 64 for j in range(64)]
+_LAURENT_ZS = [_LAURENT_RADIUS * cmath.exp(1j * ang) for ang in _LAURENT_ANGLES]
+_LAURENT_PHASES = [[cmath.exp(-1j * k * ang) for ang in _LAURENT_ANGLES] for k in range(5)]
 
 
 @dataclass(frozen=True)
@@ -148,9 +154,7 @@ class _Sampler:
 
     def __init__(self, plan: SamplePlan, name: str):
         self.rng = random.Random(f"{plan.seed}:{name}")
-
-    def uniform(self, a: float, b: float) -> float:
-        return self.rng.uniform(a, b)
+        self.uniform = self.rng.uniform
 
     def tau(self, im_max: float | None = None) -> complex:
         return complex(self.uniform(*_TAU_RE), self.uniform(_TAU_IM[0], im_max or _TAU_IM[1]))
@@ -294,17 +298,12 @@ def laurent_coefficients(tw: TwistPair, tau: complex, cfg: TruncationConfig) -> 
     """The first five Taylor coefficients of P_1[tw](z) - 1/z by Fourier inversion.
 
     Samples 64 points on the circle |z| = 0.25 at half-offset angles, all of
-    them in one kernel call.
+    them in one kernel call, and sums each coefficient's Fourier series in point order.
     """
-    r, n_points = _LAURENT_RADIUS, 64
-    angles = [2.0 * math.pi * (j + 0.5) / n_points for j in range(n_points)]
-    zs = [r * cmath.exp(1j * ang) for ang in angles]
+    zs = _LAURENT_ZS
     vals = [v - 1.0 / z for v, z in zip(twisted_pk_batch((1,), tw, zs, tau, cfg)[0].tolist(), zs)]
-    coeffs = []
-    for k in range(5):
-        acc = sum(v * cmath.exp(-1j * k * ang) for v, ang in zip(vals, angles))
-        coeffs.append(acc / n_points / r**k)
-    return coeffs
+    return [sum(map(operator.mul, vals, phases)) / len(zs) / _LAURENT_RADIUS**k
+            for k, phases in enumerate(_LAURENT_PHASES)]
 
 
 def check_laurent(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
@@ -594,15 +593,14 @@ def check_generalized_trisecant(ms, ns, plan: SamplePlan,
         tau = s.tau()
         use_ms, use_ns = ((1,), (1,)) if i == 0 else (ms, ns)  # n=1 reduction sample
         draws.append((p, use_ms, *s.xy_clusters(tau, len(use_ms), len(use_ns)), use_ns, tau))
-    mats = _cd_matrices([(p.twist(), [range(1, m + 1) for m in use_ms], xs,
-                          [range(1, n + 1) for n in use_ns], ys, tau, None)
-                         for p, use_ms, xs, ys, use_ns, tau in draws], cfg)
+    _, dets = _cd_determinants([(p.twist(), [range(1, m + 1) for m in use_ms], xs,
+                                 [range(1, n + 1) for n in use_ns], ys, tau, None)
+                                for p, use_ms, xs, ys, use_ns, tau in draws], cfg)
     lattice = iter(_bosonized([form for p, use_ms, xs, ys, use_ns, tau in draws
                                for form in ((_lattice_form, p, use_ms, xs, use_ns, ys, tau),
                                             (_partition_form, p, tau))], cfg))
     records = []
-    for (p, use_ms, _, _, use_ns, tau), mat in zip(draws, mats):
-        lhs = determinant(mat)
+    for (p, use_ms, _, _, use_ns, tau), lhs in zip(draws, dets):
         big_n = sum(use_ms)
         exponent = (big_n * (big_n - 1) // 2
                     + sum(m * (m - 1) // 2 for m in use_ms)
@@ -648,13 +646,13 @@ def check_rank1_square(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         if z3 is not None:
             samples.append(_p1_sample(tw, z3, t, -e1))
     samples += [_p1_sample(TwistPair(0.5, 0.5), zs, tau), _p1_sample(TwistPair(0.5, 0.0), zs, tau)]
-    mats = iter(_cd_matrices(samples, cfg))
+    built = iter(zip(*_cd_determinants(samples, cfg)))     # (matrix, determinant)
     named = _rank1_pfaffians([_rank1_generating_sample(GSelector.SIGMA, zs, tau),
                               _sigma_twisted_sample(zs, tau)], cfg)
     records = []
     for (label, _, t, _, z3), e1 in zip(draws, e1s):
-        lhs = determinant(next(mats))
-        pf = pfaffian(next(mats), cfg)
+        _, lhs = next(built)
+        pf = pfaffian(next(built)[0], cfg)
         rhs = pf**2
         note = ""
         if residual(lhs, rhs) > tolerance and abs(rhs) > 0:
@@ -662,16 +660,16 @@ def check_rank1_square(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         records.append(SampleRecord(f"{label} n=2 tau={_c(t)}", lhs, rhs,
                                     residual(lhs, rhs), note=note))
         if z3 is not None:
-            det3 = determinant(next(mats))
+            _, det3 = next(built)
             records.append(SampleRecord(f"{label} n=3 det tau={_c(t)}", det3, 0j,
                                         residual(det3, 0j), note="odd size vanishes"))
             records.append(SampleRecord(f"{label} E_1 diagonal tau={_c(t)}", e1, 0j,
                                         residual(e1, 0j), note="diagonal term vanishes"))
-    det_m = determinant(next(mats))
+    _, det_m = next(built)
     g = named[0] / rank1_partition(GSelector.SIGMA, tau, cfg)
     records.append(SampleRecord(f"vs rank-one sigma-trace generator tau={_c(tau)}",
                                 det_m, g**2, residual(det_m, g**2)))
-    det_m = determinant(next(mats))
+    _, det_m = next(built)
     g = named[1] / sigma_module_partition(tau, cfg)
     records.append(SampleRecord(f"vs parity-twisted-module generator tau={_c(tau)}",
                                 det_m, g**2, residual(det_m, g**2)))
@@ -707,14 +705,20 @@ def check_modular_correlators(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_
         draws.append((glabel, gamma, p, tau, gtau, aut, gtw, i % 4 == 0))
     pk = _each(twisted_pk_batch, (1,), *zip(*pk_at), cfg)
     generating = _each(_rank2_generatings, pairs, cfg)
-    q_entries = iter(_each(_weierstrass_pks, 1, *zip(*q_at), cfg))
+    q_entries = _each(_weierstrass_pks, 1, *zip(*q_at), cfg)
+    # the bordered matrices of every four P_1 entries, a refused entry's 0 never read
+    q = np.ones((len(q_at) // 4, 3, 3), dtype=complex)
+    q[:, 2, 2] = 0.0
+    q[:, :2, :2] = np.reshape([0j if isinstance(e, Refusal) else e for e in q_entries],
+                              (-1, 2, 2))
+    q_dets, q_entries = iter(np.linalg.det(q).tolist()), iter(q_entries)
 
     def _detq():
-        # the bordered determinant of the next four P_1 entries
-        q = np.ones((3, 3), dtype=complex)
-        q[2, 2] = 0.0
-        q[:2, :2] = np.reshape([_got(next(q_entries)) for _ in range(4)], (2, 2))
-        return determinant(q)
+        # the bordered determinant of the next four P_1 entries, or the first refused
+        # entry's error
+        for _ in range(4):
+            _got(next(q_entries))
+        return next(q_dets)
 
     records = []
     for (glabel, gamma, p, tau, gtau, aut, gtw, quad), p1, g2 in zip(draws, pk, generating):

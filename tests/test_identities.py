@@ -198,7 +198,7 @@ def test_one_point_checks_make_one_kernel_call_per_function(monkeypatch):
 
     for name in ("twisted_pk_batch", "twisted_pk_oracle_batch", "twisted_eisenstein_oracle_batch",
                  "_weierstrass_pks", "_theta_chars", "_prime_forms", "_cd_matrices",
-                 "_rank1_pfaffians", "_rank2_generatings"):
+                 "_cd_determinants", "_rank1_pfaffians", "_rank2_generatings"):
         counting(identities, name)
     for name in ("twisted_pk_batch", "_theta_chars", "_prime_forms"):
         counting(fermion, name)
@@ -206,7 +206,7 @@ def test_one_point_checks_make_one_kernel_call_per_function(monkeypatch):
     p1 = ("twisted_pk_batch", (1,))
     bosonized = [p1, "_rank2_generatings", "_theta_chars", "_prime_forms"]
     # the generalized trisecant's n = 1 sample needs P_1, the others P_1..P_3
-    blocks = [p1, ("twisted_pk_batch", (1, 2, 3)), "_cd_matrices", "_theta_chars",
+    blocks = [p1, ("twisted_pk_batch", (1, 2, 3)), "_cd_determinants", "_theta_chars",
               "_prime_forms"]
     for check, expected in [
             (lambda: check_doublesum(1, plan), [p1, ("twisted_pk_oracle_batch", 1)]),
@@ -225,7 +225,8 @@ def test_one_point_checks_make_one_kernel_call_per_function(monkeypatch):
             (lambda: check_generalized_trisecant((2,), (2,), plan), blocks),
             (lambda: check_generalized_trisecant((2, 1), (1, 2), plan), blocks),
             # the check's P_1 matrices, then the named rank-one generators'
-            (lambda: check_rank1_square(plan), [p1, p1, "_cd_matrices", "_rank1_pfaffians"]),
+            (lambda: check_rank1_square(plan),
+             [p1, p1, "_cd_determinants", "_rank1_pfaffians"]),
             # P_1[tw] at the transformed points, the generating correlators' matrices, and
             # every entry of det Q
             (lambda: check_modular_correlators(plan),

@@ -17,7 +17,9 @@ points with points refused at each stage of the one-point call.
 The correlator builders batch whole samples the same way: fermion._cd_matrices (the
 C/D matrices, p1_difference_matrix among them), fermion._rank2_generatings (the
 rank-two determinant) and fermion._bosonized (rank2_generating_boson, lattice_npoint
-and rank2_partition_theta), each sample of mixed size at its own tau and twist.
+and rank2_partition_theta), each sample of mixed size at its own tau and twist. The C/D
+builder stacks the samples of one layout, so its draws mix layouts and refused samples
+in one batch.
 """
 
 import math
@@ -36,7 +38,7 @@ from twistell.fermion import (
     rank2_generating_boson,
     rank2_partition_theta,
 )
-from twistell.numeric import DEFAULT_CONFIG
+from twistell.numeric import DEFAULT_CONFIG, determinant
 from twistell.twisted import (
     TwistPair,
     twisted_eisenstein_oracle,
@@ -342,3 +344,119 @@ def test_cd_matrix_batch_calls_the_kernel_once_per_order_set(monkeypatch):
     mats = fermion._cd_matrices(samples, DEFAULT_CONFIG)
     assert sorted(calls) == [((1,), 12 + 2 + 1), ((1, 2, 3), 1)]
     assert [m.shape for m in mats] == [(4, 4), (2, 2), (2, 2), (1, 1)]
+
+
+# the C/D builder's layouts: samples of one layout (row modes, column modes, shared or
+# not, diagonal given or not) are gathered, factored and multiplied as one stack
+
+@st.composite
+def layout_sample(draw):
+    """A _cd_matrices sample and its one-sample call, of one of five layouts: shared P_1
+    with a diagonal, shared mode blocks with their C blocks (no diagonal), unshared P_1 and
+    unshared mode blocks, 0 to 3 points a side; or a refused one: duplicate points, a
+    non-finite z, or a single block whose binomial C(1198, 599) leaves the float range."""
+    tau = draw(taus)
+    tw = TwistPair(*draw(twist))
+    kind = draw(st.sampled_from(["p1", "p1", "c", "c", "xy", "xy", "blocks", "duplicate",
+                                 "finite", "factor"]))
+    n = draw(st.integers(0, 3))
+    zs = draw(cluster(tau, n, -2.6, -0.4))
+    modes = draw(st.lists(st.sampled_from([(1,), (2,), (1, 2), (1, 3), ()]), min_size=n,
+                          max_size=n))
+    if kind in ("duplicate", "finite"):
+        zs = [-1.3 + 0.2j, -0.7 - 0.4j] + zs[:1]
+        zs[-1] = zs[0] if kind == "duplicate" else complex(math.inf, 0.1)
+        kind = "p1"
+    if kind == "factor":
+        zs, modes, kind = zs[:1] or [-1.0 + 0.0j], [(600,)], draw(st.sampled_from(["c", "d"]))
+    if kind == "p1":
+        diag = draw(st.sampled_from([0.0, 0.37 - 0.2j, -1.5j]))
+        return (fermion._p1_sample(tw, zs, tau, diag),
+                lambda: p1_difference_matrix(tw, zs, tau, diag=diag))
+    if kind in ("c", "d"):
+        diag = None if kind == "c" else 0.5j
+        return ((tw, modes, zs, modes, None, tau, diag),
+                lambda: fermion._cd_matrix(tw, modes, zs, modes, None, tau, DEFAULT_CONFIG,
+                                           diag))
+    ys = draw(cluster(tau, n, -0.5, -0.01))
+    rows = [(1,)] * n if kind == "xy" else modes
+    cols = [(1,)] * n if kind == "xy" else draw(st.permutations(modes))
+    return ((tw, rows, zs, cols, ys, tau, None),
+            lambda: fermion._cd_matrix(tw, rows, zs, cols, ys, tau, DEFAULT_CONFIG))
+
+
+@SETTINGS
+@hypothesis.given(samples=st.lists(layout_sample(), min_size=1, max_size=8))
+def test_cd_stacks_of_mixed_layouts_match_one_sample_calls(samples):
+    alone = [outcome(one) for _, one in samples]
+    batch = [sample for sample, _ in samples]
+    check_batch(lambda: fermion._cd_matrices(batch, DEFAULT_CONFIG), alone)
+    if not any(isinstance(one, tuple) for one in alone):
+        mats, dets = fermion._cd_determinants(batch, DEFAULT_CONFIG)
+        for (_, one), mat, det in zip(samples, mats, dets):
+            assert mat.shape == one().shape
+            assert np.array_equal(det, determinant(mat))
+
+
+@st.composite
+def rank2_layout_samples(draw):
+    """(p, xs, ys, tau) samples of 1 or 2 points a side, so that most share a layout,
+    their twists mixing trivial and nontrivial, some refused: duplicate points or a
+    non-finite point."""
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        tau = draw(taus)
+        n = draw(st.integers(1, 2))
+        p = OrbifoldParams(*draw(st.one_of(st.just((0.0, 0.0)), st.tuples(phase, phase))))
+        xs = draw(cluster(tau, n, -2.2, -0.8))
+        ys = draw(cluster(tau, n, -0.5, -0.01))
+        bad = draw(st.sampled_from([None] * 6 + ["duplicate", "finite"]))
+        if bad == "duplicate":
+            xs = [xs[0]] * 2
+            ys = ys + ys[:1] if n == 1 else ys
+        elif bad == "finite":
+            ys = [complex(math.nan, 0.2)] + ys[1:]
+        out.append((p, xs, ys, tau))
+    return out
+
+
+@SETTINGS
+@hypothesis.given(samples=rank2_layout_samples())
+def test_rank2_generating_stacks_match_one_sample_calls(samples):
+    # trivial twists take the bordered det(Q) of their layout's stack, the others det(P_1)
+    alone = [outcome(lambda s=s: rank2_generating(*s)) for s in samples]
+    check_batch(lambda: np.array(fermion._rank2_generatings(samples, DEFAULT_CONFIG)), alone)
+
+
+def test_cd_matrices_gather_once_per_layout_and_rank2_takes_one_det_per_stack(monkeypatch):
+    tw, tau = TwistPair(0.3, 0.6), 0.1 + 1.2j
+    xs, ys = [-1.9 + 0.2j, -1.1 - 0.4j], [-0.3 + 0.5j, -0.1 - 0.2j]
+    samples = [fermion._p1_sample(tw, xs + ys, tau),
+               (tw, [range(1, 3)], xs[:1], [range(1, 3)], ys[:1], 0.2 + 0.9j, None),
+               fermion._p1_sample(TwistPair(0.5, 0.5), xs + ys, 0.3 + 2.0j, 0.5),
+               (tw, [(1, 2), (1,)], xs, [(1, 2), (1,)], None, tau, None),
+               (TwistPair(0.1, 0.2), [range(1, 3)], xs[1:], [range(1, 3)], ys[1:], tau, None),
+               fermion._p1_sample(tw, xs, tau)]
+    stacks = fermion._cd_stacks(samples, DEFAULT_CONFIG, {})
+    # four layouts: P_1 with a diagonal at 4 and at 2 points, the (1, 2) blocks, the C blocks
+    assert sorted((members, stack.shape) for members, stack in stacks) == [
+        ([0, 2], (2, 4, 4)), ([1, 4], (2, 2, 2)), ([3], (1, 3, 3)), ([5], (1, 2, 2))]
+    mats = fermion._cd_matrices(samples, DEFAULT_CONFIG)
+    assert len({id(mat.base) for mat in mats}) == 4
+    assert mats[0].base is mats[2].base and mats[1].base is mats[4].base
+
+    dets = []
+    det = np.linalg.det
+
+    def counted(a):
+        dets.append(a.shape)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    p, triv = OrbifoldParams(0.27, 0.63), OrbifoldParams(0.0, 0.0)
+    draws = [(p, xs, ys, tau), (triv, xs, ys, 0.2 + 0.9j), (p, xs[:1], ys[:1], tau),
+             (OrbifoldParams(0.4, 0.1), xs, ys, 0.3 + 1.1j), (triv, xs[:1], ys[:1], tau),
+             (triv, xs, ys, tau), (p, [], [], tau)]
+    fermion._rank2_generatings(draws, DEFAULT_CONFIG)
+    # per layout one det of its nontrivial twists and one of its trivial twists' det Q
+    assert sorted(dets) == [(1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 3, 3)]
