@@ -113,6 +113,11 @@ def main(argv=None) -> int:
                            ("half", 0.5, 0.5, 0.4 + 0.1j), ("far", 0.3, 0.2, 30 + 1j)):
         run(f"L1.theta_char.{label}", lambda a=a, b=b, z=z: theta_char(a, b, z, tau),
             inner=50)
+    # L1: the theta engine alone, theta[1/2;1/2] and its first derivative at 1 point and at
+    # the 256 L2 points and 0: its fixed cost and its cost per column
+    for n, zs in ((1, np.array([0.4 + 0.1j])), (257, np.array(points + [0j]))):
+        run(f"L1.theta_table.n{n}",
+            lambda zs=zs: twistell.classical._theta_table([(0.5, 0.5)], zs, tau, 2, {}))
     # L1: one prime form value, the quotient of theta[1/2;1/2] at z and its derivative at 0
     run("L1.prime_form.one", lambda: prime_form(-1.2 + 0.3j, tau), inner=50)
     # L1: cold eta at the 8 tau of the E_n row, per evaluation
@@ -298,6 +303,29 @@ def main(argv=None) -> int:
     # L3: a 6 x 6 block determinant, 3 labels of (2, 2) modes at the L2 mixed rows' points
     labels2 = [((1, 2), (1, 3)), ((2, 3), (1, 2)), ((1, 3), (2, 3))]
     run("L3.rank2_fock_npoint.3x22", lambda: rank2_fock_npoint(labels2, fock, p, tau))
+    # L3: one set of 15 correlator requests as the perfbench correlators workload draws
+    # them at one tau: rank-two determinants and their bosonized twins at n = 2, 4, 8, 16,
+    # rank-one Pfaffians at n = 4, 8, 10, 12, a 4 x 3-mode rank-one and two 3 x (2, 2)-mode
+    # rank-two Fock functions; its own stream, as above
+    set_rng = random.Random(f"set:{args.seed}")
+
+    def spread(n, lo, hi, im):
+        return [complex(lo + (i + 0.2 + 0.6 * set_rng.random()) * (hi - lo) / n,
+                        set_rng.uniform(-im, im)) for i in range(n)]
+
+    requests = []
+    for n in (2, 4, 8, 16):
+        xs, ys = spread(n, -2.2, -0.8, 0.9), spread(n, -0.5, -0.01, 0.9)
+        requests += [lambda xs=xs, ys=ys: rank2_generating(p, xs, ys, tau),
+                     lambda xs=xs, ys=ys: rank2_generating_boson(p, xs, ys, tau)]
+    for n in (4, 8, 10, 12):
+        requests.append(lambda zs=spread(n, -2.6, -0.4, 2.0):
+                        rank1_generating(GSelector.IDENTITY, zs, tau))
+    requests += [lambda zs=spread(4, -2.6, -0.4, 2.0): rank1_fock_npoint(labels, zs,
+                                                                          GSelector.SIGMA, tau)]
+    requests += [lambda zs=spread(3, -2.6, -0.4, 2.0): rank2_fock_npoint(labels2, zs, p, tau)
+                 for _ in range(2)]
+    run("L3.request_set", lambda: [request() for request in requests])
     # L4: the argument parser, and table grids shaped like the benchmark's (25 points x
     # 3 orders): P_k on a z line across the annulus and on one ending on the pole z = 0,
     # whose last row is refused, E_n[tw] on a tau line

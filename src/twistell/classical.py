@@ -39,8 +39,10 @@ _TWO_PI = 2.0 * math.pi
 _TWO_PI_TAIL = 2.4492935982947064e-16
 _POLE_EPS = 1e-12
 
-# Hard cap on the terms either side of n = 0 in the theta window.
+# Hard cap on the terms either side of n = 0 in the theta window, and the n of the widest
+# window, which every table slices
 _THETA_MAX_HALF_WIDTH = 512
+_NS = np.arange(-_THETA_MAX_HALF_WIDTH, _THETA_MAX_HALF_WIDTH + 1.0)[:, None, None]
 # the theta window drops terms below e^-_THETA_TAIL of the largest one, past any tol a
 # float can meet, so a rounding bound covers the truncation too
 _THETA_TAIL = 50.0
@@ -85,18 +87,21 @@ def _eisenstein_prefactors(n: int, lam: float, trivial: bool) -> tuple[float, fl
     return const, fac
 
 
-def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
-                       cfg: TruncationConfig,
-                       prefactors: tuple[float, float] | None = None) -> complex:
-    """E_n[theta; phi](tau) for the twist of phases (mu, lam): the one E_n q-series.
+def _eisenstein_series(ns: Sequence[int], lam: float, mu: float, tau: complex,
+                       cfg: TruncationConfig, prefactors: Sequence | None = None
+                       ) -> list[complex]:
+    """E_n[theta; phi](tau) for every order n of ns, for the twist of phases (mu, lam): the
+    one E_n q-series.
 
     -B_n(lam)/n! plus two q-expansions over r + lam (from r = 0) and r - lam
     (from r = 1), summed until both terms drop below cfg.tol; NotConverged when r
     passes Q_ORDER first. At the trivial twist the r = 0 term is omitted exactly, the
     two streams are bitwise equal and one is summed for both, and the
-    constant is B_n(0)/n! as one float.
-    prefactors, when given, is _eisenstein_prefactors(n, lam, trivial), so a
-    caller at many tau computes it once per order.
+    constant is B_n(0)/n! as one float. The orders share each r's exponentials and
+    denominators; each keeps its own terms, sums, stop and refusal, so its value is that
+    of a call with it alone, bit for bit. The first refused order of ns raises its error.
+    prefactors, when given, holds _eisenstein_prefactors(n, lam, trivial) or None for
+    each order, so a caller at many tau computes them once per order.
     A float overflow of (r +- lam)^(n-1), (n-1)! or the constant, or of the
     exponent 2 pi i tau r (at |Re tau| past about 3e306), is NotConverged.
     tau must already be checked by require_upper_half.
@@ -106,44 +111,59 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
     # theta^-1 and theta; 1 at the trivial twist
     th_inv, th = ((1.0, 1.0) if trivial
                   else (cmath.exp(2j * math.pi * mu), cmath.exp(-2j * math.pi * mu)))
-    exp, tol, eps, power = cmath.exp, cfg.tol, _POLE_EPS, n - 1
-    plus = 0.0 + 0.0j
-    minus = 0.0 + 0.0j
-    try:
-        for r in range(1 if trivial else 0, Q_ORDER + 1):
-            x = r + lam
-            w = th_inv * exp(qtau * x)
-            den = 1.0 - w
-            if abs(den) < eps:
-                raise NearPole(f"E_{n} plus-stream denominator degenerate at r = {r}")
-            t = x ** power * w / den
-            plus += t
-            biggest = abs(t)
-            if r and not trivial:
-                x = r - lam
-                v = th * exp(qtau * x)
-                den = 1.0 - v
+    exp, tol, eps, first = cmath.exp, cfg.tol, _POLE_EPS, 1 if trivial else 0
+    # each r's exponentials and denominators, kept by the first order to reach it for the
+    # orders after it: (x, w, den) of the plus stream, then of the minus stream (0.0 at
+    # r = 0 and at the trivial twist, which have none)
+    parts: list[tuple] = []
+    values: list[complex] = []
+    for i, n in enumerate(ns):
+        power, known, keep = n - 1, first + len(parts), i + 1 < len(ns)
+        plus = minus = 0.0 + 0.0j
+        xm = v = denm = 0.0
+        try:
+            for r in range(first, Q_ORDER + 1):
+                if r < known:
+                    x, w, den, xm, v, denm = parts[r - first]
+                else:
+                    x = r + lam
+                    w = th_inv * exp(qtau * x)
+                    den = 1.0 - w
+                    # exp fails on the minus stream only where it fails on the plus one
+                    if r and not trivial:
+                        xm = r - lam
+                        v = th * exp(qtau * xm)
+                        denm = 1.0 - v
+                    if keep:
+                        parts.append((x, w, den, xm, v, denm))
                 if abs(den) < eps:
-                    raise NearPole(f"E_{n} minus-stream denominator degenerate at r = {r}")
-                t = x ** power * v / den
-                minus += t
-                if abs(t) > biggest:
-                    biggest = abs(t)
-            if r and biggest < tol:
-                break
-        else:
-            raise NotConverged(f"E_{n} q-series not below tol within Q_ORDER = {Q_ORDER} terms")
-    except OverflowError:
-        raise NotConverged(f"E_{n} q-series term r^{n - 1} overflows a float at r = {r}") \
-            from None
-    except ValueError:
-        # cmath.exp of an infinite 2 pi i tau r, once |Re tau| r passes about 3e307
-        raise NotConverged(f"E_{n} q-series exponent 2 pi i tau r leaves the float range at "
-                           f"r = {r}, tau = {tau}") from None
-    if trivial:
-        minus = plus
-    return _eisenstein_total(n, plus, minus, prefactors if prefactors is not None else
-                             _eisenstein_prefactors(n, lam, trivial))
+                    raise NearPole(f"E_{n} plus-stream denominator degenerate at r = {r}")
+                t = x ** power * w / den
+                plus += t
+                biggest = abs(t)
+                if r and not trivial:
+                    if abs(denm) < eps:
+                        raise NearPole(f"E_{n} minus-stream denominator degenerate at r = {r}")
+                    t = xm ** power * v / denm
+                    minus += t
+                    if abs(t) > biggest:
+                        biggest = abs(t)
+                if r and biggest < tol:
+                    break
+            else:
+                raise NotConverged(f"E_{n} q-series not below tol within Q_ORDER = {Q_ORDER} "
+                                   f"terms")
+        except OverflowError:
+            raise NotConverged(f"E_{n} q-series term r^{n - 1} overflows a float at r = {r}") \
+                from None
+        except ValueError:
+            # cmath.exp of an infinite 2 pi i tau r, once |Re tau| r passes about 3e307
+            raise NotConverged(f"E_{n} q-series exponent 2 pi i tau r leaves the float range "
+                               f"at r = {r}, tau = {tau}") from None
+        pre = prefactors[i] if prefactors is not None else None
+        values.append(_eisenstein_total(n, plus, plus if trivial else minus,
+                                        pre or _eisenstein_prefactors(n, lam, trivial)))
+    return values
 
 
 def _eisenstein_total(n: int, plus: complex, minus: complex,
@@ -161,8 +181,8 @@ _GRID_CHUNK = 1 << 12
 
 def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[complex],
                      cfg: TruncationConfig, fails: dict) -> np.ndarray:
-    """_eisenstein_series(n, lam, mu, tau, cfg) for every n in ns and tau in taus, bit for
-    bit, shape (len(ns), len(taus)); the taus must already be checked by require_upper_half.
+    """_eisenstein_series((n,), lam, mu, tau, cfg) for every n in ns and tau in taus, bit
+    for bit, shape (len(ns), len(taus)); the taus must already be checked by require_upper_half.
 
     The taus are taken by Im tau, smallest first, in chunks whose (orders x tau x r)
     table fits _GRID_CHUNK, r running up to the window of the chunk's first tau
@@ -201,7 +221,7 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
     def loop(i, j, n, tau, pre):
         """Entry (i, j) by the loop, or 0 with its refusal recorded."""
         try:
-            return _eisenstein_series(n, lam, mu, tau, cfg, pre)
+            return _eisenstein_series((n,), lam, mu, tau, cfg, (pre,))[0]
         except TwistellError as exc:
             refused[i, j] = Refusal.of(exc)
             return 0j
@@ -368,7 +388,7 @@ def eisenstein(n: int, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
     tau = require_upper_half(tau)
     if n % 2 == 1:
         return 0.0 + 0.0j
-    return _eisenstein_series(n, 0.0, 0.0, tau, cfg)
+    return _eisenstein_series((n,), 0.0, 0.0, tau, cfg)[0]
 
 
 def weierstrass_pk(k: int, z: complex, tau: complex,
@@ -534,7 +554,7 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails:
         inv = np.array([1.0 / (_TWO_PI * tau.imag), 1.0 / _TWO_PI])
     # the shifts (m, k) of every point side by side, NaN or inf at a non-finite z
     shifts = np.rint(zs.view(float).reshape(-1, 2) * inv)
-    far = np.abs(shifts).max(initial=0.0)
+    far = shifts.any() and np.abs(shifts).max()
     if far and not far < _SHIFT_MAX:
         _refuse(fails, ~np.isfinite(zs), DomainError,
                 lambda j, z=zs: f"theta needs a finite z, got z = {z[j]}")
@@ -573,10 +593,11 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails:
             halves.insert(0, (0, odd))
         turned, weight = 2j * math.pi * b + w, 40.0 * np.abs(b) + 8.0 * aw
     else:
-        a, b = np.array(chars).T[..., None]
-        turned = np.add.outer([2j * math.pi * cb for _, cb in chars], w)
-        weight = np.add.outer([40.0 * abs(cb) for _, cb in chars], 8.0 * aw)
-    ns = np.arange(-most, most + 1.0)[:, None, None]
+        rows = np.array([(ca, 2j * math.pi * cb, 40.0 * abs(cb)) for ca, cb in chars])[:, :, None]
+        a = rows[:, 0].real
+        turned = rows[:, 1] + w
+        weight = rows[:, 2].real + 8.0 * aw
+    ns = _NS[_THETA_MAX_HALF_WIDTH - most:_THETA_MAX_HALF_WIDTH + most + 1]
     xs = ns + a
     ax = np.abs(xs)
     sq = ns * (xs + a)                                      # x^2 - a^2 >= 0, as |a| <= 1/2

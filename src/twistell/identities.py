@@ -18,12 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical import (
+    _eisenstein_series,
     _outcome,
     _prime_forms,
     _theta_chars,
     _weierstrass_pks,
     dedekind_eta,
     eisenstein,
+    require_upper_half,
 )
 from .errors import Refusal, RouteUnavailable
 from .fermion import (
@@ -154,13 +156,15 @@ class _Sampler:
 
     def __init__(self, plan: SamplePlan, name: str):
         self.rng = random.Random(f"{plan.seed}:{name}")
-        self.uniform = self.rng.uniform
+        # the draws below inline Random.uniform(a, b), a + (b - a) * random()
+        self.uniform, self.random = self.rng.uniform, self.rng.random
 
     def tau(self, im_max: float | None = None) -> complex:
-        return complex(self.uniform(*_TAU_RE), self.uniform(_TAU_IM[0], im_max or _TAU_IM[1]))
+        (a, b), c, d = _TAU_RE, _TAU_IM[0], im_max or _TAU_IM[1]
+        return complex(a + (b - a) * self.random(), c + (d - c) * self.random())
 
     def phase(self, lo: float = 0.06, hi: float = 0.94) -> float:
-        return self.uniform(lo, hi)
+        return lo + (hi - lo) * self.random()
 
     def twist(self, mode: int = 0) -> TwistPair:
         """Nontrivial twist; mode 0 = both components, 1 = phi only, 2 = theta only."""
@@ -173,9 +177,9 @@ class _Sampler:
     def points(self, tau: complex, n: int, min_sep: float = _MIN_SEPARATION) -> list[complex]:
         """n points with |Re z| < 2 pi Im tau and |Im z| < pi, each point and each
         pairwise difference at least min_sep from the period lattice."""
-        h = _TWO_PI * tau.imag
+        h, rand = _TWO_PI * tau.imag, self.random
         for _ in range(100):
-            pts = [complex(self.uniform(-h, h), self.uniform(-math.pi, math.pi))
+            pts = [complex(-h + (h - -h) * rand(), -math.pi + (math.pi - -math.pi) * rand())
                    for _ in range(n)]
             diffs = [a - b for i, a in enumerate(pts) for b in pts[i + 1:]]
             if all(lattice_distance(d, tau) >= min_sep for d in pts + diffs):
@@ -316,8 +320,9 @@ def check_laurent(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         tw = s.twist(mode=i % 3)
         tau = s.tau(im_max=1.6)
         coeffs = laurent_coefficients(tw, tau, cfg)
-        for j, c in enumerate(coeffs):
-            rhs = -twisted_eisenstein(j + 1, tw, tau, cfg)
+        eis = _eisenstein_series(range(1, 6), tw.lam, tw.mu, require_upper_half(tau), cfg)
+        for j, (c, e) in enumerate(zip(coeffs, eis)):
+            rhs = -e
             records.append(SampleRecord(f"tw={tw} tau={_c(tau)} coeff z^{j}",
                                         c, rhs, residual(c, rhs)))
         if i == 0:

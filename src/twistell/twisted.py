@@ -292,9 +292,9 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
             vals, err = vals[rows], err[rows]
         # inf and NaN values carry an inf or NaN bound, and fail
         rel = err / np.maximum(1.0, np.abs(vals))
-        ok = rel <= cfg.tol
-    if not fails and np.count_nonzero(ok) == ok.size:
+    if not fails and rel.max() <= cfg.tol:
         return vals
+    ok = rel <= cfg.tol
     # each entry's status: its point's refusal, else the bound's, raised in point order
     statuses = np.full(vals.shape, None, dtype=object)
     for j, refusal in fails.items():
@@ -717,7 +717,7 @@ def twisted_eisenstein(n: int, tw: TwistPair, tau: complex,
     """
     if n < 1:
         raise ValueError("twisted_eisenstein requires n >= 1")
-    return _eisenstein_series(n, tw.lam, tw.mu, require_upper_half(tau), cfg)
+    return _eisenstein_series((n,), tw.lam, tw.mu, require_upper_half(tau), cfg)[0]
 
 
 def twisted_eisenstein_batch(ns: Sequence[int], tw: TwistPair, taus: Sequence[complex],

@@ -39,6 +39,7 @@ def test_layers_script_runs_every_row(capsys):
             "L2.eisenstein_oracle_many.n50", "L2.eisenstein_oracle_many.n50.loop"} <= set(rows)
     assert {"L3.rank2_many.n25", "L3.rank2_many.n25.loop", "L3.boson_many.n25",
             "L3.boson_many.n25.loop", "L3.cd_many.n25", "L3.cd_many.n25.loop"} <= set(rows)
+    assert {"L1.theta_table.n1", "L1.theta_table.n257", "L3.request_set"} <= set(rows)
     assert {"L1.eisenstein.cold", "L1.theta_char.a0", "L1.theta_char.a40",
             "L1.theta_char.half", "L1.theta_char.far", "L1.prime_form.one",
             "L2.twisted_eisenstein.im0.06",

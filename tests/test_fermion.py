@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -748,18 +749,18 @@ class TestBlockMatrixBuilder:
     def _count_kernel(self, monkeypatch):
         """Record each kernel call as the list of its evaluated (twist, z, m)."""
         calls, e_calls = [], []
-        batch, ek = fermion.twisted_pk_batch, fermion.twisted_eisenstein
+        batch, ek = fermion.twisted_pk_batch, fermion._eisenstein_series
 
         def count_batch(ks, tw, zs, tau, cfg):
             calls.append([(tw, z, k) for k in ks for z in zs])
             return batch(ks, tw, zs, tau, cfg)
 
-        def count_e(n, tw, tau, cfg):
-            e_calls.append(n)
-            return ek(n, tw, tau, cfg)
+        def count_e(ns, *args):
+            e_calls.append(list(ns))
+            return ek(ns, *args)
 
         monkeypatch.setattr(fermion, "twisted_pk_batch", count_batch)
-        monkeypatch.setattr(fermion, "twisted_eisenstein", count_e)
+        monkeypatch.setattr(fermion, "_eisenstein_series", count_e)
         return calls, e_calls
 
     def test_one_evaluation_per_distinct_entry(self, monkeypatch):
@@ -775,8 +776,10 @@ class TestBlockMatrixBuilder:
         assert len(evaluated) == len(set(evaluated)) and want <= set(evaluated)
         assert {z for _, z, _ in evaluated} == {self.ZS[a] - self.ZS[b] for a, b in pairs}
         assert {m for _, _, m in evaluated} == {m for _, _, m in want}
+        # every E_m[tw] of the sample from one q-series call, each m once
         on = {k + l - 1 for ks in modes for k in ks for l in ks}
-        assert sorted(e_calls) == sorted(on)
+        [orders] = e_calls
+        assert sorted(orders) == sorted(on)
 
     def test_rank2_matrix_takes_one_kernel_call(self, monkeypatch):
         # generic twist: one call with tw itself, at every ordered difference
@@ -792,3 +795,45 @@ class TestBlockMatrixBuilder:
         calls.clear()
         rank2_generating(p, self.XS, self.YS, TAU)
         assert len(calls) == 1 and len(calls[0]) == len(self.XS) * len(self.YS)
+
+
+def _seeded_request_digest() -> tuple[int, int, int]:
+    """(CRC32 of every output's float.hex, or its refusal's type and message; requests;
+    refused) over a seeded set of the five correlator request kinds at n = 2..16, both
+    Fock forms, and one request refused at small Im tau."""
+    rng = random.Random(2024)
+    lines, refused = [], 0
+
+    def pts(n, lo, hi):
+        return [complex(lo + (i + 0.2 + 0.6 * rng.random()) * (hi - lo) / n,
+                        rng.uniform(-0.9, 0.9)) for i in range(n)]
+
+    requests = []
+    for n in (2, 3, 4, 6, 8, 12, 16):
+        tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 2.0))
+        p = OrbifoldParams(rng.uniform(0.06, 0.94), rng.uniform(0.06, 0.94))
+        xs, ys = pts(n, -2.2, -0.8), pts(n, -0.5, -0.01)
+        g = (GSelector.IDENTITY, GSelector.SIGMA)[n % 2]
+        requests += [(rank2_generating, p, xs, ys, tau), (rank2_generating_boson, p, xs, ys, tau),
+                     (rank1_generating, g, pts(n, -2.6, -0.4), tau)]
+        if n <= 4:
+            labels1 = [tuple(sorted(rng.sample(range(1, 5), 3))) for _ in range(n)]
+            labels2 = [(tuple(sorted(rng.sample(range(1, 4), 2))),
+                        tuple(sorted(rng.sample(range(1, 4), 2)))) for _ in range(n)]
+            requests += [(rank1_fock_npoint, labels1, pts(n, -2.6, -0.4), g, tau),
+                         (rank2_fock_npoint, labels2, pts(n, -2.6, -0.4), p, tau)]
+    requests.append((rank1_generating, GSelector.SIGMA, pts(4, -2.6, -0.4), 0.05j))
+    for fn, *args in requests:
+        try:
+            out = complex(fn(*args))
+            lines.append(f"{out.real.hex()} {out.imag.hex()}")
+        except NotConverged as exc:
+            refused += 1
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return zlib.crc32("\n".join(lines).encode()), len(requests), refused
+
+
+def test_seeded_correlator_requests_keep_their_bits():
+    # pinned on the values of the earlier kernel and builders: a change to any
+    # correlator's arithmetic, its order of float operations or a refusal shows here
+    assert _seeded_request_digest() == (0xd0ad7e19, 28, 1)
