@@ -16,7 +16,8 @@ evaluation for the E_n rows, per grid for the E_n[tw] grid and table rows), with
 and eta caches emptied before every repeat. A checkout without p0_batch or
 twisted_pk_batch reports only the scalar loops, one without twisted_eisenstein_batch
 no E_n[tw] grid row, one without the oracle batch forms only the oracle loops.
-Prints one JSON object; needs nothing beyond the library itself and
+Prints one JSON object, with src_lines, the line count of the timed checkout's
+twistell/*.py, beside the timings; needs nothing beyond the library itself and
 time.perf_counter.
 """
 
@@ -345,9 +346,12 @@ def main(argv=None) -> int:
     # L4: a 25 x 3 grid of binomials, evaluated one row at a time at next to no cost: the
     # table's text path (argument parsing, grid cells, output) apart from the kernels
     run("L4.table.text", lambda: table("binomial", "n=0..24", "k=0..2"), inner=5)
-    print(json.dumps({"src": os.path.abspath(args.src), "python": platform.python_version(),
-                      "numpy": np.__version__, "cpus": os.cpu_count(),
-                      "repeats": args.repeats, "seed": args.seed, "timings": out}, indent=1))
+    src_lines = sum(len(path.read_text().splitlines())
+                    for path in (Path(args.src) / "twistell").glob("*.py"))
+    print(json.dumps({"src": os.path.abspath(args.src), "src_lines": src_lines,
+                      "python": platform.python_version(), "numpy": np.__version__,
+                      "cpus": os.cpu_count(), "repeats": args.repeats, "seed": args.seed,
+                      "timings": out}, indent=1))
     return 0
 
 

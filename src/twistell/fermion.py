@@ -39,7 +39,7 @@ from .errors import (
     TwistellError,
     UnsupportedTwist,
 )
-from .numeric import DEFAULT_CONFIG, Q_ORDER, TruncationConfig, determinant, pfaffian
+from .numeric import DEFAULT_CONFIG, Q_ORDER, TruncationConfig, pfaffian
 from .twisted import (
     TwistPair,
     GroupElement,
@@ -135,10 +135,11 @@ class OrbifoldParams:
 
 def _cd_stacks(samples: Sequence[tuple], cfg: TruncationConfig, fails: dict) -> list[tuple]:
     """The C/D block matrices of the expansion coefficients of P_1[tw] at every sample
-    (tw, row_modes, xs, col_modes, ys, tau, diag) of samples, as (members, stack) per
-    layout, stack[j] the matrix of sample members[j]. A refused sample's refusal goes to
-    fails and its slot of the stack is undefined; a layout may have no stack when all of
-    its samples are refused.
+    record (tw, row_modes, xs, col_modes, ys, tau, diag) of samples, as (members, stack)
+    per layout, stack[j] the matrix of sample members[j]. A sample that is None, or that
+    fails already holds, takes no part; a refused sample's refusal goes to fails and its
+    slot of the stack is undefined; a layout may have no stack when all of its samples
+    are refused.
 
     Row block a holds the modes k_i of row_modes[a] at xs[a]; column block b the modes
     l_j of col_modes[b] at ys[b]. With ys None the columns sit at the row points, and
@@ -155,15 +156,20 @@ def _cd_stacks(samples: Sequence[tuple], cfg: TruncationConfig, fails: dict) -> 
     the offset of its k's rows plus a * blocks, a column that of its l plus b, and an
     entry's index is their sum plus its sample's offset.
 
-    The D entries come from one twisted_pk_batch call per distinct tuple of orders m,
-    since a point's refusal may depend on the highest order asked; each point carries
-    its own twist and tau, and a call that serves one sample passes them as one value.
-    Each matrix equals its one-sample call bit for bit. A sample is refused by the first
-    refused entry of its points in the kernel's outcome (point order, then order), else
-    by its layout's factors (_cd_factor), else by its E_m.
+    The D entries come from one twisted_pk_batch call per distinct tuple of orders m
+    (_grouped), since a point's refusal may depend on the highest order asked. Each
+    matrix equals its one-sample call bit for bit. A sample is refused by a diag that is
+    not finite (DomainError), else by the first refused entry of its points in the
+    kernel's outcome (point order, then order), else by its layout's factors
+    (_cd_factor), else by its E_m.
     """
     groups: dict = {}
     for i, sample in enumerate(samples):
+        if sample is None or i in fails:
+            continue
+        if sample[6] is not None and not cmath.isfinite(sample[6]):
+            fails[i] = Refusal(DomainError, f"diagonal value must be finite, got {sample[6]}")
+            continue
         groups.setdefault((tuple(sample[1]), tuple(sample[3]), sample[4] is None,
                            sample[6] is None), []).append(i)
     with np.errstate(over="ignore", invalid="ignore"):     # inf and nan silently, as in Python
@@ -189,32 +195,21 @@ def _cd_stacks(samples: Sequence[tuple], cfg: TruncationConfig, fails: dict) -> 
             if zs.size:
                 calls.setdefault(ms, []).append(len(layouts))
             layouts.append((members, row_modes, col_modes, ks, ls, cells, ms, on))
-            diffs.append(zs.reshape(-1))
+            diffs.append(zs.reshape(g, -1))
         blocks = [None] * len(layouts)
         for ms, parts in calls.items():
-            members = [i for j in parts for i in layouts[j][0]]
-            sizes = [diffs[j].size // len(layouts[j][0]) for j in parts for _ in layouts[j][0]]
-            if len(members) == 1:
-                tws, zs, taus = samples[members[0]][0], diffs[parts[0]], samples[members[0]][5]
-            else:
-                tws = [samples[i][0] for i, n in zip(members, sizes) for _ in range(n)]
-                zs = np.concatenate([diffs[j] for j in parts])
-                taus = np.repeat([samples[i][5] for i in members], sizes)
-            block, statuses = _outcome(twisted_pk_batch, ms, tws, zs, taus, cfg)
-            _take_refusals(fails, members, statuses, sizes)
-            lo = 0
-            for j in parts:
-                blocks[j] = block[:, lo:lo + diffs[j].size]
-                lo += diffs[j].size
+            got = _grouped(lambda zs, tws, taus: twisted_pk_batch(ms, tws, zs, taus, cfg),
+                           [(layouts[j][0], diffs[j]) for j in parts], fails,
+                           lambda i: (samples[i][0], samples[i][5]))
+            for j, block in zip(parts, got):
+                blocks[j] = block
         stacks = []
         for (members, row_modes, col_modes, ks, ls, cells, ms, on), block in zip(layouts, blocks):
             g, nr, nb = len(members), len(row_modes), len(col_modes)
             # C = (-1)^l C(k+l-2, k-1) E_m and D = (-1)^(k+1) C(k+l-2, k-1) P_m
-            try:
-                d_fac = np.array([[_cd_factor(k + 1, k, l)] for k, l in cells])
-            except TwistellError as exc:
-                for i in members:
-                    fails.setdefault(i, Refusal.of(exc))
+            d_fac = _refusing(fails, members, lambda: np.array([[_cd_factor(k + 1, k, l)]
+                                                                for k, l in cells]))
+            if d_fac is None:
                 continue
             if ms:
                 row_of = {m: i for i, m in enumerate(ms)}
@@ -237,6 +232,39 @@ def _cd_stacks(samples: Sequence[tuple], cfg: TruncationConfig, fails: dict) -> 
     return stacks
 
 
+def _grouped(call, groups: list, fails: dict, columns_of) -> list:
+    """call(points, *columns) at the points of every (members, zs) of groups in one call,
+    zs holding a row of points per member: points all the rows in order, and each column
+    a value per point, member i's columns_of(i) repeated over its points, or its values
+    themselves where one sample takes part. Each member takes the first refusal among
+    its points into fails (_take_refusals). Returns each group's block of the values,
+    along their last axis."""
+    members = [i for group, _ in groups for i in group]
+    sizes = [zs.shape[1] for group, zs in groups for _ in group]
+    columns = [columns_of(i) for i in members]
+    columns = columns[0] if len(members) == 1 else [
+        [v for v, n in zip(column, sizes) for _ in range(n)] for column in zip(*columns)]
+    points = [zs.reshape(-1) for _, zs in groups]
+    values, statuses = _outcome(call, points[0] if len(points) == 1 else np.concatenate(points),
+                                *columns)
+    _take_refusals(fails, members, statuses, sizes)
+    if len(points) == 1:
+        return [values]
+    ends = [0, *itertools.accumulate(map(len, points))]
+    return [values[..., lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
+def _refusing(fails: dict, at, make, refused=None):
+    """make(), or refused where it raises a TwistellError, whose refusal goes to fails
+    for each sample of at that fails holds none for yet."""
+    try:
+        return make()
+    except TwistellError as exc:
+        for i in at:
+            fails.setdefault(i, Refusal.of(exc))
+        return refused
+
+
 def _cd_diagonals(samples: Sequence[tuple], members: list, cells: list, on: set, fails: dict,
                   cfg: TruncationConfig) -> np.ndarray:
     """The diagonal-block entries of a shared _cd_stacks layout, broadcast to (cells,
@@ -250,22 +278,18 @@ def _cd_diagonals(samples: Sequence[tuple], members: list, cells: list, on: set,
     c_fac = [_cd_factor(l, k, l) if (k, l) in on else None for k, l in cells]
     diags = []
     for i in members:
-        diag = [0j] * len(cells)
-        if i not in fails:
-            tw, tau = samples[i][0], samples[i][5]
-            try:
-                eis = dict(zip(e_ms, _eisenstein_series(e_ms, tw.lam, tw.mu,
-                                                        require_upper_half(tau), cfg)))
-                diag = [0j if f is None else f * eis[k + l - 1] for f, (k, l) in zip(c_fac, cells)]
-            except TwistellError as exc:
-                fails[i] = Refusal.of(exc)
-        diags.append(diag)
+        tw, tau = samples[i][0], samples[i][5]
+        eis = None if i in fails else _refusing(fails, (i,), lambda: dict(zip(
+            e_ms, _eisenstein_series(e_ms, tw.lam, tw.mu, require_upper_half(tau), cfg))))
+        diags.append([0j if f is None or eis is None else f * eis[k + l - 1]
+                      for f, (k, l) in zip(c_fac, cells)])
     return np.array(diags, dtype=complex).reshape(len(members), len(cells)).T[:, :, None]
 
 
 def _unstack(stacks: list[tuple], count: int, fails: dict) -> list:
     """Each sample's entry of the (members, stack) pairs of stacks, in sample order: its
-    matrix, or its determinant where stack is a list of them; None where fails holds it."""
+    matrix, or its determinant where stack is a list of them; None where fails holds it
+    or no stack has it."""
     out = [None] * count
     for members, stack in stacks:
         for i, entry in zip(members, stack):
@@ -293,13 +317,6 @@ def _cd_determinants(samples: Sequence[tuple], cfg: TruncationConfig
     mats = _settle(_unstack(stacks, len(samples), fails), fails)
     return mats, _unstack([(members, np.linalg.det(stack).tolist()) for members, stack in stacks],
                           len(samples), fails)
-
-
-def _cd_matrix(tw: TwistPair, row_modes: Sequence[Sequence[int]], xs: Sequence[complex],
-               col_modes: Sequence[Sequence[int]], ys: Sequence[complex] | None,
-               tau: complex, cfg: TruncationConfig, diag: complex | None = None) -> np.ndarray:
-    """The one-sample call of _cd_matrices."""
-    return _cd_matrices([(tw, row_modes, xs, col_modes, ys, tau, diag)], cfg)[0]
 
 
 def p1_difference_matrix(tw: TwistPair, zs: Sequence[complex], tau: complex,
@@ -357,37 +374,21 @@ def sigma_module_partition(tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG)
 
 
 def _rank1_pfaffians(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]:
-    """Pf of the C/D block matrix of the modes at zs times partition(tau, cfg), at every
-    (tw, modes, zs, partition, tau, diag) of samples; 0 when the total mode count is odd.
-    diag, when not None, fills the C entries. The matrices come from one _cd_stacks
+    """Pf of the _cd_stacks matrix of record times partition(tau, cfg), at every (record,
+    partition) of samples, record a shared layout's (tw, modes, zs, modes, None, tau,
+    diag); 0 when the total mode count is odd. The matrices come from one _cd_stacks
     call; each value equals its one-sample call bit for bit. A sample is refused, in
     this order, by _require_distinct, by its matrix and by the Pfaffian or the partition
     function; a refused batch raises its first refused sample's error (_settle)."""
     fails: dict = {}
-    even = [not sum(len(m) for m in sample[1]) % 2 for sample in samples]
-    for i, ((_, _, zs, *_), pf) in enumerate(zip(samples, even)):
-        if pf:
-            try:
-                _require_distinct(zs, "insertion points")
-            except DomainError as exc:
-                fails[i] = Refusal.of(exc)
-    live = [i for i, pf in enumerate(even) if pf and i not in fails]
-    matfails: dict = {}
-    stacks = _cd_stacks([(tw, modes, zs, modes, None, tau, diag)
-                         for tw, modes, zs, _, tau, diag in (samples[i] for i in live)],
-                        cfg, matfails)
-    for j, refusal in matfails.items():
-        fails[live[j]] = refusal
-    mats = {live[j]: mat for members, stack in stacks for j, mat in zip(members, stack)}
-    vals = []
-    for i, (_, _, _, partition, tau, _) in enumerate(samples):
-        try:
-            vals.append(pfaffian(mats[i], cfg) * partition(tau, cfg)
-                        if even[i] and i not in fails else 0.0 + 0.0j)
-        except TwistellError as exc:
-            fails[i] = Refusal.of(exc)
-            vals.append(0j)
-    return _settle(vals, fails)
+    records = [None if sum(map(len, record[1])) % 2 else record for record, _ in samples]
+    for i, record in enumerate(records):
+        if record is not None:
+            _refusing(fails, (i,), lambda: _require_distinct(record[2], "insertion points"))
+    mats = _unstack(_cd_stacks(records, cfg, fails), len(samples), fails)
+    return _settle([0j if mat is None else _refusing(
+        fails, (i,), lambda: pfaffian(mat, cfg) * partition(record[5], cfg), 0j)
+        for i, ((record, partition), mat) in enumerate(zip(samples, mats))], fails)
 
 
 def rank1_generating(g: GSelector, zs: Sequence[complex], tau: complex,
@@ -402,8 +403,7 @@ def rank1_generating(g: GSelector, zs: Sequence[complex], tau: complex,
 
 def _rank1_generating_sample(g: GSelector, zs: Sequence[complex], tau: complex) -> tuple:
     """The _rank1_pfaffians sample of rank1_generating(g, zs, tau)."""
-    zs = [complex(z) for z in zs]
-    return g.twist(), [(1,)] * len(zs), zs, lambda t, c: rank1_partition(g, t, c), tau, 0.0
+    return _p1_sample(g.twist(), zs, tau), lambda t, c: rank1_partition(g, t, c)
 
 
 def rank1_sigma_twisted_generating(zs: Sequence[complex], tau: complex,
@@ -417,8 +417,7 @@ def rank1_sigma_twisted_generating(zs: Sequence[complex], tau: complex,
 
 def _sigma_twisted_sample(zs: Sequence[complex], tau: complex) -> tuple:
     """The _rank1_pfaffians sample of rank1_sigma_twisted_generating(zs, tau)."""
-    zs = [complex(z) for z in zs]
-    return TwistPair(0.5, 0.0), [(1,)] * len(zs), zs, sigma_module_partition, tau, 0.0
+    return _p1_sample(TwistPair(0.5, 0.0), zs, tau), sigma_module_partition
 
 
 def rank1_fock_npoint(labels, zs: Sequence[complex], g: GSelector, tau: complex,
@@ -435,8 +434,9 @@ def rank1_fock_npoint(labels, zs: Sequence[complex], g: GSelector, tau: complex,
     zs = [complex(z) for z in zs]
     if len(labels) != len(zs):
         raise ValueError("labels and insertion points must pair up")
-    return _rank1_pfaffians([(g.twist(), [lab.ks for lab in labels], zs,
-                              lambda t, c: rank1_partition(g, t, c), tau, None)], cfg)[0]
+    modes = [lab.ks for lab in labels]
+    return _rank1_pfaffians([((g.twist(), modes, zs, modes, None, tau, None),
+                              lambda t, c: rank1_partition(g, t, c))], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -554,30 +554,18 @@ def _rank2_generatings(samples: Sequence[tuple], cfg: TruncationConfig) -> list[
     batch raises its first refused sample's error (_settle), and a malformed sample's
     ValueError before anything is evaluated."""
     fails: dict = {}
-    mats, sizes = [], []     # sizes: (p, n, tau) per sample
+    records = []
     for i, (p, xs, ys, tau) in enumerate(samples):
-        try:
-            xs, ys, tau = _rank2_points(xs, ys, tau)
-        except TwistellError as exc:
-            fails[i] = Refusal.of(exc)
-            xs = []
-        if xs:
-            one_mode = ((1,),) * len(xs)
-            mats.append((p.twist(), one_mode, xs, one_mode, ys, tau, None))
-        sizes.append((p, len(xs), tau))
-    live = [i for i, (_, n, _) in enumerate(sizes) if n]
-    matfails: dict = {}
-    stacks = _cd_stacks(mats, cfg, matfails)
-    for j, refusal in matfails.items():
-        fails[live[j]] = refusal
+        xs, ys, tau = _refusing(fails, (i,), lambda: _rank2_points(xs, ys, tau), ([], [], tau))
+        one_mode = ((1,),) * len(xs)
+        records.append((p.twist(), one_mode, xs, one_mode, ys, tau, None) if xs else None)
     dets = {}
-    for members, stack in stacks:
+    for members, stack in _cd_stacks(records, cfg, fails):
         n = stack.shape[1]
         plain, bordered = [], []
         for j, i in enumerate(members):
-            i = live[i]
             if i not in fails:
-                (bordered if sizes[i][0].is_trivial_twist else plain).append((j, i))
+                (bordered if samples[i][0].is_trivial_twist else plain).append((j, i))
         if plain:
             picked = stack if len(plain) == len(members) else stack[[j for j, _ in plain]]
             dets.update(zip([i for _, i in plain], np.linalg.det(picked).tolist()))
@@ -587,21 +575,11 @@ def _rank2_generatings(samples: Sequence[tuple], cfg: TruncationConfig) -> list[
             q[:, :n, :n] = stack[[j for j, _ in bordered]]
             q[:, n, n] = 0.0
             dets.update(zip([i for _, i in bordered], np.linalg.det(q).tolist()))
-    vals = []
-    for i, (p, n, tau) in enumerate(sizes):
-        try:
-            if i in fails:
-                vals.append(0j)
-            elif not n:
-                vals.append(rank2_partition(p, tau, cfg))
-            elif p.is_trivial_twist:
-                vals.append(dets[i] * dedekind_eta(tau, cfg) ** 2)
-            else:
-                vals.append(dets[i] * rank2_partition(p, tau, cfg))
-        except TwistellError as exc:
-            fails[i] = Refusal.of(exc)
-            vals.append(0j)
-    return _settle(vals, fails)
+    return _settle([0j if i in fails else _refusing(fails, (i,), lambda: (
+        rank2_partition(p, tau, cfg) if record is None
+        else dets[i] * dedekind_eta(tau, cfg) ** 2 if p.is_trivial_twist
+        else dets[i] * rank2_partition(p, tau, cfg)), 0j)
+        for i, ((p, _, _, tau), record) in enumerate(zip(samples, records))], fails)
 
 
 def _rank2_points(xs: Sequence[complex], ys: Sequence[complex],
@@ -664,10 +642,9 @@ def rank2_fock_npoint(labels, zs: Sequence[complex], p: OrbifoldParams, tau: com
     if sum(s_counts) != sum(t_counts):
         return 0.0 + 0.0j
     _require_distinct(zs, "insertion points")
-    mat = _cd_matrix(p.twist(), [lab.ks for lab in labels], zs,
-                     [lab.ls for lab in labels], None, tau, cfg)
-    eps = alternating_sign(s_counts, t_counts)
-    return eps * determinant(mat) * rank2_partition(p, tau, cfg)
+    _, (det,) = _cd_determinants([(p.twist(), [lab.ks for lab in labels], zs,
+                                   [lab.ls for lab in labels], None, tau, None)], cfg)
+    return alternating_sign(s_counts, t_counts) * det * rank2_partition(p, tau, cfg)
 
 
 def rank2_generating_boson(p: OrbifoldParams, xs: Sequence[complex],
@@ -742,79 +719,61 @@ def _bosonized(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]
     the last with us None, which leaves the product out.
 
     All thetas come from one _theta_chars call, and the K of every sample with points
-    from one _prime_forms call, each point at its sample's tau (one value when one
-    sample takes part). The samples of one charge list qs form a group: the pairs a < b,
-    row major, found once per point count, index the group's stacked u_a - u_b and q_a
-    q_b, and the K are raised to their integer powers, so no branch of log is chosen, and
-    multiplied out row by row in one pass over the group. NotConverged also
-    where a product leaves the float range. Each value equals its one-sample call bit for
-    bit. A sample is refused, in this order, by its form, by eta, by its theta, by its
-    first refused prime form and by the product; a refused batch raises its first
-    refused sample's error (_settle), and a malformed sample's ValueError before anything
-    is evaluated.
+    from one _prime_forms call (_grouped), each point at its sample's tau (one value
+    when one sample takes part). The samples
+    of one charge list qs form a group: the pairs a < b, row major, index the group's
+    stacked u_a - u_b and q_a q_b, and the K are raised to their integer powers, so no
+    branch of log is chosen, and multiplied out row by row in one pass over the group.
+    NotConverged also where a product leaves the float range. Each value equals its
+    one-sample call bit for bit. A sample is refused, in this order, by its form, by eta,
+    by its theta, by its first refused prime form and by the product; a refused batch
+    raises its first refused sample's error (_settle), and a malformed sample's
+    ValueError before anything is evaluated.
     """
     fails: dict = {}
-    # per sample that its form and eta pass: its theta's a, b and argument, tau, e^{i
-    # turn}/eta, and its points
-    live, a_s, b_s, args, taus, prefs, pairs = [], [], [], [], [], [], []
-    for j, (form, *params) in enumerate(samples):
-        try:
-            p, qs, us, tau = form(*params)
-            a, b, turn = _form_char(p)
-            prefs.append(cmath.exp(1j * turn) / dedekind_eta(tau, cfg))
-        except TwistellError as exc:
-            fails[j] = Refusal.of(exc)
-            continue
-        live.append(j)
-        a_s.append(a)
-        b_s.append(b)
-        args.append(sum(q * u for q, u in zip(qs, us)) if us else 0)
-        taus.append(tau)
-        if us is not None:
-            pairs.append((j, qs, us, tau))
+
+    def head(form, *params):
+        p, qs, us, tau = form(*params)
+        a, b, turn = _form_char(p)
+        return a, b, qs, us, tau, cmath.exp(1j * turn) / dedekind_eta(tau, cfg)
+
+    # per sample that its form and eta pass: its theta's a and b, its charges, points and
+    # tau, and e^{i turn}/eta
+    heads = {j: made for j, sample in enumerate(samples)
+             if (made := _refusing(fails, (j,), lambda: head(*sample))) is not None}
     vals = [0j] * len(samples)
-    if live:
-        one = len(live) == 1
+    if heads:
+        a_s, b_s, qss, uss, taus, prefs = zip(*heads.values())
+        one = len(heads) == 1
         thetas, statuses = _outcome(_theta_chars, a_s[0] if one else a_s, b_s[0] if one else b_s,
-                                    args, taus[0] if one else taus, cfg)
-        _take_refusals(fails, live, statuses)
-        for j, pref, theta in zip(live, prefs, thetas.tolist()):
+                                    [sum(q * u for q, u in zip(qs, us)) if us else 0
+                                     for qs, us in zip(qss, uss)], taus[0] if one else taus, cfg)
+        _take_refusals(fails, list(heads), statuses)
+        for j, pref, theta in zip(heads, prefs, thetas.tolist()):
             vals[j] = pref * theta
-    pairs = [pair for pair in pairs if pair[0] not in fails]
-    if pairs:
+    groups = {}     # the samples with points that pass so far, by charge list
+    for j, (_, _, qs, us, _, _) in heads.items():
+        if us is not None and j not in fails:
+            groups.setdefault(tuple(qs), []).append(j)
+    if groups:
         # a refused sample's K may be 0 or not finite; its product is never read
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # samples of one charge list share their pairs a < b, row major, and the powers
             # q_a q_b; their differences come from one stacked subtraction, their products
             # from one pass
-            groups, pairs_of = {}, {}
-            for pair in pairs:
-                groups.setdefault(tuple(pair[1]), []).append(pair)
             parts = []
-            for qs, group in groups.items():
-                n = len(qs)
-                if n not in pairs_of:
-                    index = np.arange(n)
-                    pairs_of[n] = np.nonzero(index[:, None] < index)
-                a, b = pairs_of[n]
-                u = np.array([us for _, _, us, _ in group], dtype=complex)
+            for qs, members in groups.items():
+                index = np.arange(len(qs))
+                a, b = np.nonzero(index[:, None] < index)
+                u = np.array([heads[j][3] for j in members], dtype=complex)
                 q = np.array(qs, dtype=int)
-                parts.append((group, u.take(a, axis=1) - u.take(b, axis=1), q[a] * q[b]))
-            order = [pair for group, _, _ in parts for pair in group]
-            sizes = [diffs.shape[1] for group, diffs, _ in parts for _ in group]
-            one = len(pairs) == 1
-            ks, statuses = _outcome(
-                _prime_forms, parts[0][1][0] if one else np.concatenate(
-                    [diffs.reshape(-1) for _, diffs, _ in parts]),
-                pairs[0][3] if one else np.repeat([tau for *_, tau in order], sizes), cfg)
-            if statuses is not None:
-                _take_refusals(fails, [j for j, *_ in order], statuses, sizes)
-            lo = 0
-            for group, diffs, powers in parts:
-                hi = lo + diffs.size
-                prods = (ks[lo:hi].reshape(diffs.shape) ** powers).prod(axis=1).tolist()
-                lo = hi
-                for (j, *_), prod in zip(group, prods):
+                parts.append((members, u.take(a, axis=1) - u.take(b, axis=1), q[a] * q[b]))
+            ks = _grouped(lambda zs, taus: _prime_forms(zs, taus, cfg),
+                          [(members, diffs) for members, diffs, _ in parts], fails,
+                          lambda j: (heads[j][4],))
+            for (members, diffs, powers), k in zip(parts, ks):
+                prods = (k.reshape(diffs.shape) ** powers).prod(axis=1).tolist()
+                for j, prod in zip(members, prods):
                     if j not in fails:
                         vals[j] *= prod
                         if not cmath.isfinite(vals[j]):

@@ -18,7 +18,12 @@ def _load(name):
 def test_layers_script_runs_every_row(capsys):
     assert _load("layers").main(["--repeats", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert {"src", "python", "numpy", "cpus", "repeats", "seed", "timings"} <= set(report)
+    assert {"src", "src_lines", "python", "numpy", "cpus", "repeats", "seed",
+            "timings"} <= set(report)
+    # as wc -l counts them: every source file ends in a newline
+    src = Path(report["src"]) / "twistell"
+    assert report["src_lines"] == sum(path.read_bytes().count(b"\n")
+                                      for path in src.glob("*.py")) > 0
     rows = report["timings"]
     for n in (1, 16, 256):
         assert {f"L1.p0_loop.n{n}", f"L1.p0_batch.n{n}", f"L2.pk_loop.n{n}",

@@ -23,6 +23,7 @@ from twistell import (
     weierstrass_pk,
 )
 from twistell.classical import _theta_chars, _theta_table
+from twistell.identities import _TAU_IM, _TAU_RE
 
 TAU = 0.12 + 1.1j
 
@@ -446,6 +447,15 @@ class TestDedekindEta:
         val = dedekind_eta(1j)
         assert abs(val.imag) < 1e-15
         assert val.real > 0
+
+    def test_theta_constant(self):
+        # Euler's pentagonal theorem: eta(tau) = e^{-pi i/6} theta[1/6; 1/2](0, 3 tau), on
+        # the identity suite's tau box
+        rng = random.Random("eta theta")
+        for _ in range(200):
+            tau = complex(rng.uniform(*_TAU_RE), rng.uniform(*_TAU_IM))
+            rhs = cmath.exp(-1j * math.pi / 6) * theta_char(1 / 6, 0.5, 0, 3 * tau)
+            assert dedekind_eta(tau) == pytest.approx(rhs, rel=1e-14, abs=0)
 
     def test_cube_vs_theta_derivative(self):
         # eta^3 = theta'[1/2;1/2](0)/i, derivative by central differences

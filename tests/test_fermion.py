@@ -686,6 +686,11 @@ class TestBlockMatrixBuilder:
         assert np.array_equal(p1_difference_matrix(tw, self.ZS, TAU, diag=diag),
                               loop_p1_difference_matrix(tw, self.ZS, TAU, diag))
 
+    @pytest.mark.parametrize("diag", [math.nan, math.inf, complex(1.0, math.inf)])
+    def test_p1_difference_matrix_refuses_a_diag_that_is_not_finite(self, diag):
+        with pytest.raises(DomainError, match="diagonal value must be finite"):
+            p1_difference_matrix(TwistPair(0.27, 0.4), [-1, -2], 0.1 + 1.1j, diag=diag)
+
     def test_p1_difference_matrix_is_antisymmetric(self):
         # z_i - z_j and z_j - z_i share one w = -(z_i - z_j) at the half-integer twist
         rng = random.Random("antisymmetry")
@@ -698,8 +703,8 @@ class TestBlockMatrixBuilder:
         for modes in ([(1, 2), (1,), (2, 3), (1, 3, 4)], [(1, 2), (), (2, 3, 4), (1,)]):
             ref = loop_fock_matrix(g.twist(), modes, modes, self.ZS, TAU)
             assert np.array_equal(
-                fermion._cd_matrix(g.twist(), modes, self.ZS, modes, None, TAU,
-                                   DEFAULT_CONFIG), ref)
+                fermion._cd_matrices([(g.twist(), modes, self.ZS, modes, None, TAU, None)],
+                                     DEFAULT_CONFIG)[0], ref)
             assert rank1_fock_npoint(modes, self.ZS, g, TAU) == \
                 pfaffian(ref) * rank1_partition(g, TAU)
 
@@ -710,8 +715,8 @@ class TestBlockMatrixBuilder:
             ks, ls = [ks for ks, _ in labels], [ls for _, ls in labels]
             ref = loop_fock_matrix(p.twist(), ks, ls, self.ZS[:3], TAU)
             assert np.array_equal(
-                fermion._cd_matrix(p.twist(), ks, self.ZS[:3], ls, None, TAU, DEFAULT_CONFIG),
-                ref)
+                fermion._cd_matrices([(p.twist(), ks, self.ZS[:3], ls, None, TAU, None)],
+                                     DEFAULT_CONFIG)[0], ref)
             eps = alternating_sign([len(k) for k in ks], [len(l) for l in ls])
             assert rank2_fock_npoint(labels, self.ZS[:3], p, TAU) == \
                 eps * determinant(ref) * rank2_partition(p, TAU)
@@ -741,9 +746,9 @@ class TestBlockMatrixBuilder:
         ms = (2, 1, 3)
         for ns in ((1, 3, 2), (2, 3)):
             ys = self.YS[:len(ns)]
-            mat = fermion._cd_matrix(tw, [range(1, m + 1) for m in ms], self.XS,
-                                     [range(1, n + 1) for n in ns], ys, TAU,
-                                     DEFAULT_CONFIG)
+            mat = fermion._cd_matrices([(tw, [range(1, m + 1) for m in ms], self.XS,
+                                         [range(1, n + 1) for n in ns], ys, TAU, None)],
+                                       DEFAULT_CONFIG)[0]
             assert np.array_equal(mat, loop_trisecant_matrix(tw, ms, ns, self.XS, ys, TAU))
 
     def _count_kernel(self, monkeypatch):

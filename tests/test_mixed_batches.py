@@ -29,11 +29,12 @@ import pytest
 
 from twistell import fermion
 from twistell.classical import _PAIR_RADIUS, _prime_forms, _theta_chars, prime_form, theta_char
-from twistell.errors import TwistellError
+from twistell.errors import DomainError, Refusal, TwistellError
 from twistell.fermion import (
     OrbifoldParams,
     lattice_npoint,
     p1_difference_matrix,
+    rank2_fock_npoint,
     rank2_generating,
     rank2_generating_boson,
     rank2_partition_theta,
@@ -313,7 +314,8 @@ def matrix_sample(draw):
     ys = draw(cluster(tau, len(ns), -0.5, -0.01))
     rows, cols = [range(1, m + 1) for m in ms], [range(1, n + 1) for n in ns]
     return ((tw, rows, xs, cols, ys, tau, None),
-            lambda: fermion._cd_matrix(tw, rows, xs, cols, ys, tau, DEFAULT_CONFIG))
+            lambda: fermion._cd_matrices([(tw, rows, xs, cols, ys, tau, None)],
+                                         DEFAULT_CONFIG)[0])
 
 
 @SETTINGS
@@ -354,11 +356,12 @@ def layout_sample(draw):
     """A _cd_matrices sample and its one-sample call, of one of five layouts: shared P_1
     with a diagonal, shared mode blocks with their C blocks (no diagonal), unshared P_1 and
     unshared mode blocks, 0 to 3 points a side; or a refused one: duplicate points, a
-    non-finite z, or a single block whose binomial C(1198, 599) leaves the float range."""
+    non-finite z, a diagonal that is not finite, or a single block whose binomial
+    C(1198, 599) leaves the float range."""
     tau = draw(taus)
     tw = TwistPair(*draw(twist))
     kind = draw(st.sampled_from(["p1", "p1", "c", "c", "xy", "xy", "blocks", "duplicate",
-                                 "finite", "factor"]))
+                                 "finite", "diag", "factor"]))
     n = draw(st.integers(0, 3))
     zs = draw(cluster(tau, n, -2.6, -0.4))
     modes = draw(st.lists(st.sampled_from([(1,), (2,), (1, 2), (1, 3), ()]), min_size=n,
@@ -369,20 +372,22 @@ def layout_sample(draw):
         kind = "p1"
     if kind == "factor":
         zs, modes, kind = zs[:1] or [-1.0 + 0.0j], [(600,)], draw(st.sampled_from(["c", "d"]))
-    if kind == "p1":
-        diag = draw(st.sampled_from([0.0, 0.37 - 0.2j, -1.5j]))
+    if kind in ("p1", "diag"):
+        diag = draw(st.sampled_from([0.0, 0.37 - 0.2j, -1.5j] if kind == "p1" else
+                                    [math.nan, math.inf, complex(1.0, -math.inf)]))
         return (fermion._p1_sample(tw, zs, tau, diag),
                 lambda: p1_difference_matrix(tw, zs, tau, diag=diag))
     if kind in ("c", "d"):
         diag = None if kind == "c" else 0.5j
         return ((tw, modes, zs, modes, None, tau, diag),
-                lambda: fermion._cd_matrix(tw, modes, zs, modes, None, tau, DEFAULT_CONFIG,
-                                           diag))
+                lambda: fermion._cd_matrices([(tw, modes, zs, modes, None, tau, diag)],
+                                             DEFAULT_CONFIG)[0])
     ys = draw(cluster(tau, n, -0.5, -0.01))
     rows = [(1,)] * n if kind == "xy" else modes
     cols = [(1,)] * n if kind == "xy" else draw(st.permutations(modes))
     return ((tw, rows, zs, cols, ys, tau, None),
-            lambda: fermion._cd_matrix(tw, rows, zs, cols, ys, tau, DEFAULT_CONFIG))
+            lambda: fermion._cd_matrices([(tw, rows, zs, cols, ys, tau, None)],
+                                         DEFAULT_CONFIG)[0])
 
 
 @SETTINGS
@@ -396,6 +401,38 @@ def test_cd_stacks_of_mixed_layouts_match_one_sample_calls(samples):
         for (_, one), mat, det in zip(samples, mats, dets):
             assert mat.shape == one().shape
             assert np.array_equal(det, determinant(mat))
+
+
+def test_cd_stacks_skip_none_and_refused_samples(monkeypatch):
+    # None, a sample that fails holds already and a sample refused for its diagonal take
+    # no part: the kernel sees none of their points, and the other samples keep the bits
+    # of their one-sample calls
+    tw, tau = TwistPair(0.3, 0.6), 0.1 + 1.2j
+    xs, ys = [-1.9 + 0.2j, -1.1 - 0.4j, -0.6 + 0.9j], [-0.3 + 0.5j]
+    far = [-40.0 + 1.0j, -60.0 + 2.0j]
+    samples = [fermion._p1_sample(tw, xs, tau), None, fermion._p1_sample(tw, far, tau),
+               (tw, [(1, 2)], xs[:1], [(1, 2)], ys, tau, None),
+               fermion._p1_sample(tw, far, tau, math.nan)]
+    alone = {i: fermion._cd_matrices([samples[i]], DEFAULT_CONFIG)[0] for i in (0, 3)}
+    seen = []
+    kernel = fermion.twisted_pk_batch
+
+    def counted(ks, tws, zs, taus, cfg):
+        seen.extend(np.asarray(zs).tolist())
+        return kernel(ks, tws, zs, taus, cfg)
+
+    monkeypatch.setattr(fermion, "twisted_pk_batch", counted)
+    before = Refusal(DomainError, "refused before")
+    fails = {2: before}
+    stacks = fermion._cd_stacks(samples, DEFAULT_CONFIG, fails)
+    assert sorted(i for members, _ in stacks for i in members) == [0, 3]
+    assert fails.keys() == {2, 4} and fails[2] is before
+    assert (fails[4].kind, str(fails[4].error())) == (
+        DomainError, "diagonal value must be finite, got nan")
+    assert len(seen) == 3 * 2 + 1 and max(map(abs, seen)) < 2.0
+    for members, stack in stacks:
+        for i, mat in zip(members, stack):
+            assert mat.tobytes() == alone[i].tobytes()
 
 
 @st.composite
@@ -460,3 +497,7 @@ def test_cd_matrices_gather_once_per_layout_and_rank2_takes_one_det_per_stack(mo
     fermion._rank2_generatings(draws, DEFAULT_CONFIG)
     # per layout one det of its nontrivial twists and one of its trivial twists' det Q
     assert sorted(dets) == [(1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 3, 3)]
+    # a Fock determinant comes from its one-sample stack too
+    dets.clear()
+    rank2_fock_npoint([((1, 2), (1,)), ((1,), (2, 3)), ((3,), (1,))], xs + ys[:1], p, tau)
+    assert dets == [(1, 4, 4)]
