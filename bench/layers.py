@@ -13,12 +13,9 @@ Run from the repository root:
 
 Each figure is the min and the median over repeats, in microseconds per call (per
 evaluation for the E_n rows, per grid for the E_n[tw] grid and table rows), with the E_n
-and eta caches emptied before every repeat. A checkout without p0_batch or
-twisted_pk_batch reports only the scalar loops, one without twisted_eisenstein_batch
-no E_n[tw] grid row, one without the oracle batch forms only the oracle loops.
-Prints one JSON object, with src_lines, the line count of the timed checkout's
-twistell/*.py, beside the timings; needs nothing beyond the library itself and
-time.perf_counter.
+and eta caches emptied before every repeat. Prints one JSON object, with src_lines, the
+line count of the timed checkout's twistell/*.py, beside the timings; needs nothing
+beyond the library itself and time.perf_counter.
 """
 
 from __future__ import annotations
@@ -75,8 +72,8 @@ def main(argv=None) -> int:
         eisenstein.cache_clear()
         dedekind_eta.cache_clear()
 
-    batch = getattr(twistell, "twisted_pk_batch", None)
-    p0_batch = getattr(twistell, "p0_batch", None)
+    batch, p0_batch = twistell.twisted_pk_batch, twistell.p0_batch
+    fermion, twisted = twistell.fermion, twistell.twisted
     rng = random.Random(args.seed)
     tau = 0.12 + 1.1j
     tw = TwistPair(0.31, 0.77)
@@ -127,8 +124,7 @@ def main(argv=None) -> int:
     # suite draws them (tau in its box; P_1 at z with |Re z| < 2 pi Im tau, |Im z| < pi,
     # theta at z with |Re z|, |Im z| < 2), where the one-point calls return values:
     # one-point calls in a loop (.loop), against one call taking tau and the
-    # characteristic or twist per point; a checkout without per-point arguments reports
-    # the loops only
+    # characteristic or twist per point
     many_rng = random.Random(f"many:{args.seed}")
     many = []
     while len(many) < 100:
@@ -145,36 +141,22 @@ def main(argv=None) -> int:
             continue
         many.append(sample)
     m_taus, m_zs, m_tws, m_zt, m_a, m_b = (list(c) for c in zip(*many))
-
-    def per_point(name, fn):
-        try:
-            fn()
-        except (AttributeError, TypeError, ValueError):
-            return
-        run(name, fn)
-
     run("L1.theta_many.n100.loop",
         lambda: [theta_char(*s) for s in zip(m_a, m_b, m_zt, m_taus)])
-    theta_chars = getattr(twistell.classical, "_theta_chars", None)
-    if theta_chars is not None:
-        per_point("L1.theta_many.n100", lambda: theta_chars(m_a, m_b, m_zt, m_taus))
+    run("L1.theta_many.n100",
+        lambda: twistell.classical._theta_chars(m_a, m_b, m_zt, m_taus))
     run("L2.pk_many.n50.loop",
         lambda: [twisted_pk(1, *s) for s in zip(m_tws[:50], m_zs[:50], m_taus[:50])])
-    if batch is not None:
-        per_point("L2.pk_many.n50", lambda: batch((1,), m_tws[:50], m_zs[:50], m_taus[:50]))
+    run("L2.pk_many.n50", lambda: batch((1,), m_tws[:50], m_zs[:50], m_taus[:50]))
     # L2: the lattice oracles at the same samples, P_1 at z and E_2 at tau
     run("L2.pk_oracle_many.n50.loop",
         lambda: [twisted_pk_oracle(1, *s) for s in zip(m_tws[:50], m_zs[:50], m_taus[:50])])
     run("L2.eisenstein_oracle_many.n50.loop",
         lambda: [twisted_eisenstein_oracle(2, *s) for s in zip(m_tws[:50], m_taus[:50])])
-    pk_oracles = getattr(twistell.twisted, "twisted_pk_oracle_batch", None)
-    en_oracles = getattr(twistell.twisted, "twisted_eisenstein_oracle_batch", None)
-    if pk_oracles is not None:
-        per_point("L2.pk_oracle_many.n50",
-                  lambda: pk_oracles(1, m_tws[:50], m_zs[:50], m_taus[:50]))
-    if en_oracles is not None:
-        per_point("L2.eisenstein_oracle_many.n50",
-                  lambda: en_oracles(2, m_tws[:50], m_taus[:50]))
+    run("L2.pk_oracle_many.n50",
+        lambda: twisted.twisted_pk_oracle_batch(1, m_tws[:50], m_zs[:50], m_taus[:50]))
+    run("L2.eisenstein_oracle_many.n50",
+        lambda: twisted.twisted_eisenstein_oracle_batch(2, m_tws[:50], m_taus[:50]))
     # L1: P_0 at n points with |z| < 2.5, inside the radius R = 2*pi of its Laurent series,
     # one call per z against one batched call; a separate stream keeps the L2/L3 points of
     # earlier runs
@@ -184,8 +166,7 @@ def main(argv=None) -> int:
     for n in (1, 16, 256):
         zs = disk[:n]
         run(f"L1.p0_loop.n{n}", lambda zs=zs: [p0(z, tau) for z in zs])
-        if p0_batch is not None:
-            run(f"L1.p0_batch.n{n}", lambda zs=zs: p0_batch(zs, tau))
+        run(f"L1.p0_batch.n{n}", lambda zs=zs: p0_batch(zs, tau))
     # L2: one-point calls, mid-annulus and 0.25% of the width from the |q_z| = 1 edge
     for label, frac in (("mid", 0.5), ("edge", 0.0025)):
         z = complex(-width * frac, 0.4)
@@ -206,33 +187,29 @@ def main(argv=None) -> int:
             lambda t=t: twisted_eisenstein_oracle(2, t, tau), inner=20)
     # L2: E_n[tw], n = 1..3, on a 25-point tau line from Im tau 0.06 to 2, the shape of a
     # table grid, in one batched call, per grid
-    en_batch = getattr(twistell, "twisted_eisenstein_batch", None)
-    if en_batch is not None:
-        line = [complex(0.12, 0.06 + (2.0 - 0.06) * i / 24) for i in range(25)]
-        run("L2.twisted_eisenstein_batch.grid", lambda: en_batch(ORDERS, tw, line))
+    line = [complex(0.12, 0.06 + (2.0 - 0.06) * i / 24) for i in range(25)]
+    run("L2.twisted_eisenstein_batch.grid",
+        lambda: twistell.twisted_eisenstein_batch(ORDERS, tw, line))
     # L2: P_1..P_3 at n points, one call per (k, z) against one batched call
     for n in (1, 16, 256):
         zs = points[:n]
         run(f"L2.pk_loop.n{n}", lambda zs=zs: [twisted_pk(k, tw, z, tau)
                                                 for k in ORDERS for z in zs])
-        if batch is not None:
-            run(f"L2.pk_batch.n{n}", lambda zs=zs: batch(ORDERS, tw, zs, tau))
+        run(f"L2.pk_batch.n{n}", lambda zs=zs: batch(ORDERS, tw, zs, tau))
     # L2: 16 points 1e-3 of the width from the |q_z| = 1 edge, one call each: P_1, and
     # P_1..P_3; their own stream keeps the L3 points of earlier runs
     edge_rng = random.Random(f"edge:{args.seed}")
     edge = [complex(-width * 1e-3, edge_rng.uniform(-3, 3)) for _ in range(16)]
-    if batch is not None:
-        # the fixed cost of a call with no points
-        run("L2.pk_batch.empty", lambda: batch(ORDERS, tw, [], tau), inner=50)
-        run("L2.pk_batch.edge.k1", lambda: batch((1,), tw, edge, tau))
-        run("L2.pk_batch.edge", lambda: batch(ORDERS, tw, edge, tau))
+    # the fixed cost of a call with no points
+    run("L2.pk_batch.empty", lambda: batch(ORDERS, tw, [], tau), inner=50)
+    run("L2.pk_batch.edge.k1", lambda: batch((1,), tw, edge, tau))
+    run("L2.pk_batch.edge", lambda: batch(ORDERS, tw, edge, tau))
     # L2: the rank-two Fock shape, P_1..P_5 at the 6 differences of 3 insertion points, of
     # both parities at a twist that is not its own inverse; its own stream, as above
     fock_rng = random.Random(f"fock:{args.seed}")
     fock = [complex(fock_rng.uniform(-2.6, -0.4), fock_rng.uniform(-2.0, 2.0)) for _ in range(3)]
     mixed = [x - y for x in fock for y in fock if x != y]
-    if batch is not None:
-        run("L2.pk_batch.mixed", lambda: batch((1, 2, 3, 4, 5), tw, mixed, tau))
+    run("L2.pk_batch.mixed", lambda: batch((1, 2, 3, 4, 5), tw, mixed, tau))
     # L3: determinant correlators on a jittered grid with every x - y in the annulus
     p = OrbifoldParams(0.27, 0.63)
     for n in (2, 4, 8, 16):
@@ -255,8 +232,7 @@ def main(argv=None) -> int:
             lambda xs=xs, ys=ys: rank2_generating_boson(p, xs, ys, tau))
     # L3: 25 n = 2 samples at distinct (p, tau), drawn as the Fay check draws them (p's
     # phases in [0.08, 0.92], tau in its box, the psi+/psi- clusters with each group's
-    # points 0.05 apart), as a loop of one-sample calls (.loop) against one batched call;
-    # a checkout without the batched correlators reports the loops only
+    # points 0.05 apart), as a loop of one-sample calls (.loop) against one batched call
     fay_rng = random.Random(f"fay:{args.seed}")
     fay = []
     while len(fay) < 25:
@@ -269,19 +245,13 @@ def main(argv=None) -> int:
             fay.append((fp, xs, ys, ft))
     run("L3.rank2_many.n25.loop", lambda: [rank2_generating(*s) for s in fay])
     run("L3.boson_many.n25.loop", lambda: [rank2_generating_boson(*s) for s in fay])
-    fermion = twistell.fermion
-    rank2_many = getattr(fermion, "_rank2_generatings", None)
-    boson_form = getattr(fermion, "_boson_form", None)
-    if rank2_many is not None:
-        per_point("L3.rank2_many.n25", lambda: rank2_many(fay, twistell.DEFAULT_CONFIG))
-    if boson_form is not None:
-        per_point("L3.boson_many.n25", lambda: fermion._bosonized(
-            [(boson_form, *s) for s in fay], twistell.DEFAULT_CONFIG))
+    run("L3.rank2_many.n25", lambda: fermion._rank2_generatings(fay, twistell.DEFAULT_CONFIG))
+    run("L3.boson_many.n25", lambda: fermion._bosonized(
+        [(fermion._boson_form, *s) for s in fay], twistell.DEFAULT_CONFIG))
     # L3: 25 P_1[tw](z_i - z_j) matrices of 4 shared points with a given diagonal, at
     # distinct (tw, tau) drawn as above and points drawn as the rank-one square check
     # draws them (four points in the Fay clusters' strip, 0.05 apart), as a loop of
-    # one-sample calls (.loop) against one call; a checkout without the batched builder
-    # reports the loop only
+    # one-sample calls (.loop) against one call
     cd_rng = random.Random(f"cd:{args.seed}")
     cd = []
     while len(cd) < 25:
@@ -292,10 +262,8 @@ def main(argv=None) -> int:
             cd.append((ctw, zs, ct, -0.3 + 0.1j))
     p1_matrix = twistell.p1_difference_matrix
     run("L3.cd_many.n25.loop", lambda: [p1_matrix(ctw, zs, ct, diag=dg) for ctw, zs, ct, dg in cd])
-    p1_sample = getattr(fermion, "_p1_sample", None)
-    if p1_sample is not None:
-        per_point("L3.cd_many.n25", lambda: fermion._cd_matrices(
-            [p1_sample(*s) for s in cd], twistell.DEFAULT_CONFIG))
+    run("L3.cd_many.n25", lambda: fermion._cd_matrices(
+        [fermion._p1_sample(*s) for s in cd], twistell.DEFAULT_CONFIG))
     # L3: a 12 x 12 block Pfaffian, 4 labels of 3 modes
     labels = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     zs = [-2.6 + 0.3j, -1.9 - 0.8j, -1.1 + 0.9j, -0.4 - 0.2j]

@@ -87,21 +87,18 @@ def _eisenstein_prefactors(n: int, lam: float, trivial: bool) -> tuple[float, fl
     return const, fac
 
 
-def _eisenstein_series(ns: Sequence[int], lam: float, mu: float, tau: complex,
-                       cfg: TruncationConfig, prefactors: Sequence | None = None
-                       ) -> list[complex]:
-    """E_n[theta; phi](tau) for every order n of ns, for the twist of phases (mu, lam): the
-    one E_n q-series.
+def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
+                       cfg: TruncationConfig,
+                       prefactors: tuple[float, float] | None = None) -> complex:
+    """E_n[theta; phi](tau) for the twist of phases (mu, lam): the one E_n q-series.
 
     -B_n(lam)/n! plus two q-expansions over r + lam (from r = 0) and r - lam
     (from r = 1), summed until both terms drop below cfg.tol; NotConverged when r
     passes Q_ORDER first. At the trivial twist the r = 0 term is omitted exactly, the
     two streams are bitwise equal and one is summed for both, and the
-    constant is B_n(0)/n! as one float. The orders share each r's exponentials and
-    denominators; each keeps its own terms, sums, stop and refusal, so its value is that
-    of a call with it alone, bit for bit. The first refused order of ns raises its error.
-    prefactors, when given, holds _eisenstein_prefactors(n, lam, trivial) or None for
-    each order, so a caller at many tau computes them once per order.
+    constant is B_n(0)/n! as one float.
+    prefactors, when given, is _eisenstein_prefactors(n, lam, trivial), so a
+    caller at many tau computes it once per order.
     A float overflow of (r +- lam)^(n-1), (n-1)! or the constant, or of the
     exponent 2 pi i tau r (at |Re tau| past about 3e306), is NotConverged.
     tau must already be checked by require_upper_half.
@@ -111,59 +108,43 @@ def _eisenstein_series(ns: Sequence[int], lam: float, mu: float, tau: complex,
     # theta^-1 and theta; 1 at the trivial twist
     th_inv, th = ((1.0, 1.0) if trivial
                   else (cmath.exp(2j * math.pi * mu), cmath.exp(-2j * math.pi * mu)))
-    exp, tol, eps, first = cmath.exp, cfg.tol, _POLE_EPS, 1 if trivial else 0
-    # each r's exponentials and denominators, kept by the first order to reach it for the
-    # orders after it: (x, w, den) of the plus stream, then of the minus stream (0.0 at
-    # r = 0 and at the trivial twist, which have none)
-    parts: list[tuple] = []
-    values: list[complex] = []
-    for i, n in enumerate(ns):
-        power, known, keep = n - 1, first + len(parts), i + 1 < len(ns)
-        plus = minus = 0.0 + 0.0j
-        xm = v = denm = 0.0
-        try:
-            for r in range(first, Q_ORDER + 1):
-                if r < known:
-                    x, w, den, xm, v, denm = parts[r - first]
-                else:
-                    x = r + lam
-                    w = th_inv * exp(qtau * x)
-                    den = 1.0 - w
-                    # exp fails on the minus stream only where it fails on the plus one
-                    if r and not trivial:
-                        xm = r - lam
-                        v = th * exp(qtau * xm)
-                        denm = 1.0 - v
-                    if keep:
-                        parts.append((x, w, den, xm, v, denm))
+    exp, tol, eps, power = cmath.exp, cfg.tol, _POLE_EPS, n - 1
+    plus = minus = 0.0 + 0.0j
+    try:
+        for r in range(1 if trivial else 0, Q_ORDER + 1):
+            x = r + lam
+            w = th_inv * exp(qtau * x)
+            den = 1.0 - w
+            if abs(den) < eps:
+                raise NearPole(f"E_{n} plus-stream denominator degenerate at r = {r}")
+            t = x ** power * w / den
+            plus += t
+            biggest = abs(t)
+            if r and not trivial:
+                x = r - lam
+                v = th * exp(qtau * x)
+                den = 1.0 - v
                 if abs(den) < eps:
-                    raise NearPole(f"E_{n} plus-stream denominator degenerate at r = {r}")
-                t = x ** power * w / den
-                plus += t
-                biggest = abs(t)
-                if r and not trivial:
-                    if abs(denm) < eps:
-                        raise NearPole(f"E_{n} minus-stream denominator degenerate at r = {r}")
-                    t = xm ** power * v / denm
-                    minus += t
-                    if abs(t) > biggest:
-                        biggest = abs(t)
-                if r and biggest < tol:
-                    break
-            else:
-                raise NotConverged(f"E_{n} q-series not below tol within Q_ORDER = {Q_ORDER} "
-                                   f"terms")
-        except OverflowError:
-            raise NotConverged(f"E_{n} q-series term r^{n - 1} overflows a float at r = {r}") \
-                from None
-        except ValueError:
-            # cmath.exp of an infinite 2 pi i tau r, once |Re tau| r passes about 3e307
-            raise NotConverged(f"E_{n} q-series exponent 2 pi i tau r leaves the float range "
-                               f"at r = {r}, tau = {tau}") from None
-        pre = prefactors[i] if prefactors is not None else None
-        values.append(_eisenstein_total(n, plus, plus if trivial else minus,
-                                        pre or _eisenstein_prefactors(n, lam, trivial)))
-    return values
+                    raise NearPole(f"E_{n} minus-stream denominator degenerate at r = {r}")
+                t = x ** power * v / den
+                minus += t
+                if abs(t) > biggest:
+                    biggest = abs(t)
+            if r and biggest < tol:
+                break
+        else:
+            raise NotConverged(f"E_{n} q-series not below tol within Q_ORDER = {Q_ORDER} terms")
+    except OverflowError:
+        raise NotConverged(f"E_{n} q-series term r^{n - 1} overflows a float at r = {r}") \
+            from None
+    except ValueError:
+        # cmath.exp of an infinite 2 pi i tau r, once |Re tau| r passes about 3e307
+        raise NotConverged(f"E_{n} q-series exponent 2 pi i tau r leaves the float range at "
+                           f"r = {r}, tau = {tau}") from None
+    if trivial:
+        minus = plus
+    return _eisenstein_total(n, plus, minus, prefactors if prefactors is not None else
+                             _eisenstein_prefactors(n, lam, trivial))
 
 
 def _eisenstein_total(n: int, plus: complex, minus: complex,
@@ -173,28 +154,30 @@ def _eisenstein_total(n: int, plus: complex, minus: complex,
     return -const + plus / fac + (-1.0) ** n * minus / fac
 
 
-# elements of one (orders x tau x r) table of terms, about 0.4 MB of arrays at its peak:
-# _eisenstein_grid sums the taus in chunks that fit, and a tau whose table alone does
-# not by the loop
-_GRID_CHUNK = 1 << 12
+# elements of one (orders x tau x r) table of terms at the widest window, r <= Q_ORDER in
+# both streams, about 3 MB of arrays at its peak: _eisenstein_grid sums its taus in blocks
+# of that size
+_GRID_CHUNK = 1 << 15
 
 
 def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[complex],
                      cfg: TruncationConfig, fails: dict) -> np.ndarray:
-    """_eisenstein_series((n,), lam, mu, tau, cfg) for every n in ns and tau in taus, bit
-    for bit, shape (len(ns), len(taus)); the taus must already be checked by require_upper_half.
+    """_eisenstein_series(n, lam, mu, tau, cfg) for every n in ns and tau in taus, bit for
+    bit, shape (len(ns), len(taus)); the taus must already be checked by require_upper_half.
 
-    The taus are taken by Im tau, smallest first, in chunks whose (orders x tau x r)
-    table fits _GRID_CHUNK, r running up to the window of the chunk's first tau
-    (_grid_window). One numpy pass per chunk (_eisenstein_grid_sums) builds the
-    exponentials and denominators once for all orders and each power (r +- lam)^(n-1)
-    once for all tau; each (n, tau) keeps the loop's own stop and sums its terms in
-    order of r up to it. An entry whose terms meet a pole, a float overflow, a NaN
-    or no stop by Q_ORDER is summed by the loop instead, and so is every entry of an
-    order whose prefactors leave the float range: so each entry is refused exactly
-    where a loop call would refuse it, with the loop's error. fails maps the columns of
-    refused taus (stand-ins in taus) to the refusal each of their entries takes. A refused grid raises, with its outcome, the first refused tau's error; else,
-    in row order, the first order's prefactor error or its first refused entry's.
+    The taus are taken in input order, in blocks whose (orders x tau x r) table fits
+    _GRID_CHUNK at the widest window (2 Q_ORDER + 1 columns; one tau at least), r
+    running up to the window of the block's smallest Im tau (_grid_window). One numpy
+    pass per block (_eisenstein_grid_sums) builds the exponentials and denominators
+    once for all orders and each power (r +- lam)^(n-1) once for all tau; each (n, tau)
+    keeps the loop's own stop and sums its terms in order of r up to it. An entry whose
+    terms meet a pole, a float overflow, a NaN or no stop by Q_ORDER is summed by the
+    loop instead, and so is every entry of an order whose prefactors leave the float
+    range: so each entry is refused exactly where a loop call would refuse it, with the
+    loop's error. fails maps the columns of refused taus (stand-ins in taus) to the
+    refusal each of their entries takes. A refused grid raises, with its outcome, the
+    first refused tau's error; else, in row order, the first order's prefactor error or
+    its first refused entry's.
     """
     trivial = lam == 0.0 and mu == 0.0
     prefactors: dict[int, tuple[float, float] | NotConverged] = {}
@@ -206,22 +189,19 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
                 prefactors[n] = exc
     orders = [n for n, pre in prefactors.items() if not isinstance(pre, NotConverged)]
     sums: list[list] = [[None] * len(taus) for _ in orders]
-    by_im = sorted(range(len(taus)), key=lambda j: taus[j].imag)
-    while orders and by_im:
-        last = _grid_window(max(orders) - 1, _TWO_PI * taus[by_im[0]].imag, cfg)
-        size = _GRID_CHUNK // (len(orders) * (2 * last + 1))
-        chunk, by_im = by_im[:max(size, 1)], by_im[max(size, 1):]
-        if size:
-            rows = _eisenstein_grid_sums(orders, lam, mu, [taus[j] for j in chunk], last, cfg)
-            for k, row in enumerate(rows):
-                for j, s in zip(chunk, row):
-                    sums[k][j] = s
+    size = _GRID_CHUNK // (max(len(orders), 1) * (2 * Q_ORDER + 1)) or 1
+    for lo in range(0, len(taus) if orders else 0, size):
+        block = taus[lo:lo + size]
+        last = _grid_window(max(orders) - 1, _TWO_PI * min(t.imag for t in block), cfg)
+        block_sums = _eisenstein_grid_sums(orders, lam, mu, block, last, cfg)
+        for row, part in zip(sums, block_sums):
+            row[lo:lo + size] = part
     refused: dict = {}                  # (order, tau) -> Refusal
 
     def loop(i, j, n, tau, pre):
         """Entry (i, j) by the loop, or 0 with its refusal recorded."""
         try:
-            return _eisenstein_series((n,), lam, mu, tau, cfg, (pre,))[0]
+            return _eisenstein_series(n, lam, mu, tau, cfg, pre)
         except TwistellError as exc:
             refused[i, j] = Refusal.of(exc)
             return 0j
@@ -388,7 +368,7 @@ def eisenstein(n: int, tau: complex, cfg: TruncationConfig = DEFAULT_CONFIG) -> 
     tau = require_upper_half(tau)
     if n % 2 == 1:
         return 0.0 + 0.0j
-    return _eisenstein_series((n,), 0.0, 0.0, tau, cfg)[0]
+    return _eisenstein_series(n, 0.0, 0.0, tau, cfg)
 
 
 def weierstrass_pk(k: int, z: complex, tau: complex,
@@ -526,7 +506,9 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails:
     keeps no digit once reduced. fails holds the columns refused so far (the per-point
     layer's map) and takes the table's own refusals; a refused column is summed as a
     stand-in (_stand_ins), so it widens no window. tau must already be checked by
-    require_upper_half.
+    require_upper_half. Its shifts and exponents overflow where |Re z| or |tau| is within
+    a few decades of the largest float: callers run it under np.errstate, and refuse
+    those points by the finiteness of what it returns.
     """
     zs, tau = _stand_ins(fails, np.asarray(zs, dtype=complex), tau)
     # each point's window |n| <= width, the table's |n| <= most, and the factors of the
@@ -814,22 +796,23 @@ def _prime_forms(zs: Sequence[complex], tau, cfg: TruncationConfig = DEFAULT_CON
     # S(z) at every z, and S'(0) at z = 0 as the last points
     pts = np.zeros(npts + nzero, dtype=complex)
     pts[:npts] = pts_z
-    cols, bounds, scale, shifts, w = _theta_table([(0.5, 0.5)], pts, col_tau, 2, fails)
-    for c in range(npts, pts.size):
-        fails.pop(c, None)
-    m = shifts[:, 0]
-    moved = np.count_nonzero(m)
-    if moved:
-        # the multiplier's log-scale and phase at every column; a point that stays keeps
-        # the real log-scale alone, as it has alone
-        shifted = _scales(scale, m, w, col_tau)
-    if per_tau:
-        den = cols[1, 0, zero]
-        absden = np.array([abs(d) for d in cols[1, 0, npts:].tolist()])[zero - npts]
-    else:
-        den = complex(cols[1, 0, -1])
-        absden = abs(den)
+    # theta's exponents may overflow at a far z or tau, which the checks below refuse
     with np.errstate(all="ignore"):
+        cols, bounds, scale, shifts, w = _theta_table([(0.5, 0.5)], pts, col_tau, 2, fails)
+        for c in range(npts, pts.size):
+            fails.pop(c, None)
+        m = shifts[:, 0]
+        moved = np.count_nonzero(m)
+        if moved:
+            # the multiplier's log-scale and phase at every column; a point that stays keeps
+            # the real log-scale alone, as it has alone
+            shifted = _scales(scale, m, w, col_tau)
+        if per_tau:
+            den = cols[1, 0, zero]
+            absden = np.array([abs(d) for d in cols[1, 0, npts:].tolist()])[zero - npts]
+        else:
+            den = complex(cols[1, 0, -1])
+            absden = abs(den)
         # the multiplier of theta[1/2;1/2] is e^{scale} (-1)^(m + k)
         odd = shifts[:npts].sum(axis=1) % 2.0 == 1.0
         grow = np.exp(scale[:npts] - scale[zero])
@@ -949,7 +932,8 @@ def _theta_chars(a, b, zs: Sequence[complex], tau,
         chars = repeat(_reduced_char(a, b, fails, range(npts)))
         row = next(chars)[:2]
     per_tau = isinstance(taus, np.ndarray)
-    cols, bounds, top, shifts, w = _theta_table([row], zs, taus, 1, fails)
+    with np.errstate(all="ignore"):       # a far z or tau: the checks below refuse
+        cols, bounds, top, shifts, w = _theta_table([row], zs, taus, 1, fails)
     vals = []
     for j, (z, col, bound, s, (m, kz), wz, (ra, rb, turn, sign, odd), t) in enumerate(zip(
             zs.tolist(), cols[0, 0].tolist(), bounds[0, 0].tolist(), top.tolist(),

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .classical import (
-    _eisenstein_series,
     _outcome,
     _prime_forms,
     _settle,
@@ -45,6 +44,7 @@ from .twisted import (
     GroupElement,
     _cd_factor,
     _reduce_phase,
+    twisted_eisenstein,
     twisted_pk_batch,
 )
 # perfbench's tracer test patches and checks this binding of twisted_pk
@@ -143,10 +143,10 @@ def _cd_stacks(samples: Sequence[tuple], cfg: TruncationConfig, fails: dict) -> 
 
     Row block a holds the modes k_i of row_modes[a] at xs[a]; column block b the modes
     l_j of col_modes[b] at ys[b]. With ys None the columns sit at the row points, and
-    block a == b holds C[tw](k_i, l_j), or the constant diag when one is given; a
-    sample's E_m[tw] come from one q-series call. Every other entry is D[tw](k_i, l_j,
-    xs[a] - ys[b]), m = k_i + l_j - 1, from the kernel at every m at every difference of
-    two blocks, row major.
+    block a == b holds C[tw](k_i, l_j), or the constant diag when one is given; each
+    E_m[tw] is evaluated once a sample. Every other entry is D[tw](k_i, l_j, xs[a] -
+    ys[b]), m = k_i + l_j - 1, from the kernel at every m at every difference of two
+    blocks, row major.
 
     A layout, (row_modes, col_modes, shared or not, diag given or not) with the modes as
     tuples or ranges, fixes the cells (k, l), the orders, their factors and the gather
@@ -269,18 +269,18 @@ def _cd_diagonals(samples: Sequence[tuple], members: list, cells: list, on: set,
                   cfg: TruncationConfig) -> np.ndarray:
     """The diagonal-block entries of a shared _cd_stacks layout, broadcast to (cells,
     members, 1): each sample's diag, or its C[tw](k, l) where (k, l) meets on a diagonal
-    block and 0 off it, a sample's E_m[tw] from one _eisenstein_series call. A sample
+    block and 0 off it, E_m[tw] once per m and sample (twisted_eisenstein). A sample
     refused before, or by an E_m, has 0 there. The C factors cannot fail where the D
     factors passed: both are the binomial C(k+l-2, k-1)."""
     if samples[members[0]][6] is not None:
         return np.array([[samples[i][6]] for i in members], dtype=complex)
-    e_ms = list({k + l - 1 for k, l in on})
+    e_ms = {k + l - 1 for k, l in on}
     c_fac = [_cd_factor(l, k, l) if (k, l) in on else None for k, l in cells]
     diags = []
     for i in members:
         tw, tau = samples[i][0], samples[i][5]
-        eis = None if i in fails else _refusing(fails, (i,), lambda: dict(zip(
-            e_ms, _eisenstein_series(e_ms, tw.lam, tw.mu, require_upper_half(tau), cfg))))
+        eis = None if i in fails else _refusing(fails, (i,), lambda: {
+            m: twisted_eisenstein(m, tw, tau, cfg) for m in e_ms})
         diags.append([0j if f is None or eis is None else f * eis[k + l - 1]
                       for f, (k, l) in zip(c_fac, cells)])
     return np.array(diags, dtype=complex).reshape(len(members), len(cells)).T[:, :, None]

@@ -18,14 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical import (
-    _eisenstein_series,
     _outcome,
     _prime_forms,
     _theta_chars,
     _weierstrass_pks,
     dedekind_eta,
     eisenstein,
-    require_upper_half,
 )
 from .errors import Refusal, RouteUnavailable
 from .fermion import (
@@ -320,9 +318,8 @@ def check_laurent(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONFIG,
         tw = s.twist(mode=i % 3)
         tau = s.tau(im_max=1.6)
         coeffs = laurent_coefficients(tw, tau, cfg)
-        eis = _eisenstein_series(range(1, 6), tw.lam, tw.mu, require_upper_half(tau), cfg)
-        for j, (c, e) in enumerate(zip(coeffs, eis)):
-            rhs = -e
+        for j, c in enumerate(coeffs):
+            rhs = -twisted_eisenstein(j + 1, tw, tau, cfg)
             records.append(SampleRecord(f"tw={tw} tau={_c(tau)} coeff z^{j}",
                                         c, rhs, residual(c, rhs)))
         if i == 0:

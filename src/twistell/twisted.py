@@ -173,7 +173,7 @@ def gamma_act_twist(gamma: GroupElement, tw: TwistPair) -> TwistPair:
 def lattice_distance(z: complex, tau: complex) -> float:
     """Euclidean distance from z to the period lattice 2*pi*i*(m*tau + n); NotConverged
     when the lattice row of z, Im(z/(2*pi*i))/Im(tau), leaves the float range (Im tau
-    subnormal)."""
+    subnormal), or z less that row's m tau does (|m tau| past the largest float)."""
     tau = complex(tau)
     w = complex(z) / (2j * math.pi)
     u = w.imag / tau.imag
@@ -182,6 +182,9 @@ def lattice_distance(z: complex, tau: complex) -> float:
     best = math.inf
     for m in (math.floor(u), math.floor(u) + 1):
         r = w - m * tau
+        if not cmath.isfinite(r):
+            raise NotConverged(f"lattice row {m:.6g} of z = {z} at tau = {tau}: m tau "
+                               f"leaves the float range")
         n = round(r.real)
         best = min(best, _TWO_PI * abs(r - n))
     return best
@@ -376,13 +379,13 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
     One classical._theta_table call holds every point and, as one more column per
     distinct (numerator twist, tau) of the points, w = 0. Its rows are the
     numerator theta[lam+1/2; mu+1/2], summed as theta[lam-1/2; mu-1/2] (a in
-    [-1/2, 1/2) as the table asks, |b| <= 1/2): one row per twist when there are at
-    most two, a point reading its own, else one row whose characteristic is each
-    column's twist's; then theta[1/2;1/2] (alone at the trivial twist), which sets
-    every column's log-scale either way. Each row has its Taylor columns
-    c_j, j < order, and at order 1 one more, j = 1, for theta'[1/2;1/2](0)
-    (j <= order at the trivial twist): a sum of that one column at w = 0 alone
-    costs a one-point call more than the column costs a 256-point one. Each point
+    [-1/2, 1/2) as the table asks, |b| <= 1/2): one row, of the one twist's
+    characteristic or, for several twists, of each column's twist's; then
+    theta[1/2;1/2] (alone at the trivial twist), which sets every column's
+    log-scale either way. Each row has its Taylor columns c_j, j < order, and at
+    order 1 one more, j = 1, for theta'[1/2;1/2](0) (j <= order at the trivial
+    twist): a sum of that one column at w = 0 alone costs a one-point call more
+    than the column costs a 256-point one. Each point
     then divides its numerator row by theta[1/2;1/2]'s, normalised for its twist
     and tau; the table's shifts m and k leave the multiplier theta^-m phi^k =
     e^{2 pi i (mu m + lam k)} of the quotient, its phases taken exactly (_turns),
@@ -407,13 +410,12 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
     pts = np.zeros(npts + len(ctw), dtype=complex)
     pts[:npts] = ws
     # theta[lam+1/2; mu+1/2] = e^{2 pi i a} theta[a; mu-1/2] for a = lam - 1/2 in [-1/2,
-    # 1/2), the constant cancelling from the normalisation: a row per twist when there are
-    # two (rows), else one row, its characteristic varying by column past two
+    # 1/2), the constant cancelling from the normalisation: one row, its characteristic
+    # varying by column where there are several twists
     chars = [(0.5, 0.5)]
-    rows = not trivial and len(twists) == 2
     if not trivial:
         nums = [(t.lam - 0.5, t.mu - 0.5) for t in twists]
-        chars[:0] = (nums if len(twists) < 3 else
+        chars[:0] = (nums if len(twists) == 1 else
                      [tuple(np.array(nums)[np.concatenate((which, ctw))].T)])
     cols, bounds, _, shifts, w = _theta_table(chars, pts, col_tau,
                                               order + 1 if trivial else max(order, 2), fails)
@@ -430,8 +432,7 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
         den1 = at_0[1][-1][c]
         per_combo.append([10 * _POLE_EPS * abs(den1)])
         if not trivial:
-            r = t if rows else 0
-            num0 = at_0[0][r][c]
+            num0 = at_0[0][0][c]
             if abs(num0) < _POLE_EPS * abs(den1):
                 _refuse(fails, range(npts) if combo is None else combo == c, NearPole,
                         lambda j, t=twists[t]: (
@@ -440,7 +441,7 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
                 num0 = den1 = 1.0               # stand-ins: the combination's points are refused
             norm = den1 / num0
             per_combo[c] += [norm, 1.0 / abs(norm), twists[t].mu, twists[t].lam,
-                             err_0[0][r][c] / abs(num0) + err_0[1][-1][c] / abs(den1)
+                             err_0[0][0][c] / abs(num0) + err_0[1][-1][c] / abs(den1)
                              + 4.0 * _EPS]
     # each point's normalisation values
     per = per_combo[0] if combo is None else np.array(per_combo)[combo].T
@@ -452,9 +453,6 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
             f"P_k[tw] at tau = {_tau_at(tau, j)}"))
     shifts = shifts[:npts]
     num, num_err = cols[:order, 0, :npts], bounds[:order, 0, :npts]
-    if rows:
-        num = np.where(which, cols[:order, 1, :npts], num)
-        num_err = np.where(which, bounds[:order, 1, :npts], num_err)
     if trivial:
         # f = 1/2 + theta'/theta: theta'(w + t) has columns (j+1) c_{j+1}
         j1 = np.arange(1.0, order + 1.0)[:, None]
@@ -717,15 +715,15 @@ def twisted_eisenstein(n: int, tw: TwistPair, tau: complex,
     """
     if n < 1:
         raise ValueError("twisted_eisenstein requires n >= 1")
-    return _eisenstein_series((n,), tw.lam, tw.mu, require_upper_half(tau), cfg)[0]
+    return _eisenstein_series(n, tw.lam, tw.mu, require_upper_half(tau), cfg)
 
 
 def twisted_eisenstein_batch(ns: Sequence[int], tw: TwistPair, taus: Sequence[complex],
                              cfg: TruncationConfig = DEFAULT_CONFIG) -> np.ndarray:
     """E_n[tw](tau) for every n in ns and tau in taus, shape (len(ns), len(taus)).
 
-    Summed by numpy passes over (orders x tau x r) tables, one per chunk of taus
-    (classical._eisenstein_grid): the exponentials and denominators of the
+    Summed by numpy passes over (orders x tau x r) tables, one per block of taus in
+    input order (classical._eisenstein_grid): the exponentials and denominators of the
     q-series are built once for all orders, the powers (r +- lam)^(n-1) once for
     all tau, and each (n, tau) sums its terms in order of r up to its own stop.
     Each entry equals twisted_eisenstein's value bit for bit: a pass performs the

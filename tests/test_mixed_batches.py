@@ -44,6 +44,7 @@ from twistell.twisted import (
     TwistPair,
     twisted_eisenstein_oracle,
     twisted_eisenstein_oracle_batch,
+    twisted_pk,
     twisted_pk_batch,
     twisted_pk_oracle,
     twisted_pk_oracle_batch,
@@ -213,6 +214,14 @@ def test_one_twist_and_tau_spread_over_the_points():
     assert _prime_forms(zs, tau).tobytes() == _prime_forms(zs, [tau] * len(zs)).tobytes()
     assert (_theta_chars(0.3, 0.2, zs, tau).tobytes()
             == _theta_chars([0.3] * 4, [0.2] * 4, zs, [tau] * 4).tobytes())
+    # points either side of the imaginary axis read tw and tw^-1 from one numerator row,
+    # its characteristic per column: every entry is its one-point call's, k = 1..5
+    five = twisted_pk_batch(range(1, 6), tw, zs, tau)
+    for j, z in enumerate(zs):
+        assert [five[k - 1, j] for k in range(1, 6)] == [twisted_pk(k, tw, z, tau)
+                                                         for k in range(1, 6)]
+        assert (np.ascontiguousarray(five[:, j]).tobytes()
+                == twisted_pk_batch(range(1, 6), tw, [z], tau).tobytes())
 
 
 def test_per_point_arguments_need_one_value_per_point():

@@ -15,17 +15,25 @@ from twistell import (
     NearPole,
     NotAntisymmetric,
     NotConverged,
+    OrbifoldParams,
     RouteUnavailable,
     TwistPair,
     bernoulli_poly,
     coeff_C,
     coeff_D,
+    dedekind_eta,
     eisenstein,
     gamma_act_point,
     gamma_act_twist,
+    lattice_distance,
+    p0,
     pfaffian,
     prime_form,
     rank1_generating,
+    rank2_generating,
+    rank2_generating_boson,
+    rank2_partition,
+    rank2_partition_theta,
     theta_char,
     twisted_eisenstein,
     twisted_eisenstein_batch,
@@ -752,6 +760,36 @@ class TestEisensteinSeries:
         assert 20 < outcomes.count("ok") < 44
         for kind in ("NearPole", "within Q_ORDER", "term r^", "past 170!"):
             assert any(kind in out for out in outcomes), kind
+        # 200-tau lines, Im tau 0.02 to 2 in random order, span several of the grid's
+        # blocks: each entry is the loop's value bit for bit or its refusal, and the
+        # grid raises the loop's first error
+        kinds = []
+        for tw, ns in ((TwistPair(rng.random(), rng.random()), [1, 2, 3]),
+                       (TwistPair.trivial(), [1, 2, 3]), (TwistPair.trivial(), [3, 171, 2]),
+                       (TwistPair(0.0, rng.random()), [3, 171, 2])):
+            taus = [complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.02),
+                                                                         math.log(2))))
+                    for _ in range(200)]
+            assert (outcome(twisted_eisenstein_batch, ns, tw, taus)[0]
+                    == outcome(loop_eisenstein_batch, ns, tw, taus)[0])
+            try:
+                got, statuses = twisted_eisenstein_batch(ns, tw, taus), None
+            except TwistellError as exc:
+                got, statuses = exc.outcome
+            for i, n in enumerate(ns):
+                for j, tau in enumerate(taus):
+                    kind, value = outcome(twisted_eisenstein, n, tw, tau)
+                    status = None if statuses is None else statuses[i, j]
+                    if kind == "ok":
+                        assert status is None, (n, tau)
+                        assert (np.array([got[i, j]]).view(np.int64).tolist()
+                                == np.array([value]).view(np.int64).tolist()), (n, tau)
+                    else:
+                        assert f"{status.kind.__name__}: {status.error()}" == kind, (n, tau)
+                    kinds.append(kind)
+        assert kinds.count("ok") > len(kinds) // 2
+        for kind in ("within Q_ORDER", "term r^"):
+            assert any(kind in k for k in kinds), kind
 
     def test_batch_domain(self):
         tw = TwistPair(0.3, 0.7)
@@ -913,3 +951,52 @@ class TestModularCovariance:
 def test_non_finite_input_raises(call, error):
     with pytest.raises(error):
         call()
+
+
+_P = OrbifoldParams(0.2, 0.3)
+_TW = TwistPair(0.31, 0.77)
+
+
+@pytest.mark.parametrize("call", [
+    lambda z, tau: theta_char(0.3, 0.2, z, tau),
+    lambda z, tau: theta_char(0.5, 0.5, z, tau),
+    prime_form,
+    p0,
+    lambda z, tau: twisted_pk(2, _TW, z, tau),
+    lambda z, tau: weierstrass_pk(2, z, tau),
+    lambda z, tau: coeff_D(1, 2, _TW, z, tau),
+    lambda z, tau: twisted_pk_oracle(2, _TW, z, tau),
+    lambda z, tau: twisted_eisenstein(2, _TW, tau),
+    lambda z, tau: twisted_eisenstein_oracle(2, _TW, tau),
+    lambda z, tau: eisenstein(4, tau),
+    lambda z, tau: dedekind_eta(tau),
+    lambda z, tau: rank2_partition(_P, tau),
+    lambda z, tau: rank2_partition_theta(_P, tau),
+    lambda z, tau: rank1_generating(GSelector.IDENTITY, [z, 0.1j], tau),
+    lambda z, tau: rank2_generating(_P, [z], [0.1j], tau),
+    lambda z, tau: rank2_generating_boson(_P, [z], [0.1j], tau),
+], ids=["theta_char", "theta_char-odd", "prime_form", "p0", "twisted_pk", "weierstrass_pk",
+        "coeff_D", "twisted_pk_oracle", "twisted_eisenstein", "twisted_eisenstein_oracle",
+        "eisenstein", "dedekind_eta", "rank2_partition", "rank2_partition_theta",
+        "rank1_generating", "rank2_generating", "rank2_generating_boson"])
+def test_extreme_inputs_refuse_cleanly(call):
+    # z and tau at the edges of the float range, Im tau tiny and huge: a finite value or
+    # a TwistellError, and no numpy warning or raw OverflowError on the way
+    zs = [1e308, -1e308, complex(-1e308, -1e308), 1e300j, -1.0, 0.3j]
+    taus = [3e306 + 1j, 0.5 + 0.03j, 1e-5j, 1e5j, 1j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for z in zs:
+            for tau in taus:
+                try:
+                    assert cmath.isfinite(call(z, tau)), (z, tau)
+                except TwistellError:
+                    pass
+
+
+def test_lattice_distance_past_the_float_range_is_not_converged():
+    # m tau of z's lattice row overflows: round() of its infinite real part raised
+    with pytest.raises(NotConverged, match="m tau leaves the float range"):
+        lattice_distance(-1e308, 3e306 + 1j)
+    with pytest.raises(NotConverged, match="m tau leaves the float range"):
+        twisted_pk_oracle(2, _TW, -1e308, 3e306 + 1j)
