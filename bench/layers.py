@@ -10,63 +10,146 @@ Run from the repository root:
 
     python3 bench/layers.py                   # times the library in src/
     python3 bench/layers.py --src OTHER/src   # times another checkout, e.g. a parent commit
+    python3 bench/layers.py --ab OTHER/src    # times src/ and OTHER/src side by side
 
 Each figure is the min and the median over repeats, in microseconds per call (per
 evaluation for the E_n rows, per grid for the E_n[tw] grid and table rows), with the E_n
 and eta caches emptied before every repeat. Prints one JSON object, with src_lines, the
 line count of the timed checkout's twistell/*.py, beside the timings; needs nothing
 beyond the library itself and time.perf_counter.
+
+With --ab, both twistell packages are copied into a temporary directory under two names
+and imported side by side in this one process; each row's repeats alternate between
+them, so that both meet the same host load, and a row reports both minima and their
+ratio, OTHER's over src's.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
 import platform
 import random
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ORDERS = (1, 2, 3)
 
 
+def once(fn, clear, inner: int = 1, calls: int = 1) -> float:
+    """Seconds per call of one repeat, the caches emptied first: fn runs inner times, and
+    each run makes `calls` calls of the timed function."""
+    clear()
+    start = time.perf_counter()
+    for _ in range(inner):
+        fn()
+    return (time.perf_counter() - start) / (inner * calls)
+
+
 def timed(fn, clear, repeats: int, inner: int = 1, calls: int = 1) -> dict:
-    """Min and median over repeats of the time per call: fn runs inner times a repeat,
-    and each run makes `calls` calls of the timed function."""
-    per_call = []
-    for _ in range(repeats):
-        clear()
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        per_call.append((time.perf_counter() - start) / (inner * calls))
+    """Min and median over repeats of the time per call (once)."""
+    per_call = [once(fn, clear, inner, calls) for _ in range(repeats)]
     return {"min_us": round(min(per_call) * 1e6, 2),
             "median_us": round(statistics.median(per_call) * 1e6, 2)}
+
+
+def src_lines(src) -> int:
+    """The line count of the twistell/*.py under src."""
+    return sum(len(path.read_text().splitlines())
+               for path in (Path(src) / "twistell").glob("*.py"))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory holding the twistell package")
+    parser.add_argument("--ab", metavar="OTHER", default=None,
+                        help="directory holding a second twistell package, timed beside --src")
     parser.add_argument("--repeats", type=int, default=30)
     parser.add_argument("--seed", type=int, default=4)
     args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
     import numpy as np
-    import twistell
-    from twistell import cli
-    from twistell import (GSelector, OrbifoldParams, TwistPair, dedekind_eta, determinant,
-                          eisenstein, p0, pfaffian, prime_form, rank1_fock_npoint,
-                          rank1_generating, rank2_fock_npoint, rank2_generating,
-                          rank2_generating_boson, theta_char, twisted_eisenstein,
-                          twisted_eisenstein_oracle, twisted_pk, twisted_pk_oracle)
-    from twistell.errors import TwistellError
+    report = {"src": os.path.abspath(args.src), "src_lines": src_lines(args.src)}
+    if args.ab is None:
+        sys.path.insert(0, args.src)
+        import twistell
+        table, clear = rows(twistell, args.seed)
+        out = {}
+        for name, (fn, inner, calls) in table.items():
+            out[name] = timed(fn, clear, args.repeats, inner, calls)
+            print(f"{name:32s} min {out[name]['min_us']:>11.2f} us  "
+                  f"median {out[name]['median_us']:>11.2f} us", file=sys.stderr)
+    else:
+        report.update(other=os.path.abspath(args.ab), other_src_lines=src_lines(args.ab))
+        out = ab_timings(args.src, args.ab, args.repeats, args.seed)
+    print(json.dumps({**report, "python": platform.python_version(), "numpy": np.__version__,
+                      "cpus": os.cpu_count(), "repeats": args.repeats, "seed": args.seed,
+                      "timings": out}, indent=1))
+    return 0
+
+
+def ab_timings(src, other, repeats: int, seed: int) -> dict:
+    """Each row's minimum against the twistell packages under src and other, imported side
+    by side from copies named twistell_src and twistell_other, their repeats alternating,
+    with the ratio of other's minimum over src's."""
+    names = ("twistell_src", "twistell_other")
+    out: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, root in zip(names, (src, other)):
+            shutil.copytree(Path(root) / "twistell", Path(tmp) / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        # the packages import lazily too, so the copies stay until the last row
+        sys.path.insert(0, tmp)
+        try:
+            (mine, clear_mine), (theirs, clear_theirs) = (
+                rows(importlib.import_module(name), seed) for name in names)
+
+            def clear():
+                clear_mine()
+                clear_theirs()
+
+            for name in [name for name in mine if name in theirs]:
+                (fn, inner, calls), other_fn = mine[name], theirs[name][0]
+                sides = [[fn, math.inf], [other_fn, math.inf]]
+                for r in range(repeats):
+                    for side in sides[::-1] if r % 2 else sides:
+                        side[1] = min(side[1], once(side[0], clear, inner, calls))
+                (_, a), (_, b) = sides
+                out[name] = {"min_us": round(a * 1e6, 2), "other_min_us": round(b * 1e6, 2),
+                             "ratio": round(b / a, 4)}
+                print(f"{name:32s} min {a * 1e6:>11.2f} us  other {b * 1e6:>11.2f} us  "
+                      f"ratio {b / a:7.4f}", file=sys.stderr)
+        finally:
+            sys.path.remove(tmp)
+            for name in [m for m in sys.modules if m.partition(".")[0] in names]:
+                del sys.modules[name]
+    return out
+
+
+def rows(twistell, seed: int):
+    """Every row against the twistell package given, built from seed: ({name: (fn, inner,
+    calls)}, clear), clear emptying the package's E_n and eta caches."""
+    import numpy as np
+
+    cli = importlib.import_module(f"{twistell.__name__}.cli")
+    TwistellError = twistell.TwistellError
+    (GSelector, OrbifoldParams, TwistPair, dedekind_eta, determinant, eisenstein, p0, pfaffian,
+     prime_form, rank1_fock_npoint, rank1_generating, rank2_fock_npoint, rank2_generating,
+     rank2_generating_boson, theta_char, twisted_eisenstein, twisted_eisenstein_oracle,
+     twisted_pk, twisted_pk_oracle) = (getattr(twistell, name) for name in (
+        "GSelector OrbifoldParams TwistPair dedekind_eta determinant eisenstein p0 pfaffian "
+        "prime_form rank1_fock_npoint rank1_generating rank2_fock_npoint rank2_generating "
+        "rank2_generating_boson theta_char twisted_eisenstein twisted_eisenstein_oracle "
+        "twisted_pk twisted_pk_oracle").split())
 
     def clear():
         eisenstein.cache_clear()
@@ -74,7 +157,7 @@ def main(argv=None) -> int:
 
     batch, p0_batch = twistell.twisted_pk_batch, twistell.p0_batch
     fermion, twisted = twistell.fermion, twistell.twisted
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     tau = 0.12 + 1.1j
     tw = TwistPair(0.31, 0.77)
     width = 2 * math.pi * tau.imag
@@ -82,13 +165,11 @@ def main(argv=None) -> int:
     out: dict = {}
 
     def run(name, fn, inner=1, calls=1):
-        out[name] = timed(fn, clear, args.repeats, inner, calls)
-        print(f"{name:32s} min {out[name]['min_us']:>11.2f} us  "
-              f"median {out[name]['median_us']:>11.2f} us", file=sys.stderr)
+        out[name] = fn, inner, calls
 
     # L0: Pfaffian and determinant of seeded antisymmetric complex matrices; their own
     # stream keeps the points of earlier runs
-    mat_rng = np.random.default_rng(args.seed)
+    mat_rng = np.random.default_rng(seed)
     for d in (4, 8, 12, 16, 32):
         a = mat_rng.standard_normal((d, d)) + 1j * mat_rng.standard_normal((d, d))
         a = a - a.T
@@ -97,7 +178,7 @@ def main(argv=None) -> int:
             run(f"L0.determinant.d{d}", lambda a=a: determinant(a), inner=20)
     # L1: cold E_n, even n = 2..60 at 8 tau of the periodicity check's box, per evaluation;
     # its own stream keeps the points of earlier runs
-    eis_rng = random.Random(f"eisenstein:{args.seed}")
+    eis_rng = random.Random(f"eisenstein:{seed}")
     eis_taus = [complex(eis_rng.uniform(-0.15, 0.15), eis_rng.uniform(0.8, 0.95))
                 for _ in range(8)]
     eis_calls = [(n, t) for t in eis_taus for n in range(2, 61, 2)]
@@ -125,7 +206,7 @@ def main(argv=None) -> int:
     # theta at z with |Re z|, |Im z| < 2), where the one-point calls return values:
     # one-point calls in a loop (.loop), against one call taking tau and the
     # characteristic or twist per point
-    many_rng = random.Random(f"many:{args.seed}")
+    many_rng = random.Random(f"many:{seed}")
     many = []
     while len(many) < 100:
         s = complex(many_rng.uniform(-0.4, 0.4), many_rng.uniform(0.8, 2.0))
@@ -160,7 +241,7 @@ def main(argv=None) -> int:
     # L1: P_0 at n points with |z| < 2.5, inside the radius R = 2*pi of its Laurent series,
     # one call per z against one batched call; a separate stream keeps the L2/L3 points of
     # earlier runs
-    disk_rng = random.Random(f"disk:{args.seed}")
+    disk_rng = random.Random(f"disk:{seed}")
     disk = [complex(disk_rng.uniform(-2.0, -0.1), disk_rng.uniform(-1.5, 1.5))
             for _ in range(256)]
     for n in (1, 16, 256):
@@ -198,7 +279,7 @@ def main(argv=None) -> int:
         run(f"L2.pk_batch.n{n}", lambda zs=zs: batch(ORDERS, tw, zs, tau))
     # L2: 16 points 1e-3 of the width from the |q_z| = 1 edge, one call each: P_1, and
     # P_1..P_3; their own stream keeps the L3 points of earlier runs
-    edge_rng = random.Random(f"edge:{args.seed}")
+    edge_rng = random.Random(f"edge:{seed}")
     edge = [complex(-width * 1e-3, edge_rng.uniform(-3, 3)) for _ in range(16)]
     # the fixed cost of a call with no points
     run("L2.pk_batch.empty", lambda: batch(ORDERS, tw, [], tau), inner=50)
@@ -206,7 +287,7 @@ def main(argv=None) -> int:
     run("L2.pk_batch.edge", lambda: batch(ORDERS, tw, edge, tau))
     # L2: the rank-two Fock shape, P_1..P_5 at the 6 differences of 3 insertion points, of
     # both parities at a twist that is not its own inverse; its own stream, as above
-    fock_rng = random.Random(f"fock:{args.seed}")
+    fock_rng = random.Random(f"fock:{seed}")
     fock = [complex(fock_rng.uniform(-2.6, -0.4), fock_rng.uniform(-2.0, 2.0)) for _ in range(3)]
     mixed = [x - y for x in fock for y in fock if x != y]
     run("L2.pk_batch.mixed", lambda: batch((1, 2, 3, 4, 5), tw, mixed, tau))
@@ -233,7 +314,7 @@ def main(argv=None) -> int:
     # L3: 25 n = 2 samples at distinct (p, tau), drawn as the Fay check draws them (p's
     # phases in [0.08, 0.92], tau in its box, the psi+/psi- clusters with each group's
     # points 0.05 apart), as a loop of one-sample calls (.loop) against one batched call
-    fay_rng = random.Random(f"fay:{args.seed}")
+    fay_rng = random.Random(f"fay:{seed}")
     fay = []
     while len(fay) < 25:
         fp = OrbifoldParams(fay_rng.uniform(0.08, 0.92), fay_rng.uniform(0.08, 0.92))
@@ -252,7 +333,7 @@ def main(argv=None) -> int:
     # distinct (tw, tau) drawn as above and points drawn as the rank-one square check
     # draws them (four points in the Fay clusters' strip, 0.05 apart), as a loop of
     # one-sample calls (.loop) against one call
-    cd_rng = random.Random(f"cd:{args.seed}")
+    cd_rng = random.Random(f"cd:{seed}")
     cd = []
     while len(cd) < 25:
         ct = complex(cd_rng.uniform(-0.4, 0.4), cd_rng.uniform(0.8, 2.0))
@@ -276,7 +357,7 @@ def main(argv=None) -> int:
     # them at one tau: rank-two determinants and their bosonized twins at n = 2, 4, 8, 16,
     # rank-one Pfaffians at n = 4, 8, 10, 12, a 4 x 3-mode rank-one and two 3 x (2, 2)-mode
     # rank-two Fock functions; its own stream, as above
-    set_rng = random.Random(f"set:{args.seed}")
+    set_rng = random.Random(f"set:{seed}")
 
     def spread(n, lo, hi, im):
         return [complex(lo + (i + 0.2 + 0.6 * set_rng.random()) * (hi - lo) / n,
@@ -314,13 +395,7 @@ def main(argv=None) -> int:
     # L4: a 25 x 3 grid of binomials, evaluated one row at a time at next to no cost: the
     # table's text path (argument parsing, grid cells, output) apart from the kernels
     run("L4.table.text", lambda: table("binomial", "n=0..24", "k=0..2"), inner=5)
-    src_lines = sum(len(path.read_text().splitlines())
-                    for path in (Path(args.src) / "twistell").glob("*.py"))
-    print(json.dumps({"src": os.path.abspath(args.src), "src_lines": src_lines,
-                      "python": platform.python_version(), "numpy": np.__version__,
-                      "cpus": os.cpu_count(), "repeats": args.repeats, "seed": args.seed,
-                      "timings": out}, indent=1))
-    return 0
+    return out, clear
 
 
 if __name__ == "__main__":

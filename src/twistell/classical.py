@@ -88,8 +88,7 @@ def _eisenstein_prefactors(n: int, lam: float, trivial: bool) -> tuple[float, fl
 
 
 def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
-                       cfg: TruncationConfig,
-                       prefactors: tuple[float, float] | None = None) -> complex:
+                       cfg: TruncationConfig) -> complex:
     """E_n[theta; phi](tau) for the twist of phases (mu, lam): the one E_n q-series.
 
     -B_n(lam)/n! plus two q-expansions over r + lam (from r = 0) and r - lam
@@ -97,8 +96,6 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
     passes Q_ORDER first. At the trivial twist the r = 0 term is omitted exactly, the
     two streams are bitwise equal and one is summed for both, and the
     constant is B_n(0)/n! as one float.
-    prefactors, when given, is _eisenstein_prefactors(n, lam, trivial), so a
-    caller at many tau computes it once per order.
     A float overflow of (r +- lam)^(n-1), (n-1)! or the constant, or of the
     exponent 2 pi i tau r (at |Re tau| past about 3e306), is NotConverged.
     tau must already be checked by require_upper_half.
@@ -143,8 +140,7 @@ def _eisenstein_series(n: int, lam: float, mu: float, tau: complex,
                            f"r = {r}, tau = {tau}") from None
     if trivial:
         minus = plus
-    return _eisenstein_total(n, plus, minus, prefactors if prefactors is not None else
-                             _eisenstein_prefactors(n, lam, trivial))
+    return _eisenstein_total(n, plus, minus, _eisenstein_prefactors(n, lam, trivial))
 
 
 def _eisenstein_total(n: int, plus: complex, minus: complex,
@@ -198,10 +194,10 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
             row[lo:lo + size] = part
     refused: dict = {}                  # (order, tau) -> Refusal
 
-    def loop(i, j, n, tau, pre):
+    def loop(i, j, n, tau):
         """Entry (i, j) by the loop, or 0 with its refusal recorded."""
         try:
-            return _eisenstein_series(n, lam, mu, tau, cfg, pre)
+            return _eisenstein_series(n, lam, mu, tau, cfg)
         except TwistellError as exc:
             refused[i, j] = Refusal.of(exc)
             return 0j
@@ -209,10 +205,9 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
     out = np.empty((len(ns), len(taus)), dtype=complex)
     for i, n in enumerate(ns):
         pre = prefactors[n]
-        failed = isinstance(pre, NotConverged)
-        row_sums = repeat(None) if failed else sums[orders.index(n)]
+        row_sums = repeat(None) if isinstance(pre, NotConverged) else sums[orders.index(n)]
         out[i] = [0j if j in fails else _eisenstein_total(n, *s, pre) if s is not None
-                  else loop(i, j, n, tau, None if failed else pre)
+                  else loop(i, j, n, tau)
                   for j, (tau, s) in enumerate(zip(taus, row_sums))]
     if not (fails or refused):
         return out
@@ -494,11 +489,13 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails:
     2 i (-1)^n e^{i pi tau n(n+1)} x^j sinh(x w) at even j (odd j do not cancel), so
     theta[1/2;1/2] and K stay relatively accurate as w -> 0.
 
-    A bound is u = eps/2 times the sum over the column's terms of |x^j/j! term| times
-        3 order + 3 + (7 pi |tau| + 1) n(n + 2a) + |x| (8 |w| + 40 |b|) + L - Re E,
-    E the exponent (the rounding of exp, of x^j/j!, of i pi tau n(n + 2a), of w, 2 pi b,
-    x and x (w + 2 pi i b), and of L - Re E), plus (N + 1) |column|: the partial sums
-    are at most the sum of |t| up to n < 0, and |column| plus the rest from n = 0 on.
+    Column j's bound is u = eps/2 times the sum over its terms of |x^j/j! term| times
+        3 c + 3 + (7 pi |tau| + 1) n(n + 2a) + |x| (8 |w| + 40 |b|) + L - Re E,
+    c = max(j + 1, 2), or 1 in a table of order 1, E the exponent (the rounding of exp,
+    of the column's own x^j/j!, of i pi tau n(n + 2a), of w, 2 pi b, x and
+    x (w + 2 pi i b), and of L - Re E), plus (N + 1) |column|: the partial sums are at
+    most the sum of |t| up to n < 0, and |column| plus the rest from n = 0 on. So a
+    column's bound, like its value, is the same in every table of order 2 or more.
     A column is refused, in this order, with NotConverged when its window passes
     _THETA_MAX_HALF_WIDTH terms either side (Im tau below about 6e-5) or pi Im tau leaves
     the float range, with DomainError for a non-finite z, and with NotConverged when |m|
@@ -602,9 +599,13 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails:
     # |tau| by Python's abs, whose last bit numpy's does not always match
     rate = 7.0 * math.pi * (np.array([abs(t) for t in tau.tolist()]) if per_tau
                             else abs(tau)) + 1.0
-    slack += 3.0 * order + 4.0 + rate * sq
+    # laid out (n, column or 1, row, point): column j charges the rounding of its own
+    # x^j / j! alone, 3 j + 7 as the top column of a table of order j + 1 (10 at j < 2)
+    const = (np.maximum(np.arange(7.0, 3.0 * order + 5.0, 3.0), 10.0)[:, None, None]
+             if order > 2 else 3.0 * order + 4.0)
+    slack = slack[:, None] + (const + (rate * sq)[:, None])
     terms = np.exp(expo)[:, None]
-    mags = (np.exp(real) * slack)[:, None]
+    mags = np.exp(real)[:, None] * slack
     if order > 1:
         # pw[:, j] = x^j / j!, the running product of x / i over i <= j
         pw = np.empty((ns.size, order) + xs.shape[1:])
@@ -634,7 +635,7 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails:
             terms = (np.exp(_last(quad[most:, h], at) - top[at]) * sign
                      * np.sinh(_last(xs[most:, h], at) * w[at]))
             pe = _last(pw[most:, 0::2, h], at) if order > 1 else np.ones((1, 1, 1))
-            mags = np.abs(pe) * (np.abs(terms) * _last(slack[most:, h], at))[:, None]
+            mags = np.abs(pe) * (np.abs(terms)[:, None] * _last(slack[most:, 0::2, h], at))
             terms = pe * terms[:, None]
             span = width[at] if per_tau else width
             if inside is not None:

@@ -454,8 +454,8 @@ def _parse_table_value(key: str, kind: str, text: str):
 
 def _batch_values(batch, varying, fixed: dict, cfg) -> tuple[list, list, list] | None:
     """The re, im and status lists of the rows, in row order, from one batch form call:
-    a refused row's status from the refusal its entry would meet in a batch of its own
-    (the batch's outcome), its value 0.
+    a refused row's status from its entry's refusal in the batch's outcome, the one it
+    would meet in a batch of its own, its value 0.
 
     None when there is no batch form, or when the grid varies a parameter the batch
     form does not list: the rows are then evaluated one by one.
@@ -475,7 +475,7 @@ def _batch_values(batch, varying, fixed: dict, cfg) -> tuple[list, list, list] |
     re, im, status = out.real.tolist(), out.imag.tolist(), ["ok"] * out.size
     if statuses is not None:
         for row, refusal in enumerate(statuses.transpose(axes).ravel().tolist()):
-            if refusal is not None and refusal.alone:
+            if refusal is not None:
                 status[row] = _error_row(refusal.kind)[3]
                 if status[row] is None:       # not a row error: it aborts the table
                     raise refusal.error()

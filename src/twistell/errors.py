@@ -21,13 +21,12 @@ class TwistellError(Exception):
 class Refusal:
     """One refused entry of a batch: the type of its error, and the error itself, built
     only when it is raised: kind(message(at)), message(at) giving the message or the
-    error; or message is the error already built. alone is whether the entry is refused
-    in a batch of its own too, False where only the rest of the batch refuses it."""
+    error; or message is the error already built."""
 
-    __slots__ = ("kind", "message", "at", "alone")
+    __slots__ = ("kind", "message", "at")
 
     def __init__(self, kind: type, message, at=None):
-        self.kind, self.message, self.at, self.alone = kind, message, at, True
+        self.kind, self.message, self.at = kind, message, at
 
     @classmethod
     def of(cls, exc: TwistellError) -> "Refusal":

@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -157,7 +158,7 @@ def _cd_stacks(samples: Sequence[tuple], cfg: TruncationConfig, fails: dict) -> 
     entry's index is their sum plus its sample's offset.
 
     The D entries come from one twisted_pk_batch call per distinct tuple of orders m
-    (_grouped), since a point's refusal may depend on the highest order asked. Each
+    (_grouped), as the kernel sums one table of orders for all the points of a call. Each
     matrix equals its one-sample call bit for bit. A sample is refused by a diag that is
     not finite (DomainError), else by the first refused entry of its points in the
     kernel's outcome (point order, then order), else by its layout's factors
@@ -806,7 +807,7 @@ def generator_word(gamma: GroupElement) -> list[tuple]:
     word: list[tuple] = []
     a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
     while c != 0:
-        q = round(a / c)
+        q = round(Fraction(a, c))
         # gamma = T^q S gamma' with gamma' = S^-1 T^-q gamma
         word.append(("T", q))
         word.append(("S",))
@@ -829,15 +830,23 @@ def modular_multiplier(gamma: GroupElement, p: OrbifoldParams) -> tuple[complex,
     right, multiplying the generator value evaluated at the current (alpha,
     beta) before updating (alpha, beta) <- generator . (alpha, beta). The
     returned parameters equal (a*alpha + b*beta, c*alpha + d*beta).
+    NotConverged where a phase or the transformed parameters leave the float
+    range.
     """
     eps = 1.0 + 0.0j
     cur = p
-    for gen in reversed(generator_word(gamma)):
-        if gen[0] == "S":
-            eps *= epsilon_S(cur)
-            cur = OrbifoldParams(cur.beta, -cur.alpha)
-        else:
-            q = gen[1]
-            eps *= cmath.exp(1j * math.pi * q * (cur.beta * (cur.beta + 1.0) + 1.0 / 6.0))
-            cur = OrbifoldParams(cur.alpha + q * cur.beta, cur.beta)
+    try:
+        for gen in reversed(generator_word(gamma)):
+            if gen[0] == "S":
+                eps *= epsilon_S(cur)
+                cur = OrbifoldParams(cur.beta, -cur.alpha)
+            else:
+                q = gen[1]
+                eps *= cmath.exp(1j * math.pi * q * (cur.beta * (cur.beta + 1.0) + 1.0 / 6.0))
+                cur = OrbifoldParams(cur.alpha + q * cur.beta, cur.beta)
+    except (OverflowError, ValueError, DomainError):    # DomainError: a parameter is inf
+        eps = math.nan
+    if not cmath.isfinite(eps):
+        raise NotConverged(f"modular multiplier of {gamma} at {p}: a phase or a transformed "
+                           f"parameter leaves the float range")
     return eps, cur

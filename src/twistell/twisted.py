@@ -29,7 +29,6 @@ from .classical import (
     _by_point,
     _eisenstein_grid,
     _eisenstein_series,
-    _outcome,
     _point_taus,
     _refuse,
     _refused,
@@ -59,13 +58,16 @@ class TwistPair:
     """Point of U(1) x U(1) by canonical phases mu, lam in [0, 1).
 
     theta = exp(-2*pi*i*mu) multiplies along the 2*pi*i*tau cycle,
-    phi = exp(2*pi*i*lam) along the 2*pi*i cycle.
+    phi = exp(2*pi*i*lam) along the 2*pi*i cycle. DomainError unless both
+    are finite.
     """
 
     mu: float = 0.0
     lam: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu) and math.isfinite(self.lam)):
+            raise DomainError(f"twist phases must be finite, got {self}")
         object.__setattr__(self, "mu", _reduce_phase(self.mu))
         object.__setattr__(self, "lam", _reduce_phase(self.lam))
 
@@ -233,18 +235,18 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
     where the theta sums cancel; and past 2^26 periods from 0, where the
     reduction keeps no digit of z. So z = -3141.6+0.4i at tau = i, 500
     quasi-periods out, is summed at w = -0.0073+0.4i. Every stage records, per
-    point, the first check the point fails (the bound per entry, at the call's
-    top order), and a refused point takes no part in the later stages' sizing;
-    a refused batch raises its first refused point's error, as the point would
-    alone, with the outcome, where an entry the bound refuses below the top
-    order also carries its verdict at its own order (Refusal.alone).
+    point, the first check the point fails (the bound per entry, which depends
+    only on the entry's own order and point), and a refused point takes no
+    part in the later stages' sizing; a refused batch raises its first refused
+    point's error with the outcome, each entry refused as it would be alone.
     twisted_pk_oracle is the lattice-sum oracle at a nontrivial twist.
     """
     ks = list(ks)
     if ks and min(ks) < 1:
         raise ValueError("twisted_pk requires k >= 1")
     zs = np.array(zs, dtype=complex).reshape(-1)
-    per_tw = not isinstance(tw, TwistPair) and _by_point(tw, zs.size, "tw")
+    if not isinstance(tw, TwistPair):
+        _by_point(tw, zs.size, "tw")
     fails: dict = {}
     taus = _point_taus(tau, zs.size, fails)
     if not (ks and zs.size):
@@ -261,7 +263,7 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
         # twist); split when some are trivial and some not (twists of several points),
         # which takes two tables
         if isinstance(tw, TwistPair):
-            twists, which, split = [tw], None, False
+            twists, which, split, trivial = [tw], None, False, tw.is_trivial
             if flipped and not _half_integer(tw):
                 inv = _flipped(tw, flip, fails)
                 if flipped == zs.size:
@@ -283,8 +285,6 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
         sign = (-1.0) ** np.arange(order)[:, None] if order > 1 else 1.0   # (-1)^(k-1)
         if flipped:
             # the trivial P_1's 1 - P_1(-z), at the points of the trivial twist
-            if not per_tw:
-                trivial = tw.is_trivial
             if trivial is not False:
                 vals[0] -= flip & trivial
             vals = vals * np.where(flip, -1.0, sign)
@@ -297,12 +297,11 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
         rel = err / np.maximum(1.0, np.abs(vals))
     if not fails and rel.max() <= cfg.tol:
         return vals
-    ok = rel <= cfg.tol
     # each entry's status: its point's refusal, else the bound's, raised in point order
     statuses = np.full(vals.shape, None, dtype=object)
     for j, refusal in fails.items():
         statuses[:, j] = refusal
-    for i, j in np.argwhere(~ok).tolist():
+    for i, j in np.argwhere(~(rel <= cfg.tol)).tolist():
         if statuses[i, j] is None:
             statuses[i, j] = Refusal(NotConverged, lambda at: (
                 f"P_{ks[at[0]]}[tw] theta quotient at z = {zs[at[1]]:.6g}, tau = "
@@ -310,16 +309,6 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
                     f"rounding bound {rel[at]:.3g} over tol {cfg.tol:.3g}"
                     if np.isfinite(vals[at]) else "its value leaves the float range")),
                 (i, j))
-    for i, k in enumerate(ks):
-        # the bound grows with the call's top order: an entry it refuses below that order
-        # takes its own verdict from one more batch, at its own order
-        low = [j for j in np.flatnonzero(~ok[i]).tolist() if j not in fails] if k < order else ()
-        if low:
-            again = _outcome(twisted_pk_batch, [k], [tw[j] for j in low] if per_tw else tw,
-                             zs[low], taus[low] if isinstance(taus, np.ndarray) else taus,
-                             cfg)[1]
-            for c, j in enumerate(low):
-                statuses[i, j].alone = again is not None and again[0, c] is not None
     _refused(vals, statuses)
 
 
@@ -734,9 +723,9 @@ def twisted_eisenstein_batch(ns: Sequence[int], tw: TwistPair, taus: Sequence[co
     deciding the error, or when B_n(lam)/n! and (n-1)! of an order in ns leave
     the float range; a tau outside the upper half-plane refuses its column, the
     first such raising first. The error carries the outcome, each entry refused
-    as twisted_eisenstein would refuse it. A single (n, tau) stays on the loop
-    (twisted_eisenstein): the fixed cost of a pass, a few dozen numpy calls, is 6
-    to 12 times the loop's time for one value.
+    as twisted_eisenstein would refuse it. For a single (n, tau) the loop
+    (twisted_eisenstein) is cheaper: the fixed cost of a pass, a few dozen numpy
+    calls, is 6 to 12 times the loop's time for one value.
     """
     if any(n < 1 for n in ns):
         raise ValueError("twisted_eisenstein requires n >= 1")

@@ -3,7 +3,10 @@
 import dataclasses
 import importlib.util
 import json
+import shutil
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -53,6 +56,26 @@ def test_layers_script_runs_every_row(capsys):
             "L4.table.en_grid", "L4.table.text"} <= set(rows)
     for row in rows.values():
         assert set(row) == {"min_us", "median_us"} and 0 < row["min_us"] <= row["median_us"]
+
+
+def test_layers_script_times_two_packages_side_by_side(capsys, tmp_path):
+    # two copies of src/: every row against both, with both minima and their ratio
+    src = Path(__file__).resolve().parents[1] / "src"
+    for name in ("one", "two"):
+        shutil.copytree(src / "twistell", tmp_path / name / "twistell",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    one, two = str(tmp_path / "one"), str(tmp_path / "two")
+    assert _load("layers").main(["--repeats", "2", "--src", one, "--ab", two]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["src"], report["other"]) == (one, two)
+    assert report["src_lines"] == report["other_src_lines"] > 0
+    rows = report["timings"]
+    assert {"L1.theta_table.n1", "L2.pk_batch.mixed", "L3.request_set",
+            "L4.table.pk_grid"} <= set(rows)
+    for row in rows.values():
+        assert set(row) == {"min_us", "other_min_us", "ratio"}
+        assert row["min_us"] > 0 and row["other_min_us"] > 0
+        assert row["ratio"] == pytest.approx(row["other_min_us"] / row["min_us"], rel=1e-2)
 
 
 def test_seeds_script_passes_a_seed(capsys):

@@ -91,6 +91,22 @@ class TestEval:
         assert out == ""
         assert json.loads(err)["error"] == "domain"
 
+    @pytest.mark.parametrize("tokens", [
+        ["twisted_pk", "k=1", "mu=nan", "lam=0.3", "z=-0.5+0.2i", "tau=i"],
+        ["coeff_C", "k=1", "l=1", "mu=inf", "lam=0.2", "tau=i"]], ids=["nan", "inf"])
+    def test_non_finite_twist_is_a_domain_error(self, capsys, tokens):
+        # once a NaN twist, reported as a convergence error
+        code, out, err = run_cli(capsys, "eval", *tokens)
+        assert code == EXIT_DOMAIN and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "domain"
+
+    def test_gamma_past_the_float_range_is_a_convergence_error(self, capsys):
+        # once a raw OverflowError from the word's float quotient a / c
+        code, out, err = run_cli(capsys, "eval", "modular_multiplier",
+                                 f"gamma=1,0,{10 ** 309},1", "alpha=0.2", "beta=0.3")
+        assert code == EXIT_CONVERGENCE and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "convergence"
+
     def test_convergence_exit(self, capsys):
         code, _, err = run_cli(capsys, "eval", "eisenstein", "n=4", "tau=0.0001i")
         assert code == EXIT_CONVERGENCE
@@ -332,8 +348,8 @@ class TestTableBatchForms:
         ("theta_char", ["a=0", "b=0", f"z=-5+{math.pi!r}i:{5 - 2 * math.pi!r}+{math.pi!r}i:3",
                         "tau=i"]),
     ]
-    # k = 1 passes alone but not in a call up to k = 3: the rounding bound grows with the
-    # call's top order (found among 3000 draws at small Im tau)
+    # k = 1 passes and k = 2 and 3 are refused (found among 3000 draws at small Im tau,
+    # where the bound of the call up to k = 3 once refused k = 1 too)
     ORDER_DEPENDENT = ["k=1..3", "mu=0.8570167391377412", "lam=0.796584380552441",
                        "z=-0.0064325510852901342-2.7788758273291272i",
                        "tau=-0.0055590549091550923+0.079553597222646183i"]
@@ -369,16 +385,15 @@ class TestTableBatchForms:
             assert [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]] == statuses
 
     def test_order_dependent_refusal_keeps_each_rows_own_status(self, capsys, monkeypatch):
-        # the bound of the call up to k = 3 refuses every entry; those below k = 3 take their
-        # own verdicts from one more kernel call per order, where k = 1 passes
+        # each entry's bound is its own order's, whatever else the call holds: one kernel
+        # call gives every row its verdict
         calls = self.count_calls(monkeypatch, twisted, "twisted_pk_batch")
         code, out, _ = run_cli(capsys, "table", "--function", "twisted_pk",
                                *self.ORDER_DEPENDENT)
         assert code == EXIT_OK
         assert [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]] == \
             ["ok", "not_converged", "not_converged"]
-        assert [(list(ks), len(zs)) for ks, _, zs, _, _ in calls] == [([1, 2, 3], 1), ([1], 1),
-                                                                         ([2], 1)]
+        assert [(list(ks), len(zs)) for ks, _, zs, _, _ in calls] == [([1, 2, 3], 1)]
 
     @pytest.mark.parametrize("function,tokens", MIDDLE_REFUSED, ids=["prime_form", "theta_char"])
     def test_refused_middle_row_is_one_batch_call(self, capsys, monkeypatch, function, tokens):

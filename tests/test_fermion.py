@@ -609,6 +609,20 @@ class TestModularMultiplier:
                                else GroupElement.T(item[1]))
             assert prod == gamma
 
+    def test_entries_past_the_float_range(self):
+        # the word's quotients are exact past 2^1024, where a / c overflows a float; the
+        # transformed beta = 10^309 alpha + beta is then past the float range
+        gamma = GroupElement(1, 0, 10 ** 309, 1)
+        prod = GroupElement.identity()
+        for item in generator_word(gamma):
+            prod = prod @ (GroupElement.S() if item[0] == "S" else GroupElement.T(item[1]))
+        assert prod == gamma
+        with pytest.raises(NotConverged, match="leaves the float range"):
+            modular_multiplier(gamma, OrbifoldParams(0.2, 0.3))
+        # so is a T phase pi q beta (beta + 1) past it
+        with pytest.raises(NotConverged, match="leaves the float range"):
+            modular_multiplier(GroupElement.T(10 ** 20), OrbifoldParams(0.2, 1e300))
+
     def test_st_cubed_is_trivial(self):
         p = OrbifoldParams(0.31, 0.22)
         st = GroupElement.S() @ GroupElement.T()

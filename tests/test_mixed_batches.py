@@ -123,14 +123,32 @@ def check_batch(batch, alone):
 
 @SETTINGS
 @hypothesis.given(samples=st.lists(st.tuples(point(), twist), min_size=1, max_size=6),
-                  ks=st.sampled_from([(1,), (2,), (3,), (1, 2, 3), (3, 1), (2, 2)]))
+                  ks=st.sampled_from([(1,), (2,), (3,), (1, 2, 3), (3, 1), (2, 2), (1, 16),
+                                      (2, 7, 25)]))
 def test_pk_batch_matches_one_point_calls(samples, ks):
+    # every entry, (k, point), against its own one-order one-point call: its bits, or its
+    # refusal's type and message, whatever orders the batch holds besides
     zs = [z for (z, _), _ in samples]
     taus = [tau for (_, tau), _ in samples]
     tws = [TwistPair(*tw) for _, tw in samples]
-    alone = [outcome(lambda z=z, tw=tw, tau=tau: twisted_pk_batch(ks, tw, [z], tau)[:, 0])
-             for z, tw, tau in zip(zs, tws, taus)]
-    check_batch(lambda: twisted_pk_batch(ks, tws, zs, taus), alone)
+    entries = [[outcome(lambda k=k, z=z, tw=tw, tau=tau: twisted_pk_batch([k], tw, [z], tau)[0, 0])
+                for k in ks] for z, tw, tau in zip(zs, tws, taus)]
+    refusals = [one for point in entries for one in point if isinstance(one, tuple)]
+    statuses = None
+    try:
+        values = twisted_pk_batch(ks, tws, zs, taus)
+    except TwistellError as exc:
+        # the first refused entry in point order, then row order
+        assert refusals and (type(exc), str(exc)) == refusals[0]
+        values, statuses = exc.outcome
+    assert bool(refusals) == (statuses is not None)
+    for j, point in enumerate(entries):
+        for i, one in enumerate(point):
+            status = None if statuses is None else statuses[i, j]
+            if isinstance(one, tuple):
+                assert status is not None and (type(status.error()), str(status.error())) == one
+            else:
+                assert status is None and values[i, j].tobytes() == one, (i, j)
 
 
 @SETTINGS

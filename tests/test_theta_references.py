@@ -1,10 +1,11 @@
-"""theta_char, the prime form and P_1[tw] against 30-digit direct sums by mpmath.
+"""theta_char, the prime form and P_k[tw] against 30-digit direct sums by mpmath.
 
 The references sum theta[a;b](z, tau) = sum_n exp(i pi (n+a)^2 tau + (n+a)(z + 2 pi i b))
 term by term at 40 digits over a window wide enough for 30, with a, b, z and tau taken
 exactly as the floats given, and P_1[tw] as their quotient. They share nothing with the
 library's theta table, which theta_char, the prime form and the P_k kernel all sum, so
-they check it independently.
+they check it independently. P_k[tw] up to k = 30 is checked against the twisted lattice
+sum, taken at 50 digits on the lattice oracle's route.
 """
 
 import cmath
@@ -55,6 +56,36 @@ def mp_p1(tw, z, tau):
         a, b = mp.mpf(tw.lam) + half, mp.mpf(tw.mu) + half
         return (mp_theta(half, half, 0, tau, j=1) * mp_theta(a, b, z, tau)
                 / (mp_theta(a, b, 0, tau) * mp_theta(half, half, z, tau)))
+
+
+def mp_pk(k, tw, z, tau, digits=40):
+    """P_k[tw](z, tau) by the twisted lattice sum on twisted_pk_oracle's route, every row
+    within 10^-(digits + 10) of the peak: sum_m e^{2 pi i phase m} S_k(x_m; alpha), x_m
+    = (z - 2 pi i step m) / div, over div^k, S_k = (-1)^(k-1)/(k-1)! times the (k-1)-th
+    derivative of e^{alpha x}/(e^x - 1), sum_b c_b e^{(alpha+b-1) x}/(e^x - 1)^b by the
+    oracle's recurrence for its c_b."""
+    with mp.workdps(digits + 10):
+        mu, lam, z, tau = mp.mpf(tw.mu), mp.mpf(tw.lam), mp.mpc(z), mp.mpc(tau)
+        if lam:
+            alpha, step, phase, div = lam, tau, -mu, 1
+        else:
+            alpha, step, phase, div = 1 - mu, 1, lam, tau
+        coefs = [mp.mpf(1)]
+        for _ in range(k - 1):
+            coefs = [(alpha + b) * c - b * prev
+                     for b, (c, prev) in enumerate(zip(coefs + [0], [0] + coefs))]
+        # the rows decay as e^{-(1 - alpha) h m} and e^{-alpha h |m|}, Re x falling by h a row
+        h = abs((2j * mp.pi * step / div).real)
+        half = int((digits + 10) * mp.log(10) / (min(alpha, 1 - alpha) * h)) + 10
+        total = mp.mpc(0)
+        for m in range(-half, half + 1):
+            x = (z - 2j * mp.pi * step * m) / div
+            ex = mp.exp(x)
+            g, poly = ex / (ex - 1), mp.mpf(0)
+            for c in reversed(coefs):
+                poly = poly * g + c
+            total += mp.exp(2j * mp.pi * phase * m + alpha * x) / (ex - 1) * poly
+        return (-1) ** (k - 1) / mp.factorial(k - 1) * total / div ** k
 
 
 def close(value, ref):
@@ -124,6 +155,34 @@ P1_POINTS = [
 def test_p1_matches_the_theta_quotient(tw, z, tau):
     ref = mp_p1(tw, z, tau)
     assert close(twisted_pk(1, tw, z, tau), ref)
+
+
+PK_POINTS = [
+    # where the rounding bound once refused k >= 15, charging every Taylor column the
+    # rounding of the table's top x^j / j!
+    (15, TwistPair(0.31, 0.77), -0.3 + 0.2j, 1j),
+    (20, TwistPair(0.31, 0.77), -0.3 + 0.2j, 1j),
+    (28, TwistPair(0.31, 0.77), -0.3 + 0.2j, 1j),
+    # once refused too, and where the float lattice oracle is 1.8e-12 to 8.5e-10 off
+    (25, TwistPair(0.9636330153006151, 0.8099963055539944),
+     0.9761820447203207 - 0.23143284682309684j, 0.43525077647893196 + 0.27496908295668093j),
+    (27, TwistPair(0.1885348672602667, 0.4304517142685267),
+     1.1165297655072512 + 0.09230006828042381j, -0.036625310558097035 + 0.7433754048364559j),
+    (26, TwistPair(0.3924347511548607, 0.8197528761491403),
+     -3.822553129978983 + 1.768436986339184j, 0.342713821732997 + 0.7871258195978872j),
+    (30, TwistPair(0.8569044881894118, 0.37217928959100277),
+     -5.004370998972358 + 1.013110865699903j, 0.30511937534351974 + 0.8935729407686389j),
+    (26, TwistPair(0.032247110912016264, 0.43215181377112377),
+     -2.579113449692601 - 0.6506388429311283j, -0.2637270839733845 + 0.44671028686671327j),
+    (29, TwistPair(0.26367965177971975, 0.7197142715062754),
+     0.13856048265763699 - 1.1942919093690103j, -0.2976256478917857 + 0.3210677143857262j),
+]
+
+
+@pytest.mark.parametrize("k,tw,z,tau", PK_POINTS)
+def test_pk_matches_the_lattice_sum(k, tw, z, tau):
+    ref = mp_pk(k, tw, z, tau)
+    assert abs(twisted_pk(k, tw, z, tau) - complex(ref)) <= TOL * max(1.0, float(abs(ref)))
 
 
 def test_theta_char_is_right_or_refused():

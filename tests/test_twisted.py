@@ -500,13 +500,20 @@ class TestThetaKernel:
             twisted_pk_batch([1], TwistPair(0.31, 0.77), [Z, bad], TAU)
 
     @pytest.mark.parametrize("k,message", [
-        (15, r"P_15\[tw\] .*: rounding bound 1\.11e-12 over tol 1e-12$"),
-        (700, r"P_700\[tw\] .*: its value leaves the float range$")], ids=["k15", "k700"])
+        (30, r"P_30\[tw\] .*: rounding bound 1\.08e-12 over tol 1e-12$"),
+        (700, r"P_700\[tw\] .*: its value leaves the float range$")], ids=["k30", "k700"])
     def test_bound_refusal_prints_the_relative_bound(self, k, message):
         # the test is err / max(1, |P_k|) <= tol, and the message prints that ratio; a
         # value past the float range has no bound to print
         with pytest.raises(NotConverged, match=message):
             twisted_pk(k, TwistPair(0.31, 0.77), -0.3 + 0.2j, 1j)
+
+    def test_high_order_bound_is_its_own_columns(self):
+        # P_15 here once printed a bound of 1.11e-12, every Taylor column charged the
+        # rounding of the table's top x^j / j!; its own columns' bound passes
+        tw, z = TwistPair(0.31, 0.77), -0.3 + 0.2j
+        assert twisted_pk(15, tw, z, 1j) == pytest.approx(twisted_pk_oracle(15, tw, z, 1j),
+                                                          rel=1e-13)
 
     def test_small_im_tau_is_not_converged(self):
         # the theta sums cancel to eta^3 ~ 3e-15 here: refused, not silently wrong
@@ -946,8 +953,11 @@ class TestModularCovariance:
     (lambda: theta_char(0.5, 0.5, complex(INF, 0.0), TAU), DomainError),
     (lambda: rank1_generating(GSelector.IDENTITY, [complex(-1.0, NAN), -0.5], TAU),
      DomainError),
+    (lambda: TwistPair(NAN, 0.3), DomainError),
+    (lambda: TwistPair(0.3, INF), DomainError),
 ], ids=["pfaffian-nan", "pfaffian-inf", "pk-tau-inf", "pk-z-inf", "pk-z-nan",
-        "eisenstein-tau-inf", "prime-form-nan", "theta-inf", "rank1-nan"])
+        "eisenstein-tau-inf", "prime-form-nan", "theta-inf", "rank1-nan", "twist-nan",
+        "twist-inf"])
 def test_non_finite_input_raises(call, error):
     with pytest.raises(error):
         call()
