@@ -2,7 +2,8 @@
 prime form K and P_0 = -log K (L1), the P_k theta-quotient kernel, E_n[tw] and their
 lattice oracles (L2), the correlators built on them (L3), and `twistell table` grids
 through cli.main in this process (L4), one of them a grid of binomials that times the
-table's text path alone. The *_many rows time samples at distinct tau, as the identity
+table's text path alone, and `twistell verify --suite all --seed 7` in a fresh process
+(L4.verify.cold). The *_many rows time samples at distinct tau, as the identity
 suite draws them, as a loop of one-point (one-sample) calls and as one call with
 per-point (per-sample) arguments.
 
@@ -37,6 +38,7 @@ import platform
 import random
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -395,6 +397,14 @@ def rows(twistell, seed: int):
     # L4: a 25 x 3 grid of binomials, evaluated one row at a time at next to no cost: the
     # table's text path (argument parsing, grid cells, output) apart from the kernels
     run("L4.table.text", lambda: table("binomial", "n=0..24", "k=0..2"), inner=5)
+    # L4: the whole identity suite from a cold start, interpreter, imports and report
+    # included, as `python3 -m twistell.cli verify` runs it
+    path = [str(Path(twistell.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    verify = [sys.executable, "-m", f"{twistell.__name__}.cli", "verify", "--suite", "all",
+              "--seed", "7"]
+    run("L4.verify.cold", lambda: subprocess.run(verify, env=env, check=True,
+                                                 stdout=subprocess.DEVNULL))
     return out, clear
 
 

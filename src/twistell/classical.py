@@ -25,7 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NearPole, NotConverged, Refusal, TwistellError
+from .errors import (
+    DomainError,
+    NearPole,
+    NotConverged,
+    TwistellError,
+    _outcome,
+    _refuse,
+    _refused,
+    _settle,
+)
 from .numeric import (
     DEFAULT_CONFIG,
     Q_ORDER,
@@ -171,7 +180,7 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
     loop instead, and so is every entry of an order whose prefactors leave the float
     range: so each entry is refused exactly where a loop call would refuse it, with the
     loop's error. fails maps the columns of refused taus (stand-ins in taus) to the
-    refusal each of their entries takes. A refused grid raises, with its outcome, the
+    error each of their entries takes. A refused grid raises, with its outcome, the
     first refused tau's error; else, in row order, the first order's prefactor error or
     its first refused entry's.
     """
@@ -192,14 +201,14 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
         block_sums = _eisenstein_grid_sums(orders, lam, mu, block, last, cfg)
         for row, part in zip(sums, block_sums):
             row[lo:lo + size] = part
-    refused: dict = {}                  # (order, tau) -> Refusal
+    refused: dict = {}                  # (order, tau) -> error
 
     def loop(i, j, n, tau):
-        """Entry (i, j) by the loop, or 0 with its refusal recorded."""
+        """Entry (i, j) by the loop, or 0 with its error recorded."""
         try:
             return _eisenstein_series(n, lam, mu, tau, cfg)
         except TwistellError as exc:
-            refused[i, j] = Refusal.of(exc)
+            refused[i, j] = exc
             return 0j
 
     out = np.empty((len(ns), len(taus)), dtype=complex)
@@ -209,21 +218,15 @@ def _eisenstein_grid(ns: Sequence[int], lam: float, mu: float, taus: Sequence[co
         out[i] = [0j if j in fails else _eisenstein_total(n, *s, pre) if s is not None
                   else loop(i, j, n, tau)
                   for j, (tau, s) in enumerate(zip(taus, row_sums))]
-    if not (fails or refused):
-        return out
-    statuses = np.full(out.shape, None, dtype=object)
-    for (i, j), refusal in refused.items():
-        statuses[i, j] = refusal
-    for j, refusal in fails.items():
-        statuses[:, j] = refusal
-    if fails:
-        first = fails[min(fails)]
-    else:
-        # every entry of an order whose prefactors fail is refused
-        i, j = min(refused)
-        pre = prefactors[ns[i]]
-        first = Refusal.of(pre) if isinstance(pre, NotConverged) else refused[i, j]
-    _refused(out, statuses, first)
+    if not refused:
+        return _settle(out, fails)
+    # the first refused tau's error; else, in row order, the first refused entry's, or the
+    # prefactors' error of its order, every entry of which is refused
+    i, j = min(refused)
+    pre = prefactors[ns[i]]
+    first = (fails[min(fails)] if fails else pre if isinstance(pre, NotConverged)
+             else refused[i, j])
+    _settle(out, fails, refused, first)
 
 
 def _grid_window(p: int, h: float, cfg: TruncationConfig) -> int:
@@ -516,7 +519,7 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails:
         span = np.sqrt(_THETA_TAIL / pi_im + 0.25)
         bad = (span + 1.0 > _THETA_MAX_HALF_WIDTH) | (pi_im > _FLOAT_MAX)
         if bad.any():
-            _refuse(fails, bad, NotConverged, lambda j, t=tau: _window(complex(t[j])))
+            _refuse(fails, bad, lambda j: _window(complex(tau[j])))
             zs, tau = _stand_ins(fails, zs, tau)
             span = np.sqrt(_THETA_TAIL / (math.pi * tau.imag) + 0.25)
         width = np.ceil(span) + 1.0
@@ -527,7 +530,7 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails:
     else:
         width = most = _window(tau)
         if not isinstance(most, int):       # every column refused: stand-ins at tau = i
-            _refuse(fails, range(zs.size), NotConverged, most)
+            _refuse(fails, range(zs.size), most)
             zs, tau = _stand_ins(fails, zs, 1j)
             width = most = _window(tau)
         inv = np.array([1.0 / (_TWO_PI * tau.imag), 1.0 / _TWO_PI])
@@ -535,13 +538,12 @@ def _theta_table(chars: Sequence[tuple], zs: np.ndarray, tau, order: int, fails:
     shifts = np.rint(zs.view(float).reshape(-1, 2) * inv)
     far = shifts.any() and np.abs(shifts).max()
     if far and not far < _SHIFT_MAX:
-        _refuse(fails, ~np.isfinite(zs), DomainError,
-                lambda j, z=zs: f"theta needs a finite z, got z = {z[j]}")
-        _refuse(fails, ~(np.abs(shifts).max(axis=1) < _SHIFT_MAX), NotConverged,
-                lambda j, z=zs, t=tau, s=shifts: (
-                    f"theta's largest term would leave the float range at z = {z[j]:.6g}, "
-                    f"tau = {_tau_at(t, j)}: the shift of z by {s[j, 0]:.6g} and "
-                    f"{s[j, 1]:.6g} periods keeps none of its digits"))
+        _refuse(fails, ~np.isfinite(zs),
+                lambda j: DomainError(f"theta needs a finite z, got z = {zs[j]}"))
+        _refuse(fails, ~(np.abs(shifts).max(axis=1) < _SHIFT_MAX), lambda j: NotConverged(
+            f"theta's largest term would leave the float range at z = {zs[j]:.6g}, tau = "
+            f"{_tau_at(tau, j)}: the shift of z by {shifts[j, 0]:.6g} and {shifts[j, 1]:.6g} "
+            f"periods keeps none of its digits"))
         zs, tau = _stand_ins(fails, zs, tau)
         shifts = np.rint(zs.view(float).reshape(-1, 2) * inv)
         far = np.abs(shifts).max(initial=0.0)
@@ -658,8 +660,8 @@ _SCALARS = (complex, float, int, np.number)
 
 
 # the per-point layer of the batch forms: fails maps each refused point (or table column)
-# to its Refusal, the first check the point fails; later stages skip it, and it takes a
-# stand-in z and tau that widen no window
+# to its error (errors._refuse); later stages skip it, and it takes a stand-in z and tau
+# that widen no window
 
 def _by_point(x, n: int, what: str) -> bool:
     """Whether x gives one value per point (anything but a number), its length checked."""
@@ -680,13 +682,12 @@ def _point_taus(tau, n: int, fails: dict):
         except DomainError as exc:
             if not n:
                 raise
-            _refuse(fails, range(n), DomainError, exc)
+            _refuse(fails, range(n), exc)
             return 1j
     taus = np.array(tau, dtype=complex).reshape(-1)
     good = (taus.imag > 0) & np.isfinite(taus)
     if not good.all():
-        _refuse(fails, ~good, DomainError,
-                lambda j, t=taus.copy(): _UPPER_HALF.format(complex(t[j])))
+        _refuse(fails, ~good, lambda j: DomainError(_UPPER_HALF.format(complex(taus[j]))))
         taus[~good] = 1j
     return taus
 
@@ -694,16 +695,6 @@ def _point_taus(tau, n: int, fails: dict):
 def _tau_at(tau, j: int) -> complex:
     """Point j's tau: tau itself when it is one complex, else its j-th value."""
     return complex(tau[j] if isinstance(tau, np.ndarray) else tau)
-
-
-def _refuse(fails: dict, at, kind: type, message) -> None:
-    """Record the refusal of kind at the points at (a mask or indexes) that have none yet;
-    message is the error itself or message(j), point j's, built only when it is raised."""
-    if isinstance(at, np.ndarray) and at.dtype == bool:
-        at = np.flatnonzero(at).tolist()
-    for j in at:
-        if j not in fails:
-            fails[j] = Refusal(kind, message, j)
 
 
 def _stand_ins(fails: dict, zs: np.ndarray, tau):
@@ -719,49 +710,6 @@ def _stand_ins(fails: dict, zs: np.ndarray, tau):
         live[out] = False
         tau = np.where(live, tau, tau[live.argmax()] if live.any() else 1j)
     return zs, tau
-
-
-def _settle(values, fails: dict):
-    """values when no point is refused; else _refused, with one status per point."""
-    if not fails:
-        return values
-    statuses = np.full(len(values), None, dtype=object)
-    for j, refusal in fails.items():
-        statuses[j] = refusal
-    _refused(values, statuses)
-
-
-def _refused(values, statuses: np.ndarray, first: Refusal | None = None):
-    """Raise the error of the refusal first, by default the first refused entry of
-    statuses in point order (point, then row), with the batch's outcome (values,
-    statuses)."""
-    exc = (first or next(r for r in statuses.T.flat if r is not None)).error()
-    exc.outcome = values, statuses
-    raise exc
-
-
-def _take_refusals(fails: dict, points, statuses, sizes=None) -> None:
-    """Record in fails the refusals of a batch over the given points in order, statuses
-    its outcome's (None when it refused none): each point takes the first refused entry
-    of its one column, or of its sizes[j] columns when sizes is given, in point order."""
-    if statuses is None:
-        return
-    ends = np.cumsum([0, *sizes]).tolist() if sizes else range(len(points) + 1)
-    for j, lo, hi in zip(points, ends, ends[1:]):
-        first = next((r for r in statuses[..., lo:hi].T.flat if r is not None), None)
-        if first is not None:
-            fails.setdefault(j, first)
-
-
-def _outcome(batch, *args) -> tuple:
-    """(values, statuses) of the batch form call batch(*args): statuses None when no entry
-    is refused, else the outcome its error carries."""
-    try:
-        return batch(*args), None
-    except TwistellError as exc:
-        if exc.outcome is None:
-            raise
-        return exc.outcome
 
 
 def _prime_forms(zs: Sequence[complex], tau, cfg: TruncationConfig = DEFAULT_CONFIG
@@ -833,15 +781,15 @@ def _prime_forms(zs: Sequence[complex], tau, cfg: TruncationConfig = DEFAULT_CON
         tiny = aks < 10 * _POLE_EPS
         ok = bounds <= cfg.tol * aks
     if bad.any():
-        _refuse(fails, bad, NotConverged, lambda j: (
+        _refuse(fails, bad, lambda j: NotConverged(
             f"prime form at z = {zs[j]:.6g}, tau = {_tau_at(taus, j)}: theta's largest "
             f"term would leave the float range"))
     if tiny.any():
-        _refuse(fails, tiny, NearPole, lambda j: (
+        _refuse(fails, tiny, lambda j: NearPole(
             f"z = {zs[j]:.6g} is within {10 * _POLE_EPS} of a zero of the prime form at "
             f"tau = {_tau_at(taus, j)}"))
     if np.count_nonzero(ok) < ok.size:
-        _refuse(fails, ~ok, NotConverged, lambda j: (
+        _refuse(fails, ~ok, lambda j: NotConverged(
             f"prime form at z = {zs[j]:.6g}, tau = {_tau_at(taus, j)}: rounding bound "
             f"{bounds[j] / aks[j]:.3g} over tol {cfg.tol:.3g}"))
     return _settle(ks, fails)
@@ -957,17 +905,17 @@ def _theta_chars(a, b, zs: Sequence[complex], tau,
         val = factor * col
         vals.append(val)
         if not cmath.isfinite(val):
-            fails[j] = Refusal(NotConverged, lambda _, z=z, t=t: (
-                f"theta's largest term would leave the float range at z = {z:.6g}, tau = {t}"))
+            fails[j] = NotConverged(
+                f"theta's largest term would leave the float range at z = {z:.6g}, tau = {t}")
         elif abs(factor) < _FLOAT_MIN and col:
-            fails[j] = Refusal(NotConverged, lambda _, z=z, t=t: (
-                f"theta falls below the normal float range at z = {z:.6g}, tau = {t}"))
+            fails[j] = NotConverged(
+                f"theta falls below the normal float range at z = {z:.6g}, tau = {t}")
         else:
             bound = abs(factor) * bound + (slack + 3.0 * abs(s)) * _EPS * abs(val)
             if not bound <= cfg.tol * abs(val):
-                fails[j] = Refusal(NotConverged, lambda _, z=z, t=t, r=bound / abs(val), a=ra,
-                                   b=rb: (f"theta[{a:.6g};{b:.6g}] at z = {z:.6g}, tau = "
-                                          f"{t}: rounding bound {r:.3g} over tol {cfg.tol:.3g}"))
+                fails[j] = NotConverged(f"theta[{ra:.6g};{rb:.6g}] at z = {z:.6g}, tau = {t}: "
+                                        f"rounding bound {bound / abs(val):.3g} over tol "
+                                        f"{cfg.tol:.3g}")
     return _settle(np.array(vals, dtype=complex), fails)
 
 
@@ -979,8 +927,8 @@ def _reduced_char(a: float, b: float, fails: dict, at
     DomainError, and stands in as a = b = 0."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
-        _refuse(fails, [at] if isinstance(at, int) else at, DomainError,
-                lambda _, a=a, b=b: f"theta needs finite a and b, got a = {a}, b = {b}")
+        _refuse(fails, [at] if isinstance(at, int) else at,
+                DomainError(f"theta needs finite a and b, got a = {a}, b = {b}"))
         a = b = 0.0
     a -= round(a)
     k = round(b)

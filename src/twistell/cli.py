@@ -17,7 +17,7 @@ from itertools import product
 from types import ModuleType
 
 from . import classical, fermion, numeric, twisted
-from .errors import DomainError, NearPole, NotConverged, TwistellError
+from .errors import DomainError, NearPole, NotConverged, TwistellError, _outcome
 from .identities import SUITE, SamplePlan, run_all
 from .numeric import DEFAULT_CONFIG, TruncationConfig
 from .twisted import GroupElement, TwistPair
@@ -262,10 +262,9 @@ _HANDLED = tuple(exc for exc, _, _, _ in _ERRORS)
 _ROW_ERRORS = tuple(exc for exc, _, _, status in _ERRORS if status)
 
 
-def _error_row(exc) -> tuple:
-    """The _ERRORS row of an exception, or of an exception type."""
-    kind = exc if isinstance(exc, type) else type(exc)
-    return next(row for row in _ERRORS if issubclass(kind, row[0]))
+def _error_row(exc: Exception) -> tuple:
+    """The _ERRORS row of an exception."""
+    return next(row for row in _ERRORS if isinstance(exc, row[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,7 @@ def _parse_table_value(key: str, kind: str, text: str):
 
 def _batch_values(batch, varying, fixed: dict, cfg) -> tuple[list, list, list] | None:
     """The re, im and status lists of the rows, in row order, from one batch form call:
-    a refused row's status from its entry's refusal in the batch's outcome, the one it
+    a refused row's status from its entry's error in the batch's outcome, the one it
     would meet in a batch of its own, its value 0.
 
     None when there is no batch form, or when the grid varies a parameter the batch
@@ -468,17 +467,20 @@ def _batch_values(batch, varying, fixed: dict, cfg) -> tuple[list, list, list] |
         return None
     call = dict(fixed)
     call.update({k: [arg for _, arg in grids[k]] if k in grids else [fixed[k]] for k in listed})
-    out, statuses = classical._outcome(fn, call, cfg)
+    out, statuses = _outcome(fn, call, cfg)
     # the varying axes first, in row order, then the length-1 axes of fixed listed parameters
     axes = [listed.index(k) for k in grids] + [i for i, k in enumerate(listed) if k not in grids]
     out = out.transpose(axes).ravel()
     re, im, status = out.real.tolist(), out.imag.tolist(), ["ok"] * out.size
     if statuses is not None:
-        for row, refusal in enumerate(statuses.transpose(axes).ravel().tolist()):
-            if refusal is not None:
-                status[row] = _error_row(refusal.kind)[3]
+        # a list, which the cycle collector sees into: an error raised from it refers to
+        # this frame, and numpy's object arrays hide their items from the collector
+        statuses = statuses.transpose(axes).ravel().tolist()
+        for row, exc in enumerate(statuses):
+            if exc is not None:
+                status[row] = _error_row(exc)[3]
                 if status[row] is None:       # not a row error: it aborts the table
-                    raise refusal.error()
+                    raise exc
                 re[row] = im[row] = 0.0
     return re, im, status
 

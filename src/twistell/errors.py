@@ -1,40 +1,24 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the record of a batch's refusals.
 
 Evaluators raise rather than returning junk: domain violations, truncation
 failures and near-pole arguments are all reported explicitly so callers can
-resample or widen windows.
+resample or widen windows. A batch form records in a dict, fails, each refused point's
+error, built at its first failed check, and raises with its outcome (_settle).
 """
+
+import numpy as np
 
 
 class TwistellError(Exception):
     """Base class for all library errors.
 
-    A batch form raises the error of its first refused point, which carries the batch's
-    outcome: (values, statuses), statuses an object array holding each refused entry's
-    Refusal and None elsewhere, laid out as the values. outcome is None on any other
-    error.
+    A batch form raises (a copy of) the error of its first refused point, which carries
+    the batch's outcome: (values, statuses), statuses an object array laid out as the
+    values, holding each refused entry's error and None elsewhere. outcome is None on any
+    other error.
     """
 
     outcome = None
-
-
-class Refusal:
-    """One refused entry of a batch: the type of its error, and the error itself, built
-    only when it is raised: kind(message(at)), message(at) giving the message or the
-    error; or message is the error already built."""
-
-    __slots__ = ("kind", "message", "at")
-
-    def __init__(self, kind: type, message, at=None):
-        self.kind, self.message, self.at = kind, message, at
-
-    @classmethod
-    def of(cls, exc: TwistellError) -> "Refusal":
-        return cls(type(exc), exc)
-
-    def error(self) -> TwistellError:
-        msg = self.message(self.at) if callable(self.message) else self.message
-        return msg if isinstance(msg, TwistellError) else self.kind(msg)
 
 
 class DomainError(TwistellError):
@@ -71,3 +55,62 @@ class BalanceError(DomainError):
 
 class UnsupportedTwist(TwistellError):
     """Requested correlator has no closed form at this twist."""
+
+
+def _refuse(fails: dict, at, error) -> None:
+    """Record at the points at (a mask or indexes) that have no error yet the error
+    itself, or error(j) at point j where error is not one."""
+    if isinstance(at, np.ndarray) and at.dtype == bool:
+        at = np.flatnonzero(at).tolist()
+    for j in at:
+        if j not in fails:
+            fails[j] = error if isinstance(error, TwistellError) else error(j)
+
+
+def _settle(values, fails: dict, entries=None, first=None):
+    """values when nothing is refused; else _refused, each refused point's error filling
+    its column of the statuses, and entries mapping (row, point) to the error of one
+    entry of a point that passes."""
+    if not (fails or entries):
+        return values
+    statuses = np.empty(values.shape if isinstance(values, np.ndarray) else len(values), object)
+    for at, exc in (entries or {}).items():
+        statuses[at] = exc
+    for j, exc in fails.items():
+        statuses[..., j] = exc
+    _refused(values, statuses, first)
+
+
+def _refused(values, statuses: np.ndarray, first=None):
+    """Raise the error first, by default the first refused entry of statuses in point
+    order (point, then row), with the batch's outcome (values, statuses). It is raised as
+    a copy: numpy's object arrays are invisible to the cycle collector, so an error that
+    carried the statuses holding it would never be freed."""
+    exc = first or next(e for e in statuses.T.flat if e is not None)
+    raised = type(exc).__new__(type(exc), *exc.args)
+    raised.__dict__.update(exc.__dict__, outcome=(values, statuses))
+    raise raised.with_traceback(exc.__traceback__)
+
+
+def _take_refusals(fails: dict, points, statuses, sizes=None) -> None:
+    """Record in fails the errors of a batch over the given points in order, statuses
+    its outcome's (None when it refused none): each point takes the first refused entry
+    of its one column, or of its sizes[j] columns when sizes is given, in point order."""
+    if statuses is None:
+        return
+    ends = np.cumsum([0, *sizes]).tolist() if sizes else range(len(points) + 1)
+    for j, lo, hi in zip(points, ends, ends[1:]):
+        first = next((e for e in statuses[..., lo:hi].T.flat if e is not None), None)
+        if first is not None:
+            fails.setdefault(j, first)
+
+
+def _outcome(batch, *args) -> tuple:
+    """(values, statuses) of the batch form call batch(*args): statuses None when no entry
+    is refused, else the outcome its error carries."""
+    try:
+        return batch(*args), None
+    except TwistellError as exc:
+        if exc.outcome is None:
+            raise
+        return exc.outcome

@@ -22,10 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .classical import (
-    _outcome,
     _prime_forms,
-    _settle,
-    _take_refusals,
     _theta_chars,
     _turn,
     dedekind_eta,
@@ -35,9 +32,11 @@ from .errors import (
     BalanceError,
     DomainError,
     NotConverged,
-    Refusal,
     TwistellError,
     UnsupportedTwist,
+    _outcome,
+    _settle,
+    _take_refusals,
 )
 from .numeric import DEFAULT_CONFIG, Q_ORDER, TruncationConfig, pfaffian
 from .twisted import (
@@ -138,7 +137,7 @@ def _cd_stacks(samples: Sequence[tuple], cfg: TruncationConfig, fails: dict) -> 
     """The C/D block matrices of the expansion coefficients of P_1[tw] at every sample
     record (tw, row_modes, xs, col_modes, ys, tau, diag) of samples, as (members, stack)
     per layout, stack[j] the matrix of sample members[j]. A sample that is None, or that
-    fails already holds, takes no part; a refused sample's refusal goes to fails and its
+    fails already holds, takes no part; a refused sample's error goes to fails and its
     slot of the stack is undefined; a layout may have no stack when all of its samples
     are refused.
 
@@ -169,7 +168,7 @@ def _cd_stacks(samples: Sequence[tuple], cfg: TruncationConfig, fails: dict) -> 
         if sample is None or i in fails:
             continue
         if sample[6] is not None and not cmath.isfinite(sample[6]):
-            fails[i] = Refusal(DomainError, f"diagonal value must be finite, got {sample[6]}")
+            fails[i] = DomainError(f"diagonal value must be finite, got {sample[6]}")
             continue
         groups.setdefault((tuple(sample[1]), tuple(sample[3]), sample[4] is None,
                            sample[6] is None), []).append(i)
@@ -237,7 +236,7 @@ def _grouped(call, groups: list, fails: dict, columns_of) -> list:
     """call(points, *columns) at the points of every (members, zs) of groups in one call,
     zs holding a row of points per member: points all the rows in order, and each column
     a value per point, member i's columns_of(i) repeated over its points, or its values
-    themselves where one sample takes part. Each member takes the first refusal among
+    themselves where one sample takes part. Each member takes the first error among
     its points into fails (_take_refusals). Returns each group's block of the values,
     along their last axis."""
     members = [i for group, _ in groups for i in group]
@@ -256,13 +255,13 @@ def _grouped(call, groups: list, fails: dict, columns_of) -> list:
 
 
 def _refusing(fails: dict, at, make, refused=None):
-    """make(), or refused where it raises a TwistellError, whose refusal goes to fails
-    for each sample of at that fails holds none for yet."""
+    """make(), or refused where it raises a TwistellError, which goes to fails for each
+    sample of at that fails holds none for yet."""
     try:
         return make()
     except TwistellError as exc:
         for i in at:
-            fails.setdefault(i, Refusal.of(exc))
+            fails.setdefault(i, exc)
         return refused
 
 
@@ -778,8 +777,8 @@ def _bosonized(samples: Sequence[tuple], cfg: TruncationConfig) -> list[complex]
                     if j not in fails:
                         vals[j] *= prod
                         if not cmath.isfinite(vals[j]):
-                            fails[j] = Refusal(NotConverged,
-                                               "product of prime forms leaves the float range")
+                            fails[j] = NotConverged("product of prime forms leaves the float "
+                                                    "range")
     return _settle(vals, fails)
 
 

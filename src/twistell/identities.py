@@ -18,14 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical import (
-    _outcome,
     _prime_forms,
     _theta_chars,
     _weierstrass_pks,
     dedekind_eta,
     eisenstein,
 )
-from .errors import Refusal, RouteUnavailable
+from .errors import RouteUnavailable, TwistellError, _outcome
 from .fermion import (
     GSelector,
     OrbifoldParams,
@@ -220,8 +219,8 @@ def _finish(name: str, records: list[SampleRecord], tol: float, cfg: TruncationC
 
 
 def _each(batch, *args) -> list:
-    """Each point's or sample's value of the batch form call batch(*args), or its Refusal
-    where the batch refuses it (classical._outcome). A check reads them in its record loop
+    """Each point's or sample's value of the batch form call batch(*args), or its error
+    where the batch refuses it (errors._outcome). A check reads them in its record loop
     through _got, so a refused sample raises its error where its one-sample call did."""
     values, statuses = _outcome(batch, *args)
     if isinstance(values, np.ndarray):
@@ -232,9 +231,9 @@ def _each(batch, *args) -> list:
 
 
 def _got(result):
-    """A value of _each, or the error of its Refusal raised."""
-    if isinstance(result, Refusal):
-        raise result.error()
+    """A value of _each, or its error raised."""
+    if isinstance(result, TwistellError):
+        raise result
     return result
 
 
@@ -262,14 +261,14 @@ def check_doublesum(k: int, plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CO
         rhs = _got(rhs)
         records.append(SampleRecord(f"tw={tw} z={_c(z)} tau={_c(tau)}",
                                     lhs, rhs, residual(lhs, rhs)))
-    if not isinstance(trivial, Refusal):
+    if not isinstance(trivial, TwistellError):
         records.append(SampleRecord("tw=trivial", 0j, 0j, math.inf, "ok",
                                     "trivial twist unexpectedly accepted"))
-    elif issubclass(trivial.kind, RouteUnavailable):
+    elif isinstance(trivial, RouteUnavailable):
         records.append(SampleRecord("tw=trivial", 0j, 0j, 0.0, "skipped",
                                     "RouteUnavailable: no lattice route at trivial twist"))
     else:
-        raise trivial.error()
+        raise trivial
     return _finish(name, records, tolerance, cfg, plan.seed)
 
 
@@ -437,19 +436,12 @@ def check_modular_twisted(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_CONF
         tau = s.tau()
         tw = s.twist()
         gtw = gamma_act_twist(gamma, tw)
-        if gtw.is_trivial:
-            draws.append((glabel, tau, tw, gtw, None, None))
-            continue
         z = s.points(tau, 1)[0]
         gz, gtau = gamma_act_point(gamma, z, tau)
         points += [(gtw, gz, gtau), (tw, z, tau)]
         draws.append((glabel, tau, tw, gtw, z, gtau))
     pk = iter(twisted_pk_batch((1, 2, 3), *zip(*points), cfg).T.tolist() if points else ())
     for glabel, tau, tw, gtw, z, gtau in draws:
-        if z is None:
-            records.append(SampleRecord(f"{glabel} tw={tw}", 0j, 0j, 0.0, "skipped",
-                                        "transformed twist degenerated to trivial"))
-            continue
         gamma = _GAMMAS[glabel]
         aut = gamma.automorphy(tau)
         gpk, zpk = next(pk), next(pk)
@@ -711,7 +703,7 @@ def check_modular_correlators(plan: SamplePlan, cfg: TruncationConfig = DEFAULT_
     # the bordered matrices of every four P_1 entries, a refused entry's 0 never read
     q = np.ones((len(q_at) // 4, 3, 3), dtype=complex)
     q[:, 2, 2] = 0.0
-    q[:, :2, :2] = np.reshape([0j if isinstance(e, Refusal) else e for e in q_entries],
+    q[:, :2, :2] = np.reshape([0j if isinstance(e, TwistellError) else e for e in q_entries],
                               (-1, 2, 2))
     q_dets, q_entries = iter(np.linalg.det(q).tolist()), iter(q_entries)
 

@@ -30,16 +30,13 @@ from .classical import (
     _eisenstein_grid,
     _eisenstein_series,
     _point_taus,
-    _refuse,
-    _refused,
-    _settle,
     _stand_ins,
     _tau_at,
     _theta_table,
     _turns,
     require_upper_half,
 )
-from .errors import DomainError, NearPole, NotConverged, Refusal, RouteUnavailable
+from .errors import DomainError, NearPole, NotConverged, RouteUnavailable, _refuse, _settle
 from .numeric import DEFAULT_CONFIG, TruncationConfig, bernoulli_poly, binomial
 
 _TWO_PI = 2.0 * math.pi
@@ -264,16 +261,15 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
         # which takes two tables
         if isinstance(tw, TwistPair):
             twists, which, split, trivial = [tw], None, False, tw.is_trivial
-            if flipped and not _half_integer(tw):
+            if flipped:
                 inv = _flipped(tw, flip, fails)
                 if flipped == zs.size:
                     twists = [inv]
-                elif inv is not tw:
+                elif inv != tw:
                     twists, which = [tw, inv], flip.view(np.int8)
         else:
             index: dict[TwistPair, int] = {}
-            which = np.array([index.setdefault(_flipped(t, [j], fails)
-                                               if f and not _half_integer(t) else t, len(index))
+            which = np.array([index.setdefault(_flipped(t, [j], fails) if f else t, len(index))
                               for j, (t, f) in enumerate(zip(tw, flip.tolist()))])
             twists, trivial = list(index), np.array([t.is_trivial for t in tw])
             split = len({t.is_trivial for t in twists}) > 1
@@ -297,19 +293,12 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
         rel = err / np.maximum(1.0, np.abs(vals))
     if not fails and rel.max() <= cfg.tol:
         return vals
-    # each entry's status: its point's refusal, else the bound's, raised in point order
-    statuses = np.full(vals.shape, None, dtype=object)
-    for j, refusal in fails.items():
-        statuses[:, j] = refusal
-    for i, j in np.argwhere(~(rel <= cfg.tol)).tolist():
-        if statuses[i, j] is None:
-            statuses[i, j] = Refusal(NotConverged, lambda at: (
-                f"P_{ks[at[0]]}[tw] theta quotient at z = {zs[at[1]]:.6g}, tau = "
-                f"{_tau_at(taus, at[1])}: " + (
-                    f"rounding bound {rel[at]:.3g} over tol {cfg.tol:.3g}"
-                    if np.isfinite(vals[at]) else "its value leaves the float range")),
-                (i, j))
-    _refused(vals, statuses)
+    # the entries the bound refuses at the points that pass, raised in point order
+    return _settle(vals, fails, {(i, j): NotConverged(
+        f"P_{ks[i]}[tw] theta quotient at z = {zs[j]:.6g}, tau = {_tau_at(taus, j)}: " + (
+            f"rounding bound {rel[i, j]:.3g} over tol {cfg.tol:.3g}"
+            if np.isfinite(vals[i, j]) else "its value leaves the float range"))
+        for i, j in np.argwhere(~(rel <= cfg.tol)).tolist() if j not in fails})
 
 
 def _flipped(tw: TwistPair, at, fails: dict) -> TwistPair:
@@ -319,15 +308,10 @@ def _flipped(tw: TwistPair, at, fails: dict) -> TwistPair:
     the points are refused with NearPole, as at -z's own side, and keep tw in its place."""
     inv = tw.inverse()
     if inv.is_trivial and not tw.is_trivial:
-        _refuse(fails, at, NearPole, lambda _: (
+        _refuse(fails, at, NearPole(
             f"twist {tw} is within {_POLE_EPS} of trivial, where P_k[tw] has a pole"))
         return tw
     return inv
-
-
-def _half_integer(tw: TwistPair) -> bool:
-    """Whether tw is its own inverse: mu and lam in {0, 1/2}."""
-    return tw.mu in (0.0, 0.5) and tw.lam in (0.0, 0.5)
 
 
 def _quotients(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray, tau,
@@ -423,8 +407,8 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
         if not trivial:
             num0 = at_0[0][0][c]
             if abs(num0) < _POLE_EPS * abs(den1):
-                _refuse(fails, range(npts) if combo is None else combo == c, NearPole,
-                        lambda j, t=twists[t]: (
+                _refuse(fails, range(npts) if combo is None else combo == c,
+                        lambda j, t=twists[t]: NearPole(
                             f"twist {t.inverse() if flip is not None and flip[j] else t} is "
                             f"within {_POLE_EPS} of trivial, where P_k[tw] has a pole"))
                 num0 = den1 = 1.0               # stand-ins: the combination's points are refused
@@ -437,7 +421,7 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
     absden = np.abs(cols[:order, -1, :npts])
     near = absden[0] < per[0].real
     if np.count_nonzero(near):
-        _refuse(fails, near, NearPole, lambda j: (
+        _refuse(fails, near, lambda j: NearPole(
             f"z = {ws[j]:.6g} (or its negative) is within {10 * _POLE_EPS} of a pole of "
             f"P_k[tw] at tau = {_tau_at(tau, j)}"))
     shifts = shifts[:npts]
@@ -558,8 +542,11 @@ def _lattice_sums(k: int, tws: Sequence[TwistPair], zs: Sequence[complex],
     RouteUnavailable at the trivial twist; NotConverged when (k-1)! leaves the float
     range, when the row where the terms peak (Re x = 0) lies outside the starting window
     about row 0 (its edge terms could pass that test with the peak still ahead), past
-    _LATTICE_MAX_HALF_WIDTH rows a side, or when the sum, or tau^k on the theta != 1
-    route, leaves the float range. A refused sample's value is 0.
+    _LATTICE_MAX_HALF_WIDTH rows a side, when the sum, or tau^k on the theta != 1
+    route, leaves the float range, or when its rounding bound, 4 eps times the sum of
+    |term| (the polynomial's moduli summed alongside it) over |div|^k, passes cfg.tol
+    max(1, |value|), as the cancelling terms of high orders make it. A refused sample's
+    value is 0.
     """
     out = np.zeros(len(zs), dtype=complex)
     try:
@@ -583,19 +570,19 @@ def _lattice_sums(k: int, tws: Sequence[TwistPair], zs: Sequence[complex],
             alpha, phase, step, div = 1.0 - tw.mu, tw.lam, 1.0, tau
             rates, row = ((1.0 - tw.mu) * hp, tw.mu * hp), (z * tau.conjugate()).real / h
         else:
-            _refuse(fails, [j], RouteUnavailable, "lattice oracle needs theta != 1 or phi != 1")
+            fails[j] = RouteUnavailable("lattice oracle needs theta != 1 or phi != 1")
             continue
         if scale is None:
-            _refuse(fails, [j], NotConverged, f"lattice oracle of order {k} needs {k - 1}! as "
-                                              f"a float, which overflows past 170!")
+            fails[j] = NotConverged(f"lattice oracle of order {k} needs {k - 1}! as a float, "
+                                    f"which overflows past 170!")
             continue
         m_up, m_dn = (_window_size(rate, cfg.tol) for rate in rates)
         if not -m_dn <= row <= m_up:
-            _refuse(fails, [j], NotConverged, f"lattice row {row:.6g} lies outside the window "
-                                              f"[{-m_dn}, {m_up}] about 0")
+            fails[j] = NotConverged(f"lattice row {row:.6g} lies outside the window "
+                                    f"[{-m_dn}, {m_up}] about 0")
             continue
         if max(m_up, m_dn) > _LATTICE_MAX_HALF_WIDTH:
-            _refuse(fails, [j], NotConverged, exceeded)
+            fails[j] = NotConverged(exceeded)
             continue
         open_.append([j, m_dn, m_up, div])
         consts.append([z, div, 2j * math.pi * step, 2j * math.pi * phase, alpha,
@@ -615,34 +602,44 @@ def _lattice_sums(k: int, tws: Sequence[TwistPair], zs: Sequence[complex],
             pos = x.real > 0.0
             den = np.expm1(np.where(pos, -x, x))
             np.negative(den, out=den, where=pos)        # e^x - 1, or 1 - e^-x where Re x > 0
-            poly = coefs[0]
+            # the polynomial and, alongside, the same polynomial of the moduli (the
+            # coefficients are real)
+            poly, mag = coefs[0], np.abs(coefs[0].real)
             if k > 1:
                 g = np.exp(np.where(pos, 0.0, x)) / den     # e^x/(e^x - 1)
+                ag = np.abs(g)
                 for c in coefs[1:]:
                     poly = poly * g + c
-            terms = (poly * np.exp(alpha * x - np.where(pos, x, 0.0)) / den
-                     * np.exp(c_phase * ms))
+                    mag = mag * ag + np.abs(c.real)
+            e = np.exp(alpha * x - np.where(pos, x, 0.0))
+            terms = poly * e / den * np.exp(c_phase * ms)
             small = (np.abs(terms) < cfg.tol).tolist()
+            # each sample's sum of |term|
+            mags = np.add.reduceat(mag * np.abs(e / den), bounds[:-1]).tolist()
             again = []
             for i, (s, lo, hi) in enumerate(zip(open_, bounds, bounds[1:])):
                 # the three outermost terms either side below cfg.tol, or a window twice as wide
                 if not all(small[lo:lo + 3] + small[hi - 3:hi]):
                     s[1], s[2] = 2 * s[1], 2 * s[2]
                     if max(s[1], s[2]) > _LATTICE_MAX_HALF_WIDTH:
-                        _refuse(fails, [s[0]], NotConverged, exceeded)
+                        fails[s[0]] = NotConverged(exceeded)
                     else:
                         again.append(i)
                     continue
                 try:
                     total = complex(terms[lo:hi].sum()) / s[3]**k
+                    # the rounding bound, 4 eps times the sum of |term| over |div|^k
+                    rel = 4.0 * _EPS * mags[i] / abs(s[3])**k / max(1.0, abs(total))
                 except (ZeroDivisionError, OverflowError):      # tau^k out of the float range
                     total = math.inf
-                if cmath.isfinite(total):
+                finite = cmath.isfinite(total)
+                if finite and rel <= cfg.tol:
                     out[s[0]] = total
                 else:
-                    _refuse(fails, [s[0]], NotConverged, f"lattice sum of order {k} at z = "
-                                                         f"{zs[s[0]]:.6g}, tau = {taus[s[0]]} "
-                                                         f"leaves the float range")
+                    fails[s[0]] = NotConverged(
+                        f"lattice sum of order {k} at z = {zs[s[0]]:.6g}, tau = {taus[s[0]]}"
+                        + (f": rounding bound {rel:.3g} over tol {cfg.tol:.3g}" if finite
+                           else " leaves the float range"))
             if not again:
                 break
             open_, consts = [open_[i] for i in again], consts[again]
@@ -670,13 +667,13 @@ def twisted_pk_oracle_batch(k: int, tw, zs: Sequence[complex], tau,
         if j in fails:
             continue
         if not cmath.isfinite(z):
-            _refuse(fails, [j], DomainError, f"lattice oracle needs a finite z, got z = {z}")
+            fails[j] = DomainError(f"lattice oracle needs a finite z, got z = {z}")
             continue
         try:
             if lattice_distance(z, t) < 10 * _POLE_EPS:
-                _refuse(fails, [j], NearPole, f"z = {z:.6g} is a lattice translate of a pole")
+                fails[j] = NearPole(f"z = {z:.6g} is a lattice translate of a pole")
         except NotConverged as exc:
-            _refuse(fails, [j], NotConverged, exc)
+            fails[j] = exc
     return _settle(_lattice_sums(k, tws, zs, taus, cfg, fails), fails)
 
 
@@ -687,8 +684,9 @@ def twisted_pk_oracle(k: int, tw: TwistPair, z: complex, tau: complex,
     tau^-k sum_n phi^n S_k((z - 2 pi i n)/tau; 1 - mu) (RouteUnavailable at the trivial
     twist), every k summed directly. Valid off the period lattice wherever the lattice
     row of z, where the terms peak, lies in the starting window about row 0 (8 rows or
-    more either side, more as tol or the decay rates fall); NotConverged where it does not.
-    The one-point call of twisted_pk_oracle_batch.
+    more either side, more as tol or the decay rates fall); NotConverged where it does
+    not, and where the sum's rounding bound passes tol (from k = 12 or so, where its
+    terms cancel). The one-point call of twisted_pk_oracle_batch.
     """
     return complex(twisted_pk_oracle_batch(k, tw, [z], tau, cfg)[0])
 
@@ -764,7 +762,7 @@ def twisted_eisenstein_oracle_batch(n: int, tw, tau,
             else:
                 out[j] = tail - bernoulli_poly(n, 1.0 - t.mu) / math.factorial(n) / tau_j**n
         except NotConverged as exc:
-            _refuse(fails, [j], NotConverged, exc)
+            fails[j] = exc
     return _settle(out, fails)
 
 
@@ -775,7 +773,8 @@ def twisted_eisenstein_oracle(n: int, tw: TwistPair, tau: complex,
     By S_n(-x; 1 - a) = (-1)^n S_n(x; a), E_n[tw] = c + (-1)^n times the lattice sum of
     twisted_pk_oracle at z = 0 with its pole row 0 dropped, c = -B_n(lam)/n! on the
     phi != 1 route and -B_n(1 - mu)/(n! tau^n) on the theta != 1 route.
-    RouteUnavailable at the trivial twist. The one-point call of
+    RouteUnavailable at the trivial twist; NotConverged where the lattice sum's rounding
+    bound passes tol (e.g. n = 30 at tau = i). The one-point call of
     twisted_eisenstein_oracle_batch.
     """
     return complex(twisted_eisenstein_oracle_batch(n, tw, tau, cfg)[0])

@@ -53,7 +53,7 @@ def test_layers_script_runs_every_row(capsys):
             "L2.twisted_eisenstein.im0.06",
             "L2.twisted_eisenstein.im1", "L2.twisted_eisenstein_batch.grid"} <= set(rows)
     assert {"L4.cli.build_parser", "L4.table.pk_grid", "L4.table.pk_grid_refused",
-            "L4.table.en_grid", "L4.table.text"} <= set(rows)
+            "L4.table.en_grid", "L4.table.text", "L4.verify.cold"} <= set(rows)
     for row in rows.values():
         assert set(row) == {"min_us", "median_us"} and 0 < row["min_us"] <= row["median_us"]
 
@@ -71,7 +71,7 @@ def test_layers_script_times_two_packages_side_by_side(capsys, tmp_path):
     assert report["src_lines"] == report["other_src_lines"] > 0
     rows = report["timings"]
     assert {"L1.theta_table.n1", "L2.pk_batch.mixed", "L3.request_set",
-            "L4.table.pk_grid"} <= set(rows)
+            "L4.table.pk_grid", "L4.verify.cold"} <= set(rows)
     for row in rows.values():
         assert set(row) == {"min_us", "other_min_us", "ratio"}
         assert row["min_us"] > 0 and row["other_min_us"] > 0

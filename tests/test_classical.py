@@ -396,6 +396,16 @@ class TestThetaChar:
             with pytest.raises(NotConverged):
                 theta_char(0.3, 0.1, 0.5, tau)
 
+    def test_per_point_tau_refuses_its_own_window(self):
+        # a tau of one point whose window passes 512 terms refuses that point alone; the
+        # other keeps the bits of its one-point call
+        message = "theta window needs more than 512 terms either side of 0 at tau = 1e-05j"
+        with pytest.raises(NotConverged, match=message) as info:
+            _theta_chars(0.2, 0.3, [0.1j, 0.2j], [1j, 1e-5j])
+        values, statuses = info.value.outcome
+        assert statuses[0] is None and str(statuses[1]) == message
+        assert values[0] == theta_char(0.2, 0.3, 0.1j, 1j)
+
     @pytest.mark.parametrize("a,b,tau", [(0.3, 0.2, TAU), (0.5, 0.5, TAU),
                                          (-1.2, 2.7, 0.3 + 0.8j), (0.5, -1.5, 1j)])
     def test_batch_values_do_not_depend_on_the_batch(self, a, b, tau):
@@ -436,6 +446,9 @@ class TestThetaChar:
         for z in (100.0, -1e300):
             with pytest.raises(NotConverged, match="largest term"):
                 theta_char(0.5, 0.5, z, 1j)
+        # pi Im tau n^2 past the float range
+        with pytest.raises(NotConverged, match="pi Im\\(tau\\) n\\^2 leave the float range"):
+            theta_char(0.2, 0.3, 0.1, 1e308j)
 
 
 class TestDedekindEta:

@@ -395,6 +395,15 @@ class TestTableBatchForms:
             ["ok", "not_converged", "not_converged"]
         assert [(list(ks), len(zs)) for ks, _, zs, _, _ in calls] == [([1, 2, 3], 1)]
 
+    def test_refusal_that_is_no_row_status_aborts_the_table(self, capsys):
+        # the oracle's RouteUnavailable at the trivial twist flags no row: the table exits
+        # with its code and prints the error alone
+        code, out, err = run_cli(capsys, "table", "--function", "twisted_pk_oracle", "k=1",
+                                 "mu=0", "lam=0", "z=-1:-0.5:3", "tau=1i")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert json.loads(err) == {"error": "parse",
+                                   "message": "lattice oracle needs theta != 1 or phi != 1"}
+
     @pytest.mark.parametrize("function,tokens", MIDDLE_REFUSED, ids=["prime_form", "theta_char"])
     def test_refused_middle_row_is_one_batch_call(self, capsys, monkeypatch, function, tokens):
         calls = self.count_calls(monkeypatch, classical, f"_{function}s")

@@ -188,6 +188,12 @@ class TestPfaffian:
     def test_empty_matrix(self):
         assert pfaffian(np.zeros((0, 0))) == 1.0
 
+    def test_zero_pivot_column_is_zero(self):
+        # a zero first column leaves elimination no pivot: Pf is 0, as the pair sum says
+        m = random_skew(random.Random(5), 4)
+        m[0, :] = m[:, 0] = 0.0
+        assert pfaffian(m) == 0.0 == pfaffian_pair_sum(m)
+
 
 class TestDeterminant:
     def test_identity(self):
