@@ -231,6 +231,10 @@ def rows(twistell, seed: int):
     run("L2.pk_many.n50.loop",
         lambda: [twisted_pk(1, *s) for s in zip(m_tws[:50], m_zs[:50], m_taus[:50])])
     run("L2.pk_many.n50", lambda: batch((1,), m_tws[:50], m_zs[:50], m_taus[:50]))
+    # L2: the same points, every third at the trivial twist, P_1..P_3: one table holds both
+    # kinds of twist, each kind's points taking their own quotient
+    kinds = [TwistPair() if i % 3 == 0 else t for i, t in enumerate(m_tws[:50])]
+    run("L2.pk_many.kinds.n50", lambda: batch(ORDERS, kinds, m_zs[:50], m_taus[:50]))
     # L2: the lattice oracles at the same samples, P_1 at z and E_2 at tau
     run("L2.pk_oracle_many.n50.loop",
         lambda: [twisted_pk_oracle(1, *s) for s in zip(m_tws[:50], m_zs[:50], m_taus[:50])])

@@ -84,12 +84,17 @@ def _settle(values, fails: dict, entries=None, first=None):
 def _refused(values, statuses: np.ndarray, first=None):
     """Raise the error first, by default the first refused entry of statuses in point
     order (point, then row), with the batch's outcome (values, statuses). It is raised as
-    a copy: numpy's object arrays are invisible to the cycle collector, so an error that
-    carried the statuses holding it would never be freed."""
+    a copy, with the first error's traceback, and the errors of statuses keep neither a
+    traceback nor a context: numpy's object arrays are invisible to the cycle collector,
+    so an error that carried the statuses holding it, or whose frames lead to a caller
+    that keeps them, would never be freed."""
     exc = first or next(e for e in statuses.T.flat if e is not None)
+    tb = exc.__traceback__
+    for e in filter(None, statuses.flat):
+        e.__traceback__ = e.__context__ = None
     raised = type(exc).__new__(type(exc), *exc.args)
     raised.__dict__.update(exc.__dict__, outcome=(values, statuses))
-    raise raised.with_traceback(exc.__traceback__)
+    raise raised.with_traceback(tb)
 
 
 def _take_refusals(fails: dict, points, statuses, sizes=None) -> None:

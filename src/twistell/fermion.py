@@ -427,7 +427,8 @@ def rank1_fock_npoint(labels, zs: Sequence[complex], g: GSelector, tau: complex,
     Vanishes when the total mode count is odd. Diagonal blocks hold
     C[theta;-1](k_i, k_j); off-diagonal blocks D[theta;-1](k_i, k_j, z_a - z_b).
     The diagonal entries C(k, k) vanish identically at theta = +-1, phi = -1,
-    and the Pfaffian never reads them.
+    and the Pfaffian never reads them. A D block entry of order k_i + k_j - 1
+    >= 29 can refuse with NotConverged by P_k's rounding bound (see coeff_D).
     """
     labels = [lab if isinstance(lab, FockLabelRank1) else FockLabelRank1(tuple(lab))
               for lab in labels]
@@ -629,6 +630,8 @@ def rank2_fock_npoint(labels, zs: Sequence[complex], p: OrbifoldParams, tau: com
 
     Vanishes unless the psi+ and psi- mode counts balance. Only nontrivial
     twists have this closed form; the trivial sector raises UnsupportedTwist.
+    A D block entry of order k + l - 1 >= 29 can refuse with NotConverged by
+    P_k's rounding bound (see coeff_D).
     """
     if p.is_trivial_twist:
         raise UnsupportedTwist("rank-two Fock correlators are closed-form only for "
@@ -829,8 +832,9 @@ def modular_multiplier(gamma: GroupElement, p: OrbifoldParams) -> tuple[complex,
     right, multiplying the generator value evaluated at the current (alpha,
     beta) before updating (alpha, beta) <- generator . (alpha, beta). The
     returned parameters equal (a*alpha + b*beta, c*alpha + d*beta).
-    NotConverged where a phase or the transformed parameters leave the float
-    range.
+    NotConverged where a T phase q (beta (beta + 1) + 1/6) or a transformed
+    parameter reaches 2^53, past which it keeps no digit of its fraction (so
+    no digit of the phase), or leaves the float range.
     """
     eps = 1.0 + 0.0j
     cur = p
@@ -840,12 +844,14 @@ def modular_multiplier(gamma: GroupElement, p: OrbifoldParams) -> tuple[complex,
                 eps *= epsilon_S(cur)
                 cur = OrbifoldParams(cur.beta, -cur.alpha)
             else:
-                q = gen[1]
-                eps *= cmath.exp(1j * math.pi * q * (cur.beta * (cur.beta + 1.0) + 1.0 / 6.0))
+                q, turns = gen[1], cur.beta * (cur.beta + 1.0) + 1.0 / 6.0
+                eps *= cmath.exp(1j * math.pi * q * turns) if abs(q * turns) < 2 ** 53 else math.nan
                 cur = OrbifoldParams(cur.alpha + q * cur.beta, cur.beta)
+            if not max(abs(cur.alpha), abs(cur.beta)) < 2 ** 53:
+                eps = math.nan
     except (OverflowError, ValueError, DomainError):    # DomainError: a parameter is inf
         eps = math.nan
     if not cmath.isfinite(eps):
         raise NotConverged(f"modular multiplier of {gamma} at {p}: a phase or a transformed "
-                           f"parameter leaves the float range")
+                           f"parameter reaches 2^53 or leaves the float range")
     return eps, cur

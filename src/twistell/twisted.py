@@ -212,15 +212,14 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
     P_k[tw](z) = (-1)^k P_k[tw^-1](-z) (1 - P_1[1;1](-z) for the trivial P_1),
     so that relation holds bit for bit, tw^-1 inverting back to tw itself, and
     with it the exact antisymmetry of the correlators' Pfaffian matrices. One
-    _p1_taylor table serves the points of nontrivial twists, flipped points
-    included, and one those of the trivial twist: each point takes the
-    numerator characteristic of its own twist, or of its inverse, and the
-    Taylor columns of both thetas; power-series division of the columns gives
-    the f^(j)/j!. Each point is moved next to 0 by the periods first (the
-    multiplier theta^-m phi^k of the shift is exact), and the window is sized a
-    priori from the Gaussian tail, so every value depends only on its own z,
-    tw and tau and on nothing else in the batch, and equals the one-point call
-    bit for bit.
+    _p1_taylor table serves every point of the batch, whatever its twist,
+    flipped points included: each point takes the numerator characteristic of
+    its own twist, or of its inverse, and the Taylor columns of both thetas;
+    power-series division of the columns gives the f^(j)/j!. Each point is
+    moved next to 0 by the periods first (the multiplier theta^-m phi^k of the
+    shift is exact), and the window is sized a priori from the Gaussian tail,
+    so every value depends only on its own z, tw and tau and on nothing else in
+    the batch, and equals the one-point call bit for bit.
 
     Domain: the whole plane off the period lattice 2 pi i (Z tau + Z).
     DomainError for a non-finite z; NearPole within 1e-11 of a lattice
@@ -254,13 +253,12 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
         # non-finite z is the table's DomainError
         flip = zs > 0
         flipped = np.count_nonzero(flip)
-        # P_k = (-1)^(k-1) f_(k-1), and at a flipped point -f_(k-1) of tw^-1 at w = -z;
-        # tw^-1 is tw at the half-integer twists, and the only twist when all points
-        # flip. twists lists the numerator twists, which[j] point j's (None: the one
-        # twist); split when some are trivial and some not (twists of several points),
-        # which takes two tables
+        # P_k = (-1)^(k-1) f_(k-1), and at a flipped point -f_(k-1) of tw^-1 at w = -z; tw^-1
+        # is tw at the half-integer twists, and the only twist when all points flip. twists
+        # lists the numerator twists, which[j] point j's (None: the one twist); trivial is
+        # whether they are trivial, one bool, or one per point where both kinds are present
         if isinstance(tw, TwistPair):
-            twists, which, split, trivial = [tw], None, False, tw.is_trivial
+            twists, which, trivial = [tw], None, tw.is_trivial
             if flipped:
                 inv = _flipped(tw, flip, fails)
                 if flipped == zs.size:
@@ -272,12 +270,9 @@ def twisted_pk_batch(ks: Sequence[int], tw, zs: Sequence[complex], tau,
             which = np.array([index.setdefault(_flipped(t, [j], fails) if f else t, len(index))
                               for j, (t, f) in enumerate(zip(tw, flip.tolist()))])
             twists, trivial = list(index), np.array([t.is_trivial for t in tw])
-            split = len({t.is_trivial for t in twists}) > 1
-            if not trivial.any():
-                trivial = False
-        vals, err = (_quotients if split else _p1_taylor)(
-            twists, which, np.where(flip, -zs, zs) if flipped else zs, taus, order, cfg,
-            fails, flip if flipped else None)
+            trivial = trivial if 0 < trivial.sum() < trivial.size else bool(trivial[0])
+        vals, err = _p1_taylor(twists, which, trivial, np.where(flip, -zs, zs) if flipped else zs,
+                               taus, order, cfg, fails, flip if flipped else None)
         sign = (-1.0) ** np.arange(order)[:, None] if order > 1 else 1.0   # (-1)^(k-1)
         if flipped:
             # the trivial P_1's 1 - P_1(-z), at the points of the trivial twist
@@ -314,58 +309,36 @@ def _flipped(tw: TwistPair, at, fails: dict) -> TwistPair:
     return inv
 
 
-def _quotients(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray, tau,
-               order: int, cfg: TruncationConfig, fails: dict, flip: np.ndarray | None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """_p1_taylor at points whose numerator twists are trivial at some points and not at
-    others (a batch of twists per point), one table for each kind, each kind's points'
-    refusals recorded in fails."""
-    kinds = np.array([t.is_trivial for t in twists])
-    vals, err = np.empty((order, ws.size), dtype=complex), np.empty((order, ws.size))
-    rank = np.empty(kinds.size, dtype=int)
-    for kind in (True, False):
-        mine = np.flatnonzero(kinds == kind)
-        rank[mine] = np.arange(mine.size)
-        part = np.flatnonzero(kinds[which] == kind)
-        # the part's refusals, by its own point numbers
-        own = {c: fails[j] for c, j in enumerate(part.tolist()) if j in fails}
-        vals[:, part], err[:, part] = _p1_taylor(
-            [twists[i] for i in mine], rank[which[part]], ws[part],
-            tau[part] if isinstance(tau, np.ndarray) else tau, order, cfg, own,
-            None if flip is None else flip[part])
-        for c, refusal in own.items():
-            fails.setdefault(int(part[c]), refusal)
-    return vals, err
-
-
-def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray, tau,
-               order: int, cfg: TruncationConfig, fails: dict, flip: np.ndarray | None
+def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, trivial, ws: np.ndarray,
+               tau, order: int, cfg: TruncationConfig, fails: dict, flip: np.ndarray | None
                ) -> tuple[np.ndarray, np.ndarray]:
     """f^(j)(w)/j!, j < order, of f = P_1[t] at every w of ws, t point j's numerator
-    twist twists[which[j]] (twists[0] when which is None), all trivial or none, with
-    their rounding bounds; tau is one complex or one per point. fails holds the points
+    twist twists[which[j]] (twists[0] when which is None), with their rounding bounds;
+    trivial is True or False when every t is trivial or none is, else one bool per
+    point, and tau one complex or one per point. fails holds the points
     refused so far, which take stand-ins, and takes the refusals of the table and of the
     pole tests: NearPole at a twist within 1e-12 of trivial, named as the point's own
     (the inverse of its numerator twist where flip, the points evaluated at -z, is
     set), and within 1e-11 of a lattice point.
 
-    One classical._theta_table call holds every point and, as one more column per
-    distinct (numerator twist, tau) of the points, w = 0. Its rows are the
-    numerator theta[lam+1/2; mu+1/2], summed as theta[lam-1/2; mu-1/2] (a in
+    One classical._theta_table call holds every point, whatever its twist, and, as one
+    more column per distinct (numerator twist, tau) of the points, w = 0. Its rows are
+    the numerator theta[lam+1/2; mu+1/2], summed as theta[lam-1/2; mu-1/2] (a in
     [-1/2, 1/2) as the table asks, |b| <= 1/2): one row, of the one twist's
-    characteristic or, for several twists, of each column's twist's; then
-    theta[1/2;1/2] (alone at the trivial twist), which sets every column's
-    log-scale either way. Each row has its Taylor columns c_j, j < order, and at
-    order 1 one more, j = 1, for theta'[1/2;1/2](0) (j <= order at the trivial
-    twist): a sum of that one column at w = 0 alone costs a one-point call more
-    than the column costs a 256-point one. Each point
-    then divides its numerator row by theta[1/2;1/2]'s, normalised for its twist
-    and tau; the table's shifts m and k leave the multiplier theta^-m phi^k =
-    e^{2 pi i (mu m + lam k)} of the quotient, its phases taken exactly (_turns),
-    and m itself in theta'/theta. The table's log-scales cancel from the quotient,
-    and _divide carries the columns' bounds through it.
+    characteristic or, for several twists, of each column's twist's (theta[1/2;1/2]
+    at the trivial twist); then theta[1/2;1/2] (alone when every twist is trivial),
+    which sets every column's log-scale either way. Each row has its Taylor columns
+    c_j, j < order, and at order 1 one more, j = 1, for theta'[1/2;1/2](0) (j <= order
+    when a twist is trivial; a column is the same in any table of order 2 or more):
+    a sum of that one column at w = 0 alone costs a one-point call more than the
+    column costs a 256-point one. A point of a nontrivial twist then divides its
+    numerator row by theta[1/2;1/2]'s, normalised for its twist and tau; the table's
+    shifts m and k leave the multiplier theta^-m phi^k = e^{2 pi i (mu m + lam k)} of
+    the quotient, its phases taken exactly (_turns). A point of the trivial twist
+    takes 1/2 + theta'/theta, m itself added. The table's log-scales cancel from the
+    quotients, and _divide carries the columns' bounds through them; a batch of both
+    kinds forms both quotients at every point, and each point keeps its own kind's.
     """
-    trivial = twists[0].is_trivial
     npts = ws.size
     if len(twists) == 1:
         which = None
@@ -384,27 +357,27 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
     pts[:npts] = ws
     # theta[lam+1/2; mu+1/2] = e^{2 pi i a} theta[a; mu-1/2] for a = lam - 1/2 in [-1/2,
     # 1/2), the constant cancelling from the normalisation: one row, its characteristic
-    # varying by column where there are several twists
+    # varying by column where there are several twists, theta[1/2;1/2] at a trivial one
     chars = [(0.5, 0.5)]
-    if not trivial:
-        nums = [(t.lam - 0.5, t.mu - 0.5) for t in twists]
+    if trivial is not True:
+        nums = [(0.5, 0.5) if t.is_trivial else (t.lam - 0.5, t.mu - 0.5) for t in twists]
         chars[:0] = (nums if len(twists) == 1 else
                      [tuple(np.array(nums)[np.concatenate((which, ctw))].T)])
-    cols, bounds, _, shifts, w = _theta_table(chars, pts, col_tau,
-                                              order + 1 if trivial else max(order, 2), fails)
+    cols, bounds, _, shifts, w = _theta_table(
+        chars, pts, col_tau, order + 1 if trivial is not False else max(order, 2), fails)
     for c in range(npts, pts.size):
         fails.pop(c, None)
     # per normalisation column: the pole threshold (theta[1/2;1/2](w) ~ theta'[1/2;1/2](0)
-    # d at distance d from the lattice), and off the trivial twist the normalisation
-    # theta'(0) / theta[a;b](0), its inverse modulus, mu, lam and the normalisation's
-    # relative bound
+    # d at distance d from the lattice), and the normalisation theta'(0) / theta[a;b](0),
+    # its inverse modulus, mu, lam and the normalisation's relative bound (zeros, unread,
+    # at the trivial twist)
     per_combo = []
     at_0 = cols[:2, :, npts:].tolist()
     err_0 = bounds[:2, :, npts:].tolist()
     for c, t in enumerate(ctw):
         den1 = at_0[1][-1][c]
-        per_combo.append([10 * _POLE_EPS * abs(den1)])
-        if not trivial:
+        per_combo.append([10 * _POLE_EPS * abs(den1), 0.0, 0.0, 0.0, 0.0, 0.0])
+        if not twists[t].is_trivial:
             num0 = at_0[0][0][c]
             if abs(num0) < _POLE_EPS * abs(den1):
                 _refuse(fails, range(npts) if combo is None else combo == c,
@@ -413,9 +386,9 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
                             f"within {_POLE_EPS} of trivial, where P_k[tw] has a pole"))
                 num0 = den1 = 1.0               # stand-ins: the combination's points are refused
             norm = den1 / num0
-            per_combo[c] += [norm, 1.0 / abs(norm), twists[t].mu, twists[t].lam,
-                             err_0[0][0][c] / abs(num0) + err_0[1][-1][c] / abs(den1)
-                             + 4.0 * _EPS]
+            per_combo[c][1:] = [norm, 1.0 / abs(norm), twists[t].mu, twists[t].lam,
+                                err_0[0][0][c] / abs(num0) + err_0[1][-1][c] / abs(den1)
+                                + 4.0 * _EPS]
     # each point's normalisation values
     per = per_combo[0] if combo is None else np.array(per_combo)[combo].T
     absden = np.abs(cols[:order, -1, :npts])
@@ -426,14 +399,15 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
             f"P_k[tw] at tau = {_tau_at(tau, j)}"))
     shifts = shifts[:npts]
     num, num_err = cols[:order, 0, :npts], bounds[:order, 0, :npts]
-    if trivial:
+    if trivial is not False:
         # f = 1/2 + theta'/theta: theta'(w + t) has columns (j+1) c_{j+1}
         j1 = np.arange(1.0, order + 1.0)[:, None]
         f, err = _divide(j1 * cols[1:, 0, :npts], j1 * bounds[1:, 0, :npts],
                          num, num_err, absden, 4.0 * _EPS)
         f[0] += 0.5 + shifts[:, 0]
         err[0] += _EPS * np.abs(f[0])
-        return f, err
+        if trivial is True:
+            return f, err
     # f = theta[a;b] / (theta[1/2;1/2] / norm): the normalisation and the multipliers
     # e^{2 pi i (mu m + lam k)} of the shifts divide the denominator
     norm, scale, mu, lam, rel = per[1], per[2].real, per[3].real, per[4].real, per[5].real
@@ -446,7 +420,11 @@ def _p1_taylor(twists: list[TwistPair], which: np.ndarray | None, ws: np.ndarray
                 # the phase to 3 eps 2 pi, its exp to eps, at the points it moves
                 step = (1.0 + 6.0 * math.pi) * _EPS
                 rel = rel + (step if moved == npts else step * (shift != 0.0))
-    return _divide(num, num_err, den, bounds[:order, -1, :npts] * scale, absden * scale, rel)
+    q, q_err = _divide(num, num_err, den, bounds[:order, -1, :npts] * scale, absden * scale, rel)
+    if trivial is False:
+        return q, q_err
+    # twists of both kinds: each point takes its own kind's quotient
+    return np.where(trivial, f, q), np.where(trivial, err, q_err)
 
 
 def _divide(num: np.ndarray, num_err: np.ndarray, den: np.ndarray, den_err: np.ndarray,
@@ -808,7 +786,9 @@ def coeff_D(k: int, l: int, tw: TwistPair, z: complex, tau: complex,
 
     Coefficients of z1^{k-1} z2^{l-1} in P_1[tw](z + z1 - z2); antisymmetric
     partner of coeff_C: D[tw](k, l, z) = -D[tw^-1](l, k, -z). Inherits the
-    domain of twisted_pk: the whole plane off the period lattice.
+    domain of twisted_pk: the whole plane off the period lattice. From order
+    k + l - 1 = 29 P_k's rounding bound can pass tol: coeff_D(15, 15,
+    TwistPair(0.31, 0.77), -0.3+0.2j, 1j) refuses with NotConverged at 1.03e-12.
     """
     if k < 1 or l < 1:
         raise ValueError("coeff_D requires k, l >= 1")

@@ -42,7 +42,7 @@ def test_layers_script_runs_every_row(capsys):
     assert {f"L0.pfaffian.d{d}" for d in (4, 8, 12, 16, 32)} <= set(rows)
     assert {f"L0.determinant.d{d}" for d in (4, 8, 16, 32)} <= set(rows)
     assert {"L1.eta", "L1.theta_many.n100", "L1.theta_many.n100.loop", "L2.pk_many.n50",
-            "L2.pk_many.n50.loop", "L2.pk_batch.empty"} <= set(rows)
+            "L2.pk_many.n50.loop", "L2.pk_many.kinds.n50", "L2.pk_batch.empty"} <= set(rows)
     assert {"L2.pk_oracle_many.n50", "L2.pk_oracle_many.n50.loop",
             "L2.eisenstein_oracle_many.n50", "L2.eisenstein_oracle_many.n50.loop"} <= set(rows)
     assert {"L3.rank2_many.n25", "L3.rank2_many.n25.loop", "L3.boson_many.n25",
@@ -70,8 +70,8 @@ def test_layers_script_times_two_packages_side_by_side(capsys, tmp_path):
     assert (report["src"], report["other"]) == (one, two)
     assert report["src_lines"] == report["other_src_lines"] > 0
     rows = report["timings"]
-    assert {"L1.theta_table.n1", "L2.pk_batch.mixed", "L3.request_set",
-            "L4.table.pk_grid", "L4.verify.cold"} <= set(rows)
+    assert {"L1.theta_table.n1", "L2.pk_batch.mixed", "L2.pk_many.kinds.n50",
+            "L3.request_set", "L4.table.pk_grid", "L4.verify.cold"} <= set(rows)
     for row in rows.values():
         assert set(row) == {"min_us", "other_min_us", "ratio"}
         assert row["min_us"] > 0 and row["other_min_us"] > 0

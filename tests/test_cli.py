@@ -107,6 +107,13 @@ class TestEval:
         assert code == EXIT_CONVERGENCE and out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "convergence"
 
+    def test_gamma_past_the_exact_floats_is_a_convergence_error(self, capsys):
+        # beta' = 1e21 alpha + beta = 2e20 is a float, but keeps no digit of its fraction
+        code, out, err = run_cli(capsys, "eval", "modular_multiplier",
+                                 "gamma=1,0,1000000000000000000000,1", "alpha=0.2", "beta=0.3")
+        assert code == EXIT_CONVERGENCE and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "convergence"
+
     def test_convergence_exit(self, capsys):
         code, _, err = run_cli(capsys, "eval", "eisenstein", "n=4", "tau=0.0001i")
         assert code == EXIT_CONVERGENCE

@@ -622,6 +622,17 @@ class TestModularMultiplier:
         # so is a T phase pi q beta (beta + 1) past it
         with pytest.raises(NotConverged, match="leaves the float range"):
             modular_multiplier(GroupElement.T(10 ** 20), OrbifoldParams(0.2, 1e300))
+        # and so is a transformed parameter or a T phase q (beta (beta + 1) + 1/6) that
+        # reaches 2^53, a float still: the transformed beta = 1e21 alpha + beta, and at
+        # beta = 3 the phase 12.17 q at q = 2^50 (alpha' = 3 q + alpha is below 2^53); at
+        # q = 2^49 both keep their bits
+        with pytest.raises(NotConverged, match="reaches 2\\^53"):
+            modular_multiplier(GroupElement(1, 0, 10 ** 21, 1), OrbifoldParams(0.2, 0.3))
+        with pytest.raises(NotConverged, match="reaches 2\\^53"):
+            modular_multiplier(GroupElement.T(2 ** 50), OrbifoldParams(0.2, 3.0))
+        eps, out = modular_multiplier(GroupElement.T(2 ** 49), OrbifoldParams(0.2, 3.0))
+        assert eps == cmath.exp(1j * math.pi * 2 ** 49 * (3.0 * 4.0 + 1.0 / 6.0))
+        assert (out.alpha, out.beta) == (0.2 + 2 ** 49 * 3.0, 3.0)
 
     def test_st_cubed_is_trivial(self):
         p = OrbifoldParams(0.31, 0.22)

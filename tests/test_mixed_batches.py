@@ -30,7 +30,7 @@ import math
 import numpy as np
 import pytest
 
-from twistell import cli, fermion
+from twistell import cli, fermion, twisted
 from twistell.classical import _PAIR_RADIUS, _prime_forms, _theta_chars, prime_form, theta_char
 from twistell.errors import DomainError, TwistellError
 from twistell.fermion import (
@@ -45,6 +45,7 @@ from twistell.fermion import (
 from twistell.numeric import DEFAULT_CONFIG, determinant
 from twistell.twisted import (
     TwistPair,
+    twisted_eisenstein_batch,
     twisted_eisenstein_oracle,
     twisted_eisenstein_oracle_batch,
     twisted_pk,
@@ -456,6 +457,42 @@ def test_refused_calls_leave_no_error_alive():
         assert cli.main(["table", "--function", "twisted_pk_oracle", "k=1", "mu=0", "lam=0",
                          "z=-1:-0.5:3", "tau=1i"]) == 1
     assert live() == before
+
+    # a caller that keeps the outcome in a frame of its own: the errors caught and recorded
+    # on the way (a repeated point's, the E_172 loop's) lead back to it by their frames
+    def kept(call):
+        with pytest.raises(TwistellError) as info:
+            call()
+        outcome = info.value.outcome
+        assert outcome is not None
+
+    repeated = (fermion._p1_sample(TwistPair(0.3, 0.6), [-1 + 0.2j, -1 + 0.2j], 1j),
+                lambda t, c: 1.0)
+    for _ in range(5):
+        kept(lambda: fermion._rank1_pfaffians([repeated], DEFAULT_CONFIG))
+        kept(lambda: twisted_eisenstein_batch([172, 2], TwistPair(0.3, 0.7), [1j, 2j]))
+    assert live() == before
+
+
+def test_pk_batch_of_both_kinds_sums_one_table(monkeypatch):
+    # points of trivial and of nontrivial twists, flipped and not, at two taus: one theta
+    # table holds them all, and each value keeps its one-point call's bits
+    tws = [TwistPair(), TwistPair(0.3, 0.7), TwistPair(), TwistPair(0.5, 0.5)]
+    zs = [-0.4 + 0.3j, 0.6 - 0.2j, 0.5 + 1.1j, -7.0 + 0.1j]
+    taus = [1j, 0.2 + 1.5j, 0.2 + 1.5j, 1j]
+    alone = [twisted_pk_batch([1, 2, 3], tw, [z], tau)[:, 0] for tw, z, tau in zip(tws, zs, taus)]
+    calls = []
+    table = twisted._theta_table
+
+    def counted(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(twisted, "_theta_table", counted)
+    values = twisted_pk_batch([1, 2, 3], tws, zs, taus)
+    assert len(calls) == 1
+    for j, one in enumerate(alone):
+        assert values[:, j].tobytes() == one.tobytes(), j
 
 
 def test_cd_stacks_skip_none_and_refused_samples(monkeypatch):
